@@ -185,7 +185,6 @@ def run_level(
     epsilon_factor=None,
     qvol=None,
     qedge=None,
-    freeze_operator=False,
     solver_tol=1e-12,
 ):
     """Solve one refinement level end to end.
@@ -202,7 +201,7 @@ def run_level(
     t1 = time.perf_counter()
 
     grid = TimeGrid(num_steps, p.T)
-    traj = march(forms, grid, u0, freeze_operator=freeze_operator, solver_tol=solver_tol)
+    traj = march(forms, grid, u0, solver_tol=solver_tol)
     t2 = time.perf_counter()
 
     err_h1, err_l2 = space_time_errors(traj, case)
@@ -225,21 +224,20 @@ def convergence_study(
     gm,
     degree,
     spans_list,
-    tau_of_h,
+    steps_for_level,
     threads=1,
     **level_kwargs,
 ):
     """Run all levels (optionally in parallel) and collect the report.
 
-    ``tau_of_h`` maps the level mesh size h = 1/spans to a target step
-    size; the realized tau is T divided by the rounded-up step count.
+    ``steps_for_level(spans, T)`` gives the number of time steps of the
+    level with ``spans`` spans per direction on [0, T].
     """
     if len(spans_list) < 2:
         raise InsufficientLevels("a convergence study needs at least two levels")
 
     def one(spans):
-        h = 1.0 / spans
-        n = steps_for(tau_of_h(h), case.problem.T)
+        n = steps_for_level(spans, case.problem.T)
         record, _, _ = run_level(case, gm, degree, spans, n, **level_kwargs)
         return record
 

@@ -296,6 +296,20 @@ def inflow_mask(disc, p, t):
     return bn < 0.0, bn
 
 
+def _operator_inputs(disc, p, t):
+    """Every array through which the stiffness depends on ``t``, as bytes.
+
+    mu, b and c at the volume quadrature points, mu at the edge quadrature
+    points and b . n there (the inflow mask alone would miss a change of
+    |b . n|).  Equal results give a bit-equal stiffness matrix.
+    """
+    ec, bc = disc.elements, disc.boundary
+    arrays = [_coefficients_at(ec.x, fn, t) for fn in (p.mu, p.b, p.c)]
+    arrays.append(_coefficients_at(bc.x, p.mu, t))
+    arrays.append(inflow_mask(disc, p, t)[1])
+    return tuple((a.shape, a.dtype.str, a.tobytes()) for a in arrays)
+
+
 def assemble_stiffness(disc, p, eps, t):
     """Penalized stiffness A_ij = form(t; trial N_j, test N_i).
 
@@ -433,7 +447,8 @@ class AssembledForms:
     Resolves the penalty parameter (absolute ``epsilon`` or a
     ``epsilon_factor`` multiple of the computed floor; exactly one may be
     given, default factor 1.25) and caches the mass matrix, the stability
-    Gram, and the per-time inflow masks.
+    Gram, and the last stiffness matrix with the operator inputs it was
+    assembled from.
     """
 
     def __init__(self, disc, p, epsilon=None, epsilon_factor=None):
@@ -449,7 +464,7 @@ class AssembledForms:
             self.eps = factor * self.floor
         self._mass = None
         self._gram = None
-        self._inflow = {}
+        self._stiffness = (None, None)  # (operator inputs, matrix)
 
     @property
     def mass(self):
@@ -464,12 +479,13 @@ class AssembledForms:
         return self._gram
 
     def stiffness(self, t):
-        return assemble_stiffness(self.disc, self.problem, self.eps, t)
+        """Stiffness at ``t``: the previous matrix object when the operator
+        inputs are bit-equal to those it was assembled from."""
+        inputs = _operator_inputs(self.disc, self.problem, t)
+        if inputs != self._stiffness[0]:
+            A = assemble_stiffness(self.disc, self.problem, self.eps, t)
+            self._stiffness = (inputs, A)
+        return self._stiffness[1]
 
     def load(self, t):
         return assemble_load(self.disc, self.problem, self.eps, t)
-
-    def inflow(self, t):
-        if t not in self._inflow:
-            self._inflow[t], _ = inflow_mask(self.disc, self.problem, t)
-        return self._inflow[t]

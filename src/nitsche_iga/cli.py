@@ -2,12 +2,13 @@
 
 Run files are flat ``key = value`` text with ``#`` comments.  Exactly one
 of ``epsilon`` / ``epsilon_factor`` and exactly one of ``tau_rule`` /
-``num_steps`` may be set.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+``num_steps`` may be set.  Keys that older run files set and that no
+longer do anything are ignored with a one-line notice on stderr.  Exit
+codes: 0 success, 2 configuration error, 3 numerical failure.
 
-The environment variable NITSCHE_SEED is reserved for future use; the
-pipeline is deterministic and identical configurations produce identical
-output files byte for byte (single-threaded mode).
+The pipeline is deterministic; only single-threaded output is guaranteed
+to be byte-reproducible: identical configurations then produce identical
+output files byte for byte.
 """
 
 import argparse
@@ -41,11 +42,15 @@ _KNOWN_KEYS = {
     "num_steps",
     "quadrature_order",
     "solver_tol",
-    "solver_maxit",
     "snapshot_times",
-    "freeze_operator",
     "threads",
     "out",
+}
+
+# keys of older run files that no longer do anything, with the reason
+_IGNORED_KEYS = {
+    "freeze_operator": "operator reuse is now automatic",
+    "solver_maxit": "the sparse direct solver has no iteration limit",
 }
 
 
@@ -61,26 +66,24 @@ class RunConfig:
     num_steps: int = None
     quadrature_order: int = None
     solver_tol: float = 1e-12
-    solver_maxit: int = None
     snapshot_times: list = field(default_factory=list)
-    freeze_operator: bool = False
     threads: int = 1
     out: str = "out"
 
-    def tau_of_h(self, h):
-        if self.num_steps is not None:
-            raise ConfigError("tau_of_h called but num_steps is set")
-        coef, power = self.tau_rule
-        return coef * h**power
-
     def steps_for_level(self, spans, T):
+        """Step count on [0, T] at ``spans`` spans: ``num_steps``, or the
+        ``tau_rule`` target C * h^p with h = 1/spans, rounded up."""
         if self.num_steps is not None:
             return self.num_steps
-        return analysis.steps_for(self.tau_of_h(1.0 / spans), T)
+        coef, power = self.tau_rule
+        return analysis.steps_for(coef * (1.0 / spans) ** power, T)
 
 
 def parse_config_file(path):
-    """Read the flat key = value format; unknown keys are config errors."""
+    """Read the flat key = value format; unknown keys are config errors.
+
+    A retired key is dropped with a notice on stderr.
+    """
     raw = {}
     try:
         text = Path(path).read_text()
@@ -94,6 +97,10 @@ def parse_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {body!r}")
         key, _, val = body.partition("=")
         key, val = key.strip(), val.strip()
+        if key in _IGNORED_KEYS:
+            reason = _IGNORED_KEYS[key]
+            print(f"{path}:{lineno}: ignoring '{key}': {reason}", file=sys.stderr)
+            continue
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         if key in raw:
@@ -116,14 +123,6 @@ def _require(raw, key):
     if key not in raw:
         raise ConfigError(f"missing config key '{key}'")
     return raw[key]
-
-
-def _bool(text):
-    if text.lower() in ("true", "1", "yes", "on"):
-        return True
-    if text.lower() in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
 
 
 def build_run_config(raw, overrides=None):
@@ -155,9 +154,7 @@ def build_run_config(raw, overrides=None):
         num_steps=int(raw["num_steps"]) if "num_steps" in raw else None,
         quadrature_order=int(raw["quadrature_order"]) if "quadrature_order" in raw else None,
         solver_tol=float(raw.get("solver_tol", "1e-12")),
-        solver_maxit=int(raw["solver_maxit"]) if "solver_maxit" in raw else None,
         snapshot_times=[float(t) for t in raw.get("snapshot_times", "").replace(",", " ").split()],
-        freeze_operator=_bool(raw.get("freeze_operator", "false")),
         threads=int(raw.get("threads", "1")),
         out=raw.get("out", "out"),
     )
@@ -190,7 +187,6 @@ def _write_manifest(cfg, path, extra):
         f"num_steps = {cfg.num_steps if cfg.num_steps is not None else ''}",
         f"quadrature_order = {cfg.quadrature_order if cfg.quadrature_order else 'default'}",
         f"solver_tol = {cfg.solver_tol:g}",
-        f"freeze_operator = {cfg.freeze_operator}",
         f"threads = {cfg.threads}",
     ]
     lines += [f"{k} = {v}" for k, v in extra.items()]
@@ -210,9 +206,7 @@ def cmd_solve(cfg):
     n_steps = cfg.steps_for_level(spans, T)
     grid = TimeGrid(n_steps, T)
     u0 = project_initial(disc, case.problem.u0)
-    traj = march(
-        forms, grid, u0, freeze_operator=cfg.freeze_operator, solver_tol=cfg.solver_tol
-    )
+    traj = march(forms, grid, u0, solver_tol=cfg.solver_tol)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -256,34 +250,13 @@ def cmd_convergence(cfg):
     case = builtin_case(cfg.case)
     gm = load_geometry(cfg.geometry)
 
-    if cfg.num_steps is not None:
-        tau_of_h = None
-
-        def run_one(spans):
-            rec, _, _ = analysis.run_level(
-                case, gm, cfg.degree, spans, cfg.num_steps,
-                epsilon=cfg.epsilon, epsilon_factor=cfg.epsilon_factor,
-                qvol=cfg.quadrature_order, qedge=cfg.quadrature_order,
-                freeze_operator=cfg.freeze_operator, solver_tol=cfg.solver_tol,
-            )
-            return rec
-
-        report = analysis.ErrorReport()
-        if cfg.threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                report.levels = list(pool.map(run_one, cfg.levels))
-        else:
-            report.levels = [run_one(s) for s in cfg.levels]
-    else:
-        report = analysis.convergence_study(
-            case, gm, cfg.degree, cfg.levels, cfg.tau_of_h,
-            threads=cfg.threads,
-            epsilon=cfg.epsilon, epsilon_factor=cfg.epsilon_factor,
-            qvol=cfg.quadrature_order, qedge=cfg.quadrature_order,
-            freeze_operator=cfg.freeze_operator, solver_tol=cfg.solver_tol,
-        )
+    report = analysis.convergence_study(
+        case, gm, cfg.degree, cfg.levels, cfg.steps_for_level,
+        threads=cfg.threads,
+        epsilon=cfg.epsilon, epsilon_factor=cfg.epsilon_factor,
+        qvol=cfg.quadrature_order, qedge=cfg.quadrature_order,
+        solver_tol=cfg.solver_tol,
+    )
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,11 +1,13 @@
 """Backward-Euler march from the L2-projected initial datum.
 
 Each step solves (M + tau A(t_n)) u^n = M u^{n-1} + tau F(t_n), with the
-stiffness and load evaluated at the implicit endpoint t_n.  Operators are
-rebuilt every step by default because both the coefficients and the inflow
-region may depend on time; ``freeze_operator=True`` reuses the first
-stiffness matrix and its factorization when the caller asserts the
-operator is autonomous (the load is always rebuilt).
+stiffness and load evaluated at the implicit endpoint t_n.  The load is
+rebuilt every step.  ``AssembledForms.stiffness`` returns the previous
+matrix object whenever the coefficients it samples at the quadrature points
+(mu, b, c in the volume, mu and b . n on the boundary) are bit-equal to the
+last assembled ones, and the march factors M + tau A again only when that
+object changes: an autonomous operator is assembled and factored once, a
+time-dependent one every step, with the same result as rebuilding always.
 """
 
 from dataclasses import dataclass
@@ -45,11 +47,12 @@ class SolutionTrajectory:
     u(t) = u^{n+1} for t in (t_n, t_{n+1}], u(0) = u^0.
     """
 
-    def __init__(self, coefs, grid, disc, eps):
+    def __init__(self, coefs, grid, disc, eps, factorizations=0):
         self.coefs = np.asarray(coefs)
         self.grid = grid
         self.disc = disc
         self.eps = eps
+        self.factorizations = factorizations  # LU factorizations in the march
 
     def interval_index(self, t):
         """Step index n >= 1 whose interval (t_{n-1}, t_n] contains t."""
@@ -73,7 +76,7 @@ def project_initial(disc, u0):
     return solve_sparse(LinearSystem(M, rhs))
 
 
-def march(forms, grid, u0coef, freeze_operator=False, solver_tol=1e-12):
+def march(forms, grid, u0coef, solver_tol=1e-12):
     """Run the implicit Euler march and return the trajectory."""
     tau = grid.tau
     M = forms.mass
@@ -81,29 +84,29 @@ def march(forms, grid, u0coef, freeze_operator=False, solver_tol=1e-12):
     coefs = np.empty((grid.num_steps + 1, n))
     coefs[0] = u0coef
 
-    factor = None
+    A = factor = None
+    factorizations = 0
     for step in range(1, grid.num_steps + 1):
         t = grid.nodes[step]
-        if factor is None or not freeze_operator:
-            A = forms.stiffness(t)
+        A_t = forms.stiffness(t)
+        if A_t is not A:
+            A = A_t
             factor = SparseFactor((M + tau * A).tocsr(), tol=solver_tol)
+            factorizations += 1
         rhs = M @ coefs[step - 1] + tau * forms.load(t)
         coefs[step] = factor.solve(rhs)
-    return SolutionTrajectory(coefs, grid, forms.disc, forms.eps)
+    return SolutionTrajectory(coefs, grid, forms.disc, forms.eps, factorizations)
 
 
-def step_residuals(forms, traj, freeze_operator=False):
+def step_residuals(forms, traj):
     """Max-norm residual of each discrete step equation (a wiring check)."""
     grid = traj.grid
     tau = grid.tau
     M = forms.mass
     out = np.empty(grid.num_steps)
-    A = None
     for step in range(1, grid.num_steps + 1):
         t = grid.nodes[step]
-        if A is None or not freeze_operator:
-            A = forms.stiffness(t)
-        lhs = (M + tau * A) @ traj.coefs[step]
+        lhs = (M + tau * forms.stiffness(t)) @ traj.coefs[step]
         rhs = M @ traj.coefs[step - 1] + tau * forms.load(t)
         out[step - 1] = np.abs(lhs - rhs).max()
     return out

@@ -51,9 +51,7 @@ def _study(case, gm, degree, spans_list, tau_of_h):
     records = []
     for spans in spans_list:
         n = steps_for(tau_of_h(1.0 / spans), case.problem.T)
-        rec, _, _ = run_level(
-            case, gm, degree, spans, n, epsilon_factor=1.25, freeze_operator=True
-        )
+        rec, _, _ = run_level(case, gm, degree, spans, n, epsilon_factor=1.25)
         records.append(rec)
     return records
 
@@ -199,7 +197,7 @@ def test_criterion_8_unconditional_steps(square_gm):
     worst = 0.0
     for tau in (4.0, 0.4, 0.004):
         n = max(1, round(case.problem.T / tau))
-        traj = march(forms, TimeGrid(n, case.problem.T), u0, freeze_operator=True)
+        traj = march(forms, TimeGrid(n, case.problem.T), u0)
         worst = max(worst, np.abs(traj.coefs).max())
     report(8, f"march succeeded for tau in {{4, 0.4, 0.004}}, max coefficient "
               f"{worst:.3e} < 1e6", np.isfinite(worst) and worst < 1e6)

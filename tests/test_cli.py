@@ -88,6 +88,19 @@ class TestConfigParsing:
             parse_tau_rule("tau=h/4")
 
 
+class TestRetiredKeys:
+    def test_ignored_with_a_notice(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE + "freeze_operator = true\nsolver_maxit = 50\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert "ignoring 'freeze_operator': operator reuse is now automatic" in err[0]
+        assert "ignoring 'solver_maxit'" in err[1]
+        manifest = (out / "manifest.txt").read_text()
+        assert "freeze_operator" not in manifest
+
+
 class TestExitCodes:
     def test_missing_key_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "case = zero\nlevels = 4\nnum_steps = 2\n")
@@ -173,7 +186,7 @@ class TestSolveCommand:
         cfg = (
             "case = paper_sec8\ngeometry = square\ndegree = 2\n"
             "levels = 10\nnum_steps = 20\nepsilon_factor = 1.25\n"
-            "freeze_operator = true\nsnapshot_times = 4\n"
+            "snapshot_times = 4\n"
         )
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
@@ -191,11 +204,10 @@ class TestSolveCommand:
 
 
 class TestConvergenceCommand:
-    def run(self, tmp_path, extra="", subdir="out"):
+    def run(self, tmp_path, extra="", subdir="out", steps="tau_rule = h^1"):
         cfg = (
             "case = paper_sec8\ngeometry = square\ndegree = 1\n"
-            "levels = 2 4\ntau_rule = h^1\nepsilon_factor = 1.25\n"
-            "freeze_operator = true\n" + extra
+            f"levels = 2 4\n{steps}\nepsilon_factor = 1.25\n" + extra
         )
         path = write_config(tmp_path, cfg, name=f"{subdir}.cfg")
         out = tmp_path / subdir
@@ -228,6 +240,17 @@ class TestConvergenceCommand:
         _, out1 = self.run(tmp_path, subdir="serial")
         _, out2 = self.run(tmp_path, extra="threads = 2\n", subdir="parallel")
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+    def test_num_steps_levels_share_one_step_count(self, tmp_path):
+        code, out1 = self.run(tmp_path, subdir="serial", steps="num_steps = 3")
+        assert code == 0
+        _, out2 = self.run(
+            tmp_path, extra="threads = 2\n", subdir="parallel", steps="num_steps = 3"
+        )
+        assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+        with open(out1 / "report.csv") as fh:
+            taus = [row[2] for row in list(csv.reader(fh))[1:]]
+        assert taus == ["1.333333333", "1.333333333"]  # T = 4 in 3 steps
 
 
 class TestCalibrateCommand:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,22 @@ from nitsche_iga import (
     step_residuals,
 )
 from nitsche_iga.analysis import boundary_trace_sq
-from nitsche_iga.assembly import assemble_functional
+from nitsche_iga.assembly import assemble_functional, assemble_stiffness
+from nitsche_iga.linalg import SparseFactor
 from nitsche_iga.splines import eval_basis
 
 from conftest import make_disc
+
+
+def rebuilt_march(forms, grid, u0):
+    """Reference march that assembles and factors the operator at every step."""
+    M = forms.mass
+    coefs = [u0]
+    for t in grid.nodes[1:]:
+        A = assemble_stiffness(forms.disc, forms.problem, forms.eps, t)
+        factor = SparseFactor((M + grid.tau * A).tocsr())
+        coefs.append(factor.solve(M @ coefs[-1] + grid.tau * forms.load(t)))
+    return np.array(coefs)
 
 
 class TestTimeGrid:
@@ -116,9 +130,9 @@ class TestMarch:
         forms = AssembledForms(disc, case.problem)
         u0 = project_initial(disc, case.problem.u0)
         grid = TimeGrid(6, case.problem.T)
-        a = march(forms, grid, u0, freeze_operator=False)
-        b = march(forms, grid, u0, freeze_operator=True)
-        assert np.max(np.abs(a.coefs - b.coefs)) < 1e-12
+        traj = march(forms, grid, u0)
+        assert traj.factorizations == 1  # the operator was reused, not rebuilt
+        assert np.max(np.abs(traj.coefs - rebuilt_march(forms, grid, u0))) < 1e-12
 
     def test_converges_to_stationary_solution(self, square_gm):
         # autonomous data: backward Euler contracts toward A u = F;
@@ -169,7 +183,7 @@ class TestMarch:
         forms = AssembledForms(disc, case.problem, epsilon_factor=1.0)
         u0 = project_initial(disc, case.problem.u0)
         n = max(1, round(case.problem.T / tau))
-        traj = march(forms, TimeGrid(n, case.problem.T), u0, freeze_operator=True)
+        traj = march(forms, TimeGrid(n, case.problem.T), u0)
         assert np.isfinite(traj.coefs).all()
         assert np.max(np.abs(traj.coefs)) < 1e6
 
@@ -181,7 +195,83 @@ class TestMarch:
             forms = AssembledForms(disc, case.problem, epsilon_factor=1.25)
             u0 = project_initial(disc, case.problem.u0)
             n = 16 * spans // 4
-            traj = march(forms, TimeGrid(n, case.problem.T), u0, freeze_operator=True)
+            traj = march(forms, TimeGrid(n, case.problem.T), u0)
             values.append(boundary_trace_sq(traj.final, disc))
         assert values[0] > values[1] > values[2]
         assert values[0] / values[2] >= 4.0
+
+
+def _inside(x, y):
+    return (x > 0) & (x < 1) & (y > 0) & (y < 1)
+
+
+# name: (coefficient of paper_sec8, pointwise factor (x, y, t) -> (m,)).
+# Gauss points of the volume never sit on the boundary, so a factor gated on
+# x == 0 or x == 1 changes a coefficient at edge quadrature points only.
+VARIANTS = {
+    "b_grows": ("b", lambda x, y, t: np.full(len(x), 1.0 + t)),  # same inflow mask
+    "c_grows": ("c", lambda x, y, t: np.full(len(x), 1.0 + t)),
+    "b_changes_inside_only": ("b", lambda x, y, t: 1.0 + 0.1 * t * _inside(x, y)),
+    "mu_changes_inside_only": ("mu", lambda x, y, t: 1.0 + 0.1 * t * _inside(x, y)),
+    "mu_jumps_after_half": ("mu", lambda x, y, t: np.full(len(x), 2.0 if t > 2.0 else 1.0)),
+    "mu_changes_on_edge_x1": ("mu", lambda x, y, t: 1.0 + 0.1 * t * (x == 1.0)),
+    "b_changes_on_inflow_edge_x0": ("b", lambda x, y, t: 1.0 + 0.1 * t * (x == 0.0)),
+}
+
+
+def _sec8_variant(name):
+    """``paper_sec8`` (T = 4) with one coefficient scaled by a factor of VARIANTS."""
+    p = builtin_case("paper_sec8").problem
+    if name == "autonomous":
+        return p
+    key, factor = VARIANTS[name]
+    base = getattr(p, key)
+
+    def scaled(x, y, t):
+        v = base(x, y, t)
+        return factor(x, y, t).reshape((-1,) + (1,) * (v.ndim - 1)) * v
+
+    return replace(p, **{key: scaled}, mu1=2.0 if key == "mu" else p.mu1)
+
+
+class TestOperatorReuse:
+    STEPS = 6
+
+    @pytest.mark.parametrize(
+        "name, factorizations",
+        [
+            ("autonomous", 1),
+            ("b_grows", STEPS),
+            ("c_grows", STEPS),
+            ("b_changes_inside_only", STEPS),
+            ("mu_changes_inside_only", STEPS),
+            ("mu_jumps_after_half", 2),
+            ("mu_changes_on_edge_x1", STEPS),
+            ("b_changes_on_inflow_edge_x0", STEPS),
+        ],
+    )
+    def test_factorizations_and_bit_equal_trajectory(self, square_gm, name, factorizations):
+        p = _sec8_variant(name)
+        disc = make_disc(square_gm, 1, 3)
+        forms = AssembledForms(disc, p)
+        u0 = project_initial(disc, p.u0)
+        grid = TimeGrid(self.STEPS, p.T)
+        traj = march(forms, grid, u0)
+        assert traj.factorizations == factorizations
+        assert np.array_equal(traj.coefs, rebuilt_march(forms, grid, u0))
+
+    def test_edge_gates_miss_the_volume_points(self, square_gm):
+        disc = make_disc(square_gm, 1, 3)
+        xe, xv = disc.boundary.x[..., 0], disc.elements.x[..., 0]
+        for edge in (0.0, 1.0):
+            assert (xe == edge).any()
+            assert not (xv == edge).any()
+
+    def test_stiffness_object_reused_only_while_inputs_match(self, square_gm):
+        disc = make_disc(square_gm, 1, 3)
+        forms = AssembledForms(disc, _sec8_variant("autonomous"))
+        assert forms.stiffness(0.0) is forms.stiffness(4.0)
+        forms = AssembledForms(disc, _sec8_variant("b_grows"))
+        A0 = forms.stiffness(0.0)
+        assert forms.stiffness(1.0) is not A0
+        assert forms.stiffness(1.0) is forms.stiffness(1.0)
