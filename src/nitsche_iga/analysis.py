@@ -25,6 +25,7 @@ from .errors import InsufficientLevels
 from .geometry import build_mesh, uniform_space
 from .linalg import generalized_symmetric_eig
 from .quadrature import gauss_rule
+from .splines import eval_basis_many
 from .timestepping import TimeGrid, march, project_initial
 
 TIME_QUAD_POINTS = 3
@@ -304,12 +305,10 @@ def sample_on_grid(disc, coef, n=64):
 
 
 def _collocation_matrix(kv, ts):
-    from .splines import eval_basis
-
+    first, ders = eval_basis_many(kv, ts, 0)
     C = np.zeros((len(ts), kv.dimension))
-    for i, t in enumerate(ts):
-        ev = eval_basis(kv, t, 0)
-        C[i, ev.first_index : ev.first_index + kv.degree + 1] = ev.values
+    cols = first[:, None] + np.arange(kv.degree + 1)
+    C[np.arange(len(ts))[:, None], cols] = ders[:, 0]
     return C
 
 

@@ -30,19 +30,10 @@ def _univariate_tables(kv, q, max_deriv):
     Returns (points, weights, first_index, ders) with shapes
     (ns, q), (ns, q), (ns,), and (ns, q, max_deriv+1, k+1).
     """
-    rule = gauss_rule(q)
-    ns = kv.num_spans
-    pts = np.empty((ns, q))
-    wts = np.empty((ns, q))
-    first = np.empty(ns, dtype=int)
-    ders = np.empty((ns, q, max_deriv + 1, kv.degree + 1))
-    for s in range(1, ns + 1):
-        a, b = kv.mesh.span_interval(s)
-        pts[s - 1], wts[s - 1] = rule.mapped(a, b)
-        f, d = eval_basis_many(kv, pts[s - 1], max_deriv)
-        first[s - 1] = f[0]
-        ders[s - 1] = d
-    return pts, wts, first, ders
+    bps = kv.mesh.breakpoints
+    pts, wts = gauss_rule(q).mapped(bps[:-1, None], bps[1:, None])
+    first, ders = eval_basis_many(kv, pts.ravel(), max_deriv)
+    return pts, wts, first[::q], ders.reshape(kv.num_spans, q, max_deriv + 1, -1)
 
 
 def _invert_2x2(J):
@@ -180,67 +171,56 @@ class EdgeCache:
     """
 
     def __init__(self, space, mesh, q):
-        from .geometry import _normal_from_jacobian
+        from .geometry import SIDES, _normal_from_jacobian
 
-        kv1, kv2 = space.kv1, space.kv2
         k1, k2 = space.degrees
         n1 = space.shape[0]
         rule = gauss_rule(q)
         edges = mesh.edges
         nloc = (k1 + 1) * (k2 + 1)
         nf = len(edges)
-
-        self.x = np.empty((nf, q, 2))
-        self.w = np.empty((nf, q))
-        self.normal = np.empty((nf, q, 2))
-        self.B = np.empty((nf, q, nloc))
-        self.G = np.empty((nf, q, nloc, 2))
-        self.gidx = np.empty((nf, nloc), dtype=int)
         self.h_E = np.array([e.h_E for e in edges])
         self.owner = np.array([e.owner for e in edges], dtype=int)
 
+        x_hat = np.stack([e.param_point(rule.points) for e in edges])
+        widths = np.array([b - a for a, b in (e.interval for e in edges)])
+        sides = np.array([e.side for e in edges])
+        along_dir2 = np.isin(sides, ("x0", "x1"))
+
+        x, J, detj = mesh.geometry.evaluate_many(x_hat.reshape(-1, 2))
+        self.x = x.reshape(nf, q, 2)
+        J = J.reshape(nf, q, 2, 2)
+        detj = detj.reshape(nf, q)
+        tang = np.where(along_dir2[:, None, None], J[..., 1], J[..., 0])
+        self.w = widths[:, None] * rule.weights * np.linalg.norm(tang, axis=2)
+        self.normal = np.empty((nf, q, 2))
+        for side in SIDES:
+            on = sides == side
+            self.normal[on] = _normal_from_jacobian(
+                J[on].reshape(-1, 2, 2), detj[on].ravel(), side
+            ).reshape(-1, q, 2)
+
+        # the owner's basis at the edge points, each distinct coordinate
+        # evaluated once: on half of the edges a direction is fixed at 0 or 1
+        def owner_basis(kv, coords):
+            distinct, inverse = np.unique(coords, return_inverse=True)
+            first, ders = eval_basis_many(kv, distinct, 1)
+            return first[inverse].reshape(nf, q), ders[inverse].reshape(nf, q, 2, -1)
+
+        f1, d1 = owner_basis(space.kv1, x_hat[..., 0].ravel())
+        f2, d2 = owner_basis(space.kv2, x_hat[..., 1].ravel())
+        v1, g1 = d1[:, :, 0, :, None], d1[:, :, 1, :, None]
+        v2, g2 = d2[:, :, 0, None, :], d2[:, :, 1, None, :]
+        self.B = (v1 * v2).reshape(nf, q, nloc)
+        Ghat = np.empty((nf, q, nloc, 2))
+        Ghat[..., 0] = (g1 * v2).reshape(nf, q, nloc)
+        Ghat[..., 1] = (v1 * g2).reshape(nf, q, nloc)
+        invJ, _ = _invert_2x2(J)
+        self.G = np.einsum("fqlb,fqba->fqla", Ghat, invJ)
+
         l1 = np.repeat(np.arange(k1 + 1), k2 + 1)
         l2 = np.tile(np.arange(k2 + 1), k1 + 1)
-
-        for i, edge in enumerate(edges):
-            a, b = edge.interval
-            ts, ws = rule.mapped(a, b)
-            along_dir2 = edge.side in ("x0", "x1")
-            if along_dir2:
-                x_hat = np.column_stack([np.full(q, edge.fixed_coord), ts])
-            else:
-                x_hat = np.column_stack([ts, np.full(q, edge.fixed_coord)])
-
-            ft, dt = eval_basis_many(kv2 if along_dir2 else kv1, ts, 1)
-            fn_kv = kv1 if along_dir2 else kv2
-            evn = eval_basis_many(fn_kv, np.array([edge.fixed_coord]), 1)
-            fn, dn = evn[0][0], evn[1][0]
-
-            xe, J, detj = mesh.geometry.evaluate_many(x_hat)
-            self.x[i] = xe
-            tang = J[:, :, 1] if along_dir2 else J[:, :, 0]
-            self.w[i] = ws * np.linalg.norm(tang, axis=1)
-            self.normal[i] = _normal_from_jacobian(J, detj, edge.side)
-
-            if along_dir2:
-                v1 = np.broadcast_to(dn[0], (q, k1 + 1))
-                g1 = np.broadcast_to(dn[1], (q, k1 + 1))
-                v2, g2 = dt[:, 0, :], dt[:, 1, :]
-                first1, first2 = fn, ft[0]
-            else:
-                v1, g1 = dt[:, 0, :], dt[:, 1, :]
-                v2 = np.broadcast_to(dn[0], (q, k2 + 1))
-                g2 = np.broadcast_to(dn[1], (q, k2 + 1))
-                first1, first2 = ft[0], fn
-
-            B = (v1[:, :, None] * v2[:, None, :]).reshape(q, nloc)
-            Ghat = np.empty((q, nloc, 2))
-            Ghat[..., 0] = (g1[:, :, None] * v2[:, None, :]).reshape(q, nloc)
-            Ghat[..., 1] = (v1[:, :, None] * g2[:, None, :]).reshape(q, nloc)
-            invJ, _ = _invert_2x2(J)
-            self.B[i] = B
-            self.G[i] = np.einsum("qlb,qba->qla", Ghat, invJ)
-            self.gidx[i] = (first1 + l1) + n1 * (first2 + l2)
+        self.gidx = (f1[:, :1] + l1) + n1 * (f2[:, :1] + l2)
 
     def field_values(self, coef):
         return np.einsum("fql,fl->fq", self.B, coef[self.gidx])
@@ -296,18 +276,44 @@ def inflow_mask(disc, p, t):
     return bn < 0.0, bn
 
 
-def _operator_inputs(disc, p, t):
-    """Every array through which the stiffness depends on ``t``, as bytes.
+def _operator_coefficients(disc, p, t):
+    """Every array through which the stiffness depends on ``t``.
 
     mu, b and c at the volume quadrature points, mu at the edge quadrature
     points and b . n there (the inflow mask alone would miss a change of
-    |b . n|).  Equal results give a bit-equal stiffness matrix.
+    |b . n|).  Bit-equal arrays give a bit-equal stiffness matrix.
     """
     ec, bc = disc.elements, disc.boundary
-    arrays = [_coefficients_at(ec.x, fn, t) for fn in (p.mu, p.b, p.c)]
-    arrays.append(_coefficients_at(bc.x, p.mu, t))
-    arrays.append(inflow_mask(disc, p, t)[1])
-    return tuple((a.shape, a.dtype.str, a.tobytes()) for a in arrays)
+    mu, bv, cv = (_coefficients_at(ec.x, fn, t) for fn in (p.mu, p.b, p.c))
+    mu_e = _coefficients_at(bc.x, p.mu, t)
+    _, bn = inflow_mask(disc, p, t)
+    return mu, bv, cv, mu_e, bn
+
+
+def _stiffness_from(disc, coefficients, eps):
+    """Stiffness matrix from the sampled :func:`_operator_coefficients`."""
+    if eps <= 0:
+        raise ValueError("penalty parameter must be positive")
+    ec, bc = disc.elements, disc.boundary
+    dim = disc.dimension
+    mu, bv, cv, mu_e, bn = coefficients
+
+    blocks = np.einsum("eq,eqab,eqjb,eqia->eij", ec.w, mu, ec.G, ec.G)
+    blocks += np.einsum("eq,eqa,eqja,eqi->eij", ec.w, bv, ec.G, ec.B)
+    blocks += np.einsum("eq,eq,eqj,eqi->eij", ec.w, cv, ec.B, ec.B)
+    A = _scatter(blocks, ec.gidx, dim)
+
+    flux = np.einsum("fqa,fqab,fqjb->fqj", bc.normal, mu_e, bc.G)
+    C = np.einsum("fq,fqj,fqi->fij", bc.w, flux, bc.B)
+    wbn = bc.w * np.where(bn < 0.0, bn, 0.0)
+    edge_blocks = -C - np.transpose(C, (0, 2, 1))
+    edge_blocks -= np.einsum("fq,fqj,fqi->fij", wbn, bc.B, bc.B)
+    edge_blocks += (eps / bc.h_E)[:, None, None] * np.einsum(
+        "fq,fqj,fqi->fij", bc.w, bc.B, bc.B
+    )
+    A = A + _scatter(edge_blocks, bc.gidx, dim)
+    A.sort_indices()
+    return A
 
 
 def assemble_stiffness(disc, p, eps, t):
@@ -317,32 +323,7 @@ def assemble_stiffness(disc, p, eps, t):
     the inflow term is restricted pointwise to quadrature points where the
     advection field enters the domain at time ``t``.
     """
-    if eps <= 0:
-        raise ValueError("penalty parameter must be positive")
-    ec, bc = disc.elements, disc.boundary
-    dim = disc.dimension
-
-    mu = _coefficients_at(ec.x, p.mu, t)
-    bv = _coefficients_at(ec.x, p.b, t)
-    cv = _coefficients_at(ec.x, p.c, t)
-    blocks = np.einsum("eq,eqab,eqjb,eqia->eij", ec.w, mu, ec.G, ec.G)
-    blocks += np.einsum("eq,eqa,eqja,eqi->eij", ec.w, bv, ec.G, ec.B)
-    blocks += np.einsum("eq,eq,eqj,eqi->eij", ec.w, cv, ec.B, ec.B)
-    A = _scatter(blocks, ec.gidx, dim)
-
-    mu_e = _coefficients_at(bc.x, p.mu, t)
-    flux = np.einsum("fqa,fqab,fqjb->fqj", bc.normal, mu_e, bc.G)
-    C = np.einsum("fq,fqj,fqi->fij", bc.w, flux, bc.B)
-    mask, bn = inflow_mask(disc, p, t)
-    wbn = bc.w * np.where(mask, bn, 0.0)
-    edge_blocks = -C - np.transpose(C, (0, 2, 1))
-    edge_blocks -= np.einsum("fq,fqj,fqi->fij", wbn, bc.B, bc.B)
-    edge_blocks += (eps / bc.h_E)[:, None, None] * np.einsum(
-        "fq,fqj,fqi->fij", bc.w, bc.B, bc.B
-    )
-    A = A + _scatter(edge_blocks, bc.gidx, dim)
-    A.sort_indices()
-    return A
+    return _stiffness_from(disc, _operator_coefficients(disc, p, t), eps)
 
 
 def assemble_load(disc, p, eps, t):
@@ -464,7 +445,7 @@ class AssembledForms:
             self.eps = factor * self.floor
         self._mass = None
         self._gram = None
-        self._stiffness = (None, None)  # (operator inputs, matrix)
+        self._stiffness = (None, None)  # (coefficient bytes, matrix)
 
     @property
     def mass(self):
@@ -480,10 +461,15 @@ class AssembledForms:
 
     def stiffness(self, t):
         """Stiffness at ``t``: the previous matrix object when the operator
-        inputs are bit-equal to those it was assembled from."""
-        inputs = _operator_inputs(self.disc, self.problem, t)
+        coefficients are bit-equal to those it was assembled from.
+
+        The coefficients are sampled once and serve both the comparison
+        and, when they changed, the assembly.
+        """
+        coefficients = _operator_coefficients(self.disc, self.problem, t)
+        inputs = tuple((a.shape, a.dtype.str, a.tobytes()) for a in coefficients)
         if inputs != self._stiffness[0]:
-            A = assemble_stiffness(self.disc, self.problem, self.eps, t)
+            A = _stiffness_from(self.disc, coefficients, self.eps)
             self._stiffness = (inputs, A)
         return self._stiffness[1]
 

@@ -227,12 +227,17 @@ class BoundaryEdge:
         self.fixed_coord = 0.0 if side in ("x0", "y0") else 1.0
 
     def param_point(self, s):
-        """Parametric point for the edge parameter s in [0, 1]."""
+        """Parametric point for the edge parameter s in [0, 1].
+
+        An array of parameters gives one point per parameter along the
+        last axis.
+        """
         a, b = self.interval
-        t = a + (b - a) * s
+        t = a + (b - a) * np.asarray(s, dtype=float)
+        fixed = np.full_like(t, self.fixed_coord)
         if self.side in ("x0", "x1"):
-            return np.array([self.fixed_coord, t])
-        return np.array([t, self.fixed_coord])
+            return np.stack([fixed, t], axis=-1)
+        return np.stack([t, fixed], axis=-1)
 
 
 class PhysicalMesh:
@@ -278,7 +283,9 @@ def build_mesh(gm, space, sample_q=None):
     One element per nonzero knot-span box.  h_K is the sampled sup of the
     Jacobian spectral norm over the element (quadrature points plus
     corners) times the box diameter; h_E is the quadrature arc length of
-    the mapped side span.  det J is checked for a uniform sign.
+    the mapped side span.  det J is checked for a uniform sign.  The
+    geometry is evaluated in one call over the samples of all elements
+    and one over the quadrature points of all edges.
     """
     if sample_q is None:
         sample_q = max(space.degrees) + 2
@@ -296,34 +303,35 @@ def build_mesh(gm, space, sample_q=None):
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     samples = np.vstack([pts, corners])
 
-    h_K = np.empty(len(elements))
-    sign = 0.0
-    for e, ((a1, b1), (a2, b2)) in enumerate(elements):
-        x_hat = np.column_stack(
-            [a1 + (b1 - a1) * samples[:, 0], a2 + (b2 - a2) * samples[:, 1]]
-        )
-        _, J, detj = gm.evaluate_many(x_hat)
-        if sign == 0.0:
-            sign = np.sign(detj[0])
-        if np.any(np.sign(detj) != sign):
-            raise DegenerateJacobian("det J changes sign across the mesh")
-        grad_norm = np.linalg.norm(J, ord=2, axis=(1, 2)).max()
-        h_K[e] = grad_norm * np.hypot(b1 - a1, b2 - a2)
+    boxes = np.array(elements)  # (ne, 2, 2): [direction, (start, end)]
+    lo, width = boxes[:, :, 0], boxes[:, :, 1] - boxes[:, :, 0]
+    x_hat = lo[:, None, :] + width[:, None, :] * samples[None, :, :]
+    _, J, detj = gm.evaluate_many(x_hat.reshape(-1, 2))
+    sign = np.sign(detj[0])
+    if np.any(np.sign(detj) != sign):
+        raise DegenerateJacobian("det J changes sign across the mesh")
+    grad_norm = np.linalg.norm(J, ord=2, axis=(1, 2)).reshape(len(elements), -1)
+    h_K = grad_norm.max(axis=1) * np.hypot(width[:, 0], width[:, 1])
 
     rule = quadrature.gauss_rule(EDGE_LENGTH_POINTS)
-    edges = []
+    edges, x_hat, ws = [], [], []
     for side in SIDES:
         tang_kv = kv2 if side in ("x0", "x1") else kv1
         for n in range(1, tang_kv.num_spans + 1):
-            interval = tang_kv.mesh.span_interval(n)
+            a, b = tang_kv.mesh.span_interval(n)
             owner = _owner_element(side, n, ns1, ns2)
-            edge = BoundaryEdge(len(edges), side, interval, owner, h_E=0.0)
-            ts, ws = rule.mapped(*interval)
-            x_hat = np.array([edge.param_point((t - interval[0]) / (interval[1] - interval[0])) for t in ts])
-            _, J, _ = gm.evaluate_many(x_hat)
-            tang = J[:, :, 1] if side in ("x0", "x1") else J[:, :, 0]
-            edge.h_E = float(np.sum(ws * np.linalg.norm(tang, axis=1)))
+            edge = BoundaryEdge(len(edges), side, (a, b), owner, h_E=0.0)
+            ts, w = rule.mapped(a, b)
+            x_hat.append(edge.param_point((ts - a) / (b - a)))
+            ws.append(w)
             edges.append(edge)
+    _, J, _ = gm.evaluate_many(np.concatenate(x_hat))
+    J = J.reshape(len(edges), EDGE_LENGTH_POINTS, 2, 2)
+    along_dir2 = np.array([e.side in ("x0", "x1") for e in edges])
+    tang = np.where(along_dir2[:, None, None], J[..., 1], J[..., 0])
+    h_E = np.sum(np.array(ws) * np.linalg.norm(tang, axis=2), axis=1)
+    for edge, h in zip(edges, h_E):
+        edge.h_E = float(h)
 
     return PhysicalMesh(gm, space, elements, h_K, edges, sign)
 

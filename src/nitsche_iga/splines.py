@@ -1,11 +1,15 @@
 """Univariate B-spline machinery on [0,1].
 
 Knot vectors are validated open sequences (end knots repeated degree+1
-times).  Basis values and derivatives come from the triangular recursion,
-which by construction only forms the degree+1 functions that can be nonzero
-on the selected span, so every denominator is a strictly positive knot
-difference; the 0/0 convention of the textbook recursion never has to be
-resolved by floating point.
+times).  Basis values and derivatives come from the triangular recursion
+(NURBS Book Alg. A2.3), which by construction only forms the degree+1
+functions that can be nonzero on the selected span, so every denominator is
+a strictly positive knot difference; the 0/0 convention of the textbook
+recursion never has to be resolved by floating point.
+
+:func:`eval_basis_many` is the one evaluation path: it finds the span of
+every point with one ``searchsorted`` and runs the recursion once over the
+whole array of points.  :func:`eval_basis` is its one-point case.
 
 Span selection is half-open: x in [z_{n-1}, z_n) belongs to span n, except
 x = 1 which belongs to the last span (values there are the left limits).
@@ -82,12 +86,17 @@ class KnotVector:
         return self.mesh.num_spans
 
     def span_of(self, x):
-        """Knot index mu with knots[mu] <= x < knots[mu+1] (left limit at 1)."""
-        if not 0.0 <= x <= 1.0:
-            raise OutOfDomain(f"x = {x} outside [0, 1]")
-        k, n = self.degree, self.dimension
-        mu = int(np.searchsorted(self.knots, x, side="right")) - 1
-        return min(max(mu, k), n - 1)
+        """Knot index mu with knots[mu] <= x < knots[mu+1] (left limit at 1).
+
+        Elementwise for an array ``x``; raises :class:`OutOfDomain` when
+        any point lies outside [0, 1] or is NaN.
+        """
+        x = np.asarray(x, dtype=float)
+        outside = ~((x >= 0.0) & (x <= 1.0))
+        if np.any(outside):
+            raise OutOfDomain(f"x = {x[outside][0]} outside [0, 1]")
+        mu = np.searchsorted(self.knots, x, side="right") - 1
+        return np.clip(mu, self.degree, self.dimension - 1)
 
     def greville(self):
         """Greville abscissae, averages of k consecutive interior knots."""
@@ -243,42 +252,46 @@ def eval_basis(kv, x, max_deriv=1):
     -------
     BasisEvaluation
     """
-    k = kv.degree
-    if not 0 <= max_deriv <= k:
-        raise ValueError(f"max_deriv must be in 0..{k}, got {max_deriv}")
-    mu = kv.span_of(x)
-    ders = _ders_basis_funs(kv.knots, mu, float(x), k, max_deriv)
-    return BasisEvaluation(span=mu, first_index=mu - k, ders=ders)
+    first, ders = eval_basis_many(kv, [x], max_deriv)
+    first = int(first[0])
+    return BasisEvaluation(span=first + kv.degree, first_index=first, ders=ders[0])
 
 
 def eval_basis_many(kv, xs, max_deriv=1):
-    """Vectorized helper: evaluate at each point of ``xs``.
+    """Evaluate the k+1 possibly nonzero basis functions at every point of ``xs``.
 
-    Returns ``(first_indices, ders)`` with ``ders`` of shape
-    ``(len(xs), max_deriv + 1, k + 1)``.
+    ``xs`` is a 1-d array of points in [0, 1].  Returns
+    ``(first_indices, ders)`` with ``ders`` of shape
+    ``(len(xs), max_deriv + 1, k + 1)``: ``ders[i, d, j]`` is the d-th
+    derivative of function ``first_indices[i] + j`` at ``xs[i]``.
+
+    Raises :class:`OutOfDomain` when any point lies outside [0, 1] (NaN
+    included) and ``ValueError`` when ``max_deriv`` exceeds the degree.
     """
-    xs = np.asarray(xs, dtype=float)
     k = kv.degree
-    first = np.empty(len(xs), dtype=int)
-    ders = np.empty((len(xs), max_deriv + 1, k + 1))
-    for i, x in enumerate(xs):
-        ev = eval_basis(kv, x, max_deriv)
-        first[i] = ev.first_index
-        ders[i] = ev.ders
-    return first, ders
+    if not 0 <= max_deriv <= k:
+        raise ValueError(f"max_deriv must be in 0..{k}, got {max_deriv}")
+    xs = np.asarray(xs, dtype=float)
+    mu = kv.span_of(xs)
+    ders = _ders_basis_funs(kv.knots, mu, xs, k, max_deriv)
+    return mu - k, ders
 
 
 def _ders_basis_funs(knots, mu, x, k, nd):
     """Triangular-table values and derivatives of the nonzero functions.
 
-    ``ndu`` holds the basis table in its upper triangle and the knot
-    differences (all strictly positive for a valid span) in its lower
-    triangle; derivative orders are accumulated with the alternating 'a'
-    rows.
+    NURBS Book Alg. A2.3 run over all points at once: every scalar of the
+    textbook recursion is an array over the points (last axis), so each
+    point goes through the same floating-point operations in the same
+    order as a one-point evaluation.  ``ndu`` holds the basis table in its
+    upper triangle and the knot differences (all strictly positive for a
+    valid span) in its lower triangle; derivative orders are accumulated
+    with the alternating 'a' rows.
     """
-    ndu = np.empty((k + 1, k + 1))
-    left = np.empty(k + 1)
-    right = np.empty(k + 1)
+    m = len(x)
+    ndu = np.empty((k + 1, k + 1, m))
+    left = np.empty((k + 1, m))
+    right = np.empty((k + 1, m))
     ndu[0, 0] = 1.0
     for j in range(1, k + 1):
         left[j] = x - knots[mu + 1 - j]
@@ -291,12 +304,10 @@ def _ders_basis_funs(knots, mu, x, k, nd):
             saved = left[j - r] * temp
         ndu[j, j] = saved
 
-    ders = np.zeros((nd + 1, k + 1))
+    ders = np.zeros((nd + 1, k + 1, m))
     ders[0] = ndu[:, k]
-    if nd == 0:
-        return ders
 
-    a = np.empty((2, k + 1))
+    a = np.empty((2, k + 1, m))
     for r in range(k + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
@@ -322,4 +333,4 @@ def _ders_basis_funs(knots, mu, x, k, nd):
     for d in range(1, nd + 1):
         ders[d] *= fact
         fact *= k - d
-    return ders
+    return np.ascontiguousarray(ders.transpose(2, 0, 1))

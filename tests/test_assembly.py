@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,8 +17,10 @@ from nitsche_iga import (
     trace_constant,
     uniform_space,
 )
+from nitsche_iga.assembly import _invert_2x2
+from nitsche_iga.geometry import _normal_from_jacobian
 from nitsche_iga.problem import Problem, _const_matrix, _const_scalar, _const_vector
-from nitsche_iga.splines import eval_basis, validate_knots
+from nitsche_iga.splines import eval_basis, eval_basis_many, validate_knots
 
 from conftest import make_disc
 
@@ -116,6 +120,48 @@ def dense_oracle(space, p, eps, t, q=8):
                     F -= w * bn * gv * vals
                 F += w * (eps / h_E) * gv * vals
     return A, F
+
+
+def reference_edge_data(space, mesh, q):
+    """EdgeCache arrays edge by edge: one basis and geometry evaluation per edge."""
+    k1, k2 = space.degrees
+    n1 = space.shape[0]
+    rule = gauss_rule(q)
+    l1 = np.repeat(np.arange(k1 + 1), k2 + 1)
+    l2 = np.tile(np.arange(k2 + 1), k1 + 1)
+    out = {name: [] for name in ("x", "w", "normal", "B", "G", "gidx")}
+    for edge in mesh.edges:
+        ts, ws = rule.mapped(*edge.interval)
+        along_dir2 = edge.side in ("x0", "x1")
+        fixed = np.full(q, edge.fixed_coord)
+        x_hat = np.column_stack([fixed, ts] if along_dir2 else [ts, fixed])
+        xe, J, detj = mesh.geometry.evaluate_many(x_hat)
+        tang = J[:, :, 1] if along_dir2 else J[:, :, 0]
+        f1, d1 = eval_basis_many(space.kv1, x_hat[:, 0], 1)
+        f2, d2 = eval_basis_many(space.kv2, x_hat[:, 1], 1)
+        Ghat = np.empty((q, (k1 + 1) * (k2 + 1), 2))
+        Ghat[..., 0] = (d1[:, 1, :, None] * d2[:, 0, None, :]).reshape(q, -1)
+        Ghat[..., 1] = (d1[:, 0, :, None] * d2[:, 1, None, :]).reshape(q, -1)
+        invJ, _ = _invert_2x2(J)
+        out["x"].append(xe)
+        out["w"].append(ws * np.linalg.norm(tang, axis=1))
+        out["normal"].append(_normal_from_jacobian(J, detj, edge.side))
+        out["B"].append((d1[:, 0, :, None] * d2[:, 0, None, :]).reshape(q, -1))
+        out["G"].append(np.einsum("qlb,qba->qla", Ghat, invJ))
+        out["gidx"].append((f1[0] + l1) + n1 * (f2[0] + l2))
+    return {name: np.array(rows) for name, rows in out.items()}
+
+
+class TestEdgeCache:
+    @pytest.mark.parametrize("degree,spans", [(2, 5), (3, 4)])
+    def test_matches_edge_loop(self, annulus_gm, degree, spans):
+        disc = make_disc(annulus_gm, degree, spans)
+        bc = disc.boundary
+        ref = reference_edge_data(disc.space, disc.mesh, disc.qedge)
+        for name in ("x", "w", "normal", "B", "G", "gidx"):
+            assert np.array_equal(getattr(bc, name), ref[name]), name
+        assert np.array_equal(bc.h_E, [e.h_E for e in disc.mesh.edges])
+        assert np.array_equal(bc.owner, [e.owner for e in disc.mesh.edges])
 
 
 class TestMass:
@@ -375,6 +421,30 @@ class TestAssembledForms:
         m1, _ = inflow_mask(disc, p, 1.0)
         assert m0.any() and m1.any()
         assert (m0 != m1).any()
+
+    def test_stiffness_samples_each_coefficient_once(self, square_gm):
+        case = builtin_case("paper_sec8")
+        calls = {"mu": 0, "b": 0, "c": 0}
+
+        def counted(key):
+            fn = getattr(case.problem, key)
+
+            def wrapped(x, y, t):
+                calls[key] += 1
+                return fn(x, y, t)
+
+            return wrapped
+
+        p = replace(case.problem, **{key: counted(key) for key in calls})
+        disc = make_disc(square_gm, 2, 3)
+        forms = AssembledForms(disc, p, epsilon=5.0)
+        A = forms.stiffness(0.5)
+        # mu and b at the volume and the edge points, c at the volume points
+        assert calls == {"mu": 2, "b": 2, "c": 1}
+        ref = assemble_stiffness(disc, case.problem, 5.0, 0.5)
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert A.data.tobytes() == ref.data.tobytes()
 
     def test_deterministic_assembly(self, square_gm):
         case = builtin_case("paper_sec8")

@@ -13,7 +13,9 @@ from nitsche_iga import (
     uniform_space,
     validate_knots,
 )
+from nitsche_iga import quadrature
 from nitsche_iga.errors import DegenerateJacobian, IndexOutOfRange, UnknownCase
+from nitsche_iga.geometry import EDGE_LENGTH_POINTS
 from nitsche_iga.splines import eval_basis, uniform_open_knots
 
 
@@ -151,6 +153,66 @@ class TestPhysicalMesh:
         for gm in (square_gm, annulus_gm):
             mesh = build_mesh(gm, uniform_space(1, 2))
             assert mesh.detj_sign == 1.0
+
+
+def reference_h_K(gm, space, sample_q):
+    """h_K element by element: one geometry evaluation per element."""
+    pts, _ = quadrature.tensor_rule(sample_q)
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    samples = np.vstack([pts, corners])
+    ns1, ns2 = space.num_spans
+    h_K = []
+    for s2 in range(1, ns2 + 1):
+        for s1 in range(1, ns1 + 1):
+            a1, b1 = space.kv1.mesh.span_interval(s1)
+            a2, b2 = space.kv2.mesh.span_interval(s2)
+            x_hat = np.column_stack(
+                [a1 + (b1 - a1) * samples[:, 0], a2 + (b2 - a2) * samples[:, 1]]
+            )
+            _, J, _ = gm.evaluate_many(x_hat)
+            grad_norm = np.linalg.norm(J, ord=2, axis=(1, 2)).max()
+            h_K.append(grad_norm * np.hypot(b1 - a1, b2 - a2))
+    return np.array(h_K)
+
+
+def reference_h_E(gm, edge):
+    """Arc length of one edge: one geometry evaluation for that edge."""
+    a, b = edge.interval
+    ts, ws = quadrature.gauss_rule(EDGE_LENGTH_POINTS).mapped(a, b)
+    x_hat = np.array([edge.param_point((t - a) / (b - a)) for t in ts])
+    _, J, _ = gm.evaluate_many(x_hat)
+    tang = J[:, :, 1] if edge.side in ("x0", "x1") else J[:, :, 0]
+    return float(np.sum(ws * np.linalg.norm(tang, axis=1)))
+
+
+class TestBatchedMesh:
+    @pytest.mark.parametrize("degree,spans", [(2, 5), (3, 4)])
+    def test_matches_element_and_edge_loop(self, annulus_gm, degree, spans):
+        space = uniform_space(degree, spans)
+        mesh = build_mesh(annulus_gm, space)
+        assert np.array_equal(mesh.h_K, reference_h_K(annulus_gm, space, degree + 2))
+        assert len(mesh.edges) == 4 * spans
+        for edge in mesh.edges:
+            assert edge.h_E == reference_h_E(annulus_gm, edge)
+
+    def test_param_point_batch_matches_scalar(self, annulus_gm):
+        mesh = build_mesh(annulus_gm, uniform_space(2, 3))
+        s = np.array([0.0, 0.3, 1.0])
+        for edge in mesh.edges:
+            batch = edge.param_point(s)
+            assert batch.shape == (3, 2)
+            for row, si in zip(batch, s):
+                assert np.array_equal(row, edge.param_point(si))
+
+    def test_folded_geometry_raises(self):
+        # x(u) = 2u(1-u) + 0.2u^2 turns back at u = 5/9: det J changes sign
+        # inside the domain, away from the first element
+        space = TensorSpace(uniform_open_knots(2, 1), uniform_open_knots(1, 1))
+        P = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.0],
+                      [0.0, 1.0], [1.0, 1.0], [0.2, 1.0]])
+        gm = GeometryMap(space, P, np.ones(6))
+        with pytest.raises(DegenerateJacobian, match="changes sign"):
+            build_mesh(gm, uniform_space(1, 4))
 
 
 class TestNormals:

@@ -9,7 +9,7 @@ from nitsche_iga.errors import (
     NotOpen,
     OutOfDomain,
 )
-from nitsche_iga.splines import continuity_at, dimension
+from nitsche_iga.splines import continuity_at, dimension, eval_basis_many
 
 
 def cox_de_boor_table(knots, k, x):
@@ -40,6 +40,58 @@ def cox_de_boor_table(knots, k, x):
                 )
             B[i, j] = left + right
     return B[: r - k - 1, k]
+
+
+def one_point_ders(knots, k, x, nd):
+    """NURBS Book Alg. A2.3 at a single point, scalar by scalar.
+
+    The reference for the batched kernel: every point of a batch must go
+    through exactly these floating-point operations, in this order.
+    """
+    knots = np.asarray(knots, dtype=float)
+    n = len(knots) - k - 1
+    mu = min(max(int(np.searchsorted(knots, x, side="right")) - 1, k), n - 1)
+    ndu = np.empty((k + 1, k + 1))
+    left = np.empty(k + 1)
+    right = np.empty(k + 1)
+    ndu[0, 0] = 1.0
+    for j in range(1, k + 1):
+        left[j] = x - knots[mu + 1 - j]
+        right[j] = knots[mu + j] - x
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+    ders = np.zeros((nd + 1, k + 1))
+    ders[0] = ndu[:, k]
+    a = np.empty((2, k + 1))
+    for r in range(k + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for d in range(1, nd + 1):
+            dval = 0.0
+            rk, pk = r - d, k - d
+            if r >= d:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                dval = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = d - 1 if r - 1 <= pk else k - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                dval += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, d] = -a[s1, d - 1] / ndu[pk + 1, r]
+                dval += a[s2, d] * ndu[r, pk]
+            ders[d, r] = dval
+            s1, s2 = s2, s1
+    fact = float(k)
+    for d in range(1, nd + 1):
+        ders[d] *= fact
+        fact *= k - d
+    return mu - k, ders
 
 
 SHIPPED = [
@@ -236,3 +288,77 @@ class TestHelpers:
         fine2 = kv2.bisected()
         assert continuity_at(fine2, 2) == 0  # the doubled knot stays doubled
         assert continuity_at(fine2, 1) == 1  # inserted midpoints are simple
+
+
+# uniform and graded knot vectors of every degree, the graded ones with
+# repeated interior knots
+BATCH_KNOTS = [
+    (uniform_open_knots(k, 5).knots, k) for k in (1, 2, 3, 4)
+] + [
+    ([0, 0, 0.05, 0.05, 0.3, 1, 1], 1),
+    ([0, 0, 0, 0.1, 0.1, 0.35, 0.6, 0.6, 0.6, 1, 1, 1], 2),
+    ([0, 0, 0, 0, 0.2, 0.2, 0.25, 0.7, 0.7, 0.7, 1, 1, 1, 1], 3),
+    ([0, 0, 0, 0, 0, 0.15, 0.15, 0.5, 0.5, 0.5, 0.5, 0.9, 1, 1, 1, 1, 1], 4),
+]
+
+
+def batch_points(kv, rng):
+    """Random points plus every breakpoint (0 and 1 included), shuffled."""
+    xs = np.concatenate([rng.random(150), kv.mesh.breakpoints, [0.0, 1.0]])
+    return rng.permutation(xs)
+
+
+class TestEvalBasisMany:
+    @pytest.mark.parametrize("knots,k", BATCH_KNOTS)
+    def test_bit_equal_to_one_point_recursion(self, knots, k, rng):
+        kv = validate_knots(knots, k)
+        xs = batch_points(kv, rng)
+        for nd in range(k + 1):
+            first, ders = eval_basis_many(kv, xs, nd)
+            assert ders.shape == (len(xs), nd + 1, k + 1)
+            for i, x in enumerate(xs):
+                ref_first, ref = one_point_ders(knots, k, float(x), nd)
+                assert first[i] == ref_first
+                assert ders[i].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("knots,k", BATCH_KNOTS)
+    def test_bit_equal_to_eval_basis(self, knots, k, rng):
+        kv = validate_knots(knots, k)
+        xs = batch_points(kv, rng)
+        for nd in range(k + 1):
+            first, ders = eval_basis_many(kv, xs, nd)
+            for i, x in enumerate(xs):
+                ev = eval_basis(kv, float(x), nd)
+                assert ev.first_index == first[i]
+                assert ev.span == first[i] + k
+                assert ev.ders.tobytes() == ders[i].tobytes()
+
+    def test_end_and_breakpoint_spans(self):
+        kv = validate_knots([0, 0, 0, 0.25, 0.25, 0.5, 1, 1, 1], 2)
+        first, ders = eval_basis_many(kv, [0.0, 0.25, 0.5, 1.0], 0)
+        # right-continuous at interior breakpoints, left limit at 1
+        assert list(first) == [0, 2, 3, kv.dimension - 3]
+        assert np.array_equal(ders[0, 0], [1.0, 0.0, 0.0])
+        assert np.array_equal(ders[-1, 0], [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, np.nan, np.inf])
+    def test_one_bad_point_rejects_the_batch(self, bad):
+        kv = uniform_open_knots(2, 4)
+        xs = np.linspace(0.0, 1.0, 9)
+        xs[5] = bad
+        with pytest.raises(OutOfDomain):
+            eval_basis_many(kv, xs, 1)
+
+    def test_max_deriv_range(self):
+        kv = uniform_open_knots(2, 4)
+        for nd in (-1, 3):
+            with pytest.raises(ValueError):
+                eval_basis_many(kv, [0.5], nd)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_empty_input(self, k):
+        kv = uniform_open_knots(k, 3)
+        for nd in range(k + 1):
+            first, ders = eval_basis_many(kv, np.empty(0), nd)
+            assert first.shape == (0,)
+            assert ders.shape == (0, nd + 1, k + 1)
