@@ -17,7 +17,6 @@ from nitsche_iga import eval_basis, parse_knot_vector, uniform_open_knots, valid
 from nitsche_iga.splines import continuity_at
 
 OUT = Path(__file__).resolve().parent / "demo_out"
-OUT.mkdir(exist_ok=True)
 
 
 def dense_values(kv, x):
@@ -55,6 +54,7 @@ def main():
     fine = coarse.bisected()
     print(f"{coarse} -> {fine}; widths {fine.mesh.widths[0]:g}")
 
+    OUT.mkdir(exist_ok=True)
     xs = np.linspace(0.0, 1.0, 401)
     table = np.column_stack([xs] + [np.array([dense_values(kv, x)[i] for x in xs])
                                     for i in range(kv.dimension)])

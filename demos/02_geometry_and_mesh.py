@@ -12,7 +12,6 @@ import numpy as np
 
 from nitsche_iga import (
     build_mesh,
-    eval_geometry,
     load_geometry,
     outward_normal,
     uniform_space,
@@ -20,7 +19,6 @@ from nitsche_iga import (
 from nitsche_iga.quadrature import element_rule
 
 OUT = Path(__file__).resolve().parent / "demo_out"
-OUT.mkdir(exist_ok=True)
 
 
 def main():
@@ -35,7 +33,7 @@ def main():
     print("\n== Quarter annulus (exact rational arc) ==")
     ga = load_geometry("quarter_annulus")
     for s in (0.0, 0.5, 1.0):
-        x, _, detj = eval_geometry(ga, np.array([s, 0.37]))
+        x, _, detj = ga.evaluate(np.array([s, 0.37]))
         print(f"  radial parameter {s:g}: |F| = {np.hypot(*x):.12f} "
               f"(exact {1 + s:g}), det J = {detj:.4f}")
 
@@ -46,7 +44,7 @@ def main():
 
     outer = [e for e in mesh_a.edges if e.side == "x1"]
     n = outward_normal(mesh_a, outer[0], 0.5)
-    x, _, _ = eval_geometry(ga, outer[0].param_point(0.5))
+    x, _, _ = ga.evaluate(outer[0].param_point(0.5))
     print(f"outer-arc normal at {x.round(4)}: {n.round(6)} "
           f"(radial direction {(x / np.linalg.norm(x)).round(6)})")
 
@@ -60,6 +58,7 @@ def main():
     for z in kv2.mesh.breakpoints:
         pts, _, _ = ga.evaluate_many(np.column_stack([ts, np.full_like(ts, z)]))
         lines.append(pts)
+    OUT.mkdir(exist_ok=True)
     path = OUT / "annulus_mesh.dat"
     with open(path, "w") as fh:
         for pts in lines:

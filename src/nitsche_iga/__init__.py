@@ -33,7 +33,6 @@ from .analysis import (
     coercivity_audit,
     continuity_audit,
     convergence_study,
-    error_L2J_H1,
     fit_slope,
     rate_table,
     run_level,
@@ -59,14 +58,12 @@ from .geometry import (
     PhysicalMesh,
     TensorSpace,
     build_mesh,
-    build_tensor_space,
-    eval_geometry,
     load_geometry,
     outward_normal,
     parse_geometry,
     uniform_space,
 )
-from .linalg import LinearSystem, SparseFactor, generalized_symmetric_eig, solve_sparse
+from .linalg import SparseFactor, generalized_symmetric_eig
 from .problem import (
     ManufacturedCase,
     Problem,
@@ -75,14 +72,12 @@ from .problem import (
     coefficient_audit,
     consistency_residual,
     inflow_indicator,
-    register_case,
 )
 from .quadrature import QuadratureRule, element_rule, gauss_rule
 from .splines import (
     BasisEvaluation,
     KnotVector,
     continuity_at,
-    dimension,
     eval_basis,
     parse_knot_vector,
     uniform_open_knots,

@@ -21,7 +21,7 @@ from .assembly import (
     assemble_stiffness,
     assemble_vh_gram,
 )
-from .errors import InsufficientLevels
+from .errors import ConfigError, InsufficientLevels
 from .geometry import build_mesh, uniform_space
 from .linalg import generalized_symmetric_eig
 from .quadrature import gauss_rule
@@ -29,6 +29,10 @@ from .splines import eval_basis_many
 from .timestepping import TimeGrid, march, project_initial
 
 TIME_QUAD_POINTS = 3
+
+# sampled times and relative bound of check_boundary_datum
+BOUNDARY_CHECK_TIMES = 5
+BOUNDARY_RTOL = 1e-8
 
 
 # -- norms of discrete fields -------------------------------------------------
@@ -95,11 +99,6 @@ def space_time_errors(traj, case, override=None):
             acc_l2 += wj * l2_part
             acc_h1 += wj * h1_part
     return float(np.sqrt(acc_h1)), float(np.sqrt(acc_l2))
-
-
-def error_L2J_H1(traj, case):
-    """L2-in-time, H1-in-space error against the exact solution."""
-    return space_time_errors(traj, case)[0]
 
 
 # -- spectral audits ----------------------------------------------------------
@@ -176,6 +175,32 @@ def steps_for(tau_target, T):
     return max(1, int(np.ceil(T / tau_target - 1e-12)))
 
 
+def check_boundary_datum(case, disc):
+    """Refuse a case whose Dirichlet datum g is not the trace of its exact
+    solution u on the boundary of the discretized geometry.
+
+    g and u are compared at the edge quadrature points at
+    ``BOUNDARY_CHECK_TIMES`` equally spaced times on [0, T].  The bound is
+    ``BOUNDARY_RTOL`` times max |u| at those points, but never below
+    ``BOUNDARY_RTOL``, so u = 0 on the boundary is judged absolutely.
+    Raises :class:`ConfigError`.
+    """
+    p = case.problem
+    pts = disc.boundary.x.reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    worst = scale = 0.0
+    for t in np.linspace(0.0, p.T, BOUNDARY_CHECK_TIMES):
+        u = case.u(x, y, t)
+        worst = max(worst, float(np.abs(p.g(x, y, t) - u).max()))
+        scale = max(scale, float(np.abs(u).max()))
+    if not worst <= BOUNDARY_RTOL * max(scale, 1.0):
+        raise ConfigError(
+            f"case {case.name!r}: the Dirichlet datum g differs from the exact "
+            f"solution by up to {worst:.3e} on the boundary of this geometry "
+            f"(max |u| there {scale:.3e})"
+        )
+
+
 def run_level(
     case,
     gm,
@@ -184,25 +209,25 @@ def run_level(
     num_steps,
     epsilon=None,
     epsilon_factor=None,
-    qvol=None,
-    qedge=None,
-    solver_tol=1e-12,
+    quadrature_order=None,
 ):
     """Solve one refinement level end to end.
 
-    Returns ``(record, trajectory, forms)``.
+    Refuses, by :func:`check_boundary_datum`, a case whose g is not the
+    trace of u on this geometry.  Returns ``(record, trajectory, forms)``.
     """
     p = case.problem
     t0 = time.perf_counter()
     space = uniform_space(degree, spans)
     mesh = build_mesh(gm, space)
-    disc = Discretization(space, mesh, qvol=qvol, qedge=qedge)
+    disc = Discretization(space, mesh, quadrature_order)
+    check_boundary_datum(case, disc)
     forms = AssembledForms(disc, p, epsilon=epsilon, epsilon_factor=epsilon_factor)
     u0 = project_initial(disc, p.u0)
     t1 = time.perf_counter()
 
     grid = TimeGrid(num_steps, p.T)
-    traj = march(forms, grid, u0, solver_tol=solver_tol)
+    traj = march(forms, grid, u0)
     t2 = time.perf_counter()
 
     err_h1, err_l2 = space_time_errors(traj, case)
@@ -317,13 +342,13 @@ __all__ = [
     "v_norm",
     "boundary_trace_sq",
     "space_time_errors",
-    "error_L2J_H1",
     "coercivity_audit",
     "continuity_audit",
     "LevelRecord",
     "ErrorReport",
     "rate_table",
     "fit_slope",
+    "check_boundary_datum",
     "run_level",
     "convergence_study",
     "write_report_csv",

@@ -227,16 +227,20 @@ class EdgeCache:
 
 
 class Discretization:
-    """Space, mesh, and quadrature bundled with their basis caches."""
+    """Space, mesh, and quadrature bundled with their basis caches.
 
-    def __init__(self, space, mesh, qvol=None, qedge=None):
-        k = max(space.degrees)
+    ``quadrature_order`` is the Gauss points per direction on elements and
+    edges alike; it defaults to the largest degree plus two.
+    """
+
+    def __init__(self, space, mesh, quadrature_order=None):
+        if quadrature_order is None:
+            quadrature_order = max(space.degrees) + 2
         self.space = space
         self.mesh = mesh
-        self.qvol = qvol if qvol is not None else k + 2
-        self.qedge = qedge if qedge is not None else k + 2
-        self.elements = ElementCache(space, mesh, self.qvol)
-        self.boundary = EdgeCache(space, mesh, self.qedge)
+        self.quadrature_order = quadrature_order
+        self.elements = ElementCache(space, mesh, quadrature_order)
+        self.boundary = EdgeCache(space, mesh, quadrature_order)
 
     @property
     def dimension(self):

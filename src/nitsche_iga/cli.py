@@ -3,8 +3,11 @@
 Run files are flat ``key = value`` text with ``#`` comments.  Exactly one
 of ``epsilon`` / ``epsilon_factor`` and exactly one of ``tau_rule`` /
 ``num_steps`` may be set.  Keys that older run files set and that no
-longer do anything are ignored with a one-line notice on stderr.  Exit
-codes: 0 success, 2 configuration error, 3 numerical failure.
+longer do anything (``freeze_operator``, ``solver_maxit``, ``solver_tol``)
+are ignored with a one-line notice on stderr.  ``convergence`` refuses a
+case whose Dirichlet datum is not the trace of its exact solution on the
+chosen geometry.  Exit codes: 0 success, 2 configuration error,
+3 numerical failure.
 
 The pipeline is deterministic; only single-threaded output is guaranteed
 to be byte-reproducible: identical configurations then produce identical
@@ -21,7 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .assembly import AssembledForms, Discretization, penalty_floor, trace_constant
+from .assembly import (
+    PENALTY_FACTOR_DEFAULT, AssembledForms, Discretization, penalty_floor, trace_constant,
+)
 from .errors import ConfigError, InsufficientLevels, NitscheIgaError
 from .geometry import build_mesh, load_geometry, uniform_space
 from .problem import builtin_case
@@ -41,7 +46,6 @@ _KNOWN_KEYS = {
     "tau_rule",
     "num_steps",
     "quadrature_order",
-    "solver_tol",
     "snapshot_times",
     "threads",
     "out",
@@ -51,6 +55,7 @@ _KNOWN_KEYS = {
 _IGNORED_KEYS = {
     "freeze_operator": "operator reuse is now automatic",
     "solver_maxit": "the sparse direct solver has no iteration limit",
+    "solver_tol": "the solver's residual bounds are fixed",
 }
 
 
@@ -65,7 +70,6 @@ class RunConfig:
     tau_rule: tuple = None  # (coefficient, exponent)
     num_steps: int = None
     quadrature_order: int = None
-    solver_tol: float = 1e-12
     snapshot_times: list = field(default_factory=list)
     threads: int = 1
     out: str = "out"
@@ -153,13 +157,12 @@ def build_run_config(raw, overrides=None):
         tau_rule=parse_tau_rule(raw["tau_rule"]) if "tau_rule" in raw else None,
         num_steps=int(raw["num_steps"]) if "num_steps" in raw else None,
         quadrature_order=int(raw["quadrature_order"]) if "quadrature_order" in raw else None,
-        solver_tol=float(raw.get("solver_tol", "1e-12")),
         snapshot_times=[float(t) for t in raw.get("snapshot_times", "").replace(",", " ").split()],
         threads=int(raw.get("threads", "1")),
         out=raw.get("out", "out"),
     )
     if cfg.epsilon is None and cfg.epsilon_factor is None:
-        cfg.epsilon_factor = 1.25
+        cfg.epsilon_factor = PENALTY_FACTOR_DEFAULT
     if cfg.degree < 1:
         raise ConfigError("'degree' must be a positive integer")
     return cfg
@@ -168,7 +171,7 @@ def build_run_config(raw, overrides=None):
 def _setup_level(cfg, case, gm, spans):
     space = uniform_space(cfg.degree, spans)
     mesh = build_mesh(gm, space)
-    disc = Discretization(space, mesh, qvol=cfg.quadrature_order, qedge=cfg.quadrature_order)
+    disc = Discretization(space, mesh, cfg.quadrature_order)
     forms = AssembledForms(
         disc, case.problem, epsilon=cfg.epsilon, epsilon_factor=cfg.epsilon_factor
     )
@@ -186,7 +189,6 @@ def _write_manifest(cfg, path, extra):
         f"tau_rule = {cfg.tau_rule if cfg.tau_rule else ''}",
         f"num_steps = {cfg.num_steps if cfg.num_steps is not None else ''}",
         f"quadrature_order = {cfg.quadrature_order if cfg.quadrature_order else 'default'}",
-        f"solver_tol = {cfg.solver_tol:g}",
         f"threads = {cfg.threads}",
     ]
     lines += [f"{k} = {v}" for k, v in extra.items()]
@@ -206,14 +208,16 @@ def cmd_solve(cfg):
     n_steps = cfg.steps_for_level(spans, T)
     grid = TimeGrid(n_steps, T)
     u0 = project_initial(disc, case.problem.u0)
-    traj = march(forms, grid, u0, solver_tol=cfg.solver_tol)
+    traj = march(forms, grid, u0)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    times = cfg.snapshot_times or [T]
+    # each requested time snaps to its nearest node; a node is written once
+    nodes = dict.fromkeys(
+        int(np.argmin(np.abs(grid.nodes - t_req))) for t_req in cfg.snapshot_times or [T]
+    )
     written = []
-    for t_req in times:
-        idx = int(np.argmin(np.abs(grid.nodes - t_req)))
+    for idx in nodes:
         t_snap = grid.nodes[idx]
         x, y, vals = analysis.sample_on_grid(disc, traj.coefs[idx], SNAPSHOT_GRID)
         fname = out / f"solution_t{t_snap:g}.csv"
@@ -254,8 +258,7 @@ def cmd_convergence(cfg):
         case, gm, cfg.degree, cfg.levels, cfg.steps_for_level,
         threads=cfg.threads,
         epsilon=cfg.epsilon, epsilon_factor=cfg.epsilon_factor,
-        qvol=cfg.quadrature_order, qedge=cfg.quadrature_order,
-        solver_tol=cfg.solver_tol,
+        quadrature_order=cfg.quadrature_order,
     )
 
     out = Path(cfg.out)
@@ -284,7 +287,7 @@ def cmd_calibrate(cfg):
             f"{CALIBRATE_DOF_LIMIT} (use a coarser first level)"
         )
     mesh = build_mesh(gm, space)
-    disc = Discretization(space, mesh, qvol=cfg.quadrature_order, qedge=cfg.quadrature_order)
+    disc = Discretization(space, mesh, cfg.quadrature_order)
     p = case.problem
     c_star = trace_constant(disc)
     floor = penalty_floor(disc, p)

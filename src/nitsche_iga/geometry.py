@@ -80,11 +80,6 @@ class TensorSpace:
         return f"TensorSpace(degrees={self.degrees}, shape={self.shape})"
 
 
-def build_tensor_space(kv1, kv2):
-    """Tensor space over two validated knot vectors."""
-    return TensorSpace(kv1, kv2)
-
-
 def uniform_space(degree, num_spans):
     """Uniform open tensor space with the same degree and span count per direction."""
     return TensorSpace(
@@ -100,7 +95,7 @@ class GeometryMap:
     map degenerates to a plain B-spline parametrization.
     """
 
-    def __init__(self, space, control_points, weights, jac_floor=JAC_FLOOR):
+    def __init__(self, space, control_points, weights):
         control_points = np.asarray(control_points, dtype=float)
         weights = np.asarray(weights, dtype=float)
         if control_points.shape != (space.dimension, 2):
@@ -114,7 +109,6 @@ class GeometryMap:
         self.space = space
         self.control_points = control_points
         self.weights = weights
-        self.jac_floor = float(jac_floor)
 
     def evaluate(self, x_hat, nders=1):
         """Map one parametric point.
@@ -128,8 +122,8 @@ class GeometryMap:
     def evaluate_many(self, x_hat, nders=1):
         """Map an (m, 2) array of parametric points.
 
-        Raises :class:`DegenerateJacobian` when any |det J| falls below the
-        floor.
+        Raises :class:`DegenerateJacobian` when any |det J| falls below
+        ``JAC_FLOOR``.
         """
         x_hat = np.asarray(x_hat, dtype=float)
         m = len(x_hat)
@@ -189,11 +183,9 @@ class GeometryMap:
             H[:, :, 1, 1] = np.einsum("ml,mlc->mc", Nbb, Ploc)
 
         detj = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        if np.any(np.abs(detj) < self.jac_floor):
+        if np.any(np.abs(detj) < JAC_FLOOR):
             worst = float(np.min(np.abs(detj)))
-            raise DegenerateJacobian(
-                f"|det J| = {worst:.3e} below floor {self.jac_floor:.1e}"
-            )
+            raise DegenerateJacobian(f"|det J| = {worst:.3e} below floor {JAC_FLOOR:.1e}")
         if nders >= 2:
             return x, J, detj, H
         return x, J, detj
@@ -206,11 +198,6 @@ def _padded_many(ders, nders):
     out = np.zeros((ders.shape[0], nders + 1, ders.shape[2]))
     out[:, : ders.shape[1]] = ders
     return out
-
-
-def eval_geometry(gm, x_hat):
-    """Physical point, Jacobian, and det J of the geometry map at ``x_hat``."""
-    return gm.evaluate(x_hat, nders=1)
 
 
 class BoundaryEdge:
@@ -273,22 +260,17 @@ class PhysicalMesh:
         ns1, _ = self.space.num_spans
         return e % ns1, e // ns1
 
-    def edge_normal(self, edge, s):
-        return outward_normal(self, edge, s)
 
-
-def build_mesh(gm, space, sample_q=None):
+def build_mesh(gm, space):
     """Build the physical mesh for a solution space over a geometry map.
 
     One element per nonzero knot-span box.  h_K is the sampled sup of the
-    Jacobian spectral norm over the element (quadrature points plus
-    corners) times the box diameter; h_E is the quadrature arc length of
-    the mapped side span.  det J is checked for a uniform sign.  The
-    geometry is evaluated in one call over the samples of all elements
+    Jacobian spectral norm over the element (Gauss points, largest degree
+    plus two per direction, and the corners) times the box diameter; h_E
+    is the quadrature arc length of the mapped side span.  det J is checked
+    for a uniform sign.  The geometry is evaluated in one call over the samples of all elements
     and one over the quadrature points of all edges.
     """
-    if sample_q is None:
-        sample_q = max(space.degrees) + 2
     kv1, kv2 = space.kv1, space.kv2
     ns1, ns2 = space.num_spans
 
@@ -299,7 +281,7 @@ def build_mesh(gm, space, sample_q=None):
                 (kv1.mesh.span_interval(s1), kv2.mesh.span_interval(s2))
             )
 
-    pts, _ = quadrature.tensor_rule(sample_q)
+    pts, _ = quadrature.tensor_rule(max(space.degrees) + 2)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     samples = np.vstack([pts, corners])
 

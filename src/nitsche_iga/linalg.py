@@ -7,37 +7,30 @@ residual bound as :class:`ConvergenceFailure`.  Dense eigenproblems only
 ever appear in analysis-time audits on coarse meshes.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, NotSPD, SingularMatrix
 
+# residual bound of a solve, relative to ||A||_F ||x|| + ||b||
 RESIDUAL_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """A square sparse matrix with a right-hand side."""
-
-    matrix: sp.spmatrix
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        n, m = self.matrix.shape
-        if n != m or self.rhs.shape != (n,):
-            raise ValueError("system must be square with a matching rhs")
+# relative residual above which a solve takes one step of iterative refinement
+REFINE_RTOL = 1e-12
 
 
 class SparseFactor:
-    """LU factorization handle reused across many right-hand sides."""
+    """LU factorization of a square sparse matrix, reused across right-hand sides.
 
-    def __init__(self, matrix, tol=1e-12):
+    Postcondition of :meth:`solve`:
+    ||Ax - b|| <= RESIDUAL_RTOL * (||A||_F ||x|| + ||b||).
+    """
+
+    def __init__(self, matrix):
+        n, m = matrix.shape
+        if n != m:
+            raise ValueError(f"matrix must be square, got shape {matrix.shape}")
         self.matrix = matrix.tocsr()
-        self.tol = tol
         self._norm = spla.norm(self.matrix, "fro")
         try:
             self._lu = spla.splu(self.matrix.tocsc())
@@ -45,27 +38,21 @@ class SparseFactor:
             raise SingularMatrix(str(exc)) from None
 
     def solve(self, rhs):
+        if np.shape(rhs) != (self.matrix.shape[0],):
+            raise ValueError(f"rhs shape {np.shape(rhs)} does not match {self.matrix.shape}")
         x = self._lu.solve(rhs)
         if not np.all(np.isfinite(x)):
             raise SingularMatrix("factorization produced non-finite values")
         scale = self._norm * np.linalg.norm(x) + np.linalg.norm(rhs)
         r = rhs - self.matrix @ x
-        if np.linalg.norm(r) > self.tol * scale:
+        if np.linalg.norm(r) > REFINE_RTOL * scale:
             x = x + self._lu.solve(r)  # one step of iterative refinement
             r = rhs - self.matrix @ x
-        if np.linalg.norm(r) > max(RESIDUAL_RTOL, self.tol) * scale:
+        if np.linalg.norm(r) > RESIDUAL_RTOL * scale:
             raise ConvergenceFailure(
                 f"residual {np.linalg.norm(r):.3e} exceeds bound for scale {scale:.3e}"
             )
         return x
-
-
-def solve_sparse(system, tol=1e-12):
-    """Solve a sparse linear system by direct factorization.
-
-    Postcondition: ||Ax - b|| <= max(tol, 1e-10) * (||A||_F ||x|| + ||b||).
-    """
-    return SparseFactor(system.matrix, tol=tol).solve(system.rhs)
 
 
 def generalized_symmetric_eig(A, B, return_vectors=False):

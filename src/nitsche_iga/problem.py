@@ -297,11 +297,6 @@ def builtin_case(name):
     return factory()
 
 
-def register_case(name, factory):
-    """Register a new case factory (callable returning a ManufacturedCase)."""
-    _REGISTRY[name] = factory
-
-
 def case_names():
     return sorted(_REGISTRY)
 

@@ -224,11 +224,6 @@ def uniform_open_knots(degree, num_spans):
     return validate_knots(knots, degree)
 
 
-def dimension(kv):
-    """Number of basis functions of the space spanned on ``kv``."""
-    return kv.dimension
-
-
 def continuity_at(kv, n):
     """Continuous derivatives across interior breakpoint ``n``: degree - m_n."""
     if not 1 <= n <= kv.num_spans - 1:

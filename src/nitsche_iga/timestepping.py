@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble_functional, assemble_mass
-from .linalg import LinearSystem, SparseFactor, solve_sparse
+from .linalg import SparseFactor
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,10 @@ def project_initial(disc, u0):
     """L2 projection of the initial datum: solve M c = (u0, N_i)."""
     M = assemble_mass(disc)
     rhs = assemble_functional(disc, u0)
-    return solve_sparse(LinearSystem(M, rhs))
+    return SparseFactor(M).solve(rhs)
 
 
-def march(forms, grid, u0coef, solver_tol=1e-12):
+def march(forms, grid, u0coef):
     """Run the implicit Euler march and return the trajectory."""
     tau = grid.tau
     M = forms.mass
@@ -91,7 +91,7 @@ def march(forms, grid, u0coef, solver_tol=1e-12):
         A_t = forms.stiffness(t)
         if A_t is not A:
             A = A_t
-            factor = SparseFactor((M + tau * A).tocsr(), tol=solver_tol)
+            factor = SparseFactor(M + tau * A)
             factorizations += 1
         rhs = M @ coefs[step - 1] + tau * forms.load(t)
         coefs[step] = factor.solve(rhs)

@@ -19,10 +19,10 @@ def annulus_gm():
     return load_geometry("quarter_annulus")
 
 
-def make_disc(gm, degree, spans, qvol=None, qedge=None):
+def make_disc(gm, degree, spans, quadrature_order=None):
     space = uniform_space(degree, spans)
     mesh = build_mesh(gm, space)
-    return Discretization(space, mesh, qvol=qvol, qedge=qedge)
+    return Discretization(space, mesh, quadrature_order)
 
 
 @pytest.fixture

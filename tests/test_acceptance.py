@@ -11,7 +11,6 @@ import pytest
 
 from nitsche_iga import (
     AssembledForms,
-    LinearSystem,
     TimeGrid,
     assemble_load,
     assemble_mass,
@@ -24,13 +23,13 @@ from nitsche_iga import (
     march,
     penalty_floor,
     project_initial,
-    solve_sparse,
     uniform_open_knots,
     validate_knots,
     vh_norm,
 )
 from nitsche_iga.analysis import boundary_trace_sq, run_level, steps_for
 from nitsche_iga.assembly import assemble_functional
+from nitsche_iga.linalg import SparseFactor
 
 from conftest import make_disc
 from test_assembly import dense_oracle
@@ -122,10 +121,10 @@ def test_criterion_4_consistency(square_gm):
     case = builtin_case("steady_reaction")
     disc = make_disc(square_gm, 2, 4)
     forms = AssembledForms(disc, case.problem, epsilon_factor=1.25)
-    uh = solve_sparse(LinearSystem(forms.stiffness(0.0), forms.load(0.0)))
+    uh = SparseFactor(forms.stiffness(0.0)).solve(forms.load(0.0))
     M = assemble_mass(disc)
     rhs = assemble_functional(disc, lambda x, y: case.u(x, y, 0.0))
-    exact_coef = solve_sparse(LinearSystem(M, rhs))
+    exact_coef = SparseFactor(M).solve(rhs)
     err = vh_norm(uh - exact_coef, disc)
     report(4, f"stationary biquadratic reproduced, V_h error {err:.3e} <= 1e-9",
            err <= 1e-9)
@@ -149,7 +148,7 @@ def test_criterion_6_oracle_equivalence(square_gm):
     for degree in (1, 2):
         for name, t in (("paper_sec8", 1.0), ("steady_reaction", 0.5)):
             case = builtin_case(name)
-            disc = make_disc(square_gm, degree, 2, qvol=8, qedge=8)
+            disc = make_disc(square_gm, degree, 2, quadrature_order=8)
             A = assemble_stiffness(disc, case.problem, 3.0, t).toarray()
             F = assemble_load(disc, case.problem, 3.0, t)
             A_ref, F_ref = dense_oracle(disc.space, case.problem, 3.0, t, q=12)
@@ -201,3 +200,19 @@ def test_criterion_8_unconditional_steps(square_gm):
         worst = max(worst, np.abs(traj.coefs).max())
     report(8, f"march succeeded for tau in {{4, 0.4, 0.004}}, max coefficient "
               f"{worst:.3e} < 1e6", np.isfinite(worst) and worst < 1e6)
+
+
+def test_criterion_9_curved_domain_convergence(annulus_gm):
+    # the quarter annulus is an exact NURBS map; steady_reaction's g is the
+    # trace of its exact solution there, so the rate is the space's own
+    case = builtin_case("steady_reaction")
+    t0 = time.perf_counter()
+    records = _study(case, annulus_gm, 2, [4, 8, 16], lambda h: h)
+    elapsed = time.perf_counter() - t0
+    slope = fit_slope([r.h for r in records], [r.err_l2h1 for r in records])
+    report(
+        9,
+        f"biquadratic convergence slope on the quarter annulus {slope:.3f} >= 1.8 "
+        f"({elapsed:.1f} s < 60 s)",
+        slope >= 1.8 and elapsed < 60.0,
+    )

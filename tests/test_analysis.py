@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ from nitsche_iga import (
     v_norm,
     vh_norm,
 )
-from nitsche_iga.analysis import run_level
-from nitsche_iga.errors import InsufficientLevels
+from nitsche_iga.analysis import check_boundary_datum, run_level
+from nitsche_iga.errors import ConfigError, InsufficientLevels
 from nitsche_iga.timestepping import SolutionTrajectory
 
 from conftest import make_disc
@@ -111,10 +113,49 @@ class TestSpaceTimeErrors:
         errs = []
         for q in (None, 6):
             rec, _, _ = run_level(
-                case, square_gm, 1, 8, 32, epsilon_factor=1.25, qvol=q, qedge=q
+                case, square_gm, 1, 8, 32, epsilon_factor=1.25, quadrature_order=q
             )
             errs.append(rec.err_l2h1)
         assert abs(errs[0] - errs[1]) / errs[1] < 1e-3
+
+
+class TestBoundaryDatum:
+    @pytest.mark.parametrize("name", ["paper_sec8", "steady_reaction", "zero"])
+    def test_consistent_on_the_square(self, square_gm, name):
+        check_boundary_datum(builtin_case(name), make_disc(square_gm, 2, 4))
+
+    @pytest.mark.parametrize("name", ["steady_reaction", "zero"])
+    def test_consistent_on_the_annulus(self, annulus_gm, name):
+        check_boundary_datum(builtin_case(name), make_disc(annulus_gm, 2, 4))
+
+    def test_run_level_refuses_g_off_the_geometry(self, annulus_gm):
+        # g = 0 is the trace of paper_sec8's u only on the unit square;
+        # on the annulus |g - u| reaches 1.36e3
+        with pytest.raises(ConfigError, match="Dirichlet datum"):
+            run_level(builtin_case("paper_sec8"), annulus_gm, 2, 4, 1)
+
+    def test_bound_is_relative_to_u(self, annulus_gm):
+        # paper_sec8 with g taken from u: max |u| on the annulus boundary is
+        # 1.36e3, so a relative error of 1e-10 in g (above 1e-8 in absolute
+        # terms) is accepted and one of 1e-6 is refused
+        case = builtin_case("paper_sec8")
+        disc = make_disc(annulus_gm, 2, 4)
+        check_boundary_datum(_with_g(case, lambda x, y, t: case.u(x, y, t) * (1 + 1e-10)), disc)
+        with pytest.raises(ConfigError):
+            check_boundary_datum(
+                _with_g(case, lambda x, y, t: case.u(x, y, t) * (1 + 1e-6)), disc
+            )
+
+    def test_floor_for_zero_solution(self, annulus_gm):
+        case = builtin_case("zero")
+        disc = make_disc(annulus_gm, 2, 4)
+        check_boundary_datum(_with_g(case, lambda x, y, t: np.full(len(x), 1e-12)), disc)
+        with pytest.raises(ConfigError):
+            check_boundary_datum(_with_g(case, lambda x, y, t: np.full(len(x), 1e-6)), disc)
+
+
+def _with_g(case, g):
+    return replace(case, problem=replace(case.problem, g=g))
 
 
 class TestAudits:

@@ -157,7 +157,7 @@ class TestEdgeCache:
     def test_matches_edge_loop(self, annulus_gm, degree, spans):
         disc = make_disc(annulus_gm, degree, spans)
         bc = disc.boundary
-        ref = reference_edge_data(disc.space, disc.mesh, disc.qedge)
+        ref = reference_edge_data(disc.space, disc.mesh, disc.quadrature_order)
         for name in ("x", "w", "normal", "B", "G", "gidx"):
             assert np.array_equal(getattr(bc, name), ref[name]), name
         assert np.array_equal(bc.h_E, [e.h_E for e in disc.mesh.edges])
@@ -250,7 +250,7 @@ class TestStiffness:
         # library at a converged quadrature override, oracle at a different
         # (higher) order, so only the true integrals can agree
         case = builtin_case(name)
-        disc = make_disc(square_gm, degree, 2, qvol=8, qedge=8)
+        disc = make_disc(square_gm, degree, 2, quadrature_order=8)
         eps = 3.0
         A = assemble_stiffness(disc, case.problem, eps, t).toarray()
         F = assemble_load(disc, case.problem, eps, t)

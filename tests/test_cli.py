@@ -90,15 +90,20 @@ class TestConfigParsing:
 
 class TestRetiredKeys:
     def test_ignored_with_a_notice(self, tmp_path, capsys):
-        path = write_config(tmp_path, BASE + "freeze_operator = true\nsolver_maxit = 50\n")
+        path = write_config(
+            tmp_path,
+            BASE + "freeze_operator = true\nsolver_maxit = 50\nsolver_tol = 1e-9\n",
+        )
         out = tmp_path / "out"
         assert main(["solve", "--config", path, "--out", str(out)]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2
+        assert len(err) == 3
         assert "ignoring 'freeze_operator': operator reuse is now automatic" in err[0]
         assert "ignoring 'solver_maxit'" in err[1]
+        assert "ignoring 'solver_tol'" in err[2]
         manifest = (out / "manifest.txt").read_text()
         assert "freeze_operator" not in manifest
+        assert "solver_tol" not in manifest
 
 
 class TestExitCodes:
@@ -119,6 +124,18 @@ class TestExitCodes:
         cfg = BASE.replace("levels = 4", "levels = 4 8")
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    def test_boundary_datum_off_the_geometry_exits_2(self, tmp_path, capsys):
+        # paper_sec8 has g = 0, the trace of u only on the unit square
+        cfg = (
+            "case = paper_sec8\ngeometry = quarter_annulus\ndegree = 1\n"
+            "levels = 2 4\nnum_steps = 1\n"
+        )
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["convergence", "--config", path, "--out", str(out)]) == 2
+        assert "Dirichlet datum" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
 
     def test_degenerate_geometry_exits_3(self, tmp_path):
         geo = tmp_path / "collapsed.txt"
@@ -167,6 +184,21 @@ class TestSolveCommand:
         assert "solution_t0.csv" in names
         assert "solution_t1.csv" in names
         assert len(names) == 3
+
+    def test_times_on_one_node_write_one_file(self, tmp_path, capsys):
+        # nodes are multiples of 0.5 on [0, 4]; 0.25 snaps to 0
+        cfg = (
+            "case = paper_sec8\ngeometry = square\ndegree = 1\nlevels = 4\n"
+            "num_steps = 8\nsnapshot_times = 0 0.25 0.5 1\n"
+        )
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        assert "wrote 3 snapshot(s)" in capsys.readouterr().out
+        names = ["solution_t0.csv", "solution_t0.5.csv", "solution_t1.csv"]
+        assert {p.name for p in out.glob("solution_t*.csv")} == set(names)
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert f"snapshots = {' '.join(names)}" in manifest
 
     def test_case_override(self, tmp_path):
         path = write_config(tmp_path, BASE + "snapshot_times = 1\n")

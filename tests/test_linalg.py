@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nitsche_iga import LinearSystem, generalized_symmetric_eig, solve_sparse
+from nitsche_iga import generalized_symmetric_eig
 from nitsche_iga.errors import NotSPD, SingularMatrix
 from nitsche_iga.linalg import SparseFactor
 
@@ -54,12 +54,12 @@ def jacobi_eigenvalues(C, sweeps=60, tol=1e-14):
 class TestSolveSparse:
     def test_identity(self, rng):
         b = rng.random(10)
-        x = solve_sparse(LinearSystem(sp.eye(10, format="csr"), b))
+        x = SparseFactor(sp.eye(10, format="csr")).solve(b)
         assert np.allclose(x, b, atol=1e-15)
 
     def test_two_by_two(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        x = solve_sparse(LinearSystem(A, np.array([3.0, 3.0])))
+        x = SparseFactor(A).solve(np.array([3.0, 3.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_random_nonsymmetric_against_dense_lu(self, rng):
@@ -70,7 +70,7 @@ class TestSolveSparse:
         np.fill_diagonal(A_dense, np.diag(base @ base.T) + n)
         b = rng.random(n)
         A = sp.csr_matrix(A_dense)
-        x = solve_sparse(LinearSystem(A, b))
+        x = SparseFactor(A).solve(b)
         x_ref = dense_lu_solve(A_dense, b)
         assert np.max(np.abs(x - x_ref)) < 1e-9 * max(1.0, np.abs(x_ref).max())
 
@@ -79,18 +79,20 @@ class TestSolveSparse:
         A_dense = rng.random((n, n)) + n * np.eye(n)
         A = sp.csr_matrix(A_dense)
         b = rng.random(n)
-        x = solve_sparse(LinearSystem(A, b))
+        x = SparseFactor(A).solve(b)
         scale = sp.linalg.norm(A, "fro") * np.linalg.norm(x) + np.linalg.norm(b)
         assert np.linalg.norm(b - A @ x) <= 1e-10 * scale
 
     def test_singular_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SingularMatrix):
-            solve_sparse(LinearSystem(A, np.array([1.0, 2.0])))
+            SparseFactor(A).solve(np.array([1.0, 2.0]))
 
     def test_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            LinearSystem(sp.eye(3, format="csr"), np.zeros(2))
+        with pytest.raises(ValueError, match="square"):
+            SparseFactor(sp.csr_matrix(np.ones((3, 2))))
+        with pytest.raises(ValueError, match="rhs"):
+            SparseFactor(sp.eye(3, format="csr")).solve(np.zeros(2))
 
     def test_factor_reuse(self, rng):
         A = sp.csr_matrix(np.diag(np.arange(1.0, 6.0)))

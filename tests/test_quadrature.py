@@ -81,7 +81,7 @@ class TestEdgeWeights:
     def test_curved_edge_weights_sum_to_h_E(self, annulus_gm):
         # arc lengths come from a different rule than the edge cache; they
         # agree to quadrature accuracy on the rational speed function
-        disc = make_disc(annulus_gm, 2, 2, qedge=8)
+        disc = make_disc(annulus_gm, 2, 2, quadrature_order=8)
         bc = disc.boundary
         for f in range(len(bc.h_E)):
             assert abs(bc.w[f].sum() - bc.h_E[f]) < 1e-9 * max(1.0, bc.h_E[f])

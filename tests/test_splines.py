@@ -9,7 +9,7 @@ from nitsche_iga.errors import (
     NotOpen,
     OutOfDomain,
 )
-from nitsche_iga.splines import continuity_at, dimension, eval_basis_many
+from nitsche_iga.splines import continuity_at, eval_basis_many
 
 
 def cox_de_boor_table(knots, k, x):
@@ -145,10 +145,10 @@ class TestValidation:
         assert kv.num_spans == 2
 
     def test_dimension_examples(self):
-        assert dimension(validate_knots([0, 0, 1, 1], 1)) == 2
-        assert dimension(validate_knots([0, 0, 0, 1, 1, 1], 2)) == 3
+        assert validate_knots([0, 0, 1, 1], 1).dimension == 2
+        assert validate_knots([0, 0, 0, 1, 1, 1], 2).dimension == 3
         for n in (3, 5, 8):
-            assert dimension(uniform_open_knots(1, n)) == n + 1
+            assert uniform_open_knots(1, n).dimension == n + 1
 
     def test_continuity_at(self):
         kv = validate_knots([0, 0, 0, 0.5, 1, 1, 1], 2)

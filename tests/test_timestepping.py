@@ -5,12 +5,10 @@ import pytest
 
 from nitsche_iga import (
     AssembledForms,
-    LinearSystem,
     TimeGrid,
     builtin_case,
     march,
     project_initial,
-    solve_sparse,
     step_residuals,
 )
 from nitsche_iga.analysis import boundary_trace_sq
@@ -144,7 +142,7 @@ class TestMarch:
         forms = AssembledForms(disc, case.problem)
         A = forms.stiffness(0.0)
         F = forms.load(0.0)
-        u_inf = solve_sparse(LinearSystem(A, F))
+        u_inf = SparseFactor(A).solve(F)
 
         grid = TimeGrid(40, 8.0)
         M = forms.mass
