@@ -11,12 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from nitsche_iga import (
+    Discretization,
     build_mesh,
     load_geometry,
-    outward_normal,
     uniform_space,
 )
-from nitsche_iga.quadrature import element_rule
 
 OUT = Path(__file__).resolve().parent / "demo_out"
 
@@ -38,13 +37,14 @@ def main():
               f"(exact {1 + s:g}), det J = {detj:.4f}")
 
     mesh_a = build_mesh(ga, uniform_space(2, 4))
-    area = sum(element_rule(mesh_a, e, 6)[1].sum() for e in range(mesh_a.num_elements))
+    disc = Discretization(mesh_a.space, mesh_a, quadrature_order=6)
+    area = disc.elements.w.sum()
     print(f"quadrature area of the annulus quarter: {area:.12f} "
           f"(exact {3 * np.pi / 4:.12f})")
 
-    outer = [e for e in mesh_a.edges if e.side == "x1"]
-    n = outward_normal(mesh_a, outer[0], 0.5)
-    x, _, _ = ga.evaluate(outer[0].param_point(0.5))
+    # the normal the boundary terms use, at a quadrature point of the outer arc
+    outer = next(e.index for e in mesh_a.edges if e.side == "x1")
+    x, n = disc.boundary.x[outer, 2], disc.boundary.normal[outer, 2]
     print(f"outer-arc normal at {x.round(4)}: {n.round(6)} "
           f"(radial direction {(x / np.linalg.norm(x)).round(6)})")
 

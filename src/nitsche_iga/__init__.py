@@ -59,7 +59,6 @@ from .geometry import (
     TensorSpace,
     build_mesh,
     load_geometry,
-    outward_normal,
     parse_geometry,
     uniform_space,
 )
@@ -71,9 +70,8 @@ from .problem import (
     case_names,
     coefficient_audit,
     consistency_residual,
-    inflow_indicator,
 )
-from .quadrature import QuadratureRule, element_rule, gauss_rule
+from .quadrature import QuadratureRule, gauss_rule
 from .splines import (
     BasisEvaluation,
     KnotVector,

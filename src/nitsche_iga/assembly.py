@@ -2,10 +2,14 @@
 
 A :class:`Discretization` precomputes, once per (space, mesh, quadrature)
 triple, the basis tables at all volume and boundary-edge quadrature points
-together with the mapped geometry data.  The assembly routines are then
-plain einsum contractions over those tables, scattered into CSR in a fixed
-element order, so repeated assemblies (one per time step) are cheap and
-bitwise reproducible.
+together with the mapped geometry data, and the mass matrix on first use.
+The tables are tensor products of per-span 1-D B-spline tables, built by
+:func:`~nitsche_iga.geometry.tensor_product`; the edge points, weights and
+normals come from :func:`~nitsche_iga.geometry.edge_geometry`, the same
+routine that measures h_E.  The assembly routines are then plain einsum
+contractions over those tables, scattered into CSR in a fixed element
+order, so repeated assemblies (one per time step) are cheap and bitwise
+reproducible.
 
 The stiffness form contains five families of terms: the volume form
 (diffusion, advection, reaction), the boundary flux term, its transpose
@@ -13,10 +17,13 @@ The stiffness form contains five families of terms: the volume form
 points where b . n < 0, and the eps/h_E boundary penalty.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import NotSPD, SingularGram
+from .geometry import edge_geometry, invert_2x2, tensor_product
 from .linalg import generalized_symmetric_eig
 from .quadrature import gauss_rule
 from .splines import eval_basis_many
@@ -36,14 +43,29 @@ def _univariate_tables(kv, q, max_deriv):
     return pts, wts, first[::q], ders.reshape(kv.num_spans, q, max_deriv + 1, -1)
 
 
-def _invert_2x2(J):
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    inv = np.empty_like(J)
-    inv[..., 0, 0] = J[..., 1, 1]
-    inv[..., 0, 1] = -J[..., 0, 1]
-    inv[..., 1, 0] = -J[..., 1, 0]
-    inv[..., 1, 1] = J[..., 0, 0]
-    return inv / det[..., None, None], det
+def _element_products(space, d1, d2, orders):
+    """Tensor products at the q x q points of every element, (ne, q*q, nloc)
+    each, from the per-span tables ``d1``, ``d2`` of :func:`_univariate_tables`.
+
+    Elements run with direction 1 fastest; points and local functions with
+    direction 2 fastest.
+    """
+    s1, s2 = _element_spans(space)
+    ne, q = len(s1), d1.shape[1]
+    tables = tensor_product(d1[s1][:, :, None], d2[s2][:, None], orders)
+    return [t.reshape(ne, q * q, -1) for t in tables]
+
+
+def _element_spans(space):
+    """Span indices (s1, s2) of every element, direction 1 fastest."""
+    ns1, ns2 = space.num_spans
+    return np.tile(np.arange(ns1), ns2), np.repeat(np.arange(ns2), ns1)
+
+
+def _physical_gradients(d1, d2, inv_jac):
+    """Physical gradients (..., nloc, 2) from the parametric partial
+    derivatives ``d1``, ``d2`` (..., nloc) and J^-1 (..., 2, 2)."""
+    return np.einsum("xqlb,xqba->xqla", np.stack([d1, d2], axis=-1), inv_jac)
 
 
 class ElementCache:
@@ -56,27 +78,10 @@ class ElementCache:
     """
 
     def __init__(self, space, mesh, q):
-        kv1, kv2 = space.kv1, space.kv2
-        k1, k2 = space.degrees
-        n1 = space.shape[0]
-        ns1, ns2 = space.num_spans
-        p1, w1, f1, d1 = _univariate_tables(kv1, q, 1)
-        p2, w2, f2, d2 = _univariate_tables(kv2, q, 1)
-        self._tables = (p1, w1, f1, d1, p2, w2, f2, d2)
-
-        s1 = np.tile(np.arange(ns1), ns2)
-        s2 = np.repeat(np.arange(ns2), ns1)
-        ne = ns1 * ns2
-        nq = q * q
-        nloc = (k1 + 1) * (k2 + 1)
-
-        # tensor products; C-order flattening (second factor fastest)
-        V1, D1 = d1[s1, :, 0, :], d1[s1, :, 1, :]
-        V2, D2 = d2[s2, :, 0, :], d2[s2, :, 1, :]
-        B = (V1[:, :, None, :, None] * V2[:, None, :, None, :]).reshape(ne, nq, nloc)
-        Ghat = np.empty((ne, nq, nloc, 2))
-        Ghat[..., 0] = (D1[:, :, None, :, None] * V2[:, None, :, None, :]).reshape(ne, nq, nloc)
-        Ghat[..., 1] = (V1[:, :, None, :, None] * D2[:, None, :, None, :]).reshape(ne, nq, nloc)
+        p1, w1, f1, d1 = _univariate_tables(space.kv1, q, 1)
+        p2, w2, f2, d2 = _univariate_tables(space.kv2, q, 1)
+        s1, s2 = _element_spans(space)
+        ne, nq = len(s1), q * q
 
         x_hat = np.empty((ne, nq, 2))
         x_hat[..., 0] = np.repeat(p1[s1], q, axis=1)
@@ -84,24 +89,18 @@ class ElementCache:
         w_hat = np.repeat(w1[s1], q, axis=1) * np.tile(w2[s2], (1, q))
 
         x, J, detj = mesh.geometry.evaluate_many(x_hat.reshape(-1, 2))
+        invJ, _ = invert_2x2(J.reshape(ne, nq, 2, 2))
+        B, B1, B2 = _element_products(space, d1, d2, ((0, 0), (1, 0), (0, 1)))
         self.x = x.reshape(ne, nq, 2)
-        J = J.reshape(ne, nq, 2, 2)
-        invJ, _ = _invert_2x2(J)
         self.w = w_hat * np.abs(detj.reshape(ne, nq))
         self.B = B
-        self.G = np.einsum("eqlb,eqba->eqla", Ghat, invJ)
-
-        l1 = np.repeat(np.arange(k1 + 1), k2 + 1)
-        l2 = np.tile(np.arange(k2 + 1), k1 + 1)
-        self.gidx = (f1[s1][:, None] + l1[None, :]) + n1 * (
-            f2[s2][:, None] + l2[None, :]
-        )
+        self.G = _physical_gradients(B1, B2, invJ)
+        self.gidx = space.local_to_global(f1[s1], f2[s2])
         self.space = space
         self.mesh = mesh
         self.q = q
         self._x_hat = x_hat
         self._invJ = invJ
-        self._Ghat = Ghat
         self._hess = None
 
     @property
@@ -125,30 +124,14 @@ class ElementCache:
         space = self.space
         k1, k2 = space.degrees
         ne, nq, nloc = self.B.shape
-        kv1, kv2 = space.kv1, space.kv2
-        ns1, _ = space.num_spans
-        q = self.q
-        _, _, _, d1 = _univariate_tables(kv1, q, min(2, k1))
-        _, _, _, d2 = _univariate_tables(kv2, q, min(2, k2))
-
-        def row(d, order):
-            if order < d.shape[2]:
-                return d[:, :, order, :]
-            return np.zeros_like(d[:, :, 0, :])
-
-        s1 = np.tile(np.arange(ns1), ne // ns1)
-        s2 = np.repeat(np.arange(ne // ns1), ns1)
-
-        def tensor(a, b):
-            A = row(d1, a)[s1]
-            Bb = row(d2, b)[s2]
-            return (A[:, :, None, :, None] * Bb[:, None, :, None, :]).reshape(ne, nq, nloc)
-
+        _, _, _, d1 = _univariate_tables(space.kv1, self.q, min(2, k1))
+        _, _, _, d2 = _univariate_tables(space.kv2, self.q, min(2, k2))
+        H11, H12, H22 = _element_products(space, d1, d2, ((2, 0), (1, 1), (0, 2)))
         Hhat = np.empty((ne, nq, nloc, 2, 2))
-        Hhat[..., 0, 0] = tensor(2, 0)
-        Hhat[..., 0, 1] = tensor(1, 1)
-        Hhat[..., 1, 0] = Hhat[..., 0, 1]
-        Hhat[..., 1, 1] = tensor(0, 2)
+        Hhat[..., 0, 0] = H11
+        Hhat[..., 0, 1] = H12
+        Hhat[..., 1, 0] = H12
+        Hhat[..., 1, 1] = H22
 
         _, _, _, FH = self.mesh.geometry.evaluate_many(
             self._x_hat.reshape(-1, 2), nders=2
@@ -171,34 +154,13 @@ class EdgeCache:
     """
 
     def __init__(self, space, mesh, q):
-        from .geometry import SIDES, _normal_from_jacobian
-
-        k1, k2 = space.degrees
-        n1 = space.shape[0]
-        rule = gauss_rule(q)
         edges = mesh.edges
-        nloc = (k1 + 1) * (k2 + 1)
         nf = len(edges)
         self.h_E = np.array([e.h_E for e in edges])
         self.owner = np.array([e.owner for e in edges], dtype=int)
-
-        x_hat = np.stack([e.param_point(rule.points) for e in edges])
-        widths = np.array([b - a for a, b in (e.interval for e in edges)])
-        sides = np.array([e.side for e in edges])
-        along_dir2 = np.isin(sides, ("x0", "x1"))
-
-        x, J, detj = mesh.geometry.evaluate_many(x_hat.reshape(-1, 2))
-        self.x = x.reshape(nf, q, 2)
-        J = J.reshape(nf, q, 2, 2)
-        detj = detj.reshape(nf, q)
-        tang = np.where(along_dir2[:, None, None], J[..., 1], J[..., 0])
-        self.w = widths[:, None] * rule.weights * np.linalg.norm(tang, axis=2)
-        self.normal = np.empty((nf, q, 2))
-        for side in SIDES:
-            on = sides == side
-            self.normal[on] = _normal_from_jacobian(
-                J[on].reshape(-1, 2, 2), detj[on].ravel(), side
-            ).reshape(-1, q, 2)
+        x_hat, self.x, invJ, self.w, self.normal = edge_geometry(
+            mesh.geometry, edges, gauss_rule(q)
+        )
 
         # the owner's basis at the edge points, each distinct coordinate
         # evaluated once: on half of the edges a direction is fixed at 0 or 1
@@ -209,18 +171,9 @@ class EdgeCache:
 
         f1, d1 = owner_basis(space.kv1, x_hat[..., 0].ravel())
         f2, d2 = owner_basis(space.kv2, x_hat[..., 1].ravel())
-        v1, g1 = d1[:, :, 0, :, None], d1[:, :, 1, :, None]
-        v2, g2 = d2[:, :, 0, None, :], d2[:, :, 1, None, :]
-        self.B = (v1 * v2).reshape(nf, q, nloc)
-        Ghat = np.empty((nf, q, nloc, 2))
-        Ghat[..., 0] = (g1 * v2).reshape(nf, q, nloc)
-        Ghat[..., 1] = (v1 * g2).reshape(nf, q, nloc)
-        invJ, _ = _invert_2x2(J)
-        self.G = np.einsum("fqlb,fqba->fqla", Ghat, invJ)
-
-        l1 = np.repeat(np.arange(k1 + 1), k2 + 1)
-        l2 = np.tile(np.arange(k2 + 1), k1 + 1)
-        self.gidx = (f1[:, :1] + l1) + n1 * (f2[:, :1] + l2)
+        self.B, B1, B2 = tensor_product(d1, d2, ((0, 0), (1, 0), (0, 1)))
+        self.G = _physical_gradients(B1, B2, invJ)
+        self.gidx = space.local_to_global(f1[:, 0], f2[:, 0])
 
     def field_values(self, coef):
         return np.einsum("fql,fl->fq", self.B, coef[self.gidx])
@@ -245,6 +198,11 @@ class Discretization:
     @property
     def dimension(self):
         return self.space.dimension
+
+    @cached_property
+    def mass(self):
+        """The mass matrix, assembled on first use."""
+        return assemble_mass(self)
 
 
 def _scatter(blocks, gidx, dim):
@@ -427,13 +385,13 @@ def penalty_floor(disc, p, alpha=None):
 
 
 class AssembledForms:
-    """Mass, stiffness, and load factories for one discretized problem.
+    """Stiffness and load factories for one discretized problem.
 
     Resolves the penalty parameter (absolute ``epsilon`` or a
     ``epsilon_factor`` multiple of the computed floor; exactly one may be
-    given, default factor 1.25) and caches the mass matrix, the stability
-    Gram, and the last stiffness matrix with the operator inputs it was
-    assembled from.
+    given, default factor 1.25) and caches the last stiffness matrix with
+    the operator inputs it was assembled from.  The mass matrix is
+    ``disc.mass``.
     """
 
     def __init__(self, disc, p, epsilon=None, epsilon_factor=None):
@@ -447,21 +405,7 @@ class AssembledForms:
         else:
             factor = PENALTY_FACTOR_DEFAULT if epsilon_factor is None else epsilon_factor
             self.eps = factor * self.floor
-        self._mass = None
-        self._gram = None
         self._stiffness = (None, None)  # (coefficient bytes, matrix)
-
-    @property
-    def mass(self):
-        if self._mass is None:
-            self._mass = assemble_mass(self.disc)
-        return self._mass
-
-    @property
-    def vh_gram(self):
-        if self._gram is None:
-            self._gram = assemble_vh_gram(self.disc)
-        return self._gram
 
     def stiffness(self, t):
         """Stiffness at ``t``: the previous matrix object when the operator

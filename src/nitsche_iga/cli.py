@@ -16,6 +16,7 @@ output files byte for byte.
 
 import argparse
 import csv
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -30,6 +31,8 @@ from .assembly import (
 from .errors import ConfigError, InsufficientLevels, NitscheIgaError
 from .geometry import build_mesh, load_geometry, uniform_space
 from .problem import builtin_case
+from .quadrature import MAX_POINTS
+from .splines import MAX_DEGREE
 from .timestepping import TimeGrid, march, project_initial
 
 SNAPSHOT_GRID = 64
@@ -113,13 +116,38 @@ def parse_config_file(path):
     return raw
 
 
+def _number(key, text, kind, ok, requirement):
+    """``text`` converted by ``kind``; a config error unless ``ok`` holds."""
+    try:
+        value = kind(text)
+        if ok(value):
+            return value
+    except ValueError:
+        pass
+    raise ConfigError(f"'{key}' must be {requirement}, got {text!r}")
+
+
+def _count(key, text, high=math.inf):
+    """``text`` as an integer in 1..high; a config error otherwise."""
+    bound = "a positive integer" if high == math.inf else f"an integer in 1..{high}"
+    return _number(key, text, int, lambda n: 1 <= n <= high, bound)
+
+
+def _positive(value):
+    return 0 < value < math.inf
+
+
 def parse_tau_rule(text):
-    """Parse 'h^p' or 'C*h^p' (for example '0.25*h^1')."""
+    """Parse 'h^p' or 'C*h^p' (for example '0.25*h^1') with C > 0."""
     m = re.fullmatch(r"(?:([0-9.eE+-]+)\s*\*\s*)?h(?:\^([0-9.]+))?", text.strip())
-    if not m:
-        raise ConfigError(f"tau_rule must look like 'C*h^p', got {text!r}")
-    coef = float(m.group(1)) if m.group(1) else 1.0
-    power = float(m.group(2)) if m.group(2) else 1.0
+    coef = power = math.nan
+    if m:
+        try:
+            coef, power = float(m.group(1) or 1), float(m.group(2) or 1)
+        except ValueError:
+            pass
+    if not (_positive(coef) and math.isfinite(power)):
+        raise ConfigError(f"tau_rule must look like 'C*h^p' with C > 0, got {text!r}")
     return coef, power
 
 
@@ -130,7 +158,10 @@ def _require(raw, key):
 
 
 def build_run_config(raw, overrides=None):
-    """Validate raw key/value pairs (plus CLI overrides) into a RunConfig."""
+    """Validate raw key/value pairs (plus CLI overrides) into a RunConfig.
+
+    Every number is range-checked here, so a bad value is a config error.
+    """
     raw = dict(raw)
     for key, val in (overrides or {}).items():
         if val is not None:
@@ -143,28 +174,34 @@ def build_run_config(raw, overrides=None):
     if "tau_rule" not in raw and "num_steps" not in raw:
         raise ConfigError("missing config key 'tau_rule' (or 'num_steps')")
 
-    levels = [int(t) for t in _require(raw, "levels").replace(",", " ").split()]
+    def optional(key, parse, *args):
+        return parse(key, raw[key], *args) if key in raw else None
+
+    levels = [_count("levels", t) for t in _require(raw, "levels").replace(",", " ").split()]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("'levels' must be a strictly increasing list of span counts")
 
     cfg = RunConfig(
         case=_require(raw, "case"),
         geometry=raw.get("geometry", "square"),
-        degree=int(_require(raw, "degree")),
+        degree=_count("degree", _require(raw, "degree"), MAX_DEGREE),
         levels=levels,
-        epsilon=float(raw["epsilon"]) if "epsilon" in raw else None,
-        epsilon_factor=float(raw["epsilon_factor"]) if "epsilon_factor" in raw else None,
+        epsilon=optional("epsilon", _number, float, _positive, "a positive number"),
+        epsilon_factor=optional(
+            "epsilon_factor", _number, float, _positive, "a positive number"
+        ),
         tau_rule=parse_tau_rule(raw["tau_rule"]) if "tau_rule" in raw else None,
-        num_steps=int(raw["num_steps"]) if "num_steps" in raw else None,
-        quadrature_order=int(raw["quadrature_order"]) if "quadrature_order" in raw else None,
-        snapshot_times=[float(t) for t in raw.get("snapshot_times", "").replace(",", " ").split()],
-        threads=int(raw.get("threads", "1")),
+        num_steps=optional("num_steps", _count),
+        quadrature_order=optional("quadrature_order", _count, MAX_POINTS),
+        snapshot_times=[
+            _number("snapshot_times", t, float, math.isfinite, "a list of finite times")
+            for t in raw.get("snapshot_times", "").replace(",", " ").split()
+        ],
+        threads=optional("threads", _count) or 1,
         out=raw.get("out", "out"),
     )
     if cfg.epsilon is None and cfg.epsilon_factor is None:
         cfg.epsilon_factor = PENALTY_FACTOR_DEFAULT
-    if cfg.degree < 1:
-        raise ConfigError("'degree' must be a positive integer")
     return cfg
 
 

@@ -7,6 +7,12 @@ assembly only ever needs parametric basis tables plus Jacobians of F.
 
 Refinement rebuilds the solution knot vectors (uniform span bisection) and
 leaves F untouched: the geometry stays exact on every level.
+
+The pieces that assembly shares with the mesh live here once each:
+:func:`tensor_product` builds bivariate basis tables from 1-D ones,
+:meth:`TensorSpace.local_to_global` indexes them, :func:`invert_2x2`
+inverts Jacobians, and :func:`edge_geometry` maps the points of a rule on
+the boundary edges (arc-length weights and outward normals).
 """
 
 import importlib.resources
@@ -65,6 +71,15 @@ class TensorSpace:
         if not 0 <= g < self.dimension:
             raise IndexOutOfRange(f"global index {g} outside 0..{self.dimension - 1}")
         return g % n1, g // n1
+
+    def local_to_global(self, first1, first2):
+        """Global indices (..., nloc) of the local basis on spans whose first
+        nonzero functions are ``first1``, ``first2``, in (l1, l2) local order
+        with l2 fastest."""
+        k1, k2 = self.degrees
+        l1 = np.repeat(np.arange(k1 + 1), k2 + 1)
+        l2 = np.tile(np.arange(k2 + 1), k1 + 1)
+        return (first1[..., None] + l1) + self.shape[0] * (first2[..., None] + l2)
 
     def greville_grid(self):
         """Parametric Greville points, shape (dimension, 2), global ordering."""
@@ -127,27 +142,14 @@ class GeometryMap:
         """
         x_hat = np.asarray(x_hat, dtype=float)
         m = len(x_hat)
-        n1, _ = self.space.shape
         k1, k2 = self.space.degrees
-
         first1, d1 = eval_basis_many(self.space.kv1, x_hat[:, 0], min(nders, k1))
         first2, d2 = eval_basis_many(self.space.kv2, x_hat[:, 1], min(nders, k2))
-        d1 = _padded_many(d1, nders)
-        d2 = _padded_many(d2, nders)
-
-        i1 = first1[:, None] + np.arange(k1 + 1)[None, :]
-        i2 = first2[:, None] + np.arange(k2 + 1)[None, :]
-        # local index order (l1, l2) with l2 fastest
-        gidx = (i1[:, :, None] + n1 * i2[:, None, :]).reshape(m, -1)
+        gidx = self.space.local_to_global(first1, first2)
         wloc = self.weights[gidx]
         Ploc = self.control_points[gidx]
 
-        def tensor(a, b):
-            return (d1[:, a, :, None] * d2[:, b, None, :]).reshape(m, -1)
-
-        B = tensor(0, 0)
-        Ba = tensor(1, 0)
-        Bb = tensor(0, 1)
+        B, Ba, Bb = tensor_product(d1, d2, ((0, 0), (1, 0), (0, 1)))
         W = np.einsum("ml,ml->m", wloc, B)
         Wa = np.einsum("ml,ml->m", wloc, Ba)
         Wb = np.einsum("ml,ml->m", wloc, Bb)
@@ -162,9 +164,7 @@ class GeometryMap:
 
         H = None
         if nders >= 2:
-            Baa = tensor(2, 0)
-            Bab = tensor(1, 1)
-            Bbb = tensor(0, 2)
+            Baa, Bab, Bbb = tensor_product(d1, d2, ((2, 0), (1, 1), (0, 2)))
             Waa = np.einsum("ml,ml->m", wloc, Baa)[:, None]
             Wab = np.einsum("ml,ml->m", wloc, Bab)[:, None]
             Wbb = np.einsum("ml,ml->m", wloc, Bbb)[:, None]
@@ -191,13 +191,35 @@ class GeometryMap:
         return x, J, detj
 
 
-def _padded_many(ders, nders):
-    """Derivative tables (m, d, k+1) padded with zero rows up to order ``nders``."""
-    if ders.shape[1] >= nders + 1:
-        return ders
-    out = np.zeros((ders.shape[0], nders + 1, ders.shape[2]))
-    out[:, : ders.shape[1]] = ders
-    return out
+def tensor_product(d1, d2, orders):
+    """Bivariate tables from two 1-D derivative tables, (l1, l2) local order.
+
+    ``d1`` (..., r1, k1+1) and ``d2`` (..., r2, k2+1) hold the derivatives
+    of orders 0 .. r-1 of each 1-D basis; their leading axes broadcast.
+    Returns, for each (a, b) in ``orders``, the table (..., nloc) of the
+    derivative of order a in direction 1 and b in direction 2: zero where
+    a or b lies beyond the degree.
+    """
+    lead = np.broadcast_shapes(d1.shape[:-2], d2.shape[:-2])
+    shape = lead + (d1.shape[-1] * d2.shape[-1],)
+    tables = []
+    for a, b in orders:
+        if a < d1.shape[-2] and b < d2.shape[-2]:
+            tables.append((d1[..., a, :, None] * d2[..., b, None, :]).reshape(shape))
+        else:
+            tables.append(np.zeros(shape))
+    return tables
+
+
+def invert_2x2(J):
+    """Inverses and determinants of a stack (..., 2, 2) of matrices."""
+    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    inv = np.empty_like(J)
+    inv[..., 0, 0] = J[..., 1, 1]
+    inv[..., 0, 1] = -J[..., 0, 1]
+    inv[..., 1, 0] = -J[..., 1, 0]
+    inv[..., 1, 1] = J[..., 0, 0]
+    return inv / det[..., None, None], det
 
 
 class BoundaryEdge:
@@ -251,11 +273,6 @@ class PhysicalMesh:
     def num_elements(self):
         return len(self.elements)
 
-    def element_box(self, e):
-        if not 0 <= e < self.num_elements:
-            raise IndexOutOfRange(f"element {e} outside 0..{self.num_elements - 1}")
-        return self.elements[e]
-
     def element_span_indices(self, e):
         ns1, _ = self.space.num_spans
         return e % ns1, e // ns1
@@ -267,9 +284,10 @@ def build_mesh(gm, space):
     One element per nonzero knot-span box.  h_K is the sampled sup of the
     Jacobian spectral norm over the element (Gauss points, largest degree
     plus two per direction, and the corners) times the box diameter; h_E
-    is the quadrature arc length of the mapped side span.  det J is checked
-    for a uniform sign.  The geometry is evaluated in one call over the samples of all elements
-    and one over the quadrature points of all edges.
+    is the arc length of the mapped side span, the sum of the
+    :func:`edge_geometry` weights of a fixed 5-point rule.  det J is checked
+    for a uniform sign.  The geometry is evaluated in one call over the
+    samples of all elements and one over the points of all edges.
     """
     kv1, kv2 = space.kv1, space.kv2
     ns1, ns2 = space.num_spans
@@ -295,24 +313,15 @@ def build_mesh(gm, space):
     grad_norm = np.linalg.norm(J, ord=2, axis=(1, 2)).reshape(len(elements), -1)
     h_K = grad_norm.max(axis=1) * np.hypot(width[:, 0], width[:, 1])
 
-    rule = quadrature.gauss_rule(EDGE_LENGTH_POINTS)
-    edges, x_hat, ws = [], [], []
+    edges = []
     for side in SIDES:
         tang_kv = kv2 if side in ("x0", "x1") else kv1
         for n in range(1, tang_kv.num_spans + 1):
-            a, b = tang_kv.mesh.span_interval(n)
+            interval = tang_kv.mesh.span_interval(n)
             owner = _owner_element(side, n, ns1, ns2)
-            edge = BoundaryEdge(len(edges), side, (a, b), owner, h_E=0.0)
-            ts, w = rule.mapped(a, b)
-            x_hat.append(edge.param_point((ts - a) / (b - a)))
-            ws.append(w)
-            edges.append(edge)
-    _, J, _ = gm.evaluate_many(np.concatenate(x_hat))
-    J = J.reshape(len(edges), EDGE_LENGTH_POINTS, 2, 2)
-    along_dir2 = np.array([e.side in ("x0", "x1") for e in edges])
-    tang = np.where(along_dir2[:, None, None], J[..., 1], J[..., 0])
-    h_E = np.sum(np.array(ws) * np.linalg.norm(tang, axis=2), axis=1)
-    for edge, h in zip(edges, h_E):
+            edges.append(BoundaryEdge(len(edges), side, interval, owner, h_E=0.0))
+    _, _, _, w, _ = edge_geometry(gm, edges, quadrature.gauss_rule(EDGE_LENGTH_POINTS))
+    for edge, h in zip(edges, np.sum(w, axis=1)):
         edge.h_E = float(h)
 
     return PhysicalMesh(gm, space, elements, h_K, edges, sign)
@@ -328,31 +337,32 @@ def _owner_element(side, n, ns1, ns2):
     return (n - 1) + ns1 * (ns2 - 1)
 
 
-def outward_normal(mesh, edge, s):
-    """Unit outward normal of a boundary edge at edge parameter ``s``.
+def edge_geometry(gm, edges, rule):
+    """The geometry at the points of ``rule`` on each of ``edges``.
 
-    The normal direction is the appropriate row of the inverse Jacobian
-    (gradient of the frozen parametric coordinate), oriented outward.
+    Returns ``(x_hat, x, inv_jac, w, normal)`` with shapes (nf, q, 2),
+    (nf, q, 2), (nf, q, 2, 2), (nf, q) and (nf, q, 2): parametric and
+    physical points, inverse Jacobians, arc-length weights (span width times
+    rule weight times the tangent length) and unit outward normals.  The
+    normal is the row of J^-1 that is the gradient of the edge's fixed
+    parametric coordinate, pointing away from the domain.  One geometry
+    evaluation covers all edges.
     """
-    if isinstance(edge, int):
-        edge = mesh.edges[edge]
-    x_hat = edge.param_point(s)
-    _, J, detj = mesh.geometry.evaluate(x_hat)
-    return _normal_from_jacobian(J[None, :, :], np.array([detj]), edge.side)[0]
+    nf, q = len(edges), rule.order
+    x_hat = np.stack([e.param_point(rule.points) for e in edges])
+    x, J, _ = gm.evaluate_many(x_hat.reshape(-1, 2))
+    J = J.reshape(nf, q, 2, 2)
+    inv_jac, _ = invert_2x2(J)
 
+    along_dir2 = np.array([e.side in ("x0", "x1") for e in edges])[:, None, None]
+    widths = np.array([b - a for a, b in (e.interval for e in edges)])
+    tang = np.where(along_dir2, J[..., 1], J[..., 0])
+    w = widths[:, None] * rule.weights * np.linalg.norm(tang, axis=2)
 
-def _normal_from_jacobian(J, detj, side):
-    """Outward normals for a batch of Jacobians on a given side."""
-    inv = np.empty_like(J)
-    inv[:, 0, 0] = J[:, 1, 1]
-    inv[:, 0, 1] = -J[:, 0, 1]
-    inv[:, 1, 0] = -J[:, 1, 0]
-    inv[:, 1, 1] = J[:, 0, 0]
-    inv /= detj[:, None, None]
-    row = {"x0": 0, "x1": 0, "y0": 1, "y1": 1}[side]
-    orient = -1.0 if side in ("x0", "y0") else 1.0
-    n = orient * inv[:, row, :]
-    return n / np.linalg.norm(n, axis=1)[:, None]
+    orient = np.array([1.0 if e.fixed_coord else -1.0 for e in edges])[:, None, None]
+    normal = orient * np.where(along_dir2, inv_jac[..., 0, :], inv_jac[..., 1, :])
+    normal /= np.linalg.norm(normal, axis=2)[..., None]
+    return x_hat, x.reshape(nf, q, 2), inv_jac, w, normal
 
 
 # -- shipped geometries and the plain-text file format -----------------------

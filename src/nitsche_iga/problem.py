@@ -54,18 +54,6 @@ class ManufacturedCase:
     grad_u: Callable
 
 
-def inflow_indicator(p, x, n, t):
-    """True where the advection field enters the domain: b . n < 0 (strict).
-
-    Accepts a single point/normal pair or arrays of shape (m, 2).
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = np.atleast_2d(np.asarray(n, dtype=float))
-    bn = np.sum(p.b(x[:, 0], x[:, 1], t) * n, axis=1)
-    out = bn < 0.0
-    return bool(out[0]) if out.shape == (1,) else out
-
-
 def consistency_residual(case, x, y, t):
     """Residual du/dt - div(mu grad u) + b . grad u + c u - f at sample points.
 

@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules on [0,1] and their push-forward to mesh entities."""
+"""Gauss-Legendre rules on [0, 1] and their tensor product on the unit square."""
 
 from dataclasses import dataclass
 
@@ -65,18 +65,3 @@ def tensor_rule(q1, q2=None):
     pts = np.column_stack([px.ravel(order="F"), py.ravel(order="F")])
     return pts, (wx * wy).ravel(order="F")
 
-
-def element_rule(mesh, elem, q):
-    """Quadrature points and weights on physical element ``elem``.
-
-    The q x q reference rule is mapped through the geometry; weights are
-    scaled by |det J| so that integrating 1 returns the element's area.
-    """
-    (a1, b1), (a2, b2) = mesh.element_box(elem)
-    pts, w_hat = tensor_rule(q)
-    x_hat = np.column_stack(
-        [a1 + (b1 - a1) * pts[:, 0], a2 + (b2 - a2) * pts[:, 1]]
-    )
-    x, _, detj = mesh.geometry.evaluate_many(x_hat)
-    w = w_hat * (b1 - a1) * (b2 - a2) * np.abs(detj)
-    return x, w

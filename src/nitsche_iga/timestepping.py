@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble_functional, assemble_mass
+from .assembly import assemble_functional
 from .linalg import SparseFactor
 
 
@@ -71,7 +71,7 @@ class SolutionTrajectory:
 
 def project_initial(disc, u0):
     """L2 projection of the initial datum: solve M c = (u0, N_i)."""
-    M = assemble_mass(disc)
+    M = disc.mass
     rhs = assemble_functional(disc, u0)
     return SparseFactor(M).solve(rhs)
 
@@ -79,7 +79,7 @@ def project_initial(disc, u0):
 def march(forms, grid, u0coef):
     """Run the implicit Euler march and return the trajectory."""
     tau = grid.tau
-    M = forms.mass
+    M = forms.disc.mass
     n = M.shape[0]
     coefs = np.empty((grid.num_steps + 1, n))
     coefs[0] = u0coef
@@ -102,7 +102,7 @@ def step_residuals(forms, traj):
     """Max-norm residual of each discrete step equation (a wiring check)."""
     grid = traj.grid
     tau = grid.tau
-    M = forms.mass
+    M = forms.disc.mass
     out = np.empty(grid.num_steps)
     for step in range(1, grid.num_steps + 1):
         t = grid.nodes[step]

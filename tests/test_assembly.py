@@ -17,8 +17,7 @@ from nitsche_iga import (
     trace_constant,
     uniform_space,
 )
-from nitsche_iga.assembly import _invert_2x2
-from nitsche_iga.geometry import _normal_from_jacobian
+from nitsche_iga.geometry import invert_2x2 as _invert_2x2
 from nitsche_iga.problem import Problem, _const_matrix, _const_scalar, _const_vector
 from nitsche_iga.splines import eval_basis, eval_basis_many, validate_knots
 
@@ -135,7 +134,7 @@ def reference_edge_data(space, mesh, q):
         along_dir2 = edge.side in ("x0", "x1")
         fixed = np.full(q, edge.fixed_coord)
         x_hat = np.column_stack([fixed, ts] if along_dir2 else [ts, fixed])
-        xe, J, detj = mesh.geometry.evaluate_many(x_hat)
+        xe, J, _ = mesh.geometry.evaluate_many(x_hat)
         tang = J[:, :, 1] if along_dir2 else J[:, :, 0]
         f1, d1 = eval_basis_many(space.kv1, x_hat[:, 0], 1)
         f2, d2 = eval_basis_many(space.kv2, x_hat[:, 1], 1)
@@ -145,7 +144,8 @@ def reference_edge_data(space, mesh, q):
         invJ, _ = _invert_2x2(J)
         out["x"].append(xe)
         out["w"].append(ws * np.linalg.norm(tang, axis=1))
-        out["normal"].append(_normal_from_jacobian(J, detj, edge.side))
+        normal = (1.0 if edge.fixed_coord else -1.0) * invJ[:, 0 if along_dir2 else 1, :]
+        out["normal"].append(normal / np.linalg.norm(normal, axis=1)[:, None])
         out["B"].append((d1[:, 0, :, None] * d2[:, 0, None, :]).reshape(q, -1))
         out["G"].append(np.einsum("qlb,qba->qla", Ghat, invJ))
         out["gidx"].append((f1[0] + l1) + n1 * (f2[0] + l2))

@@ -5,6 +5,8 @@ import pytest
 
 from nitsche_iga.cli import build_run_config, main, parse_config_file, parse_tau_rule
 from nitsche_iga.errors import ConfigError
+from nitsche_iga.quadrature import MAX_POINTS
+from nitsche_iga.splines import MAX_DEGREE
 
 BASE = """
 # demo run file
@@ -136,6 +138,32 @@ class TestExitCodes:
         assert main(["convergence", "--config", path, "--out", str(out)]) == 2
         assert "Dirichlet datum" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "num_steps = 0",
+            "quadrature_order = 0",
+            f"quadrature_order = {MAX_POINTS + 1}",
+            "levels = 0",
+            f"degree = {MAX_DEGREE + 1}",
+            "epsilon = -1",
+            "epsilon_factor = 0",
+            "tau_rule = 0*h^1",
+            "degree = two",
+            "num_steps = 1.5",
+        ],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, line):
+        # the line replaces BASE's setting of its key, or of the one it excludes
+        key = line.split(" = ")[0]
+        replaced = {key, {"epsilon": "epsilon_factor", "tau_rule": "num_steps"}.get(key)}
+        kept = [ln for ln in BASE.splitlines() if ln.split(" = ")[0] not in replaced]
+        path = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert key in err[0]
 
     def test_degenerate_geometry_exits_3(self, tmp_path):
         geo = tmp_path / "collapsed.txt"

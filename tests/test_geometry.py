@@ -6,7 +6,6 @@ from nitsche_iga import (
     TensorSpace,
     build_mesh,
     load_geometry,
-    outward_normal,
     parse_geometry,
     uniform_space,
     validate_knots,
@@ -15,6 +14,8 @@ from nitsche_iga import quadrature
 from nitsche_iga.errors import DegenerateJacobian, IndexOutOfRange, UnknownCase
 from nitsche_iga.geometry import EDGE_LENGTH_POINTS
 from nitsche_iga.splines import eval_basis, uniform_open_knots
+
+from conftest import make_disc
 
 
 class TestTensorSpace:
@@ -214,31 +215,29 @@ class TestBatchedMesh:
 
 
 class TestNormals:
+    """The outward normals the boundary terms use, ``disc.boundary.normal``."""
+
     def test_square_sides(self, square_gm):
-        mesh = build_mesh(square_gm, uniform_space(1, 1))
-        by_side = {e.side: e for e in mesh.edges}
-        assert np.allclose(outward_normal(mesh, by_side["x0"], 0.5), [-1, 0])
-        assert np.allclose(outward_normal(mesh, by_side["x1"], 0.2), [1, 0])
-        assert np.allclose(outward_normal(mesh, by_side["y0"], 0.8), [0, -1])
-        assert np.allclose(outward_normal(mesh, by_side["y1"], 0.5), [0, 1])
+        disc = make_disc(square_gm, 1, 2)
+        expected = {"x0": [-1, 0], "x1": [1, 0], "y0": [0, -1], "y1": [0, 1]}
+        for e, n in zip(disc.mesh.edges, disc.boundary.normal):
+            assert np.array_equal(n, np.broadcast_to(expected[e.side], n.shape))
 
-    def test_unit_length(self, annulus_gm, rng):
-        mesh = build_mesh(annulus_gm, uniform_space(2, 2))
-        for e in mesh.edges:
-            for s in rng.random(5):
-                n = outward_normal(mesh, e, float(s))
-                assert abs(np.linalg.norm(n) - 1.0) < 1e-14
+    def test_unit_length(self, annulus_gm):
+        n = make_disc(annulus_gm, 2, 2).boundary.normal
+        assert np.max(np.abs(np.linalg.norm(n, axis=2) - 1.0)) < 1e-14
 
-    def test_annulus_outer_arc_is_radial(self, annulus_gm, rng):
-        mesh = build_mesh(annulus_gm, uniform_space(2, 2))
-        for e in mesh.edges:
-            if e.side != "x1":
-                continue
-            for s in rng.random(10):
-                n = outward_normal(mesh, e, float(s))
-                x, _, _ = annulus_gm.evaluate(e.param_point(float(s)))
-                radial = x / np.linalg.norm(x)
+    def test_annulus_outer_arc_is_radial(self, annulus_gm):
+        # on both arcs the outward normal is radial: away from the origin on
+        # the outer arc (x1), toward it on the inner arc (x0)
+        disc = make_disc(annulus_gm, 2, 2)
+        bc = disc.boundary
+        for e, x, n in zip(disc.mesh.edges, bc.x, bc.normal):
+            radial = x / np.linalg.norm(x, axis=1)[:, None]
+            if e.side == "x1":
                 assert np.max(np.abs(n - radial)) < 1e-10
+            elif e.side == "x0":
+                assert np.max(np.abs(n + radial)) < 1e-10
 
 
 class TestGeometryIO:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from nitsche_iga import builtin_case, case_names, coefficient_audit, inflow_indicator
+from nitsche_iga import builtin_case, case_names, coefficient_audit, inflow_mask
 from nitsche_iga.errors import UnknownCase
 from nitsche_iga.problem import consistency_residual, scaled_diffusion
+
+from conftest import make_disc
 
 
 def sec8_forcing_oracle(x, y, t):
@@ -96,29 +98,43 @@ class TestBuiltinCases:
         assert np.min(np.abs(case.problem.g(s, np.zeros_like(s), 0.0))) > 0.1
 
 
+def inflow_by_side(disc, name, t=0.0):
+    """Inflow mask of a built-in case, one (edges, q) block per side."""
+    mask, _ = inflow_mask(disc, builtin_case(name).problem, t)
+    sides = np.array([e.side for e in disc.mesh.edges])
+    return {side: mask[sides == side] for side in ("x0", "x1", "y0", "y1")}
+
+
 class TestInflow:
-    def test_spec_examples(self):
-        p = builtin_case("paper_sec8").problem
-        assert inflow_indicator(p, [0.0, 0.5], [-1.0, 0.0], 0.0) is True
-        assert inflow_indicator(p, [0.5, 1.0], [0.0, 1.0], 0.0) is False
-        p0 = builtin_case("zero").problem
-        for n in ([1, 0], [-1, 0], [0, 1], [0, -1]):
-            assert inflow_indicator(p0, [0.5, 0.5], n, 0.0) is False
+    """The inflow set b . n < 0 at the edge quadrature points (``inflow_mask``)."""
 
-    def test_vectorized(self):
-        p = builtin_case("paper_sec8").problem
-        pts = np.array([[0.0, 0.2], [1.0, 0.2]])
-        ns = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        assert inflow_indicator(p, pts, ns, 0.0).tolist() == [True, False]
+    def test_spec_examples(self, square_gm):
+        disc = make_disc(square_gm, 2, 3)
+        sec8 = inflow_by_side(disc, "paper_sec8")  # b = (1, 1)
+        assert sec8["x0"].all() and sec8["y0"].all()
+        assert not sec8["x1"].any() and not sec8["y1"].any()
+        # b = 0: b . n = 0 everywhere, and the inequality is strict
+        mask, bn = inflow_mask(disc, builtin_case("zero").problem, 0.0)
+        assert np.all(bn == 0.0)
+        assert not mask.any()
 
-    def test_sign_change_along_left_boundary(self):
+    def test_vectorized(self, annulus_gm):
+        # on the curved quarter annulus, b = (1, 1) enters through the inner
+        # arc and both straight sides and leaves through the outer arc
+        disc = make_disc(annulus_gm, 2, 3)
+        sec8 = inflow_by_side(disc, "paper_sec8")
+        assert sec8["x0"].all() and sec8["y0"].all() and sec8["y1"].all()
+        assert not sec8["x1"].any()
+
+    def test_sign_change_along_left_boundary(self, square_gm):
         # the steady case's field crosses zero at y = 1/2 on the side x = 0:
         # b . n = -(y - 1/2), negative (inflow) only above the midpoint
-        p = builtin_case("steady_reaction").problem
-        n = [-1.0, 0.0]
-        assert inflow_indicator(p, [0.0, 0.8], n, 0.0) is True
-        assert inflow_indicator(p, [0.0, 0.2], n, 0.0) is False
-        assert inflow_indicator(p, [0.0, 0.5], n, 0.0) is False  # strict
+        disc = make_disc(square_gm, 2, 5)
+        mask, _ = inflow_mask(disc, builtin_case("steady_reaction").problem, 0.0)
+        left = np.array([e.side == "x0" for e in disc.mesh.edges])
+        y = disc.boundary.x[left][..., 1]
+        assert np.array_equal(mask[left], y > 0.5)
+        assert mask[left].any() and not mask[left].all()
 
 
 class TestAudit:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from nitsche_iga import build_mesh, gauss_rule, uniform_space
+from nitsche_iga import gauss_rule
 from nitsche_iga.errors import UnsupportedOrder
-from nitsche_iga.quadrature import element_rule
 
 from conftest import make_disc
 
@@ -50,25 +49,22 @@ def test_nodes_match_numpy_leggauss():
 
 
 class TestElementRule:
+    """The volume weights of the discretization integrate 1 to the area."""
+
     def test_unit_square_single_element(self, square_gm):
-        space = uniform_space(1, 1)
-        mesh = build_mesh(square_gm, space)
         for q in (1, 3, 6):
-            _, w = element_rule(mesh, 0, q)
+            w = make_disc(square_gm, 1, 1, quadrature_order=q).elements.w
             assert abs(w.sum() - 1.0) < 1e-15
 
     def test_unit_square_four_elements(self, square_gm):
-        space = uniform_space(1, 2)
-        mesh = build_mesh(square_gm, space)
+        w = make_disc(square_gm, 1, 2, quadrature_order=3).elements.w
+        assert len(w) == 4
         for e in range(4):
-            _, w = element_rule(mesh, e, 3)
-            assert abs(w.sum() - 0.25) < 1e-15
+            assert abs(w[e].sum() - 0.25) < 1e-15
 
     def test_quarter_annulus_area(self, annulus_gm):
-        space = uniform_space(2, 2)
-        mesh = build_mesh(annulus_gm, space)
-        total = sum(element_rule(mesh, e, 6)[1].sum() for e in range(mesh.num_elements))
-        assert abs(total - 3 * np.pi / 4) < 1e-8
+        w = make_disc(annulus_gm, 2, 2, quadrature_order=6).elements.w
+        assert abs(w.sum() - 3 * np.pi / 4) < 1e-8
 
 
 class TestEdgeWeights:

@@ -11,6 +11,7 @@ from nitsche_iga import (
     project_initial,
     step_residuals,
 )
+from nitsche_iga import assembly
 from nitsche_iga.analysis import boundary_trace_sq
 from nitsche_iga.assembly import assemble_functional, assemble_stiffness
 from nitsche_iga.linalg import SparseFactor
@@ -21,7 +22,7 @@ from conftest import make_disc
 
 def rebuilt_march(forms, grid, u0):
     """Reference march that assembles and factors the operator at every step."""
-    M = forms.mass
+    M = forms.disc.mass
     coefs = [u0]
     for t in grid.nodes[1:]:
         A = assemble_stiffness(forms.disc, forms.problem, forms.eps, t)
@@ -45,6 +46,21 @@ class TestTimeGrid:
 
 
 class TestProjection:
+    def test_mass_assembled_once_per_discretization(self, square_gm, monkeypatch):
+        # the projection and the march share the matrix cached on the
+        # discretization
+        calls = []
+        original = assembly.assemble_mass
+        monkeypatch.setattr(
+            assembly, "assemble_mass", lambda disc: calls.append(disc) or original(disc)
+        )
+        case = builtin_case("paper_sec8")
+        disc = make_disc(square_gm, 1, 3)
+        u0 = project_initial(disc, case.problem.u0)
+        march(AssembledForms(disc, case.problem), TimeGrid(2, case.problem.T), u0)
+        assert calls == [disc]
+        assert disc.mass is disc.mass
+
     def test_zero_datum(self, square_gm):
         disc = make_disc(square_gm, 1, 3)
         c = project_initial(disc, lambda x, y: np.zeros_like(x))
@@ -145,7 +161,7 @@ class TestMarch:
         u_inf = SparseFactor(A).solve(F)
 
         grid = TimeGrid(40, 8.0)
-        M = forms.mass
+        M = forms.disc.mass
         factor = SparseFactor((M + grid.tau * A).tocsr())
         u = np.zeros(disc.dimension)  # start far from the steady state
         resids = []
