@@ -31,14 +31,11 @@ from .analysis import (
     LevelRecord,
     boundary_trace_sq,
     coercivity_audit,
-    continuity_audit,
     convergence_study,
     fit_slope,
-    rate_table,
     run_level,
     sample_on_grid,
     space_time_errors,
-    v_norm,
     vh_norm,
 )
 from .assembly import (
@@ -67,7 +64,6 @@ from .problem import (
     ManufacturedCase,
     Problem,
     builtin_case,
-    case_names,
     coefficient_audit,
     consistency_residual,
 )

@@ -4,8 +4,8 @@ The space-time error treats the discrete trajectory as the
 piecewise-constant-in-time extension (u(t) = u^{n+1} on (t_n, t_{n+1}]);
 per step interval the exact solution is resolved with a 3-point Gauss rule
 in time, and space integrals use the element quadrature of the
-discretization.  Spectral audits (coercivity, continuity) convert the
-assembled matrices to dense form and are meant for coarse meshes only.
+discretization.  The coercivity audit converts the assembled matrices to
+dense form and is meant for coarse meshes only.
 """
 
 import csv
@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (
-    AssembledForms,
-    Discretization,
-    assemble_stiffness,
-    assemble_vh_gram,
-)
+from .assembly import AssembledForms, Discretization, assemble_stiffness
 from .errors import ConfigError, InsufficientLevels
 from .geometry import build_mesh, uniform_space
 from .linalg import generalized_symmetric_eig
@@ -37,10 +32,9 @@ BOUNDARY_RTOL = 1e-8
 
 # -- norms of discrete fields -------------------------------------------------
 
-def vh_norm(coef, disc, gram=None):
+def vh_norm(coef, disc):
     """Stability norm: sqrt of H1 norm squared plus the h_E^-1 boundary mass."""
-    G = assemble_vh_gram(disc) if gram is None else gram
-    return float(np.sqrt(coef @ (G @ coef)))
+    return float(np.sqrt(coef @ (disc.vh_gram @ coef)))
 
 
 def boundary_trace_sq(coef, disc):
@@ -49,16 +43,6 @@ def boundary_trace_sq(coef, disc):
     vals = bc.field_values(coef)
     per_edge = np.einsum("fq,fq->f", bc.w, vals**2)
     return float(np.sum(per_edge / bc.h_E))
-
-
-def v_norm(coef, disc):
-    """Diagnostic graph norm: V_h norm plus the h_K-scaled broken H2 terms."""
-    ec = disc.elements
-    hess = disc.elements.second_derivatives()
-    Hf = np.einsum("eqlab,el->eqab", hess, coef[ec.gidx])
-    h2 = np.einsum("eq,eqab->e", ec.w, Hf**2)
-    h2_scaled = float(np.sum(disc.mesh.h_K**2 * h2))
-    return float(np.sqrt(vh_norm(coef, disc) ** 2 + h2_scaled))
 
 
 # -- space-time errors --------------------------------------------------------
@@ -103,26 +87,17 @@ def space_time_errors(traj, case, override=None):
 
 # -- spectral audits ----------------------------------------------------------
 
-def coercivity_audit(disc, p, eps, t, gram=None):
-    """Smallest generalized eigenvalue of (sym A(t), stability Gram).
+def coercivity_audit(disc, p, eps, t):
+    """Smallest generalized eigenvalue of (sym A(t), ``disc.vh_gram``).
 
     Returns ``(alpha_hat, alpha_hat > 0)``.  The matrices are densified;
     keep the mesh coarse.
     """
     A = assemble_stiffness(disc, p, eps, t).toarray()
-    G = (assemble_vh_gram(disc) if gram is None else gram).toarray()
+    G = disc.vh_gram.toarray()
     vals = generalized_symmetric_eig((A + A.T) / 2, (G + G.T) / 2)
     alpha_hat = float(vals[0])
     return alpha_hat, alpha_hat > 0.0
-
-
-def continuity_audit(disc, p, eps, t, gram=None):
-    """Largest singular value of G^{-1/2} A(t) G^{-1/2} (norm bound of the form)."""
-    A = assemble_stiffness(disc, p, eps, t).toarray()
-    G = (assemble_vh_gram(disc) if gram is None else gram).toarray()
-    s, V = np.linalg.eigh((G + G.T) / 2)
-    G_mh = (V / np.sqrt(s)) @ V.T
-    return float(np.linalg.norm(G_mh @ A @ G_mh, 2))
 
 
 # -- convergence studies ------------------------------------------------------
@@ -155,13 +130,6 @@ class ErrorReport:
         return fit_slope(
             [rec.h for rec in self.levels], [rec.err_l2h1 for rec in self.levels]
         )
-
-
-def rate_table(report):
-    """Pairwise rates plus the least-squares slope of log err vs log h."""
-    if len(report.levels) < 2:
-        raise InsufficientLevels("need at least two levels to fit a rate")
-    return {"pairwise": report.rates_l2h1(), "slope": report.slope_l2h1()}
 
 
 def fit_slope(hs, errors):
@@ -339,14 +307,11 @@ def _collocation_matrix(kv, ts):
 
 __all__ = [
     "vh_norm",
-    "v_norm",
     "boundary_trace_sq",
     "space_time_errors",
     "coercivity_audit",
-    "continuity_audit",
     "LevelRecord",
     "ErrorReport",
-    "rate_table",
     "fit_slope",
     "check_boundary_datum",
     "run_level",

@@ -2,7 +2,8 @@
 
 A :class:`Discretization` precomputes, once per (space, mesh, quadrature)
 triple, the basis tables at all volume and boundary-edge quadrature points
-together with the mapped geometry data, and the mass matrix on first use.
+together with the mapped geometry data, and the mass matrix and the V_h
+Gram on first use.
 The tables are tensor products of per-span 1-D B-spline tables, built by
 :func:`~nitsche_iga.geometry.tensor_product`; the edge points, weights and
 normals come from :func:`~nitsche_iga.geometry.edge_geometry`, the same
@@ -31,37 +32,6 @@ from .splines import eval_basis_many
 PENALTY_FACTOR_DEFAULT = 1.25
 
 
-def _univariate_tables(kv, q, max_deriv):
-    """Per-span basis tables at mapped Gauss points.
-
-    Returns (points, weights, first_index, ders) with shapes
-    (ns, q), (ns, q), (ns,), and (ns, q, max_deriv+1, k+1).
-    """
-    bps = kv.mesh.breakpoints
-    pts, wts = gauss_rule(q).mapped(bps[:-1, None], bps[1:, None])
-    first, ders = eval_basis_many(kv, pts.ravel(), max_deriv)
-    return pts, wts, first[::q], ders.reshape(kv.num_spans, q, max_deriv + 1, -1)
-
-
-def _element_products(space, d1, d2, orders):
-    """Tensor products at the q x q points of every element, (ne, q*q, nloc)
-    each, from the per-span tables ``d1``, ``d2`` of :func:`_univariate_tables`.
-
-    Elements run with direction 1 fastest; points and local functions with
-    direction 2 fastest.
-    """
-    s1, s2 = _element_spans(space)
-    ne, q = len(s1), d1.shape[1]
-    tables = tensor_product(d1[s1][:, :, None], d2[s2][:, None], orders)
-    return [t.reshape(ne, q * q, -1) for t in tables]
-
-
-def _element_spans(space):
-    """Span indices (s1, s2) of every element, direction 1 fastest."""
-    ns1, ns2 = space.num_spans
-    return np.tile(np.arange(ns1), ns2), np.repeat(np.arange(ns2), ns1)
-
-
 def _physical_gradients(d1, d2, inv_jac):
     """Physical gradients (..., nloc, 2) from the parametric partial
     derivatives ``d1``, ``d2`` (..., nloc) and J^-1 (..., 2, 2)."""
@@ -73,75 +43,48 @@ class ElementCache:
 
     Arrays: ``x`` (ne, nq, 2) physical points, ``w`` (ne, nq) physical
     weights, ``B`` (ne, nq, nloc) values, ``G`` (ne, nq, nloc, 2) physical
-    gradients, ``gidx`` (ne, nloc) global indices.  Local index order is
-    (l1, l2) with l2 fastest, matching the flattened quadrature order.
+    gradients, ``gidx`` (ne, nloc) global indices.  Elements run with
+    direction 1 fastest; quadrature points and local functions, (l1, l2),
+    with direction 2 fastest.
     """
 
     def __init__(self, space, mesh, q):
-        p1, w1, f1, d1 = _univariate_tables(space.kv1, q, 1)
-        p2, w2, f2, d2 = _univariate_tables(space.kv2, q, 1)
-        s1, s2 = _element_spans(space)
+        ns1, ns2 = space.num_spans
+        s1, s2 = np.tile(np.arange(ns1), ns2), np.repeat(np.arange(ns2), ns1)
         ne, nq = len(s1), q * q
 
+        # per direction, the 1-D tables of each element's span: Gauss points
+        # and weights (ne, q), first nonzero function (ne,), values and first
+        # derivatives (ne, q, 2, k+1)
+        rule = gauss_rule(q)
+        per_direction = []
+        for kv, spans in ((space.kv1, s1), (space.kv2, s2)):
+            bps = kv.mesh.breakpoints
+            pts, wts = rule.mapped(bps[:-1, None], bps[1:, None])
+            first, ders = eval_basis_many(kv, pts.ravel(), 1)
+            ders = ders.reshape(kv.num_spans, q, 2, -1)[spans]
+            per_direction.append((pts[spans], wts[spans], first[::q][spans], ders))
+        (p1, w1, f1, d1), (p2, w2, f2, d2) = per_direction
+
         x_hat = np.empty((ne, nq, 2))
-        x_hat[..., 0] = np.repeat(p1[s1], q, axis=1)
-        x_hat[..., 1] = np.tile(p2[s2], (1, q))
-        w_hat = np.repeat(w1[s1], q, axis=1) * np.tile(w2[s2], (1, q))
+        x_hat[..., 0] = np.repeat(p1, q, axis=1)
+        x_hat[..., 1] = np.tile(p2, (1, q))
+        w_hat = np.repeat(w1, q, axis=1) * np.tile(w2, (1, q))
 
         x, J, detj = mesh.geometry.evaluate_many(x_hat.reshape(-1, 2))
         invJ, _ = invert_2x2(J.reshape(ne, nq, 2, 2))
-        B, B1, B2 = _element_products(space, d1, d2, ((0, 0), (1, 0), (0, 1)))
+        tables = tensor_product(d1[:, :, None], d2[:, None], ((0, 0), (1, 0), (0, 1)))
+        self.B, B1, B2 = (t.reshape(ne, nq, -1) for t in tables)
         self.x = x.reshape(ne, nq, 2)
         self.w = w_hat * np.abs(detj.reshape(ne, nq))
-        self.B = B
         self.G = _physical_gradients(B1, B2, invJ)
-        self.gidx = space.local_to_global(f1[s1], f2[s2])
-        self.space = space
-        self.mesh = mesh
-        self.q = q
-        self._x_hat = x_hat
-        self._invJ = invJ
-        self._hess = None
-
-    @property
-    def num_elements(self):
-        return self.B.shape[0]
+        self.gidx = space.local_to_global(f1, f2)
 
     def field_values(self, coef):
         return np.einsum("eql,el->eq", self.B, coef[self.gidx])
 
     def field_grads(self, coef):
         return np.einsum("eqla,el->eqa", self.G, coef[self.gidx])
-
-    def second_derivatives(self):
-        """Physical second derivatives of the basis, shape (ne, nq, nloc, 2, 2).
-
-        Chain rule through the geometry map:
-        D2u = J^-T (D2u_hat - sum_c (grad u)_c D2F_c) J^-1.
-        """
-        if self._hess is not None:
-            return self._hess
-        space = self.space
-        k1, k2 = space.degrees
-        ne, nq, nloc = self.B.shape
-        _, _, _, d1 = _univariate_tables(space.kv1, self.q, min(2, k1))
-        _, _, _, d2 = _univariate_tables(space.kv2, self.q, min(2, k2))
-        H11, H12, H22 = _element_products(space, d1, d2, ((2, 0), (1, 1), (0, 2)))
-        Hhat = np.empty((ne, nq, nloc, 2, 2))
-        Hhat[..., 0, 0] = H11
-        Hhat[..., 0, 1] = H12
-        Hhat[..., 1, 0] = H12
-        Hhat[..., 1, 1] = H22
-
-        _, _, _, FH = self.mesh.geometry.evaluate_many(
-            self._x_hat.reshape(-1, 2), nders=2
-        )
-        FH = FH.reshape(ne, nq, 2, 2, 2)
-        corr = Hhat - np.einsum("eqlc,eqcab->eqlab", self.G, FH)
-        self._hess = np.einsum(
-            "eqba,eqlbc,eqcd->eqlad", self._invJ, corr, self._invJ
-        )
-        return self._hess
 
 
 class EdgeCache:
@@ -203,6 +146,11 @@ class Discretization:
     def mass(self):
         """The mass matrix, assembled on first use."""
         return assemble_mass(self)
+
+    @cached_property
+    def vh_gram(self):
+        """The Gram matrix of the V_h norm, assembled on first use."""
+        return assemble_vh_gram(self)
 
 
 def _scatter(blocks, gidx, dim):
@@ -372,16 +320,12 @@ def _orthonormal_complement(v):
     return q[:, keep]
 
 
-def penalty_floor(disc, p, alpha=None):
-    """Smallest admissible penalty: 2 * C_trace * mu1^2 / alpha.
-
-    ``alpha`` defaults to min(mu0, c0) from the problem metadata.
-    """
-    if alpha is None:
-        alpha = p.alpha
-    if alpha <= 0:
+def penalty_floor(disc, p):
+    """Smallest admissible penalty: 2 * C_trace * mu1^2 / alpha, with
+    alpha = min(mu0, c0) from the problem metadata."""
+    if p.alpha <= 0:
         raise ValueError("alpha = min(mu0, c0) must be positive")
-    return 2.0 * trace_constant(disc) * p.mu1**2 / alpha
+    return 2.0 * trace_constant(disc) * p.mu1**2 / p.alpha
 
 
 class AssembledForms:

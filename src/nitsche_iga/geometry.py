@@ -20,13 +20,8 @@ import importlib.resources
 import numpy as np
 
 from . import quadrature
-from .errors import DegenerateJacobian, IndexOutOfRange, UnknownCase
-from .splines import (
-    eval_basis_many,
-    parse_knot_vector,
-    uniform_open_knots,
-    validate_knots,
-)
+from .errors import DegenerateJacobian, UnknownCase
+from .splines import eval_basis_many, parse_knot_vector, uniform_open_knots
 
 JAC_FLOOR = 1e-10
 
@@ -59,18 +54,6 @@ class TensorSpace:
     def max_span_width(self):
         """Largest parametric span width over both directions (the study h)."""
         return max(self.kv1.mesh.widths.max(), self.kv2.mesh.widths.max())
-
-    def global_index(self, i1, i2):
-        n1, n2 = self.shape
-        if not (0 <= i1 < n1 and 0 <= i2 < n2):
-            raise IndexOutOfRange(f"multi-index ({i1}, {i2}) outside {self.shape}")
-        return i1 + n1 * i2
-
-    def multi_index(self, g):
-        n1, _ = self.shape
-        if not 0 <= g < self.dimension:
-            raise IndexOutOfRange(f"global index {g} outside 0..{self.dimension - 1}")
-        return g % n1, g // n1
 
     def local_to_global(self, first1, first2):
         """Global indices (..., nloc) of the local basis on spans whose first
@@ -125,26 +108,22 @@ class GeometryMap:
         self.control_points = control_points
         self.weights = weights
 
-    def evaluate(self, x_hat, nders=1):
-        """Map one parametric point.
-
-        Returns ``(x, J, detJ)`` for ``nders=1`` and ``(x, J, detJ, H)``
-        with the Hessian ``H[c, a, b] = d^2 F_c / dx_a dx_b`` for ``nders=2``.
-        """
-        out = self.evaluate_many(np.asarray(x_hat, float)[None, :], nders)
+    def evaluate(self, x_hat):
+        """Map one parametric point; returns ``(x, J, detJ)``."""
+        out = self.evaluate_many(np.asarray(x_hat, float)[None, :])
         return tuple(a[0] for a in out)
 
-    def evaluate_many(self, x_hat, nders=1):
+    def evaluate_many(self, x_hat):
         """Map an (m, 2) array of parametric points.
 
+        Returns ``(x, J, detJ)`` with shapes (m, 2), (m, 2, 2) and (m,).
         Raises :class:`DegenerateJacobian` when any |det J| falls below
         ``JAC_FLOOR``.
         """
         x_hat = np.asarray(x_hat, dtype=float)
         m = len(x_hat)
-        k1, k2 = self.space.degrees
-        first1, d1 = eval_basis_many(self.space.kv1, x_hat[:, 0], min(nders, k1))
-        first2, d2 = eval_basis_many(self.space.kv2, x_hat[:, 1], min(nders, k2))
+        first1, d1 = eval_basis_many(self.space.kv1, x_hat[:, 0], 1)
+        first2, d2 = eval_basis_many(self.space.kv2, x_hat[:, 1], 1)
         gidx = self.space.local_to_global(first1, first2)
         wloc = self.weights[gidx]
         Ploc = self.control_points[gidx]
@@ -162,32 +141,10 @@ class GeometryMap:
         J[:, :, 0] = np.einsum("ml,mlc->mc", Na, Ploc)
         J[:, :, 1] = np.einsum("ml,mlc->mc", Nb, Ploc)
 
-        H = None
-        if nders >= 2:
-            Baa, Bab, Bbb = tensor_product(d1, d2, ((2, 0), (1, 1), (0, 2)))
-            Waa = np.einsum("ml,ml->m", wloc, Baa)[:, None]
-            Wab = np.einsum("ml,ml->m", wloc, Bab)[:, None]
-            Wbb = np.einsum("ml,ml->m", wloc, Bbb)[:, None]
-            Wac = Wa[:, None]
-            Wbc = Wb[:, None]
-            Naa = wloc * (Baa / Wc - (2 * Ba * Wac + B * Waa) / Wc**2
-                          + 2 * B * Wac * Wac / Wc**3)
-            Nab = wloc * (Bab / Wc - (Ba * Wbc + Bb * Wac + B * Wab) / Wc**2
-                          + 2 * B * Wac * Wbc / Wc**3)
-            Nbb = wloc * (Bbb / Wc - (2 * Bb * Wbc + B * Wbb) / Wc**2
-                          + 2 * B * Wbc * Wbc / Wc**3)
-            H = np.empty((m, 2, 2, 2))
-            H[:, :, 0, 0] = np.einsum("ml,mlc->mc", Naa, Ploc)
-            H[:, :, 0, 1] = np.einsum("ml,mlc->mc", Nab, Ploc)
-            H[:, :, 1, 0] = H[:, :, 0, 1]
-            H[:, :, 1, 1] = np.einsum("ml,mlc->mc", Nbb, Ploc)
-
         detj = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         if np.any(np.abs(detj) < JAC_FLOOR):
             worst = float(np.min(np.abs(detj)))
             raise DegenerateJacobian(f"|det J| = {worst:.3e} below floor {JAC_FLOOR:.1e}")
-        if nders >= 2:
-            return x, J, detj, H
         return x, J, detj
 
 
@@ -196,19 +153,15 @@ def tensor_product(d1, d2, orders):
 
     ``d1`` (..., r1, k1+1) and ``d2`` (..., r2, k2+1) hold the derivatives
     of orders 0 .. r-1 of each 1-D basis; their leading axes broadcast.
-    Returns, for each (a, b) in ``orders``, the table (..., nloc) of the
-    derivative of order a in direction 1 and b in direction 2: zero where
-    a or b lies beyond the degree.
+    Returns, for each (a, b) in ``orders`` (a < r1, b < r2), the table
+    (..., nloc) of the derivative of order a in direction 1 and b in
+    direction 2.
     """
     lead = np.broadcast_shapes(d1.shape[:-2], d2.shape[:-2])
     shape = lead + (d1.shape[-1] * d2.shape[-1],)
-    tables = []
-    for a, b in orders:
-        if a < d1.shape[-2] and b < d2.shape[-2]:
-            tables.append((d1[..., a, :, None] * d2[..., b, None, :]).reshape(shape))
-        else:
-            tables.append(np.zeros(shape))
-    return tables
+    return [
+        (d1[..., a, :, None] * d2[..., b, None, :]).reshape(shape) for a, b in orders
+    ]
 
 
 def invert_2x2(J):
@@ -272,10 +225,6 @@ class PhysicalMesh:
     @property
     def num_elements(self):
         return len(self.elements)
-
-    def element_span_indices(self, e):
-        ns1, _ = self.space.num_spans
-        return e % ns1, e // ns1
 
 
 def build_mesh(gm, space):

@@ -55,7 +55,7 @@ class SparseFactor:
         return x
 
 
-def generalized_symmetric_eig(A, B, return_vectors=False):
+def generalized_symmetric_eig(A, B):
     """Eigenvalues (ascending) of A v = lambda B v for symmetric A, SPD B.
 
     B is reduced by Cholesky to a standard symmetric problem; a failed
@@ -76,6 +76,4 @@ def generalized_symmetric_eig(A, B, return_vectors=False):
         raise ConvergenceFailure(
             f"eigenpair residual {worst:.3e} exceeds 1e-8 * ||A|| = {1e-8 * norm_a:.3e}"
         )
-    if return_vectors:
-        return vals, vecs
     return vals

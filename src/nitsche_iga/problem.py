@@ -15,7 +15,7 @@ and verifies that the forcing term really matches.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -283,24 +283,3 @@ def builtin_case(name):
         known = ", ".join(sorted(_REGISTRY))
         raise UnknownCase(f"unknown case {name!r}; registered: {known}") from None
     return factory()
-
-
-def case_names():
-    return sorted(_REGISTRY)
-
-
-def scaled_diffusion(case, factor):
-    """Variant of a case with mu, and hence the ellipticity bounds, scaled.
-
-    Exact solution and forcing are NOT adjusted; this helper exists for
-    penalty calibration studies that only look at the bilinear form.
-    """
-    p = case.problem
-    base_mu = p.mu
-    prob = replace(
-        p,
-        mu=lambda x, y, t: factor * base_mu(x, y, t),
-        mu0=factor * p.mu0,
-        mu1=factor * p.mu1,
-    )
-    return ManufacturedCase(case.name + f"_mu{factor:g}", prob, case.u, case.grad_u)

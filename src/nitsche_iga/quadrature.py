@@ -56,12 +56,12 @@ def _legendre_and_derivative(q, x):
     return p, dp
 
 
-def tensor_rule(q1, q2=None):
-    """Tensor product rule on the unit square; returns (points (n,2), weights)."""
-    r1 = gauss_rule(q1)
-    r2 = gauss_rule(q2 if q2 is not None else q1)
-    px, py = np.meshgrid(r1.points, r2.points, indexing="ij")
-    wx, wy = np.meshgrid(r1.weights, r2.weights, indexing="ij")
+def tensor_rule(q):
+    """Tensor product of the q-point rule with itself on the unit square;
+    returns (points (q*q, 2), weights), direction 1 fastest."""
+    r = gauss_rule(q)
+    px, py = np.meshgrid(r.points, r.points, indexing="ij")
+    wx, wy = np.meshgrid(r.weights, r.weights, indexing="ij")
     pts = np.column_stack([px.ravel(order="F"), py.ravel(order="F")])
     return pts, (wx * wy).ravel(order="F")
 

@@ -41,28 +41,15 @@ class TimeGrid:
 
 
 class SolutionTrajectory:
-    """Coefficient vectors u^0 .. u^N with their grid and discretization.
-
-    ``at_time(t)`` follows the piecewise-constant-in-time extension:
-    u(t) = u^{n+1} for t in (t_n, t_{n+1}], u(0) = u^0.
+    """Coefficient vectors u^0 .. u^N (``coefs[n]`` at ``grid.nodes[n]``) with
+    their grid, their discretization and the LU factorizations the march took.
     """
 
-    def __init__(self, coefs, grid, disc, eps, factorizations=0):
+    def __init__(self, coefs, grid, disc, factorizations=0):
         self.coefs = np.asarray(coefs)
         self.grid = grid
         self.disc = disc
-        self.eps = eps
-        self.factorizations = factorizations  # LU factorizations in the march
-
-    def interval_index(self, t):
-        """Step index n >= 1 whose interval (t_{n-1}, t_n] contains t."""
-        n = int(np.ceil(t / self.grid.tau - 1e-12))
-        return min(max(n, 1), self.grid.num_steps)
-
-    def at_time(self, t):
-        if t <= 0.0:
-            return self.coefs[0]
-        return self.coefs[self.interval_index(t)]
+        self.factorizations = factorizations
 
     @property
     def final(self):
@@ -95,7 +82,7 @@ def march(forms, grid, u0coef):
             factorizations += 1
         rhs = M @ coefs[step - 1] + tau * forms.load(t)
         coefs[step] = factor.solve(rhs)
-    return SolutionTrajectory(coefs, grid, forms.disc, forms.eps, factorizations)
+    return SolutionTrajectory(coefs, grid, forms.disc, factorizations)
 
 
 def step_residuals(forms, traj):

@@ -14,12 +14,11 @@ from nitsche_iga import (
     fit_slope,
     march,
     project_initial,
-    rate_table,
     sample_on_grid,
     space_time_errors,
-    v_norm,
     vh_norm,
 )
+from nitsche_iga import analysis
 from nitsche_iga.analysis import check_boundary_datum, run_level
 from nitsche_iga.errors import ConfigError, InsufficientLevels
 from nitsche_iga.timestepping import SolutionTrajectory
@@ -54,16 +53,6 @@ class TestNorms:
             assert bdry_sq >= 0
             assert total_sq >= bdry_sq - 1e-13
 
-    def test_v_norm_adds_curvature_term(self, square_gm):
-        disc = make_disc(square_gm, 2, 3)
-        # a function with curvature: the diagnostic norm must exceed vh_norm
-        c = np.zeros(disc.dimension)
-        c[disc.space.global_index(2, 2)] = 1.0
-        assert v_norm(c, disc) > vh_norm(c, disc)
-        # constants have no curvature: both norms agree
-        ones = constant_one_coefficients(disc)
-        assert v_norm(ones, disc) == pytest.approx(vh_norm(ones, disc), rel=1e-12)
-
 
 class TestSpaceTimeErrors:
     def test_zero_case(self, square_gm):
@@ -80,9 +69,8 @@ class TestSpaceTimeErrors:
         # substituting the exact solution for the discrete one returns zero
         case = builtin_case("paper_sec8")
         disc = make_disc(square_gm, 1, 3)
-        forms = AssembledForms(disc, case.problem)
         dummy = SolutionTrajectory(
-            np.zeros((5, disc.dimension)), TimeGrid(4, case.problem.T), disc, forms.eps
+            np.zeros((5, disc.dimension)), TimeGrid(4, case.problem.T), disc
         )
         ec = disc.elements
         X, Y = ec.x[..., 0].ravel(), ec.x[..., 1].ravel()
@@ -187,9 +175,8 @@ class TestRates:
                 LevelRecord(16, 1 / 16, 0.025, 289, 0.1, 0.025, 0.25),
             ]
         )
-        out = rate_table(report)
-        assert out["slope"] == pytest.approx(1.0)
-        assert out["pairwise"] == pytest.approx([1.0, 1.0])
+        assert report.slope_l2h1() == pytest.approx(1.0)
+        assert report.rates_l2h1() == pytest.approx([1.0, 1.0])
 
     def test_second_order_triplet(self):
         report = ErrorReport(
@@ -199,12 +186,12 @@ class TestRates:
                 LevelRecord(16, 1 / 16, 0.025, 289, 0.025, 0.025, 0.25),
             ]
         )
-        assert rate_table(report)["slope"] == pytest.approx(2.0)
+        assert report.slope_l2h1() == pytest.approx(2.0)
 
     def test_insufficient_levels(self):
         report = ErrorReport([LevelRecord(4, 0.25, 0.1, 25, 0.4, 0.1, 1.0)])
         with pytest.raises(InsufficientLevels):
-            rate_table(report)
+            report.slope_l2h1()
         with pytest.raises(InsufficientLevels):
             fit_slope([0.25], [0.4])
 
@@ -223,3 +210,9 @@ class TestSampling:
         assert len(x) == 64
         assert x.min() == 0.0 and x.max() == 1.0
         assert y.min() == 0.0 and y.max() == 1.0
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in analysis.__all__ if not hasattr(analysis, name)]
+        assert missing == []

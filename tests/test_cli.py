@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from nitsche_iga import assembly
 from nitsche_iga.cli import build_run_config, main, parse_config_file, parse_tau_rule
 from nitsche_iga.errors import ConfigError
 from nitsche_iga.quadrature import MAX_POINTS
@@ -332,6 +333,23 @@ class TestCalibrateCommand:
             if "factor" in line and ("1.0" in line or "1.25" in line or "2.0" in line):
                 assert "pass" in line
         assert (out / "calibrate.txt").exists()
+
+    def test_gram_assembled_once(self, tmp_path, monkeypatch, capsys):
+        # the V_h Gram depends on neither eps nor t: the four factors at
+        # three times share the matrix cached on the discretization
+        calls = []
+        original = assembly.assemble_vh_gram
+        monkeypatch.setattr(
+            assembly, "assemble_vh_gram", lambda disc: calls.append(disc) or original(disc)
+        )
+        cfg = (
+            "case = paper_sec8\ngeometry = square\ndegree = 1\n"
+            "levels = 4\nnum_steps = 1\n"
+        )
+        path = write_config(tmp_path, cfg)
+        assert main(["calibrate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_dense_limit_enforced(self, tmp_path):
         cfg = (

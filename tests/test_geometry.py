@@ -11,7 +11,7 @@ from nitsche_iga import (
     validate_knots,
 )
 from nitsche_iga import quadrature
-from nitsche_iga.errors import DegenerateJacobian, IndexOutOfRange, UnknownCase
+from nitsche_iga.errors import DegenerateJacobian, UnknownCase
 from nitsche_iga.geometry import EDGE_LENGTH_POINTS
 from nitsche_iga.splines import eval_basis, uniform_open_knots
 
@@ -29,18 +29,26 @@ class TestTensorSpace:
             assert s.dimension == (n + 1) ** 2
 
     def test_index_bijection(self):
+        # over all spans, each multi-index (i1, i2) = (first1 + l1, first2 + l2)
+        # gets one global index, and together they cover 0 .. dimension - 1
         space = uniform_space(2, 3)
-        for g in range(space.dimension):
-            i1, i2 = space.multi_index(g)
-            assert space.global_index(i1, i2) == g
-        with pytest.raises(IndexOutOfRange):
-            space.multi_index(space.dimension)
-        with pytest.raises(IndexOutOfRange):
-            space.global_index(space.shape[0], 0)
+        (n1, n2), (k1, k2) = space.shape, space.degrees
+        first1, first2 = np.meshgrid(np.arange(n1 - k1), np.arange(n2 - k2))
+        first1, first2 = first1.ravel(), first2.ravel()
+        gidx = space.local_to_global(first1, first2)
+        l1 = np.repeat(np.arange(k1 + 1), k2 + 1)  # (l1, l2), l2 fastest
+        l2 = np.tile(np.arange(k2 + 1), k1 + 1)
+        seen = {}
+        for a, b, row in zip(first1, first2, gidx):
+            for i1, i2, g in zip(a + l1, b + l2, row):
+                assert seen.setdefault((i1, i2), g) == g
+        assert sorted(seen.values()) == list(range(space.dimension))
 
     def test_direction_one_fastest(self):
+        # n1 = 3: the span whose first functions are (1, 0) holds (i1, i2) =
+        # (1, 0), (1, 1), (2, 0), (2, 1), so g = i1 + 3 * i2
         space = uniform_space(1, 2)
-        assert space.multi_index(1) == (1, 0)
+        assert space.local_to_global(np.array(1), np.array(0)).tolist() == [1, 4, 2, 5]
 
 
 class TestGeometryMap:
@@ -126,7 +134,7 @@ class TestPhysicalMesh:
         mesh = build_mesh(square_gm, space)
         ns1, ns2 = space.num_spans
         for e in mesh.edges:
-            s1, s2 = mesh.element_span_indices(e.owner)
+            s1, s2 = e.owner % ns1, e.owner // ns1  # elements run direction 1 fastest
             if e.side == "x0":
                 assert s1 == 0
             elif e.side == "x1":

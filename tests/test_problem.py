@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nitsche_iga import builtin_case, case_names, coefficient_audit, inflow_mask
+from nitsche_iga import builtin_case, coefficient_audit, inflow_mask
 from nitsche_iga.errors import UnknownCase
-from nitsche_iga.problem import consistency_residual, scaled_diffusion
+from nitsche_iga.problem import consistency_residual
 
 from conftest import make_disc
 
@@ -26,7 +28,8 @@ def sec8_forcing_oracle(x, y, t):
 
 class TestBuiltinCases:
     def test_registry(self):
-        assert set(case_names()) >= {"paper_sec8", "zero", "steady_reaction"}
+        for name in ("paper_sec8", "zero", "steady_reaction"):
+            assert builtin_case(name).name == name
         with pytest.raises(UnknownCase):
             builtin_case("nonexistent")
 
@@ -147,16 +150,8 @@ class TestAudit:
         assert all(report.values())
 
     def test_violated_bounds_warn(self):
-        case = scaled_diffusion(builtin_case("paper_sec8"), 2.0)
-        bad = case.problem
-        object.__setattr__(bad, "mu1", 1.0)  # claim a wrong upper bound
+        p = builtin_case("paper_sec8").problem
+        # mu doubled, mu1 = 1 kept: a wrong upper bound
+        bad = replace(p, mu=lambda x, y, t: 2.0 * p.mu(x, y, t), mu0=2.0 * p.mu0)
         with pytest.warns(UserWarning, match="rayleigh"):
             coefficient_audit(bad)
-
-    def test_scaled_diffusion_metadata(self):
-        case = scaled_diffusion(builtin_case("steady_reaction"), 2.0)
-        p = case.problem
-        assert (p.mu0, p.mu1) == (2.0, 2.0)
-        assert p.alpha == 2.0  # min(mu0=2, c0=2)
-        x = np.array([0.3])
-        assert np.allclose(p.mu(x, x, 0.0)[0], 2 * np.eye(2))

@@ -70,14 +70,14 @@ class TestProjection:
         # projecting a single basis function returns its unit coefficient
         disc = make_disc(square_gm, 2, 3)
         space = disc.space
-        j = space.global_index(2, 1)
+        i1, i2 = 2, 1
+        j = i1 + space.shape[0] * i2  # direction 1 fastest
 
         def basis_j(x, y):
             out = np.zeros_like(x)
             for i, (xi, yi) in enumerate(zip(x, y)):
                 e1 = eval_basis(space.kv1, xi, 0)
                 e2 = eval_basis(space.kv2, yi, 0)
-                i1, i2 = space.multi_index(j)
                 if e1.first_index <= i1 <= e1.first_index + space.kv1.degree:
                     if e2.first_index <= i2 <= e2.first_index + space.kv2.degree:
                         out[i] = (
@@ -172,21 +172,6 @@ class TestMarch:
         assert np.all(np.diff(resids) < 1e-12)  # monotone decrease
         assert resids[-1] < 1e-6 * resids[0]
         assert np.max(np.abs(u - u_inf)) < 1e-7
-
-    def test_piecewise_constant_extension_indexing(self, square_gm):
-        case = builtin_case("zero")
-        disc = make_disc(square_gm, 1, 2)
-        forms = AssembledForms(disc, case.problem)
-        grid = TimeGrid(4, 1.0)
-        coefs = np.arange(5)[:, None] * np.ones((5, disc.dimension))
-        from nitsche_iga.timestepping import SolutionTrajectory
-
-        traj = SolutionTrajectory(coefs, grid, disc, forms.eps)
-        assert traj.at_time(0.0)[0] == 0
-        assert traj.at_time(0.1)[0] == 1  # t in (0, 0.25] -> u^1
-        assert traj.at_time(0.25)[0] == 1
-        assert traj.at_time(0.2500001)[0] == 2
-        assert traj.at_time(1.0)[0] == 4
 
     @pytest.mark.parametrize("tau", [4.0, 0.4, 0.004])
     def test_unconditional_solvability(self, square_gm, tau):
