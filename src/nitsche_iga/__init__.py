@@ -82,7 +82,6 @@ from .timestepping import (
     TimeGrid,
     march,
     project_initial,
-    step_residuals,
 )
 
 __version__ = "0.1.0"

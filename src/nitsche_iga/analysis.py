@@ -47,17 +47,11 @@ def boundary_trace_sq(coef, disc):
 
 # -- space-time errors --------------------------------------------------------
 
-def space_time_errors(traj, case, override=None):
-    """(L2(J;H1), L2(J;L2)) errors of the piecewise-constant extension.
-
-    ``override``, if given, is a callable t -> (values, grads) on the
-    element quadrature points and replaces the discrete trajectory (used
-    by self-consistency checks).
-    """
+def space_time_errors(traj, case):
+    """(L2(J;H1), L2(J;L2)) errors of the piecewise-constant extension."""
     disc = traj.disc
     ec = disc.elements
     grid = traj.grid
-    tau = grid.tau
     rule = gauss_rule(TIME_QUAD_POINTS)
     X = ec.x[..., 0]
     Y = ec.x[..., 1]
@@ -65,14 +59,10 @@ def space_time_errors(traj, case, override=None):
     acc_h1 = 0.0
     acc_l2 = 0.0
     for n in range(1, grid.num_steps + 1):
-        if override is None:
-            uh = traj.coefs[n]
-            vals = ec.field_values(uh)
-            grads = ec.field_grads(uh)
+        vals = ec.field_values(traj.coefs[n])
+        grads = ec.field_grads(traj.coefs[n])
         times, wts = rule.mapped(grid.nodes[n - 1], grid.nodes[n])
         for tj, wj in zip(times, wts):
-            if override is not None:
-                vals, grads = override(tj)
             due = case.u(X.ravel(), Y.ravel(), tj).reshape(X.shape) - vals
             dge = (
                 case.grad_u(X.ravel(), Y.ravel(), tj).reshape(X.shape + (2,))

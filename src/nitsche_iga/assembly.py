@@ -2,15 +2,14 @@
 
 A :class:`Discretization` precomputes, once per (space, mesh, quadrature)
 triple, the basis tables at all volume and boundary-edge quadrature points
-together with the mapped geometry data, and the mass matrix and the V_h
-Gram on first use.
-The tables are tensor products of per-span 1-D B-spline tables, built by
-:func:`~nitsche_iga.geometry.tensor_product`; the edge points, weights and
-normals come from :func:`~nitsche_iga.geometry.edge_geometry`, the same
-routine that measures h_E.  The assembly routines are then plain einsum
-contractions over those tables, scattered into CSR in a fixed element
-order, so repeated assemblies (one per time step) are cheap and bitwise
-reproducible.
+(tensor products of 1-D B-spline tables; edge data from
+:func:`~nitsche_iga.geometry.edge_geometry`, which also measures h_E) and
+the CSR pattern that every matrix shares.  Each bilinear form is one batched
+product, :func:`_blocks`, of a test table with a trial table that carries
+the weights and coefficients.  An edge's local basis is its owner element's,
+so edge terms add into the owner's entries, and one ``np.bincount`` sums a
+matrix into the fixed pattern or a vector over the global indices.
+Repeated assemblies (one per time step) are cheap and bitwise reproducible.
 
 The stiffness form contains five families of terms: the volume form
 (diffusion, advection, reaction), the boundary flux term, its transpose
@@ -32,20 +31,24 @@ from .splines import eval_basis_many
 PENALTY_FACTOR_DEFAULT = 1.25
 
 
-def _physical_gradients(d1, d2, inv_jac):
-    """Physical gradients (..., nloc, 2) from the parametric partial
-    derivatives ``d1``, ``d2`` (..., nloc) and J^-1 (..., 2, 2)."""
-    return np.einsum("xqlb,xqba->xqla", np.stack([d1, d2], axis=-1), inv_jac)
+def _basis_table(d1, d2, inv_jac):
+    """The table (n, q, 3, nloc) of basis values and physical gradients from
+    1-D tables ``d1``, ``d2`` (as for ``tensor_product``) and J^-1 (n, q, 2, 2),
+    with its views (n, q, nloc) of the values and (n, q, nloc, 2) of the gradients."""
+    hat = np.stack(tensor_product(d1, d2, ((0, 0), (1, 0), (0, 1))), axis=-2)
+    table = hat.reshape(inv_jac.shape[:2] + hat.shape[-2:])
+    table[:, :, 1:] = np.einsum("xqbl,xqba->xqal", table[:, :, 1:], inv_jac)
+    return table, table[:, :, 0], table[:, :, 1:].swapaxes(2, 3)
 
 
 class ElementCache:
     """Mapped basis data at the volume quadrature points of every element.
 
     Arrays: ``x`` (ne, nq, 2) physical points, ``w`` (ne, nq) physical
-    weights, ``B`` (ne, nq, nloc) values, ``G`` (ne, nq, nloc, 2) physical
-    gradients, ``gidx`` (ne, nloc) global indices.  Elements run with
-    direction 1 fastest; quadrature points and local functions, (l1, l2),
-    with direction 2 fastest.
+    weights, ``table`` (ne, nq, 3, nloc) values and physical gradients with
+    their views ``B`` (ne, nq, nloc) and ``G`` (ne, nq, nloc, 2), ``gidx``
+    (ne, nloc) global indices.  Elements run with direction 1 fastest;
+    quadrature points and local functions, (l1, l2), with direction 2 fastest.
     """
 
     def __init__(self, space, mesh, q):
@@ -66,18 +69,14 @@ class ElementCache:
             per_direction.append((pts[spans], wts[spans], first[::q][spans], ders))
         (p1, w1, f1, d1), (p2, w2, f2, d2) = per_direction
 
-        x_hat = np.empty((ne, nq, 2))
-        x_hat[..., 0] = np.repeat(p1, q, axis=1)
-        x_hat[..., 1] = np.tile(p2, (1, q))
+        x_hat = np.stack([np.repeat(p1, q, axis=1), np.tile(p2, (1, q))], axis=-1)
         w_hat = np.repeat(w1, q, axis=1) * np.tile(w2, (1, q))
 
         x, J, detj = mesh.geometry.evaluate_many(x_hat.reshape(-1, 2))
         invJ, _ = invert_2x2(J.reshape(ne, nq, 2, 2))
-        tables = tensor_product(d1[:, :, None], d2[:, None], ((0, 0), (1, 0), (0, 1)))
-        self.B, B1, B2 = (t.reshape(ne, nq, -1) for t in tables)
+        self.table, self.B, self.G = _basis_table(d1[:, :, None], d2[:, None], invJ)
         self.x = x.reshape(ne, nq, 2)
         self.w = w_hat * np.abs(detj.reshape(ne, nq))
-        self.G = _physical_gradients(B1, B2, invJ)
         self.gidx = space.local_to_global(f1, f2)
 
     def field_values(self, coef):
@@ -90,10 +89,9 @@ class ElementCache:
 class EdgeCache:
     """Mapped basis data at the quadrature points of every boundary edge.
 
-    ``w`` carries the arc-length measure; ``B``/``G`` are the owner
-    element's local basis values and physical gradients at the edge points,
-    with the owner's local index order, so edge blocks scatter with the
-    owner's ``gidx``.
+    ``w`` carries the arc-length measure; ``table`` and its views ``B``/``G``
+    hold the owner element's local basis values and physical gradients at the
+    edge points, in the owner's local order, so ``gidx`` is the owner's.
     """
 
     def __init__(self, space, mesh, q):
@@ -101,9 +99,8 @@ class EdgeCache:
         nf = len(edges)
         self.h_E = np.array([e.h_E for e in edges])
         self.owner = np.array([e.owner for e in edges], dtype=int)
-        x_hat, self.x, invJ, self.w, self.normal = edge_geometry(
-            mesh.geometry, edges, gauss_rule(q)
-        )
+        rule = gauss_rule(q)
+        x_hat, self.x, invJ, self.w, self.normal = edge_geometry(mesh.geometry, edges, rule)
 
         # the owner's basis at the edge points, each distinct coordinate
         # evaluated once: on half of the edges a direction is fixed at 0 or 1
@@ -114,8 +111,7 @@ class EdgeCache:
 
         f1, d1 = owner_basis(space.kv1, x_hat[..., 0].ravel())
         f2, d2 = owner_basis(space.kv2, x_hat[..., 1].ravel())
-        self.B, B1, B2 = tensor_product(d1, d2, ((0, 0), (1, 0), (0, 1)))
-        self.G = _physical_gradients(B1, B2, invJ)
+        self.table, self.B, self.G = _basis_table(d1, d2, invJ)
         self.gidx = space.local_to_global(f1[:, 0], f2[:, 0])
 
     def field_values(self, coef):
@@ -138,6 +134,15 @@ class Discretization:
         self.elements = ElementCache(space, mesh, quadrature_order)
         self.boundary = EdgeCache(space, mesh, quadrature_order)
 
+        # the CSR pattern of every matrix: the distinct (row, column) pairs of
+        # the element blocks in row-major order, and the slot of each block
+        # entry, in int32 as the largest array kept
+        gidx, dim = self.elements.gidx, space.dimension
+        pairs, slots = np.unique(gidx[:, :, None] * dim + gidx[:, None, :], return_inverse=True)
+        self._indptr = np.searchsorted(pairs, np.arange(dim + 1) * dim)
+        self._indices = pairs % dim
+        self._slots = slots.reshape(gidx.shape + gidx.shape[-1:]).astype(np.int32)
+
     @property
     def dimension(self):
         return self.space.dimension
@@ -152,24 +157,36 @@ class Discretization:
         """The Gram matrix of the V_h norm, assembled on first use."""
         return assemble_vh_gram(self)
 
+    @cached_property
+    def trace_constant(self):
+        """The :func:`trace_constant` of this discretization, computed on first use."""
+        return trace_constant(self)
 
-def _scatter(blocks, gidx, dim):
-    ne, ni, nj = blocks.shape
-    rows = np.broadcast_to(gidx[:, :, None], (ne, ni, nj))
-    cols = np.broadcast_to(gidx[:, None, :], (ne, ni, nj))
-    mat = sp.coo_matrix(
-        (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(dim, dim)
-    ).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+
+def _blocks(test, trial):
+    """Blocks (n, nloc, nloc) of the sum over points q and table rows r of
+    test[:, q, r, i] * trial[:, q, r, j], for tables (n, nq, rows, nloc)."""
+    n, nloc = test.shape[0], test.shape[-1]
+    return test.reshape(n, -1, nloc).swapaxes(1, 2) @ trial.reshape(n, -1, nloc)
+
+
+def _scatter(disc, index, size, values, edge_values=None):
+    """Sum element values at ``index``, each edge's added (in place) into its owner's."""
+    if edge_values is not None:
+        np.add.at(values, disc.boundary.owner, edge_values)
+    return np.bincount(index.ravel(), weights=values.ravel(), minlength=size)
+
+
+def _matrix(disc, blocks, edge_blocks=None):
+    """CSR matrix on the pattern of ``disc`` from element and edge blocks."""
+    data = _scatter(disc, disc._slots, len(disc._indices), blocks, edge_blocks)
+    return sp.csr_matrix((data, disc._indices, disc._indptr), shape=(disc.dimension,) * 2)
 
 
 def assemble_mass(disc):
     """Mass matrix M_ij = (N_j, N_i) over the physical domain."""
-    ec = disc.elements
-    blocks = np.einsum("eq,eqi,eqj->eij", ec.w, ec.B, ec.B)
-    return _scatter(blocks, ec.gidx, disc.dimension)
+    B = disc.elements.table[:, :, :1]
+    return _matrix(disc, _blocks(B, disc.elements.w[..., None, None] * B))
 
 
 def _coefficients_at(points, func, t):
@@ -179,7 +196,8 @@ def _coefficients_at(points, func, t):
 
 
 def inflow_mask(disc, p, t):
-    """Boolean mask (nedge, nq): edge quadrature points with b . n < 0."""
+    """``(mask, bn)``: b . n (nedge, nq) at the edge quadrature points and
+    the boolean mask of the points where it is negative."""
     bc = disc.boundary
     bv = _coefficients_at(bc.x, p.b, t)
     bn = np.einsum("fqa,fqa->fq", bv, bc.normal)
@@ -200,30 +218,34 @@ def _operator_coefficients(disc, p, t):
     return mu, bv, cv, mu_e, bn
 
 
+def _edge_terms(disc, mu_e, bn, eps):
+    """At the edge points, the flux n . mu grad N and sigma N - flux, with
+    sigma = eps/h_E - min(b . n, 0): the Dirichlet terms of the form."""
+    bc = disc.boundary
+    flux = np.einsum("fqa,fqab,fqbl->fql", bc.normal, mu_e, bc.table[:, :, 1:])
+    sigma = (eps / bc.h_E)[:, None] - np.minimum(bn, 0.0)
+    return flux, sigma[..., None] * bc.B - flux
+
+
 def _stiffness_from(disc, coefficients, eps):
     """Stiffness matrix from the sampled :func:`_operator_coefficients`."""
     if eps <= 0:
         raise ValueError("penalty parameter must be positive")
     ec, bc = disc.elements, disc.boundary
-    dim = disc.dimension
     mu, bv, cv, mu_e, bn = coefficients
 
-    blocks = np.einsum("eq,eqab,eqjb,eqia->eij", ec.w, mu, ec.G, ec.G)
-    blocks += np.einsum("eq,eqa,eqja,eqi->eij", ec.w, bv, ec.G, ec.B)
-    blocks += np.einsum("eq,eq,eqj,eqi->eij", ec.w, cv, ec.B, ec.B)
-    A = _scatter(blocks, ec.gidx, dim)
+    # weighted trial side of the volume form: c N + b . grad N, and mu grad N
+    coef = np.zeros(ec.w.shape + (3, 3))
+    coef[..., 0, 0], coef[..., 0, 1:], coef[..., 1:, 1:] = cv, bv, mu
+    coef *= ec.w[..., None, None]
+    blocks = _blocks(ec.table, coef @ ec.table)
 
-    flux = np.einsum("fqa,fqab,fqjb->fqj", bc.normal, mu_e, bc.G)
-    C = np.einsum("fq,fqj,fqi->fij", bc.w, flux, bc.B)
-    wbn = bc.w * np.where(bn < 0.0, bn, 0.0)
-    edge_blocks = -C - np.transpose(C, (0, 2, 1))
-    edge_blocks -= np.einsum("fq,fqj,fqi->fij", wbn, bc.B, bc.B)
-    edge_blocks += (eps / bc.h_E)[:, None, None] * np.einsum(
-        "fq,fqj,fqi->fij", bc.w, bc.B, bc.B
-    )
-    A = A + _scatter(edge_blocks, bc.gidx, dim)
-    A.sort_indices()
-    return A
+    # test side N and flux, trial side sigma N - flux and -N: the flux term,
+    # its transpose, the inflow term and the penalty
+    flux, dirichlet = _edge_terms(disc, mu_e, bn, eps)
+    edge_trial = bc.w[..., None, None] * np.stack([dirichlet, -bc.B], axis=2)
+    edge_blocks = _blocks(np.stack([bc.B, flux], axis=2), edge_trial)
+    return _matrix(disc, blocks, edge_blocks)
 
 
 def assemble_stiffness(disc, p, eps, t):
@@ -241,21 +263,13 @@ def assemble_load(disc, p, eps, t):
     if eps <= 0:
         raise ValueError("penalty parameter must be positive")
     ec, bc = disc.elements, disc.boundary
-    F = np.zeros(disc.dimension)
-
     fv = _coefficients_at(ec.x, p.f, t)
-    np.add.at(F, ec.gidx, np.einsum("eq,eq,eqi->ei", ec.w, fv, ec.B))
-
-    gv = _coefficients_at(bc.x, p.g, t)
-    mu_e = _coefficients_at(bc.x, p.mu, t)
-    flux = np.einsum("fqa,fqab,fqib->fqi", bc.normal, mu_e, bc.G)
-    mask, bn = inflow_mask(disc, p, t)
-    wbn = bc.w * np.where(mask, bn, 0.0)
-    contrib = -np.einsum("fq,fq,fqi->fi", bc.w, gv, flux)
-    contrib -= np.einsum("fq,fq,fqi->fi", wbn, gv, bc.B)
-    contrib += (eps / bc.h_E)[:, None] * np.einsum("fq,fq,fqi->fi", bc.w, gv, bc.B)
-    np.add.at(F, bc.gidx, contrib)
-    return F
+    gv, mu_e = (_coefficients_at(bc.x, fn, t) for fn in (p.g, p.mu))
+    _, bn = inflow_mask(disc, p, t)
+    _, dirichlet = _edge_terms(disc, mu_e, bn, eps)
+    volume = np.einsum("eq,eql->el", ec.w * fv, ec.B)
+    edges = np.einsum("fq,fql->fl", bc.w * gv, dirichlet)
+    return _scatter(disc, ec.gidx, disc.dimension, volume, edges)
 
 
 def assemble_functional(disc, func):
@@ -263,22 +277,16 @@ def assemble_functional(disc, func):
     ec = disc.elements
     flat = ec.x.reshape(-1, 2)
     fv = np.asarray(func(flat[:, 0], flat[:, 1])).reshape(ec.w.shape)
-    F = np.zeros(disc.dimension)
-    np.add.at(F, ec.gidx, np.einsum("eq,eq,eqi->ei", ec.w, fv, ec.B))
-    return F
+    return _scatter(disc, ec.gidx, disc.dimension, np.einsum("eq,eql->el", ec.w * fv, ec.B))
 
 
 def assemble_vh_gram(disc):
     """Gram matrix of the stability norm: H1 inner product plus the
     h_E^-1-weighted boundary mass."""
     ec, bc = disc.elements, disc.boundary
-    blocks = np.einsum("eq,eqi,eqj->eij", ec.w, ec.B, ec.B)
-    blocks += np.einsum("eq,eqia,eqja->eij", ec.w, ec.G, ec.G)
-    G = _scatter(blocks, ec.gidx, disc.dimension)
-    edge_blocks = (1.0 / bc.h_E)[:, None, None] * np.einsum(
-        "fq,fqj,fqi->fij", bc.w, bc.B, bc.B
-    )
-    return G + _scatter(edge_blocks, bc.gidx, disc.dimension)
+    B = bc.table[:, :, :1]
+    edge_blocks = _blocks(B, (bc.w / bc.h_E[:, None])[..., None, None] * B)
+    return _matrix(disc, _blocks(ec.table, ec.w[..., None, None] * ec.table), edge_blocks)
 
 
 def trace_constant(disc):
@@ -291,8 +299,10 @@ def trace_constant(disc):
     """
     ec, bc = disc.elements, disc.boundary
     nloc = ec.B.shape[2]
+    # an orthonormal basis of the complement of the constants
     ones = np.ones(nloc) / np.sqrt(nloc)
-    Z = _orthonormal_complement(ones)
+    Z, r = np.linalg.qr(np.eye(nloc) - np.outer(ones, ones))
+    Z = Z[:, np.abs(np.diag(r)) > 1e-12]
 
     worst = 0.0
     for f in range(len(bc.h_E)):
@@ -300,24 +310,14 @@ def trace_constant(disc):
         T = bc.h_E[f] * np.einsum("q,qi,qj->ij", bc.w[f], ng, ng)
         e = bc.owner[f]
         S = np.einsum("q,qia,qja->ij", ec.w[e], ec.G[e], ec.G[e])
-        Tr = Z.T @ T @ Z
-        Sr = Z.T @ S @ Z
+        Tr, Sr = Z.T @ T @ Z, Z.T @ S @ Z
         try:
             vals = generalized_symmetric_eig((Tr + Tr.T) / 2, (Sr + Sr.T) / 2)
         except NotSPD:
-            raise SingularGram(
-                f"element seminorm Gram singular beyond constants on edge {f}"
-            ) from None
+            msg = f"element seminorm Gram singular beyond constants on edge {f}"
+            raise SingularGram(msg) from None
         worst = max(worst, float(vals[-1]))
     return worst
-
-
-def _orthonormal_complement(v):
-    n = len(v)
-    full = np.eye(n) - np.outer(v, v)
-    q, r = np.linalg.qr(full)
-    keep = np.abs(np.diag(r)) > 1e-12
-    return q[:, keep]
 
 
 def penalty_floor(disc, p):
@@ -325,7 +325,7 @@ def penalty_floor(disc, p):
     alpha = min(mu0, c0) from the problem metadata."""
     if p.alpha <= 0:
         raise ValueError("alpha = min(mu0, c0) must be positive")
-    return 2.0 * trace_constant(disc) * p.mu1**2 / p.alpha
+    return 2.0 * disc.trace_constant * p.mu1**2 / p.alpha
 
 
 class AssembledForms:

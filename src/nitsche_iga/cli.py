@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analysis
 from .assembly import (
-    PENALTY_FACTOR_DEFAULT, AssembledForms, Discretization, penalty_floor, trace_constant,
+    PENALTY_FACTOR_DEFAULT, AssembledForms, Discretization, penalty_floor,
 )
 from .errors import ConfigError, InsufficientLevels, NitscheIgaError
 from .geometry import build_mesh, load_geometry, uniform_space
@@ -322,12 +322,11 @@ def cmd_calibrate(cfg):
     mesh = build_mesh(gm, space)
     disc = Discretization(space, mesh, cfg.quadrature_order)
     p = case.problem
-    c_star = trace_constant(disc)
     floor = penalty_floor(disc, p)
 
     lines = [
         f"case = {cfg.case}, degree = {cfg.degree}, spans = {spans}, dof = {space.dimension}",
-        f"trace_constant = {c_star:.10g}",
+        f"trace_constant = {disc.trace_constant:.10g}",
         f"penalty_floor = {floor:.10g}  (alpha = {p.alpha:g}, mu1 = {p.mu1:g})",
     ]
     times = sorted({0.0, 0.5 * p.T, p.T})

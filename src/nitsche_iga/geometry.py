@@ -64,13 +64,6 @@ class TensorSpace:
         l2 = np.tile(np.arange(k2 + 1), k1 + 1)
         return (first1[..., None] + l1) + self.shape[0] * (first2[..., None] + l2)
 
-    def greville_grid(self):
-        """Parametric Greville points, shape (dimension, 2), global ordering."""
-        g1 = self.kv1.greville()
-        g2 = self.kv2.greville()
-        p1, p2 = np.meshgrid(g1, g2, indexing="ij")
-        return np.column_stack([p1.ravel(order="F"), p2.ravel(order="F")])
-
     def bisected(self):
         return TensorSpace(self.kv1.bisected(), self.kv2.bisected())
 
@@ -210,13 +203,12 @@ class PhysicalMesh:
     edge-to-element size comparison (max over edges of h_{K_E} / h_E).
     """
 
-    def __init__(self, geometry, space, elements, h_K, edges, detj_sign):
+    def __init__(self, geometry, space, elements, h_K, edges):
         self.geometry = geometry
         self.space = space
         self.elements = elements
         self.h_K = h_K
         self.edges = edges
-        self.detj_sign = detj_sign
         self.h = float(h_K.max())
         self.edge_size_constant = max(
             h_K[e.owner] / e.h_E for e in edges
@@ -273,7 +265,7 @@ def build_mesh(gm, space):
     for edge, h in zip(edges, np.sum(w, axis=1)):
         edge.h_E = float(h)
 
-    return PhysicalMesh(gm, space, elements, h_K, edges, sign)
+    return PhysicalMesh(gm, space, elements, h_K, edges)
 
 
 def _owner_element(side, n, ns1, ns2):

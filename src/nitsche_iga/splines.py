@@ -98,13 +98,6 @@ class KnotVector:
         mu = np.searchsorted(self.knots, x, side="right") - 1
         return np.clip(mu, self.degree, self.dimension - 1)
 
-    def greville(self):
-        """Greville abscissae, averages of k consecutive interior knots."""
-        k = self.degree
-        return np.array(
-            [self.knots[i + 1:i + k + 1].mean() for i in range(self.dimension)]
-        )
-
     def bisected(self):
         """New knot vector with every nonzero span split at its midpoint.
 
@@ -143,12 +136,6 @@ class BasisEvaluation:
     @property
     def first_derivs(self):
         return self.ders[1]
-
-    @property
-    def second_derivs(self):
-        if self.ders.shape[0] < 3:
-            raise IndexOutOfRange("second derivatives were not requested")
-        return self.ders[2]
 
 
 def _breakpoints_of(knots):

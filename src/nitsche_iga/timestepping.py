@@ -84,16 +84,3 @@ def march(forms, grid, u0coef):
         coefs[step] = factor.solve(rhs)
     return SolutionTrajectory(coefs, grid, forms.disc, factorizations)
 
-
-def step_residuals(forms, traj):
-    """Max-norm residual of each discrete step equation (a wiring check)."""
-    grid = traj.grid
-    tau = grid.tau
-    M = forms.disc.mass
-    out = np.empty(grid.num_steps)
-    for step in range(1, grid.num_steps + 1):
-        t = grid.nodes[step]
-        lhs = (M + tau * forms.stiffness(t)) @ traj.coefs[step]
-        rhs = M @ traj.coefs[step - 1] + tau * forms.load(t)
-        out[step - 1] = np.abs(lhs - rhs).max()
-    return out

@@ -21,9 +21,8 @@ from nitsche_iga import (
 from nitsche_iga import analysis
 from nitsche_iga.analysis import check_boundary_datum, run_level
 from nitsche_iga.errors import ConfigError, InsufficientLevels
-from nitsche_iga.timestepping import SolutionTrajectory
 
-from conftest import make_disc
+from conftest import greville_grid, make_disc
 
 
 def constant_one_coefficients(disc):
@@ -64,26 +63,6 @@ class TestSpaceTimeErrors:
         err_h1, err_l2 = space_time_errors(traj, case)
         assert err_h1 < 1e-13
         assert err_l2 < 1e-13
-
-    def test_self_consistency_with_exact_override(self, square_gm):
-        # substituting the exact solution for the discrete one returns zero
-        case = builtin_case("paper_sec8")
-        disc = make_disc(square_gm, 1, 3)
-        dummy = SolutionTrajectory(
-            np.zeros((5, disc.dimension)), TimeGrid(4, case.problem.T), disc
-        )
-        ec = disc.elements
-        X, Y = ec.x[..., 0].ravel(), ec.x[..., 1].ravel()
-
-        def exact(t):
-            return (
-                case.u(X, Y, t).reshape(ec.w.shape),
-                case.grad_u(X, Y, t).reshape(ec.w.shape + (2,)),
-            )
-
-        err_h1, err_l2 = space_time_errors(dummy, case, override=exact)
-        assert err_h1 < 1e-12
-        assert err_l2 < 1e-12
 
     def test_stationary_member_of_space_has_zero_error(self, square_gm):
         # steady biquadratic exact solution, k = 2: the march reproduces a
@@ -200,7 +179,7 @@ class TestSampling:
     def test_linear_field_reproduced(self, square_gm):
         # coefficients at Greville abscissae reproduce the coordinate field
         disc = make_disc(square_gm, 2, 3)
-        coef = disc.space.greville_grid()[:, 0]
+        coef = greville_grid(disc.space)[:, 0]
         x, y, vals = sample_on_grid(disc, coef, n=17)
         assert np.max(np.abs(vals - x)) < 1e-13
 

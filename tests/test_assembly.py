@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from nitsche_iga import (
     AssembledForms,
@@ -12,6 +13,7 @@ from nitsche_iga import (
     builtin_case,
     gauss_rule,
     inflow_mask,
+    load_geometry,
     penalty_floor,
     trace_constant,
     uniform_space,
@@ -161,6 +163,107 @@ class TestEdgeCache:
             assert np.array_equal(getattr(bc, name), ref[name]), name
         assert np.array_equal(bc.h_E, [e.h_E for e in disc.mesh.edges])
         assert np.array_equal(bc.owner, [e.owner for e in disc.mesh.edges])
+
+
+# -- per-term einsum assembly scattered through COO ---------------------------
+
+def _sample(points, fn, t):
+    flat = points.reshape(-1, 2)
+    vals = np.asarray(fn(flat[:, 0], flat[:, 1], t))
+    return vals.reshape(points.shape[:-1] + vals.shape[1:])
+
+
+def _coo(blocks, gidx, dim):
+    rows = np.broadcast_to(gidx[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(gidx[:, None, :], blocks.shape).ravel()
+    return scipy.sparse.coo_matrix((blocks.ravel(), (rows, cols)), shape=(dim, dim)).toarray()
+
+
+def reference_forms(disc, p, eps, t):
+    """Dense mass, stiffness, V_h Gram and load: one einsum per term family
+    over the cache tables, element and edge blocks scattered separately."""
+    ec, bc = disc.elements, disc.boundary
+    dim = disc.dimension
+    mu, bv, cv, fv = (_sample(ec.x, fn, t) for fn in (p.mu, p.b, p.c, p.f))
+    mu_e, b_e, gv = (_sample(bc.x, fn, t) for fn in (p.mu, p.b, p.g))
+    wbn = bc.w * np.minimum(np.einsum("fqa,fqa->fq", b_e, bc.normal), 0.0)
+    flux = np.einsum("fqa,fqab,fqjb->fqj", bc.normal, mu_e, bc.G)
+    edge_mass = np.einsum("fq,fqj,fqi->fij", bc.w, bc.B, bc.B)
+
+    M = _coo(np.einsum("eq,eqi,eqj->eij", ec.w, ec.B, ec.B), ec.gidx, dim)
+    blocks = np.einsum("eq,eqab,eqjb,eqia->eij", ec.w, mu, ec.G, ec.G)
+    blocks += np.einsum("eq,eqa,eqja,eqi->eij", ec.w, bv, ec.G, ec.B)
+    blocks += np.einsum("eq,eq,eqj,eqi->eij", ec.w, cv, ec.B, ec.B)
+    C = np.einsum("fq,fqj,fqi->fij", bc.w, flux, bc.B)
+    edge_blocks = -C - np.transpose(C, (0, 2, 1))
+    edge_blocks -= np.einsum("fq,fqj,fqi->fij", wbn, bc.B, bc.B)
+    edge_blocks += (eps / bc.h_E)[:, None, None] * edge_mass
+    A = _coo(blocks, ec.gidx, dim) + _coo(edge_blocks, bc.gidx, dim)
+    gram = np.einsum("eq,eqi,eqj->eij", ec.w, ec.B, ec.B)
+    gram += np.einsum("eq,eqia,eqja->eij", ec.w, ec.G, ec.G)
+    G = _coo(gram, ec.gidx, dim) + _coo(edge_mass / bc.h_E[:, None, None], bc.gidx, dim)
+
+    F = np.zeros(dim)
+    np.add.at(F, ec.gidx, np.einsum("eq,eq,eqi->ei", ec.w, fv, ec.B))
+    contrib = -np.einsum("fq,fq,fqi->fi", bc.w, gv, flux)
+    contrib -= np.einsum("fq,fq,fqi->fi", wbn, gv, bc.B)
+    contrib += (eps / bc.h_E)[:, None] * np.einsum("fq,fq,fqi->fi", bc.w, gv, bc.B)
+    np.add.at(F, bc.gidx, contrib)
+    return M, A, G, F
+
+
+def rotating_advection(p):
+    """``p`` with b(t) = (cos pi t/2, sin pi t/2): the inflow set moves in time."""
+
+    def b(x, y, t):
+        a = 0.5 * np.pi * t
+        return np.broadcast_to([np.cos(a), np.sin(a)], (len(np.atleast_1d(x)), 2))
+
+    return replace(p, b=b)
+
+
+def relative_error(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+class TestAgainstPerTermAssembly:
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_forms_match(self, geometry, degree):
+        disc = make_disc(load_geometry(geometry), degree, 3)
+        sec8 = builtin_case("paper_sec8").problem
+        problems = [sec8, builtin_case("steady_reaction").problem, rotating_advection(sec8)]
+        for p in problems:
+            for t in (0.3, 1.7):
+                M, A, G, F = reference_forms(disc, p, 2.5, t)
+                assert relative_error(assemble_stiffness(disc, p, 2.5, t).toarray(), A) <= 1e-13
+                assert relative_error(assemble_load(disc, p, 2.5, t), F) <= 1e-13
+        assert relative_error(disc.mass.toarray(), M) <= 1e-13
+        assert relative_error(disc.vh_gram.toarray(), G) <= 1e-13
+
+
+class TestSparsityPattern:
+    @pytest.mark.parametrize("gm_name", ["square_gm", "annulus_gm"])
+    def test_one_sorted_pattern(self, request, gm_name):
+        disc = make_disc(request.getfixturevalue(gm_name), 2, 4)
+        p = builtin_case("paper_sec8").problem
+        M, G = disc.mass, disc.vh_gram
+        A = assemble_stiffness(disc, p, 3.0, 0.5)
+        for other in (A, G):
+            assert np.array_equal(other.indptr, M.indptr)
+            assert np.array_equal(other.indices, M.indices)
+        # strictly increasing (row, column) keys: sorted rows, no duplicates
+        rows = np.repeat(np.arange(disc.dimension), np.diff(M.indptr))
+        assert np.all(np.diff(rows * disc.dimension + M.indices) > 0)
+
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spans", [1, 2, 5])
+    def test_edge_basis_is_the_owners(self, geometry, degree, spans):
+        # edge terms add into their owner element's entries
+        disc = make_disc(load_geometry(geometry), degree, spans)
+        bc = disc.boundary
+        assert np.array_equal(bc.gidx, disc.elements.gidx[bc.owner])
 
 
 class TestMass:

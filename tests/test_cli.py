@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from nitsche_iga import assembly
+from nitsche_iga import assembly, cli
 from nitsche_iga.cli import build_run_config, main, parse_config_file, parse_tau_rule
 from nitsche_iga.errors import ConfigError
 from nitsche_iga.quadrature import MAX_POINTS
@@ -342,6 +342,25 @@ class TestCalibrateCommand:
         monkeypatch.setattr(
             assembly, "assemble_vh_gram", lambda disc: calls.append(disc) or original(disc)
         )
+        cfg = (
+            "case = paper_sec8\ngeometry = square\ndegree = 1\n"
+            "levels = 4\nnum_steps = 1\n"
+        )
+        path = write_config(tmp_path, cfg)
+        assert main(["calibrate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    def test_trace_constant_computed_once(self, tmp_path, monkeypatch, capsys):
+        # the report line and the penalty floor read the value cached on the
+        # discretization; every module's binding of the function is counted
+        calls = []
+        original = assembly.trace_constant
+        for module in (assembly, cli):
+            if getattr(module, "trace_constant", None) is original:
+                monkeypatch.setattr(
+                    module, "trace_constant", lambda disc: calls.append(disc) or original(disc)
+                )
         cfg = (
             "case = paper_sec8\ngeometry = square\ndegree = 1\n"
             "levels = 4\nnum_steps = 1\n"

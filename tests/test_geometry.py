@@ -15,7 +15,7 @@ from nitsche_iga.errors import DegenerateJacobian, UnknownCase
 from nitsche_iga.geometry import EDGE_LENGTH_POINTS
 from nitsche_iga.splines import eval_basis, uniform_open_knots
 
-from conftest import make_disc
+from conftest import greville_grid, make_disc
 
 
 class TestTensorSpace:
@@ -66,7 +66,7 @@ class TestGeometryMap:
         A = np.array([[1.3, 0.4], [-0.2, 0.9]])
         shift = np.array([0.7, -0.3])
         space = uniform_space(degree, spans)
-        grev = space.greville_grid()
+        grev = greville_grid(space)
         P = grev @ A.T + shift
         gm = GeometryMap(space, P, np.ones(space.dimension))
         for _ in range(20):
@@ -156,10 +156,10 @@ class TestPhysicalMesh:
         fine = build_mesh(square_gm, space.bisected())
         assert fine.h == pytest.approx(coarse.h / 2, rel=0.05)
 
-    def test_detj_sign_positive(self, square_gm, annulus_gm):
+    def test_detj_sign_positive(self, square_gm, annulus_gm, rng):
         for gm in (square_gm, annulus_gm):
-            mesh = build_mesh(gm, uniform_space(1, 2))
-            assert mesh.detj_sign == 1.0
+            _, _, detj = gm.evaluate_many(rng.random((200, 2)))
+            assert np.all(detj > 0)
 
 
 def reference_h_K(gm, space, q):

@@ -9,7 +9,6 @@ from nitsche_iga import (
     builtin_case,
     march,
     project_initial,
-    step_residuals,
 )
 from nitsche_iga import assembly
 from nitsche_iga.analysis import boundary_trace_sq
@@ -17,7 +16,20 @@ from nitsche_iga.assembly import assemble_functional, assemble_stiffness
 from nitsche_iga.linalg import SparseFactor
 from nitsche_iga.splines import eval_basis
 
-from conftest import make_disc
+from conftest import greville_grid, make_disc
+
+
+def step_residuals(forms, traj):
+    """Max-norm residual of each discrete step equation (a wiring check)."""
+    grid = traj.grid
+    M = forms.disc.mass
+    out = np.empty(grid.num_steps)
+    for step in range(1, grid.num_steps + 1):
+        t = grid.nodes[step]
+        lhs = (M + grid.tau * forms.stiffness(t)) @ traj.coefs[step]
+        rhs = M @ traj.coefs[step - 1] + grid.tau * forms.load(t)
+        out[step - 1] = np.abs(lhs - rhs).max()
+    return out
 
 
 def rebuilt_march(forms, grid, u0):
@@ -100,7 +112,7 @@ class TestProjection:
 
         c_proj = project_initial(disc, u0)
 
-        grev = space.greville_grid()
+        grev = greville_grid(space)
         n = space.dimension
         B = np.zeros((n, n))
         for r, (gx, gy) in enumerate(grev):
