@@ -10,14 +10,17 @@ from nitsche_iga import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
+    assembly,
     builtin_case,
     gauss_rule,
+    generalized_symmetric_eig,
     inflow_mask,
     load_geometry,
     penalty_floor,
     trace_constant,
     uniform_space,
 )
+from nitsche_iga.errors import SingularGram
 from nitsche_iga.geometry import invert_2x2 as _invert_2x2
 from nitsche_iga.problem import Problem, _const_matrix, _const_scalar, _const_vector
 from nitsche_iga.splines import eval_basis, eval_basis_many, validate_knots
@@ -456,6 +459,61 @@ class TestPenaltyFloor:
         f1 = penalty_floor(disc, p)
         f2 = penalty_floor(disc, doubled)
         assert f2 == pytest.approx(2 * f1, rel=1e-12)
+
+
+def reference_trace_constant(disc):
+    """The trace constant edge by edge: each edge's Grams by einsum and one
+    ``scipy.linalg.eigh`` per edge."""
+    ec, bc = disc.elements, disc.boundary
+    nloc = ec.B.shape[2]
+    ones = np.ones(nloc) / np.sqrt(nloc)
+    Z, r = np.linalg.qr(np.eye(nloc) - np.outer(ones, ones))
+    Z = Z[:, np.abs(np.diag(r)) > 1e-12]
+    worst = 0.0
+    for f in range(len(bc.h_E)):
+        ng = np.einsum("qa,qla->ql", bc.normal[f], bc.G[f])
+        T = bc.h_E[f] * np.einsum("q,qi,qj->ij", bc.w[f], ng, ng)
+        e = bc.owner[f]
+        S = np.einsum("q,qia,qja->ij", ec.w[e], ec.G[e], ec.G[e])
+        Tr, Sr = Z.T @ T @ Z, Z.T @ S @ Z
+        vals = scipy.linalg.eigh((Tr + Tr.T) / 2, (Sr + Sr.T) / 2, eigvals_only=True)
+        worst = max(worst, float(vals[-1]))
+    return worst
+
+
+class TestBatchedTraceConstant:
+    @pytest.mark.parametrize(
+        "geometry,degree",
+        [("square", 1), ("square", 2), ("square", 3), ("quarter_annulus", 2), ("quarter_annulus", 3)],
+    )
+    def test_matches_edge_loop(self, geometry, degree):
+        disc = make_disc(load_geometry(geometry), degree, 4)
+        ref = reference_trace_constant(disc)
+        assert trace_constant(disc) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_one_eigensolve(self, annulus_gm, monkeypatch):
+        calls = []
+
+        def counting(A, B):
+            calls.append(np.shape(A))
+            return generalized_symmetric_eig(A, B)
+
+        monkeypatch.setattr(assembly, "generalized_symmetric_eig", counting)
+        disc = make_disc(annulus_gm, 2, 4)
+        disc.trace_constant
+        disc.trace_constant
+        nloc = (2 + 1) ** 2
+        assert calls == [(len(disc.boundary.h_E), nloc - 1, nloc - 1)]
+
+    def test_singular_gram_names_the_edge(self, annulus_gm):
+        disc = make_disc(annulus_gm, 2, 4)
+        bc = disc.boundary
+        # an edge whose owner owns no other edge: zero gradients there make
+        # that element's seminorm Gram vanish
+        f = next(f for f, e in enumerate(bc.owner) if np.sum(bc.owner == e) == 1)
+        disc.elements.table[bc.owner[f], :, 1:] = 0.0
+        with pytest.raises(SingularGram, match=f"on edge {f}$"):
+            trace_constant(disc)
 
 
 class TestStabilityAudits:

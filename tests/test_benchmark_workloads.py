@@ -2,7 +2,9 @@
 
 Each workload named in ``BENCHMARK.json`` runs once through
 ``perfbench/workloads.py``, the module ``perfbench/run.py`` times, so a
-result that moves off its recorded reference fails here too.
+result that moves off its recorded reference fails here too.  So does
+``calibrate_annulus_k2``, which ``BENCHMARK.json`` leaves out: it is the only
+workload that runs the dense coercivity audit.
 """
 
 import importlib.util
@@ -15,6 +17,7 @@ from nitsche_iga import geometry
 
 ROOT = Path(__file__).resolve().parents[1]
 NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+NAMES.append("calibrate_annulus_k2")
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ from nitsche_iga import (
 )
 from nitsche_iga import quadrature
 from nitsche_iga.errors import DegenerateJacobian, UnknownCase
-from nitsche_iga.geometry import EDGE_LENGTH_POINTS
+from nitsche_iga.geometry import EDGE_LENGTH_POINTS, spectral_norm_2x2
 from nitsche_iga.splines import eval_basis, uniform_open_knots
 
 from conftest import greville_grid, make_disc
@@ -192,12 +192,29 @@ def reference_h_E(gm, edge):
     return float(np.sum(ws * np.linalg.norm(tang, axis=1)))
 
 
+class TestSpectralNorm:
+    def test_matches_svd(self, rng):
+        theta = rng.random(500) * 2 * np.pi
+        c, s = np.cos(theta), np.sin(theta)
+        rotations = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        diagonal = np.zeros((500, 2, 2))
+        diagonal[:, [0, 1], [0, 1]] = rng.standard_normal((500, 2))
+        u, v = rng.standard_normal((2, 500, 2))
+        rank_one = u[:, :, None] * v[:, None, :] + 1e-9 * rng.standard_normal((500, 2, 2))
+        for J in (rng.standard_normal((2000, 2, 2)), 3.0 * rotations, diagonal, rank_one):
+            ref = np.linalg.norm(J, ord=2, axis=(1, 2))
+            np.testing.assert_allclose(spectral_norm_2x2(J), ref, rtol=1e-14, atol=0)
+
+
 class TestBatchedMesh:
     @pytest.mark.parametrize("degree,spans", [(2, 5), (3, 4)])
     def test_matches_element_and_edge_loop(self, annulus_gm, degree, spans):
         space = uniform_space(degree, spans)
         mesh = build_mesh(annulus_gm, space)
-        assert np.array_equal(mesh.h_K, reference_h_K(annulus_gm, space, degree + 2))
+        # closed-form spectral norm against the reference's SVD: a few ulp apart
+        np.testing.assert_allclose(
+            mesh.h_K, reference_h_K(annulus_gm, space, degree + 2), rtol=1e-14, atol=0
+        )
         assert len(mesh.edges) == 4 * spans
         for edge in mesh.edges:
             assert edge.h_E == reference_h_E(annulus_gm, edge)

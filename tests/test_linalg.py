@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from nitsche_iga import generalized_symmetric_eig
-from nitsche_iga.errors import NotSPD, SingularMatrix
+from nitsche_iga import AssembledForms, builtin_case, generalized_symmetric_eig
+from nitsche_iga.errors import ConvergenceFailure, NotSPD, SingularMatrix
 from nitsche_iga.linalg import SparseFactor
+
+from conftest import make_disc
 
 
 def dense_lu_solve(A, b):
@@ -103,6 +106,28 @@ class TestSolveSparse:
             assert np.allclose(factor.solve(b), b / np.arange(1.0, 6.0))
 
 
+class TestOrdering:
+    @pytest.fixture(scope="class")
+    def annulus_step_matrix(self, annulus_gm):
+        disc = make_disc(annulus_gm, 3, 12)
+        forms = AssembledForms(disc, builtin_case("steady_reaction").problem)
+        return (disc.mass + 0.1 * forms.stiffness(0.0)).tocsc()
+
+    def test_solution_matches_colamd(self, annulus_step_matrix, rng):
+        A = annulus_step_matrix
+        b = rng.random(A.shape[0])
+        x = SparseFactor(A).solve(b)
+        x_ref = spla.splu(A, permc_spec="COLAMD").solve(b)
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    def test_fills_less_than_colamd(self, annulus_step_matrix):
+        # COLAMD orders for A^T A; on this structurally symmetric matrix the
+        # factor's ordering fills less (18624 against 19704 entries)
+        lu = SparseFactor(annulus_step_matrix)._lu
+        ref = spla.splu(annulus_step_matrix, permc_spec="COLAMD")
+        assert lu.L.nnz + lu.U.nnz < ref.L.nnz + ref.U.nnz
+
+
 class TestCsrArithmetic:
     def test_matvec_matches_dense(self, rng):
         for _ in range(5):
@@ -153,3 +178,42 @@ class TestGeneralizedEig:
             generalized_symmetric_eig(np.eye(3), -np.eye(3))
         with pytest.raises(NotSPD):
             generalized_symmetric_eig(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_not_spd_in_one_member_of_a_stack(self):
+        B = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0]), np.eye(3)])
+        with pytest.raises(NotSPD):
+            generalized_symmetric_eig(np.stack([np.eye(3)] * 3), B)
+
+
+def random_pairs(rng, m, n):
+    base = rng.random((m, n, n))
+    A = (base + base.swapaxes(1, 2)) / 2
+    Bb = rng.random((m, n, n))
+    return A, Bb @ Bb.swapaxes(1, 2) + n * np.eye(n)
+
+
+class TestStackedEig:
+    def test_stack_matches_pair_by_pair(self, rng):
+        A, B = random_pairs(rng, 7, 6)
+        vals = generalized_symmetric_eig(A, B)
+        assert vals.shape == (7, 6)
+        for a, b, v in zip(A, B, vals):
+            ref = scipy.linalg.eigh(a, b, eigvals_only=True)
+            assert np.max(np.abs(v - ref)) < 1e-12 * np.linalg.norm(a, 2)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_residual_bound_raises(self, rng, monkeypatch, stacked):
+        A, B = random_pairs(rng, 4, 5)
+        if not stacked:
+            A, B = A[0], B[0]
+        eigh = np.linalg.eigh
+
+        def perturbed(C):
+            vals, vecs = eigh(C)
+            vals = vals.copy()
+            vals[(2, -1) if stacked else -1] += 1e-6 * np.abs(vals).max()  # one pair only
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ConvergenceFailure, match="eigenpair residual"):
+            generalized_symmetric_eig(A, B)
