@@ -48,16 +48,13 @@ def main():
     print(f"outer-arc normal at {x.round(4)}: {n.round(6)} "
           f"(radial direction {(x / np.linalg.norm(x)).round(6)})")
 
-    # wireframe of the mapped mesh for plotting
-    lines = []
+    # wireframe of the mapped mesh for plotting: the lines through the
+    # breakpoints of each direction are two tensor grids
     kv1, kv2 = mesh_a.space.kv1, mesh_a.space.kv2
     ts = np.linspace(0, 1, 33)
-    for z in kv1.mesh.breakpoints:
-        pts, _, _ = ga.evaluate_many(np.column_stack([np.full_like(ts, z), ts]))
-        lines.append(pts)
-    for z in kv2.mesh.breakpoints:
-        pts, _, _ = ga.evaluate_many(np.column_stack([ts, np.full_like(ts, z)]))
-        lines.append(pts)
+    first, _, _ = ga.evaluate_grid(kv1.mesh.breakpoints, ts)
+    second, _, _ = ga.evaluate_grid(ts, kv2.mesh.breakpoints)
+    lines = [*first, *second.swapaxes(0, 1)]
     OUT.mkdir(exist_ok=True)
     path = OUT / "annulus_mesh.dat"
     with open(path, "w") as fh:

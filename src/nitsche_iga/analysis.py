@@ -20,7 +20,7 @@ from .errors import ConfigError, InsufficientLevels
 from .geometry import build_mesh, uniform_space
 from .linalg import generalized_symmetric_eig
 from .quadrature import gauss_rule
-from .splines import eval_basis_many
+from .splines import collocation
 from .timestepping import TimeGrid, march, project_initial
 
 TIME_QUAD_POINTS = 3
@@ -59,8 +59,8 @@ def space_time_errors(traj, case):
     acc_h1 = 0.0
     acc_l2 = 0.0
     for n in range(1, grid.num_steps + 1):
-        vals = ec.field_values(traj.coefs[n])
-        grads = ec.field_grads(traj.coefs[n])
+        field = ec.field(traj.coefs[n])
+        vals, grads = field[..., 0], field[..., 1:]
         times, wts = rule.mapped(grid.nodes[n - 1], grid.nodes[n])
         for tj, wj in zip(times, wts):
             due = case.u(X.ravel(), Y.ravel(), tj).reshape(X.shape) - vals
@@ -276,23 +276,13 @@ def sample_on_grid(disc, coef, n=64):
     space = disc.space
     n1, n2 = space.shape
     ts = np.linspace(0.0, 1.0, n)
-    C1 = _collocation_matrix(space.kv1, ts)
-    C2 = _collocation_matrix(space.kv2, ts)
+    C1 = collocation(space.kv1, ts)[0]
+    C2 = collocation(space.kv2, ts)[0]
     cmat = coef.reshape(n2, n1).T
     vals = C1 @ cmat @ C2.T  # vals[a, b] at (ts[a], ts[b])
 
-    g1, g2 = np.meshgrid(ts, ts, indexing="ij")
-    pts = np.column_stack([g1.ravel(order="F"), g2.ravel(order="F")])
-    x, _, _ = disc.mesh.geometry.evaluate_many(pts)
-    return x[:, 0], x[:, 1], vals.ravel(order="F")
-
-
-def _collocation_matrix(kv, ts):
-    first, ders = eval_basis_many(kv, ts, 0)
-    C = np.zeros((len(ts), kv.dimension))
-    cols = first[:, None] + np.arange(kv.degree + 1)
-    C[np.arange(len(ts))[:, None], cols] = ders[:, 0]
-    return C
+    x, _, _ = disc.mesh.geometry.evaluate_grid(ts, ts)
+    return x[..., 0].ravel(order="F"), x[..., 1].ravel(order="F"), vals.ravel(order="F")
 
 
 __all__ = [

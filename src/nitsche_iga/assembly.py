@@ -2,7 +2,7 @@
 
 A :class:`Discretization` precomputes, once per (space, mesh, quadrature)
 triple, the basis tables at all volume and boundary-edge quadrature points
-(tensor products of 1-D B-spline tables; edge data from
+(:func:`tensor_product` of 1-D B-spline tables; edge data from
 :func:`~nitsche_iga.geometry.edge_geometry`, which also measures h_E) and
 the CSR pattern that every matrix shares.  Each bilinear form is one batched
 product, :func:`_blocks`, of a test table with a trial table that carries
@@ -23,12 +23,28 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NotSPD, SingularGram
-from .geometry import edge_geometry, invert_2x2, tensor_product
+from .geometry import edge_geometry, invert_2x2
 from .linalg import generalized_symmetric_eig
 from .quadrature import gauss_rule
 from .splines import eval_basis_many
 
 PENALTY_FACTOR_DEFAULT = 1.25
+
+
+def tensor_product(d1, d2, orders):
+    """Bivariate tables from two 1-D derivative tables, (l1, l2) local order.
+
+    ``d1`` (..., r1, k1+1) and ``d2`` (..., r2, k2+1) hold the derivatives
+    of orders 0 .. r-1 of each 1-D basis; their leading axes broadcast.
+    Returns, for each (a, b) in ``orders`` (a < r1, b < r2), the table
+    (..., nloc) of the derivative of order a in direction 1 and b in
+    direction 2.
+    """
+    lead = np.broadcast_shapes(d1.shape[:-2], d2.shape[:-2])
+    shape = lead + (d1.shape[-1] * d2.shape[-1],)
+    return [
+        (d1[..., a, :, None] * d2[..., b, None, :]).reshape(shape) for a, b in orders
+    ]
 
 
 def _basis_table(d1, d2, inv_jac):
@@ -49,6 +65,8 @@ class ElementCache:
     their views ``B`` (ne, nq, nloc) and ``G`` (ne, nq, nloc, 2), ``gidx``
     (ne, nloc) global indices.  Elements run with direction 1 fastest;
     quadrature points and local functions, (l1, l2), with direction 2 fastest.
+    The geometry comes from one grid evaluation over the Gauss points of all
+    spans, reordered to (element, point).
     """
 
     def __init__(self, space, mesh, q):
@@ -56,9 +74,9 @@ class ElementCache:
         s1, s2 = np.tile(np.arange(ns1), ns2), np.repeat(np.arange(ns2), ns1)
         ne, nq = len(s1), q * q
 
-        # per direction, the 1-D tables of each element's span: Gauss points
-        # and weights (ne, q), first nonzero function (ne,), values and first
-        # derivatives (ne, q, 2, k+1)
+        # per direction, the Gauss points of all spans (ns, q) and, per
+        # element, the weights (ne, q), first nonzero function (ne,) and 1-D
+        # values and first derivatives (ne, q, 2, k+1)
         rule = gauss_rule(q)
         per_direction = []
         for kv, spans in ((space.kv1, s1), (space.kv2, s2)):
@@ -66,24 +84,31 @@ class ElementCache:
             pts, wts = rule.mapped(bps[:-1, None], bps[1:, None])
             first, ders = eval_basis_many(kv, pts.ravel(), 1)
             ders = ders.reshape(kv.num_spans, q, 2, -1)[spans]
-            per_direction.append((pts[spans], wts[spans], first[::q][spans], ders))
+            per_direction.append((pts, wts[spans], first[::q][spans], ders))
         (p1, w1, f1, d1), (p2, w2, f2, d2) = per_direction
-
-        x_hat = np.stack([np.repeat(p1, q, axis=1), np.tile(p2, (1, q))], axis=-1)
         w_hat = np.repeat(w1, q, axis=1) * np.tile(w2, (1, q))
 
-        x, J, detj = mesh.geometry.evaluate_many(x_hat.reshape(-1, 2))
-        invJ, _ = invert_2x2(J.reshape(ne, nq, 2, 2))
+        # the geometry on the grid of all Gauss points, indexed (s1, i1, s2,
+        # i2), reordered to (element, point): (s2, s1) and (i1, i2)
+        def by_element(a):
+            a = a.reshape((ns1, q, ns2, q) + a.shape[2:])
+            return np.moveaxis(a, 2, 0).reshape((ne, nq) + a.shape[4:])
+
+        grid = mesh.geometry.evaluate_grid(p1.ravel(), p2.ravel())
+        x, J, detj = (by_element(a) for a in grid)
+        invJ, _ = invert_2x2(J)
         self.table, self.B, self.G = _basis_table(d1[:, :, None], d2[:, None], invJ)
-        self.x = x.reshape(ne, nq, 2)
-        self.w = w_hat * np.abs(detj.reshape(ne, nq))
+        self.x = x
+        self.w = w_hat * np.abs(detj)
         self.gidx = space.local_to_global(f1, f2)
 
-    def field_values(self, coef):
-        return np.einsum("eql,el->eq", self.B, coef[self.gidx])
-
-    def field_grads(self, coef):
-        return np.einsum("eqla,el->eqa", self.G, coef[self.gidx])
+    def field(self, coef):
+        """Values and physical gradients (ne, nq, 3) of the field with
+        coefficients ``coef``: one matrix-vector product per element with
+        its (nq * 3, nloc) slice of ``table``."""
+        ne, nq, rows, nloc = self.table.shape
+        flat = self.table.reshape(ne, nq * rows, nloc) @ coef[self.gidx][:, :, None]
+        return flat.reshape(ne, nq, rows)
 
 
 class EdgeCache:

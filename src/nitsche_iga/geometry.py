@@ -8,9 +8,16 @@ assembly only ever needs parametric basis tables plus Jacobians of F.
 Refinement rebuilds the solution knot vectors (uniform span bisection) and
 leaves F untouched: the geometry stays exact on every level.
 
+Every sample set of F is a tensor grid of 1-D coordinates (element Gauss
+points, breakpoints, edge points, plotting grids), so
+:meth:`GeometryMap.evaluate_grid` is the one evaluation path.  It evaluates
+each 1-D basis once per coordinate of a direction, not once per grid point,
+and contracts the homogeneous control net with two dense matrix products per
+derivative instead of gathering local weights and control points point by
+point; x and J then follow from the quotient rule on the grid.
+
 The pieces that assembly shares with the mesh live here once each:
-:func:`tensor_product` builds bivariate basis tables from 1-D ones,
-:meth:`TensorSpace.local_to_global` indexes them, :func:`invert_2x2`
+:meth:`TensorSpace.local_to_global` indexes local bases, :func:`invert_2x2`
 inverts Jacobians, and :func:`edge_geometry` maps the points of a rule on
 the boundary edges (arc-length weights and outward normals).
 """
@@ -21,7 +28,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import DegenerateJacobian, UnknownCase
-from .splines import eval_basis_many, parse_knot_vector, uniform_open_knots
+from .splines import collocation, parse_knot_vector, uniform_open_knots
 
 JAC_FLOOR = 1e-10
 
@@ -103,58 +110,36 @@ class GeometryMap:
 
     def evaluate(self, x_hat):
         """Map one parametric point; returns ``(x, J, detJ)``."""
-        out = self.evaluate_many(np.asarray(x_hat, float)[None, :])
-        return tuple(a[0] for a in out)
+        out = self.evaluate_grid([x_hat[0]], [x_hat[1]])
+        return tuple(a[0, 0] for a in out)
 
-    def evaluate_many(self, x_hat):
-        """Map an (m, 2) array of parametric points.
+    def evaluate_grid(self, t1, t2):
+        """Map the tensor grid of parametric points ``t1`` x ``t2``.
 
-        Returns ``(x, J, detJ)`` with shapes (m, 2), (m, 2, 2) and (m,).
-        Raises :class:`DegenerateJacobian` when any |det J| falls below
+        Returns ``(x, J, detJ)`` with shapes (m1, m2, 2), (m1, m2, 2, 2) and
+        (m1, m2); entry [a, b] belongs to the point (t1[a], t2[b]).  Raises
+        :class:`DegenerateJacobian` when any |det J| falls below
         ``JAC_FLOOR``.
         """
-        x_hat = np.asarray(x_hat, dtype=float)
-        m = len(x_hat)
-        first1, d1 = eval_basis_many(self.space.kv1, x_hat[:, 0], 1)
-        first2, d2 = eval_basis_many(self.space.kv2, x_hat[:, 1], 1)
-        gidx = self.space.local_to_global(first1, first2)
-        wloc = self.weights[gidx]
-        Ploc = self.control_points[gidx]
+        C1 = collocation(self.space.kv1, t1)
+        C2 = collocation(self.space.kv2, t2)
+        # the homogeneous net (w x, w y, w) on the (i1, i2) grid of the space
+        n1, n2 = self.space.shape
+        net = np.vstack([self.control_points.T * self.weights, self.weights])
+        net = net.reshape(3, n2, n1).swapaxes(1, 2)
+        H, Ha, Hb = (C1[a] @ net @ C2[b].T for a, b in ((0, 0), (1, 0), (0, 1)))
 
-        B, Ba, Bb = tensor_product(d1, d2, ((0, 0), (1, 0), (0, 1)))
-        W = np.einsum("ml,ml->m", wloc, B)
-        Wa = np.einsum("ml,ml->m", wloc, Ba)
-        Wb = np.einsum("ml,ml->m", wloc, Bb)
-        Wc = W[:, None]
-        N = wloc * B / Wc
-        Na = wloc * (Ba * Wc - B * Wa[:, None]) / Wc**2
-        Nb = wloc * (Bb * Wc - B * Wb[:, None]) / Wc**2
-        x = np.einsum("ml,mlc->mc", N, Ploc)
-        J = np.empty((m, 2, 2))
-        J[:, :, 0] = np.einsum("ml,mlc->mc", Na, Ploc)
-        J[:, :, 1] = np.einsum("ml,mlc->mc", Nb, Ploc)
+        # quotient rule: x = H/W, dx = (H' - x W')/W
+        W = H[2]
+        x = H[:2] / W
+        J = np.stack([(Ha[:2] - x * Ha[2]) / W, (Hb[:2] - x * Hb[2]) / W], axis=-1)
+        x, J = np.moveaxis(x, 0, -1), np.moveaxis(J, 0, -2)
 
-        detj = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        detj = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
         if np.any(np.abs(detj) < JAC_FLOOR):
             worst = float(np.min(np.abs(detj)))
             raise DegenerateJacobian(f"|det J| = {worst:.3e} below floor {JAC_FLOOR:.1e}")
         return x, J, detj
-
-
-def tensor_product(d1, d2, orders):
-    """Bivariate tables from two 1-D derivative tables, (l1, l2) local order.
-
-    ``d1`` (..., r1, k1+1) and ``d2`` (..., r2, k2+1) hold the derivatives
-    of orders 0 .. r-1 of each 1-D basis; their leading axes broadcast.
-    Returns, for each (a, b) in ``orders`` (a < r1, b < r2), the table
-    (..., nloc) of the derivative of order a in direction 1 and b in
-    direction 2.
-    """
-    lead = np.broadcast_shapes(d1.shape[:-2], d2.shape[:-2])
-    shape = lead + (d1.shape[-1] * d2.shape[-1],)
-    return [
-        (d1[..., a, :, None] * d2[..., b, None, :]).reshape(shape) for a, b in orders
-    ]
 
 
 def spectral_norm_2x2(J):
@@ -211,15 +196,15 @@ class BoundaryEdge:
 class PhysicalMesh:
     """Image of the solution-space parametric mesh under the geometry map.
 
-    Holds element boxes and sizes h_K, the boundary edge list with arc
-    lengths h_E and unique owner elements, and the measured constant of the
-    edge-to-element size comparison (max over edges of h_{K_E} / h_E).
+    Holds the element sizes h_K (elements run with direction 1 fastest),
+    the boundary edge list with arc lengths h_E and unique owner elements,
+    and the measured constant of the edge-to-element size comparison (max
+    over edges of h_{K_E} / h_E).
     """
 
-    def __init__(self, geometry, space, elements, h_K, edges):
+    def __init__(self, geometry, space, h_K, edges):
         self.geometry = geometry
         self.space = space
-        self.elements = elements
         self.h_K = h_K
         self.edges = edges
         self.h = float(h_K.max())
@@ -229,7 +214,7 @@ class PhysicalMesh:
 
     @property
     def num_elements(self):
-        return len(self.elements)
+        return len(self.h_K)
 
 
 def build_mesh(gm, space):
@@ -241,32 +226,34 @@ def build_mesh(gm, space):
     norm in the closed form of :func:`spectral_norm_2x2`; h_E
     is the arc length of the mapped side span, the sum of the
     :func:`edge_geometry` weights of a fixed 5-point rule.  det J is checked
-    for a uniform sign.  The geometry is evaluated in one call over the
-    samples of all elements and one over the points of all edges.
+    for a uniform sign over all these samples.  The samples are two tensor
+    grids, so the geometry is evaluated twice by
+    :meth:`GeometryMap.evaluate_grid`: on the Gauss points of all spans and
+    on the breakpoints, which are the corners of all elements.
     """
     kv1, kv2 = space.kv1, space.kv2
     ns1, ns2 = space.num_spans
 
-    elements = []
-    for s2 in range(1, ns2 + 1):
-        for s1 in range(1, ns1 + 1):
-            elements.append(
-                (kv1.mesh.span_interval(s1), kv2.mesh.span_interval(s2))
-            )
-
-    pts, _ = quadrature.tensor_rule(max(space.degrees) + 2)
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    samples = np.vstack([pts, corners])
-
-    boxes = np.array(elements)  # (ne, 2, 2): [direction, (start, end)]
-    lo, width = boxes[:, :, 0], boxes[:, :, 1] - boxes[:, :, 0]
-    x_hat = lo[:, None, :] + width[:, None, :] * samples[None, :, :]
-    _, J, detj = gm.evaluate_many(x_hat.reshape(-1, 2))
-    sign = np.sign(detj[0])
-    if np.any(np.sign(detj) != sign):
+    q = max(space.degrees) + 2
+    rule = quadrature.gauss_rule(q)
+    bps1, bps2 = kv1.mesh.breakpoints, kv2.mesh.breakpoints
+    pts1, _ = rule.mapped(bps1[:-1, None], bps1[1:, None])
+    pts2, _ = rule.mapped(bps2[:-1, None], bps2[1:, None])
+    _, J, detj = gm.evaluate_grid(pts1.ravel(), pts2.ravel())
+    _, J_corner, detj_corner = gm.evaluate_grid(bps1, bps2)
+    signs = np.sign(np.concatenate([detj.ravel(), detj_corner.ravel()]))
+    if np.any(signs != signs[0]):
         raise DegenerateJacobian("det J changes sign across the mesh")
-    grad_norm = spectral_norm_2x2(J).reshape(len(elements), -1)
-    h_K = grad_norm.max(axis=1) * np.hypot(width[:, 0], width[:, 1])
+
+    # per span box (s1, s2): the largest norm over its q x q Gauss block and
+    # its four corners
+    norm = spectral_norm_2x2(J).reshape(ns1, q, ns2, q).max(axis=(1, 3))
+    corner = spectral_norm_2x2(J_corner)
+    corner = np.maximum.reduce(
+        [corner[:-1, :-1], corner[1:, :-1], corner[:-1, 1:], corner[1:, 1:]]
+    )
+    diameter = np.hypot(kv1.mesh.widths[:, None], kv2.mesh.widths[None, :])
+    h_K = (np.maximum(norm, corner) * diameter).T.ravel()
 
     edges = []
     for side in SIDES:
@@ -279,7 +266,7 @@ def build_mesh(gm, space):
     for edge, h in zip(edges, np.sum(w, axis=1)):
         edge.h_E = float(h)
 
-    return PhysicalMesh(gm, space, elements, h_K, edges)
+    return PhysicalMesh(gm, space, h_K, edges)
 
 
 def _owner_element(side, n, ns1, ns2):
@@ -300,13 +287,24 @@ def edge_geometry(gm, edges, rule):
     physical points, inverse Jacobians, arc-length weights (span width times
     rule weight times the tangent length) and unit outward normals.  The
     normal is the row of J^-1 that is the gradient of the edge's fixed
-    parametric coordinate, pointing away from the domain.  One geometry
-    evaluation covers all edges.
+    parametric coordinate, pointing away from the domain.  The geometry is
+    evaluated on one 1 x m or m x 1 grid per side: the side's fixed
+    coordinate by the points of all its edges.
     """
     nf, q = len(edges), rule.order
     x_hat = np.stack([e.param_point(rule.points) for e in edges])
-    x, J, _ = gm.evaluate_many(x_hat.reshape(-1, 2))
-    J = J.reshape(nf, q, 2, 2)
+    x, J = np.empty((nf, q, 2)), np.empty((nf, q, 2, 2))
+    for side in SIDES:
+        on_side = [i for i, e in enumerate(edges) if e.side == side]
+        if not on_side:
+            continue
+        fixed = [edges[on_side[0]].fixed_coord]
+        if side in ("x0", "x1"):
+            xs, Js, _ = gm.evaluate_grid(fixed, x_hat[on_side, :, 1].ravel())
+        else:
+            xs, Js, _ = gm.evaluate_grid(x_hat[on_side, :, 0].ravel(), fixed)
+        x[on_side] = xs.reshape(-1, q, 2)
+        J[on_side] = Js.reshape(-1, q, 2, 2)
     inv_jac, _ = invert_2x2(J)
 
     along_dir2 = np.array([e.side in ("x0", "x1") for e in edges])[:, None, None]
@@ -317,7 +315,7 @@ def edge_geometry(gm, edges, rule):
     orient = np.array([1.0 if e.fixed_coord else -1.0 for e in edges])[:, None, None]
     normal = orient * np.where(along_dir2, inv_jac[..., 0, :], inv_jac[..., 1, :])
     normal /= np.linalg.norm(normal, axis=2)[..., None]
-    return x_hat, x.reshape(nf, q, 2), inv_jac, w, normal
+    return x_hat, x, inv_jac, w, normal
 
 
 # -- shipped geometries and the plain-text file format -----------------------

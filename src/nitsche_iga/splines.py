@@ -9,7 +9,9 @@ recursion never has to be resolved by floating point.
 
 :func:`eval_basis_many` is the one evaluation path: it finds the span of
 every point with one ``searchsorted`` and runs the recursion once over the
-whole array of points.  :func:`eval_basis` is its one-point case.
+whole array of points.  :func:`eval_basis` is its one-point case, and
+:func:`collocation` scatters its results into dense matrices over the whole
+basis.
 
 Span selection is half-open: x in [z_{n-1}, z_n) belongs to span n, except
 x = 1 which belongs to the last span (values there are the left limits).
@@ -257,6 +259,20 @@ def eval_basis_many(kv, xs, max_deriv=1):
     mu = kv.span_of(xs)
     ders = _ders_basis_funs(kv.knots, mu, xs, k, max_deriv)
     return mu - k, ders
+
+
+def collocation(kv, ts):
+    """Dense values and first derivatives of the whole basis at the points ``ts``.
+
+    Returns C (2, len(ts), kv.dimension): ``C[d, i, j]`` is the d-th
+    derivative of function j at ``ts[i]``, zero off the k+1 functions that
+    can be nonzero there.
+    """
+    first, ders = eval_basis_many(kv, ts, 1)
+    C = np.zeros((2, len(first), kv.dimension))
+    rows = np.arange(len(first))[:, None]
+    C[:, rows, first[:, None] + np.arange(kv.degree + 1)] = ders.transpose(1, 0, 2)
+    return C
 
 
 def _ders_basis_funs(knots, mu, x, k, nd):

@@ -25,7 +25,7 @@ from nitsche_iga.geometry import invert_2x2 as _invert_2x2
 from nitsche_iga.problem import Problem, _const_matrix, _const_scalar, _const_vector
 from nitsche_iga.splines import eval_basis, eval_basis_many, validate_knots
 
-from conftest import make_disc
+from conftest import make_disc, reference_evaluate, relative_error
 
 
 def pure_heat_problem(c=0.0):
@@ -125,47 +125,113 @@ def dense_oracle(space, p, eps, t, q=8):
     return A, F
 
 
-def reference_edge_data(space, mesh, q):
-    """EdgeCache arrays edge by edge: one basis and geometry evaluation per edge."""
+def _point_data(space, gm, x_hat):
+    """Geometry and basis data at an (m, 2) array of parametric points, one
+    point at a time: ``(x, J, detJ, J^-1, B, G, gidx)`` with the global
+    indices of the local basis of the first point."""
     k1, k2 = space.degrees
-    n1 = space.shape[0]
-    rule = gauss_rule(q)
+    m, n1 = len(x_hat), space.shape[0]
+    x, J, detj = reference_evaluate(gm, x_hat)
+    f1, d1 = eval_basis_many(space.kv1, x_hat[:, 0], 1)
+    f2, d2 = eval_basis_many(space.kv2, x_hat[:, 1], 1)
+    Ghat = np.empty((m, (k1 + 1) * (k2 + 1), 2))
+    Ghat[..., 0] = (d1[:, 1, :, None] * d2[:, 0, None, :]).reshape(m, -1)
+    Ghat[..., 1] = (d1[:, 0, :, None] * d2[:, 1, None, :]).reshape(m, -1)
+    invJ, _ = _invert_2x2(J)
+    B = (d1[:, 0, :, None] * d2[:, 0, None, :]).reshape(m, -1)
+    G = np.einsum("qlb,qba->qla", Ghat, invJ)
     l1 = np.repeat(np.arange(k1 + 1), k2 + 1)
     l2 = np.tile(np.arange(k2 + 1), k1 + 1)
+    return x, J, detj, invJ, B, G, (f1[0] + l1) + n1 * (f2[0] + l2)
+
+
+def reference_element_data(space, mesh, q):
+    """ElementCache arrays element by element: one basis and geometry
+    evaluation per element, points with direction 2 fastest."""
+    rule = gauss_rule(q)
+    ns1, ns2 = space.num_spans
+    out = {name: [] for name in ("x", "w", "B", "G", "gidx")}
+    for s2 in range(1, ns2 + 1):
+        for s1 in range(1, ns1 + 1):
+            t1, w1 = rule.mapped(*space.kv1.mesh.span_interval(s1))
+            t2, w2 = rule.mapped(*space.kv2.mesh.span_interval(s2))
+            x_hat = np.column_stack([np.repeat(t1, q), np.tile(t2, q)])
+            x, _, detj, _, B, G, gidx = _point_data(space, mesh.geometry, x_hat)
+            out["x"].append(x)
+            out["w"].append(np.outer(w1, w2).ravel() * np.abs(detj))
+            out["B"].append(B)
+            out["G"].append(G)
+            out["gidx"].append(gidx)
+    return {name: np.array(rows) for name, rows in out.items()}
+
+
+def reference_edge_data(space, mesh, q):
+    """EdgeCache arrays edge by edge: one basis and geometry evaluation per edge."""
+    rule = gauss_rule(q)
     out = {name: [] for name in ("x", "w", "normal", "B", "G", "gidx")}
     for edge in mesh.edges:
         ts, ws = rule.mapped(*edge.interval)
         along_dir2 = edge.side in ("x0", "x1")
         fixed = np.full(q, edge.fixed_coord)
         x_hat = np.column_stack([fixed, ts] if along_dir2 else [ts, fixed])
-        xe, J, _ = mesh.geometry.evaluate_many(x_hat)
+        xe, J, _, invJ, B, G, gidx = _point_data(space, mesh.geometry, x_hat)
         tang = J[:, :, 1] if along_dir2 else J[:, :, 0]
-        f1, d1 = eval_basis_many(space.kv1, x_hat[:, 0], 1)
-        f2, d2 = eval_basis_many(space.kv2, x_hat[:, 1], 1)
-        Ghat = np.empty((q, (k1 + 1) * (k2 + 1), 2))
-        Ghat[..., 0] = (d1[:, 1, :, None] * d2[:, 0, None, :]).reshape(q, -1)
-        Ghat[..., 1] = (d1[:, 0, :, None] * d2[:, 1, None, :]).reshape(q, -1)
-        invJ, _ = _invert_2x2(J)
         out["x"].append(xe)
         out["w"].append(ws * np.linalg.norm(tang, axis=1))
         normal = (1.0 if edge.fixed_coord else -1.0) * invJ[:, 0 if along_dir2 else 1, :]
         out["normal"].append(normal / np.linalg.norm(normal, axis=1)[:, None])
-        out["B"].append((d1[:, 0, :, None] * d2[:, 0, None, :]).reshape(q, -1))
-        out["G"].append(np.einsum("qlb,qba->qla", Ghat, invJ))
-        out["gidx"].append((f1[0] + l1) + n1 * (f2[0] + l2))
+        out["B"].append(B)
+        out["G"].append(G)
+        out["gidx"].append(gidx)
     return {name: np.array(rows) for name, rows in out.items()}
+
+
+def reference_table(ref):
+    """The cache ``table`` layout (n, q, 3, nloc) of reference B and G."""
+    return np.concatenate([ref["B"][:, :, None], ref["G"].swapaxes(2, 3)], axis=2)
 
 
 class TestEdgeCache:
     @pytest.mark.parametrize("degree,spans", [(2, 5), (3, 4)])
     def test_matches_edge_loop(self, annulus_gm, degree, spans):
+        # the geometry is evaluated on grids, the reference point by point:
+        # equal at roundoff; the basis tables of the solution space are equal
         disc = make_disc(annulus_gm, degree, spans)
         bc = disc.boundary
         ref = reference_edge_data(disc.space, disc.mesh, disc.quadrature_order)
-        for name in ("x", "w", "normal", "B", "G", "gidx"):
+        for name in ("x", "w", "normal", "G"):
+            assert relative_error(getattr(bc, name), ref[name]) <= 1e-14, name
+        for name in ("B", "gidx"):
             assert np.array_equal(getattr(bc, name), ref[name]), name
         assert np.array_equal(bc.h_E, [e.h_E for e in disc.mesh.edges])
         assert np.array_equal(bc.owner, [e.owner for e in disc.mesh.edges])
+
+
+class TestCachesAgainstPerPointBuild:
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_arrays_match(self, geometry, degree):
+        disc = make_disc(load_geometry(geometry), degree, 3)
+        q = disc.quadrature_order
+        for cache, ref, names in (
+            (disc.elements, reference_element_data(disc.space, disc.mesh, q), ("x", "w")),
+            (disc.boundary, reference_edge_data(disc.space, disc.mesh, q), ("x", "w", "normal")),
+        ):
+            for name in names:
+                assert relative_error(getattr(cache, name), ref[name]) <= 1e-14, name
+            assert relative_error(cache.table, reference_table(ref)) <= 1e-14
+            assert np.array_equal(cache.B, ref["B"])
+            assert np.array_equal(cache.gidx, ref["gidx"])
+
+    def test_field_values_and_gradients(self, annulus_gm, rng):
+        ec = make_disc(annulus_gm, 3, 4).elements
+        coef = rng.standard_normal(ec.gidx.max() + 1)
+        field = ec.field(coef)
+        values = np.einsum("eql,el->eq", ec.B, coef[ec.gidx])
+        grads = np.einsum("eqla,el->eqa", ec.G, coef[ec.gidx])
+        assert field.shape == grads.shape[:2] + (3,)
+        assert relative_error(field[..., 0], values) <= 1e-14
+        assert relative_error(field[..., 1:], grads) <= 1e-14
 
 
 # -- per-term einsum assembly scattered through COO ---------------------------
@@ -223,10 +289,6 @@ def rotating_advection(p):
         return np.broadcast_to([np.cos(a), np.sin(a)], (len(np.atleast_1d(x)), 2))
 
     return replace(p, b=b)
-
-
-def relative_error(a, ref):
-    return np.abs(a - ref).max() / np.abs(ref).max()
 
 
 class TestAgainstPerTermAssembly:

@@ -15,7 +15,7 @@ from nitsche_iga.errors import DegenerateJacobian, UnknownCase
 from nitsche_iga.geometry import EDGE_LENGTH_POINTS, spectral_norm_2x2
 from nitsche_iga.splines import eval_basis, uniform_open_knots
 
-from conftest import greville_grid, make_disc
+from conftest import greville_grid, make_disc, reference_evaluate, relative_error
 
 
 class TestTensorSpace:
@@ -115,6 +115,47 @@ class TestGeometryMap:
             gm.evaluate(np.array([0.5, 0.5]))
 
 
+def two_span_geometry(rng):
+    """A NURBS map with interior knots in both directions and non-uniform
+    weights: a sheared grid of control points, slightly perturbed."""
+    kv1 = validate_knots([0, 0, 0, 0.4, 1, 1, 1], 2)
+    kv2 = validate_knots([0, 0, 0, 0, 0.3, 0.7, 1, 1, 1, 1], 3)
+    space = TensorSpace(kv1, kv2)
+    A = np.array([[2.0, 0.3], [-0.4, 1.5]])
+    P = greville_grid(space) @ A.T + 0.03 * rng.standard_normal((space.dimension, 2))
+    return GeometryMap(space, P, rng.uniform(0.5, 2.0, space.dimension))
+
+
+class TestEvaluateGrid:
+    @pytest.mark.parametrize("name", ["square", "quarter_annulus", "two_span"])
+    def test_matches_per_point_reference(self, name, rng):
+        gm = two_span_geometry(rng) if name == "two_span" else load_geometry(name)
+        # the breakpoints include 0 and 1
+        t1 = np.concatenate([gm.space.kv1.mesh.breakpoints, rng.random(12)])
+        t2 = np.concatenate([rng.random(9), gm.space.kv2.mesh.breakpoints])
+        x, J, detj = gm.evaluate_grid(t1, t2)
+        assert x.shape == (len(t1), len(t2), 2)
+        assert J.shape == (len(t1), len(t2), 2, 2)
+        assert detj.shape == (len(t1), len(t2))
+        g1, g2 = np.meshgrid(t1, t2, indexing="ij")
+        ref = reference_evaluate(gm, np.column_stack([g1.ravel(), g2.ravel()]))
+        for got, want in zip((x, J, detj), ref):
+            assert relative_error(got.reshape(want.shape), want) <= 1e-14
+
+    def test_one_point_is_the_one_by_one_grid(self, annulus_gm):
+        x, J, detj = annulus_gm.evaluate(np.array([0.3, 0.8]))
+        grid = annulus_gm.evaluate_grid([0.3], [0.8])
+        for got, want in zip((x, J, detj), grid):
+            assert np.array_equal(got, want[0, 0])
+
+    def test_degenerate_grid_raises(self):
+        space = uniform_space(1, 1)
+        P = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])  # collapsed
+        gm = GeometryMap(space, P, np.ones(4))
+        with pytest.raises(DegenerateJacobian, match="below floor"):
+            gm.evaluate_grid([0.0, 0.3, 1.0], [0.5, 0.7])
+
+
 class TestPhysicalMesh:
     def test_two_by_two_square(self, square_gm):
         space = uniform_space(1, 2)
@@ -158,7 +199,8 @@ class TestPhysicalMesh:
 
     def test_detj_sign_positive(self, square_gm, annulus_gm, rng):
         for gm in (square_gm, annulus_gm):
-            _, _, detj = gm.evaluate_many(rng.random((200, 2)))
+            _, _, detj = gm.evaluate_grid(rng.random(20), rng.random(10))
+            assert detj.shape == (20, 10)
             assert np.all(detj > 0)
 
 
@@ -176,7 +218,7 @@ def reference_h_K(gm, space, q):
             x_hat = np.column_stack(
                 [a1 + (b1 - a1) * samples[:, 0], a2 + (b2 - a2) * samples[:, 1]]
             )
-            _, J, _ = gm.evaluate_many(x_hat)
+            _, J, _ = reference_evaluate(gm, x_hat)
             grad_norm = np.linalg.norm(J, ord=2, axis=(1, 2)).max()
             h_K.append(grad_norm * np.hypot(b1 - a1, b2 - a2))
     return np.array(h_K)
@@ -187,7 +229,7 @@ def reference_h_E(gm, edge):
     a, b = edge.interval
     ts, ws = quadrature.gauss_rule(EDGE_LENGTH_POINTS).mapped(a, b)
     x_hat = np.array([edge.param_point((t - a) / (b - a)) for t in ts])
-    _, J, _ = gm.evaluate_many(x_hat)
+    _, J, _ = reference_evaluate(gm, x_hat)
     tang = J[:, :, 1] if edge.side in ("x0", "x1") else J[:, :, 0]
     return float(np.sum(ws * np.linalg.norm(tang, axis=1)))
 
@@ -211,13 +253,14 @@ class TestBatchedMesh:
     def test_matches_element_and_edge_loop(self, annulus_gm, degree, spans):
         space = uniform_space(degree, spans)
         mesh = build_mesh(annulus_gm, space)
-        # closed-form spectral norm against the reference's SVD: a few ulp apart
+        # closed-form spectral norm on grids against the reference's SVD at
+        # single points: a few ulp apart
         np.testing.assert_allclose(
             mesh.h_K, reference_h_K(annulus_gm, space, degree + 2), rtol=1e-14, atol=0
         )
         assert len(mesh.edges) == 4 * spans
         for edge in mesh.edges:
-            assert edge.h_E == reference_h_E(annulus_gm, edge)
+            assert edge.h_E == pytest.approx(reference_h_E(annulus_gm, edge), rel=1e-14, abs=0)
 
     def test_param_point_batch_matches_scalar(self, annulus_gm):
         mesh = build_mesh(annulus_gm, uniform_space(2, 3))
@@ -227,6 +270,18 @@ class TestBatchedMesh:
             assert batch.shape == (3, 2)
             for row, si in zip(batch, s):
                 assert np.array_equal(row, edge.param_point(si))
+
+    def test_sign_change_at_a_corner_raises(self):
+        # bilinear map with P11 = (0.47, 0.47): det J = 1 - 0.53 (u + v) is
+        # positive at every Gauss point and negative only near the corner (1, 1)
+        space = uniform_space(1, 1)
+        P = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.47, 0.47]])
+        gm = GeometryMap(space, P, np.ones(4))
+        gauss = quadrature.gauss_rule(3).points
+        assert np.all(gm.evaluate_grid(gauss, gauss)[2] > 0)
+        assert gm.evaluate(np.array([1.0, 1.0]))[2] < 0
+        with pytest.raises(DegenerateJacobian, match="changes sign"):
+            build_mesh(gm, space)
 
     def test_folded_geometry_raises(self):
         # x(u) = 2u(1-u) + 0.2u^2 turns back at u = 5/9: det J changes sign

@@ -9,7 +9,7 @@ from nitsche_iga.errors import (
     NotOpen,
     OutOfDomain,
 )
-from nitsche_iga.splines import continuity_at, eval_basis_many
+from nitsche_iga.splines import collocation, continuity_at, eval_basis_many
 
 from conftest import greville
 
@@ -364,3 +364,21 @@ class TestEvalBasisMany:
             first, ders = eval_basis_many(kv, np.empty(0), nd)
             assert first.shape == (0,)
             assert ders.shape == (0, nd + 1, k + 1)
+
+
+class TestCollocation:
+    @pytest.mark.parametrize("knots,k", BATCH_KNOTS)
+    def test_rows_are_eval_basis_scattered(self, knots, k, rng):
+        kv = validate_knots(knots, k)
+        xs = batch_points(kv, rng)
+        C = collocation(kv, xs)
+        assert C.shape == (2, len(xs), kv.dimension)
+        for i, x in enumerate(xs):
+            ev = eval_basis(kv, float(x), 1)
+            cols = ev.first_index + np.arange(k + 1)
+            assert np.array_equal(C[:, i, cols], ev.ders[:2])
+            assert np.count_nonzero(np.delete(C[:, i], cols, axis=1)) == 0
+        # partition of unity and its derivative
+        assert np.max(np.abs(C[0].sum(axis=1) - 1.0)) < 1e-14
+        assert np.max(np.abs(C[1].sum(axis=1))) < 1e-10
+

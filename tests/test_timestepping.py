@@ -126,7 +126,7 @@ class TestProjection:
 
         def l2_error(coef):
             ec = disc.elements
-            vals = ec.field_values(coef)
+            vals = ec.field(coef)[..., 0]
             exact = u0(ec.x[..., 0].ravel(), ec.x[..., 1].ravel()).reshape(vals.shape)
             return np.sqrt(np.sum(ec.w * (exact - vals) ** 2))
 
