@@ -2,9 +2,11 @@
 
 A :class:`Discretization` precomputes, once per (space, mesh, quadrature)
 triple, the basis tables at all volume and boundary-edge quadrature points
-(:func:`tensor_product` of 1-D B-spline tables; edge data from
-:func:`~nitsche_iga.geometry.edge_geometry`, which also measures h_E) and
-the CSR pattern that every matrix shares.  Each bilinear form is one batched
+(:func:`_basis_table`, products of repeated and tiled 1-D B-spline tables;
+edge data from :func:`~nitsche_iga.geometry.edge_geometry`, which also
+measures h_E) and the CSR pattern that every matrix shares, the tensor
+product of the span-block patterns of the two directions
+(:func:`_tensor_pattern`).  Each bilinear form is one batched
 product, :func:`_blocks`, of a test table with a trial table that carries
 the weights and coefficients.  An edge's local basis is its owner element's,
 so edge terms add into the owner's entries, and one ``np.bincount`` sums a
@@ -31,30 +33,80 @@ from .splines import eval_basis_many
 PENALTY_FACTOR_DEFAULT = 1.25
 
 
-def tensor_product(d1, d2, orders):
-    """Bivariate tables from two 1-D derivative tables, (l1, l2) local order.
-
-    ``d1`` (..., r1, k1+1) and ``d2`` (..., r2, k2+1) hold the derivatives
-    of orders 0 .. r-1 of each 1-D basis; their leading axes broadcast.
-    Returns, for each (a, b) in ``orders`` (a < r1, b < r2), the table
-    (..., nloc) of the derivative of order a in direction 1 and b in
-    direction 2.
-    """
-    lead = np.broadcast_shapes(d1.shape[:-2], d2.shape[:-2])
-    shape = lead + (d1.shape[-1] * d2.shape[-1],)
-    return [
-        (d1[..., a, :, None] * d2[..., b, None, :]).reshape(shape) for a, b in orders
-    ]
-
-
 def _basis_table(d1, d2, inv_jac):
-    """The table (n, q, 3, nloc) of basis values and physical gradients from
-    1-D tables ``d1``, ``d2`` (as for ``tensor_product``) and J^-1 (n, q, 2, 2),
-    with its views (n, q, nloc) of the values and (n, q, nloc, 2) of the gradients."""
-    hat = np.stack(tensor_product(d1, d2, ((0, 0), (1, 0), (0, 1))), axis=-2)
+    """The table (n, q, 3, nloc) of basis values and physical gradients, with
+    its views (n, q, nloc) of the values and (n, q, nloc, 2) of the gradients.
+
+    ``d1`` (..., 2, k1+1) and ``d2`` (..., 2, k2+1) hold the values and first
+    derivatives of each 1-D basis; their leading axes broadcast to (n, q) or
+    to a shape that reshapes to it, and ``inv_jac`` (n, q, 2, 2) is J^-1.
+    Local functions run in (l1, l2) order with l2 fastest, so each row of the
+    table is the product of the direction-1 row repeated k2+1 times and the
+    direction-2 row tiled k1+1 times; one product fills all three rows, with
+    no outer products to stack.  The parametric gradients map to physical
+    ones as J^-T times the two derivative rows, one batched matmul.
+    """
+    n1, n2 = d1.shape[-1], d2.shape[-1]
+    hat = np.repeat(d1[..., (0, 1, 0), :], n2, axis=-1) * np.tile(d2[..., (0, 0, 1), :], n1)
     table = hat.reshape(inv_jac.shape[:2] + hat.shape[-2:])
-    table[:, :, 1:] = np.einsum("xqbl,xqba->xqal", table[:, :, 1:], inv_jac)
+    table[:, :, 1:] = inv_jac.swapaxes(-1, -2) @ table[:, :, 1:]
     return table, table[:, :, 0], table[:, :, 1:].swapaxes(2, 3)
+
+
+def _span_pattern(first, degree, n):
+    """CSR pattern of the span blocks of one direction.
+
+    ``first`` (ns,) holds the first nonzero function of each span, out of
+    ``n``.  Returns ``(indptr, indices, rank)``: the distinct (row, column)
+    pairs of the (k+1) x (k+1) span blocks in row-major order, and for each
+    block entry (ns, k+1, k+1) its position within its row.
+    """
+    local = first[:, None] + np.arange(degree + 1)
+    keys = local[:, :, None] * n + local[:, None, :]
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    indptr = np.searchsorted(pairs, np.arange(n + 1) * n)
+    rank = inverse.reshape(keys.shape) - indptr[local][:, :, None]
+    return indptr, pairs % n, rank
+
+
+def _tensor_pattern(space, first1, first2):
+    """CSR pattern of the element blocks and the data slot of each block entry.
+
+    Element (s1, s2) couples functions (i1, i2) and (j1, j2) exactly when
+    span s1 couples i1 with j1 and span s2 couples i2 with j2, so the pattern
+    is the tensor product of the two span-block patterns of
+    :func:`_span_pattern`.  Row g = i1 + n1 i2 holds len1(i1) len2(i2)
+    columns j1 + n1 j2 in (j2, j1) order, which is ascending; the entry of
+    ranks (rank1, rank2) in the 1-D rows sits at
+    indptr[g] + rank2 len1(i1) + rank1.  Returns ``(indptr, indices, slots)``
+    with ``slots`` (ne, nloc, nloc) in int32, the largest array kept;
+    elements run with direction 1 fastest, local functions (l1, l2) with l2
+    fastest.
+    """
+    (n1, n2), (k1, k2) = space.shape, space.degrees
+    indptr1, indices1, rank1 = _span_pattern(first1, k1, n1)
+    indptr2, indices2, rank2 = _span_pattern(first2, k2, n2)
+    len1, len2 = np.diff(indptr1), np.diff(indptr2)
+
+    # rows g in (i2, i1) order; each entry's ranks in the 1-D rows of i1, i2
+    sizes = np.outer(len2, len1).ravel()
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    i1, i2 = np.tile(np.arange(n1), n2), np.repeat(np.arange(n2), n1)
+    offset = np.arange(indptr[-1]) - np.repeat(indptr[:-1], sizes)
+    r2, r1 = np.divmod(offset, np.repeat(len1[i1], sizes))
+    at1, at2 = np.repeat(indptr1[i1], sizes) + r1, np.repeat(indptr2[i2], sizes) + r2
+    indices = indices1[at1] + n1 * indices2[at2]
+
+    # per element (s2, s1) and local pair ((a1, a2), (b1, b2)): the start of
+    # row g(a1, a2) plus the direction-2 offset, then the direction-1 rank
+    local1, local2 = first1[:, None] + np.arange(k1 + 1), first2[:, None] + np.arange(k2 + 1)
+    g = local1[None, :, :, None] + n1 * local2[:, None, None, :]
+    start = indptr[g][..., None, None] + (
+        len1[local1][None, :, :, None, None, None] * rank2[:, None, None, :, None, :]
+    )
+    slots = start.astype(np.int32) + rank1.astype(np.int32)[None, :, :, None, :, None]
+    ne, nloc = len(first1) * len(first2), (k1 + 1) * (k2 + 1)
+    return indptr, indices, slots.reshape(ne, nloc, nloc)
 
 
 class ElementCache:
@@ -63,7 +115,8 @@ class ElementCache:
     Arrays: ``x`` (ne, nq, 2) physical points, ``w`` (ne, nq) physical
     weights, ``table`` (ne, nq, 3, nloc) values and physical gradients with
     their views ``B`` (ne, nq, nloc) and ``G`` (ne, nq, nloc, 2), ``gidx``
-    (ne, nloc) global indices.  Elements run with direction 1 fastest;
+    (ne, nloc) global indices, ``span_first`` the first nonzero function of
+    each span of each direction.  Elements run with direction 1 fastest;
     quadrature points and local functions, (l1, l2), with direction 2 fastest.
     The geometry comes from one grid evaluation over the Gauss points of all
     spans, reordered to (element, point).
@@ -74,8 +127,8 @@ class ElementCache:
         s1, s2 = np.tile(np.arange(ns1), ns2), np.repeat(np.arange(ns2), ns1)
         ne, nq = len(s1), q * q
 
-        # per direction, the Gauss points of all spans (ns, q) and, per
-        # element, the weights (ne, q), first nonzero function (ne,) and 1-D
+        # per direction, the Gauss points (ns, q) and first nonzero function
+        # (ns,) of all spans and, per element, the weights (ne, q) and 1-D
         # values and first derivatives (ne, q, 2, k+1)
         rule = gauss_rule(q)
         per_direction = []
@@ -84,7 +137,7 @@ class ElementCache:
             pts, wts = rule.mapped(bps[:-1, None], bps[1:, None])
             first, ders = eval_basis_many(kv, pts.ravel(), 1)
             ders = ders.reshape(kv.num_spans, q, 2, -1)[spans]
-            per_direction.append((pts, wts[spans], first[::q][spans], ders))
+            per_direction.append((pts, wts[spans], first[::q], ders))
         (p1, w1, f1, d1), (p2, w2, f2, d2) = per_direction
         w_hat = np.repeat(w1, q, axis=1) * np.tile(w2, (1, q))
 
@@ -100,7 +153,8 @@ class ElementCache:
         self.table, self.B, self.G = _basis_table(d1[:, :, None], d2[:, None], invJ)
         self.x = x
         self.w = w_hat * np.abs(detj)
-        self.gidx = space.local_to_global(f1, f2)
+        self.span_first = (f1, f2)
+        self.gidx = space.local_to_global(f1[s1], f2[s2])
 
     def field(self, coef):
         """Values and physical gradients (ne, nq, 3) of the field with
@@ -159,14 +213,11 @@ class Discretization:
         self.elements = ElementCache(space, mesh, quadrature_order)
         self.boundary = EdgeCache(space, mesh, quadrature_order)
 
-        # the CSR pattern of every matrix: the distinct (row, column) pairs of
-        # the element blocks in row-major order, and the slot of each block
-        # entry, in int32 as the largest array kept
-        gidx, dim = self.elements.gidx, space.dimension
-        pairs, slots = np.unique(gidx[:, :, None] * dim + gidx[:, None, :], return_inverse=True)
-        self._indptr = np.searchsorted(pairs, np.arange(dim + 1) * dim)
-        self._indices = pairs % dim
-        self._slots = slots.reshape(gidx.shape + gidx.shape[-1:]).astype(np.int32)
+        # the CSR pattern of every matrix and the slot of each element block
+        # entry, built from the span blocks of the two directions
+        self._indptr, self._indices, self._slots = _tensor_pattern(
+            space, *self.elements.span_first
+        )
 
     @property
     def dimension(self):
@@ -247,7 +298,7 @@ def _edge_terms(disc, mu_e, bn, eps):
     """At the edge points, the flux n . mu grad N and sigma N - flux, with
     sigma = eps/h_E - min(b . n, 0): the Dirichlet terms of the form."""
     bc = disc.boundary
-    flux = np.einsum("fqa,fqab,fqbl->fql", bc.normal, mu_e, bc.table[:, :, 1:])
+    flux = ((bc.normal[:, :, None, :] @ mu_e) @ bc.table[:, :, 1:])[:, :, 0]
     sigma = (eps / bc.h_E)[:, None] - np.minimum(bn, 0.0)
     return flux, sigma[..., None] * bc.B - flux
 

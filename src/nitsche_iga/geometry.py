@@ -179,19 +179,6 @@ class BoundaryEdge:
         self.h_E = h_E
         self.fixed_coord = 0.0 if side in ("x0", "y0") else 1.0
 
-    def param_point(self, s):
-        """Parametric point for the edge parameter s in [0, 1].
-
-        An array of parameters gives one point per parameter along the
-        last axis.
-        """
-        a, b = self.interval
-        t = a + (b - a) * np.asarray(s, dtype=float)
-        fixed = np.full_like(t, self.fixed_coord)
-        if self.side in ("x0", "x1"):
-            return np.stack([fixed, t], axis=-1)
-        return np.stack([t, fixed], axis=-1)
-
 
 class PhysicalMesh:
     """Image of the solution-space parametric mesh under the geometry map.
@@ -287,33 +274,40 @@ def edge_geometry(gm, edges, rule):
     physical points, inverse Jacobians, arc-length weights (span width times
     rule weight times the tangent length) and unit outward normals.  The
     normal is the row of J^-1 that is the gradient of the edge's fixed
-    parametric coordinate, pointing away from the domain.  The geometry is
-    evaluated on one 1 x m or m x 1 grid per side: the side's fixed
-    coordinate by the points of all its edges.
+    parametric coordinate, pointing away from the domain.  The parametric
+    points of all edges are formed at once, lo + (hi - lo) * rule.points
+    along each edge's span and the side's fixed coordinate across it; the
+    geometry is evaluated on one 1 x m or m x 1 grid per side: the side's
+    fixed coordinate by the points of all its edges.
     """
     nf, q = len(edges), rule.order
-    x_hat = np.stack([e.param_point(rule.points) for e in edges])
+    sides = np.array([e.side for e in edges])
+    lo, hi = np.array([e.interval for e in edges]).T[:, :, None]
+    fixed = np.array([e.fixed_coord for e in edges])[:, None]
+    along_dir2 = np.isin(sides, ("x0", "x1"))[:, None]
+    t = lo + (hi - lo) * rule.points
+    x_hat = np.empty((nf, q, 2))
+    x_hat[..., 0] = np.where(along_dir2, fixed, t)
+    x_hat[..., 1] = np.where(along_dir2, t, fixed)
+
     x, J = np.empty((nf, q, 2)), np.empty((nf, q, 2, 2))
     for side in SIDES:
-        on_side = [i for i, e in enumerate(edges) if e.side == side]
-        if not on_side:
+        on_side = np.flatnonzero(sides == side)
+        if not len(on_side):
             continue
-        fixed = [edges[on_side[0]].fixed_coord]
         if side in ("x0", "x1"):
-            xs, Js, _ = gm.evaluate_grid(fixed, x_hat[on_side, :, 1].ravel())
+            xs, Js, _ = gm.evaluate_grid(fixed[on_side[0]], x_hat[on_side, :, 1].ravel())
         else:
-            xs, Js, _ = gm.evaluate_grid(x_hat[on_side, :, 0].ravel(), fixed)
+            xs, Js, _ = gm.evaluate_grid(x_hat[on_side, :, 0].ravel(), fixed[on_side[0]])
         x[on_side] = xs.reshape(-1, q, 2)
         J[on_side] = Js.reshape(-1, q, 2, 2)
     inv_jac, _ = invert_2x2(J)
 
-    along_dir2 = np.array([e.side in ("x0", "x1") for e in edges])[:, None, None]
-    widths = np.array([b - a for a, b in (e.interval for e in edges)])
-    tang = np.where(along_dir2, J[..., 1], J[..., 0])
-    w = widths[:, None] * rule.weights * np.linalg.norm(tang, axis=2)
+    tang = np.where(along_dir2[..., None], J[..., 1], J[..., 0])
+    w = (hi - lo) * rule.weights * np.linalg.norm(tang, axis=2)
 
-    orient = np.array([1.0 if e.fixed_coord else -1.0 for e in edges])[:, None, None]
-    normal = orient * np.where(along_dir2, inv_jac[..., 0, :], inv_jac[..., 1, :])
+    orient = np.where(fixed > 0, 1.0, -1.0)[..., None]
+    normal = orient * np.where(along_dir2[..., None], inv_jac[..., 0, :], inv_jac[..., 1, :])
     normal /= np.linalg.norm(normal, axis=2)[..., None]
     return x_hat, x, inv_jac, w, normal
 

@@ -7,7 +7,6 @@ from nitsche_iga import (
     load_geometry,
     uniform_space,
 )
-from nitsche_iga.assembly import tensor_product
 from nitsche_iga.splines import eval_basis_many
 
 
@@ -62,6 +61,51 @@ def reference_evaluate(gm, x_hat):
     J[:, :, 1] = np.einsum("ml,mlc->mc", Nb, Ploc)
     detj = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
     return x, J, detj
+
+
+def tensor_product(d1, d2, orders):
+    """Bivariate tables from two 1-D derivative tables, (l1, l2) local order.
+
+    ``d1`` (..., r1, k1+1) and ``d2`` (..., r2, k2+1) hold the derivatives
+    of orders 0 .. r-1 of each 1-D basis; their leading axes broadcast.
+    Returns, for each (a, b) in ``orders`` (a < r1, b < r2), the table
+    (..., nloc) of the derivative of order a in direction 1 and b in
+    direction 2, as the outer product of the two 1-D rows.
+    """
+    lead = np.broadcast_shapes(d1.shape[:-2], d2.shape[:-2])
+    shape = lead + (d1.shape[-1] * d2.shape[-1],)
+    return [
+        (d1[..., a, :, None] * d2[..., b, None, :]).reshape(shape) for a, b in orders
+    ]
+
+
+def reference_basis_table(d1, d2, inv_jac):
+    """The basis table (n, q, 3, nloc) from outer products of the 1-D tables
+    and an einsum with J^-1; the reference for ``assembly._basis_table``."""
+    hat = np.stack(tensor_product(d1, d2, ((0, 0), (1, 0), (0, 1))), axis=-2)
+    table = hat.reshape(inv_jac.shape[:2] + hat.shape[-2:])
+    table[:, :, 1:] = np.einsum("xqbl,xqba->xqal", table[:, :, 1:], inv_jac)
+    return table
+
+
+def reference_pattern(gidx, dim):
+    """CSR pattern of element blocks with global indices ``gidx`` (ne, nloc):
+    ``(indptr, indices, slots)`` from ``np.unique`` over all (row, column)
+    keys; the reference for ``assembly._tensor_pattern``."""
+    pairs, slots = np.unique(gidx[:, :, None] * dim + gidx[:, None, :], return_inverse=True)
+    indptr = np.searchsorted(pairs, np.arange(dim + 1) * dim)
+    return indptr, pairs % dim, slots.reshape(gidx.shape + gidx.shape[-1:]).astype(np.int32)
+
+
+def reference_param_point(edge, s):
+    """Parametric point of ``edge`` for the edge parameter s in [0, 1]; an
+    array of parameters gives one point per parameter along the last axis."""
+    a, b = edge.interval
+    t = a + (b - a) * np.asarray(s, dtype=float)
+    fixed = np.full_like(t, edge.fixed_coord)
+    if edge.side in ("x0", "x1"):
+        return np.stack([fixed, t], axis=-1)
+    return np.stack([t, fixed], axis=-1)
 
 
 def relative_error(a, ref):

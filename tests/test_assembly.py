@@ -7,10 +7,13 @@ import scipy.sparse
 
 from nitsche_iga import (
     AssembledForms,
+    Discretization,
+    TensorSpace,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
     assembly,
+    build_mesh,
     builtin_case,
     gauss_rule,
     generalized_symmetric_eig,
@@ -25,7 +28,13 @@ from nitsche_iga.geometry import invert_2x2 as _invert_2x2
 from nitsche_iga.problem import Problem, _const_matrix, _const_scalar, _const_vector
 from nitsche_iga.splines import eval_basis, eval_basis_many, validate_knots
 
-from conftest import make_disc, reference_evaluate, relative_error
+from conftest import (
+    make_disc,
+    reference_basis_table,
+    reference_evaluate,
+    reference_pattern,
+    relative_error,
+)
 
 
 def pure_heat_problem(c=0.0):
@@ -207,6 +216,41 @@ class TestEdgeCache:
         assert np.array_equal(bc.owner, [e.owner for e in disc.mesh.edges])
 
 
+def anisotropic_disc(gm):
+    """A space with k1 != k2, ns1 != ns2 and a double interior knot in each
+    direction (reduced continuity there)."""
+    kv1 = validate_knots([0] * 4 + [0.25, 0.5, 0.5, 0.75] + [1] * 4, 3)
+    kv2 = validate_knots([0] * 3 + [0.1, 0.2, 0.4, 0.4, 0.6, 0.8] + [1] * 3, 2)
+    space = TensorSpace(kv1, kv2)
+    return Discretization(space, build_mesh(gm, space))
+
+
+class TestBasisTable:
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, "anisotropic"])
+    def test_matches_outer_products(self, monkeypatch, geometry, degree):
+        # both caches against outer products of the 1-D tables and the einsum
+        # mapping: values bit for bit, gradients at roundoff
+        calls = []
+        build = assembly._basis_table
+
+        def spy(d1, d2, inv_jac):
+            calls.append(((d1, d2, inv_jac), build(d1, d2, inv_jac)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(assembly, "_basis_table", spy)
+        gm = load_geometry(geometry)
+        disc = anisotropic_disc(gm) if degree == "anisotropic" else make_disc(gm, degree, 3)
+        assert len(calls) == 2
+        for cache, (args, (table, B, G)) in zip((disc.elements, disc.boundary), calls):
+            assert table is cache.table
+            assert np.shares_memory(B, table) and np.shares_memory(G, table)
+            ref = reference_basis_table(*args)
+            assert table.shape == ref.shape
+            assert np.array_equal(B, ref[:, :, 0])
+            assert relative_error(G, ref[:, :, 1:].swapaxes(2, 3)) <= 1e-15
+
+
 class TestCachesAgainstPerPointBuild:
     @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
@@ -320,6 +364,27 @@ class TestSparsityPattern:
         # strictly increasing (row, column) keys: sorted rows, no duplicates
         rows = np.repeat(np.arange(disc.dimension), np.diff(M.indptr))
         assert np.all(np.diff(rows * disc.dimension + M.indices) > 0)
+
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spans", [1, 2, 5])
+    def test_tensor_pattern_matches_unique(self, geometry, degree, spans):
+        disc = make_disc(load_geometry(geometry), degree, spans)
+        self.assert_reference_pattern(disc)
+
+    def test_tensor_pattern_anisotropic(self, square_gm):
+        disc = anisotropic_disc(square_gm)
+        assert disc.space.degrees == (3, 2) and disc.space.num_spans == (4, 6)
+        self.assert_reference_pattern(disc)
+
+    @staticmethod
+    def assert_reference_pattern(disc):
+        # the pattern from the 1-D span blocks against np.unique over all
+        # (row, column) keys of the element blocks: equal arrays and dtypes
+        ref = reference_pattern(disc.elements.gidx, disc.dimension)
+        for got, want in zip((disc._indptr, disc._indices, disc._slots), ref):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])

@@ -12,10 +12,16 @@ from nitsche_iga import (
 )
 from nitsche_iga import quadrature
 from nitsche_iga.errors import DegenerateJacobian, UnknownCase
-from nitsche_iga.geometry import EDGE_LENGTH_POINTS, spectral_norm_2x2
+from nitsche_iga.geometry import EDGE_LENGTH_POINTS, edge_geometry, spectral_norm_2x2
 from nitsche_iga.splines import eval_basis, uniform_open_knots
 
-from conftest import greville_grid, make_disc, reference_evaluate, relative_error
+from conftest import (
+    greville_grid,
+    make_disc,
+    reference_evaluate,
+    reference_param_point,
+    relative_error,
+)
 
 
 class TestTensorSpace:
@@ -228,7 +234,7 @@ def reference_h_E(gm, edge):
     """Arc length of one edge: one geometry evaluation for that edge."""
     a, b = edge.interval
     ts, ws = quadrature.gauss_rule(EDGE_LENGTH_POINTS).mapped(a, b)
-    x_hat = np.array([edge.param_point((t - a) / (b - a)) for t in ts])
+    x_hat = np.array([reference_param_point(edge, (t - a) / (b - a)) for t in ts])
     _, J, _ = reference_evaluate(gm, x_hat)
     tang = J[:, :, 1] if edge.side in ("x0", "x1") else J[:, :, 0]
     return float(np.sum(ws * np.linalg.norm(tang, axis=1)))
@@ -262,14 +268,17 @@ class TestBatchedMesh:
         for edge in mesh.edges:
             assert edge.h_E == pytest.approx(reference_h_E(annulus_gm, edge), rel=1e-14, abs=0)
 
-    def test_param_point_batch_matches_scalar(self, annulus_gm):
-        mesh = build_mesh(annulus_gm, uniform_space(2, 3))
-        s = np.array([0.0, 0.3, 1.0])
-        for edge in mesh.edges:
-            batch = edge.param_point(s)
-            assert batch.shape == (3, 2)
-            for row, si in zip(batch, s):
-                assert np.array_equal(row, edge.param_point(si))
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("degree,spans", [(1, 1), (2, 3), (4, 5)])
+    def test_edge_points_match_param_point(self, geometry, degree, spans):
+        # the points of all edges formed at once equal the edge-by-edge
+        # reference bit for bit
+        mesh = build_mesh(load_geometry(geometry), uniform_space(degree, spans))
+        rule = quadrature.gauss_rule(degree + 2)
+        x_hat = edge_geometry(mesh.geometry, mesh.edges, rule)[0]
+        ref = np.stack([reference_param_point(e, rule.points) for e in mesh.edges])
+        assert x_hat.shape == ref.shape
+        assert np.array_equal(x_hat, ref)
 
     def test_sign_change_at_a_corner_raises(self):
         # bilinear map with P11 = (0.47, 0.47): det J = 1 - 0.53 (u + v) is
