@@ -9,8 +9,6 @@ dense form and is meant for coarse meshes only.
 """
 
 import csv
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +99,6 @@ class LevelRecord:
     err_l2h1: float
     err_l2l2: float
     err_bdry: float
-    assembly_time: float = 0.0
-    solve_time: float = 0.0
 
 
 @dataclass
@@ -175,18 +171,15 @@ def run_level(
     trace of u on this geometry.  Returns ``(record, trajectory, forms)``.
     """
     p = case.problem
-    t0 = time.perf_counter()
     space = uniform_space(degree, spans)
     mesh = build_mesh(gm, space)
     disc = Discretization(space, mesh, quadrature_order)
     check_boundary_datum(case, disc)
     forms = AssembledForms(disc, p, epsilon=epsilon, epsilon_factor=epsilon_factor)
     u0 = project_initial(disc, p.u0)
-    t1 = time.perf_counter()
 
     grid = TimeGrid(num_steps, p.T)
     traj = march(forms, grid, u0)
-    t2 = time.perf_counter()
 
     err_h1, err_l2 = space_time_errors(traj, case)
     record = LevelRecord(
@@ -197,40 +190,23 @@ def run_level(
         err_l2h1=err_h1,
         err_l2l2=err_l2,
         err_bdry=boundary_trace_sq(traj.final, disc),
-        assembly_time=t1 - t0,
-        solve_time=t2 - t1,
     )
     return record, traj, forms
 
 
-def convergence_study(
-    case,
-    gm,
-    degree,
-    spans_list,
-    steps_for_level,
-    threads=1,
-    **level_kwargs,
-):
-    """Run all levels (optionally in parallel) and collect the report.
+def convergence_study(case, gm, degree, spans_list, steps_for_level, **level_kwargs):
+    """Run all levels in order and collect the report.
 
     ``steps_for_level(spans, T)`` gives the number of time steps of the
     level with ``spans`` spans per direction on [0, T].
     """
     if len(spans_list) < 2:
         raise InsufficientLevels("a convergence study needs at least two levels")
-
-    def one(spans):
+    report = ErrorReport()
+    for spans in spans_list:
         n = steps_for_level(spans, case.problem.T)
         record, _, _ = run_level(case, gm, degree, spans, n, **level_kwargs)
-        return record
-
-    report = ErrorReport()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            report.levels = list(pool.map(one, spans_list))
-    else:
-        report.levels = [one(s) for s in spans_list]
+        report.levels.append(record)
     return report
 
 

@@ -201,10 +201,17 @@ class Discretization:
     """Space, mesh, and quadrature bundled with their basis caches.
 
     ``quadrature_order`` is the Gauss points per direction on elements and
-    edges alike; it defaults to the largest degree plus two.
+    edges alike; it defaults to the largest degree plus two.  Raises
+    ``ValueError`` when ``mesh`` was built on a space with other degrees or
+    knots than ``space``.
     """
 
     def __init__(self, space, mesh, quadrature_order=None):
+        if any(
+            a.degree != b.degree or not np.array_equal(a.knots, b.knots)
+            for a, b in ((space.kv1, mesh.space.kv1), (space.kv2, mesh.space.kv2))
+        ):
+            raise ValueError(f"the mesh was built on {mesh.space}, not on {space}")
         if quadrature_order is None:
             quadrature_order = max(space.degrees) + 2
         self.space = space

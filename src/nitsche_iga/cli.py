@@ -3,14 +3,14 @@
 Run files are flat ``key = value`` text with ``#`` comments.  Exactly one
 of ``epsilon`` / ``epsilon_factor`` and exactly one of ``tau_rule`` /
 ``num_steps`` may be set.  Keys that older run files set and that no
-longer do anything (``freeze_operator``, ``solver_maxit``, ``solver_tol``)
-are ignored with a one-line notice on stderr.  ``convergence`` refuses a
-case whose Dirichlet datum is not the trace of its exact solution on the
+longer do anything (``freeze_operator``, ``solver_maxit``, ``solver_tol``,
+``threads``) are ignored with a one-line notice on stderr.  ``solve``
+refuses a snapshot time outside [0, T]; ``convergence`` refuses a case
+whose Dirichlet datum is not the trace of its exact solution on the
 chosen geometry.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure.
 
-The pipeline is deterministic; only single-threaded output is guaranteed
-to be byte-reproducible: identical configurations then produce identical
+The pipeline is deterministic: identical configurations produce identical
 output files byte for byte.
 """
 
@@ -50,7 +50,6 @@ _KNOWN_KEYS = {
     "num_steps",
     "quadrature_order",
     "snapshot_times",
-    "threads",
     "out",
 }
 
@@ -59,6 +58,7 @@ _IGNORED_KEYS = {
     "freeze_operator": "operator reuse is now automatic",
     "solver_maxit": "the sparse direct solver has no iteration limit",
     "solver_tol": "the solver's residual bounds are fixed",
+    "threads": "levels always run in order on one thread",
 }
 
 
@@ -74,7 +74,6 @@ class RunConfig:
     num_steps: int = None
     quadrature_order: int = None
     snapshot_times: list = field(default_factory=list)
-    threads: int = 1
     out: str = "out"
 
     def steps_for_level(self, spans, T):
@@ -197,7 +196,6 @@ def build_run_config(raw, overrides=None):
             _number("snapshot_times", t, float, math.isfinite, "a list of finite times")
             for t in raw.get("snapshot_times", "").replace(",", " ").split()
         ],
-        threads=optional("threads", _count) or 1,
         out=raw.get("out", "out"),
     )
     if cfg.epsilon is None and cfg.epsilon_factor is None:
@@ -226,7 +224,6 @@ def _write_manifest(cfg, path, extra):
         f"tau_rule = {cfg.tau_rule if cfg.tau_rule else ''}",
         f"num_steps = {cfg.num_steps if cfg.num_steps is not None else ''}",
         f"quadrature_order = {cfg.quadrature_order if cfg.quadrature_order else 'default'}",
-        f"threads = {cfg.threads}",
     ]
     lines += [f"{k} = {v}" for k, v in extra.items()]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -237,11 +234,16 @@ def cmd_solve(cfg):
     if len(cfg.levels) != 1:
         raise ConfigError("'levels' must contain exactly one entry for solve")
     case = builtin_case(cfg.case)
+    T = case.problem.T
+    for t_req in cfg.snapshot_times:
+        if not 0.0 <= t_req <= T:
+            raise ConfigError(
+                f"snapshot time {t_req:g} lies outside the time interval [0, {T:g}]"
+            )
     gm = load_geometry(cfg.geometry)
     spans = cfg.levels[0]
     disc, forms = _setup_level(cfg, case, gm, spans)
 
-    T = case.problem.T
     n_steps = cfg.steps_for_level(spans, T)
     grid = TimeGrid(n_steps, T)
     u0 = project_initial(disc, case.problem.u0)
@@ -289,7 +291,6 @@ def cmd_convergence(cfg):
 
     report = analysis.convergence_study(
         case, gm, cfg.degree, cfg.levels, cfg.steps_for_level,
-        threads=cfg.threads,
         epsilon=cfg.epsilon, epsilon_factor=cfg.epsilon_factor,
         quadrature_order=cfg.quadrature_order,
     )
@@ -362,7 +363,6 @@ def build_parser():
         s = sub.add_parser(name, help=help_text)
         s.add_argument("--config", required=True, help="flat key = value run file")
         s.add_argument("--out", default=None, help="output directory")
-        s.add_argument("--threads", type=int, default=None, help="parallel level workers")
         s.add_argument("--case", default=None, help="override the configured case")
         s.add_argument("--geometry", default=None, help="override the configured geometry")
     return parser
@@ -376,7 +376,6 @@ def main(argv=None):
             raw,
             overrides={
                 "out": args.out,
-                "threads": args.threads,
                 "case": args.case,
                 "geometry": args.geometry,
             },

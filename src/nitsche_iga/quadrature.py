@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules on [0, 1] and their tensor product on the unit square."""
+"""Gauss-Legendre rules on [0, 1]."""
 
 from dataclasses import dataclass
 
@@ -54,14 +54,4 @@ def _legendre_and_derivative(q, x):
         pm, p = p, ((2 * n - 1) * x * p - (n - 1) * pm) / n
     dp = q * (x * p - pm) / (x * x - 1.0)
     return p, dp
-
-
-def tensor_rule(q):
-    """Tensor product of the q-point rule with itself on the unit square;
-    returns (points (q*q, 2), weights), direction 1 fastest."""
-    r = gauss_rule(q)
-    px, py = np.meshgrid(r.points, r.points, indexing="ij")
-    wx, wy = np.meshgrid(r.weights, r.weights, indexing="ij")
-    pts = np.column_stack([px.ravel(order="F"), py.ravel(order="F")])
-    return pts, (wx * wy).ravel(order="F")
 

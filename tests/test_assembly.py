@@ -200,6 +200,28 @@ def reference_table(ref):
     return np.concatenate([ref["B"][:, :, None], ref["G"].swapaxes(2, 3)], axis=2)
 
 
+class TestSpaceMeshMatch:
+    def test_mesh_of_another_space_raises(self):
+        gm = load_geometry("square")
+        uniform = uniform_space(2, 4)
+        moved = validate_knots([0, 0, 0, 0.25, 0.6, 0.75, 1, 1, 1], 2)
+        others = [
+            uniform_space(2, 8),  # finer mesh, coarser space
+            uniform_space(3, 4),  # same spans, other degree
+            TensorSpace(uniform.kv1, moved),  # other knots in direction 2 only
+        ]
+        for other in others:
+            for space, mesh_space in ((uniform, other), (other, uniform)):
+                with pytest.raises(ValueError, match="mesh was built on"):
+                    Discretization(space, build_mesh(gm, mesh_space))
+
+    def test_equal_distinct_space_accepted(self):
+        space, twin = uniform_space(2, 4), uniform_space(2, 4)
+        assert space is not twin
+        disc = Discretization(space, build_mesh(load_geometry("square"), twin))
+        assert disc.dimension == space.dimension
+
+
 class TestEdgeCache:
     @pytest.mark.parametrize("degree,spans", [(2, 5), (3, 4)])
     def test_matches_edge_loop(self, annulus_gm, degree, spans):

@@ -22,19 +22,19 @@ RUNS = {
     "convergence": (
         "convergence",
         "case = steady_reaction\ngeometry = quarter_annulus\ndegree = 2\n"
-        "levels = 2 4\ntau_rule = h^1\nthreads = 1\n",
+        "levels = 2 4\ntau_rule = h^1\n",
         ("report.csv", "err_vs_h.dat"),
     ),
     "solve": (
         "solve",
         "case = paper_sec8\ngeometry = square\ndegree = 2\n"
-        "levels = 4\nnum_steps = 8\nthreads = 1\n",
+        "levels = 4\nnum_steps = 8\n",
         ("manifest.txt", "solution_t4.csv"),
     ),
     "calibrate": (
         "calibrate",
         "case = steady_reaction\ngeometry = quarter_annulus\ndegree = 2\n"
-        "levels = 4\nnum_steps = 1\nthreads = 1\n",
+        "levels = 4\nnum_steps = 1\n",
         ("calibrate.txt",),
     ),
 }
