@@ -3,7 +3,8 @@
 The space-time error treats the discrete trajectory as the
 piecewise-constant-in-time extension (u(t) = u^{n+1} on (t_n, t_{n+1}]);
 per step interval the exact solution is resolved with a 3-point Gauss rule
-in time, and space integrals use the element quadrature of the
+in time, evaluated at all three times of a step in one call per block of
+points, and space integrals use the element quadrature of the
 discretization.  The coercivity audit converts the assembled matrices to
 dense form and is meant for coarse meshes only.
 """
@@ -22,6 +23,14 @@ from .splines import collocation
 from .timestepping import TimeGrid, march, project_initial
 
 TIME_QUAD_POINTS = 3
+
+# points per call of the exact solution in space_time_errors.  Its (3, b, 2)
+# float64 gradient, at most 120 KiB, then stays below glibc's default mmap
+# threshold of 128 KiB.  Where the threshold stays there (set by mallopt or
+# MALLOC_MMAP_THRESHOLD_), every larger temporary is mapped afresh and
+# page-faulted in; on the unit square at 24 spans and k = 2 that cost as
+# much time as the 3 times save by sharing their t-independent factors.
+MAX_BLOCK_POINTS = 2560
 
 # sampled times and relative bound of check_boundary_datum
 BOUNDARY_CHECK_TIMES = 5
@@ -46,28 +55,40 @@ def boundary_trace_sq(coef, disc):
 # -- space-time errors --------------------------------------------------------
 
 def space_time_errors(traj, case):
-    """(L2(J;H1), L2(J;L2)) errors of the piecewise-constant extension."""
-    disc = traj.disc
-    ec = disc.elements
-    grid = traj.grid
-    rule = gauss_rule(TIME_QUAD_POINTS)
-    X = ec.x[..., 0]
-    Y = ec.x[..., 1]
+    """(L2(J;H1), L2(J;L2)) errors of the piecewise-constant extension.
 
+    ``case.u`` and ``case.grad_u`` are evaluated at the 3 Gauss times of a
+    step in one call per block of at most ``MAX_BLOCK_POINTS`` element
+    quadrature points: x and y as a (1, b) row, the times as a (3, 1)
+    column.  Their results are read through broadcasting, so a closure
+    that does not depend on t may return the row.  Each time's space
+    integrals are rows of one (3, m) array over all m points, summed in
+    the order of a per-time loop.
+    """
+    ec = traj.disc.elements
+    nodes = traj.grid.nodes
+    times, wts = gauss_rule(TIME_QUAD_POINTS).mapped(nodes[:-1, None], nodes[1:, None])
+    m = ec.w.size
+    x = np.ascontiguousarray(ec.x[..., 0]).reshape(1, m)
+    y = np.ascontiguousarray(ec.x[..., 1]).reshape(1, m)
+    w = ec.w.reshape(m)
+    blocks = [slice(a, a + MAX_BLOCK_POINTS) for a in range(0, m, MAX_BLOCK_POINTS)]
+
+    due = np.empty((TIME_QUAD_POINTS, m))
+    dge = np.empty((TIME_QUAD_POINTS, m, 2))
+    dge_sq = np.empty((TIME_QUAD_POINTS, m))
     acc_h1 = 0.0
     acc_l2 = 0.0
-    for n in range(1, grid.num_steps + 1):
-        field = ec.field(traj.coefs[n])
-        vals, grads = field[..., 0], field[..., 1:]
-        times, wts = rule.mapped(grid.nodes[n - 1], grid.nodes[n])
-        for tj, wj in zip(times, wts):
-            due = case.u(X.ravel(), Y.ravel(), tj).reshape(X.shape) - vals
-            dge = (
-                case.grad_u(X.ravel(), Y.ravel(), tj).reshape(X.shape + (2,))
-                - grads
-            )
-            l2_part = np.sum(ec.w * due**2)
-            h1_part = l2_part + np.sum(ec.w * np.sum(dge**2, axis=-1))
+    for n in range(1, traj.grid.num_steps + 1):
+        field = ec.field(traj.coefs[n]).reshape(m, 3)
+        tn = times[n - 1, :, None]
+        for b in blocks:
+            np.subtract(case.u(x[:, b], y[:, b], tn), field[b, 0], out=due[:, b])
+            np.subtract(case.grad_u(x[:, b], y[:, b], tn), field[b, 1:], out=dge[:, b])
+        l2_parts = np.multiply(w, np.square(due, out=due), out=due).sum(axis=1)
+        np.sum(np.square(dge, out=dge), axis=-1, out=dge_sq)
+        h1_parts = l2_parts + np.multiply(w, dge_sq, out=dge_sq).sum(axis=1)
+        for wj, l2_part, h1_part in zip(wts[n - 1], l2_parts, h1_parts):
             acc_l2 += wj * l2_part
             acc_h1 += wj * h1_part
     return float(np.sqrt(acc_h1)), float(np.sqrt(acc_l2))

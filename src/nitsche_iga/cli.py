@@ -4,8 +4,9 @@ Run files are flat ``key = value`` text with ``#`` comments.  Exactly one
 of ``epsilon`` / ``epsilon_factor`` and exactly one of ``tau_rule`` /
 ``num_steps`` may be set.  Keys that older run files set and that no
 longer do anything (``freeze_operator``, ``solver_maxit``, ``solver_tol``,
-``threads``) are ignored with a one-line notice on stderr.  ``solve``
-refuses a snapshot time outside [0, T]; ``convergence`` refuses a case
+``threads``) are ignored with a one-line notice on stderr.  ``solve`` and
+``calibrate`` take exactly one entry in ``levels``; ``solve`` refuses a
+snapshot time outside [0, T]; ``convergence`` refuses a case
 whose Dirichlet datum is not the trace of its exact solution on the
 chosen geometry.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure.
@@ -311,6 +312,8 @@ def cmd_convergence(cfg):
 
 def cmd_calibrate(cfg):
     """Report the penalty floor and coercivity audits for a factor sweep."""
+    if len(cfg.levels) != 1:
+        raise ConfigError("'levels' must contain exactly one entry for calibrate")
     case = builtin_case(cfg.case)
     gm = load_geometry(cfg.geometry)
     spans = cfg.levels[0]
@@ -318,7 +321,7 @@ def cmd_calibrate(cfg):
     if space.dimension > CALIBRATE_DOF_LIMIT:
         raise ConfigError(
             f"calibrate uses dense audits; {space.dimension} dof exceeds "
-            f"{CALIBRATE_DOF_LIMIT} (use a coarser first level)"
+            f"{CALIBRATE_DOF_LIMIT} (use a coarser level)"
         )
     mesh = build_mesh(gm, space)
     disc = Discretization(space, mesh, cfg.quadrature_order)

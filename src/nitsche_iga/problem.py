@@ -9,9 +9,14 @@ with Dirichlet datum g, initial datum u0, and the ellipticity metadata
 are vectorized: they take coordinate arrays ``x, y`` of shape (m,) and a
 scalar time ``t`` and return arrays of shape (m,), (m, 2), or (m, 2, 2).
 
-Manufactured cases add the exact solution and its spatial gradient; a
-consistency self-check differentiates the stored closed forms numerically
-and verifies that the forcing term really matches.
+Manufactured cases add the exact solution ``u`` and its spatial gradient
+``grad_u``.  These two closures broadcast over (x, y, t): given x and y of
+shape (1, m) and t of shape (r, 1) they return arrays that broadcast to
+(r, m) and (r, m, 2), and a closure that does not depend on t may return
+the (1, m) row.  Each entry equals, bit for bit, the entry of the call with
+(m,) arrays and a scalar t.  A consistency self-check differentiates the
+stored closed forms numerically and verifies that the forcing term really
+matches.
 """
 
 import warnings
@@ -46,7 +51,12 @@ class Problem:
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """A problem together with its closed-form exact solution."""
+    """A problem together with its closed-form exact solution.
+
+    ``u(x, y, t)`` and ``grad_u(x, y, t)`` broadcast over their three
+    arguments (see the module docstring); the closures of ``problem`` take
+    (m,) arrays and a scalar t.
+    """
 
     name: str
     problem: Problem
@@ -219,8 +229,8 @@ def _case_zero():
     return ManufacturedCase(
         "zero",
         prob,
-        u=lambda x, y, t: _zero(x, y),
-        grad_u=lambda x, y, t: np.zeros((len(np.atleast_1d(x)), 2)),
+        u=lambda x, y, t: np.zeros(np.broadcast(x, y).shape),
+        grad_u=lambda x, y, t: np.zeros(np.broadcast(x, y).shape + (2,)),
     )
 
 

@@ -7,6 +7,7 @@ from nitsche_iga import (
     load_geometry,
     uniform_space,
 )
+from nitsche_iga.quadrature import gauss_rule
 from nitsche_iga.splines import eval_basis_many
 
 
@@ -106,6 +107,34 @@ def reference_param_point(edge, s):
     if edge.side in ("x0", "x1"):
         return np.stack([fixed, t], axis=-1)
     return np.stack([t, fixed], axis=-1)
+
+
+def reference_space_time_errors(traj, case):
+    """(L2(J;H1), L2(J;L2)) errors with one call of ``case.u`` and
+    ``case.grad_u`` per Gauss time, each on (m,) arrays and a scalar t; the
+    reference for ``analysis.space_time_errors``."""
+    ec = traj.disc.elements
+    grid = traj.grid
+    rule = gauss_rule(3)
+    X = ec.x[..., 0]
+    Y = ec.x[..., 1]
+    acc_h1 = 0.0
+    acc_l2 = 0.0
+    for n in range(1, grid.num_steps + 1):
+        field = ec.field(traj.coefs[n])
+        vals, grads = field[..., 0], field[..., 1:]
+        times, wts = rule.mapped(grid.nodes[n - 1], grid.nodes[n])
+        for tj, wj in zip(times, wts):
+            due = case.u(X.ravel(), Y.ravel(), tj).reshape(X.shape) - vals
+            dge = (
+                case.grad_u(X.ravel(), Y.ravel(), tj).reshape(X.shape + (2,))
+                - grads
+            )
+            l2_part = np.sum(ec.w * due**2)
+            h1_part = l2_part + np.sum(ec.w * np.sum(dge**2, axis=-1))
+            acc_l2 += wj * l2_part
+            acc_h1 += wj * h1_part
+    return float(np.sqrt(acc_h1)), float(np.sqrt(acc_l2))
 
 
 def relative_error(a, ref):

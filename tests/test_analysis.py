@@ -21,8 +21,9 @@ from nitsche_iga import (
 from nitsche_iga import analysis
 from nitsche_iga.analysis import check_boundary_datum, run_level
 from nitsche_iga.errors import ConfigError, InsufficientLevels
+from nitsche_iga.timestepping import SolutionTrajectory
 
-from conftest import greville_grid, make_disc
+from conftest import greville_grid, make_disc, reference_space_time_errors
 
 
 def constant_one_coefficients(disc):
@@ -84,6 +85,47 @@ class TestSpaceTimeErrors:
             )
             errs.append(rec.err_l2h1)
         assert abs(errs[0] - errs[1]) / errs[1] < 1e-3
+
+    @pytest.mark.parametrize("name", ["paper_sec8", "steady_reaction", "zero"])
+    @pytest.mark.parametrize("geometry", ["square_gm", "annulus_gm"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("block", [analysis.MAX_BLOCK_POINTS, 7])
+    def test_matches_per_time_loop(self, request, monkeypatch, name, geometry, degree, block):
+        # random coefficients, so that every case has a nonzero error at
+        # every Gauss time; one, three and eight steps; the default block
+        # takes all points in one call, 7 splits them into blocks of 7 and
+        # a shorter last one
+        monkeypatch.setattr(analysis, "MAX_BLOCK_POINTS", block)
+        case = builtin_case(name)
+        disc = make_disc(request.getfixturevalue(geometry), degree, 3)
+        rng = np.random.default_rng(degree)
+        for steps in (1, 3, 8):
+            coefs = rng.standard_normal((steps + 1, disc.dimension))
+            traj = SolutionTrajectory(coefs, TimeGrid(steps, case.problem.T), disc)
+            assert space_time_errors(traj, case) == reference_space_time_errors(traj, case)
+
+    @pytest.mark.parametrize("spans, block_sizes", [(3, [144]), (16, [2560, 1536])])
+    def test_exact_solution_called_once_per_step_and_block(self, square_gm, spans, block_sizes):
+        # k = 2 has 16 points per element: 144 points fit in one block,
+        # 4096 take two
+        case = builtin_case("paper_sec8")
+        calls = {"u": [], "grad_u": []}
+
+        def counted(key):
+            fn = getattr(case, key)
+
+            def wrapper(x, y, t):
+                calls[key].append((x.shape, y.shape, t.shape))
+                return fn(x, y, t)
+
+            return wrapper
+
+        counted_case = replace(case, u=counted("u"), grad_u=counted("grad_u"))
+        disc = make_disc(square_gm, 2, spans)
+        coefs = np.zeros((6, disc.dimension))
+        space_time_errors(SolutionTrajectory(coefs, TimeGrid(5, case.problem.T), disc), counted_case)
+        shapes = [((1, b), (1, b), (3, 1)) for b in block_sizes] * 5
+        assert calls == {"u": shapes, "grad_u": shapes}
 
 
 class TestBoundaryDatum:

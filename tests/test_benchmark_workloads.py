@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from nitsche_iga import geometry
+from nitsche_iga import assembly, geometry, timestepping
+
+from conftest import reference_space_time_errors
 
 ROOT = Path(__file__).resolve().parents[1]
 NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -36,3 +38,20 @@ def test_workload_passes_its_gate(workloads, name):
     case = workloads.make_case(w)
     assert workloads.check_case(case, 0) == []
     assert workloads.run_once(w, case, geometry.load_geometry(w.geometry)).failures == []
+
+
+@pytest.mark.parametrize("name", [n for n in NAMES if n != "calibrate_annulus_k2"])
+def test_gate_values_match_the_per_time_loop(workloads, name):
+    # the space-time errors of run_once, bit for bit against one call of the
+    # exact solution per Gauss time on the same trajectory
+    w = workloads.WORKLOADS[name]
+    case = workloads.make_case(w)
+    gm = geometry.load_geometry(w.geometry)
+    space = geometry.uniform_space(w.degree, w.spans)
+    disc = assembly.Discretization(space, geometry.build_mesh(gm, space))
+    u0 = timestepping.project_initial(disc, case.problem.u0)
+    forms = assembly.AssembledForms(disc, case.problem)
+    traj = timestepping.march(forms, timestepping.TimeGrid(w.steps, case.problem.T), u0)
+    err_h1, err_l2 = reference_space_time_errors(traj, case)
+    values = workloads.run_once(w, case, gm).values
+    assert values == {"err_l2h1": err_h1, "err_l2l2": err_l2}

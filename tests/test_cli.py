@@ -132,6 +132,16 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
+    def test_multi_level_calibrate_exits_2(self, tmp_path, capsys):
+        cfg = BASE.replace("levels = 4", "levels = 2 4")
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["calibrate", "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "'levels'" in captured.err and "calibrate" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_boundary_datum_off_the_geometry_exits_2(self, tmp_path, capsys):
         # paper_sec8 has g = 0, the trace of u only on the unit square
         cfg = (

@@ -5,7 +5,7 @@ import pytest
 
 from nitsche_iga import builtin_case, coefficient_audit, inflow_mask
 from nitsche_iga.errors import UnknownCase
-from nitsche_iga.problem import consistency_residual
+from nitsche_iga.problem import _REGISTRY, consistency_residual
 
 from conftest import make_disc
 
@@ -78,6 +78,20 @@ class TestBuiltinCases:
         for t in rng.random(3) * case.problem.T:
             r = consistency_residual(case, x, y, float(t))
             assert np.max(np.abs(r)) < 1e-8
+
+    @pytest.mark.parametrize("name", sorted(_REGISTRY))
+    def test_exact_solution_broadcasts_over_times(self, name, rng):
+        # x, y as a (1, m) row and t as a (3, 1) column: once broadcast,
+        # row j equals the call with (m,) arrays at the scalar time t_j
+        case = builtin_case(name)
+        m = 37
+        x, y = rng.random(m), rng.random(m)
+        ts = np.sort(rng.random(3)) * case.problem.T
+        u = np.broadcast_to(case.u(x[None], y[None], ts[:, None]), (3, m))
+        g = np.broadcast_to(case.grad_u(x[None], y[None], ts[:, None]), (3, m, 2))
+        for j, t in enumerate(ts):
+            assert np.array_equal(u[j], case.u(x, y, t))
+            assert np.array_equal(g[j], case.grad_u(x, y, t))
 
     def test_zero_case_trivial(self, rng):
         case = builtin_case("zero")
