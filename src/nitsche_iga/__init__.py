@@ -59,7 +59,7 @@ from .geometry import (
     parse_geometry,
     uniform_space,
 )
-from .linalg import SparseFactor, generalized_symmetric_eig
+from .linalg import PatternOrder, SparseFactor, generalized_symmetric_eig
 from .problem import (
     ManufacturedCase,
     Problem,

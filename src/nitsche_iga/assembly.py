@@ -4,13 +4,16 @@ A :class:`Discretization` precomputes, once per (space, mesh, quadrature)
 triple, the basis tables at all volume and boundary-edge quadrature points
 (:func:`_basis_table`, products of repeated and tiled 1-D B-spline tables;
 edge data from :func:`~nitsche_iga.geometry.edge_geometry`, which also
-measures h_E) and the CSR pattern that every matrix shares, the tensor
+measures h_E), the CSR pattern that every matrix shares, the tensor
 product of the span-block patterns of the two directions
-(:func:`_tensor_pattern`).  Each bilinear form is one batched
+(:func:`_tensor_pattern`), and the fill-reducing order of that pattern, a
+nested dissection of the index grid (:func:`_nested_dissection`), with
+which every LU of the solver factors.  Each bilinear form is one batched
 product, :func:`_blocks`, of a test table with a trial table that carries
 the weights and coefficients.  An edge's local basis is its owner element's,
-so edge terms add into the owner's entries, and one ``np.bincount`` sums a
-matrix into the fixed pattern or a vector over the global indices.
+so each edge carries its owner's data slots and global indices: the element
+blocks and then the edge blocks fill one array, and one ``np.bincount``
+sums it into the fixed pattern, or sums a vector over the global indices.
 Repeated assemblies (one per time step) are cheap and bitwise reproducible.
 
 The stiffness form contains five families of terms: the volume form
@@ -26,7 +29,7 @@ import scipy.sparse as sp
 
 from .errors import NotSPD, SingularGram
 from .geometry import edge_geometry, invert_2x2
-from .linalg import generalized_symmetric_eig
+from .linalg import PatternOrder, generalized_symmetric_eig
 from .quadrature import gauss_rule
 from .splines import eval_basis_many
 
@@ -69,7 +72,7 @@ def _span_pattern(first, degree, n):
     return indptr, pairs % n, rank
 
 
-def _tensor_pattern(space, first1, first2):
+def _tensor_pattern(space, first1, first2, owner):
     """CSR pattern of the element blocks and the data slot of each block entry.
 
     Element (s1, s2) couples functions (i1, i2) and (j1, j2) exactly when
@@ -79,9 +82,10 @@ def _tensor_pattern(space, first1, first2):
     columns j1 + n1 j2 in (j2, j1) order, which is ascending; the entry of
     ranks (rank1, rank2) in the 1-D rows sits at
     indptr[g] + rank2 len1(i1) + rank1.  Returns ``(indptr, indices, slots)``
-    with ``slots`` (ne, nloc, nloc) in int32, the largest array kept;
-    elements run with direction 1 fastest, local functions (l1, l2) with l2
-    fastest.
+    in int32, with ``slots`` (ne + len(owner), nloc, nloc), the largest array
+    kept: the slots of the element blocks, then those of the element
+    ``owner[f]`` of each boundary edge f.  Elements run with direction 1
+    fastest, local functions (l1, l2) with l2 fastest.
     """
     (n1, n2), (k1, k2) = space.shape, space.degrees
     indptr1, indices1, rank1 = _span_pattern(first1, k1, n1)
@@ -104,9 +108,54 @@ def _tensor_pattern(space, first1, first2):
     start = indptr[g][..., None, None] + (
         len1[local1][None, :, :, None, None, None] * rank2[:, None, None, :, None, :]
     )
-    slots = start.astype(np.int32) + rank1.astype(np.int32)[None, :, :, None, :, None]
     ne, nloc = len(first1) * len(first2), (k1 + 1) * (k2 + 1)
-    return indptr, indices, slots.reshape(ne, nloc, nloc)
+    slots = np.empty((ne + len(owner), nloc, nloc), dtype=np.int32)
+    by_rank = slots[:ne].reshape(start.shape[:4] + (k1 + 1, k2 + 1))
+    np.add(start, rank1[None, :, :, None, :, None], out=by_rank)
+    np.take(slots, owner, axis=0, out=slots[ne:])
+    return indptr.astype(np.int32), indices.astype(np.int32), slots
+
+
+def _nested_dissection(shape, degrees):
+    """Nested-dissection order (George, SIAM J. Numer. Anal. 1973) of the
+    (n1, n2) index grid of a tensor-product space: ``perm`` with the global
+    index i1 + n1 i2 of each position in the order.
+
+    Functions (i1, i2) and (j1, j2) couple only when |i1 - j1| <= k1 and
+    |i2 - j2| <= k2, for any open knot vectors, so k_d consecutive index
+    lines across direction d separate a block into two halves that do not
+    couple.  A block w1 x w2 is cut at its middle across the direction of
+    the smaller separator (direction 1 when k1 w2 <= k2 w1: its wider side
+    when k1 = k2); its two halves come first, each dissected in turn, and
+    the separator last.  A block at most k_d + 1 wide in each direction d
+    is not cut.  The recursion collects only the rectangles, and one pass of
+    ``repeat`` and ``divmod`` expands them, direction 1 fastest within each.
+    """
+    (n1, n2), (k1, k2) = shape, degrees
+    rects = []
+
+    def dissect(a1, b1, a2, b2):  # the block of indices a1 <= i1 < b1, a2 <= i2 < b2
+        w1, w2 = b1 - a1, b2 - a2
+        wide1, wide2 = w1 > k1 + 1, w2 > k2 + 1
+        if wide1 and (k1 * w2 <= k2 * w1 or not wide2):
+            m = a1 + (w1 - k1 + 1) // 2
+            dissect(a1, m, a2, b2)
+            dissect(m + k1, b1, a2, b2)
+            rects.append((m, m + k1, a2, b2))
+        elif wide2:
+            m = a2 + (w2 - k2 + 1) // 2
+            dissect(a1, b1, a2, m)
+            dissect(a1, b1, m + k2, b2)
+            rects.append((a1, b1, m, m + k2))
+        else:
+            rects.append((a1, b1, a2, b2))
+
+    dissect(0, n1, 0, n2)
+    a1, b1, a2, b2 = np.array(rects).T
+    sizes = (b1 - a1) * (b2 - a2)
+    offset = np.arange(n1 * n2) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    r2, r1 = np.divmod(offset, np.repeat(b1 - a1, sizes))
+    return np.repeat(a1, sizes) + r1 + n1 * (np.repeat(a2, sizes) + r2)
 
 
 class ElementCache:
@@ -198,7 +247,11 @@ class EdgeCache:
 
 
 class Discretization:
-    """Space, mesh, and quadrature bundled with their basis caches.
+    """Space, mesh, and quadrature bundled with their basis caches, the CSR
+    pattern every matrix shares and its fill-reducing ``order`` (a
+    :class:`~nitsche_iga.linalg.PatternOrder` from
+    :func:`_nested_dissection`), which every ``SparseFactor`` of a matrix
+    of this discretization takes.
 
     ``quadrature_order`` is the Gauss points per direction on elements and
     edges alike; it defaults to the largest degree plus two.  Raises
@@ -220,15 +273,24 @@ class Discretization:
         self.elements = ElementCache(space, mesh, quadrature_order)
         self.boundary = EdgeCache(space, mesh, quadrature_order)
 
-        # the CSR pattern of every matrix and the slot of each element block
-        # entry, built from the span blocks of the two directions
+        # the CSR pattern of every matrix, built from the span blocks of the
+        # two directions, and the data slots and global indices of the
+        # element blocks followed by those of the edges (their owners')
         self._indptr, self._indices, self._slots = _tensor_pattern(
-            space, *self.elements.span_first
+            space, *self.elements.span_first, self.boundary.owner
+        )
+        self._gidx = np.concatenate((self.elements.gidx, self.boundary.gidx)).astype(np.int32)
+        self.order = PatternOrder(
+            _nested_dissection(space.shape, space.degrees), self._indptr, self._indices
         )
 
     @property
     def dimension(self):
         return self.space.dimension
+
+    def matrix(self, data):
+        """The CSR matrix with ``data`` on the shared pattern."""
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=(self.dimension,) * 2)
 
     @cached_property
     def mass(self):
@@ -246,24 +308,23 @@ class Discretization:
         return trace_constant(self)
 
 
-def _blocks(test, trial):
+def _blocks(test, trial, out=None):
     """Blocks (n, nloc, nloc) of the sum over points q and table rows r of
     test[:, q, r, i] * trial[:, q, r, j], for tables (n, nq, rows, nloc)."""
     n, nloc = test.shape[0], test.shape[-1]
-    return test.reshape(n, -1, nloc).swapaxes(1, 2) @ trial.reshape(n, -1, nloc)
+    return np.matmul(test.reshape(n, -1, nloc).swapaxes(1, 2), trial.reshape(n, -1, nloc), out=out)
 
 
-def _scatter(disc, index, size, values, edge_values=None):
-    """Sum element values at ``index``, each edge's added (in place) into its owner's."""
-    if edge_values is not None:
-        np.add.at(values, disc.boundary.owner, edge_values)
-    return np.bincount(index.ravel(), weights=values.ravel(), minlength=size)
+def _scatter(index, size, values):
+    """Sum ``values`` (n, ...) at the first n rows of ``index`` (elements,
+    then edges) into ``size`` bins."""
+    return np.bincount(index[: len(values)].ravel(), weights=values.ravel(), minlength=size)
 
 
-def _matrix(disc, blocks, edge_blocks=None):
-    """CSR matrix on the pattern of ``disc`` from element and edge blocks."""
-    data = _scatter(disc, disc._slots, len(disc._indices), blocks, edge_blocks)
-    return sp.csr_matrix((data, disc._indices, disc._indptr), shape=(disc.dimension,) * 2)
+def _matrix(disc, blocks):
+    """CSR matrix on the pattern of ``disc`` from the element blocks, or the
+    element blocks followed by the edge blocks."""
+    return disc.matrix(_scatter(disc._slots, len(disc._indices), blocks))
 
 
 def assemble_mass(disc):
@@ -317,18 +378,26 @@ def _stiffness_from(disc, coefficients, eps):
     ec, bc = disc.elements, disc.boundary
     mu, bv, cv, mu_e, bn = coefficients
 
-    # weighted trial side of the volume form: c N + b . grad N, and mu grad N
+    # weighted trial side of the volume form: c N + b . grad N, and mu grad N.
+    # It is the largest array of a run: the coefficients are freed before the
+    # array of element and edge blocks is allocated, and it before the edge
+    # terms are formed.
     coef = np.zeros(ec.w.shape + (3, 3))
     coef[..., 0, 0], coef[..., 0, 1:], coef[..., 1:, 1:] = cv, bv, mu
     coef *= ec.w[..., None, None]
-    blocks = _blocks(ec.table, coef @ ec.table)
+    trial = coef @ ec.table
+    del coef
+    ne = len(trial)
+    blocks = np.empty(disc._slots.shape)
+    _blocks(ec.table, trial, out=blocks[:ne])
+    del trial
 
     # test side N and flux, trial side sigma N - flux and -N: the flux term,
     # its transpose, the inflow term and the penalty
     flux, dirichlet = _edge_terms(disc, mu_e, bn, eps)
     edge_trial = bc.w[..., None, None] * np.stack([dirichlet, -bc.B], axis=2)
-    edge_blocks = _blocks(np.stack([bc.B, flux], axis=2), edge_trial)
-    return _matrix(disc, blocks, edge_blocks)
+    _blocks(np.stack([bc.B, flux], axis=2), edge_trial, out=blocks[ne:])
+    return _matrix(disc, blocks)
 
 
 def assemble_stiffness(disc, p, eps, t):
@@ -350,9 +419,10 @@ def assemble_load(disc, p, eps, t):
     gv, mu_e = (_coefficients_at(bc.x, fn, t) for fn in (p.g, p.mu))
     _, bn = inflow_mask(disc, p, t)
     _, dirichlet = _edge_terms(disc, mu_e, bn, eps)
-    volume = np.einsum("eq,eql->el", ec.w * fv, ec.B)
-    edges = np.einsum("fq,fql->fl", bc.w * gv, dirichlet)
-    return _scatter(disc, ec.gidx, disc.dimension, volume, edges)
+    values = np.empty(disc._gidx.shape)
+    np.einsum("eq,eql->el", ec.w * fv, ec.B, out=values[: len(fv)])
+    np.einsum("fq,fql->fl", bc.w * gv, dirichlet, out=values[len(fv) :])
+    return _scatter(disc._gidx, disc.dimension, values)
 
 
 def assemble_functional(disc, func):
@@ -360,16 +430,19 @@ def assemble_functional(disc, func):
     ec = disc.elements
     flat = ec.x.reshape(-1, 2)
     fv = np.asarray(func(flat[:, 0], flat[:, 1])).reshape(ec.w.shape)
-    return _scatter(disc, ec.gidx, disc.dimension, np.einsum("eq,eql->el", ec.w * fv, ec.B))
+    return _scatter(disc._gidx, disc.dimension, np.einsum("eq,eql->el", ec.w * fv, ec.B))
 
 
 def assemble_vh_gram(disc):
     """Gram matrix of the stability norm: H1 inner product plus the
     h_E^-1-weighted boundary mass."""
     ec, bc = disc.elements, disc.boundary
+    ne = len(ec.w)
+    blocks = np.empty(disc._slots.shape)
+    _blocks(ec.table, ec.w[..., None, None] * ec.table, out=blocks[:ne])
     B = bc.table[:, :, :1]
-    edge_blocks = _blocks(B, (bc.w / bc.h_E[:, None])[..., None, None] * B)
-    return _matrix(disc, _blocks(ec.table, ec.w[..., None, None] * ec.table), edge_blocks)
+    _blocks(B, (bc.w / bc.h_E[:, None])[..., None, None] * B, out=blocks[ne:])
+    return _matrix(disc, blocks)
 
 
 def trace_constant(disc):

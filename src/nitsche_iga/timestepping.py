@@ -8,6 +8,9 @@ matrix object whenever the coefficients it samples at the quadrature points
 last assembled ones, and the march factors M + tau A again only when that
 object changes: an autonomous operator is assembled and factored once, a
 time-dependent one every step, with the same result as rebuilding always.
+M and A share the discretization's CSR pattern, so M + tau A is formed on
+its data alone, and every LU, the mass matrix's included, takes the
+pattern's precomputed order ``disc.order``.
 """
 
 from dataclasses import dataclass
@@ -60,13 +63,14 @@ def project_initial(disc, u0):
     """L2 projection of the initial datum: solve M c = (u0, N_i)."""
     M = disc.mass
     rhs = assemble_functional(disc, u0)
-    return SparseFactor(M).solve(rhs)
+    return SparseFactor(M, disc.order).solve(rhs)
 
 
 def march(forms, grid, u0coef):
     """Run the implicit Euler march and return the trajectory."""
     tau = grid.tau
-    M = forms.disc.mass
+    disc = forms.disc
+    M = disc.mass
     n = M.shape[0]
     coefs = np.empty((grid.num_steps + 1, n))
     coefs[0] = u0coef
@@ -78,9 +82,9 @@ def march(forms, grid, u0coef):
         A_t = forms.stiffness(t)
         if A_t is not A:
             A = A_t
-            factor = SparseFactor(M + tau * A)
+            factor = SparseFactor(disc.matrix(M.data + tau * A.data), disc.order)
             factorizations += 1
         rhs = M @ coefs[step - 1] + tau * forms.load(t)
         coefs[step] = factor.solve(rhs)
-    return SolutionTrajectory(coefs, grid, forms.disc, factorizations)
+    return SolutionTrajectory(coefs, grid, disc, factorizations)
 

@@ -121,10 +121,10 @@ def test_criterion_4_consistency(square_gm):
     case = builtin_case("steady_reaction")
     disc = make_disc(square_gm, 2, 4)
     forms = AssembledForms(disc, case.problem, epsilon_factor=1.25)
-    uh = SparseFactor(forms.stiffness(0.0)).solve(forms.load(0.0))
+    uh = SparseFactor(forms.stiffness(0.0), disc.order).solve(forms.load(0.0))
     M = assemble_mass(disc)
     rhs = assemble_functional(disc, lambda x, y: case.u(x, y, 0.0))
-    exact_coef = SparseFactor(M).solve(rhs)
+    exact_coef = SparseFactor(M, disc.order).solve(rhs)
     err = vh_norm(uh - exact_coef, disc)
     report(4, f"stationary biquadratic reproduced, V_h error {err:.3e} <= 1e-9",
            err <= 1e-9)

@@ -26,7 +26,7 @@ from nitsche_iga import (
 from nitsche_iga.errors import SingularGram
 from nitsche_iga.geometry import invert_2x2 as _invert_2x2
 from nitsche_iga.problem import Problem, _const_matrix, _const_scalar, _const_vector
-from nitsche_iga.splines import eval_basis, eval_basis_many, validate_knots
+from nitsche_iga.splines import eval_basis, eval_basis_many, uniform_open_knots, validate_knots
 
 from conftest import (
     make_disc,
@@ -402,11 +402,18 @@ class TestSparsityPattern:
     @staticmethod
     def assert_reference_pattern(disc):
         # the pattern from the 1-D span blocks against np.unique over all
-        # (row, column) keys of the element blocks: equal arrays and dtypes
+        # (row, column) keys of the element blocks, kept in int32; the
+        # element slots and global indices are followed by each edge's
+        # owner's
         ref = reference_pattern(disc.elements.gidx, disc.dimension)
-        for got, want in zip((disc._indptr, disc._indices, disc._slots), ref):
-            assert got.dtype == want.dtype
+        ne, owner = len(disc.elements.gidx), disc.boundary.owner
+        for got, want in zip((disc._indptr, disc._indices, disc._slots[:ne]), ref):
+            assert got.dtype == np.int32
             assert np.array_equal(got, want)
+        assert np.array_equal(disc._slots[ne:], disc._slots[owner])
+        assert disc._gidx.dtype == np.int32
+        assert np.array_equal(disc._gidx[:ne], disc.elements.gidx)
+        assert np.array_equal(disc._gidx[ne:], disc.elements.gidx[owner])
 
     @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
@@ -416,6 +423,58 @@ class TestSparsityPattern:
         disc = make_disc(load_geometry(geometry), degree, spans)
         bc = disc.boundary
         assert np.array_equal(bc.gidx, disc.elements.gidx[bc.owner])
+
+
+def top_level_halves(shape, degrees):
+    """Masks over the indices i1 + n1 i2 of the two halves of the first cut
+    of a nested dissection: k_d index lines at the middle of direction d,
+    the direction of the smaller separator (direction 1 when k1 n2 <= k2 n1)
+    that is more than k_d + 1 wide."""
+    (n1, n2), (k1, k2) = shape, degrees
+    i1, i2 = np.tile(np.arange(n1), n2), np.repeat(np.arange(n2), n1)
+    wide1, wide2 = n1 > k1 + 1, n2 > k2 + 1
+    i, n, k = (i1, n1, k1) if wide1 and (k1 * n2 <= k2 * n1 or not wide2) else (i2, n2, k2)
+    m = (n - k + 1) // 2
+    return i < m, i >= m + k
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("k1", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k2", [1, 2, 3, 4])
+    def test_is_a_permutation(self, k1, k2):
+        for s1 in range(1, 33):
+            for s2 in (s1, 33 - s1):
+                perm = assembly._nested_dissection((s1 + k1, s2 + k2), (k1, k2))
+                assert np.array_equal(np.sort(perm), np.arange((s1 + k1) * (s2 + k2)))
+
+    @pytest.mark.parametrize(
+        "degrees, spans",
+        [((1, 1), (4, 4)), ((2, 2), (12, 12)), ((3, 3), (7, 16)), ((2, 4), (9, 5)),
+         ((4, 1), (16, 9)), ((1, 3), (3, 20)), ((2, 3), (2, 1))],
+    )
+    def test_top_level_cut_separates_the_halves(self, square_gm, degrees, spans):
+        kvs = [uniform_open_knots(k, s) for k, s in zip(degrees, spans)]
+        space = TensorSpace(*kvs)
+        self.assert_top_level_cut(Discretization(space, build_mesh(square_gm, space)))
+
+    def test_top_level_cut_with_double_knots(self, square_gm):
+        self.assert_top_level_cut(anisotropic_disc(square_gm))
+
+    @staticmethod
+    def assert_top_level_cut(disc):
+        # the disc's order is the dissection of its index grid; it numbers
+        # the two halves of the first cut, then the separator, and no entry
+        # of the pattern couples the halves
+        space, order = disc.space, disc.order
+        assert np.array_equal(order.perm, assembly._nested_dissection(space.shape, space.degrees))
+        assert order.indptr is disc._indptr and order.indices is disc._indices
+        left, right = top_level_halves(space.shape, space.degrees)
+        nl, nr = left.sum(), right.sum()
+        assert np.array_equal(np.sort(order.perm[:nl]), np.flatnonzero(left))
+        assert np.array_equal(np.sort(order.perm[nl : nl + nr]), np.flatnonzero(right))
+        rows = np.repeat(np.arange(disc.dimension), np.diff(disc._indptr))
+        assert not np.any(left[rows] & right[disc._indices])
+        assert not np.any(right[rows] & left[disc._indices])
 
 
 class TestMass:

@@ -4,7 +4,8 @@ Each workload named in ``BENCHMARK.json`` runs once through
 ``perfbench/workloads.py``, the module ``perfbench/run.py`` times, so a
 result that moves off its recorded reference fails here too.  So does
 ``calibrate_annulus_k2``, which ``BENCHMARK.json`` leaves out: it is the only
-workload that runs the dense coercivity audit.
+workload that runs the dense coercivity audit.  A traced repetition, under
+``perfbench/tracing.py``, must pass its gate too and see every factorization.
 """
 
 import importlib.util
@@ -18,18 +19,31 @@ from nitsche_iga import assembly, geometry, timestepping
 from conftest import reference_space_time_errors
 
 ROOT = Path(__file__).resolve().parents[1]
-NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-NAMES.append("calibrate_annulus_k2")
+BENCHMARKED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+NAMES = BENCHMARKED + ["calibrate_annulus_k2"]
+
+# SparseFactor constructions of one repetition: the mass matrix's, and one
+# per step whose operator changed (every step of the rotating field)
+FACTORIZATIONS = {"sec8_square_k2": 2, "rotating_square_k2": 65, "reaction_annulus_k3": 2}
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load_perfbench("workloads")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return load_perfbench("tracing")
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -55,3 +69,14 @@ def test_gate_values_match_the_per_time_loop(workloads, name):
     err_h1, err_l2 = reference_space_time_errors(traj, case)
     values = workloads.run_once(w, case, gm).values
     assert values == {"err_l2h1": err_h1, "err_l2l2": err_l2}
+
+
+@pytest.mark.parametrize("name", BENCHMARKED)
+def test_traced_repetition_sees_every_factorization(workloads, tracing, name):
+    w = workloads.WORKLOADS[name]
+    case = workloads.make_case(w)
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        rep = workloads.run_once(w, tracer.trace_case(case), geometry.load_geometry(w.geometry))
+    assert rep.failures == []
+    assert tracer.max_nnz > 0
+    assert tracer.table()["linalg.SparseFactor"]["calls"] == FACTORIZATIONS[name]

@@ -1,12 +1,14 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from nitsche_iga import AssembledForms, builtin_case, generalized_symmetric_eig
+from nitsche_iga import AssembledForms, builtin_case, generalized_symmetric_eig, load_geometry
 from nitsche_iga.errors import ConvergenceFailure, NotSPD, SingularMatrix
-from nitsche_iga.linalg import SparseFactor
+from nitsche_iga.linalg import PatternOrder, SparseFactor
 
 from conftest import make_disc
 
@@ -31,6 +33,30 @@ def dense_lu_solve(A, b):
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - A[row, row + 1 :] @ x[row + 1 :]) / A[row, row]
     return x
+
+
+def own_order(A):
+    """The reversed order of the CSR pattern of ``A``, so that every factor
+    permutes its matrix, right-hand side and solution."""
+    A = A.tocsr()
+    return PatternOrder(np.arange(A.shape[0])[::-1], A.indptr, A.indices)
+
+
+def factor(A):
+    return SparseFactor(A, own_order(A))
+
+
+def fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+@lru_cache(maxsize=None)
+def step_matrix(geometry, degree, spans):
+    """``(order, M, A)``: the order and mass matrix of a discretization and
+    its backward-Euler matrix M + 0.1 A of ``steady_reaction``."""
+    disc = make_disc(load_geometry(geometry), degree, spans)
+    forms = AssembledForms(disc, builtin_case("steady_reaction").problem)
+    return disc.order, disc.mass, disc.mass + 0.1 * forms.stiffness(0.0)
 
 
 def jacobi_eigenvalues(C, sweeps=60, tol=1e-14):
@@ -58,12 +84,12 @@ def jacobi_eigenvalues(C, sweeps=60, tol=1e-14):
 class TestSolveSparse:
     def test_identity(self, rng):
         b = rng.random(10)
-        x = SparseFactor(sp.eye(10, format="csr")).solve(b)
+        x = factor(sp.eye(10, format="csr")).solve(b)
         assert np.allclose(x, b, atol=1e-15)
 
     def test_two_by_two(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        x = SparseFactor(A).solve(np.array([3.0, 3.0]))
+        x = factor(A).solve(np.array([3.0, 3.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_random_nonsymmetric_against_dense_lu(self, rng):
@@ -74,7 +100,7 @@ class TestSolveSparse:
         np.fill_diagonal(A_dense, np.diag(base @ base.T) + n)
         b = rng.random(n)
         A = sp.csr_matrix(A_dense)
-        x = SparseFactor(A).solve(b)
+        x = factor(A).solve(b)
         x_ref = dense_lu_solve(A_dense, b)
         assert np.max(np.abs(x - x_ref)) < 1e-9 * max(1.0, np.abs(x_ref).max())
 
@@ -83,49 +109,102 @@ class TestSolveSparse:
         A_dense = rng.random((n, n)) + n * np.eye(n)
         A = sp.csr_matrix(A_dense)
         b = rng.random(n)
-        x = SparseFactor(A).solve(b)
+        x = factor(A).solve(b)
         scale = sp.linalg.norm(A, "fro") * np.linalg.norm(x) + np.linalg.norm(b)
         assert np.linalg.norm(b - A @ x) <= 1e-10 * scale
 
     def test_singular_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SingularMatrix):
-            SparseFactor(A).solve(np.array([1.0, 2.0]))
+            factor(A).solve(np.array([1.0, 2.0]))
 
     def test_mismatched_shapes(self):
         with pytest.raises(ValueError, match="square"):
-            SparseFactor(sp.csr_matrix(np.ones((3, 2))))
+            SparseFactor(sp.csr_matrix(np.ones((3, 2))), own_order(sp.eye(3)))
         with pytest.raises(ValueError, match="rhs"):
-            SparseFactor(sp.eye(3, format="csr")).solve(np.zeros(2))
+            factor(sp.eye(3, format="csr")).solve(np.zeros(2))
 
     def test_factor_reuse(self, rng):
         A = sp.csr_matrix(np.diag(np.arange(1.0, 6.0)))
-        factor = SparseFactor(A)
+        lu = factor(A)
         for _ in range(3):
             b = rng.random(5)
-            assert np.allclose(factor.solve(b), b / np.arange(1.0, 6.0))
+            assert np.allclose(lu.solve(b), b / np.arange(1.0, 6.0))
 
 
 class TestOrdering:
     @pytest.fixture(scope="class")
-    def annulus_step_matrix(self, annulus_gm):
-        disc = make_disc(annulus_gm, 3, 12)
-        forms = AssembledForms(disc, builtin_case("steady_reaction").problem)
-        return (disc.mass + 0.1 * forms.stiffness(0.0)).tocsc()
+    def annulus_step_matrix(self):
+        return step_matrix("quarter_annulus", 3, 12)
 
     def test_solution_matches_colamd(self, annulus_step_matrix, rng):
-        A = annulus_step_matrix
+        order, _, A = annulus_step_matrix
         b = rng.random(A.shape[0])
-        x = SparseFactor(A).solve(b)
-        x_ref = spla.splu(A, permc_spec="COLAMD").solve(b)
+        x = SparseFactor(A, order).solve(b)
+        x_ref = spla.splu(A.tocsc(), permc_spec="COLAMD").solve(b)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
-    def test_fills_less_than_colamd(self, annulus_step_matrix):
-        # COLAMD orders for A^T A; on this structurally symmetric matrix the
-        # factor's ordering fills less (18624 against 19704 entries)
-        lu = SparseFactor(annulus_step_matrix)._lu
-        ref = spla.splu(annulus_step_matrix, permc_spec="COLAMD")
-        assert lu.L.nnz + lu.U.nnz < ref.L.nnz + ref.U.nnz
+    @pytest.mark.parametrize(
+        "geometry, degree, spans", [("square", 2, 12), ("quarter_annulus", 3, 12)]
+    )
+    def test_solution_matches_minimum_degree(self, geometry, degree, spans, rng):
+        order, mass, A = step_matrix(geometry, degree, spans)
+        for M in (mass, A):
+            b = rng.random(A.shape[0])
+            x = SparseFactor(M, order).solve(b)
+            x_ref = spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+            assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    def test_factors_the_permuted_matrix_in_natural_order(self, annulus_step_matrix):
+        order, _, A = annulus_step_matrix
+        perm = order.perm
+        B = order.permuted(A.data)
+        assert B.has_sorted_indices
+        assert np.array_equal(B.toarray(), A.toarray()[np.ix_(perm, perm)])
+        lu = SparseFactor(A, order)._lu
+        assert np.array_equal(lu.perm_c, np.arange(A.shape[0]))
+
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_fill_within_bound_of_minimum_degree(self, geometry, degree):
+        # nested dissection against SuperLU's minimum degree on A^T + A; the
+        # largest ratio over degrees 1..4 and spans 1..32 is 1.107 (k=2, 8 spans)
+        for spans in (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 32):
+            order, _, A = step_matrix(geometry, degree, spans)
+            lu = SparseFactor(A, order)._lu
+            ref = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            assert fill(lu) <= 1.12 * fill(ref), (spans, fill(lu), fill(ref))
+
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_fill_below_colamd_at_32_spans(self, geometry, degree):
+        # COLAMD orders for A^T A, which on these structurally symmetric
+        # matrices fills more
+        order, _, A = step_matrix(geometry, degree, 32)
+        lu = SparseFactor(A, order)._lu
+        assert fill(lu) < fill(spla.splu(A.tocsc(), permc_spec="COLAMD"))
+
+    def test_matrix_off_the_pattern_raises(self, annulus_step_matrix):
+        order, _, A = annulus_step_matrix
+        dropped = A.copy()
+        dropped.data[1] = 0.0
+        dropped.eliminate_zeros()
+        other, _, _ = step_matrix("quarter_annulus", 3, 8)
+        for M, on in ((dropped, order), (A, other), (sp.eye(A.shape[0]), order)):
+            with pytest.raises(ValueError, match="pattern"):
+                SparseFactor(M, on)
+
+    def test_singular_matrix_on_the_pattern_raises(self, annulus_step_matrix):
+        order, _, A = annulus_step_matrix
+        singular = A.copy()
+        singular.data[singular.indptr[5] : singular.indptr[6]] = 0.0  # row 5
+        with pytest.raises(SingularMatrix):
+            SparseFactor(singular, order).solve(np.ones(A.shape[0]))
+
+    def test_order_must_be_a_permutation(self):
+        A = sp.eye(3, format="csr")
+        with pytest.raises(ValueError, match="permutation"):
+            PatternOrder(np.array([0, 1, 1]), A.indptr, A.indices)
 
 
 class TestCsrArithmetic:

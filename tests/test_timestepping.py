@@ -33,12 +33,14 @@ def step_residuals(forms, traj):
 
 
 def rebuilt_march(forms, grid, u0):
-    """Reference march that assembles and factors the operator at every step."""
+    """Reference march that assembles the operator at every step, adds it to
+    the mass matrix as sparse matrices and factors the sum in the order of
+    the discretization."""
     M = forms.disc.mass
     coefs = [u0]
     for t in grid.nodes[1:]:
         A = assemble_stiffness(forms.disc, forms.problem, forms.eps, t)
-        factor = SparseFactor((M + grid.tau * A).tocsr())
+        factor = SparseFactor(M + grid.tau * A, forms.disc.order)
         coefs.append(factor.solve(M @ coefs[-1] + grid.tau * forms.load(t)))
     return np.array(coefs)
 
@@ -170,11 +172,11 @@ class TestMarch:
         forms = AssembledForms(disc, case.problem)
         A = forms.stiffness(0.0)
         F = forms.load(0.0)
-        u_inf = SparseFactor(A).solve(F)
+        u_inf = SparseFactor(A, disc.order).solve(F)
 
         grid = TimeGrid(40, 8.0)
         M = forms.disc.mass
-        factor = SparseFactor((M + grid.tau * A).tocsr())
+        factor = SparseFactor(M + grid.tau * A, disc.order)
         u = np.zeros(disc.dimension)  # start far from the steady state
         resids = []
         for _ in range(grid.num_steps):
