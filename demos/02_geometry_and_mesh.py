@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Geometry maps and physical meshes: the square and the quarter annulus.
 
-Shows exact conic representation through rational weights, the element and
-edge size metadata the boundary penalty depends on, and outward normals on
-a curved boundary.  Writes the mapped mesh wireframe for plotting.
+Shows exact conic representation through rational weights, the edge sizes
+h_E the boundary penalty eps/h_E depends on, and outward normals on a
+curved boundary.  Writes the mapped mesh wireframe for plotting.
 """
 
 from pathlib import Path
@@ -23,11 +23,11 @@ OUT = Path(__file__).resolve().parent / "demo_out"
 def main():
     print("== Identity square ==")
     gm = load_geometry("square")
-    mesh = build_mesh(gm, uniform_space(1, 4))
-    print(f"{mesh.num_elements} elements, h_K = {mesh.h_K[0]:.4f} "
-          f"(box diagonal), {len(mesh.edges)} boundary edges of length "
-          f"{mesh.edges[0].h_E:g}")
-    print(f"edge-to-element size constant: {mesh.edge_size_constant:.4f}")
+    space = uniform_space(1, 4)
+    mesh = build_mesh(gm, space)
+    ns1, ns2 = space.num_spans
+    print(f"{ns1 * ns2} elements, {len(mesh.edges)} boundary edges of length "
+          f"h_E = {mesh.edges[0].h_E:g}")
 
     print("\n== Quarter annulus (exact rational arc) ==")
     ga = load_geometry("quarter_annulus")

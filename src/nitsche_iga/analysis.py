@@ -126,17 +126,21 @@ class LevelRecord:
 class ErrorReport:
     levels: list = field(default_factory=list)
 
+    def _errors_l2h1(self):
+        """err_l2h1 per level; a :class:`ConfigError` names one that is 0."""
+        for i, rec in enumerate(self.levels):
+            if not rec.err_l2h1 > 0:
+                raise ConfigError(f"level {i} ({rec.spans} spans) has err_l2h1 = "
+                                  f"{rec.err_l2h1:g}: no convergence rate is defined")
+        return [rec.err_l2h1 for rec in self.levels]
+
     def rates_l2h1(self):
         """Pairwise log2 error ratios between consecutive levels."""
-        out = []
-        for a, b in zip(self.levels[:-1], self.levels[1:]):
-            out.append(np.log(a.err_l2h1 / b.err_l2h1) / np.log(a.h / b.h))
-        return out
+        e, h = self._errors_l2h1(), [rec.h for rec in self.levels]
+        return [np.log(e[i] / e[i + 1]) / np.log(h[i] / h[i + 1]) for i in range(len(e) - 1)]
 
     def slope_l2h1(self):
-        return fit_slope(
-            [rec.h for rec in self.levels], [rec.err_l2h1 for rec in self.levels]
-        )
+        return fit_slope([rec.h for rec in self.levels], self._errors_l2h1())
 
 
 def fit_slope(hs, errors):

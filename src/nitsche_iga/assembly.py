@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NotSPD, SingularGram
+from .errors import DegenerateJacobian, NotSPD, SingularGram
 from .geometry import edge_geometry, invert_2x2
 from .linalg import PatternOrder, generalized_symmetric_eig
 from .quadrature import gauss_rule
@@ -169,6 +169,10 @@ class ElementCache:
     quadrature points and local functions, (l1, l2), with direction 2 fastest.
     The geometry comes from one grid evaluation over the Gauss points of all
     spans, reordered to (element, point).
+
+    det J must keep one sign (:class:`DegenerateJacobian` otherwise) at
+    these points, at the element corners (one more grid, the breakpoints)
+    and, for ``q`` below the default order, at that order's Gauss points.
     """
 
     def __init__(self, space, mesh, q):
@@ -196,7 +200,17 @@ class ElementCache:
             a = a.reshape((ns1, q, ns2, q) + a.shape[2:])
             return np.moveaxis(a, 2, 0).reshape((ne, nq) + a.shape[4:])
 
-        grid = mesh.geometry.evaluate_grid(p1.ravel(), p2.ravel())
+        gm, bps = mesh.geometry, (space.kv1.mesh.breakpoints, space.kv2.mesh.breakpoints)
+        grid = gm.evaluate_grid(p1.ravel(), p2.ravel())
+        detj_samples = [grid[2], gm.evaluate_grid(*bps)[2]]
+        q_default = max(space.degrees) + 2
+        if q < q_default:
+            rule = gauss_rule(q_default)
+            t = (rule.mapped(b[:-1, None], b[1:, None])[0].ravel() for b in bps)
+            detj_samples.append(gm.evaluate_grid(*t)[2])
+        signs = np.sign(np.concatenate([a.ravel() for a in detj_samples]))
+        if np.any(signs != signs[0]):
+            raise DegenerateJacobian("det J changes sign across the mesh")
         x, J, detj = (by_element(a) for a in grid)
         invJ, _ = invert_2x2(J)
         self.table, self.B, self.G = _basis_table(d1[:, :, None], d2[:, None], invJ)
@@ -256,7 +270,9 @@ class Discretization:
     ``quadrature_order`` is the Gauss points per direction on elements and
     edges alike; it defaults to the largest degree plus two.  Raises
     ``ValueError`` when ``mesh`` was built on a space with other degrees or
-    knots than ``space``.
+    knots than ``space``, and :class:`DegenerateJacobian` when det J changes
+    sign at the element Gauss points or corners, checked at the default
+    order's points also when ``quadrature_order`` is below it.
     """
 
     def __init__(self, space, mesh, quadrature_order=None):

@@ -8,7 +8,8 @@ longer do anything (``freeze_operator``, ``solver_maxit``, ``solver_tol``,
 ``calibrate`` take exactly one entry in ``levels``; ``solve`` refuses a
 snapshot time outside [0, T]; ``convergence`` refuses a case
 whose Dirichlet datum is not the trace of its exact solution on the
-chosen geometry.  Exit codes: 0 success, 2 configuration error,
+chosen geometry or whose error is 0 on a level.  Exit codes: 0 success,
+2 configuration error (also unknown names, unparsable geometry files),
 3 numerical failure.
 
 The pipeline is deterministic: identical configurations produce identical
@@ -29,7 +30,7 @@ from . import analysis
 from .assembly import (
     PENALTY_FACTOR_DEFAULT, AssembledForms, Discretization, penalty_floor,
 )
-from .errors import ConfigError, InsufficientLevels, NitscheIgaError
+from .errors import ConfigError, InsufficientLevels, NitscheIgaError, UnknownCase
 from .geometry import build_mesh, load_geometry, uniform_space
 from .problem import builtin_case
 from .quadrature import MAX_POINTS
@@ -296,11 +297,11 @@ def cmd_convergence(cfg):
         quadrature_order=cfg.quadrature_order,
     )
 
+    slope = report.slope_l2h1()  # refuses a level without a rate before any output
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     analysis.write_report_csv(report, out / "report.csv")
     analysis.write_loglog_data(report, out / "err_vs_h.dat")
-    slope = report.slope_l2h1()
     for i, rec in enumerate(report.levels):
         print(
             f"level {i}: spans={rec.spans} h={rec.h:.5g} tau={rec.tau:.5g} "
@@ -393,7 +394,7 @@ def main(argv=None):
         if args.command == "convergence":
             return cmd_convergence(cfg)
         return cmd_calibrate(cfg)
-    except (ConfigError, InsufficientLevels) as exc:
+    except (ConfigError, InsufficientLevels, UnknownCase) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NitscheIgaError as exc:

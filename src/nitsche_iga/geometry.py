@@ -20,6 +20,10 @@ The pieces that assembly shares with the mesh live here once each:
 :meth:`TensorSpace.local_to_global` indexes local bases, :func:`invert_2x2`
 inverts Jacobians, and :func:`edge_geometry` maps the points of a rule on
 the boundary edges (arc-length weights and outward normals).
+
+The physical mesh is the boundary edges with their sizes h_E, the only
+mesh size the scheme reads; inside the elements F is evaluated once, by
+the assembly's element cache, which also checks the sign of det J.
 """
 
 import importlib.resources
@@ -27,7 +31,7 @@ import importlib.resources
 import numpy as np
 
 from . import quadrature
-from .errors import DegenerateJacobian, UnknownCase
+from .errors import ConfigError, DegenerateJacobian, UnknownCase
 from .splines import collocation, parse_knot_vector, uniform_open_knots
 
 JAC_FLOOR = 1e-10
@@ -142,19 +146,6 @@ class GeometryMap:
         return x, J, detj
 
 
-def spectral_norm_2x2(J):
-    """Largest singular values of a stack (..., 2, 2) of matrices, in closed form.
-
-    For J = [[a, b], [c, d]], sigma_max^2 = (||J||_F^2 + sqrt(||J||_F^4 - 4 det^2)) / 2.
-    The discriminant factors as ((a+d)^2 + (b-c)^2) ((a-d)^2 + (b+c)^2), so
-    sigma_max = (hypot(a+d, b-c) + hypot(a-d, b+c)) / 2 adds two nonnegative
-    terms: nothing cancels, also where the singular values are close, and
-    the result is within a few ulp of an SVD's.
-    """
-    a, b, c, d = J[..., 0, 0], J[..., 0, 1], J[..., 1, 0], J[..., 1, 1]
-    return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2
-
-
 def invert_2x2(J):
     """Inverses and determinants of a stack (..., 2, 2) of matrices."""
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
@@ -181,66 +172,27 @@ class BoundaryEdge:
 
 
 class PhysicalMesh:
-    """Image of the solution-space parametric mesh under the geometry map.
+    """The boundary edges of the mapped solution-space mesh, with arc
+    lengths h_E and unique owner elements (direction 1 fastest)."""
 
-    Holds the element sizes h_K (elements run with direction 1 fastest),
-    the boundary edge list with arc lengths h_E and unique owner elements,
-    and the measured constant of the edge-to-element size comparison (max
-    over edges of h_{K_E} / h_E).
-    """
-
-    def __init__(self, geometry, space, h_K, edges):
+    def __init__(self, geometry, space, edges):
         self.geometry = geometry
         self.space = space
-        self.h_K = h_K
         self.edges = edges
-        self.h = float(h_K.max())
-        self.edge_size_constant = max(
-            h_K[e.owner] / e.h_E for e in edges
-        )
-
-    @property
-    def num_elements(self):
-        return len(self.h_K)
 
 
 def build_mesh(gm, space):
     """Build the physical mesh for a solution space over a geometry map.
 
-    One element per nonzero knot-span box.  h_K is the sampled sup of the
-    Jacobian spectral norm over the element (Gauss points, largest degree
-    plus two per direction, and the corners) times the box diameter, the
-    norm in the closed form of :func:`spectral_norm_2x2`; h_E
-    is the arc length of the mapped side span, the sum of the
-    :func:`edge_geometry` weights of a fixed 5-point rule.  det J is checked
-    for a uniform sign over all these samples.  The samples are two tensor
-    grids, so the geometry is evaluated twice by
-    :meth:`GeometryMap.evaluate_grid`: on the Gauss points of all spans and
-    on the breakpoints, which are the corners of all elements.
+    One boundary edge per side span; h_E is the arc length of the mapped
+    side span, the sum of the :func:`edge_geometry` weights of a fixed
+    5-point rule, the one mesh size the Nitsche penalty eps/h_E reads.  The
+    geometry is sampled on the edges only; the element integrals sample it
+    inside the elements, where :class:`~nitsche_iga.assembly.ElementCache`
+    checks that det J keeps one sign.
     """
     kv1, kv2 = space.kv1, space.kv2
     ns1, ns2 = space.num_spans
-
-    q = max(space.degrees) + 2
-    rule = quadrature.gauss_rule(q)
-    bps1, bps2 = kv1.mesh.breakpoints, kv2.mesh.breakpoints
-    pts1, _ = rule.mapped(bps1[:-1, None], bps1[1:, None])
-    pts2, _ = rule.mapped(bps2[:-1, None], bps2[1:, None])
-    _, J, detj = gm.evaluate_grid(pts1.ravel(), pts2.ravel())
-    _, J_corner, detj_corner = gm.evaluate_grid(bps1, bps2)
-    signs = np.sign(np.concatenate([detj.ravel(), detj_corner.ravel()]))
-    if np.any(signs != signs[0]):
-        raise DegenerateJacobian("det J changes sign across the mesh")
-
-    # per span box (s1, s2): the largest norm over its q x q Gauss block and
-    # its four corners
-    norm = spectral_norm_2x2(J).reshape(ns1, q, ns2, q).max(axis=(1, 3))
-    corner = spectral_norm_2x2(J_corner)
-    corner = np.maximum.reduce(
-        [corner[:-1, :-1], corner[1:, :-1], corner[:-1, 1:], corner[1:, 1:]]
-    )
-    diameter = np.hypot(kv1.mesh.widths[:, None], kv2.mesh.widths[None, :])
-    h_K = (np.maximum(norm, corner) * diameter).T.ravel()
 
     edges = []
     for side in SIDES:
@@ -253,7 +205,7 @@ def build_mesh(gm, space):
     for edge, h in zip(edges, np.sum(w, axis=1)):
         edge.h_E = float(h)
 
-    return PhysicalMesh(gm, space, h_K, edges)
+    return PhysicalMesh(gm, space, edges)
 
 
 def _owner_element(side, n, ns1, ns2):
@@ -354,14 +306,19 @@ def parse_geometry(text):
 
 
 def load_geometry(name_or_path):
-    """Load a geometry by builtin name (square, quarter_annulus) or file path."""
+    """Load a geometry by builtin name (square, quarter_annulus) or file path;
+    a file that does not parse raises :class:`ConfigError`."""
     res = importlib.resources.files("nitsche_iga") / "geometries" / f"{name_or_path}.txt"
     if res.is_file():
         return parse_geometry(res.read_text())
     try:
         with open(name_or_path) as fh:
-            return parse_geometry(fh.read())
-    except FileNotFoundError:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
         raise UnknownCase(
             f"geometry {name_or_path!r} is neither a builtin name nor a readable file"
         ) from None
+    try:
+        return parse_geometry(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name_or_path}: {exc}") from None

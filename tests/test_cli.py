@@ -193,6 +193,56 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["solve", "convergence", "calibrate"])
+    @pytest.mark.parametrize("option", ["--case", "--geometry"])
+    def test_unknown_name_exits_2(self, tmp_path, capsys, command, option):
+        cfg = BASE if command != "convergence" else BASE.replace("levels = 4", "levels = 2 4")
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out), option, "moebius"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert "'moebius'" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("degrees: 1 1\nknots2: 1; 0 0 1 1\n0 0 1\n1 0 1\n0 1 1\n1 1 1\n", "knots1"),
+            ("degrees: 1 1\nknots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\n0 0 1\n", "rows"),
+            ("degrees: 1 1\nknots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\n"
+             "0 0 1\n1 0 1\n0 1 1\n1 one 1\n", "float"),
+            ("degrees: 1 1\nknots1: 1; 0 1 0 1\nknots2: 1; 0 0 1 1\n"
+             "0 0 1\n1 0 1\n0 1 1\n1 1 1\n", "nondecreasing"),
+            ("degrees: 1 1\nknots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\n"
+             "0 0 1\n1 0 1\n0 1 1\n1 1 0\n", "weights"),
+        ],
+        ids=["missing_line", "row_count", "bad_number", "bad_knots", "zero_weight"],
+    )
+    def test_malformed_geometry_file_exits_2(self, tmp_path, capsys, text, named):
+        geo = tmp_path / "broken.txt"
+        geo.write_text(text)
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / "o"
+        code = main(["solve", "--config", path, "--out", str(out), "--geometry", str(geo)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert str(geo) in err[0] and named in err[0]
+        assert not out.exists()
+
+    def test_zero_error_study_exits_2(self, tmp_path, capsys):
+        # the zero case is solved exactly: no level has an error to take a rate of
+        path = write_config(tmp_path, BASE.replace("levels = 4", "levels = 2 4"))
+        out = tmp_path / "o"
+        assert main(["convergence", "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert "level 0 (2 spans)" in err[0] and "err_l2h1 = 0" in err[0]
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestSolveCommand:
     def test_zero_case_snapshots_vanish(self, tmp_path):

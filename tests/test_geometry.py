@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nitsche_iga import (
+    Discretization,
     GeometryMap,
     TensorSpace,
     build_mesh,
@@ -12,7 +13,7 @@ from nitsche_iga import (
 )
 from nitsche_iga import quadrature
 from nitsche_iga.errors import DegenerateJacobian, UnknownCase
-from nitsche_iga.geometry import EDGE_LENGTH_POINTS, edge_geometry, spectral_norm_2x2
+from nitsche_iga.geometry import EDGE_LENGTH_POINTS, edge_geometry
 from nitsche_iga.splines import eval_basis, uniform_open_knots
 
 from conftest import (
@@ -166,8 +167,6 @@ class TestPhysicalMesh:
     def test_two_by_two_square(self, square_gm):
         space = uniform_space(1, 2)
         mesh = build_mesh(square_gm, space)
-        assert mesh.num_elements == 4
-        assert np.allclose(mesh.h_K, np.sqrt(2) / 2)
         assert len(mesh.edges) == 8
         assert all(e.h_E == pytest.approx(0.5, abs=1e-14) for e in mesh.edges)
 
@@ -191,51 +190,27 @@ class TestPhysicalMesh:
             else:
                 assert s2 == ns2 - 1
 
-    def test_edge_size_constant_recorded(self, square_gm, annulus_gm):
+    def test_refinement_halves_h(self, square_gm, annulus_gm):
+        # every edge splits into two that add up to its arc length, each half
+        # of it: exactly on the square, within 3% on the annulus arcs, whose
+        # rational parametrization is not by arc length
         for gm in (square_gm, annulus_gm):
-            mesh = build_mesh(gm, uniform_space(2, 3))
-            assert np.isfinite(mesh.edge_size_constant)
-            assert mesh.edge_size_constant > 0
-
-    def test_refinement_halves_h(self, square_gm):
-        space = uniform_space(1, 4)
-        coarse = build_mesh(square_gm, space)
-        fine = build_mesh(square_gm, space.bisected())
-        assert fine.h == pytest.approx(coarse.h / 2, rel=0.05)
+            space = uniform_space(2, 4)
+            coarse = build_mesh(gm, space).edges
+            fine = build_mesh(gm, space.bisected()).edges
+            assert len(fine) == 2 * len(coarse)
+            for e in coarse:
+                halves = [f.h_E for f in fine
+                          if f.side == e.side and e.interval[0] <= f.interval[0] < e.interval[1]]
+                assert len(halves) == 2
+                assert sum(halves) == pytest.approx(e.h_E, rel=1e-12)
+                assert halves == pytest.approx([e.h_E / 2] * 2, rel=0.05)
 
     def test_detj_sign_positive(self, square_gm, annulus_gm, rng):
         for gm in (square_gm, annulus_gm):
             _, _, detj = gm.evaluate_grid(rng.random(20), rng.random(10))
             assert detj.shape == (20, 10)
             assert np.all(detj > 0)
-
-
-def tensor_points(q):
-    """The q-point Gauss rule's nodes tensored on the unit square, (q*q, 2),
-    direction 1 fastest."""
-    r = quadrature.gauss_rule(q).points
-    px, py = np.meshgrid(r, r, indexing="ij")
-    return np.column_stack([px.ravel(order="F"), py.ravel(order="F")])
-
-
-def reference_h_K(gm, space, q):
-    """h_K element by element: one geometry evaluation per element."""
-    pts = tensor_points(q)
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    samples = np.vstack([pts, corners])
-    ns1, ns2 = space.num_spans
-    h_K = []
-    for s2 in range(1, ns2 + 1):
-        for s1 in range(1, ns1 + 1):
-            a1, b1 = space.kv1.mesh.span_interval(s1)
-            a2, b2 = space.kv2.mesh.span_interval(s2)
-            x_hat = np.column_stack(
-                [a1 + (b1 - a1) * samples[:, 0], a2 + (b2 - a2) * samples[:, 1]]
-            )
-            _, J, _ = reference_evaluate(gm, x_hat)
-            grad_norm = np.linalg.norm(J, ord=2, axis=(1, 2)).max()
-            h_K.append(grad_norm * np.hypot(b1 - a1, b2 - a2))
-    return np.array(h_K)
 
 
 def reference_h_E(gm, edge):
@@ -248,30 +223,11 @@ def reference_h_E(gm, edge):
     return float(np.sum(ws * np.linalg.norm(tang, axis=1)))
 
 
-class TestSpectralNorm:
-    def test_matches_svd(self, rng):
-        theta = rng.random(500) * 2 * np.pi
-        c, s = np.cos(theta), np.sin(theta)
-        rotations = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-        diagonal = np.zeros((500, 2, 2))
-        diagonal[:, [0, 1], [0, 1]] = rng.standard_normal((500, 2))
-        u, v = rng.standard_normal((2, 500, 2))
-        rank_one = u[:, :, None] * v[:, None, :] + 1e-9 * rng.standard_normal((500, 2, 2))
-        for J in (rng.standard_normal((2000, 2, 2)), 3.0 * rotations, diagonal, rank_one):
-            ref = np.linalg.norm(J, ord=2, axis=(1, 2))
-            np.testing.assert_allclose(spectral_norm_2x2(J), ref, rtol=1e-14, atol=0)
-
-
 class TestBatchedMesh:
     @pytest.mark.parametrize("degree,spans", [(2, 5), (3, 4)])
     def test_matches_element_and_edge_loop(self, annulus_gm, degree, spans):
         space = uniform_space(degree, spans)
         mesh = build_mesh(annulus_gm, space)
-        # closed-form spectral norm on grids against the reference's SVD at
-        # single points: a few ulp apart
-        np.testing.assert_allclose(
-            mesh.h_K, reference_h_K(annulus_gm, space, degree + 2), rtol=1e-14, atol=0
-        )
         assert len(mesh.edges) == 4 * spans
         for edge in mesh.edges:
             assert edge.h_E == pytest.approx(reference_h_E(annulus_gm, edge), rel=1e-14, abs=0)
@@ -288,7 +244,8 @@ class TestBatchedMesh:
         assert x_hat.shape == ref.shape
         assert np.array_equal(x_hat, ref)
 
-    def test_sign_change_at_a_corner_raises(self):
+    @pytest.mark.parametrize("q", [1, None, 8], ids=["q1", "default", "q8"])
+    def test_sign_change_at_a_corner_raises(self, q):
         # bilinear map with P11 = (0.47, 0.47): det J = 1 - 0.53 (u + v) is
         # positive at every Gauss point and negative only near the corner (1, 1)
         space = uniform_space(1, 1)
@@ -298,17 +255,42 @@ class TestBatchedMesh:
         assert np.all(gm.evaluate_grid(gauss, gauss)[2] > 0)
         assert gm.evaluate(np.array([1.0, 1.0]))[2] < 0
         with pytest.raises(DegenerateJacobian, match="changes sign"):
-            build_mesh(gm, space)
+            Discretization(space, build_mesh(gm, space), q)
 
-    def test_folded_geometry_raises(self):
+    @pytest.mark.parametrize("q", [1, None, 8], ids=["q1", "default", "q8"])
+    def test_folded_geometry_raises(self, q):
         # x(u) = 2u(1-u) + 0.2u^2 turns back at u = 5/9: det J changes sign
         # inside the domain, away from the first element
         space = TensorSpace(uniform_open_knots(2, 1), uniform_open_knots(1, 1))
         P = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.0],
                       [0.0, 1.0], [1.0, 1.0], [0.2, 1.0]])
         gm = GeometryMap(space, P, np.ones(6))
+        solution_space = uniform_space(1, 4)
         with pytest.raises(DegenerateJacobian, match="changes sign"):
-            build_mesh(gm, uniform_space(1, 4))
+            Discretization(solution_space, build_mesh(gm, solution_space), q)
+
+    @pytest.mark.parametrize("q", [2, None, 8], ids=["q2", "default", "q8"])
+    def test_one_evaluation_inside_the_elements(self, annulus_gm, monkeypatch, q):
+        # build_mesh evaluates the four sides only; the element cache its
+        # Gauss grid, the corners and, below the default order (5 at k = 3),
+        # the default Gauss grid
+        grids = []
+        evaluate_grid = GeometryMap.evaluate_grid
+
+        def counted(gm, t1, t2):
+            grids.append((len(t1), len(t2)))
+            return evaluate_grid(gm, t1, t2)
+
+        monkeypatch.setattr(GeometryMap, "evaluate_grid", counted)
+        space = uniform_space(3, 4)
+        mesh = build_mesh(annulus_gm, space)
+        assert sorted(grids) == [(1, 20), (1, 20), (20, 1), (20, 1)]
+        grids.clear()
+        Discretization(space, mesh, q)
+        n = 4 * (q or 5)
+        element_grids = [(n, n), (5, 5)] + ([(20, 20)] if q == 2 else [])
+        assert grids[: len(element_grids)] == element_grids
+        assert len(grids) == len(element_grids) + 4  # the sides at order q
 
 
 class TestNormals:

@@ -6,9 +6,18 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from nitsche_iga import AssembledForms, builtin_case, generalized_symmetric_eig, load_geometry
+from nitsche_iga import (
+    AssembledForms,
+    Discretization,
+    TensorSpace,
+    build_mesh,
+    builtin_case,
+    generalized_symmetric_eig,
+    load_geometry,
+)
 from nitsche_iga.errors import ConvergenceFailure, NotSPD, SingularMatrix
 from nitsche_iga.linalg import PatternOrder, SparseFactor
+from nitsche_iga.splines import uniform_open_knots
 
 from conftest import make_disc
 
@@ -174,6 +183,21 @@ class TestOrdering:
             lu = SparseFactor(A, order)._lu
             ref = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
             assert fill(lu) <= 1.12 * fill(ref), (spans, fill(lu), fill(ref))
+
+    @pytest.mark.parametrize("k1", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k2", [1, 2, 3, 4])
+    def test_fill_within_bound_of_minimum_degree_anisotropic(self, k1, k2):
+        # other degrees and span counts per direction, on the square; the
+        # largest ratio is 1.432 (k = (2, 4), 16 x 4 spans)
+        gm, p = load_geometry("square"), builtin_case("steady_reaction").problem
+        for s1, s2 in ((16, 4), (3, 8), (8, 5)):
+            for n1, n2 in ((s1, s2), (s2, s1)):
+                space = TensorSpace(uniform_open_knots(k1, n1), uniform_open_knots(k2, n2))
+                disc = Discretization(space, build_mesh(gm, space))
+                A = disc.mass + 0.1 * AssembledForms(disc, p).stiffness(0.0)
+                lu = SparseFactor(A, disc.order)._lu
+                ref = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                assert fill(lu) <= 1.5 * fill(ref), ((n1, n2), fill(lu), fill(ref))
 
     @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
