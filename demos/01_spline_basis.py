@@ -3,8 +3,10 @@
 
 Walks through the building blocks every other capability rests on: open
 knot vectors, the partition of unity, derivative sums, and how interior
-knot multiplicity trades smoothness for locality.  Writes a sampled basis
-table you can plot with gnuplot:
+knot multiplicity trades smoothness for locality.  Every value comes from
+one batched call over all its points, the evaluation path the solver runs:
+``eval_basis_many`` for the nonzero functions, ``collocation`` for the
+whole basis.  Writes a sampled basis table you can plot with gnuplot:
 
     plot for [i=2:6] 'demo_out/basis_k2.dat' using 1:i with lines
 """
@@ -13,17 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from nitsche_iga import eval_basis, parse_knot_vector, uniform_open_knots, validate_knots
-from nitsche_iga.splines import continuity_at
+from nitsche_iga import parse_knot_vector, uniform_open_knots, validate_knots
+from nitsche_iga.splines import collocation, eval_basis_many
 
 OUT = Path(__file__).resolve().parent / "demo_out"
-
-
-def dense_values(kv, x):
-    ev = eval_basis(kv, x)
-    row = np.zeros(kv.dimension)
-    row[ev.first_index : ev.first_index + kv.degree + 1] = ev.values
-    return row
 
 
 def main():
@@ -31,17 +26,16 @@ def main():
     kv = validate_knots([0, 0, 0, 0.25, 0.5, 0.5, 0.75, 1, 1, 1], 2)
     print(f"degree {kv.degree}, {kv.dimension} basis functions, "
           f"{kv.num_spans} spans, mesh ratio theta = {kv.theta:g}")
-    for n in range(1, kv.num_spans):
-        z = kv.mesh.breakpoints[n]
-        print(f"  continuity at breakpoint {z:g}: C^{continuity_at(kv, n)}")
+    # C^(k - m) across an interior breakpoint of multiplicity m
+    continuity = kv.degree - kv.mesh.multiplicities[1:-1]
+    for z, c in zip(kv.mesh.breakpoints[1:-1], continuity):
+        print(f"  continuity at breakpoint {z:g}: C^{c}")
 
     print("\n== Partition of unity / derivative sums ==")
     rng = np.random.default_rng(7)
-    worst_pu = worst_ds = 0.0
-    for x in rng.random(2000):
-        ev = eval_basis(kv, float(x))
-        worst_pu = max(worst_pu, abs(ev.values.sum() - 1.0))
-        worst_ds = max(worst_ds, abs(ev.first_derivs.sum()))
+    _, ders = eval_basis_many(kv, rng.random(2000))
+    worst_pu = np.max(np.abs(ders[:, 0].sum(axis=1) - 1.0))
+    worst_ds = np.max(np.abs(ders[:, 1].sum(axis=1)))
     print(f"max |sum B_i - 1| over 2000 points: {worst_pu:.2e}")
     print(f"max |sum B_i'|   over 2000 points: {worst_ds:.2e}")
 
@@ -50,14 +44,12 @@ def main():
     print(f"parsed '2; 0 0 0 0.5 1 1 1' -> {kv_parsed}")
 
     print("\n== Refinement by span bisection ==")
-    coarse = uniform_open_knots(2, 4)
-    fine = coarse.bisected()
+    coarse, fine = uniform_open_knots(2, 4), uniform_open_knots(2, 8)
     print(f"{coarse} -> {fine}; widths {fine.mesh.widths[0]:g}")
 
     OUT.mkdir(exist_ok=True)
     xs = np.linspace(0.0, 1.0, 401)
-    table = np.column_stack([xs] + [np.array([dense_values(kv, x)[i] for x in xs])
-                                    for i in range(kv.dimension)])
+    table = np.column_stack([xs, collocation(kv, xs)[0]])
     path = OUT / "basis_k2.dat"
     np.savetxt(path, table, header="x then one column per basis function")
     print(f"\nwrote sampled basis table to {path}")

@@ -3,7 +3,9 @@
 
 Shows exact conic representation through rational weights, the edge sizes
 h_E the boundary penalty eps/h_E depends on, and outward normals on a
-curved boundary.  Writes the mapped mesh wireframe for plotting.
+curved boundary.  The map is evaluated as the solver evaluates it, on
+tensor grids of parametric coordinates (``GeometryMap.evaluate_grid``).
+Writes the mapped mesh wireframe for plotting.
 """
 
 from pathlib import Path
@@ -31,8 +33,9 @@ def main():
 
     print("\n== Quarter annulus (exact rational arc) ==")
     ga = load_geometry("quarter_annulus")
-    for s in (0.0, 0.5, 1.0):
-        x, _, detj = ga.evaluate(np.array([s, 0.37]))
+    radial = [0.0, 0.5, 1.0]
+    xs, _, detjs = ga.evaluate_grid(radial, [0.37])
+    for s, x, detj in zip(radial, xs[:, 0], detjs[:, 0]):
         print(f"  radial parameter {s:g}: |F| = {np.hypot(*x):.12f} "
               f"(exact {1 + s:g}), det J = {detj:.4f}")
 

@@ -69,10 +69,7 @@ from .problem import (
 )
 from .quadrature import QuadratureRule, gauss_rule
 from .splines import (
-    BasisEvaluation,
     KnotVector,
-    continuity_at,
-    eval_basis,
     parse_knot_vector,
     uniform_open_knots,
     validate_knots,

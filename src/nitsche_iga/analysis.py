@@ -135,7 +135,8 @@ class ErrorReport:
         return [rec.err_l2h1 for rec in self.levels]
 
     def rates_l2h1(self):
-        """Pairwise log2 error ratios between consecutive levels."""
+        """Observed orders between consecutive levels,
+        log(e_i / e_{i+1}) / log(h_i / h_{i+1})."""
         e, h = self._errors_l2h1(), [rec.h for rec in self.levels]
         return [np.log(e[i] / e[i + 1]) / np.log(h[i] / h[i + 1]) for i in range(len(e) - 1)]
 

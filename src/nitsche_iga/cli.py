@@ -200,6 +200,13 @@ def build_run_config(raw, overrides=None):
         ],
         out=raw.get("out", "out"),
     )
+    # q <= degree leaves the local Gram of trace_constant singular; q =
+    # degree + 1 is the lowest order exact for the mass on affine elements
+    if cfg.quadrature_order is not None and cfg.quadrature_order <= cfg.degree:
+        raise ConfigError(
+            f"'quadrature_order' must exceed 'degree' = {cfg.degree}, "
+            f"got {cfg.quadrature_order}"
+        )
     if cfg.epsilon is None and cfg.epsilon_factor is None:
         cfg.epsilon_factor = PENALTY_FACTOR_DEFAULT
     return cfg

@@ -37,10 +37,6 @@ class OutOfDomain(NitscheIgaError, ValueError):
     """Evaluation point lies outside the parametric domain [0,1]."""
 
 
-class IndexOutOfRange(NitscheIgaError, IndexError):
-    """Breakpoint / edge / element index outside the valid range."""
-
-
 # -- geometry and quadrature -----------------------------------------------
 
 class DegenerateJacobian(NitscheIgaError):

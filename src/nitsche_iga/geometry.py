@@ -5,8 +5,9 @@ square; the geometry map F may be rational (NURBS).  Trial and test
 functions are the parametric B-splines composed with the inverse map, so
 assembly only ever needs parametric basis tables plus Jacobians of F.
 
-Refinement rebuilds the solution knot vectors (uniform span bisection) and
-leaves F untouched: the geometry stays exact on every level.
+Refinement builds a new solution space (:func:`uniform_space` at the
+level's span count) and leaves F untouched: the geometry stays exact on
+every level.
 
 Every sample set of F is a tensor grid of 1-D coordinates (element Gauss
 points, breakpoints, edge points, plotting grids), so
@@ -75,9 +76,6 @@ class TensorSpace:
         l2 = np.tile(np.arange(k2 + 1), k1 + 1)
         return (first1[..., None] + l1) + self.shape[0] * (first2[..., None] + l2)
 
-    def bisected(self):
-        return TensorSpace(self.kv1.bisected(), self.kv2.bisected())
-
     def __repr__(self):
         return f"TensorSpace(degrees={self.degrees}, shape={self.shape})"
 
@@ -92,9 +90,10 @@ def uniform_space(degree, num_spans):
 class GeometryMap:
     """NURBS parametrization F of the physical domain.
 
-    Control points live on the grid of a (usually coarse) tensor space;
-    weights must be strictly positive.  With all weights equal to one the
-    map degenerates to a plain B-spline parametrization.
+    Control points live on the grid of a (usually coarse) tensor space and
+    must be finite; weights must be finite and strictly positive.  With all
+    weights equal to one the map degenerates to a plain B-spline
+    parametrization.
     """
 
     def __init__(self, space, control_points, weights):
@@ -106,16 +105,14 @@ class GeometryMap:
             )
         if weights.shape != (space.dimension,):
             raise ValueError("one weight per control point required")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all(np.isfinite(control_points)):
+            raise ValueError("control points must be finite")
+        # NaN compares false, so it fails this test
+        if not np.all((weights > 0) & (weights < np.inf)):
+            raise ValueError("weights must be strictly positive and finite")
         self.space = space
         self.control_points = control_points
         self.weights = weights
-
-    def evaluate(self, x_hat):
-        """Map one parametric point; returns ``(x, J, detJ)``."""
-        out = self.evaluate_grid([x_hat[0]], [x_hat[1]])
-        return tuple(a[0, 0] for a in out)
 
     def evaluate_grid(self, t1, t2):
         """Map the tensor grid of parametric points ``t1`` x ``t2``.
@@ -197,8 +194,9 @@ def build_mesh(gm, space):
     edges = []
     for side in SIDES:
         tang_kv = kv2 if side in ("x0", "x1") else kv1
+        bps = tang_kv.mesh.breakpoints
         for n in range(1, tang_kv.num_spans + 1):
-            interval = tang_kv.mesh.span_interval(n)
+            interval = (bps[n - 1], bps[n])
             owner = _owner_element(side, n, ns1, ns2)
             edges.append(BoundaryEdge(len(edges), side, interval, owner, h_E=0.0))
     _, _, _, w, _ = edge_geometry(gm, edges, quadrature.gauss_rule(EDGE_LENGTH_POINTS))
@@ -276,28 +274,43 @@ def parse_geometry(text):
         knots2: k2; xi_1 ... xi_r2
         <x y w>            one control point per line, direction-1 fastest
 
+    A header or row that does not parse raises ``ValueError`` naming its
+    line number.
     """
     header = {}
     rows = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if ":" in line:
             key, _, val = line.partition(":")
-            header[key.strip()] = val.strip()
-        else:
-            rows.append([float(t) for t in line.split()])
-    for key in ("degrees", "knots1", "knots2"):
+            header[key.strip()] = (lineno, val.strip())
+            continue
+        try:
+            x, y, w = (float(t) for t in line.split())
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: expected three floats 'x y w', got {line!r}"
+            ) from None
+        rows.append([x, y, w])
+
+    def parsed(key, parse):
         if key not in header:
             raise ValueError(f"geometry file is missing the '{key}' line")
-    degrees = [int(t) for t in header["degrees"].split()]
-    kv1 = parse_knot_vector(header["knots1"])
-    kv2 = parse_knot_vector(header["knots2"])
+        lineno, val = header[key]
+        try:
+            return parse(val)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: '{key}': {exc}") from None
+
+    degrees = parsed("degrees", lambda val: [int(t) for t in val.split()])
+    kv1 = parsed("knots1", parse_knot_vector)
+    kv2 = parsed("knots2", parse_knot_vector)
     if [kv1.degree, kv2.degree] != degrees:
         raise ValueError("degrees line disagrees with the knot vector headers")
     space = TensorSpace(kv1, kv2)
-    if len(rows) != space.dimension or any(len(r) != 3 for r in rows):
+    if len(rows) != space.dimension:
         raise ValueError(
             f"expected {space.dimension} 'x y w' rows, got {len(rows)}"
         )

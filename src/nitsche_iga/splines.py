@@ -9,9 +9,8 @@ recursion never has to be resolved by floating point.
 
 :func:`eval_basis_many` is the one evaluation path: it finds the span of
 every point with one ``searchsorted`` and runs the recursion once over the
-whole array of points.  :func:`eval_basis` is its one-point case, and
-:func:`collocation` scatters its results into dense matrices over the whole
-basis.
+whole array of points, and :func:`collocation` scatters its results into
+dense matrices over the whole basis.
 
 Span selection is half-open: x in [z_{n-1}, z_n) belongs to span n, except
 x = 1 which belongs to the last span (values there are the left limits).
@@ -24,7 +23,6 @@ import numpy as np
 
 from .errors import (
     ExcessMultiplicity,
-    IndexOutOfRange,
     NotNondecreasing,
     NotOpen,
     OutOfDomain,
@@ -53,11 +51,6 @@ class BreakpointMesh1D:
     def num_spans(self):
         return len(self.widths)
 
-    def span_interval(self, n):
-        if not 1 <= n <= self.num_spans:
-            raise IndexOutOfRange(f"span index {n} not in 1..{self.num_spans}")
-        return self.breakpoints[n - 1], self.breakpoints[n]
-
 
 class KnotVector:
     """A validated open knot vector of a given degree.
@@ -73,10 +66,6 @@ class KnotVector:
         bps, mults = _breakpoints_of(self.knots)
         self.mesh = BreakpointMesh1D(bps, mults, np.diff(bps))
         self.theta = _mesh_ratio(self.mesh.widths)
-        # knot index of the left end of each nonzero span: position of the
-        # last copy of each breakpoint except the final one
-        cum = np.cumsum(mults)
-        self._span_knot_index = cum[:-1] - 1
 
     @property
     def dimension(self):
@@ -100,44 +89,8 @@ class KnotVector:
         mu = np.searchsorted(self.knots, x, side="right") - 1
         return np.clip(mu, self.degree, self.dimension - 1)
 
-    def bisected(self):
-        """New knot vector with every nonzero span split at its midpoint.
-
-        Inserted midpoints get multiplicity one (maximal smoothness there);
-        existing interior multiplicities are preserved.
-        """
-        mesh = self.mesh
-        knots = [0.0] * (self.degree + 1)
-        for n in range(1, mesh.num_spans + 1):
-            a, b = mesh.span_interval(n)
-            knots.append(0.5 * (a + b))
-            if n < mesh.num_spans:
-                knots.extend([b] * int(mesh.multiplicities[n]))
-        knots.extend([1.0] * (self.degree + 1))
-        return validate_knots(knots, self.degree)
-
     def __repr__(self):
         return f"KnotVector(degree={self.degree}, spans={self.num_spans})"
-
-
-@dataclass(frozen=True)
-class BasisEvaluation:
-    """Values of the k+1 possibly nonzero basis functions at one point.
-
-    ``ders[d, j]`` is the d-th derivative of function ``first_index + j``.
-    """
-
-    span: int
-    first_index: int
-    ders: np.ndarray
-
-    @property
-    def values(self):
-        return self.ders[0]
-
-    @property
-    def first_derivs(self):
-        return self.ders[1]
 
 
 def _breakpoints_of(knots):
@@ -173,8 +126,9 @@ def validate_knots(knots, degree):
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
     if knots.ndim != 1 or len(knots) == 0:
         raise NotNondecreasing("knot sequence must be a nonempty 1-d sequence")
-    if np.any(np.diff(knots) < 0):
-        raise NotNondecreasing("knots must be nondecreasing")
+    # NaN compares false, so it fails this test
+    if not np.all(np.diff(knots) >= 0):
+        raise NotNondecreasing("knots must be nondecreasing (and not NaN)")
     if knots[0] != 0.0 or knots[-1] != 1.0:
         raise NotOpen("knots must start at 0 and end at 1")
     bps, mults = _breakpoints_of(knots)
@@ -211,34 +165,6 @@ def uniform_open_knots(degree, num_spans):
         [np.zeros(degree + 1), interior, np.ones(degree + 1)]
     )
     return validate_knots(knots, degree)
-
-
-def continuity_at(kv, n):
-    """Continuous derivatives across interior breakpoint ``n``: degree - m_n."""
-    if not 1 <= n <= kv.num_spans - 1:
-        raise IndexOutOfRange(
-            f"interior breakpoint index {n} not in 1..{kv.num_spans - 1}"
-        )
-    return kv.degree - int(kv.mesh.multiplicities[n])
-
-
-def eval_basis(kv, x, max_deriv=1):
-    """Evaluate the k+1 possibly nonzero basis functions at ``x``.
-
-    Parameters
-    ----------
-    kv : KnotVector
-    x : float in [0, 1]
-    max_deriv : int
-        Highest derivative order to return, at most the degree.
-
-    Returns
-    -------
-    BasisEvaluation
-    """
-    first, ders = eval_basis_many(kv, [x], max_deriv)
-    first = int(first[0])
-    return BasisEvaluation(span=first + kv.degree, first_index=first, ders=ders[0])
 
 
 def eval_basis_many(kv, xs, max_deriv=1):

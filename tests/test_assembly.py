@@ -26,7 +26,7 @@ from nitsche_iga import (
 from nitsche_iga.errors import SingularGram
 from nitsche_iga.geometry import invert_2x2 as _invert_2x2
 from nitsche_iga.problem import Problem, _const_matrix, _const_scalar, _const_vector
-from nitsche_iga.splines import eval_basis, eval_basis_many, uniform_open_knots, validate_knots
+from nitsche_iga.splines import collocation, eval_basis_many, uniform_open_knots, validate_knots
 
 from conftest import (
     make_disc,
@@ -57,17 +57,18 @@ def pure_heat_problem(c=0.0):
 
 def dense_basis_row(space, x, y):
     """All basis values and gradients at one physical point (identity map)."""
-    e1 = eval_basis(space.kv1, x, 1)
-    e2 = eval_basis(space.kv2, y, 1)
+    first1, d1 = eval_basis_many(space.kv1, [x], 1)
+    first2, d2 = eval_basis_many(space.kv2, [y], 1)
+    (v1, dv1), (v2, dv2) = d1[0], d2[0]
     n1 = space.shape[0]
     vals = np.zeros(space.dimension)
     grad = np.zeros((2, space.dimension))
     for l1 in range(space.kv1.degree + 1):
         for l2 in range(space.kv2.degree + 1):
-            g = (e1.first_index + l1) + n1 * (e2.first_index + l2)
-            vals[g] = e1.values[l1] * e2.values[l2]
-            grad[0, g] = e1.first_derivs[l1] * e2.values[l2]
-            grad[1, g] = e1.values[l1] * e2.first_derivs[l2]
+            g = (first1[0] + l1) + n1 * (first2[0] + l2)
+            vals[g] = v1[l1] * v2[l2]
+            grad[0, g] = dv1[l1] * v2[l2]
+            grad[1, g] = v1[l1] * dv2[l2]
     return vals, grad
 
 
@@ -84,7 +85,8 @@ def dense_oracle(space, p, eps, t, q=8):
     F = np.zeros(dim)
 
     def spans(kv):
-        return [kv.mesh.span_interval(n) for n in range(1, kv.num_spans + 1)]
+        bps = kv.mesh.breakpoints
+        return list(zip(bps[:-1], bps[1:]))
 
     for a1, b1 in spans(space.kv1):
         xs, wxs = rule.mapped(a1, b1)
@@ -162,8 +164,8 @@ def reference_element_data(space, mesh, q):
     out = {name: [] for name in ("x", "w", "B", "G", "gidx")}
     for s2 in range(1, ns2 + 1):
         for s1 in range(1, ns1 + 1):
-            t1, w1 = rule.mapped(*space.kv1.mesh.span_interval(s1))
-            t2, w2 = rule.mapped(*space.kv2.mesh.span_interval(s2))
+            t1, w1 = rule.mapped(*space.kv1.mesh.breakpoints[s1 - 1 : s1 + 1])
+            t2, w2 = rule.mapped(*space.kv2.mesh.breakpoints[s2 - 1 : s2 + 1])
             x_hat = np.column_stack([np.repeat(t1, q), np.tile(t2, q)])
             x, _, detj, _, B, G, gidx = _point_data(space, mesh.geometry, x_hat)
             out["x"].append(x)
@@ -486,13 +488,10 @@ class TestMass:
         kv = validate_knots([0, 0, 0.5, 1, 1], 1)
         rule = gauss_rule(3)
         M = np.zeros((3, 3))
-        for n in range(1, kv.num_spans + 1):
-            a, b = kv.mesh.span_interval(n)
+        bps = kv.mesh.breakpoints
+        for a, b in zip(bps[:-1], bps[1:]):
             xs, ws = rule.mapped(a, b)
-            for x, w in zip(xs, ws):
-                ev = eval_basis(kv, x, 0)
-                row = np.zeros(3)
-                row[ev.first_index : ev.first_index + 2] = ev.values
+            for w, row in zip(ws, collocation(kv, xs)[0]):
                 M += w * np.outer(row, row)
         expected = np.array(
             [

@@ -231,6 +231,47 @@ class TestExitCodes:
         assert str(geo) in err[0] and named in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "geometry, settings, named",
+        [
+            ("degrees: 1 1\nknots1: 1; 0 0 nan 1 1\nknots2: 1; 0 0 1 1\n"
+             "0 0 1\n0.5 0 1\n1 0 1\n0 1 1\n0.5 1 1\n1 1 1\n", "", ["line 2", "knots1"]),
+            ("degrees: 1 1\nknots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\n"
+             "0 0 1\n1 0 1\n0 1 1\n1 1 nan\n", "", ["weights"]),
+            ("degrees: 1 1\nknots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\n"
+             "0 0 1\n1 0 1\n0 nan 1\n1 1 1\n", "", ["control points"]),
+            ("degrees: 1 1\nknots1: 1; 0 1 0 1\nknots2: 1; 0 0 1 1\n"
+             "0 0 1\n1 0 1\n0 1 1\n1 1 1\n", "", ["line 2", "knots1"]),
+            ("degrees: 1 1\nknots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\n"
+             "# control points\n0 0 1\n1 0 1\n0 1 1\n1 one 1\n", "", ["line 8"]),
+            ("quarter_annulus", "degree = 3\nquadrature_order = 2\n",
+             ["'quadrature_order'", "'degree'"]),
+        ],
+        ids=["nan_knot", "nan_weight", "nan_point", "unsorted_knots", "bad_row",
+             "quadrature_below_degree"],
+    )
+    def test_malformed_input_names_the_culprit(self, tmp_path, capsys, geometry, settings, named):
+        if "\n" in geometry:
+            (tmp_path / "geo.txt").write_text(geometry)
+            geometry = str(tmp_path / "geo.txt")
+        cfg = BASE.replace("degree = 1\n", "") + (settings or "degree = 1\n")
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        code = main(["solve", "--config", path, "--out", str(out), "--geometry", geometry])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert all(name in err[0] for name in named), err
+        assert not out.exists()
+
+    def test_quadrature_one_above_degree_runs(self, tmp_path):
+        cfg = BASE.replace("degree = 1", "degree = 3") + "quadrature_order = 4\n"
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        argv = ["solve", "--config", path, "--out", str(out), "--geometry", "quarter_annulus"]
+        assert main(argv) == 0
+        assert "quadrature_order = 4\n" in (out / "manifest.txt").read_text()
+
     def test_zero_error_study_exits_2(self, tmp_path, capsys):
         # the zero case is solved exactly: no level has an error to take a rate of
         path = write_config(tmp_path, BASE.replace("levels = 4", "levels = 2 4"))

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from nitsche_iga import eval_basis, parse_knot_vector, uniform_open_knots, validate_knots
+from nitsche_iga import parse_knot_vector, uniform_open_knots, validate_knots
 from nitsche_iga.errors import (
     ExcessMultiplicity,
-    IndexOutOfRange,
     NotNondecreasing,
     NotOpen,
     OutOfDomain,
 )
-from nitsche_iga.splines import collocation, continuity_at, eval_basis_many
+from nitsche_iga.splines import collocation, eval_basis_many
 
 from conftest import greville
 
@@ -129,6 +128,11 @@ class TestValidation:
         with pytest.raises(NotNondecreasing):
             validate_knots([0, 0, 0.5, 0.2, 1, 1], 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_interior_knot(self, bad):
+        with pytest.raises(NotNondecreasing):
+            validate_knots([0, 0, bad, 1, 1], 1)
+
     def test_excess_multiplicity(self):
         with pytest.raises(ExcessMultiplicity):
             validate_knots([0, 0, 0.5, 0.5, 0.5, 1, 1], 1)
@@ -152,111 +156,86 @@ class TestValidation:
         for n in (3, 5, 8):
             assert uniform_open_knots(1, n).dimension == n + 1
 
-    def test_continuity_at(self):
-        kv = validate_knots([0, 0, 0, 0.5, 1, 1, 1], 2)
-        assert continuity_at(kv, 1) == 1  # C1 at the simple interior knot
-        kv = validate_knots([0, 0, 0, 0.5, 0.5, 1, 1, 1], 2)
-        assert continuity_at(kv, 1) == 0
-        kv = validate_knots([0, 0, 0.5, 1, 1], 1)
-        assert continuity_at(kv, 1) == 0
-        with pytest.raises(IndexOutOfRange):
-            continuity_at(kv, 2)
-
 
 class TestEvaluation:
     def test_hat_functions(self):
         kv = validate_knots([0, 0, 1, 1], 1)
-        ev = eval_basis(kv, 0.5)
-        assert np.allclose(ev.values, [0.5, 0.5])
-        assert np.allclose(ev.first_derivs, [-1.0, 1.0])
+        _, ders = eval_basis_many(kv, [0.5])
+        assert np.allclose(ders[0], [[0.5, 0.5], [-1.0, 1.0]])
 
     def test_bernstein_midpoint(self):
         # hand-unrolled recursion at x = 0.5 on {0,0,0,1,1,1}:
         # B_{1,1} = 1-x, B_{2,1} = x; then
         # B_{1,2} = (1-x)^2, B_{2,2} = 2x(1-x), B_{3,2} = x^2
         kv = validate_knots([0, 0, 0, 1, 1, 1], 2)
-        ev = eval_basis(kv, 0.5)
-        assert np.allclose(ev.values, [0.25, 0.5, 0.25], atol=1e-15)
+        _, ders = eval_basis_many(kv, [0.5], 0)
+        assert np.allclose(ders[0, 0], [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_out_of_domain(self):
         kv = validate_knots([0, 0, 1, 1], 1)
         with pytest.raises(OutOfDomain):
-            eval_basis(kv, 1.5)
+            eval_basis_many(kv, [1.5])
         with pytest.raises(OutOfDomain):
-            eval_basis(kv, -0.1)
+            eval_basis_many(kv, [-0.1])
 
     def test_max_deriv_capped(self):
         kv = validate_knots([0, 0, 1, 1], 1)
         with pytest.raises(ValueError):
-            eval_basis(kv, 0.5, max_deriv=2)
+            eval_basis_many(kv, [0.5], max_deriv=2)
 
     @pytest.mark.parametrize("knots,k", SHIPPED)
     def test_partition_of_unity_and_derivative_sums(self, knots, k, rng):
         kv = validate_knots(knots, k)
         xs = np.concatenate([rng.random(1000), [0.0, 1.0], kv.mesh.breakpoints])
-        for x in xs:
-            ev = eval_basis(kv, float(x))
-            assert np.all(ev.values >= -1e-15)
-            assert abs(ev.values.sum() - 1.0) < 1e-13
-            assert abs(ev.first_derivs.sum()) < 1e-11
+        _, ders = eval_basis_many(kv, xs)
+        assert np.all(ders[:, 0] >= -1e-15)
+        assert np.max(np.abs(ders[:, 0].sum(axis=1) - 1.0)) < 1e-13
+        assert np.max(np.abs(ders[:, 1].sum(axis=1))) < 1e-11
 
     @pytest.mark.parametrize("knots,k", SHIPPED)
     def test_matches_full_table_oracle(self, knots, k, rng):
         kv = validate_knots(knots, k)
-        for x in np.concatenate([rng.random(200), [0.0, 1.0]]):
-            ev = eval_basis(kv, float(x))
+        xs = np.concatenate([rng.random(200), [0.0, 1.0]])
+        for x, dense in zip(xs, collocation(kv, xs)[0]):
             table = cox_de_boor_table(knots, k, float(x))
-            dense = np.zeros(kv.dimension)
-            dense[ev.first_index : ev.first_index + k + 1] = ev.values
             assert np.max(np.abs(dense - table)) < 1e-14
 
     @pytest.mark.parametrize("knots,k", SHIPPED)
     def test_first_derivative_against_differences(self, knots, k, rng):
         kv = validate_knots(knots, k)
         delta = 1e-6
-        count = 0
-        for x in rng.random(300):
-            # stay away from breakpoints where one-sided limits differ
-            if np.min(np.abs(kv.mesh.breakpoints - x)) < 10 * delta:
-                continue
-            lo = eval_basis(kv, x - delta, 0)
-            hi = eval_basis(kv, x + delta, 0)
-            mid = eval_basis(kv, x, 1)
-            assert hi.first_index == lo.first_index == mid.first_index
-            fd = (hi.values - lo.values) / (2 * delta)
-            assert np.max(np.abs(fd - mid.first_derivs)) < 1e-6
-            count += 1
-        assert count > 200
+        xs = rng.random(300)
+        # stay away from breakpoints where one-sided limits differ
+        gap = np.min(np.abs(kv.mesh.breakpoints[:, None] - xs), axis=0)
+        xs = xs[gap >= 10 * delta]
+        assert len(xs) > 200
+        lo_first, lo = eval_basis_many(kv, xs - delta, 0)
+        hi_first, hi = eval_basis_many(kv, xs + delta, 0)
+        first, mid = eval_basis_many(kv, xs, 1)
+        assert np.array_equal(lo_first, first) and np.array_equal(hi_first, first)
+        fd = (hi[:, 0] - lo[:, 0]) / (2 * delta)
+        assert np.max(np.abs(fd - mid[:, 1])) < 1e-6
 
     def test_c1_smoothness_across_simple_breakpoint(self):
         kv = validate_knots([0, 0, 0, 0.5, 1, 1, 1], 2)
         z = 0.5
-        right = eval_basis(kv, z, 1)
-        left = eval_basis(kv, np.nextafter(z, 0.0), 1)
-        dense_r = np.zeros(kv.dimension)
-        dense_l = np.zeros(kv.dimension)
-        dense_r[right.first_index : right.first_index + 3] = right.first_derivs
-        dense_l[left.first_index : left.first_index + 3] = left.first_derivs
+        first, _ = eval_basis_many(kv, [np.nextafter(z, 0.0), z])
+        assert first[0] != first[1]  # the two sides are different spans
+        dense_l, dense_r = collocation(kv, [np.nextafter(z, 0.0), z])[1]
         assert np.max(np.abs(dense_r - dense_l)) < 1e-10
 
     def test_second_derivatives(self):
         # B_{3,2} = x^2 on the Bernstein span: second derivative 2
         kv = validate_knots([0, 0, 0, 1, 1, 1], 2)
-        ev = eval_basis(kv, 0.3, max_deriv=2)
-        assert np.allclose(ev.ders[2], [2.0, -4.0, 2.0])
+        _, ders = eval_basis_many(kv, [0.3], max_deriv=2)
+        assert np.allclose(ders[0, 2], [2.0, -4.0, 2.0])
 
     def test_endpoint_conventions(self):
         kv = validate_knots([0, 0, 0.5, 1, 1], 1)
-        at0 = eval_basis(kv, 0.0)
-        assert at0.first_index == 0
-        assert np.allclose(at0.values, [1.0, 0.0])
-        at1 = eval_basis(kv, 1.0)
-        assert at1.first_index == 1
-        assert np.allclose(at1.values, [0.0, 1.0])
-        # interior breakpoint evaluates right-continuously
-        mid = eval_basis(kv, 0.5)
-        assert mid.first_index == 1
-        assert np.allclose(mid.values, [1.0, 0.0])
+        first, ders = eval_basis_many(kv, [0.0, 1.0, 0.5], 0)
+        # left limit at 1; an interior breakpoint evaluates right-continuously
+        assert list(first) == [0, 1, 1]
+        assert np.allclose(ders[:, 0], [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
 
 
 class TestHelpers:
@@ -266,30 +245,19 @@ class TestHelpers:
         assert np.all(mesh.widths > 0)
         assert mesh.widths.sum() == pytest.approx(1.0, abs=1e-15)
         assert mesh.breakpoints[0] == 0.0 and mesh.breakpoints[-1] == 1.0
-        a, b = mesh.span_interval(1)
-        assert (a, b) == (mesh.breakpoints[0], mesh.breakpoints[1])
-        with pytest.raises(IndexOutOfRange):
-            mesh.span_interval(mesh.num_spans + 1)
+        # span n runs from breakpoints[n - 1] to breakpoints[n]
+        assert mesh.num_spans == len(mesh.breakpoints) - 1
+        assert np.array_equal(mesh.widths, np.diff(mesh.breakpoints))
+        assert np.array_equal(np.repeat(mesh.breakpoints, mesh.multiplicities), knots)
 
     def test_greville_linear_reproduction(self, rng):
         for knots, k in SHIPPED:
             kv = validate_knots(knots, k)
             g = greville(kv)
-            for x in rng.random(50):
-                ev = eval_basis(kv, float(x))
-                combo = ev.values @ g[ev.first_index : ev.first_index + k + 1]
-                assert abs(combo - x) < 1e-13
-
-    def test_bisected_halves_widths(self):
-        kv = uniform_open_knots(2, 4)
-        fine = kv.bisected()
-        assert fine.num_spans == 8
-        assert np.allclose(fine.mesh.widths, 1 / 8)
-        # interior multiplicities preserved
-        kv2 = validate_knots([0, 0, 0, 0.5, 0.5, 1, 1, 1], 2)
-        fine2 = kv2.bisected()
-        assert continuity_at(fine2, 2) == 0  # the doubled knot stays doubled
-        assert continuity_at(fine2, 1) == 1  # inserted midpoints are simple
+            xs = rng.random(50)
+            first, ders = eval_basis_many(kv, xs, 0)
+            combo = np.sum(ders[:, 0] * g[first[:, None] + np.arange(k + 1)], axis=1)
+            assert np.max(np.abs(combo - xs)) < 1e-13
 
 
 # uniform and graded knot vectors of every degree, the graded ones with
@@ -322,18 +290,6 @@ class TestEvalBasisMany:
                 ref_first, ref = one_point_ders(knots, k, float(x), nd)
                 assert first[i] == ref_first
                 assert ders[i].tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("knots,k", BATCH_KNOTS)
-    def test_bit_equal_to_eval_basis(self, knots, k, rng):
-        kv = validate_knots(knots, k)
-        xs = batch_points(kv, rng)
-        for nd in range(k + 1):
-            first, ders = eval_basis_many(kv, xs, nd)
-            for i, x in enumerate(xs):
-                ev = eval_basis(kv, float(x), nd)
-                assert ev.first_index == first[i]
-                assert ev.span == first[i] + k
-                assert ev.ders.tobytes() == ders[i].tobytes()
 
     def test_end_and_breakpoint_spans(self):
         kv = validate_knots([0, 0, 0, 0.25, 0.25, 0.5, 1, 1, 1], 2)
@@ -374,9 +330,9 @@ class TestCollocation:
         C = collocation(kv, xs)
         assert C.shape == (2, len(xs), kv.dimension)
         for i, x in enumerate(xs):
-            ev = eval_basis(kv, float(x), 1)
-            cols = ev.first_index + np.arange(k + 1)
-            assert np.array_equal(C[:, i, cols], ev.ders[:2])
+            first, ders = one_point_ders(knots, k, float(x), 1)
+            cols = first + np.arange(k + 1)
+            assert np.array_equal(C[:, i, cols], ders)
             assert np.count_nonzero(np.delete(C[:, i], cols, axis=1)) == 0
         # partition of unity and its derivative
         assert np.max(np.abs(C[0].sum(axis=1) - 1.0)) < 1e-14

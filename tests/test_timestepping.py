@@ -14,7 +14,7 @@ from nitsche_iga import assembly
 from nitsche_iga.analysis import boundary_trace_sq
 from nitsche_iga.assembly import assemble_functional, assemble_stiffness
 from nitsche_iga.linalg import SparseFactor
-from nitsche_iga.splines import eval_basis
+from nitsche_iga.splines import collocation
 
 from conftest import greville_grid, make_disc
 
@@ -88,17 +88,7 @@ class TestProjection:
         j = i1 + space.shape[0] * i2  # direction 1 fastest
 
         def basis_j(x, y):
-            out = np.zeros_like(x)
-            for i, (xi, yi) in enumerate(zip(x, y)):
-                e1 = eval_basis(space.kv1, xi, 0)
-                e2 = eval_basis(space.kv2, yi, 0)
-                if e1.first_index <= i1 <= e1.first_index + space.kv1.degree:
-                    if e2.first_index <= i2 <= e2.first_index + space.kv2.degree:
-                        out[i] = (
-                            e1.values[i1 - e1.first_index]
-                            * e2.values[i2 - e2.first_index]
-                        )
-            return out
+            return collocation(space.kv1, x)[0, :, i1] * collocation(space.kv2, y)[0, :, i2]
 
         c = project_initial(disc, basis_j)
         expected = np.zeros(space.dimension)
@@ -117,13 +107,10 @@ class TestProjection:
         grev = greville_grid(space)
         n = space.dimension
         B = np.zeros((n, n))
-        for r, (gx, gy) in enumerate(grev):
-            e1 = eval_basis(space.kv1, gx, 0)
-            e2 = eval_basis(space.kv2, gy, 0)
-            for l1 in range(space.kv1.degree + 1):
-                for l2 in range(space.kv2.degree + 1):
-                    g = (e1.first_index + l1) + space.shape[0] * (e2.first_index + l2)
-                    B[r, g] = e1.values[l1] * e2.values[l2]
+        C1 = collocation(space.kv1, grev[:, 0])[0]
+        C2 = collocation(space.kv2, grev[:, 1])[0]
+        for r in range(n):
+            B[r] = np.kron(C2[r], C1[r])  # g = i1 + n1 * i2
         c_interp = np.linalg.solve(B, u0(grev[:, 0], grev[:, 1]))
 
         def l2_error(coef):
