@@ -5,8 +5,12 @@ piecewise-constant-in-time extension (u(t) = u^{n+1} on (t_n, t_{n+1}]);
 per step interval the exact solution is resolved with a 3-point Gauss rule
 in time, evaluated at all three times of a step in one call per block of
 points, and space integrals use the element quadrature of the
-discretization.  The coercivity audit converts the assembled matrices to
-dense form and is meant for coarse meshes only.
+discretization.  The error in u and the two components of the error in
+grad u are held as separate (times, points) arrays, so that no numpy
+operation runs over an axis of length 2; |grad e|^2 is the one addition
+dx^2 + dy^2, which is bit for bit what a sum over the component axis gives.
+The coercivity audit converts the assembled matrices to dense form and is
+meant for coarse meshes only.
 """
 
 import csv
@@ -24,12 +28,14 @@ from .timestepping import TimeGrid, march, project_initial
 
 TIME_QUAD_POINTS = 3
 
-# points per call of the exact solution in space_time_errors.  Its (3, b, 2)
-# float64 gradient, at most 120 KiB, then stays below glibc's default mmap
-# threshold of 128 KiB.  Where the threshold stays there (set by mallopt or
-# MALLOC_MMAP_THRESHOLD_), every larger temporary is mapped afresh and
-# page-faulted in; on the unit square at 24 spans and k = 2 that cost as
-# much time as the 3 times save by sharing their t-independent factors.
+# points per call of the exact solution in space_time_errors.  The closure
+# still returns the (3, b, 2) gradient, which is split into its components
+# only after the call; that float64 array, at most 120 KiB, then stays below
+# glibc's default mmap threshold of 128 KiB.  Where the threshold stays
+# there (set by mallopt or MALLOC_MMAP_THRESHOLD_), every larger temporary
+# is mapped afresh and page-faulted in; on the unit square at 24 spans and
+# k = 2 that cost as much time as the 3 times save by sharing their
+# t-independent factors.
 MAX_BLOCK_POINTS = 2560
 
 # sampled times and relative bound of check_boundary_datum
@@ -54,16 +60,32 @@ def boundary_trace_sq(coef, disc):
 
 # -- space-time errors --------------------------------------------------------
 
+def _checked(case, key, value, shape):
+    """``value`` of ``case.<key>`` if it has the axes of ``shape`` and
+    broadcasts to it (a length-1 axis stands for any length)."""
+    got = np.shape(value)
+    if len(got) != len(shape) or any(g not in (1, s) for g, s in zip(got, shape)):
+        raise ValueError(
+            f"{case.name}: {key} returned shape {got} for x, y of shape (1, {shape[1]}) "
+            f"and t of shape ({shape[0]}, 1); expected {shape} or a shape that "
+            f"broadcasts to it with the same number of axes"
+        )
+    return value
+
+
 def space_time_errors(traj, case):
     """(L2(J;H1), L2(J;L2)) errors of the piecewise-constant extension.
 
     ``case.u`` and ``case.grad_u`` are evaluated at the 3 Gauss times of a
     step in one call per block of at most ``MAX_BLOCK_POINTS`` element
     quadrature points: x and y as a (1, b) row, the times as a (3, 1)
-    column.  Their results are read through broadcasting, so a closure
-    that does not depend on t may return the row.  Each time's space
-    integrals are rows of one (3, m) array over all m points, summed in
-    the order of a per-time loop.
+    column.  Their results must broadcast to (3, b) and (3, b, 2) with all
+    their axes, so a closure that does not depend on t may return the row;
+    any other shape raises ``ValueError``.  The error in u and the two
+    gradient components are kept apart, as rows of three (3, m) arrays over
+    all m points, and |grad e|^2 is formed as dx^2 + dy^2 by one addition:
+    a sum over a length-2 axis is exactly that addition, so every row sum,
+    summed in the order of a per-time loop, is bit-identical to it.
     """
     ec = traj.disc.elements
     nodes = traj.grid.nodes
@@ -74,20 +96,23 @@ def space_time_errors(traj, case):
     w = ec.w.reshape(m)
     blocks = [slice(a, a + MAX_BLOCK_POINTS) for a in range(0, m, MAX_BLOCK_POINTS)]
 
-    due = np.empty((TIME_QUAD_POINTS, m))
-    dge = np.empty((TIME_QUAD_POINTS, m, 2))
-    dge_sq = np.empty((TIME_QUAD_POINTS, m))
+    du, dx, dy = np.empty((3, TIME_QUAD_POINTS, m))
     acc_h1 = 0.0
     acc_l2 = 0.0
     for n in range(1, traj.grid.num_steps + 1):
-        field = ec.field(traj.coefs[n]).reshape(m, 3)
+        fu, fx, fy = ec.field(traj.coefs[n]).reshape(m, 3).T
         tn = times[n - 1, :, None]
         for b in blocks:
-            np.subtract(case.u(x[:, b], y[:, b], tn), field[b, 0], out=due[:, b])
-            np.subtract(case.grad_u(x[:, b], y[:, b], tn), field[b, 1:], out=dge[:, b])
-        l2_parts = np.multiply(w, np.square(due, out=due), out=due).sum(axis=1)
-        np.sum(np.square(dge, out=dge), axis=-1, out=dge_sq)
-        h1_parts = l2_parts + np.multiply(w, dge_sq, out=dge_sq).sum(axis=1)
+            xb, yb = x[:, b], y[:, b]
+            shape = (TIME_QUAD_POINTS, xb.shape[1])
+            u = _checked(case, "u", case.u(xb, yb, tn), shape)
+            g = _checked(case, "grad_u", case.grad_u(xb, yb, tn), shape + (2,))
+            np.subtract(u, fu[b], out=du[:, b])
+            np.subtract(g[..., 0], fx[b], out=dx[:, b])
+            np.subtract(g[..., 1], fy[b], out=dy[:, b])
+        l2_parts = np.multiply(w, np.square(du, out=du), out=du).sum(axis=1)
+        grad_sq = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+        h1_parts = l2_parts + np.multiply(w, grad_sq, out=grad_sq).sum(axis=1)
         for wj, l2_part, h1_part in zip(wts[n - 1], l2_parts, h1_parts):
             acc_l2 += wj * l2_part
             acc_h1 += wj * h1_part

@@ -378,6 +378,37 @@ def _operator_coefficients(disc, p, t):
     return mu, bv, cv, mu_e, bn
 
 
+def _distinct(a):
+    """View of ``a`` with every axis of stride 0 cut to length 1: all the
+    values it holds, since along such an axis one value repeats."""
+    return a[tuple(slice(0, 1) if s == 0 else slice(None) for s in a.strides)]
+
+
+def _kept(a):
+    """Read-only copy of ``a`` for :func:`_same_bits`: a C-contiguous copy
+    of its :func:`_distinct` values, broadcast back to its shape."""
+    return np.broadcast_to(np.array(_distinct(a), order="C"), a.shape)
+
+
+def _same_bits(a, kept):
+    """Whether ``a`` has the shape, dtype and bits of ``kept`` (from :func:`_kept`).
+
+    The values are compared in place as unsigned integers of their item
+    size, so signed zeros and NaN payloads count.  When ``a`` repeats its
+    values along the axes that ``kept`` does, as a coefficient returned by
+    ``np.broadcast_to`` does at every step, only the distinct values are
+    compared.
+    """
+    if a.shape != kept.shape or a.dtype != kept.dtype:
+        return False
+    bits = np.dtype(f"u{a.itemsize}")
+    a, kept = a.view(bits), kept.view(bits)
+    core, kept_core = _distinct(a), _distinct(kept)
+    if core.shape == kept_core.shape:
+        return np.array_equal(core, kept_core)
+    return np.array_equal(a, kept)
+
+
 def _edge_terms(disc, mu_e, bn, eps):
     """At the edge points, the flux n . mu grad N and sigma N - flux, with
     sigma = eps/h_E - min(b . n, 0): the Dirichlet terms of the form."""
@@ -506,7 +537,9 @@ class AssembledForms:
     Resolves the penalty parameter (absolute ``epsilon`` or a
     ``epsilon_factor`` multiple of the computed floor; exactly one may be
     given, default factor 1.25) and caches the last stiffness matrix with
-    the operator inputs it was assembled from.  The mass matrix is
+    copies of the sampled coefficients it was assembled from (see
+    :func:`_kept`).  Each new sample is compared with those copies in place,
+    bit for bit, with no bytes copies of either.  The mass matrix is
     ``disc.mass``.
     """
 
@@ -521,21 +554,22 @@ class AssembledForms:
         else:
             factor = PENALTY_FACTOR_DEFAULT if epsilon_factor is None else epsilon_factor
             self.eps = factor * self.floor
-        self._stiffness = (None, None)  # (coefficient bytes, matrix)
+        self._stiffness = (None, None)  # (copies of the sampled coefficients, matrix)
 
     def stiffness(self, t):
         """Stiffness at ``t``: the previous matrix object when the operator
         coefficients are bit-equal to those it was assembled from.
 
         The coefficients are sampled once and serve both the comparison
-        and, when they changed, the assembly.
+        and, when they changed, the assembly.  They are compared in place
+        with the kept copies; only a changed operator copies them.
         """
         coefficients = _operator_coefficients(self.disc, self.problem, t)
-        inputs = tuple((a.shape, a.dtype.str, a.tobytes()) for a in coefficients)
-        if inputs != self._stiffness[0]:
+        kept, A = self._stiffness
+        if A is None or not all(map(_same_bits, coefficients, kept)):
             A = _stiffness_from(self.disc, coefficients, self.eps)
-            self._stiffness = (inputs, A)
-        return self._stiffness[1]
+            self._stiffness = ([_kept(a) for a in coefficients], A)
+        return A
 
     def load(self, t):
         return assemble_load(self.disc, self.problem, self.eps, t)

@@ -5,9 +5,12 @@ stiffness and load evaluated at the implicit endpoint t_n.  The load is
 rebuilt every step.  ``AssembledForms.stiffness`` returns the previous
 matrix object whenever the coefficients it samples at the quadrature points
 (mu, b, c in the volume, mu and b . n on the boundary) are bit-equal to the
-last assembled ones, and the march factors M + tau A again only when that
-object changes: an autonomous operator is assembled and factored once, a
-time-dependent one every step, with the same result as rebuilding always.
+last assembled ones.  It keeps copies of those arrays with the matrix and
+compares each new sample with them in place, as unsigned integers, so a
+step that reuses the operator copies nothing.  The march factors
+M + tau A again only when that object changes: an autonomous operator is
+assembled and factored once, a time-dependent one every step, with the
+same result as rebuilding always.
 M and A share the discretization's CSR pattern, so M + tau A is formed on
 its data alone, and every LU, the mass matrix's included, takes the
 pattern's precomputed order ``disc.order``.

@@ -128,6 +128,36 @@ class TestSpaceTimeErrors:
         assert calls == {"u": shapes, "grad_u": shapes}
 
 
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("grad_u", lambda g: g[..., 0]),  # trailing axis dropped: (3, b)
+            ("grad_u", lambda g: g[0]),  # no time axis: (b, 2)
+            ("u", lambda u: u[0]),  # no time axis: (b,)
+            ("u", lambda u: u[..., None]),  # extra axis: (3, b, 1)
+            ("grad_u", lambda g: g[:2]),  # two times of three: (2, b, 2)
+        ],
+    )
+    def test_malformed_closure_shape_raises(self, square_gm, key, bad):
+        case = builtin_case("paper_sec8")
+        fn = getattr(case, key)
+        broken = replace(case, **{key: lambda x, y, t: bad(fn(x, y, t))})
+        disc = make_disc(square_gm, 2, 3)
+        traj = SolutionTrajectory(np.zeros((3, disc.dimension)), TimeGrid(2, case.problem.T), disc)
+        with pytest.raises(ValueError, match=rf"paper_sec8: {key} returned shape"):
+            space_time_errors(traj, broken)
+
+    @pytest.mark.parametrize("name", ["zero", "steady_reaction"])
+    def test_time_independent_rows_pass_the_shape_check(self, square_gm, name):
+        case = builtin_case(name)
+        x = np.zeros((1, 5))
+        t = np.zeros((3, 1))
+        assert np.shape(case.grad_u(x, x, t)) == (1, 5, 2)
+        disc = make_disc(square_gm, 2, 3)
+        traj = SolutionTrajectory(np.zeros((3, disc.dimension)), TimeGrid(2, case.problem.T), disc)
+        assert space_time_errors(traj, case) == reference_space_time_errors(traj, case)
+
+
 class TestBoundaryDatum:
     @pytest.mark.parametrize("name", ["paper_sec8", "steady_reaction", "zero"])
     def test_consistent_on_the_square(self, square_gm, name):

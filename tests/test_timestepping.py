@@ -275,3 +275,128 @@ class TestOperatorReuse:
         A0 = forms.stiffness(0.0)
         assert forms.stiffness(1.0) is not A0
         assert forms.stiffness(1.0) is forms.stiffness(1.0)
+
+
+def _after_first_step(first, after):
+    """Coefficient closure that returns ``first(x)`` at t = 0 and ``after(x)`` later."""
+    return lambda x, y, t: first(x) if t == 0.0 else after(x)
+
+
+def _c_with_one_point(value):
+    def c(x):
+        v = np.ones(len(x))
+        v[0] = value
+        return v
+
+    return c
+
+
+def _b_with_second_component(value):
+    def b(x):
+        v = np.ones((len(x), 2))
+        v[0, 1] = value
+        return v
+
+    return b
+
+
+class TestReuseCheck:
+    """``AssembledForms.stiffness`` against its kept copies: any change of a
+    sampled coefficient's bits, shape or dtype gives a new matrix object."""
+
+    def _forms(self, square_gm, **coefficients):
+        p = replace(builtin_case("paper_sec8").problem, **coefficients)
+        return AssembledForms(make_disc(square_gm, 1, 3), p)
+
+    def _b_gated_on_first_edge_point(self, square_gm):
+        disc = make_disc(square_gm, 1, 3)
+        xq, yq = disc.boundary.x[0, 0]
+
+        def b(x, y, t):
+            at = (x == xq) & (y == yq) & (t > 0.0)
+            return np.ones((len(x), 2)) * (1.0 + at)[:, None]
+
+        return b
+
+    @pytest.mark.parametrize(
+        "key, same, changed",
+        [
+            # one volume point, one ulp
+            ("c", _c_with_one_point(1.0), _c_with_one_point(np.nextafter(1.0, 2.0))),
+            # one point, sign of zero only
+            ("b", _b_with_second_component(0.0), _b_with_second_component(-0.0)),
+            # equal values, float32 instead of float64
+            ("c", lambda x: np.ones(len(x)), lambda x: np.ones(len(x), dtype=np.float32)),
+        ],
+        ids=["c_one_ulp", "b_signed_zero", "c_float32"],
+    )
+    def test_change_gives_new_matrix(self, square_gm, key, same, changed):
+        forms = self._forms(square_gm, **{key: _after_first_step(same, changed)})
+        A0 = forms.stiffness(0.0)
+        assert forms.stiffness(0.0) is A0
+        A1 = forms.stiffness(1.0)
+        assert A1 is not A0
+        assert forms.stiffness(2.0) is A1
+
+    def test_bn_change_at_one_edge_point_gives_new_matrix(self, square_gm):
+        forms = self._forms(square_gm, b=self._b_gated_on_first_edge_point(square_gm))
+        disc = forms.disc
+        before = assembly._operator_coefficients(disc, forms.problem, 0.0)
+        after = assembly._operator_coefficients(disc, forms.problem, 1.0)
+        differ = [not np.array_equal(a, b) for a, b in zip(before, after)]
+        assert differ == [False, False, False, False, True]  # b . n alone
+        assert np.count_nonzero(before[4] != after[4]) == 1
+        A0 = forms.stiffness(0.0)
+        assert forms.stiffness(1.0) is not A0
+
+    def test_kept_arrays_are_copies(self, square_gm):
+        # the closure overwrites one buffer in place and returns it each call
+        buf = []
+
+        def c(x, y, t):
+            if not buf:
+                buf.append(np.ones(len(x)))
+            buf[0][0] = 1.0 + t
+            return buf[0]
+
+        forms = self._forms(square_gm, c=c)
+        A0 = forms.stiffness(0.0)
+        A1 = forms.stiffness(1.0)
+        assert A1 is not A0
+        assert forms.stiffness(1.0) is A1
+
+    def test_stride_zero_sample_is_compared_and_reused(self, square_gm):
+        def c(x, y, t):
+            return np.broadcast_to(2.0 if t < 2.0 else 3.0, x.shape)
+
+        forms = self._forms(square_gm, c=c)
+        cv = assembly._operator_coefficients(forms.disc, forms.problem, 0.0)[2]
+        assert cv.strides[-1] == 0
+        A0 = forms.stiffness(0.0)
+        assert forms.stiffness(1.0) is A0
+        assert forms.stiffness(3.0) is not A0
+
+    def test_equal_values_in_another_layout_are_reused(self, square_gm):
+        # a repeated value at t = 0, the same values in a fresh array after
+        forms = self._forms(
+            square_gm,
+            c=_after_first_step(lambda x: np.broadcast_to(2.0, x.shape), lambda x: np.full(x.shape, 2.0)),
+        )
+        A0 = forms.stiffness(0.0)
+        assert forms.stiffness(1.0) is A0
+
+    @pytest.mark.parametrize(
+        "a, b, equal",
+        [
+            (np.float64(np.nan), np.float64(np.nan), True),
+            (np.float64(np.nan), -np.float64(np.nan), False),
+            (np.uint64(0x7FF8000000000001).view(np.float64), np.float64(np.nan), False),
+            (0.0, -0.0, False),
+            (np.float32(1.0), np.float64(1.0), False),
+        ],
+    )
+    def test_same_bits_compares_bits(self, a, b, equal):
+        a = np.broadcast_to(np.asarray(a), (4, 3))
+        b = np.asarray(b)
+        assert assembly._same_bits(a, assembly._kept(np.full((4, 3), b))) is equal
+        assert assembly._same_bits(a, assembly._kept(np.broadcast_to(b, (4, 3)))) is equal
