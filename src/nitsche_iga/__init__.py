@@ -41,7 +41,6 @@ from .analysis import (
 from .assembly import (
     AssembledForms,
     Discretization,
-    assemble_load,
     assemble_mass,
     assemble_stiffness,
     assemble_vh_gram,

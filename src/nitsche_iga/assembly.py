@@ -14,12 +14,14 @@ the weights and coefficients.  An edge's local basis is its owner element's,
 so each edge carries its owner's data slots and global indices: the element
 blocks and then the edge blocks fill one array, and one ``np.bincount``
 sums it into the fixed pattern, or sums a vector over the global indices.
-Repeated assemblies (one per time step) are cheap and bitwise reproducible.
+Repeated assemblies are cheap and bitwise reproducible.
 
 The stiffness form contains five families of terms: the volume form
 (diffusion, advection, reaction), the boundary flux term, its transpose
 (symmetrization), the one-sided inflow term restricted to quadrature
-points where b . n < 0, and the eps/h_E boundary penalty.
+points where b . n < 0, and the eps/h_E boundary penalty.  The load is (f, N)
+plus its Dirichlet trial terms applied to g; :meth:`AssembledForms.at`
+returns both from one sampling of the coefficients.
 """
 
 from functools import cached_property
@@ -409,19 +411,18 @@ def _same_bits(a, kept):
     return np.array_equal(a, kept)
 
 
-def _edge_terms(disc, mu_e, bn, eps):
-    """At the edge points, the flux n . mu grad N and sigma N - flux, with
-    sigma = eps/h_E - min(b . n, 0): the Dirichlet terms of the form."""
-    bc = disc.boundary
-    flux = ((bc.normal[:, :, None, :] @ mu_e) @ bc.table[:, :, 1:])[:, :, 0]
-    sigma = (eps / bc.h_E)[:, None] - np.minimum(bn, 0.0)
-    return flux, sigma[..., None] * bc.B - flux
+def _penalty(eps):
+    """``eps`` as a float; ``ValueError`` unless it is a positive finite number."""
+    eps = float(eps)
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"penalty parameter must be a positive finite number, got {eps}")
+    return eps
 
 
 def _stiffness_from(disc, coefficients, eps):
-    """Stiffness matrix from the sampled :func:`_operator_coefficients`."""
-    if eps <= 0:
-        raise ValueError("penalty parameter must be positive")
+    """Stiffness matrix from the sampled :func:`_operator_coefficients`, and its
+    Dirichlet trial terms sigma N - n . mu grad N (nedge, nq, nloc) at the edge
+    points, with sigma = eps/h_E - min(b . n, 0), which the load applies to g."""
     ec, bc = disc.elements, disc.boundary
     mu, bv, cv, mu_e, bn = coefficients
 
@@ -439,12 +440,14 @@ def _stiffness_from(disc, coefficients, eps):
     _blocks(ec.table, trial, out=blocks[:ne])
     del trial
 
-    # test side N and flux, trial side sigma N - flux and -N: the flux term,
-    # its transpose, the inflow term and the penalty
-    flux, dirichlet = _edge_terms(disc, mu_e, bn, eps)
+    # test side N and flux n . mu grad N, trial side sigma N - flux and -N:
+    # the flux term, its transpose, the inflow term and the penalty
+    flux = ((bc.normal[:, :, None, :] @ mu_e) @ bc.table[:, :, 1:])[:, :, 0]
+    sigma = (eps / bc.h_E)[:, None] - np.minimum(bn, 0.0)
+    dirichlet = sigma[..., None] * bc.B - flux
     edge_trial = bc.w[..., None, None] * np.stack([dirichlet, -bc.B], axis=2)
     _blocks(np.stack([bc.B, flux], axis=2), edge_trial, out=blocks[ne:])
-    return _matrix(disc, blocks)
+    return _matrix(disc, blocks), dirichlet
 
 
 def assemble_stiffness(disc, p, eps, t):
@@ -452,20 +455,18 @@ def assemble_stiffness(disc, p, eps, t):
 
     Row index is the test function.  All five term families are included;
     the inflow term is restricted pointwise to quadrature points where the
-    advection field enters the domain at time ``t``.
+    advection field enters the domain at time ``t``.  ``eps`` must be a
+    positive finite number.
     """
-    return _stiffness_from(disc, _operator_coefficients(disc, p, t), eps)
+    return _stiffness_from(disc, _operator_coefficients(disc, p, t), _penalty(eps))[0]
 
 
-def assemble_load(disc, p, eps, t):
-    """Load vector F_i = (f, N_i) plus the g-weighted boundary families."""
-    if eps <= 0:
-        raise ValueError("penalty parameter must be positive")
+def _load_from(disc, p, dirichlet, t):
+    """Load vector F_i = (f, N_i) plus the Dirichlet terms ``dirichlet`` of the
+    stiffness at ``t`` (from :func:`_stiffness_from`) applied to g."""
     ec, bc = disc.elements, disc.boundary
     fv = _coefficients_at(ec.x, p.f, t)
-    gv, mu_e = (_coefficients_at(bc.x, fn, t) for fn in (p.g, p.mu))
-    _, bn = inflow_mask(disc, p, t)
-    _, dirichlet = _edge_terms(disc, mu_e, bn, eps)
+    gv = _coefficients_at(bc.x, p.g, t)
     values = np.empty(disc._gidx.shape)
     np.einsum("eq,eql->el", ec.w * fv, ec.B, out=values[: len(fv)])
     np.einsum("fq,fql->fl", bc.w * gv, dirichlet, out=values[len(fv) :])
@@ -526,21 +527,22 @@ def trace_constant(disc):
 def penalty_floor(disc, p):
     """Smallest admissible penalty: 2 * C_trace * mu1^2 / alpha, with
     alpha = min(mu0, c0) from the problem metadata."""
-    if p.alpha <= 0:
-        raise ValueError("alpha = min(mu0, c0) must be positive")
+    if not p.alpha > 0:
+        raise ValueError(f"alpha = min(mu0, c0) must be positive, got {p.alpha}")
     return 2.0 * disc.trace_constant * p.mu1**2 / p.alpha
 
 
 class AssembledForms:
-    """Stiffness and load factories for one discretized problem.
+    """Stiffness and load of one discretized problem, sampled once per time.
 
     Resolves the penalty parameter (absolute ``epsilon`` or a
     ``epsilon_factor`` multiple of the computed floor; exactly one may be
-    given, default factor 1.25) and caches the last stiffness matrix with
-    copies of the sampled coefficients it was assembled from (see
-    :func:`_kept`).  Each new sample is compared with those copies in place,
-    bit for bit, with no bytes copies of either.  The mass matrix is
-    ``disc.mass``.
+    given, default factor 1.25; ``ValueError`` unless the result is a
+    positive finite number) and caches the last stiffness matrix and its
+    Dirichlet edge terms with copies of the sampled coefficients they were
+    assembled from (see :func:`_kept`).  Each new sample is compared with
+    those copies in place, bit for bit, with no bytes copies of either.
+    The mass matrix is ``disc.mass``.
     """
 
     def __init__(self, disc, p, epsilon=None, epsilon_factor=None):
@@ -549,27 +551,24 @@ class AssembledForms:
         self.disc = disc
         self.problem = p
         self.floor = penalty_floor(disc, p)
-        if epsilon is not None:
-            self.eps = float(epsilon)
-        else:
+        if epsilon is None:
             factor = PENALTY_FACTOR_DEFAULT if epsilon_factor is None else epsilon_factor
-            self.eps = factor * self.floor
-        self._stiffness = (None, None)  # (copies of the sampled coefficients, matrix)
+            epsilon = factor * self.floor
+        self.eps = _penalty(epsilon)
+        # (copies of the sampled coefficients, matrix, Dirichlet edge terms)
+        self._operator = (None, None, None)
 
-    def stiffness(self, t):
-        """Stiffness at ``t``: the previous matrix object when the operator
-        coefficients are bit-equal to those it was assembled from.
+    def at(self, t):
+        """``(A, F)``: the stiffness matrix and the load vector at ``t``.
 
-        The coefficients are sampled once and serve both the comparison
-        and, when they changed, the assembly.  They are compared in place
-        with the kept copies; only a changed operator copies them.
+        The operator coefficients are sampled once and compared in place with
+        the kept copies.  ``A`` is the previous matrix object when they are
+        bit-equal; only a changed operator is assembled and copied.  The load
+        samples f and g alone and reuses the matrix's Dirichlet edge terms.
         """
         coefficients = _operator_coefficients(self.disc, self.problem, t)
-        kept, A = self._stiffness
+        kept, A, dirichlet = self._operator
         if A is None or not all(map(_same_bits, coefficients, kept)):
-            A = _stiffness_from(self.disc, coefficients, self.eps)
-            self._stiffness = ([_kept(a) for a in coefficients], A)
-        return A
-
-    def load(self, t):
-        return assemble_load(self.disc, self.problem, self.eps, t)
+            A, dirichlet = _stiffness_from(self.disc, coefficients, self.eps)
+            self._operator = ([_kept(a) for a in coefficients], A, dirichlet)
+        return A, _load_from(self.disc, self.problem, dirichlet, t)

@@ -1,16 +1,16 @@
 """Backward-Euler march from the L2-projected initial datum.
 
 Each step solves (M + tau A(t_n)) u^n = M u^{n-1} + tau F(t_n), with the
-stiffness and load evaluated at the implicit endpoint t_n.  The load is
-rebuilt every step.  ``AssembledForms.stiffness`` returns the previous
-matrix object whenever the coefficients it samples at the quadrature points
-(mu, b, c in the volume, mu and b . n on the boundary) are bit-equal to the
-last assembled ones.  It keeps copies of those arrays with the matrix and
-compares each new sample with them in place, as unsigned integers, so a
-step that reuses the operator copies nothing.  The march factors
-M + tau A again only when that object changes: an autonomous operator is
-assembled and factored once, a time-dependent one every step, with the
-same result as rebuilding always.
+stiffness and load from one call of ``AssembledForms.at(t_n)``.  It returns
+the previous matrix object whenever the coefficients it samples at the
+quadrature points (mu, b, c in the volume, mu and b . n on the boundary)
+are bit-equal to the last assembled ones.  It keeps copies of those arrays
+with the matrix and compares each new sample with them in place, as
+unsigned integers, so a step that reuses the operator copies nothing; the
+load samples only f and g and reuses the matrix's Dirichlet edge terms.
+The march factors M + tau A again only when that object changes: an
+autonomous operator is assembled and factored once, a time-dependent one
+every step, with the same result as rebuilding always.
 M and A share the discretization's CSR pattern, so M + tau A is formed on
 its data alone, and every LU, the mass matrix's included, takes the
 pattern's precomputed order ``disc.order``.
@@ -34,8 +34,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.num_steps < 1:
             raise ValueError("need at least one time step")
-        if self.T <= 0:
-            raise ValueError("final time must be positive")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError(f"final time must be a positive finite number, got {self.T}")
 
     @property
     def tau(self):
@@ -82,12 +82,12 @@ def march(forms, grid, u0coef):
     factorizations = 0
     for step in range(1, grid.num_steps + 1):
         t = grid.nodes[step]
-        A_t = forms.stiffness(t)
+        A_t, F = forms.at(t)
         if A_t is not A:
             A = A_t
             factor = SparseFactor(disc.matrix(M.data + tau * A.data), disc.order)
             factorizations += 1
-        rhs = M @ coefs[step - 1] + tau * forms.load(t)
+        rhs = M @ coefs[step - 1] + tau * F
         coefs[step] = factor.solve(rhs)
     return SolutionTrajectory(coefs, grid, disc, factorizations)
 

@@ -4,9 +4,11 @@ import pytest
 from nitsche_iga import (
     Discretization,
     build_mesh,
+    inflow_mask,
     load_geometry,
     uniform_space,
 )
+from nitsche_iga.assembly import _coefficients_at, _scatter
 from nitsche_iga.quadrature import gauss_rule
 from nitsche_iga.splines import eval_basis_many
 
@@ -135,6 +137,23 @@ def reference_space_time_errors(traj, case):
             acc_l2 += wj * l2_part
             acc_h1 += wj * h1_part
     return float(np.sqrt(acc_h1)), float(np.sqrt(acc_l2))
+
+
+def reference_load(disc, p, eps, t):
+    """Load vector F_i = (f, N_i) plus the g-weighted boundary families, with
+    its own sampling of f, g, mu and b . n and its own Dirichlet terms
+    sigma N - n . mu grad N; the reference for ``AssembledForms.at(t)[1]``."""
+    ec, bc = disc.elements, disc.boundary
+    fv = _coefficients_at(ec.x, p.f, t)
+    gv, mu_e = (_coefficients_at(bc.x, fn, t) for fn in (p.g, p.mu))
+    _, bn = inflow_mask(disc, p, t)
+    flux = ((bc.normal[:, :, None, :] @ mu_e) @ bc.table[:, :, 1:])[:, :, 0]
+    sigma = (eps / bc.h_E)[:, None] - np.minimum(bn, 0.0)
+    dirichlet = sigma[..., None] * bc.B - flux
+    values = np.empty(disc._gidx.shape)
+    np.einsum("eq,eql->el", ec.w * fv, ec.B, out=values[: len(fv)])
+    np.einsum("fq,fql->fl", bc.w * gv, dirichlet, out=values[len(fv) :])
+    return _scatter(disc._gidx, disc.dimension, values)
 
 
 def relative_error(a, ref):

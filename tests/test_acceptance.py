@@ -12,7 +12,6 @@ import pytest
 from nitsche_iga import (
     AssembledForms,
     TimeGrid,
-    assemble_load,
     assemble_mass,
     assemble_stiffness,
     builtin_case,
@@ -121,7 +120,8 @@ def test_criterion_4_consistency(square_gm):
     case = builtin_case("steady_reaction")
     disc = make_disc(square_gm, 2, 4)
     forms = AssembledForms(disc, case.problem, epsilon_factor=1.25)
-    uh = SparseFactor(forms.stiffness(0.0), disc.order).solve(forms.load(0.0))
+    A, F = forms.at(0.0)
+    uh = SparseFactor(A, disc.order).solve(F)
     M = assemble_mass(disc)
     rhs = assemble_functional(disc, lambda x, y: case.u(x, y, 0.0))
     exact_coef = SparseFactor(M, disc.order).solve(rhs)
@@ -150,7 +150,7 @@ def test_criterion_6_oracle_equivalence(square_gm):
             case = builtin_case(name)
             disc = make_disc(square_gm, degree, 2, quadrature_order=8)
             A = assemble_stiffness(disc, case.problem, 3.0, t).toarray()
-            F = assemble_load(disc, case.problem, 3.0, t)
+            F = AssembledForms(disc, case.problem, epsilon=3.0).at(t)[1]
             A_ref, F_ref = dense_oracle(disc.space, case.problem, 3.0, t, q=12)
             worst = max(
                 worst,

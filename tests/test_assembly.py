@@ -9,7 +9,6 @@ from nitsche_iga import (
     AssembledForms,
     Discretization,
     TensorSpace,
-    assemble_load,
     assemble_mass,
     assemble_stiffness,
     assembly,
@@ -32,6 +31,7 @@ from conftest import (
     make_disc,
     reference_basis_table,
     reference_evaluate,
+    reference_load,
     reference_pattern,
     relative_error,
 )
@@ -370,7 +370,7 @@ class TestAgainstPerTermAssembly:
             for t in (0.3, 1.7):
                 M, A, G, F = reference_forms(disc, p, 2.5, t)
                 assert relative_error(assemble_stiffness(disc, p, 2.5, t).toarray(), A) <= 1e-13
-                assert relative_error(assemble_load(disc, p, 2.5, t), F) <= 1e-13
+                assert relative_error(AssembledForms(disc, p, epsilon=2.5).at(t)[1], F) <= 1e-13
         assert relative_error(disc.mass.toarray(), M) <= 1e-13
         assert relative_error(disc.vh_gram.toarray(), G) <= 1e-13
 
@@ -565,7 +565,7 @@ class TestStiffness:
         disc = make_disc(square_gm, degree, 2, quadrature_order=8)
         eps = 3.0
         A = assemble_stiffness(disc, case.problem, eps, t).toarray()
-        F = assemble_load(disc, case.problem, eps, t)
+        F = AssembledForms(disc, case.problem, epsilon=eps).at(t)[1]
         A_ref, F_ref = dense_oracle(disc.space, case.problem, eps, t, q=12)
         scale = np.abs(A_ref).max()
         assert np.abs(A - A_ref).max() < 1e-10 * scale
@@ -577,7 +577,7 @@ class TestStiffness:
         case = builtin_case("steady_reaction")
         disc = make_disc(square_gm, degree, 2)
         A = assemble_stiffness(disc, case.problem, 3.0, 0.5).toarray()
-        F = assemble_load(disc, case.problem, 3.0, 0.5)
+        F = AssembledForms(disc, case.problem, epsilon=3.0).at(0.5)[1]
         A_ref, F_ref = dense_oracle(disc.space, case.problem, 3.0, 0.5, q=12)
         assert np.abs(A - A_ref).max() < 1e-10 * np.abs(A_ref).max()
         assert np.abs(F - F_ref).max() < 1e-10 * max(1.0, np.abs(F_ref).max())
@@ -588,7 +588,7 @@ class TestLoad:
         p = pure_heat_problem(c=0.0)
         p = Problem(**{**p.__dict__, "f": _const_scalar(1.0)})
         disc = make_disc(square_gm, 1, 4)
-        F = assemble_load(disc, p, 2.0, 0.0)
+        F = AssembledForms(disc, p, epsilon=2.0).at(0.0)[1]
         assert F.sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_pure_dirichlet_constant_aggregate(self, square_gm):
@@ -600,7 +600,7 @@ class TestLoad:
         for spans in (2, 5):
             disc = make_disc(square_gm, 1, spans)
             eps = 2.5
-            F = assemble_load(disc, p, eps, 0.0)
+            F = AssembledForms(disc, p, epsilon=eps).at(0.0)[1]
             assert F.sum() == pytest.approx(4 * eps * spans, rel=1e-12)
 
 
@@ -780,7 +780,7 @@ class TestAssembledForms:
 
     def test_stiffness_samples_each_coefficient_once(self, square_gm):
         case = builtin_case("paper_sec8")
-        calls = {"mu": 0, "b": 0, "c": 0}
+        calls = {"mu": 0, "b": 0, "c": 0, "f": 0, "g": 0}
 
         def counted(key):
             fn = getattr(case.problem, key)
@@ -794,13 +794,56 @@ class TestAssembledForms:
         p = replace(case.problem, **{key: counted(key) for key in calls})
         disc = make_disc(square_gm, 2, 3)
         forms = AssembledForms(disc, p, epsilon=5.0)
-        A = forms.stiffness(0.5)
-        # mu and b at the volume and the edge points, c at the volume points
-        assert calls == {"mu": 2, "b": 2, "c": 1}
+        A, F = forms.at(0.5)
+        # mu and b at the volume and the edge points, c and f at the volume
+        # points, g at the edge points
+        assert calls == {"mu": 2, "b": 2, "c": 1, "f": 1, "g": 1}
         ref = assemble_stiffness(disc, case.problem, 5.0, 0.5)
         assert np.array_equal(A.indptr, ref.indptr)
         assert np.array_equal(A.indices, ref.indices)
         assert A.data.tobytes() == ref.data.tobytes()
+        assert F.tobytes() == reference_load(disc, case.problem, 5.0, 0.5).tobytes()
+        # a step that reuses the operator samples the same
+        assert forms.at(1.5)[0] is A
+        assert calls == {"mu": 4, "b": 4, "c": 2, "f": 2, "g": 2}
+
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("name", ["paper_sec8", "steady_reaction", "rotating"])
+    def test_load_matches_its_own_sampling(self, geometry, name):
+        # the load from the kept Dirichlet edge terms, byte for byte against
+        # one that samples mu and b . n again, on a first step, a step that
+        # keeps or changes the operator, and a step that keeps it; the
+        # rotating field turns the b of steady_reaction, whose g is not zero
+        if name == "rotating":
+            p = rotating_advection(builtin_case("steady_reaction").problem)
+        else:
+            p = builtin_case(name).problem
+        disc = make_disc(load_geometry(geometry), 2, 3)
+        forms = AssembledForms(disc, p, epsilon=2.5)
+        matrices = []
+        for t in (0.3, 1.7, 1.7):
+            A, F = forms.at(t)
+            matrices.append(A)
+            assert F.tobytes() == reference_load(disc, p, 2.5, t).tobytes()
+        assert (matrices[1] is matrices[0]) == (name != "rotating")
+        assert matrices[2] is matrices[1]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_penalty_must_be_positive_and_finite(self, square_gm, value):
+        p = builtin_case("paper_sec8").problem
+        disc = make_disc(square_gm, 1, 2)
+        with pytest.raises(ValueError, match=f"penalty parameter .* got {value}"):
+            AssembledForms(disc, p, epsilon=value)
+        # the factor times the floor is named
+        with pytest.raises(ValueError, match="penalty parameter must be a positive finite"):
+            AssembledForms(disc, p, epsilon_factor=value)
+        with pytest.raises(ValueError, match=f"penalty parameter .* got {value}"):
+            assemble_stiffness(disc, p, value, 0.0)
+
+    def test_penalty_floor_refuses_nan_alpha(self, square_gm):
+        p = replace(builtin_case("paper_sec8").problem, mu0=np.nan)
+        with pytest.raises(ValueError, match="alpha .* got nan"):
+            penalty_floor(make_disc(square_gm, 1, 2), p)
 
     def test_deterministic_assembly(self, square_gm):
         case = builtin_case("paper_sec8")

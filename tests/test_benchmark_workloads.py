@@ -5,7 +5,8 @@ Each workload named in ``BENCHMARK.json`` runs once through
 result that moves off its recorded reference fails here too.  So does
 ``calibrate_annulus_k2``, which ``BENCHMARK.json`` leaves out: it is the only
 workload that runs the dense coercivity audit.  A traced repetition, under
-``perfbench/tracing.py``, must pass its gate too and see every factorization.
+``perfbench/tracing.py``, must pass its gate too, see every factorization
+and sample the problem's coefficients once per time step.
 """
 
 import importlib.util
@@ -25,6 +26,10 @@ NAMES = BENCHMARKED + ["calibrate_annulus_k2"]
 # SparseFactor constructions of one repetition: the mass matrix's, and one
 # per step whose operator changed (every step of the rotating field)
 FACTORIZATIONS = {"sec8_square_k2": 2, "rotating_square_k2": 65, "reaction_annulus_k3": 2}
+
+# coefficient closure calls of one repetition: 7 per step (mu, b at the volume
+# and the edge points, c, f at the volume points, g at the edge points)
+COEFFICIENT_CALLS = {"sec8_square_k2": 168, "rotating_square_k2": 448, "reaction_annulus_k3": 7}
 
 
 def load_perfbench(name):
@@ -80,3 +85,13 @@ def test_traced_repetition_sees_every_factorization(workloads, tracing, name):
     assert rep.failures == []
     assert tracer.max_nnz > 0
     assert tracer.table()["linalg.SparseFactor"]["calls"] == FACTORIZATIONS[name]
+
+
+@pytest.mark.parametrize("name", BENCHMARKED)
+def test_traced_repetition_samples_the_problem_once_per_step(workloads, tracing, name):
+    w = workloads.WORKLOADS[name]
+    case = workloads.make_case(w)
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        workloads.run_once(w, tracer.trace_case(case), geometry.load_geometry(w.geometry))
+    assert COEFFICIENT_CALLS[name] == 7 * w.steps
+    assert tracer.table()["problem.coefficients"]["calls"] == COEFFICIENT_CALLS[name]

@@ -65,7 +65,7 @@ def step_matrix(geometry, degree, spans):
     its backward-Euler matrix M + 0.1 A of ``steady_reaction``."""
     disc = make_disc(load_geometry(geometry), degree, spans)
     forms = AssembledForms(disc, builtin_case("steady_reaction").problem)
-    return disc.order, disc.mass, disc.mass + 0.1 * forms.stiffness(0.0)
+    return disc.order, disc.mass, disc.mass + 0.1 * forms.at(0.0)[0]
 
 
 def jacobi_eigenvalues(C, sweeps=60, tol=1e-14):
@@ -194,7 +194,7 @@ class TestOrdering:
             for n1, n2 in ((s1, s2), (s2, s1)):
                 space = TensorSpace(uniform_open_knots(k1, n1), uniform_open_knots(k2, n2))
                 disc = Discretization(space, build_mesh(gm, space))
-                A = disc.mass + 0.1 * AssembledForms(disc, p).stiffness(0.0)
+                A = disc.mass + 0.1 * AssembledForms(disc, p).at(0.0)[0]
                 lu = SparseFactor(A, disc.order)._lu
                 ref = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
                 assert fill(lu) <= 1.5 * fill(ref), ((n1, n2), fill(lu), fill(ref))

@@ -16,7 +16,7 @@ from nitsche_iga.assembly import assemble_functional, assemble_stiffness
 from nitsche_iga.linalg import SparseFactor
 from nitsche_iga.splines import collocation
 
-from conftest import greville_grid, make_disc
+from conftest import greville_grid, make_disc, reference_load
 
 
 def step_residuals(forms, traj):
@@ -26,22 +26,23 @@ def step_residuals(forms, traj):
     out = np.empty(grid.num_steps)
     for step in range(1, grid.num_steps + 1):
         t = grid.nodes[step]
-        lhs = (M + grid.tau * forms.stiffness(t)) @ traj.coefs[step]
-        rhs = M @ traj.coefs[step - 1] + grid.tau * forms.load(t)
+        A, F = forms.at(t)
+        lhs = (M + grid.tau * A) @ traj.coefs[step]
+        rhs = M @ traj.coefs[step - 1] + grid.tau * F
         out[step - 1] = np.abs(lhs - rhs).max()
     return out
 
 
 def rebuilt_march(forms, grid, u0):
-    """Reference march that assembles the operator at every step, adds it to
-    the mass matrix as sparse matrices and factors the sum in the order of
-    the discretization."""
-    M = forms.disc.mass
+    """Reference march that assembles the operator and the load at every step,
+    each from its own sampling, adds the operator to the mass matrix as
+    sparse matrices and factors the sum in the order of the discretization."""
+    disc, p, eps = forms.disc, forms.problem, forms.eps
+    M = disc.mass
     coefs = [u0]
     for t in grid.nodes[1:]:
-        A = assemble_stiffness(forms.disc, forms.problem, forms.eps, t)
-        factor = SparseFactor(M + grid.tau * A, forms.disc.order)
-        coefs.append(factor.solve(M @ coefs[-1] + grid.tau * forms.load(t)))
+        factor = SparseFactor(M + grid.tau * assemble_stiffness(disc, p, eps, t), disc.order)
+        coefs.append(factor.solve(M @ coefs[-1] + grid.tau * reference_load(disc, p, eps, t)))
     return np.array(coefs)
 
 
@@ -57,6 +58,9 @@ class TestTimeGrid:
             TimeGrid(0, 1.0)
         with pytest.raises(ValueError):
             TimeGrid(4, 0.0)
+        for T in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"final time .* got {T}"):
+                TimeGrid(4, T)
 
 
 class TestProjection:
@@ -157,8 +161,7 @@ class TestMarch:
         case = builtin_case("steady_reaction")
         disc = make_disc(square_gm, 1, 4)
         forms = AssembledForms(disc, case.problem)
-        A = forms.stiffness(0.0)
-        F = forms.load(0.0)
+        A, F = forms.at(0.0)
         u_inf = SparseFactor(A, disc.order).solve(F)
 
         grid = TimeGrid(40, 8.0)
@@ -270,11 +273,11 @@ class TestOperatorReuse:
     def test_stiffness_object_reused_only_while_inputs_match(self, square_gm):
         disc = make_disc(square_gm, 1, 3)
         forms = AssembledForms(disc, _sec8_variant("autonomous"))
-        assert forms.stiffness(0.0) is forms.stiffness(4.0)
+        assert forms.at(0.0)[0] is forms.at(4.0)[0]
         forms = AssembledForms(disc, _sec8_variant("b_grows"))
-        A0 = forms.stiffness(0.0)
-        assert forms.stiffness(1.0) is not A0
-        assert forms.stiffness(1.0) is forms.stiffness(1.0)
+        A0 = forms.at(0.0)[0]
+        assert forms.at(1.0)[0] is not A0
+        assert forms.at(1.0)[0] is forms.at(1.0)[0]
 
 
 def _after_first_step(first, after):
@@ -301,7 +304,7 @@ def _b_with_second_component(value):
 
 
 class TestReuseCheck:
-    """``AssembledForms.stiffness`` against its kept copies: any change of a
+    """``AssembledForms.at`` against its kept copies: any change of a
     sampled coefficient's bits, shape or dtype gives a new matrix object."""
 
     def _forms(self, square_gm, **coefficients):
@@ -332,11 +335,11 @@ class TestReuseCheck:
     )
     def test_change_gives_new_matrix(self, square_gm, key, same, changed):
         forms = self._forms(square_gm, **{key: _after_first_step(same, changed)})
-        A0 = forms.stiffness(0.0)
-        assert forms.stiffness(0.0) is A0
-        A1 = forms.stiffness(1.0)
+        A0 = forms.at(0.0)[0]
+        assert forms.at(0.0)[0] is A0
+        A1 = forms.at(1.0)[0]
         assert A1 is not A0
-        assert forms.stiffness(2.0) is A1
+        assert forms.at(2.0)[0] is A1
 
     def test_bn_change_at_one_edge_point_gives_new_matrix(self, square_gm):
         forms = self._forms(square_gm, b=self._b_gated_on_first_edge_point(square_gm))
@@ -346,8 +349,8 @@ class TestReuseCheck:
         differ = [not np.array_equal(a, b) for a, b in zip(before, after)]
         assert differ == [False, False, False, False, True]  # b . n alone
         assert np.count_nonzero(before[4] != after[4]) == 1
-        A0 = forms.stiffness(0.0)
-        assert forms.stiffness(1.0) is not A0
+        A0 = forms.at(0.0)[0]
+        assert forms.at(1.0)[0] is not A0
 
     def test_kept_arrays_are_copies(self, square_gm):
         # the closure overwrites one buffer in place and returns it each call
@@ -360,10 +363,10 @@ class TestReuseCheck:
             return buf[0]
 
         forms = self._forms(square_gm, c=c)
-        A0 = forms.stiffness(0.0)
-        A1 = forms.stiffness(1.0)
+        A0 = forms.at(0.0)[0]
+        A1 = forms.at(1.0)[0]
         assert A1 is not A0
-        assert forms.stiffness(1.0) is A1
+        assert forms.at(1.0)[0] is A1
 
     def test_stride_zero_sample_is_compared_and_reused(self, square_gm):
         def c(x, y, t):
@@ -372,9 +375,9 @@ class TestReuseCheck:
         forms = self._forms(square_gm, c=c)
         cv = assembly._operator_coefficients(forms.disc, forms.problem, 0.0)[2]
         assert cv.strides[-1] == 0
-        A0 = forms.stiffness(0.0)
-        assert forms.stiffness(1.0) is A0
-        assert forms.stiffness(3.0) is not A0
+        A0 = forms.at(0.0)[0]
+        assert forms.at(1.0)[0] is A0
+        assert forms.at(3.0)[0] is not A0
 
     def test_equal_values_in_another_layout_are_reused(self, square_gm):
         # a repeated value at t = 0, the same values in a fresh array after
@@ -382,8 +385,8 @@ class TestReuseCheck:
             square_gm,
             c=_after_first_step(lambda x: np.broadcast_to(2.0, x.shape), lambda x: np.full(x.shape, 2.0)),
         )
-        A0 = forms.stiffness(0.0)
-        assert forms.stiffness(1.0) is A0
+        A0 = forms.at(0.0)[0]
+        assert forms.at(1.0)[0] is A0
 
     @pytest.mark.parametrize(
         "a, b, equal",
