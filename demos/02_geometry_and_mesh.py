@@ -28,8 +28,8 @@ def main():
     space = uniform_space(1, 4)
     mesh = build_mesh(gm, space)
     ns1, ns2 = space.num_spans
-    print(f"{ns1 * ns2} elements, {len(mesh.edges)} boundary edges of length "
-          f"h_E = {mesh.edges[0].h_E:g}")
+    print(f"{ns1 * ns2} elements, {len(mesh.h_E)} boundary edges of length "
+          f"h_E = {mesh.h_E[0]:g}")
 
     print("\n== Quarter annulus (exact rational arc) ==")
     ga = load_geometry("quarter_annulus")
@@ -46,7 +46,7 @@ def main():
           f"(exact {3 * np.pi / 4:.12f})")
 
     # the normal the boundary terms use, at a quadrature point of the outer arc
-    outer = next(e.index for e in mesh_a.edges if e.side == "x1")
+    outer = np.flatnonzero(mesh_a.side == "x1")[0]
     x, n = disc.boundary.x[outer, 2], disc.boundary.normal[outer, 2]
     print(f"outer-arc normal at {x.round(4)}: {n.round(6)} "
           f"(radial direction {(x / np.linalg.norm(x)).round(6)})")

@@ -58,8 +58,7 @@ def main():
     print("\n== Inflow set follows b around the boundary ==")
     mask, bn = inflow_mask(disc, p, 0.0)
     for side in ("x0", "x1", "y0", "y1"):
-        ids = [e.index for e in disc.mesh.edges if e.side == side]
-        frac = mask[ids].mean()
+        frac = mask[disc.mesh.side == side].mean()
         print(f"  side {side}: {100 * frac:5.1f}% of edge quadrature points "
               f"see b.n < 0")
     print("(the field (y - 1/2, x - 2) enters through the top and the upper "

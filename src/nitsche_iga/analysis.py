@@ -176,8 +176,12 @@ def fit_slope(hs, errors):
 
 
 def steps_for(tau_target, T):
-    """Step count whose uniform tau best honors a target step size."""
-    return max(1, int(np.ceil(T / tau_target - 1e-12)))
+    """Step count whose uniform tau best honors a target step size; a target
+    for which T / tau is not finite (0 or subnormal) is a :class:`ConfigError`."""
+    ratio = T / tau_target if tau_target else np.inf
+    if not np.isfinite(ratio):
+        raise ConfigError(f"target time step {tau_target!r} gives no finite step count")
+    return max(1, int(np.ceil(ratio - 1e-12)))
 
 
 def check_boundary_datum(case, disc):

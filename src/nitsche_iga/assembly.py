@@ -190,7 +190,7 @@ class ElementCache:
         for kv, spans in ((space.kv1, s1), (space.kv2, s2)):
             bps = kv.mesh.breakpoints
             pts, wts = rule.mapped(bps[:-1, None], bps[1:, None])
-            first, ders = eval_basis_many(kv, pts.ravel(), 1)
+            first, ders = eval_basis_many(kv, pts.ravel())
             ders = ders.reshape(kv.num_spans, q, 2, -1)[spans]
             per_direction.append((pts, wts[spans], first[::q], ders))
         (p1, w1, f1, d1), (p2, w2, f2, d2) = per_direction
@@ -239,19 +239,18 @@ class EdgeCache:
     """
 
     def __init__(self, space, mesh, q):
-        edges = mesh.edges
-        nf = len(edges)
-        self.h_E = np.array([e.h_E for e in edges])
-        self.owner = np.array([e.owner for e in edges], dtype=int)
-        rule = gauss_rule(q)
-        x_hat, self.x, invJ, self.w, self.normal = edge_geometry(mesh.geometry, edges, rule)
+        self.h_E = mesh.h_E
+        self.owner = mesh.owner
+        x_hat, self.x, invJ, self.w, self.normal = edge_geometry(
+            mesh.geometry, mesh.side, mesh.lo, mesh.hi, gauss_rule(q)
+        )
 
         # the owner's basis at the edge points, each distinct coordinate
         # evaluated once: on half of the edges a direction is fixed at 0 or 1
         def owner_basis(kv, coords):
             distinct, inverse = np.unique(coords, return_inverse=True)
-            first, ders = eval_basis_many(kv, distinct, 1)
-            return first[inverse].reshape(nf, q), ders[inverse].reshape(nf, q, 2, -1)
+            first, ders = eval_basis_many(kv, distinct)
+            return first[inverse].reshape(-1, q), ders[inverse].reshape(-1, q, *ders.shape[1:])
 
         f1, d1 = owner_basis(space.kv1, x_hat[..., 0].ravel())
         f2, d2 = owner_basis(space.kv2, x_hat[..., 1].ravel())

@@ -22,9 +22,10 @@ The pieces that assembly shares with the mesh live here once each:
 inverts Jacobians, and :func:`edge_geometry` maps the points of a rule on
 the boundary edges (arc-length weights and outward normals).
 
-The physical mesh is the boundary edges with their sizes h_E, the only
-mesh size the scheme reads; inside the elements F is evaluated once, by
-the assembly's element cache, which also checks the sign of det J.
+The physical mesh is the boundary edges as arrays (side, span, owner
+element and h_E, the only mesh size the scheme reads); inside the elements
+F is evaluated once, by the assembly's element cache, which also checks the
+sign of det J.
 """
 
 import importlib.resources
@@ -154,28 +155,21 @@ def invert_2x2(J):
     return inv / det[..., None, None], det
 
 
-class BoundaryEdge:
-    """One boundary edge: the image of a side span of the parametric mesh."""
-
-    __slots__ = ("index", "side", "interval", "owner", "h_E", "fixed_coord")
-
-    def __init__(self, index, side, interval, owner, h_E):
-        self.index = index
-        self.side = side
-        self.interval = interval
-        self.owner = owner
-        self.h_E = h_E
-        self.fixed_coord = 0.0 if side in ("x0", "y0") else 1.0
-
-
 class PhysicalMesh:
-    """The boundary edges of the mapped solution-space mesh, with arc
-    lengths h_E and unique owner elements (direction 1 fastest)."""
+    """The boundary edges of the mapped solution-space mesh, as arrays over
+    the edges: ``side`` (names from :data:`SIDES`), the side span ``lo`` ..
+    ``hi`` in the parameter along the side, the unique ``owner`` element
+    (direction 1 fastest) and the arc length ``h_E``.  Edges run side by
+    side in ``SIDES`` order and span by span along each side."""
 
-    def __init__(self, geometry, space, edges):
+    def __init__(self, geometry, space, side, lo, hi, owner, h_E):
         self.geometry = geometry
         self.space = space
-        self.edges = edges
+        self.side = side
+        self.lo = lo
+        self.hi = hi
+        self.owner = owner
+        self.h_E = h_E
 
 
 def build_mesh(gm, space):
@@ -188,36 +182,22 @@ def build_mesh(gm, space):
     inside the elements, where :class:`~nitsche_iga.assembly.ElementCache`
     checks that det J keeps one sign.
     """
-    kv1, kv2 = space.kv1, space.kv2
     ns1, ns2 = space.num_spans
-
-    edges = []
+    parts = []
     for side in SIDES:
-        tang_kv = kv2 if side in ("x0", "x1") else kv1
-        bps = tang_kv.mesh.breakpoints
-        for n in range(1, tang_kv.num_spans + 1):
-            interval = (bps[n - 1], bps[n])
-            owner = _owner_element(side, n, ns1, ns2)
-            edges.append(BoundaryEdge(len(edges), side, interval, owner, h_E=0.0))
-    _, _, _, w, _ = edge_geometry(gm, edges, quadrature.gauss_rule(EDGE_LENGTH_POINTS))
-    for edge, h in zip(edges, np.sum(w, axis=1)):
-        edge.h_E = float(h)
-
-    return PhysicalMesh(gm, space, edges)
+        bps = (space.kv2 if side in ("x0", "x1") else space.kv1).mesh.breakpoints
+        n = np.arange(len(bps) - 1)
+        # the element (s1, s2) that holds each span, owner s1 + ns1 * s2
+        s1, s2 = {"x0": (0, n), "x1": (ns1 - 1, n), "y0": (n, 0), "y1": (n, ns2 - 1)}[side]
+        parts.append((np.full(len(n), side), bps[:-1], bps[1:], s1 + ns1 * s2))
+    side, lo, hi, owner = (np.concatenate(a) for a in zip(*parts))
+    w = edge_geometry(gm, side, lo, hi, quadrature.gauss_rule(EDGE_LENGTH_POINTS))[3]
+    return PhysicalMesh(gm, space, side, lo, hi, owner, np.sum(w, axis=1))
 
 
-def _owner_element(side, n, ns1, ns2):
-    if side == "x0":
-        return 0 + ns1 * (n - 1)
-    if side == "x1":
-        return (ns1 - 1) + ns1 * (n - 1)
-    if side == "y0":
-        return (n - 1) + ns1 * 0
-    return (n - 1) + ns1 * (ns2 - 1)
-
-
-def edge_geometry(gm, edges, rule):
-    """The geometry at the points of ``rule`` on each of ``edges``.
+def edge_geometry(gm, side, lo, hi, rule):
+    """The geometry at the points of ``rule`` on the boundary edges given by
+    the arrays ``side``, ``lo`` and ``hi`` (as held by :class:`PhysicalMesh`).
 
     Returns ``(x_hat, x, inv_jac, w, normal)`` with shapes (nf, q, 2),
     (nf, q, 2), (nf, q, 2, 2), (nf, q) and (nf, q, 2): parametric and
@@ -226,26 +206,24 @@ def edge_geometry(gm, edges, rule):
     normal is the row of J^-1 that is the gradient of the edge's fixed
     parametric coordinate, pointing away from the domain.  The parametric
     points of all edges are formed at once, lo + (hi - lo) * rule.points
-    along each edge's span and the side's fixed coordinate across it; the
-    geometry is evaluated on one 1 x m or m x 1 grid per side: the side's
-    fixed coordinate by the points of all its edges.
+    along each edge's span and the side's fixed coordinate (0 on x0 and y0,
+    1 on x1 and y1) across it; the geometry is evaluated on one 1 x m or
+    m x 1 grid per side: the side's fixed coordinate by the points of all
+    its edges.
     """
-    nf, q = len(edges), rule.order
-    sides = np.array([e.side for e in edges])
-    lo, hi = np.array([e.interval for e in edges]).T[:, :, None]
-    fixed = np.array([e.fixed_coord for e in edges])[:, None]
-    along_dir2 = np.isin(sides, ("x0", "x1"))[:, None]
+    nf, q = len(side), rule.order
+    lo, hi = lo[:, None], hi[:, None]
+    fixed = np.where(np.isin(side, ("x0", "y0")), 0.0, 1.0)[:, None]
+    along_dir2 = np.isin(side, ("x0", "x1"))[:, None]
     t = lo + (hi - lo) * rule.points
     x_hat = np.empty((nf, q, 2))
     x_hat[..., 0] = np.where(along_dir2, fixed, t)
     x_hat[..., 1] = np.where(along_dir2, t, fixed)
 
     x, J = np.empty((nf, q, 2)), np.empty((nf, q, 2, 2))
-    for side in SIDES:
-        on_side = np.flatnonzero(sides == side)
-        if not len(on_side):
-            continue
-        if side in ("x0", "x1"):
+    for name in SIDES:
+        on_side = np.flatnonzero(side == name)
+        if name in ("x0", "x1"):
             xs, Js, _ = gm.evaluate_grid(fixed[on_side[0]], x_hat[on_side, :, 1].ravel())
         else:
             xs, Js, _ = gm.evaluate_grid(x_hat[on_side, :, 0].ravel(), fixed[on_side[0]])
@@ -274,8 +252,8 @@ def parse_geometry(text):
         knots2: k2; xi_1 ... xi_r2
         <x y w>            one control point per line, direction-1 fastest
 
-    A header or row that does not parse raises ``ValueError`` naming its
-    line number.
+    A header or row that does not parse, and a header key that is unknown
+    or repeated, raises ``ValueError`` naming its line number.
     """
     header = {}
     rows = []
@@ -285,7 +263,12 @@ def parse_geometry(text):
             continue
         if ":" in line:
             key, _, val = line.partition(":")
-            header[key.strip()] = (lineno, val.strip())
+            key = key.strip()
+            if key not in ("degrees", "knots1", "knots2"):
+                raise ValueError(f"line {lineno}: unknown header key '{key}'")
+            if key in header:
+                raise ValueError(f"line {lineno}: header key '{key}' repeats line {header[key][0]}")
+            header[key] = (lineno, val.strip())
             continue
         try:
             x, y, w = (float(t) for t in line.split())

@@ -1,11 +1,11 @@
 """Univariate B-spline machinery on [0,1].
 
 Knot vectors are validated open sequences (end knots repeated degree+1
-times).  Basis values and derivatives come from the triangular recursion
-(NURBS Book Alg. A2.3), which by construction only forms the degree+1
-functions that can be nonzero on the selected span, so every denominator is
-a strictly positive knot difference; the 0/0 convention of the textbook
-recursion never has to be resolved by floating point.
+times).  Basis values and first derivatives come from the triangular
+recursion (NURBS Book Alg. A2.3), which by construction only forms the
+degree+1 functions that can be nonzero on the selected span, so every
+denominator is a strictly positive knot difference; the 0/0 convention of
+the textbook recursion never has to be resolved by floating point.
 
 :func:`eval_basis_many` is the one evaluation path: it finds the span of
 every point with one ``searchsorted`` and runs the recursion once over the
@@ -167,24 +167,22 @@ def uniform_open_knots(degree, num_spans):
     return validate_knots(knots, degree)
 
 
-def eval_basis_many(kv, xs, max_deriv=1):
-    """Evaluate the k+1 possibly nonzero basis functions at every point of ``xs``.
+def eval_basis_many(kv, xs):
+    """Values and first derivatives of the k+1 possibly nonzero basis
+    functions at every point of ``xs``.
 
     ``xs`` is a 1-d array of points in [0, 1].  Returns
-    ``(first_indices, ders)`` with ``ders`` of shape
-    ``(len(xs), max_deriv + 1, k + 1)``: ``ders[i, d, j]`` is the d-th
+    ``(first_indices, ders)`` with ``ders`` of shape (len(xs), 2, k + 1):
+    ``ders[i, 0, j]`` is the value and ``ders[i, 1, j]`` the first
     derivative of function ``first_indices[i] + j`` at ``xs[i]``.
 
     Raises :class:`OutOfDomain` when any point lies outside [0, 1] (NaN
-    included) and ``ValueError`` when ``max_deriv`` exceeds the degree.
+    included).
     """
     k = kv.degree
-    if not 0 <= max_deriv <= k:
-        raise ValueError(f"max_deriv must be in 0..{k}, got {max_deriv}")
     xs = np.asarray(xs, dtype=float)
     mu = kv.span_of(xs)
-    ders = _ders_basis_funs(kv.knots, mu, xs, k, max_deriv)
-    return mu - k, ders
+    return mu - k, _ders_basis_funs(kv.knots, mu, xs, k)
 
 
 def collocation(kv, ts):
@@ -194,23 +192,25 @@ def collocation(kv, ts):
     derivative of function j at ``ts[i]``, zero off the k+1 functions that
     can be nonzero there.
     """
-    first, ders = eval_basis_many(kv, ts, 1)
+    first, ders = eval_basis_many(kv, ts)
     C = np.zeros((2, len(first), kv.dimension))
     rows = np.arange(len(first))[:, None]
     C[:, rows, first[:, None] + np.arange(kv.degree + 1)] = ders.transpose(1, 0, 2)
     return C
 
 
-def _ders_basis_funs(knots, mu, x, k, nd):
-    """Triangular-table values and derivatives of the nonzero functions.
+def _ders_basis_funs(knots, mu, x, k):
+    """Triangular-table values and first derivatives of the nonzero functions.
 
-    NURBS Book Alg. A2.3 run over all points at once: every scalar of the
-    textbook recursion is an array over the points (last axis), so each
-    point goes through the same floating-point operations in the same
-    order as a one-point evaluation.  ``ndu`` holds the basis table in its
-    upper triangle and the knot differences (all strictly positive for a
-    valid span) in its lower triangle; derivative orders are accumulated
-    with the alternating 'a' rows.
+    NURBS Book Alg. A2.3 to first derivatives, run over all points at once:
+    every scalar of the textbook recursion is an array over the points (last
+    axis), so each point goes through the same floating-point operations in
+    the same order as a one-point evaluation.  ``ndu`` holds the basis table
+    in its upper triangle and the knot differences (all strictly positive
+    for a valid span) in its lower triangle.  The derivative of function r
+    is k (t[r-1] - t[r]) with t[j] = (1 / ndu[k, j]) ndu[j, k-1], the
+    degree k-1 function j over its support width, and t = 0 outside
+    0..k-1; this is A2.3's d = 1 pass operation for operation.
     """
     m = len(x)
     ndu = np.empty((k + 1, k + 1, m))
@@ -228,33 +228,10 @@ def _ders_basis_funs(knots, mu, x, k, nd):
             saved = left[j - r] * temp
         ndu[j, j] = saved
 
-    ders = np.zeros((nd + 1, k + 1, m))
-    ders[0] = ndu[:, k]
-
-    a = np.empty((2, k + 1, m))
-    for r in range(k + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for d in range(1, nd + 1):
-            dval = 0.0
-            rk = r - d
-            pk = k - d
-            if r >= d:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                dval = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = d - 1 if r - 1 <= pk else k - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                dval += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, d] = -a[s1, d - 1] / ndu[pk + 1, r]
-                dval += a[s2, d] * ndu[r, pk]
-            ders[d, r] = dval
-            s1, s2 = s2, s1
-
-    fact = float(k)
-    for d in range(1, nd + 1):
-        ders[d] *= fact
-        fact *= k - d
-    return np.ascontiguousarray(ders.transpose(2, 0, 1))
+    # t padded with a zero at each end: t[j] sits at row j + 1
+    t = np.zeros((k + 2, m))
+    t[1:-1] = (1.0 / ndu[k, :k]) * ndu[:k, k - 1]
+    ders = np.empty((m, 2, k + 1))
+    ders[:, 0] = ndu[:, k].T
+    ders[:, 1] = (k * (t[:-1] - t[1:])).T
+    return ders

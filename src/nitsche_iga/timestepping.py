@@ -16,6 +16,7 @@ its data alone, and every LU, the mass matrix's included, takes the
 pattern's precomputed order ``disc.order``.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,8 @@ class TimeGrid:
     T: float
 
     def __post_init__(self):
-        if self.num_steps < 1:
+        # operator.index admits Python and numpy integers only
+        if operator.index(self.num_steps) < 1:
             raise ValueError("need at least one time step")
         if not 0.0 < self.T < np.inf:
             raise ValueError(f"final time must be a positive finite number, got {self.T}")

@@ -44,8 +44,8 @@ def reference_evaluate(gm, x_hat):
     """
     x_hat = np.asarray(x_hat, dtype=float)
     m = len(x_hat)
-    first1, d1 = eval_basis_many(gm.space.kv1, x_hat[:, 0], 1)
-    first2, d2 = eval_basis_many(gm.space.kv2, x_hat[:, 1], 1)
+    first1, d1 = eval_basis_many(gm.space.kv1, x_hat[:, 0])
+    first2, d2 = eval_basis_many(gm.space.kv2, x_hat[:, 1])
     gidx = gm.space.local_to_global(first1, first2)
     wloc = gm.weights[gidx]
     Ploc = gm.control_points[gidx]
@@ -100,13 +100,15 @@ def reference_pattern(gidx, dim):
     return indptr, pairs % dim, slots.reshape(gidx.shape + gidx.shape[-1:]).astype(np.int32)
 
 
-def reference_param_point(edge, s):
-    """Parametric point of ``edge`` for the edge parameter s in [0, 1]; an
-    array of parameters gives one point per parameter along the last axis."""
-    a, b = edge.interval
+def reference_param_point(mesh, f, s):
+    """Parametric point of boundary edge ``f`` of ``mesh`` for the edge
+    parameter s in [0, 1]; an array of parameters gives one point per
+    parameter along the last axis.  The side's fixed coordinate is 0 on x0
+    and y0 and 1 on x1 and y1."""
+    side, a, b = mesh.side[f], mesh.lo[f], mesh.hi[f]
     t = a + (b - a) * np.asarray(s, dtype=float)
-    fixed = np.full_like(t, edge.fixed_coord)
-    if edge.side in ("x0", "x1"):
+    fixed = np.full_like(t, 0.0 if side in ("x0", "y0") else 1.0)
+    if side in ("x0", "x1"):
         return np.stack([fixed, t], axis=-1)
     return np.stack([t, fixed], axis=-1)
 

@@ -57,8 +57,8 @@ def pure_heat_problem(c=0.0):
 
 def dense_basis_row(space, x, y):
     """All basis values and gradients at one physical point (identity map)."""
-    first1, d1 = eval_basis_many(space.kv1, [x], 1)
-    first2, d2 = eval_basis_many(space.kv2, [y], 1)
+    first1, d1 = eval_basis_many(space.kv1, [x])
+    first2, d2 = eval_basis_many(space.kv2, [y])
     (v1, dv1), (v2, dv2) = d1[0], d2[0]
     n1 = space.shape[0]
     vals = np.zeros(space.dimension)
@@ -143,8 +143,8 @@ def _point_data(space, gm, x_hat):
     k1, k2 = space.degrees
     m, n1 = len(x_hat), space.shape[0]
     x, J, detj = reference_evaluate(gm, x_hat)
-    f1, d1 = eval_basis_many(space.kv1, x_hat[:, 0], 1)
-    f2, d2 = eval_basis_many(space.kv2, x_hat[:, 1], 1)
+    f1, d1 = eval_basis_many(space.kv1, x_hat[:, 0])
+    f2, d2 = eval_basis_many(space.kv2, x_hat[:, 1])
     Ghat = np.empty((m, (k1 + 1) * (k2 + 1), 2))
     Ghat[..., 0] = (d1[:, 1, :, None] * d2[:, 0, None, :]).reshape(m, -1)
     Ghat[..., 1] = (d1[:, 0, :, None] * d2[:, 1, None, :]).reshape(m, -1)
@@ -179,21 +179,31 @@ def reference_element_data(space, mesh, q):
 def reference_edge_data(space, mesh, q):
     """EdgeCache arrays edge by edge: one basis and geometry evaluation per edge."""
     rule = gauss_rule(q)
-    out = {name: [] for name in ("x", "w", "normal", "B", "G", "gidx")}
-    for edge in mesh.edges:
-        ts, ws = rule.mapped(*edge.interval)
-        along_dir2 = edge.side in ("x0", "x1")
-        fixed = np.full(q, edge.fixed_coord)
+    ns1, ns2 = space.num_spans
+    out = {name: [] for name in ("x", "w", "normal", "B", "G", "gidx", "owner")}
+    for side, lo, hi in zip(mesh.side, mesh.lo, mesh.hi):
+        ts, ws = rule.mapped(lo, hi)
+        along_dir2 = side in ("x0", "x1")
+        fixed_coord = 0.0 if side in ("x0", "y0") else 1.0
+        fixed = np.full(q, fixed_coord)
         x_hat = np.column_stack([fixed, ts] if along_dir2 else [ts, fixed])
         xe, J, _, invJ, B, G, gidx = _point_data(space, mesh.geometry, x_hat)
         tang = J[:, :, 1] if along_dir2 else J[:, :, 0]
         out["x"].append(xe)
         out["w"].append(ws * np.linalg.norm(tang, axis=1))
-        normal = (1.0 if edge.fixed_coord else -1.0) * invJ[:, 0 if along_dir2 else 1, :]
+        normal = (1.0 if fixed_coord else -1.0) * invJ[:, 0 if along_dir2 else 1, :]
         out["normal"].append(normal / np.linalg.norm(normal, axis=1)[:, None])
         out["B"].append(B)
         out["G"].append(G)
         out["gidx"].append(gidx)
+        # the owner element (direction 1 fastest) holds the edge's span
+        bps = (space.kv2 if along_dir2 else space.kv1).mesh.breakpoints
+        n = int(np.searchsorted(bps, lo))
+        if along_dir2:
+            s1, s2 = (0 if side == "x0" else ns1 - 1), n
+        else:
+            s1, s2 = n, (0 if side == "y0" else ns2 - 1)
+        out["owner"].append(s1 + ns1 * s2)
     return {name: np.array(rows) for name, rows in out.items()}
 
 
@@ -234,10 +244,9 @@ class TestEdgeCache:
         ref = reference_edge_data(disc.space, disc.mesh, disc.quadrature_order)
         for name in ("x", "w", "normal", "G"):
             assert relative_error(getattr(bc, name), ref[name]) <= 1e-14, name
-        for name in ("B", "gidx"):
+        for name in ("B", "gidx", "owner"):
             assert np.array_equal(getattr(bc, name), ref[name]), name
-        assert np.array_equal(bc.h_E, [e.h_E for e in disc.mesh.edges])
-        assert np.array_equal(bc.owner, [e.owner for e in disc.mesh.edges])
+        assert np.array_equal(bc.h_E, disc.mesh.h_E)
 
 
 def anisotropic_disc(gm):

@@ -180,6 +180,16 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error:"), err
         assert key in err[0]
 
+    @pytest.mark.parametrize("rule", ["h^2000", "1e-320*h^1"])
+    def test_underflowing_tau_rule_exits_2(self, tmp_path, capsys, rule):
+        # the target step is 0 or subnormal: T / tau is not finite
+        cfg = BASE.replace("num_steps = 3", f"tau_rule = {rule}")
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert "target time step" in err[0]
+
     def test_degenerate_geometry_exits_3(self, tmp_path):
         geo = tmp_path / "collapsed.txt"
         geo.write_text(
@@ -216,8 +226,13 @@ class TestExitCodes:
              "0 0 1\n1 0 1\n0 1 1\n1 1 1\n", "nondecreasing"),
             ("degrees: 1 1\nknots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\n"
              "0 0 1\n1 0 1\n0 1 1\n1 1 0\n", "weights"),
+            ("degrees: 1 1\nknots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\nknots1: 1; 0 0 1 1\n"
+             "0 0 1\n1 0 1\n0 1 1\n1 1 1\n", "line 4: header key 'knots1' repeats line 2"),
+            ("degrees: 1 1\nknots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\ncolour: red\n"
+             "0 0 1\n1 0 1\n0 1 1\n1 1 1\n", "line 4: unknown header key 'colour'"),
         ],
-        ids=["missing_line", "row_count", "bad_number", "bad_knots", "zero_weight"],
+        ids=["missing_line", "row_count", "bad_number", "bad_knots", "zero_weight",
+             "repeated_key", "unknown_key"],
     )
     def test_malformed_geometry_file_exits_2(self, tmp_path, capsys, text, named):
         geo = tmp_path / "broken.txt"

@@ -1,7 +1,12 @@
-"""Smoke test: every script in demos/ runs its ``main()`` to the end.
+"""Every script in demos/ runs its ``main()`` to the end and prints what
+it printed when its golden file was taken.
 
 A demo that writes files writes them under its module-level ``OUT``
-directory, which is pointed at a temporary directory here.
+directory, which is pointed at a temporary directory here; that path is
+replaced by ``OUT_PLACEHOLDER`` before stdout is compared with
+``tests/golden/demos/<stem>.txt``.  A golden file is a demo's stdout with
+that replacement made, so a demo whose output changes on purpose needs its
+file taken afresh in the same change.
 """
 
 import importlib.util
@@ -9,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
+OUT_PLACEHOLDER = "<OUT>"
 
 
 def test_demos_found():
@@ -25,6 +33,8 @@ def test_demo_main_runs(path, tmp_path, monkeypatch, capsys):
     if writes:
         monkeypatch.setattr(module, "OUT", tmp_path / "demo_out")
     module.main()
-    assert capsys.readouterr().out
+    out = capsys.readouterr().out.replace(str(tmp_path / "demo_out"), OUT_PLACEHOLDER)
+    assert out
     if writes:
         assert any((tmp_path / "demo_out").iterdir())
+    assert out == (GOLDEN / f"{path.stem}.txt").read_text()

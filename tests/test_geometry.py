@@ -13,7 +13,7 @@ from nitsche_iga import (
 )
 from nitsche_iga import quadrature
 from nitsche_iga.errors import DegenerateJacobian, UnknownCase
-from nitsche_iga.geometry import EDGE_LENGTH_POINTS, edge_geometry
+from nitsche_iga.geometry import EDGE_LENGTH_POINTS, SIDES, edge_geometry
 from nitsche_iga.splines import eval_basis_many, uniform_open_knots
 
 from conftest import (
@@ -92,8 +92,8 @@ class TestGeometryMap:
         n1 = space.shape[0]
         t1, t2 = rng.random(5), rng.random(4)
         x, _, _ = gm.evaluate_grid(t1, t2)
-        first1, d1 = eval_basis_many(space.kv1, t1, 0)
-        first2, d2 = eval_basis_many(space.kv2, t2, 0)
+        first1, d1 = eval_basis_many(space.kv1, t1)
+        first2, d2 = eval_basis_many(space.kv2, t2)
         for a in range(len(t1)):
             for b in range(len(t2)):
                 direct = np.zeros(2)
@@ -177,25 +177,25 @@ class TestPhysicalMesh:
     def test_two_by_two_square(self, square_gm):
         space = uniform_space(1, 2)
         mesh = build_mesh(square_gm, space)
-        assert len(mesh.edges) == 8
-        assert all(e.h_E == pytest.approx(0.5, abs=1e-14) for e in mesh.edges)
+        for a in (mesh.side, mesh.lo, mesh.hi, mesh.owner, mesh.h_E):
+            assert len(a) == 8
+        assert all(h == pytest.approx(0.5, abs=1e-14) for h in mesh.h_E)
 
     def test_single_element_owners_unique(self, square_gm):
         mesh = build_mesh(square_gm, uniform_space(1, 1))
-        assert len(mesh.edges) == 4
-        assert all(e.owner == 0 for e in mesh.edges)
+        assert list(mesh.owner) == [0, 0, 0, 0]
 
     def test_owner_unique_and_on_boundary(self, square_gm):
         space = uniform_space(2, 4)
         mesh = build_mesh(square_gm, space)
         ns1, ns2 = space.num_spans
-        for e in mesh.edges:
-            s1, s2 = e.owner % ns1, e.owner // ns1  # elements run direction 1 fastest
-            if e.side == "x0":
+        for side, owner in zip(mesh.side, mesh.owner):
+            s1, s2 = owner % ns1, owner // ns1  # elements run direction 1 fastest
+            if side == "x0":
                 assert s1 == 0
-            elif e.side == "x1":
+            elif side == "x1":
                 assert s1 == ns1 - 1
-            elif e.side == "y0":
+            elif side == "y0":
                 assert s2 == 0
             else:
                 assert s2 == ns2 - 1
@@ -205,15 +205,24 @@ class TestPhysicalMesh:
         # of it: exactly on the square, within 3% on the annulus arcs, whose
         # rational parametrization is not by arc length
         for gm in (square_gm, annulus_gm):
-            coarse = build_mesh(gm, uniform_space(2, 4)).edges
-            fine = build_mesh(gm, uniform_space(2, 8)).edges
-            assert len(fine) == 2 * len(coarse)
-            for e in coarse:
-                halves = [f.h_E for f in fine
-                          if f.side == e.side and e.interval[0] <= f.interval[0] < e.interval[1]]
+            coarse = build_mesh(gm, uniform_space(2, 4))
+            fine = build_mesh(gm, uniform_space(2, 8))
+            assert len(fine.h_E) == 2 * len(coarse.h_E)
+            for side, lo, hi, h in zip(coarse.side, coarse.lo, coarse.hi, coarse.h_E):
+                halves = [fine.h_E[f] for f in range(len(fine.h_E))
+                          if fine.side[f] == side and lo <= fine.lo[f] < hi]
                 assert len(halves) == 2
-                assert sum(halves) == pytest.approx(e.h_E, rel=1e-12)
-                assert halves == pytest.approx([e.h_E / 2] * 2, rel=0.05)
+                assert sum(halves) == pytest.approx(h, rel=1e-12)
+                assert halves == pytest.approx([h / 2] * 2, rel=0.05)
+
+    @pytest.mark.parametrize("degree,spans", [(1, 1), (2, 3)])
+    def test_edges_side_by_side_in_order(self, square_gm, degree, spans):
+        # sides in SIDES order, spans in order along each side
+        mesh = build_mesh(square_gm, uniform_space(degree, spans))
+        bps = np.linspace(0.0, 1.0, spans + 1)
+        assert list(mesh.side) == [side for side in SIDES for _ in range(spans)]
+        assert np.array_equal(mesh.lo, np.tile(bps[:-1], 4))
+        assert np.array_equal(mesh.hi, np.tile(bps[1:], 4))
 
     def test_detj_sign_positive(self, square_gm, annulus_gm, rng):
         for gm in (square_gm, annulus_gm):
@@ -222,13 +231,13 @@ class TestPhysicalMesh:
             assert np.all(detj > 0)
 
 
-def reference_h_E(gm, edge):
-    """Arc length of one edge: one geometry evaluation for that edge."""
-    a, b = edge.interval
+def reference_h_E(gm, mesh, f):
+    """Arc length of boundary edge ``f``: one geometry evaluation for that edge."""
+    a, b = mesh.lo[f], mesh.hi[f]
     ts, ws = quadrature.gauss_rule(EDGE_LENGTH_POINTS).mapped(a, b)
-    x_hat = np.array([reference_param_point(edge, (t - a) / (b - a)) for t in ts])
+    x_hat = np.array([reference_param_point(mesh, f, (t - a) / (b - a)) for t in ts])
     _, J, _ = reference_evaluate(gm, x_hat)
-    tang = J[:, :, 1] if edge.side in ("x0", "x1") else J[:, :, 0]
+    tang = J[:, :, 1] if mesh.side[f] in ("x0", "x1") else J[:, :, 0]
     return float(np.sum(ws * np.linalg.norm(tang, axis=1)))
 
 
@@ -237,9 +246,9 @@ class TestBatchedMesh:
     def test_matches_element_and_edge_loop(self, annulus_gm, degree, spans):
         space = uniform_space(degree, spans)
         mesh = build_mesh(annulus_gm, space)
-        assert len(mesh.edges) == 4 * spans
-        for edge in mesh.edges:
-            assert edge.h_E == pytest.approx(reference_h_E(annulus_gm, edge), rel=1e-14, abs=0)
+        assert len(mesh.h_E) == 4 * spans
+        for f, h in enumerate(mesh.h_E):
+            assert h == pytest.approx(reference_h_E(annulus_gm, mesh, f), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
     @pytest.mark.parametrize("degree,spans", [(1, 1), (2, 3), (4, 5)])
@@ -248,8 +257,8 @@ class TestBatchedMesh:
         # reference bit for bit
         mesh = build_mesh(load_geometry(geometry), uniform_space(degree, spans))
         rule = quadrature.gauss_rule(degree + 2)
-        x_hat = edge_geometry(mesh.geometry, mesh.edges, rule)[0]
-        ref = np.stack([reference_param_point(e, rule.points) for e in mesh.edges])
+        x_hat = edge_geometry(mesh.geometry, mesh.side, mesh.lo, mesh.hi, rule)[0]
+        ref = np.stack([reference_param_point(mesh, f, rule.points) for f in range(len(mesh.side))])
         assert x_hat.shape == ref.shape
         assert np.array_equal(x_hat, ref)
 
@@ -308,8 +317,8 @@ class TestNormals:
     def test_square_sides(self, square_gm):
         disc = make_disc(square_gm, 1, 2)
         expected = {"x0": [-1, 0], "x1": [1, 0], "y0": [0, -1], "y1": [0, 1]}
-        for e, n in zip(disc.mesh.edges, disc.boundary.normal):
-            assert np.array_equal(n, np.broadcast_to(expected[e.side], n.shape))
+        for side, n in zip(disc.mesh.side, disc.boundary.normal):
+            assert np.array_equal(n, np.broadcast_to(expected[side], n.shape))
 
     def test_unit_length(self, annulus_gm):
         n = make_disc(annulus_gm, 2, 2).boundary.normal
@@ -320,11 +329,11 @@ class TestNormals:
         # the outer arc (x1), toward it on the inner arc (x0)
         disc = make_disc(annulus_gm, 2, 2)
         bc = disc.boundary
-        for e, x, n in zip(disc.mesh.edges, bc.x, bc.normal):
+        for side, x, n in zip(disc.mesh.side, bc.x, bc.normal):
             radial = x / np.linalg.norm(x, axis=1)[:, None]
-            if e.side == "x1":
+            if side == "x1":
                 assert np.max(np.abs(n - radial)) < 1e-10
-            elif e.side == "x0":
+            elif side == "x0":
                 assert np.max(np.abs(n + radial)) < 1e-10
 
 
@@ -346,6 +355,22 @@ class TestGeometryIO:
     def test_missing_header(self):
         with pytest.raises(ValueError, match="degrees"):
             parse_geometry("knots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\n")
+
+    @pytest.mark.parametrize(
+        "header, named",
+        [
+            ("degrees: 1 1\nknots1: 1; 0 0 1 1\nknots1: 1; 0 0 0.5 1 1\nknots2: 1; 0 0 1 1\n",
+             ["line 3", "'knots1'", "line 2"]),
+            ("degrees: 1 1\ncolour: red\nknots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\n",
+             ["line 2", "unknown", "'colour'"]),
+        ],
+        ids=["repeated", "unknown"],
+    )
+    def test_header_key_repeated_or_unknown(self, header, named):
+        with pytest.raises(ValueError) as info:
+            parse_geometry(header + "0 0 1\n1 0 1\n0 1 1\n1 1 1\n")
+        for word in named:
+            assert word in str(info.value)
 
     def test_wrong_point_count(self):
         with pytest.raises(ValueError, match="rows"):

@@ -118,8 +118,7 @@ class TestBuiltinCases:
 def inflow_by_side(disc, name, t=0.0):
     """Inflow mask of a built-in case, one (edges, q) block per side."""
     mask, _ = inflow_mask(disc, builtin_case(name).problem, t)
-    sides = np.array([e.side for e in disc.mesh.edges])
-    return {side: mask[sides == side] for side in ("x0", "x1", "y0", "y1")}
+    return {side: mask[disc.mesh.side == side] for side in ("x0", "x1", "y0", "y1")}
 
 
 class TestInflow:
@@ -148,7 +147,7 @@ class TestInflow:
         # b . n = -(y - 1/2), negative (inflow) only above the midpoint
         disc = make_disc(square_gm, 2, 5)
         mask, _ = inflow_mask(disc, builtin_case("steady_reaction").problem, 0.0)
-        left = np.array([e.side == "x0" for e in disc.mesh.edges])
+        left = disc.mesh.side == "x0"
         y = disc.boundary.x[left][..., 1]
         assert np.array_equal(mask[left], y > 0.5)
         assert mask[left].any() and not mask[left].all()

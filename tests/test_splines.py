@@ -168,7 +168,7 @@ class TestEvaluation:
         # B_{1,1} = 1-x, B_{2,1} = x; then
         # B_{1,2} = (1-x)^2, B_{2,2} = 2x(1-x), B_{3,2} = x^2
         kv = validate_knots([0, 0, 0, 1, 1, 1], 2)
-        _, ders = eval_basis_many(kv, [0.5], 0)
+        _, ders = eval_basis_many(kv, [0.5])
         assert np.allclose(ders[0, 0], [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_out_of_domain(self):
@@ -177,11 +177,6 @@ class TestEvaluation:
             eval_basis_many(kv, [1.5])
         with pytest.raises(OutOfDomain):
             eval_basis_many(kv, [-0.1])
-
-    def test_max_deriv_capped(self):
-        kv = validate_knots([0, 0, 1, 1], 1)
-        with pytest.raises(ValueError):
-            eval_basis_many(kv, [0.5], max_deriv=2)
 
     @pytest.mark.parametrize("knots,k", SHIPPED)
     def test_partition_of_unity_and_derivative_sums(self, knots, k, rng):
@@ -209,9 +204,9 @@ class TestEvaluation:
         gap = np.min(np.abs(kv.mesh.breakpoints[:, None] - xs), axis=0)
         xs = xs[gap >= 10 * delta]
         assert len(xs) > 200
-        lo_first, lo = eval_basis_many(kv, xs - delta, 0)
-        hi_first, hi = eval_basis_many(kv, xs + delta, 0)
-        first, mid = eval_basis_many(kv, xs, 1)
+        lo_first, lo = eval_basis_many(kv, xs - delta)
+        hi_first, hi = eval_basis_many(kv, xs + delta)
+        first, mid = eval_basis_many(kv, xs)
         assert np.array_equal(lo_first, first) and np.array_equal(hi_first, first)
         fd = (hi[:, 0] - lo[:, 0]) / (2 * delta)
         assert np.max(np.abs(fd - mid[:, 1])) < 1e-6
@@ -224,15 +219,9 @@ class TestEvaluation:
         dense_l, dense_r = collocation(kv, [np.nextafter(z, 0.0), z])[1]
         assert np.max(np.abs(dense_r - dense_l)) < 1e-10
 
-    def test_second_derivatives(self):
-        # B_{3,2} = x^2 on the Bernstein span: second derivative 2
-        kv = validate_knots([0, 0, 0, 1, 1, 1], 2)
-        _, ders = eval_basis_many(kv, [0.3], max_deriv=2)
-        assert np.allclose(ders[0, 2], [2.0, -4.0, 2.0])
-
     def test_endpoint_conventions(self):
         kv = validate_knots([0, 0, 0.5, 1, 1], 1)
-        first, ders = eval_basis_many(kv, [0.0, 1.0, 0.5], 0)
+        first, ders = eval_basis_many(kv, [0.0, 1.0, 0.5])
         # left limit at 1; an interior breakpoint evaluates right-continuously
         assert list(first) == [0, 1, 1]
         assert np.allclose(ders[:, 0], [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
@@ -255,7 +244,7 @@ class TestHelpers:
             kv = validate_knots(knots, k)
             g = greville(kv)
             xs = rng.random(50)
-            first, ders = eval_basis_many(kv, xs, 0)
+            first, ders = eval_basis_many(kv, xs)
             combo = np.sum(ders[:, 0] * g[first[:, None] + np.arange(k + 1)], axis=1)
             assert np.max(np.abs(combo - xs)) < 1e-13
 
@@ -283,17 +272,16 @@ class TestEvalBasisMany:
     def test_bit_equal_to_one_point_recursion(self, knots, k, rng):
         kv = validate_knots(knots, k)
         xs = batch_points(kv, rng)
-        for nd in range(k + 1):
-            first, ders = eval_basis_many(kv, xs, nd)
-            assert ders.shape == (len(xs), nd + 1, k + 1)
-            for i, x in enumerate(xs):
-                ref_first, ref = one_point_ders(knots, k, float(x), nd)
-                assert first[i] == ref_first
-                assert ders[i].tobytes() == ref.tobytes()
+        first, ders = eval_basis_many(kv, xs)
+        assert ders.shape == (len(xs), 2, k + 1)
+        for i, x in enumerate(xs):
+            ref_first, ref = one_point_ders(knots, k, float(x), 1)
+            assert first[i] == ref_first
+            assert ders[i].tobytes() == ref.tobytes()
 
     def test_end_and_breakpoint_spans(self):
         kv = validate_knots([0, 0, 0, 0.25, 0.25, 0.5, 1, 1, 1], 2)
-        first, ders = eval_basis_many(kv, [0.0, 0.25, 0.5, 1.0], 0)
+        first, ders = eval_basis_many(kv, [0.0, 0.25, 0.5, 1.0])
         # right-continuous at interior breakpoints, left limit at 1
         assert list(first) == [0, 2, 3, kv.dimension - 3]
         assert np.array_equal(ders[0, 0], [1.0, 0.0, 0.0])
@@ -305,21 +293,14 @@ class TestEvalBasisMany:
         xs = np.linspace(0.0, 1.0, 9)
         xs[5] = bad
         with pytest.raises(OutOfDomain):
-            eval_basis_many(kv, xs, 1)
-
-    def test_max_deriv_range(self):
-        kv = uniform_open_knots(2, 4)
-        for nd in (-1, 3):
-            with pytest.raises(ValueError):
-                eval_basis_many(kv, [0.5], nd)
+            eval_basis_many(kv, xs)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_empty_input(self, k):
         kv = uniform_open_knots(k, 3)
-        for nd in range(k + 1):
-            first, ders = eval_basis_many(kv, np.empty(0), nd)
-            assert first.shape == (0,)
-            assert ders.shape == (0, nd + 1, k + 1)
+        first, ders = eval_basis_many(kv, np.empty(0))
+        assert first.shape == (0,)
+        assert ders.shape == (0, 2, k + 1)
 
 
 class TestCollocation:

@@ -62,6 +62,14 @@ class TestTimeGrid:
             with pytest.raises(ValueError, match=f"final time .* got {T}"):
                 TimeGrid(4, T)
 
+    def test_step_count_must_be_an_integer(self):
+        for n in (2.5, 3.0, "3"):
+            with pytest.raises(TypeError):
+                TimeGrid(n, 1.0)
+        grid = TimeGrid(np.int64(4), 1.0)
+        assert grid.tau == 0.25
+        assert len(grid.nodes) == 5
+
 
 class TestProjection:
     def test_mass_assembled_once_per_discretization(self, square_gm, monkeypatch):
