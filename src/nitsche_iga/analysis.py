@@ -9,6 +9,14 @@ discretization.  The error in u and the two components of the error in
 grad u are held as separate (times, points) arrays, so that no numpy
 operation runs over an axis of length 2; |grad e|^2 is the one addition
 dx^2 + dy^2, which is bit for bit what a sum over the component axis gives.
+The points run in blocks (:func:`~nitsche_iga.assembly.block_slices`) whose
+largest temporary, the (3, b, 2) gradient that the closure returns, fits the
+assembly's one budget ``BLOCK_BYTES``; it then stays below glibc's 128 KiB
+mmap threshold.  Where that threshold stays fixed (by ``mallopt`` or
+``MALLOC_MMAP_THRESHOLD_``, as in the benchmark), every larger temporary is
+mapped afresh and page-faulted in; on the unit square at 24 spans and k = 2
+that cost as much time as the 3 times save by sharing their t-independent
+factors.
 The coercivity audit converts the assembled matrices to dense form and is
 meant for coarse meshes only.
 """
@@ -18,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import AssembledForms, Discretization, assemble_stiffness
+from .assembly import AssembledForms, Discretization, assemble_stiffness, block_slices
 from .errors import ConfigError, InsufficientLevels
 from .geometry import build_mesh, uniform_space
 from .linalg import generalized_symmetric_eig
@@ -27,16 +35,6 @@ from .splines import collocation
 from .timestepping import TimeGrid, march, project_initial
 
 TIME_QUAD_POINTS = 3
-
-# points per call of the exact solution in space_time_errors.  The closure
-# still returns the (3, b, 2) gradient, which is split into its components
-# only after the call; that float64 array, at most 120 KiB, then stays below
-# glibc's default mmap threshold of 128 KiB.  Where the threshold stays
-# there (set by mallopt or MALLOC_MMAP_THRESHOLD_), every larger temporary
-# is mapped afresh and page-faulted in; on the unit square at 24 spans and
-# k = 2 that cost as much time as the 3 times save by sharing their
-# t-independent factors.
-MAX_BLOCK_POINTS = 2560
 
 # sampled times and relative bound of check_boundary_datum
 BOUNDARY_CHECK_TIMES = 5
@@ -77,15 +75,16 @@ def space_time_errors(traj, case):
     """(L2(J;H1), L2(J;L2)) errors of the piecewise-constant extension.
 
     ``case.u`` and ``case.grad_u`` are evaluated at the 3 Gauss times of a
-    step in one call per block of at most ``MAX_BLOCK_POINTS`` element
-    quadrature points: x and y as a (1, b) row, the times as a (3, 1)
-    column.  Their results must broadcast to (3, b) and (3, b, 2) with all
-    their axes, so a closure that does not depend on t may return the row;
-    any other shape raises ``ValueError``.  The error in u and the two
-    gradient components are kept apart, as rows of three (3, m) arrays over
-    all m points, and |grad e|^2 is formed as dx^2 + dy^2 by one addition:
-    a sum over a length-2 axis is exactly that addition, so every row sum,
-    summed in the order of a per-time loop, is bit-identical to it.
+    step in one call per block of element quadrature points (as many as
+    let the (3, b, 2) gradient fit ``BLOCK_BYTES``): x and y as a (1, b)
+    row, the times as a (3, 1) column.  Their results must broadcast to
+    (3, b) and (3, b, 2) with all their axes, so a closure that does not
+    depend on t may return the row; any other shape raises ``ValueError``.
+    The error in u and the two gradient components are kept apart, as rows
+    of three (3, m) arrays over all m points, and |grad e|^2 is formed as
+    dx^2 + dy^2 by one addition: a sum over a length-2 axis is exactly that
+    addition, so every row sum, summed in the order of a per-time loop, is
+    bit-identical to it.
     """
     ec = traj.disc.elements
     nodes = traj.grid.nodes
@@ -94,7 +93,7 @@ def space_time_errors(traj, case):
     x = np.ascontiguousarray(ec.x[..., 0]).reshape(1, m)
     y = np.ascontiguousarray(ec.x[..., 1]).reshape(1, m)
     w = ec.w.reshape(m)
-    blocks = [slice(a, a + MAX_BLOCK_POINTS) for a in range(0, m, MAX_BLOCK_POINTS)]
+    blocks = block_slices(m, TIME_QUAD_POINTS * 2 * 8)
 
     du, dx, dy = np.empty((3, TIME_QUAD_POINTS, m))
     acc_h1 = 0.0

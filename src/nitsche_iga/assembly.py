@@ -22,8 +22,26 @@ The stiffness form contains five families of terms: the volume form
 points where b . n < 0, and the eps/h_E boundary penalty.  The load is (f, N)
 plus its Dirichlet trial terms applied to g; :meth:`AssembledForms.at`
 returns both from one sampling of the coefficients.
+
+Every element kernel (the basis tables, the volume part of the stiffness,
+the mass, the V_h Gram, the owner Grams of the trace constant and the
+volume sums of the load) runs over consecutive blocks of elements or edges
+(:func:`block_slices`) whose largest temporary fits ``BLOCK_BYTES``, and
+each block writes into the one array that the kernel keeps or returns.
+Each element gets the same arithmetic in the same order as in one pass over
+the mesh, so every output is bit-identical for any block size.  The budget
+is set by glibc's malloc, which maps every block at or above its mmap
+threshold afresh, page-faults it in and unmaps it when it is freed.  The
+threshold starts at 128 KiB; a process that fixes it there (by ``mallopt``
+or ``MALLOC_MMAP_THRESHOLD_``, as the benchmark does) pays this for every
+larger temporary, and a plain process, in which glibc raises the threshold
+as large blocks are freed, still pays it above the 32 MiB ceiling of that
+rise: a copy of the 39 MB basis table of the annulus at k = 3 and 64 spans
+is mapped afresh in any process.  Temporaries of at most 120 KiB are carved
+from the heap and reused from one block to the next.
 """
 
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -37,24 +55,48 @@ from .splines import eval_basis_many
 
 PENALTY_FACTOR_DEFAULT = 1.25
 
+# bytes of the largest temporary of one block of an element kernel: below
+# glibc's default mmap threshold of 128 KiB (see the module docstring)
+BLOCK_BYTES = 120 * 1024
 
-def _basis_table(d1, d2, inv_jac):
+
+def block_slices(n, item_bytes):
+    """Consecutive slices that cover ``range(n)``, each of as many items of
+    ``item_bytes`` bytes as fit in ``BLOCK_BYTES``, and at least one; the
+    last one may be shorter."""
+    size = max(1, BLOCK_BYTES // item_bytes)
+    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
+
+
+def _basis_table(d1, d2, jac):
     """The table (n, q, 3, nloc) of basis values and physical gradients, with
     its views (n, q, nloc) of the values and (n, q, nloc, 2) of the gradients.
 
-    ``d1`` (..., 2, k1+1) and ``d2`` (..., 2, k2+1) hold the values and first
-    derivatives of each 1-D basis; their leading axes broadcast to (n, q) or
-    to a shape that reshapes to it, and ``inv_jac`` (n, q, 2, 2) is J^-1.
+    ``d1`` (n, ..., 2, k1+1) and ``d2`` (n, ..., 2, k2+1) hold the values and
+    first derivatives of each 1-D basis; their axes after the first broadcast
+    to (q,) or to a shape that reshapes to it, and ``jac`` (n, q, 2, 2) is J.
     Local functions run in (l1, l2) order with l2 fastest, so each row of the
     table is the product of the direction-1 row repeated k2+1 times and the
-    direction-2 row tiled k1+1 times; one product fills all three rows, with
-    no outer products to stack.  The parametric gradients map to physical
-    ones as J^-T times the two derivative rows, one batched matmul.
+    direction-2 row tiled k1+1 times: one gather of each 1-D table by an
+    index array made once, and one product fills all three rows.  The
+    parametric gradients map to physical ones as J^-T times the two
+    derivative rows, one batched matmul.  Blocks of items run in turn: J is
+    inverted, the product formed and the matmul written into the table per
+    block.
     """
     n1, n2 = d1.shape[-1], d2.shape[-1]
-    hat = np.repeat(d1[..., (0, 1, 0), :], n2, axis=-1) * np.tile(d2[..., (0, 0, 1), :], n1)
-    table = hat.reshape(inv_jac.shape[:2] + hat.shape[-2:])
-    table[:, :, 1:] = inv_jac.swapaxes(-1, -2) @ table[:, :, 1:]
+    # (3, nloc) positions in the flattened (2, k+1) tables: rows value,
+    # derivative, value of direction 1 and value, value, derivative of 2
+    at1 = np.array([[0], [n1], [0]]) + np.repeat(np.arange(n1), n2)
+    at2 = np.array([[0], [0], [n2]]) + np.tile(np.arange(n2), n1)
+    flat1, flat2 = (d.reshape(d.shape[:-2] + (-1,)) for d in (d1, d2))
+    table = np.empty(jac.shape[:2] + (3, n1 * n2))
+    for s in block_slices(len(table), table[0].nbytes):
+        hat = np.take(flat1[s], at1, axis=-1) * np.take(flat2[s], at2, axis=-1)
+        hat = hat.reshape(table[s].shape)
+        inv_jac, _ = invert_2x2(jac[s])
+        table[s, :, 0] = hat[:, :, 0]
+        np.matmul(inv_jac.swapaxes(-1, -2), hat[:, :, 1:], out=table[s, :, 1:])
     return table, table[:, :, 0], table[:, :, 1:].swapaxes(2, 3)
 
 
@@ -83,39 +125,46 @@ def _tensor_pattern(space, first1, first2, owner):
     :func:`_span_pattern`.  Row g = i1 + n1 i2 holds len1(i1) len2(i2)
     columns j1 + n1 j2 in (j2, j1) order, which is ascending; the entry of
     ranks (rank1, rank2) in the 1-D rows sits at
-    indptr[g] + rank2 len1(i1) + rank1.  Returns ``(indptr, indices, slots)``
-    in int32, with ``slots`` (ne + len(owner), nloc, nloc), the largest array
-    kept: the slots of the element blocks, then those of the element
-    ``owner[f]`` of each boundary edge f.  Elements run with direction 1
-    fastest, local functions (l1, l2) with l2 fastest.
+    indptr[g] + rank2 len1(i1) + rank1.  Returns ``(indptr, indices, slots)``,
+    the pattern in int32 and ``slots`` (ne + len(owner), nloc, nloc) in
+    ``np.intp``, which ``np.bincount`` reads without a converted copy: the
+    slots of the element blocks, then those of the element ``owner[f]`` of
+    each boundary edge f.  Elements run with direction 1 fastest, local
+    functions (l1, l2) with l2 fastest.
     """
     (n1, n2), (k1, k2) = space.shape, space.degrees
     indptr1, indices1, rank1 = _span_pattern(first1, k1, n1)
     indptr2, indices2, rank2 = _span_pattern(first2, k2, n2)
     len1, len2 = np.diff(indptr1), np.diff(indptr2)
 
-    # rows g in (i2, i1) order; each entry's ranks in the 1-D rows of i1, i2
+    # rows g in (i2, i1) order, a block of rows at a time; each entry's ranks
+    # in the 1-D rows of i1, i2
     sizes = np.outer(len2, len1).ravel()
     indptr = np.concatenate([[0], np.cumsum(sizes)])
-    i1, i2 = np.tile(np.arange(n1), n2), np.repeat(np.arange(n2), n1)
-    offset = np.arange(indptr[-1]) - np.repeat(indptr[:-1], sizes)
-    r2, r1 = np.divmod(offset, np.repeat(len1[i1], sizes))
-    at1, at2 = np.repeat(indptr1[i1], sizes) + r1, np.repeat(indptr2[i2], sizes) + r2
-    indices = indices1[at1] + n1 * indices2[at2]
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for rows in block_slices(len(sizes), 8 * sizes.max()):
+        i2, i1 = np.divmod(np.arange(rows.start, rows.stop), n1)
+        n, entries = sizes[rows], slice(indptr[rows.start], indptr[rows.stop])
+        offset = np.arange(entries.start, entries.stop) - np.repeat(indptr[rows], n)
+        r2, r1 = np.divmod(offset, np.repeat(len1[i1], n))
+        at1, at2 = np.repeat(indptr1[i1], n) + r1, np.repeat(indptr2[i2], n) + r2
+        indices[entries] = indices1[at1] + n1 * indices2[at2]
 
-    # per element (s2, s1) and local pair ((a1, a2), (b1, b2)): the start of
-    # row g(a1, a2) plus the direction-2 offset, then the direction-1 rank
+    # per element (s2, s1) and local pair ((a1, a2), (b1, b2)): the
+    # direction-2 offset, plus the start of row g(a1, a2) and the
+    # direction-1 rank, summed in place
     local1, local2 = first1[:, None] + np.arange(k1 + 1), first2[:, None] + np.arange(k2 + 1)
     g = local1[None, :, :, None] + n1 * local2[:, None, None, :]
-    start = indptr[g][..., None, None] + (
-        len1[local1][None, :, :, None, None, None] * rank2[:, None, None, :, None, :]
-    )
     ne, nloc = len(first1) * len(first2), (k1 + 1) * (k2 + 1)
-    slots = np.empty((ne + len(owner), nloc, nloc), dtype=np.int32)
-    by_rank = slots[:ne].reshape(start.shape[:4] + (k1 + 1, k2 + 1))
-    np.add(start, rank1[None, :, :, None, :, None], out=by_rank)
+    slots = np.empty((ne + len(owner), nloc, nloc), dtype=np.intp)
+    by_rank = slots[:ne].reshape(g.shape + (k1 + 1, k2 + 1))
+    np.multiply(
+        len1[local1][None, :, :, None, None, None], rank2[:, None, None, :, None, :], out=by_rank
+    )
+    by_rank += indptr[g][..., None, None]
+    by_rank += rank1[None, :, :, None, :, None]
     np.take(slots, owner, axis=0, out=slots[ne:])
-    return indptr.astype(np.int32), indices.astype(np.int32), slots
+    return indptr.astype(np.int32), indices, slots
 
 
 def _nested_dissection(shape, degrees):
@@ -214,8 +263,7 @@ class ElementCache:
         if np.any(signs != signs[0]):
             raise DegenerateJacobian("det J changes sign across the mesh")
         x, J, detj = (by_element(a) for a in grid)
-        invJ, _ = invert_2x2(J)
-        self.table, self.B, self.G = _basis_table(d1[:, :, None], d2[:, None], invJ)
+        self.table, self.B, self.G = _basis_table(d1[:, :, None], d2[:, None], J)
         self.x = x
         self.w = w_hat * np.abs(detj)
         self.span_first = (f1, f2)
@@ -241,7 +289,7 @@ class EdgeCache:
     def __init__(self, space, mesh, q):
         self.h_E = mesh.h_E
         self.owner = mesh.owner
-        x_hat, self.x, invJ, self.w, self.normal = edge_geometry(
+        x_hat, self.x, J, self.w, self.normal = edge_geometry(
             mesh.geometry, mesh.side, mesh.lo, mesh.hi, gauss_rule(q)
         )
 
@@ -254,7 +302,7 @@ class EdgeCache:
 
         f1, d1 = owner_basis(space.kv1, x_hat[..., 0].ravel())
         f2, d2 = owner_basis(space.kv2, x_hat[..., 1].ravel())
-        self.table, self.B, self.G = _basis_table(d1, d2, invJ)
+        self.table, self.B, self.G = _basis_table(d1, d2, J)
         self.gidx = space.local_to_global(f1[:, 0], f2[:, 0])
 
     def field_values(self, coef):
@@ -296,7 +344,7 @@ class Discretization:
         self._indptr, self._indices, self._slots = _tensor_pattern(
             space, *self.elements.span_first, self.boundary.owner
         )
-        self._gidx = np.concatenate((self.elements.gidx, self.boundary.gidx)).astype(np.int32)
+        self._gidx = np.concatenate((self.elements.gidx, self.boundary.gidx), dtype=np.intp)
         self.order = PatternOrder(
             _nested_dissection(space.shape, space.degrees), self._indptr, self._indices
         )
@@ -332,6 +380,25 @@ def _blocks(test, trial, out=None):
     return np.matmul(test.reshape(n, -1, nloc).swapaxes(1, 2), trial.reshape(n, -1, nloc), out=out)
 
 
+def _weighted_grams(table, w, out, index=None):
+    """``out`` (n, nloc, nloc) filled with the :func:`_blocks` of each table
+    (nq, rows, nloc) of ``table`` with itself weighted by ``w`` (nq,), or of
+    those of ``table[index]`` and ``w[index]``, block by block."""
+    for s in block_slices(len(out), table[0].nbytes):
+        at = s if index is None else index[s]
+        t = table[at]
+        _blocks(t, w[at][..., None, None] * t, out=out[s])
+    return out
+
+
+def _volume_integrals(ec, values, out):
+    """``out`` (ne, nloc) filled with the integrals of v N_l over each element,
+    for the values (ne, nq) of v at the quadrature points, block by block."""
+    for s in block_slices(len(out), ec.w[0].nbytes):
+        np.einsum("eq,eql->el", ec.w[s] * values[s], ec.B[s], out=out[s])
+    return out
+
+
 def _scatter(index, size, values):
     """Sum ``values`` (n, ...) at the first n rows of ``index`` (elements,
     then edges) into ``size`` bins."""
@@ -346,8 +413,9 @@ def _matrix(disc, blocks):
 
 def assemble_mass(disc):
     """Mass matrix M_ij = (N_j, N_i) over the physical domain."""
-    B = disc.elements.table[:, :, :1]
-    return _matrix(disc, _blocks(B, disc.elements.w[..., None, None] * B))
+    ec = disc.elements
+    blocks = np.empty(ec.gidx.shape + ec.gidx.shape[-1:])
+    return _matrix(disc, _weighted_grams(ec.table[:, :, :1], ec.w, blocks))
 
 
 def _coefficients_at(points, func, t):
@@ -425,19 +493,15 @@ def _stiffness_from(disc, coefficients, eps):
     ec, bc = disc.elements, disc.boundary
     mu, bv, cv, mu_e, bn = coefficients
 
-    # weighted trial side of the volume form: c N + b . grad N, and mu grad N.
-    # It is the largest array of a run: the coefficients are freed before the
-    # array of element and edge blocks is allocated, and it before the edge
-    # terms are formed.
-    coef = np.zeros(ec.w.shape + (3, 3))
-    coef[..., 0, 0], coef[..., 0, 1:], coef[..., 1:, 1:] = cv, bv, mu
-    coef *= ec.w[..., None, None]
-    trial = coef @ ec.table
-    del coef
-    ne = len(trial)
+    # weighted trial side of the volume form, c N + b . grad N and mu grad N,
+    # formed and contracted one block of elements at a time
+    ne = len(ec.table)
     blocks = np.empty(disc._slots.shape)
-    _blocks(ec.table, trial, out=blocks[:ne])
-    del trial
+    for s in block_slices(ne, ec.table[0].nbytes):
+        coef = np.zeros(ec.w[s].shape + (3, 3))
+        coef[..., 0, 0], coef[..., 0, 1:], coef[..., 1:, 1:] = cv[s], bv[s], mu[s]
+        coef *= ec.w[s, :, None, None]
+        _blocks(ec.table[s], coef @ ec.table[s], out=blocks[s])
 
     # test side N and flux n . mu grad N, trial side sigma N - flux and -N:
     # the flux term, its transpose, the inflow term and the penalty
@@ -467,7 +531,7 @@ def _load_from(disc, p, dirichlet, t):
     fv = _coefficients_at(ec.x, p.f, t)
     gv = _coefficients_at(bc.x, p.g, t)
     values = np.empty(disc._gidx.shape)
-    np.einsum("eq,eql->el", ec.w * fv, ec.B, out=values[: len(fv)])
+    _volume_integrals(ec, fv, values[: len(fv)])
     np.einsum("fq,fql->fl", bc.w * gv, dirichlet, out=values[len(fv) :])
     return _scatter(disc._gidx, disc.dimension, values)
 
@@ -477,7 +541,8 @@ def assemble_functional(disc, func):
     ec = disc.elements
     flat = ec.x.reshape(-1, 2)
     fv = np.asarray(func(flat[:, 0], flat[:, 1])).reshape(ec.w.shape)
-    return _scatter(disc._gidx, disc.dimension, np.einsum("eq,eql->el", ec.w * fv, ec.B))
+    values = _volume_integrals(ec, fv, np.empty(ec.gidx.shape))
+    return _scatter(disc._gidx, disc.dimension, values)
 
 
 def assemble_vh_gram(disc):
@@ -486,9 +551,8 @@ def assemble_vh_gram(disc):
     ec, bc = disc.elements, disc.boundary
     ne = len(ec.w)
     blocks = np.empty(disc._slots.shape)
-    _blocks(ec.table, ec.w[..., None, None] * ec.table, out=blocks[:ne])
-    B = bc.table[:, :, :1]
-    _blocks(B, (bc.w / bc.h_E[:, None])[..., None, None] * B, out=blocks[ne:])
+    _weighted_grams(ec.table, ec.w, blocks[:ne])
+    _weighted_grams(bc.table[:, :, :1], bc.w / bc.h_E[:, None], blocks[ne:])
     return _matrix(disc, blocks)
 
 
@@ -510,8 +574,8 @@ def trace_constant(disc):
 
     flux = np.einsum("fqa,fqal->fql", bc.normal, bc.table[:, :, 1:])[:, :, None]
     T = _blocks(flux, (bc.h_E[:, None] * bc.w)[..., None, None] * flux)
-    grads = ec.table[bc.owner, :, 1:]
-    S = _blocks(grads, ec.w[bc.owner][..., None, None] * grads)
+    S = np.empty((len(bc.owner), nloc, nloc))
+    _weighted_grams(ec.table[:, :, 1:], ec.w, S, index=bc.owner)
     Tr, Sr = Z.T @ T @ Z, Z.T @ S @ Z
     Sr = (Sr + Sr.swapaxes(1, 2)) / 2
     try:
@@ -541,7 +605,9 @@ class AssembledForms:
     Dirichlet edge terms with copies of the sampled coefficients they were
     assembled from (see :func:`_kept`).  Each new sample is compared with
     those copies in place, bit for bit, with no bytes copies of either.
-    The mass matrix is ``disc.mass``.
+    The mass matrix is ``disc.mass``.  An eps below the floor runs, since
+    the floor is sufficient for coercivity but not necessary, with a
+    ``UserWarning`` that names eps, the floor and their ratio.
     """
 
     def __init__(self, disc, p, epsilon=None, epsilon_factor=None):
@@ -554,6 +620,13 @@ class AssembledForms:
             factor = PENALTY_FACTOR_DEFAULT if epsilon_factor is None else epsilon_factor
             epsilon = factor * self.floor
         self.eps = _penalty(epsilon)
+        if self.eps < self.floor:
+            warnings.warn(
+                f"penalty eps = {self.eps:.6g} lies below the floor {self.floor:.6g} of the "
+                f"{disc.dimension}-dof discretization (eps/floor = {self.eps / self.floor:.3g}); "
+                "coercivity is not guaranteed",
+                stacklevel=2,
+            )
         # (copies of the sampled coefficients, matrix, Dirichlet edge terms)
         self._operator = (None, None, None)
 

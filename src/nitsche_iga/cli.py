@@ -8,7 +8,9 @@ longer do anything (``freeze_operator``, ``solver_maxit``, ``solver_tol``,
 ``calibrate`` take exactly one entry in ``levels``; ``solve`` refuses a
 snapshot time outside [0, T]; ``convergence`` refuses a case
 whose Dirichlet datum is not the trace of its exact solution on the
-chosen geometry or whose error is 0 on a level.  Exit codes: 0 success,
+chosen geometry or whose error is 0 on a level.  Warnings, such as a
+penalty below its floor, are printed on stderr as one ``warning:`` line
+each and change no output file.  Exit codes: 0 success,
 2 configuration error (also unknown names, unparsable geometry files),
 3 numerical failure.
 
@@ -21,6 +23,7 @@ import csv
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -379,6 +382,10 @@ def build_parser():
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -396,11 +403,13 @@ def main(argv=None):
         return 2
 
     try:
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "convergence":
-            return cmd_convergence(cfg)
-        return cmd_calibrate(cfg)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            if args.command == "solve":
+                return cmd_solve(cfg)
+            if args.command == "convergence":
+                return cmd_convergence(cfg)
+            return cmd_calibrate(cfg)
     except (ConfigError, InsufficientLevels, UnknownCase) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

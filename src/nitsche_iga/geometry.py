@@ -199,9 +199,9 @@ def edge_geometry(gm, side, lo, hi, rule):
     """The geometry at the points of ``rule`` on the boundary edges given by
     the arrays ``side``, ``lo`` and ``hi`` (as held by :class:`PhysicalMesh`).
 
-    Returns ``(x_hat, x, inv_jac, w, normal)`` with shapes (nf, q, 2),
-    (nf, q, 2), (nf, q, 2, 2), (nf, q) and (nf, q, 2): parametric and
-    physical points, inverse Jacobians, arc-length weights (span width times
+    Returns ``(x_hat, x, J, w, normal)`` with shapes (nf, q, 2), (nf, q, 2),
+    (nf, q, 2, 2), (nf, q) and (nf, q, 2): parametric and physical points,
+    Jacobians, arc-length weights (span width times
     rule weight times the tangent length) and unit outward normals.  The
     normal is the row of J^-1 that is the gradient of the edge's fixed
     parametric coordinate, pointing away from the domain.  The parametric
@@ -237,7 +237,7 @@ def edge_geometry(gm, side, lo, hi, rule):
     orient = np.where(fixed > 0, 1.0, -1.0)[..., None]
     normal = orient * np.where(along_dir2[..., None], inv_jac[..., 0, :], inv_jac[..., 1, :])
     normal /= np.linalg.norm(normal, axis=2)[..., None]
-    return x_hat, x, inv_jac, w, normal
+    return x_hat, x, J, w, normal
 
 
 # -- shipped geometries and the plain-text file format -----------------------

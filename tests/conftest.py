@@ -9,6 +9,7 @@ from nitsche_iga import (
     uniform_space,
 )
 from nitsche_iga.assembly import _coefficients_at, _scatter
+from nitsche_iga.geometry import invert_2x2
 from nitsche_iga.quadrature import gauss_rule
 from nitsche_iga.splines import eval_basis_many
 
@@ -82,9 +83,11 @@ def tensor_product(d1, d2, orders):
     ]
 
 
-def reference_basis_table(d1, d2, inv_jac):
+def reference_basis_table(d1, d2, jac):
     """The basis table (n, q, 3, nloc) from outer products of the 1-D tables
-    and an einsum with J^-1; the reference for ``assembly._basis_table``."""
+    and an einsum with J^-1 of the Jacobians ``jac``; the reference for
+    ``assembly._basis_table``."""
+    inv_jac, _ = invert_2x2(jac)
     hat = np.stack(tensor_product(d1, d2, ((0, 0), (1, 0), (0, 1))), axis=-2)
     table = hat.reshape(inv_jac.shape[:2] + hat.shape[-2:])
     table[:, :, 1:] = np.einsum("xqbl,xqba->xqal", table[:, :, 1:], inv_jac)

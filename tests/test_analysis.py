@@ -18,7 +18,7 @@ from nitsche_iga import (
     space_time_errors,
     vh_norm,
 )
-from nitsche_iga import analysis
+from nitsche_iga import analysis, assembly
 from nitsche_iga.analysis import check_boundary_datum, run_level
 from nitsche_iga.errors import ConfigError, InsufficientLevels
 from nitsche_iga.timestepping import SolutionTrajectory
@@ -89,13 +89,14 @@ class TestSpaceTimeErrors:
     @pytest.mark.parametrize("name", ["paper_sec8", "steady_reaction", "zero"])
     @pytest.mark.parametrize("geometry", ["square_gm", "annulus_gm"])
     @pytest.mark.parametrize("degree", [1, 2, 3])
-    @pytest.mark.parametrize("block", [analysis.MAX_BLOCK_POINTS, 7])
+    @pytest.mark.parametrize("block", [2560, 7])
     def test_matches_per_time_loop(self, request, monkeypatch, name, geometry, degree, block):
         # random coefficients, so that every case has a nonzero error at
-        # every Gauss time; one, three and eight steps; the default block
-        # takes all points in one call, 7 splits them into blocks of 7 and
-        # a shorter last one
-        monkeypatch.setattr(analysis, "MAX_BLOCK_POINTS", block)
+        # every Gauss time; one, three and eight steps; the default budget
+        # (2560 points of a 48-byte gradient) takes all points in one call,
+        # 7 splits them into blocks of 7 and a shorter last one
+        assert assembly.BLOCK_BYTES == 2560 * 48
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", block * 48)
         case = builtin_case(name)
         disc = make_disc(request.getfixturevalue(geometry), degree, 3)
         rng = np.random.default_rng(degree)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from nitsche_iga import (
     assembly,
     build_mesh,
     builtin_case,
+    coercivity_audit,
     gauss_rule,
     generalized_symmetric_eig,
     inflow_mask,
@@ -413,16 +415,19 @@ class TestSparsityPattern:
     @staticmethod
     def assert_reference_pattern(disc):
         # the pattern from the 1-D span blocks against np.unique over all
-        # (row, column) keys of the element blocks, kept in int32; the
-        # element slots and global indices are followed by each edge's
-        # owner's
+        # (row, column) keys of the element blocks, the pattern kept in
+        # int32 and the scatter indices in intp, which np.bincount reads
+        # without a copy; the element slots and global indices are followed
+        # by each edge's owner's
         ref = reference_pattern(disc.elements.gidx, disc.dimension)
         ne, owner = len(disc.elements.gidx), disc.boundary.owner
-        for got, want in zip((disc._indptr, disc._indices, disc._slots[:ne]), ref):
-            assert got.dtype == np.int32
+        for got, want, dtype in zip(
+            (disc._indptr, disc._indices, disc._slots[:ne]), ref, (np.int32, np.int32, np.intp)
+        ):
+            assert got.dtype == dtype
             assert np.array_equal(got, want)
         assert np.array_equal(disc._slots[ne:], disc._slots[owner])
-        assert disc._gidx.dtype == np.int32
+        assert disc._gidx.dtype == np.intp
         assert np.array_equal(disc._gidx[:ne], disc.elements.gidx)
         assert np.array_equal(disc._gidx[ne:], disc.elements.gidx[owner])
 
@@ -769,6 +774,26 @@ class TestAssembledForms:
         assert forms2.eps == 7.5
         with pytest.raises(ValueError):
             AssembledForms(disc, case.problem, epsilon=1.0, epsilon_factor=1.0)
+
+    def test_sub_floor_penalty_warns(self, square_gm):
+        # paper_sec8, k = 2, 4 spans: the floor is 8, and eps = 0.5 leaves the
+        # form with a negative coercivity eigenvalue (about -1.03); it runs,
+        # with a warning that names eps, the floor and their ratio
+        p = builtin_case("paper_sec8").problem
+        disc = make_disc(square_gm, 2, 4)
+        with pytest.warns(UserWarning) as caught:
+            forms = AssembledForms(disc, p, epsilon=0.5)
+        assert forms.floor == pytest.approx(8.0, rel=1e-9)
+        assert [str(w.message) for w in caught] == [
+            "penalty eps = 0.5 lies below the floor 8 of the 36-dof discretization "
+            "(eps/floor = 0.0625); coercivity is not guaranteed"
+        ]
+        assert coercivity_audit(disc, p, forms.eps, 0.0)[0] < -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            AssembledForms(disc, p)
+            AssembledForms(disc, p, epsilon=forms.floor)
+            AssembledForms(disc, p, epsilon_factor=1.0)
 
     def test_inflow_cache_time_dependent_field(self, square_gm):
         # advection rotating in time flips the inflow side between t=0 and t=1

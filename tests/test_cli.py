@@ -323,6 +323,28 @@ class TestSolveCommand:
         assert "penalty_floor" in manifest
         assert "eps_used = 9" in manifest
 
+    def test_sub_floor_penalty_warns_on_stderr(self, tmp_path, capsys):
+        # one warning line on stderr; the manifest differs from that of a run
+        # above the floor in its epsilon lines only
+        cfg = (
+            "case = paper_sec8\ngeometry = square\ndegree = 2\nlevels = 4\n"
+            "num_steps = 8\nepsilon = {}\n"
+        )
+        runs = {}
+        for eps in ("0.5", "9.0"):
+            path = write_config(tmp_path, cfg.format(eps), name=f"{eps}.cfg")
+            out = tmp_path / eps
+            assert main(["solve", "--config", path, "--out", str(out)]) == 0
+            runs[eps] = capsys.readouterr().err, (out / "manifest.txt").read_text()
+        err, manifest = runs["0.5"]
+        assert err.splitlines() == [
+            "warning: penalty eps = 0.5 lies below the floor 8 of the 36-dof "
+            "discretization (eps/floor = 0.0625); coercivity is not guaranteed"
+        ]
+        assert runs["9.0"][0] == ""
+        lines = zip(manifest.splitlines(), runs["9.0"][1].splitlines(), strict=True)
+        assert [a.split(" = ")[0] for a, b in lines if a != b] == ["epsilon_config", "eps_used"]
+
     def test_snapshot_times_snap_to_nodes(self, tmp_path):
         cfg = BASE + "snapshot_times = 0 0.5 1\n"
         path = write_config(tmp_path, cfg)
