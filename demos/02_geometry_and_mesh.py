@@ -26,10 +26,10 @@ def main():
     print("== Identity square ==")
     gm = load_geometry("square")
     space = uniform_space(1, 4)
-    mesh = build_mesh(gm, space)
+    h_E = Discretization(space, build_mesh(gm, space)).boundary.h_E
     ns1, ns2 = space.num_spans
-    print(f"{ns1 * ns2} elements, {len(mesh.h_E)} boundary edges of length "
-          f"h_E = {mesh.h_E[0]:g}")
+    print(f"{ns1 * ns2} elements, {len(h_E)} boundary edges of length "
+          f"h_E = {h_E[0]:g}")
 
     print("\n== Quarter annulus (exact rational arc) ==")
     ga = load_geometry("quarter_annulus")

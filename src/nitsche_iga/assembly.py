@@ -3,8 +3,8 @@
 A :class:`Discretization` precomputes, once per (space, mesh, quadrature)
 triple, the basis tables at all volume and boundary-edge quadrature points
 (:func:`_basis_table`, products of repeated and tiled 1-D B-spline tables;
-edge data from :func:`~nitsche_iga.geometry.edge_geometry`, which also
-measures h_E), the CSR pattern that every matrix shares, the tensor
+edge data from :func:`~nitsche_iga.geometry.edge_geometry`), the edge
+lengths h_E, the CSR pattern that every matrix shares, the tensor
 product of the span-block patterns of the two directions
 (:func:`_tensor_pattern`), and the fill-reducing order of that pattern, a
 nested dissection of the index grid (:func:`_nested_dissection`), with
@@ -47,13 +47,18 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateJacobian, NotSPD, SingularGram
+from .errors import ConfigError, DegenerateJacobian, NotSPD, SingularGram
 from .geometry import edge_geometry, invert_2x2
 from .linalg import PatternOrder, generalized_symmetric_eig
 from .quadrature import gauss_rule
 from .splines import eval_basis_many
 
 PENALTY_FACTOR_DEFAULT = 1.25
+
+# Arc lengths h_E of (possibly curved) boundary edges use a fixed 5-point
+# rule at every quadrature order: exact for straight edges, ample for the
+# shipped conic arcs.
+EDGE_LENGTH_POINTS = 5
 
 # bytes of the largest temporary of one block of an element kernel: below
 # glibc's default mmap threshold of 128 KiB (see the module docstring)
@@ -284,14 +289,19 @@ class EdgeCache:
     ``w`` carries the arc-length measure; ``table`` and its views ``B``/``G``
     hold the owner element's local basis values and physical gradients at the
     edge points, in the owner's local order, so ``gidx`` is the owner's.
+    ``h_E`` is each edge's arc length, summed from the arc-length weights of
+    the fixed ``EDGE_LENGTH_POINTS``-point rule at every ``q``: from ``w``
+    itself when ``q`` is that order.
     """
 
     def __init__(self, space, mesh, q):
-        self.h_E = mesh.h_E
         self.owner = mesh.owner
-        x_hat, self.x, J, self.w, self.normal = edge_geometry(
-            mesh.geometry, mesh.side, mesh.lo, mesh.hi, gauss_rule(q)
-        )
+        edges = (mesh.geometry, mesh.side, mesh.lo, mesh.hi)
+        x_hat, self.x, J, self.w, self.normal = edge_geometry(*edges, gauss_rule(q))
+        if q == EDGE_LENGTH_POINTS:
+            self.h_E = np.sum(self.w, axis=1)
+        else:
+            self.h_E = np.sum(edge_geometry(*edges, gauss_rule(EDGE_LENGTH_POINTS))[3], axis=1)
 
         # the owner's basis at the edge points, each distinct coordinate
         # evaluated once: on half of the edges a direction is fixed at 0 or 1
@@ -479,10 +489,11 @@ def _same_bits(a, kept):
 
 
 def _penalty(eps):
-    """``eps`` as a float; ``ValueError`` unless it is a positive finite number."""
+    """``eps`` as a float; :class:`ConfigError` (a ``ValueError``) unless it
+    is a positive finite number."""
     eps = float(eps)
     if not 0.0 < eps < np.inf:
-        raise ValueError(f"penalty parameter must be a positive finite number, got {eps}")
+        raise ConfigError(f"penalty parameter must be a positive finite number, got {eps}")
     return eps
 
 
@@ -600,7 +611,7 @@ class AssembledForms:
 
     Resolves the penalty parameter (absolute ``epsilon`` or a
     ``epsilon_factor`` multiple of the computed floor; exactly one may be
-    given, default factor 1.25; ``ValueError`` unless the result is a
+    given, default factor 1.25; :class:`ConfigError` unless the result is a
     positive finite number) and caches the last stiffness matrix and its
     Dirichlet edge terms with copies of the sampled coefficients they were
     assembled from (see :func:`_kept`).  Each new sample is compared with

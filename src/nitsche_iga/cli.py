@@ -11,8 +11,9 @@ whose Dirichlet datum is not the trace of its exact solution on the
 chosen geometry or whose error is 0 on a level.  Warnings, such as a
 penalty below its floor, are printed on stderr as one ``warning:`` line
 each and change no output file.  Exit codes: 0 success,
-2 configuration error (also unknown names, unparsable geometry files),
-3 numerical failure.
+2 configuration error (also unknown names, unparsable geometry files, and
+values that parse but cannot run: a penalty eps that overflows, a
+trajectory of more steps than can be allocated), 3 numerical failure.
 
 The pipeline is deterministic: identical configurations produce identical
 output files byte for byte.

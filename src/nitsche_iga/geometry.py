@@ -22,25 +22,24 @@ The pieces that assembly shares with the mesh live here once each:
 inverts Jacobians, and :func:`edge_geometry` maps the points of a rule on
 the boundary edges (arc-length weights and outward normals).
 
-The physical mesh is the boundary edges as arrays (side, span, owner
-element and h_E, the only mesh size the scheme reads); inside the elements
-F is evaluated once, by the assembly's element cache, which also checks the
-sign of det J.
+The physical mesh is edge topology only: the boundary edges as arrays of
+side, span and owner element, formed from the knot vectors without
+evaluating F.  During set-up F is evaluated only by the assembly's caches:
+the element cache on its Gauss grid (where it also checks the sign of
+det J) and the edge cache on the boundary edges, where it also measures
+h_E, the only mesh size the scheme reads.
 """
 
 import importlib.resources
 
 import numpy as np
 
-from . import quadrature
 from .errors import ConfigError, DegenerateJacobian, UnknownCase
 from .splines import collocation, parse_knot_vector, uniform_open_knots
 
+# floor of |det J| for a control net whose bounding box has largest side 1;
+# a map scaled by L has det J scaled by L^2, and its floor with it
 JAC_FLOOR = 1e-10
-
-# Arc lengths of (possibly curved) boundary edges use a fixed 5-point rule:
-# exact for straight edges, ample for the shipped conic arcs.
-EDGE_LENGTH_POINTS = 5
 
 SIDES = ("x0", "x1", "y0", "y1")
 
@@ -92,9 +91,11 @@ class GeometryMap:
     """NURBS parametrization F of the physical domain.
 
     Control points live on the grid of a (usually coarse) tensor space and
-    must be finite; weights must be finite and strictly positive.  With all
-    weights equal to one the map degenerates to a plain B-spline
-    parametrization.
+    must be finite and not all equal; weights must be finite and strictly
+    positive.  With all weights equal to one the map degenerates to a plain
+    B-spline parametrization.  ``jac_floor`` is ``JAC_FLOOR`` times the
+    square of the largest side of the control points' bounding box, so a
+    map and its scaled copies are refused alike.
     """
 
     def __init__(self, space, control_points, weights):
@@ -111,9 +112,13 @@ class GeometryMap:
         # NaN compares false, so it fails this test
         if not np.all((weights > 0) & (weights < np.inf)):
             raise ValueError("weights must be strictly positive and finite")
+        size = float(np.ptp(control_points, axis=0).max())
+        if size == 0.0:
+            raise ValueError("control points must not all coincide")
         self.space = space
         self.control_points = control_points
         self.weights = weights
+        self.jac_floor = JAC_FLOOR * size**2
 
     def evaluate_grid(self, t1, t2):
         """Map the tensor grid of parametric points ``t1`` x ``t2``.
@@ -121,7 +126,7 @@ class GeometryMap:
         Returns ``(x, J, detJ)`` with shapes (m1, m2, 2), (m1, m2, 2, 2) and
         (m1, m2); entry [a, b] belongs to the point (t1[a], t2[b]).  Raises
         :class:`DegenerateJacobian` when any |det J| falls below
-        ``JAC_FLOOR``.
+        ``jac_floor``.
         """
         C1 = collocation(self.space.kv1, t1)
         C2 = collocation(self.space.kv2, t2)
@@ -138,9 +143,9 @@ class GeometryMap:
         x, J = np.moveaxis(x, 0, -1), np.moveaxis(J, 0, -2)
 
         detj = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-        if np.any(np.abs(detj) < JAC_FLOOR):
+        if np.any(np.abs(detj) < self.jac_floor):
             worst = float(np.min(np.abs(detj)))
-            raise DegenerateJacobian(f"|det J| = {worst:.3e} below floor {JAC_FLOOR:.1e}")
+            raise DegenerateJacobian(f"|det J| = {worst:.3e} below floor {self.jac_floor:.1e}")
         return x, J, detj
 
 
@@ -156,31 +161,30 @@ def invert_2x2(J):
 
 
 class PhysicalMesh:
-    """The boundary edges of the mapped solution-space mesh, as arrays over
-    the edges: ``side`` (names from :data:`SIDES`), the side span ``lo`` ..
-    ``hi`` in the parameter along the side, the unique ``owner`` element
-    (direction 1 fastest) and the arc length ``h_E``.  Edges run side by
-    side in ``SIDES`` order and span by span along each side."""
+    """The boundary edges of the solution-space mesh over a geometry map, as
+    arrays over the edges: ``side`` (names from :data:`SIDES`), the side
+    span ``lo`` .. ``hi`` in the parameter along the side and the unique
+    ``owner`` element (direction 1 fastest).  Edges run side by side in
+    ``SIDES`` order and span by span along each side.  The arc lengths h_E
+    are measured by :class:`~nitsche_iga.assembly.EdgeCache`."""
 
-    def __init__(self, geometry, space, side, lo, hi, owner, h_E):
+    def __init__(self, geometry, space, side, lo, hi, owner):
         self.geometry = geometry
         self.space = space
         self.side = side
         self.lo = lo
         self.hi = hi
         self.owner = owner
-        self.h_E = h_E
 
 
 def build_mesh(gm, space):
     """Build the physical mesh for a solution space over a geometry map.
 
-    One boundary edge per side span; h_E is the arc length of the mapped
-    side span, the sum of the :func:`edge_geometry` weights of a fixed
-    5-point rule, the one mesh size the Nitsche penalty eps/h_E reads.  The
-    geometry is sampled on the edges only; the element integrals sample it
-    inside the elements, where :class:`~nitsche_iga.assembly.ElementCache`
-    checks that det J keeps one sign.
+    One boundary edge per side span, formed from the breakpoints of the
+    knot vectors; F is not evaluated.  The caches of
+    :class:`~nitsche_iga.assembly.Discretization` evaluate it: inside the
+    elements, where det J must keep one sign, and on the edges, where h_E
+    is measured.
     """
     ns1, ns2 = space.num_spans
     parts = []
@@ -191,8 +195,7 @@ def build_mesh(gm, space):
         s1, s2 = {"x0": (0, n), "x1": (ns1 - 1, n), "y0": (n, 0), "y1": (n, ns2 - 1)}[side]
         parts.append((np.full(len(n), side), bps[:-1], bps[1:], s1 + ns1 * s2))
     side, lo, hi, owner = (np.concatenate(a) for a in zip(*parts))
-    w = edge_geometry(gm, side, lo, hi, quadrature.gauss_rule(EDGE_LENGTH_POINTS))[3]
-    return PhysicalMesh(gm, space, side, lo, hi, owner, np.sum(w, axis=1))
+    return PhysicalMesh(gm, space, side, lo, hi, owner)
 
 
 def edge_geometry(gm, side, lo, hi, rule):

@@ -90,30 +90,31 @@ def consistency_residual(case, x, y, t):
     return du_dt - div_q + adv + p.c(x, y, t) * case.u(x, y, t) - p.f(x, y, t)
 
 
-def coefficient_audit(p, boundary_points=None, times=None, n_samples=200, seed=0):
+def coefficient_audit(p, seed=0):
     """Sampling-based audit of the ellipticity hypotheses.
 
-    Checks, at random interior points and times, that mu is symmetric and
-    its Rayleigh quotients stay inside [mu0, mu1], and, at boundary sample
-    points, that c - div(b)/2 >= c0 (divergence by central differences).
-    Violations are reported with warnings, never exceptions: the
-    hypotheses belong to the problem data, not to this library.
+    Checks, at times 0, T/2 and T and at 200 random points of the unit
+    square drawn from ``seed``, that mu is symmetric and its Rayleigh
+    quotients stay inside [mu0, mu1], and, at as many random points on each
+    side of the square, that c - div(b)/2 >= c0 (divergence by central
+    differences).  Violations are reported with warnings, never
+    exceptions: the hypotheses belong to the problem data, not to this
+    library.
     """
+    n_samples = 200
     rng = np.random.default_rng(seed)
     xs = rng.random(n_samples)
     ys = rng.random(n_samples)
-    if times is None:
-        times = np.array([0.0, 0.5 * p.T, p.T])
-    if boundary_points is None:
-        s = rng.random(n_samples)
-        boundary_points = np.concatenate(
-            [
-                np.column_stack([s, np.zeros_like(s)]),
-                np.column_stack([s, np.ones_like(s)]),
-                np.column_stack([np.zeros_like(s), s]),
-                np.column_stack([np.ones_like(s), s]),
-            ]
-        )
+    times = np.array([0.0, 0.5 * p.T, p.T])
+    s = rng.random(n_samples)
+    boundary_points = np.concatenate(
+        [
+            np.column_stack([s, np.zeros_like(s)]),
+            np.column_stack([s, np.ones_like(s)]),
+            np.column_stack([np.zeros_like(s), s]),
+            np.column_stack([np.ones_like(s), s]),
+        ]
+    )
     report = {"mu_symmetric": True, "rayleigh_in_bounds": True, "reaction_bound": True}
     tol = 1e-8
     angles = rng.random(n_samples) * 2 * np.pi

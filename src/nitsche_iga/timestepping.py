@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble_functional
+from .errors import ConfigError
 from .linalg import SparseFactor
 
 
@@ -72,12 +73,21 @@ def project_initial(disc, u0):
 
 
 def march(forms, grid, u0coef):
-    """Run the implicit Euler march and return the trajectory."""
+    """Run the implicit Euler march and return the trajectory.
+
+    Raises :class:`ConfigError` when the (N + 1, dof) trajectory cannot be
+    allocated.
+    """
     tau = grid.tau
     disc = forms.disc
     M = disc.mass
     n = M.shape[0]
-    coefs = np.empty((grid.num_steps + 1, n))
+    try:
+        coefs = np.empty((grid.num_steps + 1, n))
+    except (ValueError, MemoryError):
+        raise ConfigError(
+            f"cannot allocate the trajectory of N = {grid.num_steps} steps at {n} dof"
+        ) from None
     coefs[0] = u0coef
 
     A = factor = None

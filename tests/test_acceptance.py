@@ -143,6 +143,7 @@ def test_criterion_5_weak_boundary_convergence(study_k1):
     )
 
 
+@pytest.mark.filterwarnings("ignore:penalty eps")
 def test_criterion_6_oracle_equivalence(square_gm):
     worst = 0.0
     for degree in (1, 2):

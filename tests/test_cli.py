@@ -190,6 +190,29 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error:"), err
         assert "target time step" in err[0]
 
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("epsilon_factor = 1e308", "penalty parameter must be a positive finite number"),
+            ("num_steps = 100000000000000000000", "N = 100000000000000000000 steps"),
+            ("tau_rule = 1e-300*h^1", "cannot allocate the trajectory"),
+        ],
+        ids=["eps_overflows", "huge_num_steps", "tiny_tau_rule"],
+    )
+    def test_value_that_parses_but_cannot_run_exits_2(self, tmp_path, capsys, command, line, named):
+        # eps = factor x floor overflows to inf; the (N + 1, dof) trajectory
+        # exceeds numpy's largest array
+        key = line.split(" = ")[0]
+        replaced = {key, {"tau_rule": "num_steps"}.get(key), "levels"}
+        kept = [ln for ln in BASE.splitlines() if ln.split(" = ")[0] not in replaced]
+        levels = "levels = 4" if command == "solve" else "levels = 2 4"
+        path = write_config(tmp_path, "\n".join(kept + [line, levels]) + "\n")
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert named in err[0], err
+
     def test_degenerate_geometry_exits_3(self, tmp_path):
         geo = tmp_path / "collapsed.txt"
         geo.write_text(
@@ -202,6 +225,19 @@ class TestExitCodes:
              "--geometry", str(geo)]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["solve", "calibrate"])
+    def test_small_geometry_runs(self, tmp_path, command):
+        # the unit square scaled by 1e-6: det J = 1e-12 lies above the floor
+        # of a net of that size
+        geo = tmp_path / "small.txt"
+        geo.write_text(
+            "degrees: 1 1\nknots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\n"
+            "0 0 1\n1e-6 0 1\n0 1e-6 1\n1e-6 1e-6 1\n"
+        )
+        path = write_config(tmp_path, BASE)
+        argv = [command, "--config", path, "--out", str(tmp_path / "o"), "--geometry", str(geo)]
+        assert main(argv) == 0
 
     @pytest.mark.parametrize("command", ["solve", "convergence", "calibrate"])
     @pytest.mark.parametrize("option", ["--case", "--geometry"])
@@ -230,9 +266,11 @@ class TestExitCodes:
              "0 0 1\n1 0 1\n0 1 1\n1 1 1\n", "line 4: header key 'knots1' repeats line 2"),
             ("degrees: 1 1\nknots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\ncolour: red\n"
              "0 0 1\n1 0 1\n0 1 1\n1 1 1\n", "line 4: unknown header key 'colour'"),
+            ("degrees: 1 1\nknots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\n"
+             "2 3 1\n2 3 1\n2 3 1\n2 3 1\n", "control points must not all coincide"),
         ],
         ids=["missing_line", "row_count", "bad_number", "bad_knots", "zero_weight",
-             "repeated_key", "unknown_key"],
+             "repeated_key", "unknown_key", "one_point"],
     )
     def test_malformed_geometry_file_exits_2(self, tmp_path, capsys, text, named):
         geo = tmp_path / "broken.txt"
@@ -323,6 +361,7 @@ class TestSolveCommand:
         assert "penalty_floor" in manifest
         assert "eps_used = 9" in manifest
 
+    @pytest.mark.filterwarnings("default:penalty eps")
     def test_sub_floor_penalty_warns_on_stderr(self, tmp_path, capsys):
         # one warning line on stderr; the manifest differs from that of a run
         # above the floor in its epsilon lines only

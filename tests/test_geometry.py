@@ -13,7 +13,8 @@ from nitsche_iga import (
 )
 from nitsche_iga import quadrature
 from nitsche_iga.errors import DegenerateJacobian, UnknownCase
-from nitsche_iga.geometry import EDGE_LENGTH_POINTS, SIDES, edge_geometry
+from nitsche_iga.assembly import EDGE_LENGTH_POINTS
+from nitsche_iga.geometry import SIDES, edge_geometry
 from nitsche_iga.splines import eval_basis_many, uniform_open_knots
 
 from conftest import (
@@ -172,14 +173,31 @@ class TestEvaluateGrid:
         with pytest.raises(DegenerateJacobian, match="below floor"):
             gm.evaluate_grid([0.0, 0.3, 1.0], [0.5, 0.7])
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e3])
+    def test_floor_scales_with_the_control_net(self, scale):
+        # the floor is relative to the net's size: a scaled unit square maps,
+        # with area scale^2, and a scaled collapsed map is still refused
+        space = uniform_space(1, 1)
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        square = GeometryMap(space, scale * corners, np.ones(4))
+        w = make_disc(square, 2, 4).elements.w
+        assert w.sum() == pytest.approx(scale**2, rel=1e-14, abs=0)
+        collapsed = scale * corners[[0, 1, 0, 1]]
+        with pytest.raises(DegenerateJacobian, match="below floor"):
+            GeometryMap(space, collapsed, np.ones(4)).evaluate_grid([0.0, 0.3, 1.0], [0.5, 0.7])
+
+    def test_control_points_must_not_coincide(self):
+        with pytest.raises(ValueError, match="coincide"):
+            GeometryMap(uniform_space(1, 1), np.ones((4, 2)), np.ones(4))
+
 
 class TestPhysicalMesh:
     def test_two_by_two_square(self, square_gm):
-        space = uniform_space(1, 2)
-        mesh = build_mesh(square_gm, space)
-        for a in (mesh.side, mesh.lo, mesh.hi, mesh.owner, mesh.h_E):
+        disc = make_disc(square_gm, 1, 2)
+        mesh, h_E = disc.mesh, disc.boundary.h_E
+        for a in (mesh.side, mesh.lo, mesh.hi, mesh.owner, h_E):
             assert len(a) == 8
-        assert all(h == pytest.approx(0.5, abs=1e-14) for h in mesh.h_E)
+        assert all(h == pytest.approx(0.5, abs=1e-14) for h in h_E)
 
     def test_single_element_owners_unique(self, square_gm):
         mesh = build_mesh(square_gm, uniform_space(1, 1))
@@ -205,12 +223,13 @@ class TestPhysicalMesh:
         # of it: exactly on the square, within 3% on the annulus arcs, whose
         # rational parametrization is not by arc length
         for gm in (square_gm, annulus_gm):
-            coarse = build_mesh(gm, uniform_space(2, 4))
-            fine = build_mesh(gm, uniform_space(2, 8))
-            assert len(fine.h_E) == 2 * len(coarse.h_E)
-            for side, lo, hi, h in zip(coarse.side, coarse.lo, coarse.hi, coarse.h_E):
-                halves = [fine.h_E[f] for f in range(len(fine.h_E))
-                          if fine.side[f] == side and lo <= fine.lo[f] < hi]
+            coarse, fine = make_disc(gm, 2, 4), make_disc(gm, 2, 8)
+            fine_h = fine.boundary.h_E
+            assert len(fine_h) == 2 * len(coarse.boundary.h_E)
+            edges = zip(coarse.mesh.side, coarse.mesh.lo, coarse.mesh.hi, coarse.boundary.h_E)
+            for side, lo, hi, h in edges:
+                halves = [fine_h[f] for f in range(len(fine_h))
+                          if fine.mesh.side[f] == side and lo <= fine.mesh.lo[f] < hi]
                 assert len(halves) == 2
                 assert sum(halves) == pytest.approx(h, rel=1e-12)
                 assert halves == pytest.approx([h / 2] * 2, rel=0.05)
@@ -244,11 +263,23 @@ def reference_h_E(gm, mesh, f):
 class TestBatchedMesh:
     @pytest.mark.parametrize("degree,spans", [(2, 5), (3, 4)])
     def test_matches_element_and_edge_loop(self, annulus_gm, degree, spans):
-        space = uniform_space(degree, spans)
+        disc = make_disc(annulus_gm, degree, spans)
+        h_E = disc.boundary.h_E
+        assert len(h_E) == 4 * spans
+        for f, h in enumerate(h_E):
+            assert h == pytest.approx(reference_h_E(annulus_gm, disc.mesh, f), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_h_E_does_not_depend_on_the_quadrature_order(self, annulus_gm, degree):
+        # h_E comes from the fixed 5-point rule at every order, from the edge
+        # points themselves at q = 5
+        space = uniform_space(degree, 3)
         mesh = build_mesh(annulus_gm, space)
-        assert len(mesh.h_E) == 4 * spans
-        for f, h in enumerate(mesh.h_E):
+        h_E = Discretization(space, mesh, EDGE_LENGTH_POINTS).boundary.h_E
+        for f, h in enumerate(h_E):
             assert h == pytest.approx(reference_h_E(annulus_gm, mesh, f), rel=1e-14, abs=0)
+        for q in range(2, 9):
+            assert np.array_equal(Discretization(space, mesh, q).boundary.h_E, h_E), q
 
     @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
     @pytest.mark.parametrize("degree,spans", [(1, 1), (2, 3), (4, 5)])
@@ -289,9 +320,10 @@ class TestBatchedMesh:
 
     @pytest.mark.parametrize("q", [2, None, 8], ids=["q2", "default", "q8"])
     def test_one_evaluation_inside_the_elements(self, annulus_gm, monkeypatch, q):
-        # build_mesh evaluates the four sides only; the element cache its
-        # Gauss grid, the corners and, below the default order (5 at k = 3),
-        # the default Gauss grid
+        # build_mesh evaluates nothing; the element cache its Gauss grid, the
+        # corners and, below the default order (5 at k = 3), the default
+        # Gauss grid; the edge cache the four sides at order q and, unless q
+        # is the 5 points of h_E, once more at 5 points
         grids = []
         evaluate_grid = GeometryMap.evaluate_grid
 
@@ -302,13 +334,15 @@ class TestBatchedMesh:
         monkeypatch.setattr(GeometryMap, "evaluate_grid", counted)
         space = uniform_space(3, 4)
         mesh = build_mesh(annulus_gm, space)
-        assert sorted(grids) == [(1, 20), (1, 20), (20, 1), (20, 1)]
-        grids.clear()
+        assert grids == []
         Discretization(space, mesh, q)
         n = 4 * (q or 5)
         element_grids = [(n, n), (5, 5)] + ([(20, 20)] if q == 2 else [])
         assert grids[: len(element_grids)] == element_grids
-        assert len(grids) == len(element_grids) + 4  # the sides at order q
+        sides = [(1, n), (1, n), (n, 1), (n, 1)]
+        if q is not None:
+            sides += [(1, 20), (1, 20), (20, 1), (20, 1)]
+        assert sorted(grids[len(element_grids):]) == sorted(sides)
 
 
 class TestNormals:
