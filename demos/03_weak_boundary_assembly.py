@@ -19,7 +19,7 @@ from nitsche_iga import (
     trace_constant,
 )
 from nitsche_iga.assembly import Discretization
-from nitsche_iga.geometry import build_mesh, load_geometry, uniform_space
+from nitsche_iga.geometry import load_geometry, uniform_space
 
 
 def main():
@@ -27,7 +27,7 @@ def main():
     p = case.problem
     gm = load_geometry("square")
     space = uniform_space(2, 4)
-    disc = Discretization(space, build_mesh(gm, space))
+    disc = Discretization(space, gm)
 
     print("== Trace constant and the penalty floor ==")
     c_star = trace_constant(disc)
@@ -58,7 +58,7 @@ def main():
     print("\n== Inflow set follows b around the boundary ==")
     mask, bn = inflow_mask(disc, p, 0.0)
     for side in ("x0", "x1", "y0", "y1"):
-        frac = mask[disc.mesh.side == side].mean()
+        frac = mask[disc.boundary.side == side].mean()
         print(f"  side {side}: {100 * frac:5.1f}% of edge quadrature points "
               f"see b.n < 0")
     print("(the field (y - 1/2, x - 2) enters through the top and the upper "

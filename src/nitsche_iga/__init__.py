@@ -7,10 +7,11 @@ penalty terms instead of constrained degrees of freedom, and time is
 advanced by implicit Euler.
 
 Typical flow: pick a manufactured case, a geometry, and a space; build the
-mesh and the assembled forms; project the initial datum; march; measure.
+discretization of the space over the geometry and the assembled forms;
+project the initial datum; march; measure.
 
     from nitsche_iga import (
-        builtin_case, load_geometry, uniform_space, build_mesh,
+        builtin_case, load_geometry, uniform_space,
         Discretization, AssembledForms, TimeGrid,
         project_initial, march, space_time_errors,
     )
@@ -18,8 +19,7 @@ mesh and the assembled forms; project the initial datum; march; measure.
     case = builtin_case("paper_sec8")
     gm = load_geometry("square")
     space = uniform_space(degree=2, num_spans=8)
-    mesh = build_mesh(gm, space)
-    disc = Discretization(space, mesh)
+    disc = Discretization(space, gm)
     forms = AssembledForms(disc, case.problem)
     u0 = project_initial(disc, case.problem.u0)
     traj = march(forms, TimeGrid(64, case.problem.T), u0)
@@ -51,9 +51,7 @@ from .assembly import (
 from .errors import NitscheIgaError
 from .geometry import (
     GeometryMap,
-    PhysicalMesh,
     TensorSpace,
-    build_mesh,
     load_geometry,
     parse_geometry,
     uniform_space,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .assembly import AssembledForms, Discretization, assemble_stiffness, block_slices
 from .errors import ConfigError, InsufficientLevels
-from .geometry import build_mesh, uniform_space
+from .geometry import uniform_space
 from .linalg import generalized_symmetric_eig
 from .quadrature import gauss_rule
 from .splines import collocation
@@ -39,6 +39,9 @@ TIME_QUAD_POINTS = 3
 # sampled times and relative bound of check_boundary_datum
 BOUNDARY_CHECK_TIMES = 5
 BOUNDARY_RTOL = 1e-8
+
+# points per direction of the parametric grid of sample_on_grid
+SNAPSHOT_GRID = 64
 
 
 # -- norms of discrete fields -------------------------------------------------
@@ -226,8 +229,7 @@ def run_level(
     """
     p = case.problem
     space = uniform_space(degree, spans)
-    mesh = build_mesh(gm, space)
-    disc = Discretization(space, mesh, quadrature_order)
+    disc = Discretization(space, gm, quadrature_order)
     check_boundary_datum(case, disc)
     forms = AssembledForms(disc, p, epsilon=epsilon, epsilon_factor=epsilon_factor)
     u0 = project_initial(disc, p.u0)
@@ -297,21 +299,22 @@ def write_loglog_data(report, path):
             fh.write(f"{rec.h:.10g} {rec.err_l2h1:.12e}\n")
 
 
-def sample_on_grid(disc, coef, n=64):
-    """Evaluate a coefficient field on a uniform n x n parametric grid.
+def sample_on_grid(disc, coef):
+    """Evaluate a coefficient field on a uniform parametric grid of
+    ``SNAPSHOT_GRID`` points per direction.
 
     Returns ``(x, y, values)`` flattened with the first parametric
     coordinate varying fastest; points are mapped to the physical domain.
     """
     space = disc.space
     n1, n2 = space.shape
-    ts = np.linspace(0.0, 1.0, n)
+    ts = np.linspace(0.0, 1.0, SNAPSHOT_GRID)
     C1 = collocation(space.kv1, ts)[0]
     C2 = collocation(space.kv2, ts)[0]
     cmat = coef.reshape(n2, n1).T
     vals = C1 @ cmat @ C2.T  # vals[a, b] at (ts[a], ts[b])
 
-    x, _, _ = disc.mesh.geometry.evaluate_grid(ts, ts)
+    x, _, _ = disc.geometry.evaluate_grid(ts, ts)
     return x[..., 0].ravel(order="F"), x[..., 1].ravel(order="F"), vals.ravel(order="F")
 
 

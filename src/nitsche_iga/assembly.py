@@ -1,20 +1,21 @@
 """Assembly of the mass matrix, the penalized stiffness matrix, and the load.
 
-A :class:`Discretization` precomputes, once per (space, mesh, quadrature)
-triple, the basis tables at all volume and boundary-edge quadrature points
-(:func:`_basis_table`, products of repeated and tiled 1-D B-spline tables;
-edge data from :func:`~nitsche_iga.geometry.edge_geometry`), the edge
-lengths h_E, the CSR pattern that every matrix shares, the tensor
-product of the span-block patterns of the two directions
-(:func:`_tensor_pattern`), and the fill-reducing order of that pattern, a
-nested dissection of the index grid (:func:`_nested_dissection`), with
-which every LU of the solver factors.  Each bilinear form is one batched
-product, :func:`_blocks`, of a test table with a trial table that carries
-the weights and coefficients.  An edge's local basis is its owner element's,
-so each edge carries its owner's data slots and global indices: the element
-blocks and then the edge blocks fill one array, and one ``np.bincount``
-sums it into the fixed pattern, or sums a vector over the global indices.
-Repeated assemblies are cheap and bitwise reproducible.
+A :class:`Discretization` of a space over a geometry map precomputes, once
+per quadrature order, the boundary edges of the space's spans and their
+lengths h_E, the basis tables at all volume and boundary-edge quadrature
+points (:func:`_basis_table`, products of repeated and tiled 1-D B-spline
+tables; edge data from :func:`~nitsche_iga.geometry.edge_geometry`), the
+CSR pattern that every matrix shares, the tensor product of the span-block
+patterns of the two directions (:func:`_tensor_pattern`), and the
+fill-reducing order of that pattern, a nested dissection of the index grid
+(:func:`_nested_dissection`), with which every LU of the solver factors.
+Each bilinear form is one batched product, :func:`_blocks`, of a test
+table with a trial table that carries the weights and coefficients.  An
+edge's local basis is its owner element's, so each edge carries its owner's
+data slots and global indices: the element blocks and then the edge blocks
+fill one array, and one ``np.bincount`` sums it into the fixed pattern, or
+sums a vector over the global indices.  Repeated assemblies are cheap and
+bitwise reproducible.
 
 The stiffness form contains five families of terms: the volume form
 (diffusion, advection, reaction), the boundary flux term, its transpose
@@ -48,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DegenerateJacobian, NotSPD, SingularGram
-from .geometry import edge_geometry, invert_2x2
+from .geometry import SIDES, edge_geometry, invert_2x2
 from .linalg import PatternOrder, generalized_symmetric_eig
 from .quadrature import gauss_rule
 from .splines import eval_basis_many
@@ -99,7 +100,7 @@ def _basis_table(d1, d2, jac):
     for s in block_slices(len(table), table[0].nbytes):
         hat = np.take(flat1[s], at1, axis=-1) * np.take(flat2[s], at2, axis=-1)
         hat = hat.reshape(table[s].shape)
-        inv_jac, _ = invert_2x2(jac[s])
+        inv_jac = invert_2x2(jac[s])
         table[s, :, 0] = hat[:, :, 0]
         np.matmul(inv_jac.swapaxes(-1, -2), hat[:, :, 1:], out=table[s, :, 1:])
     return table, table[:, :, 0], table[:, :, 1:].swapaxes(2, 3)
@@ -231,7 +232,7 @@ class ElementCache:
     and, for ``q`` below the default order, at that order's Gauss points.
     """
 
-    def __init__(self, space, mesh, q):
+    def __init__(self, space, gm, q):
         ns1, ns2 = space.num_spans
         s1, s2 = np.tile(np.arange(ns1), ns2), np.repeat(np.arange(ns2), ns1)
         ne, nq = len(s1), q * q
@@ -256,7 +257,7 @@ class ElementCache:
             a = a.reshape((ns1, q, ns2, q) + a.shape[2:])
             return np.moveaxis(a, 2, 0).reshape((ne, nq) + a.shape[4:])
 
-        gm, bps = mesh.geometry, (space.kv1.mesh.breakpoints, space.kv2.mesh.breakpoints)
+        bps = (space.kv1.mesh.breakpoints, space.kv2.mesh.breakpoints)
         grid = gm.evaluate_grid(p1.ravel(), p2.ravel())
         detj_samples = [grid[2], gm.evaluate_grid(*bps)[2]]
         q_default = max(space.degrees) + 2
@@ -284,7 +285,14 @@ class ElementCache:
 
 
 class EdgeCache:
-    """Mapped basis data at the quadrature points of every boundary edge.
+    """The boundary edges of the space's spans and the mapped basis data at
+    their quadrature points.
+
+    One edge per side span, formed from the breakpoints without evaluating
+    F: ``side`` (names from :data:`~nitsche_iga.geometry.SIDES`), the span
+    ``lo`` .. ``hi`` in the parameter along the side and the unique
+    ``owner`` element (direction 1 fastest).  Edges run side by side in
+    ``SIDES`` order and span by span along each side.
 
     ``w`` carries the arc-length measure; ``table`` and its views ``B``/``G``
     hold the owner element's local basis values and physical gradients at the
@@ -294,9 +302,18 @@ class EdgeCache:
     itself when ``q`` is that order.
     """
 
-    def __init__(self, space, mesh, q):
-        self.owner = mesh.owner
-        edges = (mesh.geometry, mesh.side, mesh.lo, mesh.hi)
+    def __init__(self, space, gm, q):
+        ns1, ns2 = space.num_spans
+        parts = []
+        for side in SIDES:
+            bps = (space.kv2 if side in ("x0", "x1") else space.kv1).mesh.breakpoints
+            n = np.arange(len(bps) - 1)
+            # the element (s1, s2) that holds each span, owner s1 + ns1 * s2
+            s1, s2 = {"x0": (0, n), "x1": (ns1 - 1, n), "y0": (n, 0), "y1": (n, ns2 - 1)}[side]
+            parts.append((np.full(len(n), side), bps[:-1], bps[1:], s1 + ns1 * s2))
+        self.side, self.lo, self.hi, self.owner = (np.concatenate(a) for a in zip(*parts))
+
+        edges = (gm, self.side, self.lo, self.hi)
         x_hat, self.x, J, self.w, self.normal = edge_geometry(*edges, gauss_rule(q))
         if q == EDGE_LENGTH_POINTS:
             self.h_E = np.sum(self.w, axis=1)
@@ -320,33 +337,31 @@ class EdgeCache:
 
 
 class Discretization:
-    """Space, mesh, and quadrature bundled with their basis caches, the CSR
-    pattern every matrix shares and its fill-reducing ``order`` (a
+    """A solution space over a geometry map, with a quadrature order.
+
+    The elements are the spans of ``space`` mapped by ``geometry``; the
+    caches ``elements`` and ``boundary`` (an :class:`EdgeCache`, which also
+    holds the boundary edges) carry the basis data, with the CSR pattern
+    every matrix shares and its fill-reducing ``order`` (a
     :class:`~nitsche_iga.linalg.PatternOrder` from
     :func:`_nested_dissection`), which every ``SparseFactor`` of a matrix
     of this discretization takes.
 
     ``quadrature_order`` is the Gauss points per direction on elements and
     edges alike; it defaults to the largest degree plus two.  Raises
-    ``ValueError`` when ``mesh`` was built on a space with other degrees or
-    knots than ``space``, and :class:`DegenerateJacobian` when det J changes
-    sign at the element Gauss points or corners, checked at the default
-    order's points also when ``quadrature_order`` is below it.
+    :class:`DegenerateJacobian` when det J changes sign at the element Gauss
+    points or corners, checked at the default order's points also when
+    ``quadrature_order`` is below it.
     """
 
-    def __init__(self, space, mesh, quadrature_order=None):
-        if any(
-            a.degree != b.degree or not np.array_equal(a.knots, b.knots)
-            for a, b in ((space.kv1, mesh.space.kv1), (space.kv2, mesh.space.kv2))
-        ):
-            raise ValueError(f"the mesh was built on {mesh.space}, not on {space}")
+    def __init__(self, space, geometry, quadrature_order=None):
         if quadrature_order is None:
             quadrature_order = max(space.degrees) + 2
         self.space = space
-        self.mesh = mesh
+        self.geometry = geometry
         self.quadrature_order = quadrature_order
-        self.elements = ElementCache(space, mesh, quadrature_order)
-        self.boundary = EdgeCache(space, mesh, quadrature_order)
+        self.elements = ElementCache(space, geometry, quadrature_order)
+        self.boundary = EdgeCache(space, geometry, quadrature_order)
 
         # the CSR pattern of every matrix, built from the span blocks of the
         # two directions, and the data slots and global indices of the

@@ -35,13 +35,12 @@ from .assembly import (
     PENALTY_FACTOR_DEFAULT, AssembledForms, Discretization, penalty_floor,
 )
 from .errors import ConfigError, InsufficientLevels, NitscheIgaError, UnknownCase
-from .geometry import build_mesh, load_geometry, uniform_space
+from .geometry import load_geometry, uniform_space
 from .problem import builtin_case
 from .quadrature import MAX_POINTS
 from .splines import MAX_DEGREE
 from .timestepping import TimeGrid, march, project_initial
 
-SNAPSHOT_GRID = 64
 CALIBRATE_FACTORS = (0.5, 1.0, 1.25, 2.0)
 CALIBRATE_DOF_LIMIT = 400
 
@@ -218,8 +217,7 @@ def build_run_config(raw, overrides=None):
 
 def _setup_level(cfg, case, gm, spans):
     space = uniform_space(cfg.degree, spans)
-    mesh = build_mesh(gm, space)
-    disc = Discretization(space, mesh, cfg.quadrature_order)
+    disc = Discretization(space, gm, cfg.quadrature_order)
     forms = AssembledForms(
         disc, case.problem, epsilon=cfg.epsilon, epsilon_factor=cfg.epsilon_factor
     )
@@ -271,7 +269,7 @@ def cmd_solve(cfg):
     written = []
     for idx in nodes:
         t_snap = grid.nodes[idx]
-        x, y, vals = analysis.sample_on_grid(disc, traj.coefs[idx], SNAPSHOT_GRID)
+        x, y, vals = analysis.sample_on_grid(disc, traj.coefs[idx])
         fname = out / f"solution_t{t_snap:g}.csv"
         with open(fname, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -335,8 +333,7 @@ def cmd_calibrate(cfg):
             f"calibrate uses dense audits; {space.dimension} dof exceeds "
             f"{CALIBRATE_DOF_LIMIT} (use a coarser level)"
         )
-    mesh = build_mesh(gm, space)
-    disc = Discretization(space, mesh, cfg.quadrature_order)
+    disc = Discretization(space, gm, cfg.quadrature_order)
     p = case.problem
     floor = penalty_floor(disc, p)
 

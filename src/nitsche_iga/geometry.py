@@ -1,4 +1,4 @@
-"""Tensor-product spline spaces, the NURBS geometry map, and the physical mesh.
+"""Tensor-product spline spaces and the NURBS geometry map.
 
 The solution space is a plain tensor B-spline space on the parametric unit
 square; the geometry map F may be rational (NURBS).  Trial and test
@@ -7,7 +7,7 @@ assembly only ever needs parametric basis tables plus Jacobians of F.
 
 Refinement builds a new solution space (:func:`uniform_space` at the
 level's span count) and leaves F untouched: the geometry stays exact on
-every level.
+every level, and a level is fully given by its solution space over F.
 
 Every sample set of F is a tensor grid of 1-D coordinates (element Gauss
 points, breakpoints, edge points, plotting grids), so
@@ -17,17 +17,17 @@ and contracts the homogeneous control net with two dense matrix products per
 derivative instead of gathering local weights and control points point by
 point; x and J then follow from the quotient rule on the grid.
 
-The pieces that assembly shares with the mesh live here once each:
+The pieces of assembly that serve the map live here once each:
 :meth:`TensorSpace.local_to_global` indexes local bases, :func:`invert_2x2`
 inverts Jacobians, and :func:`edge_geometry` maps the points of a rule on
 the boundary edges (arc-length weights and outward normals).
 
-The physical mesh is edge topology only: the boundary edges as arrays of
-side, span and owner element, formed from the knot vectors without
-evaluating F.  During set-up F is evaluated only by the assembly's caches:
-the element cache on its Gauss grid (where it also checks the sign of
-det J) and the edge cache on the boundary edges, where it also measures
-h_E, the only mesh size the scheme reads.
+There is no mesh object: the elements are the spans of the solution space,
+and :class:`~nitsche_iga.assembly.EdgeCache` owns the edge topology.  During
+set-up F is evaluated only by the assembly's caches: the element cache on
+its Gauss grid (where it also checks the sign of det J) and the edge cache
+on the boundary edges, which it forms from the breakpoints and where it
+measures h_E, the only mesh size the scheme reads.
 """
 
 import importlib.resources
@@ -150,57 +150,30 @@ class GeometryMap:
 
 
 def invert_2x2(J):
-    """Inverses and determinants of a stack (..., 2, 2) of matrices."""
+    """Inverses of a stack (..., 2, 2) of matrices."""
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     inv = np.empty_like(J)
     inv[..., 0, 0] = J[..., 1, 1]
     inv[..., 0, 1] = -J[..., 0, 1]
     inv[..., 1, 0] = -J[..., 1, 0]
     inv[..., 1, 1] = J[..., 0, 0]
-    return inv / det[..., None, None], det
-
-
-class PhysicalMesh:
-    """The boundary edges of the solution-space mesh over a geometry map, as
-    arrays over the edges: ``side`` (names from :data:`SIDES`), the side
-    span ``lo`` .. ``hi`` in the parameter along the side and the unique
-    ``owner`` element (direction 1 fastest).  Edges run side by side in
-    ``SIDES`` order and span by span along each side.  The arc lengths h_E
-    are measured by :class:`~nitsche_iga.assembly.EdgeCache`."""
-
-    def __init__(self, geometry, space, side, lo, hi, owner):
-        self.geometry = geometry
-        self.space = space
-        self.side = side
-        self.lo = lo
-        self.hi = hi
-        self.owner = owner
+    return inv / det[..., None, None]
 
 
 def build_mesh(gm, space):
-    """Build the physical mesh for a solution space over a geometry map.
+    """Return ``gm``: a discretization takes the geometry map itself.
 
-    One boundary edge per side span, formed from the breakpoints of the
-    knot vectors; F is not evaluated.  The caches of
-    :class:`~nitsche_iga.assembly.Discretization` evaluate it: inside the
-    elements, where det J must keep one sign, and on the edges, where h_E
-    is measured.
+    Kept only because the benchmark's workloads (``perfbench/workloads.py``)
+    call ``Discretization(space, build_mesh(gm, space))``; the change that
+    edits that file deletes this function.
     """
-    ns1, ns2 = space.num_spans
-    parts = []
-    for side in SIDES:
-        bps = (space.kv2 if side in ("x0", "x1") else space.kv1).mesh.breakpoints
-        n = np.arange(len(bps) - 1)
-        # the element (s1, s2) that holds each span, owner s1 + ns1 * s2
-        s1, s2 = {"x0": (0, n), "x1": (ns1 - 1, n), "y0": (n, 0), "y1": (n, ns2 - 1)}[side]
-        parts.append((np.full(len(n), side), bps[:-1], bps[1:], s1 + ns1 * s2))
-    side, lo, hi, owner = (np.concatenate(a) for a in zip(*parts))
-    return PhysicalMesh(gm, space, side, lo, hi, owner)
+    return gm
 
 
 def edge_geometry(gm, side, lo, hi, rule):
     """The geometry at the points of ``rule`` on the boundary edges given by
-    the arrays ``side``, ``lo`` and ``hi`` (as held by :class:`PhysicalMesh`).
+    the arrays ``side``, ``lo`` and ``hi`` (as held by
+    :class:`~nitsche_iga.assembly.EdgeCache`).
 
     Returns ``(x_hat, x, J, w, normal)`` with shapes (nf, q, 2), (nf, q, 2),
     (nf, q, 2, 2), (nf, q) and (nf, q, 2): parametric and physical points,
@@ -232,7 +205,7 @@ def edge_geometry(gm, side, lo, hi, rule):
             xs, Js, _ = gm.evaluate_grid(x_hat[on_side, :, 0].ravel(), fixed[on_side[0]])
         x[on_side] = xs.reshape(-1, q, 2)
         J[on_side] = Js.reshape(-1, q, 2, 2)
-    inv_jac, _ = invert_2x2(J)
+    inv_jac = invert_2x2(J)
 
     tang = np.where(along_dir2[..., None], J[..., 1], J[..., 0])
     w = (hi - lo) * rule.weights * np.linalg.norm(tang, axis=2)

@@ -76,7 +76,8 @@ class SparseFactor:
     solution are permuted in and out.
 
     Postcondition of :meth:`solve`:
-    ||Ax - b|| <= RESIDUAL_RTOL * (||A||_F ||x|| + ||b||).
+    ||Ax - b|| <= RESIDUAL_RTOL * (||A||_F ||x|| + ||b||); a bound that
+    overflows raises :class:`ConvergenceFailure` too.
     """
 
     def __init__(self, matrix, order):
@@ -106,6 +107,10 @@ class SparseFactor:
         if not np.all(np.isfinite(x)):
             raise SingularMatrix("factorization produced non-finite values")
         scale = self._norm * np.linalg.norm(x) + np.linalg.norm(rhs)
+        if not np.isfinite(scale):
+            # an infinite bound would pass any residual
+            msg = f"residual bound overflows: ||A||_F ||x|| + ||b|| = {scale:.3e}"
+            raise ConvergenceFailure(msg)
         r = rhs - self.matrix @ x
         if np.linalg.norm(r) > REFINE_RTOL * scale:
             x = x + self._lu_solve(r)  # one step of iterative refinement

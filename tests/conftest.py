@@ -3,7 +3,6 @@ import pytest
 
 from nitsche_iga import (
     Discretization,
-    build_mesh,
     inflow_mask,
     load_geometry,
     uniform_space,
@@ -87,7 +86,7 @@ def reference_basis_table(d1, d2, jac):
     """The basis table (n, q, 3, nloc) from outer products of the 1-D tables
     and an einsum with J^-1 of the Jacobians ``jac``; the reference for
     ``assembly._basis_table``."""
-    inv_jac, _ = invert_2x2(jac)
+    inv_jac = invert_2x2(jac)
     hat = np.stack(tensor_product(d1, d2, ((0, 0), (1, 0), (0, 1))), axis=-2)
     table = hat.reshape(inv_jac.shape[:2] + hat.shape[-2:])
     table[:, :, 1:] = np.einsum("xqbl,xqba->xqal", table[:, :, 1:], inv_jac)
@@ -103,12 +102,13 @@ def reference_pattern(gidx, dim):
     return indptr, pairs % dim, slots.reshape(gidx.shape + gidx.shape[-1:]).astype(np.int32)
 
 
-def reference_param_point(mesh, f, s):
-    """Parametric point of boundary edge ``f`` of ``mesh`` for the edge
-    parameter s in [0, 1]; an array of parameters gives one point per
-    parameter along the last axis.  The side's fixed coordinate is 0 on x0
-    and y0 and 1 on x1 and y1."""
-    side, a, b = mesh.side[f], mesh.lo[f], mesh.hi[f]
+def reference_param_point(edges, f, s):
+    """Parametric point of boundary edge ``f`` of ``edges`` (a
+    ``Discretization``'s ``boundary``) for the edge parameter s in [0, 1];
+    an array of parameters gives one point per parameter along the last
+    axis.  The side's fixed coordinate is 0 on x0 and y0 and 1 on x1 and
+    y1."""
+    side, a, b = edges.side[f], edges.lo[f], edges.hi[f]
     t = a + (b - a) * np.asarray(s, dtype=float)
     fixed = np.full_like(t, 0.0 if side in ("x0", "y0") else 1.0)
     if side in ("x0", "x1"):
@@ -167,9 +167,7 @@ def relative_error(a, ref):
 
 
 def make_disc(gm, degree, spans, quadrature_order=None):
-    space = uniform_space(degree, spans)
-    mesh = build_mesh(gm, space)
-    return Discretization(space, mesh, quadrature_order)
+    return Discretization(uniform_space(degree, spans), gm, quadrature_order)
 
 
 @pytest.fixture

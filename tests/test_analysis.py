@@ -253,13 +253,13 @@ class TestSampling:
         # coefficients at Greville abscissae reproduce the coordinate field
         disc = make_disc(square_gm, 2, 3)
         coef = greville_grid(disc.space)[:, 0]
-        x, y, vals = sample_on_grid(disc, coef, n=17)
+        x, y, vals = sample_on_grid(disc, coef)
         assert np.max(np.abs(vals - x)) < 1e-13
 
     def test_grid_covers_domain(self, square_gm):
         disc = make_disc(square_gm, 1, 2)
-        x, y, vals = sample_on_grid(disc, np.zeros(disc.dimension), n=8)
-        assert len(x) == 64
+        x, y, vals = sample_on_grid(disc, np.zeros(disc.dimension))
+        assert len(x) == 4096
         assert x.min() == 0.0 and x.max() == 1.0
         assert y.min() == 0.0 and y.max() == 1.0
 

@@ -13,7 +13,6 @@ from nitsche_iga import (
     assemble_mass,
     assemble_stiffness,
     assembly,
-    build_mesh,
     builtin_case,
     coercivity_audit,
     gauss_rule,
@@ -22,7 +21,6 @@ from nitsche_iga import (
     load_geometry,
     penalty_floor,
     trace_constant,
-    uniform_space,
 )
 from nitsche_iga.errors import SingularGram
 from nitsche_iga.geometry import invert_2x2 as _invert_2x2
@@ -150,7 +148,7 @@ def _point_data(space, gm, x_hat):
     Ghat = np.empty((m, (k1 + 1) * (k2 + 1), 2))
     Ghat[..., 0] = (d1[:, 1, :, None] * d2[:, 0, None, :]).reshape(m, -1)
     Ghat[..., 1] = (d1[:, 0, :, None] * d2[:, 1, None, :]).reshape(m, -1)
-    invJ, _ = _invert_2x2(J)
+    invJ = _invert_2x2(J)
     B = (d1[:, 0, :, None] * d2[:, 0, None, :]).reshape(m, -1)
     G = np.einsum("qlb,qba->qla", Ghat, invJ)
     l1 = np.repeat(np.arange(k1 + 1), k2 + 1)
@@ -158,7 +156,7 @@ def _point_data(space, gm, x_hat):
     return x, J, detj, invJ, B, G, (f1[0] + l1) + n1 * (f2[0] + l2)
 
 
-def reference_element_data(space, mesh, q):
+def reference_element_data(space, gm, q):
     """ElementCache arrays element by element: one basis and geometry
     evaluation per element, points with direction 2 fastest."""
     rule = gauss_rule(q)
@@ -169,7 +167,7 @@ def reference_element_data(space, mesh, q):
             t1, w1 = rule.mapped(*space.kv1.mesh.breakpoints[s1 - 1 : s1 + 1])
             t2, w2 = rule.mapped(*space.kv2.mesh.breakpoints[s2 - 1 : s2 + 1])
             x_hat = np.column_stack([np.repeat(t1, q), np.tile(t2, q)])
-            x, _, detj, _, B, G, gidx = _point_data(space, mesh.geometry, x_hat)
+            x, _, detj, _, B, G, gidx = _point_data(space, gm, x_hat)
             out["x"].append(x)
             out["w"].append(np.outer(w1, w2).ravel() * np.abs(detj))
             out["B"].append(B)
@@ -178,18 +176,20 @@ def reference_element_data(space, mesh, q):
     return {name: np.array(rows) for name, rows in out.items()}
 
 
-def reference_edge_data(space, mesh, q):
-    """EdgeCache arrays edge by edge: one basis and geometry evaluation per edge."""
+def reference_edge_data(space, edges, gm, q):
+    """EdgeCache arrays edge by edge on the boundary edges ``edges`` (a
+    ``Discretization``'s ``boundary``): one basis and geometry evaluation per
+    edge."""
     rule = gauss_rule(q)
     ns1, ns2 = space.num_spans
     out = {name: [] for name in ("x", "w", "normal", "B", "G", "gidx", "owner")}
-    for side, lo, hi in zip(mesh.side, mesh.lo, mesh.hi):
+    for side, lo, hi in zip(edges.side, edges.lo, edges.hi):
         ts, ws = rule.mapped(lo, hi)
         along_dir2 = side in ("x0", "x1")
         fixed_coord = 0.0 if side in ("x0", "y0") else 1.0
         fixed = np.full(q, fixed_coord)
         x_hat = np.column_stack([fixed, ts] if along_dir2 else [ts, fixed])
-        xe, J, _, invJ, B, G, gidx = _point_data(space, mesh.geometry, x_hat)
+        xe, J, _, invJ, B, G, gidx = _point_data(space, gm, x_hat)
         tang = J[:, :, 1] if along_dir2 else J[:, :, 0]
         out["x"].append(xe)
         out["w"].append(ws * np.linalg.norm(tang, axis=1))
@@ -214,28 +214,6 @@ def reference_table(ref):
     return np.concatenate([ref["B"][:, :, None], ref["G"].swapaxes(2, 3)], axis=2)
 
 
-class TestSpaceMeshMatch:
-    def test_mesh_of_another_space_raises(self):
-        gm = load_geometry("square")
-        uniform = uniform_space(2, 4)
-        moved = validate_knots([0, 0, 0, 0.25, 0.6, 0.75, 1, 1, 1], 2)
-        others = [
-            uniform_space(2, 8),  # finer mesh, coarser space
-            uniform_space(3, 4),  # same spans, other degree
-            TensorSpace(uniform.kv1, moved),  # other knots in direction 2 only
-        ]
-        for other in others:
-            for space, mesh_space in ((uniform, other), (other, uniform)):
-                with pytest.raises(ValueError, match="mesh was built on"):
-                    Discretization(space, build_mesh(gm, mesh_space))
-
-    def test_equal_distinct_space_accepted(self):
-        space, twin = uniform_space(2, 4), uniform_space(2, 4)
-        assert space is not twin
-        disc = Discretization(space, build_mesh(load_geometry("square"), twin))
-        assert disc.dimension == space.dimension
-
-
 class TestEdgeCache:
     @pytest.mark.parametrize("degree,spans", [(2, 5), (3, 4)])
     def test_matches_edge_loop(self, annulus_gm, degree, spans):
@@ -243,13 +221,14 @@ class TestEdgeCache:
         # equal at roundoff; the basis tables of the solution space are equal
         disc = make_disc(annulus_gm, degree, spans)
         bc = disc.boundary
-        ref = reference_edge_data(disc.space, disc.mesh, disc.quadrature_order)
+        ref = reference_edge_data(disc.space, bc, disc.geometry, disc.quadrature_order)
         for name in ("x", "w", "normal", "G"):
             assert relative_error(getattr(bc, name), ref[name]) <= 1e-14, name
         for name in ("B", "gidx", "owner"):
             assert np.array_equal(getattr(bc, name), ref[name]), name
         # h_E sums the arc-length weights of the fixed 5-point rule
-        lengths = reference_edge_data(disc.space, disc.mesh, assembly.EDGE_LENGTH_POINTS)["w"]
+        five = assembly.EDGE_LENGTH_POINTS
+        lengths = reference_edge_data(disc.space, bc, disc.geometry, five)["w"]
         assert relative_error(bc.h_E, lengths.sum(axis=1)) <= 1e-14
 
 
@@ -259,7 +238,7 @@ def anisotropic_disc(gm):
     kv1 = validate_knots([0] * 4 + [0.25, 0.5, 0.5, 0.75] + [1] * 4, 3)
     kv2 = validate_knots([0] * 3 + [0.1, 0.2, 0.4, 0.4, 0.6, 0.8] + [1] * 3, 2)
     space = TensorSpace(kv1, kv2)
-    return Discretization(space, build_mesh(gm, space))
+    return Discretization(space, gm)
 
 
 class TestBasisTable:
@@ -295,8 +274,12 @@ class TestCachesAgainstPerPointBuild:
         disc = make_disc(load_geometry(geometry), degree, 3)
         q = disc.quadrature_order
         for cache, ref, names in (
-            (disc.elements, reference_element_data(disc.space, disc.mesh, q), ("x", "w")),
-            (disc.boundary, reference_edge_data(disc.space, disc.mesh, q), ("x", "w", "normal")),
+            (disc.elements, reference_element_data(disc.space, disc.geometry, q), ("x", "w")),
+            (
+                disc.boundary,
+                reference_edge_data(disc.space, disc.boundary, disc.geometry, q),
+                ("x", "w", "normal"),
+            ),
         ):
             for name in names:
                 assert relative_error(getattr(cache, name), ref[name]) <= 1e-14, name
@@ -474,7 +457,7 @@ class TestNestedDissection:
     def test_top_level_cut_separates_the_halves(self, square_gm, degrees, spans):
         kvs = [uniform_open_knots(k, s) for k, s in zip(degrees, spans)]
         space = TensorSpace(*kvs)
-        self.assert_top_level_cut(Discretization(space, build_mesh(square_gm, space)))
+        self.assert_top_level_cut(Discretization(space, square_gm))
 
     def test_top_level_cut_with_double_knots(self, square_gm):
         self.assert_top_level_cut(anisotropic_disc(square_gm))

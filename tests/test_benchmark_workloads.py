@@ -51,6 +51,25 @@ def tracing():
     return load_perfbench("tracing")
 
 
+# names that perfbench/tracing.py wraps and the package no longer has; the
+# benchmark change that edits the tracing list drops them
+STALE_TRACED = {"assembly.assemble_load", "linalg.solve_sparse", "GeometryMap.evaluate_many"}
+
+
+def test_every_other_traced_name_resolves(tracing):
+    # instrument skips a missing name without a sound, which would read 0 on
+    # its row; deleting geometry.build_mesh, say, must fail here
+    missing = {
+        f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+        for module, name, _ in tracing.FUNCTIONS
+        if not hasattr(module, name)
+    }
+    missing |= {
+        f"{cls.__name__}.{name}" for cls, name, _ in tracing.METHODS if not hasattr(cls, name)
+    }
+    assert missing == STALE_TRACED
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_workload_passes_its_gate(workloads, name):
     w = workloads.WORKLOADS[name]
@@ -67,7 +86,7 @@ def test_gate_values_match_the_per_time_loop(workloads, name):
     case = workloads.make_case(w)
     gm = geometry.load_geometry(w.geometry)
     space = geometry.uniform_space(w.degree, w.spans)
-    disc = assembly.Discretization(space, geometry.build_mesh(gm, space))
+    disc = assembly.Discretization(space, gm)
     u0 = timestepping.project_initial(disc, case.problem.u0)
     forms = assembly.AssembledForms(disc, case.problem)
     traj = timestepping.march(forms, timestepping.TimeGrid(w.steps, case.problem.T), u0)

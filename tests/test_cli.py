@@ -213,6 +213,19 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error:"), err
         assert named in err[0], err
 
+    def test_overflowing_residual_bound_exits_3(self, tmp_path, capsys):
+        # eps = 1e300 puts penalty entries eps/h_E near 1e301 in the step
+        # matrix; its Frobenius norm, and with it the residual bound of the
+        # solve, overflows
+        text = "case = paper_sec8\ngeometry = square\ndegree = 2\nlevels = 4\n"
+        path = write_config(tmp_path, text + "num_steps = 4\nepsilon = 1e300\n")
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        failures = [line for line in err if line.startswith("numerical failure:")]
+        assert len(failures) == 1 and "residual bound overflows" in failures[0], err
+        assert not list(out.glob("solution_*.csv"))
+
     def test_degenerate_geometry_exits_3(self, tmp_path):
         geo = tmp_path / "collapsed.txt"
         geo.write_text(

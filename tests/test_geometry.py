@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,6 @@ from nitsche_iga import (
     Discretization,
     GeometryMap,
     TensorSpace,
-    build_mesh,
     load_geometry,
     parse_geometry,
     uniform_space,
@@ -14,7 +16,7 @@ from nitsche_iga import (
 from nitsche_iga import quadrature
 from nitsche_iga.errors import DegenerateJacobian, UnknownCase
 from nitsche_iga.assembly import EDGE_LENGTH_POINTS
-from nitsche_iga.geometry import SIDES, edge_geometry
+from nitsche_iga.geometry import SIDES, build_mesh, edge_geometry
 from nitsche_iga.splines import eval_basis_many, uniform_open_knots
 
 from conftest import (
@@ -192,22 +194,24 @@ class TestEvaluateGrid:
 
 
 class TestPhysicalMesh:
+    """The mesh of the space's spans mapped by F: its boundary edges, held by
+    ``disc.boundary`` as ``side``, ``lo``, ``hi`` and ``owner``."""
+
     def test_two_by_two_square(self, square_gm):
-        disc = make_disc(square_gm, 1, 2)
-        mesh, h_E = disc.mesh, disc.boundary.h_E
-        for a in (mesh.side, mesh.lo, mesh.hi, mesh.owner, h_E):
+        bc = make_disc(square_gm, 1, 2).boundary
+        for a in (bc.side, bc.lo, bc.hi, bc.owner, bc.h_E):
             assert len(a) == 8
-        assert all(h == pytest.approx(0.5, abs=1e-14) for h in h_E)
+        assert all(h == pytest.approx(0.5, abs=1e-14) for h in bc.h_E)
 
     def test_single_element_owners_unique(self, square_gm):
-        mesh = build_mesh(square_gm, uniform_space(1, 1))
-        assert list(mesh.owner) == [0, 0, 0, 0]
+        bc = make_disc(square_gm, 1, 1).boundary
+        assert list(bc.owner) == [0, 0, 0, 0]
 
     def test_owner_unique_and_on_boundary(self, square_gm):
-        space = uniform_space(2, 4)
-        mesh = build_mesh(square_gm, space)
-        ns1, ns2 = space.num_spans
-        for side, owner in zip(mesh.side, mesh.owner):
+        disc = make_disc(square_gm, 2, 4)
+        bc = disc.boundary
+        ns1, ns2 = disc.space.num_spans
+        for side, owner in zip(bc.side, bc.owner):
             s1, s2 = owner % ns1, owner // ns1  # elements run direction 1 fastest
             if side == "x0":
                 assert s1 == 0
@@ -226,10 +230,10 @@ class TestPhysicalMesh:
             coarse, fine = make_disc(gm, 2, 4), make_disc(gm, 2, 8)
             fine_h = fine.boundary.h_E
             assert len(fine_h) == 2 * len(coarse.boundary.h_E)
-            edges = zip(coarse.mesh.side, coarse.mesh.lo, coarse.mesh.hi, coarse.boundary.h_E)
-            for side, lo, hi, h in edges:
+            cb, fb = coarse.boundary, fine.boundary
+            for side, lo, hi, h in zip(cb.side, cb.lo, cb.hi, cb.h_E):
                 halves = [fine_h[f] for f in range(len(fine_h))
-                          if fine.mesh.side[f] == side and lo <= fine.mesh.lo[f] < hi]
+                          if fb.side[f] == side and lo <= fb.lo[f] < hi]
                 assert len(halves) == 2
                 assert sum(halves) == pytest.approx(h, rel=1e-12)
                 assert halves == pytest.approx([h / 2] * 2, rel=0.05)
@@ -237,11 +241,11 @@ class TestPhysicalMesh:
     @pytest.mark.parametrize("degree,spans", [(1, 1), (2, 3)])
     def test_edges_side_by_side_in_order(self, square_gm, degree, spans):
         # sides in SIDES order, spans in order along each side
-        mesh = build_mesh(square_gm, uniform_space(degree, spans))
+        bc = make_disc(square_gm, degree, spans).boundary
         bps = np.linspace(0.0, 1.0, spans + 1)
-        assert list(mesh.side) == [side for side in SIDES for _ in range(spans)]
-        assert np.array_equal(mesh.lo, np.tile(bps[:-1], 4))
-        assert np.array_equal(mesh.hi, np.tile(bps[1:], 4))
+        assert list(bc.side) == [side for side in SIDES for _ in range(spans)]
+        assert np.array_equal(bc.lo, np.tile(bps[:-1], 4))
+        assert np.array_equal(bc.hi, np.tile(bps[1:], 4))
 
     def test_detj_sign_positive(self, square_gm, annulus_gm, rng):
         for gm in (square_gm, annulus_gm):
@@ -250,13 +254,38 @@ class TestPhysicalMesh:
             assert np.all(detj > 0)
 
 
-def reference_h_E(gm, mesh, f):
-    """Arc length of boundary edge ``f``: one geometry evaluation for that edge."""
-    a, b = mesh.lo[f], mesh.hi[f]
+def referenced_names(path):
+    """The names a Python file imports, reads as attributes or refers to."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+
+
+class TestBuildMeshShim:
+    """``build_mesh`` is kept for the benchmark's workloads alone."""
+
+    def test_returns_the_map(self, square_gm):
+        assert build_mesh(square_gm, uniform_space(2, 3)) is square_gm
+
+    def test_no_module_or_demo_uses_it(self):
+        root = Path(__file__).resolve().parents[1]
+        files = [*(root / "src" / "nitsche_iga").glob("*.py"), *(root / "demos").glob("*.py")]
+        assert len(files) > 10
+        assert [f.name for f in files if "build_mesh" in set(referenced_names(f))] == []
+
+
+def reference_h_E(gm, edges, f):
+    """Arc length of boundary edge ``f`` of ``edges`` (a ``Discretization``'s
+    ``boundary``) over the map ``gm``: one geometry evaluation for that edge."""
+    a, b = edges.lo[f], edges.hi[f]
     ts, ws = quadrature.gauss_rule(EDGE_LENGTH_POINTS).mapped(a, b)
-    x_hat = np.array([reference_param_point(mesh, f, (t - a) / (b - a)) for t in ts])
+    x_hat = np.array([reference_param_point(edges, f, (t - a) / (b - a)) for t in ts])
     _, J, _ = reference_evaluate(gm, x_hat)
-    tang = J[:, :, 1] if mesh.side[f] in ("x0", "x1") else J[:, :, 0]
+    tang = J[:, :, 1] if edges.side[f] in ("x0", "x1") else J[:, :, 0]
     return float(np.sum(ws * np.linalg.norm(tang, axis=1)))
 
 
@@ -264,32 +293,32 @@ class TestBatchedMesh:
     @pytest.mark.parametrize("degree,spans", [(2, 5), (3, 4)])
     def test_matches_element_and_edge_loop(self, annulus_gm, degree, spans):
         disc = make_disc(annulus_gm, degree, spans)
-        h_E = disc.boundary.h_E
-        assert len(h_E) == 4 * spans
-        for f, h in enumerate(h_E):
-            assert h == pytest.approx(reference_h_E(annulus_gm, disc.mesh, f), rel=1e-14, abs=0)
+        bc = disc.boundary
+        assert len(bc.h_E) == 4 * spans
+        for f, h in enumerate(bc.h_E):
+            assert h == pytest.approx(reference_h_E(disc.geometry, bc, f), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_h_E_does_not_depend_on_the_quadrature_order(self, annulus_gm, degree):
         # h_E comes from the fixed 5-point rule at every order, from the edge
         # points themselves at q = 5
         space = uniform_space(degree, 3)
-        mesh = build_mesh(annulus_gm, space)
-        h_E = Discretization(space, mesh, EDGE_LENGTH_POINTS).boundary.h_E
-        for f, h in enumerate(h_E):
-            assert h == pytest.approx(reference_h_E(annulus_gm, mesh, f), rel=1e-14, abs=0)
+        bc = Discretization(space, annulus_gm, EDGE_LENGTH_POINTS).boundary
+        for f, h in enumerate(bc.h_E):
+            assert h == pytest.approx(reference_h_E(annulus_gm, bc, f), rel=1e-14, abs=0)
         for q in range(2, 9):
-            assert np.array_equal(Discretization(space, mesh, q).boundary.h_E, h_E), q
+            assert np.array_equal(Discretization(space, annulus_gm, q).boundary.h_E, bc.h_E), q
 
     @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
     @pytest.mark.parametrize("degree,spans", [(1, 1), (2, 3), (4, 5)])
     def test_edge_points_match_param_point(self, geometry, degree, spans):
         # the points of all edges formed at once equal the edge-by-edge
         # reference bit for bit
-        mesh = build_mesh(load_geometry(geometry), uniform_space(degree, spans))
+        disc = make_disc(load_geometry(geometry), degree, spans)
+        bc = disc.boundary
         rule = quadrature.gauss_rule(degree + 2)
-        x_hat = edge_geometry(mesh.geometry, mesh.side, mesh.lo, mesh.hi, rule)[0]
-        ref = np.stack([reference_param_point(mesh, f, rule.points) for f in range(len(mesh.side))])
+        x_hat = edge_geometry(disc.geometry, bc.side, bc.lo, bc.hi, rule)[0]
+        ref = np.stack([reference_param_point(bc, f, rule.points) for f in range(len(bc.side))])
         assert x_hat.shape == ref.shape
         assert np.array_equal(x_hat, ref)
 
@@ -304,7 +333,7 @@ class TestBatchedMesh:
         assert np.all(gm.evaluate_grid(gauss, gauss)[2] > 0)
         assert gm.evaluate_grid([1.0], [1.0])[2][0, 0] < 0
         with pytest.raises(DegenerateJacobian, match="changes sign"):
-            Discretization(space, build_mesh(gm, space), q)
+            Discretization(space, gm, q)
 
     @pytest.mark.parametrize("q", [1, None, 8], ids=["q1", "default", "q8"])
     def test_folded_geometry_raises(self, q):
@@ -316,11 +345,11 @@ class TestBatchedMesh:
         gm = GeometryMap(space, P, np.ones(6))
         solution_space = uniform_space(1, 4)
         with pytest.raises(DegenerateJacobian, match="changes sign"):
-            Discretization(solution_space, build_mesh(gm, solution_space), q)
+            Discretization(solution_space, gm, q)
 
     @pytest.mark.parametrize("q", [2, None, 8], ids=["q2", "default", "q8"])
     def test_one_evaluation_inside_the_elements(self, annulus_gm, monkeypatch, q):
-        # build_mesh evaluates nothing; the element cache its Gauss grid, the
+        # the element cache evaluates its Gauss grid, the
         # corners and, below the default order (5 at k = 3), the default
         # Gauss grid; the edge cache the four sides at order q and, unless q
         # is the 5 points of h_E, once more at 5 points
@@ -332,10 +361,7 @@ class TestBatchedMesh:
             return evaluate_grid(gm, t1, t2)
 
         monkeypatch.setattr(GeometryMap, "evaluate_grid", counted)
-        space = uniform_space(3, 4)
-        mesh = build_mesh(annulus_gm, space)
-        assert grids == []
-        Discretization(space, mesh, q)
+        Discretization(uniform_space(3, 4), annulus_gm, q)
         n = 4 * (q or 5)
         element_grids = [(n, n), (5, 5)] + ([(20, 20)] if q == 2 else [])
         assert grids[: len(element_grids)] == element_grids
@@ -351,7 +377,7 @@ class TestNormals:
     def test_square_sides(self, square_gm):
         disc = make_disc(square_gm, 1, 2)
         expected = {"x0": [-1, 0], "x1": [1, 0], "y0": [0, -1], "y1": [0, 1]}
-        for side, n in zip(disc.mesh.side, disc.boundary.normal):
+        for side, n in zip(disc.boundary.side, disc.boundary.normal):
             assert np.array_equal(n, np.broadcast_to(expected[side], n.shape))
 
     def test_unit_length(self, annulus_gm):
@@ -363,7 +389,7 @@ class TestNormals:
         # the outer arc (x1), toward it on the inner arc (x0)
         disc = make_disc(annulus_gm, 2, 2)
         bc = disc.boundary
-        for side, x, n in zip(disc.mesh.side, bc.x, bc.normal):
+        for side, x, n in zip(bc.side, bc.x, bc.normal):
             radial = x / np.linalg.norm(x, axis=1)[:, None]
             if side == "x1":
                 assert np.max(np.abs(n - radial)) < 1e-10

@@ -10,7 +10,6 @@ from nitsche_iga import (
     AssembledForms,
     Discretization,
     TensorSpace,
-    build_mesh,
     builtin_case,
     generalized_symmetric_eig,
     load_geometry,
@@ -140,6 +139,14 @@ class TestSolveSparse:
             b = rng.random(5)
             assert np.allclose(lu.solve(b), b / np.arange(1.0, 6.0))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_residual_bound_raises(self):
+        # ||A||_F of entries 1e300 overflows to inf, and an infinite bound
+        # would pass any residual
+        A = sp.diags(np.full(4, 1e300), format="csr")
+        with pytest.raises(ConvergenceFailure, match="residual bound overflows"):
+            factor(A).solve(np.full(4, 1e300))
+
 
 class TestOrdering:
     @pytest.fixture(scope="class")
@@ -193,7 +200,7 @@ class TestOrdering:
         for s1, s2 in ((16, 4), (3, 8), (8, 5)):
             for n1, n2 in ((s1, s2), (s2, s1)):
                 space = TensorSpace(uniform_open_knots(k1, n1), uniform_open_knots(k2, n2))
-                disc = Discretization(space, build_mesh(gm, space))
+                disc = Discretization(space, gm)
                 A = disc.mass + 0.1 * AssembledForms(disc, p).at(0.0)[0]
                 lu = SparseFactor(A, disc.order)._lu
                 ref = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
