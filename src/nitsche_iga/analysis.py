@@ -212,24 +212,16 @@ def check_boundary_datum(case, disc):
         )
 
 
-def run_level(
-    case,
-    gm,
-    degree,
-    spans,
-    num_steps,
-    epsilon=None,
-    epsilon_factor=None,
-    quadrature_order=None,
-):
-    """Solve one refinement level end to end.
+def run_level(case, gm, degree, spans, num_steps, epsilon=None, epsilon_factor=None):
+    """Solve one refinement level end to end, at the discretization's own
+    quadrature order (the largest degree plus two).
 
     Refuses, by :func:`check_boundary_datum`, a case whose g is not the
     trace of u on this geometry.  Returns ``(record, trajectory, forms)``.
     """
     p = case.problem
     space = uniform_space(degree, spans)
-    disc = Discretization(space, gm, quadrature_order)
+    disc = Discretization(space, gm)
     check_boundary_datum(case, disc)
     forms = AssembledForms(disc, p, epsilon=epsilon, epsilon_factor=epsilon_factor)
     u0 = project_initial(disc, p.u0)

@@ -1,7 +1,7 @@
 """Assembly of the mass matrix, the penalized stiffness matrix, and the load.
 
-A :class:`Discretization` of a space over a geometry map precomputes, once
-per quadrature order, the boundary edges of the space's spans and their
+A :class:`Discretization` of a space over a geometry map precomputes, at
+its quadrature order, the boundary edges of the space's spans and their
 lengths h_E, the basis tables at all volume and boundary-edge quadrature
 points (:func:`_basis_table`, products of repeated and tiled 1-D B-spline
 tables; edge data from :func:`~nitsche_iga.geometry.edge_geometry`), the
@@ -228,8 +228,8 @@ class ElementCache:
     spans, reordered to (element, point).
 
     det J must keep one sign (:class:`DegenerateJacobian` otherwise) at
-    these points, at the element corners (one more grid, the breakpoints)
-    and, for ``q`` below the default order, at that order's Gauss points.
+    these points and at the element corners, one more grid of the
+    breakpoints: the map is evaluated on two grids at every ``q``.
     """
 
     def __init__(self, space, gm, q):
@@ -257,15 +257,9 @@ class ElementCache:
             a = a.reshape((ns1, q, ns2, q) + a.shape[2:])
             return np.moveaxis(a, 2, 0).reshape((ne, nq) + a.shape[4:])
 
-        bps = (space.kv1.mesh.breakpoints, space.kv2.mesh.breakpoints)
         grid = gm.evaluate_grid(p1.ravel(), p2.ravel())
-        detj_samples = [grid[2], gm.evaluate_grid(*bps)[2]]
-        q_default = max(space.degrees) + 2
-        if q < q_default:
-            rule = gauss_rule(q_default)
-            t = (rule.mapped(b[:-1, None], b[1:, None])[0].ravel() for b in bps)
-            detj_samples.append(gm.evaluate_grid(*t)[2])
-        signs = np.sign(np.concatenate([a.ravel() for a in detj_samples]))
+        corners = gm.evaluate_grid(space.kv1.mesh.breakpoints, space.kv2.mesh.breakpoints)
+        signs = np.sign(np.concatenate([grid[2].ravel(), corners[2].ravel()]))
         if np.any(signs != signs[0]):
             raise DegenerateJacobian("det J changes sign across the mesh")
         x, J, detj = (by_element(a) for a in grid)
@@ -337,7 +331,7 @@ class EdgeCache:
 
 
 class Discretization:
-    """A solution space over a geometry map, with a quadrature order.
+    """A solution space over a geometry map, with its quadrature order.
 
     The elements are the spans of ``space`` mapped by ``geometry``; the
     caches ``elements`` and ``boundary`` (an :class:`EdgeCache`, which also
@@ -348,15 +342,22 @@ class Discretization:
     of this discretization takes.
 
     ``quadrature_order`` is the Gauss points per direction on elements and
-    edges alike; it defaults to the largest degree plus two.  Raises
+    edges alike: the largest degree plus two, which keeps the quadrature
+    error far below the discretization error.  A higher order over-integrates
+    (a reference solution, say); a lower one raises ``ValueError``.  Raises
     :class:`DegenerateJacobian` when det J changes sign at the element Gauss
-    points or corners, checked at the default order's points also when
-    ``quadrature_order`` is below it.
+    points or corners.
     """
 
     def __init__(self, space, geometry, quadrature_order=None):
+        default = max(space.degrees) + 2
         if quadrature_order is None:
-            quadrature_order = max(space.degrees) + 2
+            quadrature_order = default
+        elif quadrature_order < default:
+            raise ValueError(
+                f"quadrature order {quadrature_order} lies below the default "
+                f"{default} (the largest degree plus two)"
+            )
         self.space = space
         self.geometry = geometry
         self.quadrature_order = quadrature_order
@@ -503,12 +504,19 @@ def _same_bits(a, kept):
     return np.array_equal(a, kept)
 
 
-def _penalty(eps):
+def _penalty(eps, h_E):
     """``eps`` as a float; :class:`ConfigError` (a ``ValueError``) unless it
-    is a positive finite number."""
+    is a positive finite number and so is the penalty eps/h_E of every edge
+    of lengths ``h_E``."""
     eps = float(eps)
     if not 0.0 < eps < np.inf:
         raise ConfigError(f"penalty parameter must be a positive finite number, got {eps}")
+    h_min = float(np.min(h_E))
+    if not eps / h_min < np.inf:
+        raise ConfigError(
+            f"penalty eps/h_E overflows: eps = {eps:g} over the smallest edge length "
+            f"h_E = {h_min:g}"
+        )
     return eps
 
 
@@ -544,10 +552,11 @@ def assemble_stiffness(disc, p, eps, t):
 
     Row index is the test function.  All five term families are included;
     the inflow term is restricted pointwise to quadrature points where the
-    advection field enters the domain at time ``t``.  ``eps`` must be a
-    positive finite number.
+    advection field enters the domain at time ``t``.  ``eps`` and eps/h_E
+    must be positive finite numbers.
     """
-    return _stiffness_from(disc, _operator_coefficients(disc, p, t), _penalty(eps))[0]
+    eps = _penalty(eps, disc.boundary.h_E)
+    return _stiffness_from(disc, _operator_coefficients(disc, p, t), eps)[0]
 
 
 def _load_from(disc, p, dirichlet, t):
@@ -626,12 +635,12 @@ class AssembledForms:
 
     Resolves the penalty parameter (absolute ``epsilon`` or a
     ``epsilon_factor`` multiple of the computed floor; exactly one may be
-    given, default factor 1.25; :class:`ConfigError` unless the result is a
-    positive finite number) and caches the last stiffness matrix and its
-    Dirichlet edge terms with copies of the sampled coefficients they were
-    assembled from (see :func:`_kept`).  Each new sample is compared with
-    those copies in place, bit for bit, with no bytes copies of either.
-    The mass matrix is ``disc.mass``.  An eps below the floor runs, since
+    given, default factor 1.25; :class:`ConfigError` unless the result and
+    its eps/h_E on every edge are positive finite numbers) and caches the
+    last stiffness matrix and its Dirichlet edge terms with copies of the
+    sampled coefficients they were assembled from (see :func:`_kept`).  Each
+    new sample is compared with those copies in place, bit for bit, with no
+    bytes copies of either.  The mass matrix is ``disc.mass``.  An eps below the floor runs, since
     the floor is sufficient for coercivity but not necessary, with a
     ``UserWarning`` that names eps, the floor and their ratio.
     """
@@ -645,7 +654,7 @@ class AssembledForms:
         if epsilon is None:
             factor = PENALTY_FACTOR_DEFAULT if epsilon_factor is None else epsilon_factor
             epsilon = factor * self.floor
-        self.eps = _penalty(epsilon)
+        self.eps = _penalty(epsilon, disc.boundary.h_E)
         if self.eps < self.floor:
             warnings.warn(
                 f"penalty eps = {self.eps:.6g} lies below the floor {self.floor:.6g} of the "

@@ -3,17 +3,20 @@
 Run files are flat ``key = value`` text with ``#`` comments.  Exactly one
 of ``epsilon`` / ``epsilon_factor`` and exactly one of ``tau_rule`` /
 ``num_steps`` may be set.  Keys that older run files set and that no
-longer do anything (``freeze_operator``, ``solver_maxit``, ``solver_tol``,
-``threads``) are ignored with a one-line notice on stderr.  ``solve`` and
-``calibrate`` take exactly one entry in ``levels``; ``solve`` refuses a
-snapshot time outside [0, T]; ``convergence`` refuses a case
-whose Dirichlet datum is not the trace of its exact solution on the
+longer do anything are ignored with a one-line notice on stderr that gives
+the reason (``_IGNORED_KEYS``): the operator-reuse switch, the solver's
+iteration limit and tolerance, the thread count, and the quadrature order,
+which the discretization takes as the largest degree plus two.  ``solve``
+and ``calibrate`` take exactly one entry in ``levels``; ``solve`` refuses a
+snapshot time outside [0, T]; ``convergence`` refuses a case whose
+Dirichlet datum is not the trace of its exact solution on the
 chosen geometry or whose error is 0 on a level.  Warnings, such as a
 penalty below its floor, are printed on stderr as one ``warning:`` line
 each and change no output file.  Exit codes: 0 success,
 2 configuration error (also unknown names, unparsable geometry files, and
-values that parse but cannot run: a penalty eps that overflows, a
-trajectory of more steps than can be allocated), 3 numerical failure.
+values that parse but cannot run: a penalty eps, or an eps/h_E, that
+overflows, a trajectory of more steps than can be allocated), 3 numerical
+failure.
 
 The pipeline is deterministic: identical configurations produce identical
 output files byte for byte.
@@ -37,7 +40,6 @@ from .assembly import (
 from .errors import ConfigError, InsufficientLevels, NitscheIgaError, UnknownCase
 from .geometry import load_geometry, uniform_space
 from .problem import builtin_case
-from .quadrature import MAX_POINTS
 from .splines import MAX_DEGREE
 from .timestepping import TimeGrid, march, project_initial
 
@@ -53,7 +55,6 @@ _KNOWN_KEYS = {
     "epsilon_factor",
     "tau_rule",
     "num_steps",
-    "quadrature_order",
     "snapshot_times",
     "out",
 }
@@ -64,6 +65,7 @@ _IGNORED_KEYS = {
     "solver_maxit": "the sparse direct solver has no iteration limit",
     "solver_tol": "the solver's residual bounds are fixed",
     "threads": "levels always run in order on one thread",
+    "quadrature_order": "the quadrature order is the largest degree plus two",
 }
 
 
@@ -77,7 +79,6 @@ class RunConfig:
     epsilon_factor: float = None
     tau_rule: tuple = None  # (coefficient, exponent)
     num_steps: int = None
-    quadrature_order: int = None
     snapshot_times: list = field(default_factory=list)
     out: str = "out"
 
@@ -196,20 +197,12 @@ def build_run_config(raw, overrides=None):
         ),
         tau_rule=parse_tau_rule(raw["tau_rule"]) if "tau_rule" in raw else None,
         num_steps=optional("num_steps", _count),
-        quadrature_order=optional("quadrature_order", _count, MAX_POINTS),
         snapshot_times=[
             _number("snapshot_times", t, float, math.isfinite, "a list of finite times")
             for t in raw.get("snapshot_times", "").replace(",", " ").split()
         ],
         out=raw.get("out", "out"),
     )
-    # q <= degree leaves the local Gram of trace_constant singular; q =
-    # degree + 1 is the lowest order exact for the mass on affine elements
-    if cfg.quadrature_order is not None and cfg.quadrature_order <= cfg.degree:
-        raise ConfigError(
-            f"'quadrature_order' must exceed 'degree' = {cfg.degree}, "
-            f"got {cfg.quadrature_order}"
-        )
     if cfg.epsilon is None and cfg.epsilon_factor is None:
         cfg.epsilon_factor = PENALTY_FACTOR_DEFAULT
     return cfg
@@ -217,7 +210,7 @@ def build_run_config(raw, overrides=None):
 
 def _setup_level(cfg, case, gm, spans):
     space = uniform_space(cfg.degree, spans)
-    disc = Discretization(space, gm, cfg.quadrature_order)
+    disc = Discretization(space, gm)
     forms = AssembledForms(
         disc, case.problem, epsilon=cfg.epsilon, epsilon_factor=cfg.epsilon_factor
     )
@@ -234,7 +227,7 @@ def _write_manifest(cfg, path, extra):
         f"epsilon_factor = {cfg.epsilon_factor if cfg.epsilon_factor is not None else ''}",
         f"tau_rule = {cfg.tau_rule if cfg.tau_rule else ''}",
         f"num_steps = {cfg.num_steps if cfg.num_steps is not None else ''}",
-        f"quadrature_order = {cfg.quadrature_order if cfg.quadrature_order else 'default'}",
+        "quadrature_order = default",
     ]
     lines += [f"{k} = {v}" for k, v in extra.items()]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -303,7 +296,6 @@ def cmd_convergence(cfg):
     report = analysis.convergence_study(
         case, gm, cfg.degree, cfg.levels, cfg.steps_for_level,
         epsilon=cfg.epsilon, epsilon_factor=cfg.epsilon_factor,
-        quadrature_order=cfg.quadrature_order,
     )
 
     slope = report.slope_l2h1()  # refuses a level without a rate before any output
@@ -333,7 +325,7 @@ def cmd_calibrate(cfg):
             f"calibrate uses dense audits; {space.dimension} dof exceeds "
             f"{CALIBRATE_DOF_LIMIT} (use a coarser level)"
         )
-    disc = Discretization(space, gm, cfg.quadrature_order)
+    disc = Discretization(space, gm)
     p = case.problem
     floor = penalty_floor(disc, p)
 

@@ -14,6 +14,7 @@ from nitsche_iga import (
     TimeGrid,
     assemble_mass,
     assemble_stiffness,
+    assembly,
     builtin_case,
     coercivity_audit,
     fit_slope,
@@ -213,3 +214,119 @@ def test_criterion_9_curved_domain_convergence(annulus_gm):
         f"({elapsed:.1f} s < 60 s)",
         slope >= 1.8 and elapsed < 60.0,
     )
+
+
+COMPLEX_STEP = 1e-30
+
+
+def consistency_residual_norm(case, disc, eps, t):
+    """||r||_{V_h'} = (r^T G^-1 r)^(1/2), G = ``disc.vh_gram``, of the residual
+    r_i = (du/dt, N_i) + a_h(t; u, N_i) - l_h(t; N_i) of the exact solution u
+    in the discrete forms at penalty ``eps``.
+
+    Every term is taken at the discretization's own quadrature points, so r
+    is its quadrature error alone: with exact integrals the flux term of
+    a_h cancels the boundary term of the volume form integrated by parts,
+    and the PDE leaves the rest zero.  du/dt is a complex step in t.
+    """
+    p = case.problem
+    ec, bc = disc.elements, disc.boundary
+
+    def at(points, func, time=t):
+        flat = points.reshape(-1, 2)
+        values = np.asarray(func(flat[:, 0], flat[:, 1], time))
+        return values.reshape(points.shape[:-1] + values.shape[1:])
+
+    # (du/dt + b . grad u + c u - f, N_i) + (mu grad u, grad N_i) per element
+    grad = at(ec.x, case.grad_u)
+    du_dt = at(ec.x, case.u, t + 1j * COMPLEX_STEP).imag / COMPLEX_STEP
+    b, c, f = (at(ec.x, fn) for fn in (p.b, p.c, p.f))
+    strong = du_dt + np.sum(b * grad, axis=-1) + c * at(ec.x, case.u) - f
+    flux = (at(ec.x, p.mu) @ grad[..., None])[..., 0]
+    volume = np.einsum("eq,eql->el", ec.w * strong, ec.B)
+    volume += np.einsum("eq,eqa,eqla->el", ec.w, flux, ec.G)
+
+    # the Nitsche terms with the trial function u and the load's g:
+    # sigma (u - g) N_i - N_i n . mu grad u - (n . mu grad N_i) (u - g)
+    n, mu = bc.normal, at(bc.x, p.mu)
+    jump = at(bc.x, case.u) - at(bc.x, p.g)
+    flux_u = np.einsum("fqa,fqab,fqb->fq", n, mu, at(bc.x, case.grad_u))
+    flux_test = np.einsum("fqa,fqab,fqlb->fql", n, mu, bc.G)
+    sigma = (eps / bc.h_E)[:, None] - np.minimum(np.sum(at(bc.x, p.b) * n, axis=-1), 0.0)
+    edges = np.einsum("fq,fql->fl", bc.w * (sigma * jump - flux_u), bc.B)
+    edges -= np.einsum("fq,fql->fl", bc.w * jump, flux_test)
+
+    local = np.concatenate([volume, edges])
+    r = np.bincount(disc._gidx.ravel(), weights=local.ravel(), minlength=disc.dimension)
+    return float(np.sqrt(r @ SparseFactor(disc.vh_gram, disc.order).solve(r)))
+
+
+# criterion 12: the cases, degrees and spans, and the times of each case
+CONSISTENCY_RUNS = (("paper_sec8", "square", (0.0, 2.0, 4.0)),
+                    ("steady_reaction", "quarter_annulus", (0.0,)))
+CONSISTENCY_SPANS = (8, 16)
+CONSISTENCY_BOUND = 1e-6
+CONSISTENCY_FALL = 16.0
+
+
+def consistency_study():
+    """Criterion 12's verdict and text: ||r||_{V_h'} (worst over the times)
+    at the default penalty, at most ``CONSISTENCY_BOUND`` at 8 and 16 spans
+    and falling by ``CONSISTENCY_FALL`` or more between them, for each case
+    at k = 2 and 3."""
+    ok, rows = True, []
+    for name, geometry, times in CONSISTENCY_RUNS:
+        case, gm = builtin_case(name), load_geometry(geometry)
+        for degree in (2, 3):
+            norms = []
+            for spans in CONSISTENCY_SPANS:
+                disc = make_disc(gm, degree, spans)
+                eps = AssembledForms(disc, case.problem).eps
+                norms.append(max(consistency_residual_norm(case, disc, eps, t) for t in times))
+            ok &= max(norms) <= CONSISTENCY_BOUND and norms[0] >= CONSISTENCY_FALL * norms[1]
+            rows.append(f"{name}/{geometry} k={degree}: {norms[0]:.2e} -> {norms[1]:.2e}")
+    return ok, "; ".join(rows)
+
+
+def test_criterion_12_consistency_residual():
+    t0 = time.perf_counter()
+    ok, text = consistency_study()
+    elapsed = time.perf_counter() - t0
+    report(
+        12,
+        f"exact solution in the discrete forms at 8 -> 16 spans, ||r||_(V_h') "
+        f"<= {CONSISTENCY_BOUND:g} and falling {CONSISTENCY_FALL:g}x: {text} "
+        f"({elapsed:.2f} s < 5 s)",
+        ok and elapsed < 5.0,
+    )
+
+
+def unnormalized_normals(along_dir2, J, w, normal):
+    """The normals scaled back to their length before normalization: |n|
+    falls to about 0.36 on the annulus, and criterion 9's slope passes."""
+    inv_jac = np.linalg.inv(J)
+    row = np.where(along_dir2[..., None], inv_jac[..., 0, :], inv_jac[..., 1, :])
+    return w, normal * np.linalg.norm(row, axis=-1)[..., None]
+
+
+def no_arc_length(along_dir2, J, w, normal):
+    """Edge weights without the tangent length, so h_E is the span width."""
+    tangent = np.where(along_dir2[..., None], J[..., 1], J[..., 0])
+    return w / np.linalg.norm(tangent, axis=-1), normal
+
+
+@pytest.mark.parametrize("fault", [unnormalized_normals, no_arc_length],
+                         ids=["normals", "arc_length"])
+def test_criterion_12_fails_under_an_edge_fault(monkeypatch, fault):
+    # the square's edges are straight and unit-speed, so only the annulus
+    # rows see the fault: near 0.5 (normals) or 3 (arc length) at both spans
+    edge_geometry = assembly.edge_geometry
+
+    def faulty(gm, side, lo, hi, rule):
+        x_hat, x, J, w, normal = edge_geometry(gm, side, lo, hi, rule)
+        along_dir2 = np.isin(side, ("x0", "x1"))[:, None]
+        return (x_hat, x, J, *fault(along_dir2, J, w, normal))
+
+    monkeypatch.setattr(assembly, "edge_geometry", faulty)
+    ok, text = consistency_study()
+    assert not ok, text

@@ -22,7 +22,7 @@ from nitsche_iga import (
     penalty_floor,
     trace_constant,
 )
-from nitsche_iga.errors import SingularGram
+from nitsche_iga.errors import ConfigError, SingularGram
 from nitsche_iga.geometry import invert_2x2 as _invert_2x2
 from nitsche_iga.problem import Problem, _const_matrix, _const_scalar, _const_vector
 from nitsche_iga.splines import collocation, eval_basis_many, uniform_open_knots, validate_knots
@@ -865,6 +865,21 @@ class TestAssembledForms:
             AssembledForms(disc, p, epsilon_factor=value)
         with pytest.raises(ValueError, match=f"penalty parameter .* got {value}"):
             assemble_stiffness(disc, p, value, 0.0)
+
+    def test_penalty_over_h_E_must_be_finite(self, square_gm):
+        # eps = 1e308 is finite, eps/h_E at h_E = 1/4 is not; numpy is not
+        # asked to divide, so it warns of nothing
+        p = builtin_case("paper_sec8").problem
+        disc = make_disc(square_gm, 2, 4)
+        named = r"eps/h_E overflows: eps = 1e\+308 over the smallest edge length h_E = 0.25"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=named):
+                AssembledForms(disc, p, epsilon=1e308)
+            with pytest.raises(ConfigError, match=named):
+                assemble_stiffness(disc, p, 1e308, 0.0)
+        # an eps whose eps/h_E is 1e308 runs
+        assert AssembledForms(disc, p, epsilon=1e308 / 4.0).eps == 2.5e307
 
     def test_penalty_floor_refuses_nan_alpha(self, square_gm):
         p = replace(builtin_case("paper_sec8").problem, mu0=np.nan)

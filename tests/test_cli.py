@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from nitsche_iga import assembly, cli
 from nitsche_iga.cli import build_run_config, main, parse_config_file, parse_tau_rule
 from nitsche_iga.errors import ConfigError
-from nitsche_iga.quadrature import MAX_POINTS
 from nitsche_iga.splines import MAX_DEGREE
 
 BASE = """
@@ -112,6 +112,33 @@ class TestRetiredKeys:
         assert "solver_tol" not in manifest
         assert "threads" not in manifest
 
+    def test_quadrature_order_changes_no_output(self, tmp_path, capsys):
+        # the discretization takes the largest degree plus two: a run file
+        # that sets the order writes the bytes of one that does not
+        cfg = BASE.replace("case = zero", "case = steady_reaction")
+        cfg = cfg.replace("degree = 1", "degree = 3")
+        outputs = []
+        for name, extra in (("plain", ""), ("keyed", "quadrature_order = 7\n")):
+            path = write_config(tmp_path, cfg + extra, name=f"{name}.cfg")
+            out = tmp_path / name
+            argv = ["solve", "--config", path, "--out", str(out), "--geometry", "quarter_annulus"]
+            assert main(argv) == 0
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == len(extra.splitlines()), err
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        reason = "the quadrature order is the largest degree plus two"
+        assert f"ignoring 'quadrature_order': {reason}" in err[0]
+        assert sorted(outputs[0]) == ["manifest.txt", "solution_t1.csv"]
+        assert outputs[0] == outputs[1]
+        assert b"quadrature_order = default\n" in outputs[0]["manifest.txt"]
+
+    def test_every_known_key_is_a_config_field(self):
+        # a key that parses must reach the run; a retired key is not known
+        fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        assert cli._KNOWN_KEYS == fields
+        assert len(fields) == 10
+        assert not fields & set(cli._IGNORED_KEYS)
+
 
 class TestExitCodes:
     def test_missing_key_exits_2(self, tmp_path, capsys):
@@ -158,8 +185,6 @@ class TestExitCodes:
         "line",
         [
             "num_steps = 0",
-            "quadrature_order = 0",
-            f"quadrature_order = {MAX_POINTS + 1}",
             "levels = 0",
             f"degree = {MAX_DEGREE + 1}",
             "epsilon = -1",
@@ -195,16 +220,19 @@ class TestExitCodes:
         "line, named",
         [
             ("epsilon_factor = 1e308", "penalty parameter must be a positive finite number"),
+            ("epsilon = 1e308", "penalty eps/h_E overflows: eps = 1e+308"),
             ("num_steps = 100000000000000000000", "N = 100000000000000000000 steps"),
             ("tau_rule = 1e-300*h^1", "cannot allocate the trajectory"),
         ],
-        ids=["eps_overflows", "huge_num_steps", "tiny_tau_rule"],
+        ids=["eps_overflows", "eps_over_h_E_overflows", "huge_num_steps", "tiny_tau_rule"],
     )
     def test_value_that_parses_but_cannot_run_exits_2(self, tmp_path, capsys, command, line, named):
-        # eps = factor x floor overflows to inf; the (N + 1, dof) trajectory
-        # exceeds numpy's largest array
+        # eps = factor x floor overflows to inf; eps = 1e308 is finite, but
+        # not over h_E = 1/4 or 1/2, and is refused before numpy divides; the
+        # (N + 1, dof) trajectory exceeds numpy's largest array
         key = line.split(" = ")[0]
-        replaced = {key, {"tau_rule": "num_steps"}.get(key), "levels"}
+        excluded = {"tau_rule": "num_steps", "epsilon": "epsilon_factor"}
+        replaced = {key, excluded.get(key), "levels"}
         kept = [ln for ln in BASE.splitlines() if ln.split(" = ")[0] not in replaced]
         levels = "levels = 4" if command == "solve" else "levels = 2 4"
         path = write_config(tmp_path, "\n".join(kept + [line, levels]) + "\n")
@@ -212,6 +240,7 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
         assert named in err[0], err
+        assert not (tmp_path / "o").exists()
 
     def test_overflowing_residual_bound_exits_3(self, tmp_path, capsys):
         # eps = 1e300 puts penalty entries eps/h_E near 1e301 in the step
@@ -310,11 +339,8 @@ class TestExitCodes:
              "0 0 1\n1 0 1\n0 1 1\n1 1 1\n", "", ["line 2", "knots1"]),
             ("degrees: 1 1\nknots1: 1; 0 0 1 1\nknots2: 1; 0 0 1 1\n"
              "# control points\n0 0 1\n1 0 1\n0 1 1\n1 one 1\n", "", ["line 8"]),
-            ("quarter_annulus", "degree = 3\nquadrature_order = 2\n",
-             ["'quadrature_order'", "'degree'"]),
         ],
-        ids=["nan_knot", "nan_weight", "nan_point", "unsorted_knots", "bad_row",
-             "quadrature_below_degree"],
+        ids=["nan_knot", "nan_weight", "nan_point", "unsorted_knots", "bad_row"],
     )
     def test_malformed_input_names_the_culprit(self, tmp_path, capsys, geometry, settings, named):
         if "\n" in geometry:
@@ -329,14 +355,6 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error:"), err
         assert all(name in err[0] for name in named), err
         assert not out.exists()
-
-    def test_quadrature_one_above_degree_runs(self, tmp_path):
-        cfg = BASE.replace("degree = 1", "degree = 3") + "quadrature_order = 4\n"
-        path = write_config(tmp_path, cfg)
-        out = tmp_path / "o"
-        argv = ["solve", "--config", path, "--out", str(out), "--geometry", "quarter_annulus"]
-        assert main(argv) == 0
-        assert "quadrature_order = 4\n" in (out / "manifest.txt").read_text()
 
     def test_zero_error_study_exits_2(self, tmp_path, capsys):
         # the zero case is solved exactly: no level has an error to take a rate of

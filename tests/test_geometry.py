@@ -15,7 +15,7 @@ from nitsche_iga import (
 )
 from nitsche_iga import quadrature
 from nitsche_iga.errors import DegenerateJacobian, UnknownCase
-from nitsche_iga.assembly import EDGE_LENGTH_POINTS
+from nitsche_iga.assembly import EDGE_LENGTH_POINTS, EdgeCache, ElementCache
 from nitsche_iga.geometry import SIDES, build_mesh, edge_geometry
 from nitsche_iga.splines import eval_basis_many, uniform_open_knots
 
@@ -301,13 +301,14 @@ class TestBatchedMesh:
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_h_E_does_not_depend_on_the_quadrature_order(self, annulus_gm, degree):
         # h_E comes from the fixed 5-point rule at every order, from the edge
-        # points themselves at q = 5
+        # points themselves at q = 5; the edge cache takes orders below a
+        # discretization's default
         space = uniform_space(degree, 3)
-        bc = Discretization(space, annulus_gm, EDGE_LENGTH_POINTS).boundary
+        bc = EdgeCache(space, annulus_gm, EDGE_LENGTH_POINTS)
         for f, h in enumerate(bc.h_E):
             assert h == pytest.approx(reference_h_E(annulus_gm, bc, f), rel=1e-14, abs=0)
         for q in range(2, 9):
-            assert np.array_equal(Discretization(space, annulus_gm, q).boundary.h_E, bc.h_E), q
+            assert np.array_equal(EdgeCache(space, annulus_gm, q).h_E, bc.h_E), q
 
     @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
     @pytest.mark.parametrize("degree,spans", [(1, 1), (2, 3), (4, 5)])
@@ -325,7 +326,9 @@ class TestBatchedMesh:
     @pytest.mark.parametrize("q", [1, None, 8], ids=["q1", "default", "q8"])
     def test_sign_change_at_a_corner_raises(self, q):
         # bilinear map with P11 = (0.47, 0.47): det J = 1 - 0.53 (u + v) is
-        # positive at every Gauss point and negative only near the corner (1, 1)
+        # positive at every Gauss point and negative only near the corner
+        # (1, 1); the element cache checks q = 1, below a discretization's
+        # default, by itself
         space = uniform_space(1, 1)
         P = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.47, 0.47]])
         gm = GeometryMap(space, P, np.ones(4))
@@ -333,7 +336,10 @@ class TestBatchedMesh:
         assert np.all(gm.evaluate_grid(gauss, gauss)[2] > 0)
         assert gm.evaluate_grid([1.0], [1.0])[2][0, 0] < 0
         with pytest.raises(DegenerateJacobian, match="changes sign"):
-            Discretization(space, gm, q)
+            if q == 1:
+                ElementCache(space, gm, q)
+            else:
+                Discretization(space, gm, q)
 
     @pytest.mark.parametrize("q", [1, None, 8], ids=["q1", "default", "q8"])
     def test_folded_geometry_raises(self, q):
@@ -345,13 +351,23 @@ class TestBatchedMesh:
         gm = GeometryMap(space, P, np.ones(6))
         solution_space = uniform_space(1, 4)
         with pytest.raises(DegenerateJacobian, match="changes sign"):
-            Discretization(solution_space, gm, q)
+            if q == 1:
+                ElementCache(solution_space, gm, q)
+            else:
+                Discretization(solution_space, gm, q)
 
-    @pytest.mark.parametrize("q", [2, None, 8], ids=["q2", "default", "q8"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_order_below_the_default_raises(self, annulus_gm, degree):
+        space = uniform_space(degree, 2)
+        for q in range(1, degree + 2):
+            with pytest.raises(ValueError, match=f"quadrature order {q} lies below"):
+                Discretization(space, annulus_gm, q)
+        assert Discretization(space, annulus_gm, degree + 2).quadrature_order == degree + 2
+
+    @pytest.mark.parametrize("q", [None, 8], ids=["default", "q8"])
     def test_one_evaluation_inside_the_elements(self, annulus_gm, monkeypatch, q):
-        # the element cache evaluates its Gauss grid, the
-        # corners and, below the default order (5 at k = 3), the default
-        # Gauss grid; the edge cache the four sides at order q and, unless q
+        # the element cache evaluates its Gauss grid and the corners, at
+        # every order; the edge cache the four sides at order q and, unless q
         # is the 5 points of h_E, once more at 5 points
         grids = []
         evaluate_grid = GeometryMap.evaluate_grid
@@ -363,7 +379,7 @@ class TestBatchedMesh:
         monkeypatch.setattr(GeometryMap, "evaluate_grid", counted)
         Discretization(uniform_space(3, 4), annulus_gm, q)
         n = 4 * (q or 5)
-        element_grids = [(n, n), (5, 5)] + ([(20, 20)] if q == 2 else [])
+        element_grids = [(n, n), (5, 5)]
         assert grids[: len(element_grids)] == element_grids
         sides = [(1, n), (1, n), (n, 1), (n, 1)]
         if q is not None:
