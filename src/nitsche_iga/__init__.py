@@ -56,7 +56,7 @@ from .geometry import (
     parse_geometry,
     uniform_space,
 )
-from .linalg import PatternOrder, SparseFactor, generalized_symmetric_eig
+from .linalg import BandLayout, SparseFactor, generalized_symmetric_eig
 from .problem import (
     ManufacturedCase,
     Problem,

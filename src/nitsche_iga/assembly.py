@@ -6,9 +6,9 @@ lengths h_E, the basis tables at all volume and boundary-edge quadrature
 points (:func:`_basis_table`, products of repeated and tiled 1-D B-spline
 tables; edge data from :func:`~nitsche_iga.geometry.edge_geometry`), the
 CSR pattern that every matrix shares, the tensor product of the span-block
-patterns of the two directions (:func:`_tensor_pattern`), and the
-fill-reducing order of that pattern, a nested dissection of the index grid
-(:func:`_nested_dissection`), with which every LU of the solver factors.
+patterns of the two directions (:func:`_tensor_pattern`), and the band
+layout of that pattern in its natural order, in which every LU of the
+solver factors.
 Each bilinear form is one batched product, :func:`_blocks`, of a test
 table with a trial table that carries the weights and coefficients.  An
 edge's local basis is its owner element's, so each edge carries its owner's
@@ -50,11 +50,15 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, DegenerateJacobian, NotSPD, SingularGram
 from .geometry import SIDES, edge_geometry, invert_2x2
-from .linalg import PatternOrder, generalized_symmetric_eig
+from .linalg import BandLayout, generalized_symmetric_eig
 from .quadrature import gauss_rule
 from .splines import eval_basis_many
 
 PENALTY_FACTOR_DEFAULT = 1.25
+
+# the largest number whose square is a finite float: the bound on a matrix
+# norm that a sum of squares can form
+NORM_LIMIT = float(np.sqrt(np.finfo(float).max))
 
 # Arc lengths h_E of (possibly curved) boundary edges use a fixed 5-point
 # rule at every quadrature order: exact for straight edges, ample for the
@@ -171,48 +175,6 @@ def _tensor_pattern(space, first1, first2, owner):
     by_rank += rank1[None, :, :, None, :, None]
     np.take(slots, owner, axis=0, out=slots[ne:])
     return indptr.astype(np.int32), indices, slots
-
-
-def _nested_dissection(shape, degrees):
-    """Nested-dissection order (George, SIAM J. Numer. Anal. 1973) of the
-    (n1, n2) index grid of a tensor-product space: ``perm`` with the global
-    index i1 + n1 i2 of each position in the order.
-
-    Functions (i1, i2) and (j1, j2) couple only when |i1 - j1| <= k1 and
-    |i2 - j2| <= k2, for any open knot vectors, so k_d consecutive index
-    lines across direction d separate a block into two halves that do not
-    couple.  A block w1 x w2 is cut at its middle across the direction of
-    the smaller separator (direction 1 when k1 w2 <= k2 w1: its wider side
-    when k1 = k2); its two halves come first, each dissected in turn, and
-    the separator last.  A block at most k_d + 1 wide in each direction d
-    is not cut.  The recursion collects only the rectangles, and one pass of
-    ``repeat`` and ``divmod`` expands them, direction 1 fastest within each.
-    """
-    (n1, n2), (k1, k2) = shape, degrees
-    rects = []
-
-    def dissect(a1, b1, a2, b2):  # the block of indices a1 <= i1 < b1, a2 <= i2 < b2
-        w1, w2 = b1 - a1, b2 - a2
-        wide1, wide2 = w1 > k1 + 1, w2 > k2 + 1
-        if wide1 and (k1 * w2 <= k2 * w1 or not wide2):
-            m = a1 + (w1 - k1 + 1) // 2
-            dissect(a1, m, a2, b2)
-            dissect(m + k1, b1, a2, b2)
-            rects.append((m, m + k1, a2, b2))
-        elif wide2:
-            m = a2 + (w2 - k2 + 1) // 2
-            dissect(a1, b1, a2, m)
-            dissect(a1, b1, m + k2, b2)
-            rects.append((a1, b1, m, m + k2))
-        else:
-            rects.append((a1, b1, a2, b2))
-
-    dissect(0, n1, 0, n2)
-    a1, b1, a2, b2 = np.array(rects).T
-    sizes = (b1 - a1) * (b2 - a2)
-    offset = np.arange(n1 * n2) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    r2, r1 = np.divmod(offset, np.repeat(b1 - a1, sizes))
-    return np.repeat(a1, sizes) + r1 + n1 * (np.repeat(a2, sizes) + r2)
 
 
 class ElementCache:
@@ -336,10 +298,10 @@ class Discretization:
     The elements are the spans of ``space`` mapped by ``geometry``; the
     caches ``elements`` and ``boundary`` (an :class:`EdgeCache`, which also
     holds the boundary edges) carry the basis data, with the CSR pattern
-    every matrix shares and its fill-reducing ``order`` (a
-    :class:`~nitsche_iga.linalg.PatternOrder` from
-    :func:`_nested_dissection`), which every ``SparseFactor`` of a matrix
-    of this discretization takes.
+    every matrix shares and its ``band`` (a
+    :class:`~nitsche_iga.linalg.BandLayout`, kl = ku = k2 n1 + k1 in the
+    natural order i1 + n1 i2), which every ``SparseFactor`` of a matrix of
+    this discretization takes.
 
     ``quadrature_order`` is the Gauss points per direction on elements and
     edges alike: the largest degree plus two, which keeps the quadrature
@@ -371,9 +333,7 @@ class Discretization:
             space, *self.elements.span_first, self.boundary.owner
         )
         self._gidx = np.concatenate((self.elements.gidx, self.boundary.gidx), dtype=np.intp)
-        self.order = PatternOrder(
-            _nested_dissection(space.shape, space.degrees), self._indptr, self._indices
-        )
+        self.band = BandLayout(self._indptr, self._indices)
 
     @property
     def dimension(self):
@@ -506,8 +466,16 @@ def _same_bits(a, kept):
 
 def _penalty(eps, h_E):
     """``eps`` as a float; :class:`ConfigError` (a ``ValueError``) unless it
-    is a positive finite number and so is the penalty eps/h_E of every edge
-    of lengths ``h_E``."""
+    is a positive finite number, so is the penalty eps/h_E of every edge of
+    lengths ``h_E``, and the stiffness matrix can be normed.
+
+    The penalty block of an edge, (eps/h_E) times the edge integrals of
+    N_i N_j, is nonnegative and sums to about eps (the N_i sum to one), so
+    eps times the edge count bounds the Frobenius norm of the penalty term.
+    Unless that bound squares to a finite number, ||A||_F, and with it the
+    residual bound of every solve, may overflow; such an eps is refused here,
+    before any assembly overflows.
+    """
     eps = float(eps)
     if not 0.0 < eps < np.inf:
         raise ConfigError(f"penalty parameter must be a positive finite number, got {eps}")
@@ -516,6 +484,12 @@ def _penalty(eps, h_E):
         raise ConfigError(
             f"penalty eps/h_E overflows: eps = {eps:g} over the smallest edge length "
             f"h_E = {h_min:g}"
+        )
+    if not eps * len(h_E) < NORM_LIMIT:
+        raise ConfigError(
+            f"penalty eps = {eps:g} is too large to norm the stiffness matrix: eps times "
+            f"its {len(h_E)} boundary edges reaches {NORM_LIMIT:.3g}, the square root of "
+            "the largest float"
         )
     return eps
 
@@ -636,7 +610,8 @@ class AssembledForms:
     Resolves the penalty parameter (absolute ``epsilon`` or a
     ``epsilon_factor`` multiple of the computed floor; exactly one may be
     given, default factor 1.25; :class:`ConfigError` unless the result and
-    its eps/h_E on every edge are positive finite numbers) and caches the
+    its eps/h_E on every edge are positive finite numbers and the stiffness
+    matrix can be normed, see :func:`_penalty`) and caches the
     last stiffness matrix and its Dirichlet edge terms with copies of the
     sampled coefficients they were assembled from (see :func:`_kept`).  Each
     new sample is compared with those copies in place, bit for bit, with no

@@ -12,8 +12,8 @@ The march factors M + tau A again only when that object changes: an
 autonomous operator is assembled and factored once, a time-dependent one
 every step, with the same result as rebuilding always.
 M and A share the discretization's CSR pattern, so M + tau A is formed on
-its data alone, and every LU, the mass matrix's included, takes the
-pattern's precomputed order ``disc.order``.
+its data alone, and every LU, the mass matrix's included, factors the band
+of that pattern in its natural order, laid out once in ``disc.band``.
 """
 
 import operator
@@ -69,7 +69,7 @@ def project_initial(disc, u0):
     """L2 projection of the initial datum: solve M c = (u0, N_i)."""
     M = disc.mass
     rhs = assemble_functional(disc, u0)
-    return SparseFactor(M, disc.order).solve(rhs)
+    return SparseFactor(M, disc.band).solve(rhs)
 
 
 def march(forms, grid, u0coef):
@@ -97,7 +97,7 @@ def march(forms, grid, u0coef):
         A_t, F = forms.at(t)
         if A_t is not A:
             A = A_t
-            factor = SparseFactor(disc.matrix(M.data + tau * A.data), disc.order)
+            factor = SparseFactor(disc.matrix(M.data + tau * A.data), disc.band)
             factorizations += 1
         rhs = M @ coefs[step - 1] + tau * F
         coefs[step] = factor.solve(rhs)

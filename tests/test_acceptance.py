@@ -122,10 +122,10 @@ def test_criterion_4_consistency(square_gm):
     disc = make_disc(square_gm, 2, 4)
     forms = AssembledForms(disc, case.problem, epsilon_factor=1.25)
     A, F = forms.at(0.0)
-    uh = SparseFactor(A, disc.order).solve(F)
+    uh = SparseFactor(A, disc.band).solve(F)
     M = assemble_mass(disc)
     rhs = assemble_functional(disc, lambda x, y: case.u(x, y, 0.0))
-    exact_coef = SparseFactor(M, disc.order).solve(rhs)
+    exact_coef = SparseFactor(M, disc.band).solve(rhs)
     err = vh_norm(uh - exact_coef, disc)
     report(4, f"stationary biquadratic reproduced, V_h error {err:.3e} <= 1e-9",
            err <= 1e-9)
@@ -258,7 +258,7 @@ def consistency_residual_norm(case, disc, eps, t):
 
     local = np.concatenate([volume, edges])
     r = np.bincount(disc._gidx.ravel(), weights=local.ravel(), minlength=disc.dimension)
-    return float(np.sqrt(r @ SparseFactor(disc.vh_gram, disc.order).solve(r)))
+    return float(np.sqrt(r @ SparseFactor(disc.vh_gram, disc.band).solve(r)))
 
 
 # criterion 12: the cases, degrees and spans, and the times of each case

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from nitsche_iga import (
     AssembledForms,
@@ -23,6 +24,7 @@ from nitsche_iga import (
     trace_constant,
 )
 from nitsche_iga.errors import ConfigError, SingularGram
+from nitsche_iga.linalg import BandLayout
 from nitsche_iga.geometry import invert_2x2 as _invert_2x2
 from nitsche_iga.problem import Problem, _const_matrix, _const_scalar, _const_vector
 from nitsche_iga.splines import collocation, eval_basis_many, uniform_open_knots, validate_knots
@@ -427,56 +429,63 @@ class TestSparsityPattern:
         assert np.array_equal(bc.gidx, disc.elements.gidx[bc.owner])
 
 
-def top_level_halves(shape, degrees):
-    """Masks over the indices i1 + n1 i2 of the two halves of the first cut
-    of a nested dissection: k_d index lines at the middle of direction d,
-    the direction of the smaller separator (direction 1 when k1 n2 <= k2 n1)
-    that is more than k_d + 1 wide."""
-    (n1, n2), (k1, k2) = shape, degrees
-    i1, i2 = np.tile(np.arange(n1), n2), np.repeat(np.arange(n2), n1)
-    wide1, wide2 = n1 > k1 + 1, n2 > k2 + 1
-    i, n, k = (i1, n1, k1) if wide1 and (k1 * n2 <= k2 * n1 or not wide2) else (i2, n2, k2)
-    m = (n - k + 1) // 2
-    return i < m, i >= m + k
-
-
-class TestNestedDissection:
+class TestBandLayout:
     @pytest.mark.parametrize("k1", [1, 2, 3, 4])
     @pytest.mark.parametrize("k2", [1, 2, 3, 4])
-    def test_is_a_permutation(self, k1, k2):
+    def test_half_bandwidths_on_uniform_spaces(self, k1, k2):
+        # functions (i1, i2) and (j1, j2) couple when |i1 - j1| <= k1 and
+        # |i2 - j2| <= k2, so the farthest entry from the diagonal of the
+        # index i1 + n1 i2 lies k2 n1 + k1 away, on either side
         for s1 in range(1, 33):
             for s2 in (s1, 33 - s1):
-                perm = assembly._nested_dissection((s1 + k1, s2 + k2), (k1, k2))
-                assert np.array_equal(np.sort(perm), np.arange((s1 + k1) * (s2 + k2)))
+                space = TensorSpace(uniform_open_knots(k1, s1), uniform_open_knots(k2, s2))
+                first1, first2 = np.arange(s1), np.arange(s2)  # span s starts at function s
+                indptr, indices, _ = assembly._tensor_pattern(
+                    space, first1, first2, np.empty(0, dtype=np.intp)
+                )
+                band = BandLayout(indptr, indices)
+                n1 = space.shape[0]
+                assert band.kl == band.ku == k2 * n1 + k1, (s1, s2)
+                assert band.shape == (3 * band.kl + 1, space.dimension)
 
     @pytest.mark.parametrize(
         "degrees, spans",
         [((1, 1), (4, 4)), ((2, 2), (12, 12)), ((3, 3), (7, 16)), ((2, 4), (9, 5)),
          ((4, 1), (16, 9)), ((1, 3), (3, 20)), ((2, 3), (2, 1))],
     )
-    def test_top_level_cut_separates_the_halves(self, square_gm, degrees, spans):
+    def test_every_entry_lands_in_its_band_slot(self, square_gm, degrees, spans):
         kvs = [uniform_open_knots(k, s) for k, s in zip(degrees, spans)]
-        space = TensorSpace(*kvs)
-        self.assert_top_level_cut(Discretization(space, square_gm))
+        disc = Discretization(TensorSpace(*kvs), square_gm)
+        n1 = disc.space.shape[0]
+        (k1, k2) = degrees
+        assert disc.band.kl == disc.band.ku == k2 * n1 + k1
+        self.assert_band_slots(disc)
 
-    def test_top_level_cut_with_double_knots(self, square_gm):
-        self.assert_top_level_cut(anisotropic_disc(square_gm))
+    def test_layout_with_double_knots(self, square_gm):
+        # unequal degrees and spans, and a double interior knot in each
+        # direction: every span still couples k + 1 consecutive functions
+        disc = anisotropic_disc(square_gm)
+        (n1, _), (k1, k2) = disc.space.shape, disc.space.degrees
+        assert disc.band.kl == disc.band.ku == k2 * n1 + k1
+        self.assert_band_slots(disc)
 
     @staticmethod
-    def assert_top_level_cut(disc):
-        # the disc's order is the dissection of its index grid; it numbers
-        # the two halves of the first cut, then the separator, and no entry
-        # of the pattern couples the halves
-        space, order = disc.space, disc.order
-        assert np.array_equal(order.perm, assembly._nested_dissection(space.shape, space.degrees))
-        assert order.indptr is disc._indptr and order.indices is disc._indices
-        left, right = top_level_halves(space.shape, space.degrees)
-        nl, nr = left.sum(), right.sum()
-        assert np.array_equal(np.sort(order.perm[:nl]), np.flatnonzero(left))
-        assert np.array_equal(np.sort(order.perm[nl : nl + nr]), np.flatnonzero(right))
+    def assert_band_slots(disc):
+        # the layout is read from the disc's own pattern: kl and ku are its
+        # farthest entries below and above the diagonal, and entry (i, j)
+        # with data v puts v at row kl + ku + i - j of column j of the
+        # Fortran-ordered band, every other slot zero
+        band = disc.band
+        assert band.indptr is disc._indptr and band.indices is disc._indices
         rows = np.repeat(np.arange(disc.dimension), np.diff(disc._indptr))
-        assert not np.any(left[rows] & right[disc._indices])
-        assert not np.any(right[rows] & left[disc._indices])
+        cols = disc._indices
+        assert band.kl == np.max(rows - cols) and band.ku == np.max(cols - rows)
+        data = np.arange(1.0, len(cols) + 1)
+        ab = band.band(data)
+        assert ab.shape == (2 * band.kl + band.ku + 1, disc.dimension)
+        assert ab.flags.f_contiguous
+        assert np.array_equal(ab[band.kl + band.ku + rows - cols, cols], data)
+        assert np.count_nonzero(ab) == len(data)
 
 
 class TestMass:
@@ -878,8 +887,28 @@ class TestAssembledForms:
                 AssembledForms(disc, p, epsilon=1e308)
             with pytest.raises(ConfigError, match=named):
                 assemble_stiffness(disc, p, 1e308, 0.0)
-        # an eps whose eps/h_E is 1e308 runs
-        assert AssembledForms(disc, p, epsilon=1e308 / 4.0).eps == 2.5e307
+
+    def test_penalty_too_large_to_norm_is_refused(self, square_gm):
+        # eps times the edge count bounds the Frobenius norm of the penalty
+        # term; unless it squares to a finite number, eps is refused before
+        # any assembly, with no numpy warning
+        p = builtin_case("paper_sec8").problem
+        disc = make_disc(square_gm, 2, 4)
+        edges = len(disc.boundary.h_E)
+        limit = np.sqrt(np.finfo(float).max)
+        assert edges == 16 and assembly.NORM_LIMIT == limit
+        named = r"penalty eps = 2.5e\+307 is too large to norm the stiffness matrix"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eps in (2.5e307, 1e300, limit / edges):
+                with pytest.raises(ConfigError, match="too large to norm"):
+                    AssembledForms(disc, p, epsilon=eps)
+            with pytest.raises(ConfigError, match=named):
+                assemble_stiffness(disc, p, 2.5e307, 0.0)
+            # just below the bound, the stiffness matrix and its norm are finite
+            eps = np.nextafter(limit / edges, 0.0)
+            A = AssembledForms(disc, p, epsilon=eps).at(0.0)[0]
+            assert np.isfinite(scipy.sparse.linalg.norm(A, "fro"))
 
     def test_penalty_floor_refuses_nan_alpha(self, square_gm):
         p = replace(builtin_case("paper_sec8").problem, mu0=np.nan)

@@ -242,18 +242,19 @@ class TestExitCodes:
         assert named in err[0], err
         assert not (tmp_path / "o").exists()
 
-    def test_overflowing_residual_bound_exits_3(self, tmp_path, capsys):
-        # eps = 1e300 puts penalty entries eps/h_E near 1e301 in the step
-        # matrix; its Frobenius norm, and with it the residual bound of the
-        # solve, overflows
-        text = "case = paper_sec8\ngeometry = square\ndegree = 2\nlevels = 4\n"
-        path = write_config(tmp_path, text + "num_steps = 4\nepsilon = 1e300\n")
-        out = tmp_path / "o"
-        assert main(["solve", "--config", path, "--out", str(out)]) == 3
-        err = capsys.readouterr().err.splitlines()
-        failures = [line for line in err if line.startswith("numerical failure:")]
-        assert len(failures) == 1 and "residual bound overflows" in failures[0], err
-        assert not list(out.glob("solution_*.csv"))
+    def test_penalty_too_large_to_norm_exits_2(self, tmp_path, capsys):
+        # eps/h_E is finite at h_E = 1/4, but eps times the 16 boundary
+        # edges, a bound on the penalty term's Frobenius norm, does not square
+        # to a finite number: refused before assembly, with no numpy warning
+        text = "case = paper_sec8\ngeometry = square\ndegree = 2\nlevels = 4\nnum_steps = 4\n"
+        for eps in ("1e300", "1e307", "2e307"):
+            path = write_config(tmp_path, text + f"epsilon = {eps}\n")
+            out = tmp_path / "o"
+            assert main(["solve", "--config", path, "--out", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error:"), err
+            assert f"penalty eps = {float(eps):g} is too large to norm" in err[0], err
+            assert not out.exists()
 
     def test_degenerate_geometry_exits_3(self, tmp_path):
         geo = tmp_path / "collapsed.txt"

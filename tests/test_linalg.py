@@ -15,7 +15,7 @@ from nitsche_iga import (
     load_geometry,
 )
 from nitsche_iga.errors import ConvergenceFailure, NotSPD, SingularMatrix
-from nitsche_iga.linalg import PatternOrder, SparseFactor
+from nitsche_iga.linalg import BandLayout, SparseFactor
 from nitsche_iga.splines import uniform_open_knots
 
 from conftest import make_disc
@@ -43,28 +43,38 @@ def dense_lu_solve(A, b):
     return x
 
 
-def own_order(A):
-    """The reversed order of the CSR pattern of ``A``, so that every factor
-    permutes its matrix, right-hand side and solution."""
+def own_layout(A):
+    """The band layout of the CSR pattern of ``A``."""
     A = A.tocsr()
-    return PatternOrder(np.arange(A.shape[0])[::-1], A.indptr, A.indices)
+    return BandLayout(A.indptr, A.indices)
 
 
 def factor(A):
-    return SparseFactor(A, own_order(A))
+    return SparseFactor(A, own_layout(A))
 
 
-def fill(lu):
-    return lu.L.nnz + lu.U.nnz
+def step_matrices(disc):
+    """The mass matrix of a discretization and its backward-Euler matrix
+    M + 0.1 A of ``steady_reaction``."""
+    forms = AssembledForms(disc, builtin_case("steady_reaction").problem)
+    return disc.mass, disc.mass + 0.1 * forms.at(0.0)[0]
 
 
 @lru_cache(maxsize=None)
 def step_matrix(geometry, degree, spans):
-    """``(order, M, A)``: the order and mass matrix of a discretization and
-    its backward-Euler matrix M + 0.1 A of ``steady_reaction``."""
+    """``(band, M, A)``: the band layout and mass matrix of a discretization
+    and its :func:`step_matrices`."""
     disc = make_disc(load_geometry(geometry), degree, spans)
-    forms = AssembledForms(disc, builtin_case("steady_reaction").problem)
-    return disc.order, disc.mass, disc.mass + 0.1 * forms.at(0.0)[0]
+    return (disc.band, *step_matrices(disc))
+
+
+def assert_solves_match_dense(band, matrices, rng):
+    # the banded LU of each matrix against LAPACK's dense LU
+    for M in matrices:
+        b = rng.random(M.shape[0])
+        x = SparseFactor(M, band).solve(b)
+        x_ref = np.linalg.solve(M.toarray(), b)
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
 def jacobi_eigenvalues(C, sweeps=60, tol=1e-14):
@@ -128,7 +138,7 @@ class TestSolveSparse:
 
     def test_mismatched_shapes(self):
         with pytest.raises(ValueError, match="square"):
-            SparseFactor(sp.csr_matrix(np.ones((3, 2))), own_order(sp.eye(3)))
+            SparseFactor(sp.csr_matrix(np.ones((3, 2))), own_layout(sp.eye(3)))
         with pytest.raises(ValueError, match="rhs"):
             factor(sp.eye(3, format="csr")).solve(np.zeros(2))
 
@@ -149,14 +159,15 @@ class TestSolveSparse:
 
 
 class TestOrdering:
+    # the banded LU in the natural order against SuperLU in fill-reducing ones
     @pytest.fixture(scope="class")
     def annulus_step_matrix(self):
         return step_matrix("quarter_annulus", 3, 12)
 
     def test_solution_matches_colamd(self, annulus_step_matrix, rng):
-        order, _, A = annulus_step_matrix
+        band, _, A = annulus_step_matrix
         b = rng.random(A.shape[0])
-        x = SparseFactor(A, order).solve(b)
+        x = SparseFactor(A, band).solve(b)
         x_ref = spla.splu(A.tocsc(), permc_spec="COLAMD").solve(b)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
@@ -164,78 +175,72 @@ class TestOrdering:
         "geometry, degree, spans", [("square", 2, 12), ("quarter_annulus", 3, 12)]
     )
     def test_solution_matches_minimum_degree(self, geometry, degree, spans, rng):
-        order, mass, A = step_matrix(geometry, degree, spans)
+        band, mass, A = step_matrix(geometry, degree, spans)
         for M in (mass, A):
             b = rng.random(A.shape[0])
-            x = SparseFactor(M, order).solve(b)
+            x = SparseFactor(M, band).solve(b)
             x_ref = spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
             assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
-    def test_factors_the_permuted_matrix_in_natural_order(self, annulus_step_matrix):
-        order, _, A = annulus_step_matrix
-        perm = order.perm
-        B = order.permuted(A.data)
-        assert B.has_sorted_indices
-        assert np.array_equal(B.toarray(), A.toarray()[np.ix_(perm, perm)])
-        lu = SparseFactor(A, order)._lu
-        assert np.array_equal(lu.perm_c, np.arange(A.shape[0]))
-
-    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
-    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-    def test_fill_within_bound_of_minimum_degree(self, geometry, degree):
-        # nested dissection against SuperLU's minimum degree on A^T + A; the
-        # largest ratio over degrees 1..4 and spans 1..32 is 1.107 (k=2, 8 spans)
-        for spans in (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 32):
-            order, _, A = step_matrix(geometry, degree, spans)
-            lu = SparseFactor(A, order)._lu
-            ref = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            assert fill(lu) <= 1.12 * fill(ref), (spans, fill(lu), fill(ref))
-
-    @pytest.mark.parametrize("k1", [1, 2, 3, 4])
-    @pytest.mark.parametrize("k2", [1, 2, 3, 4])
-    def test_fill_within_bound_of_minimum_degree_anisotropic(self, k1, k2):
-        # other degrees and span counts per direction, on the square; the
-        # largest ratio is 1.432 (k = (2, 4), 16 x 4 spans)
-        gm, p = load_geometry("square"), builtin_case("steady_reaction").problem
-        for s1, s2 in ((16, 4), (3, 8), (8, 5)):
-            for n1, n2 in ((s1, s2), (s2, s1)):
-                space = TensorSpace(uniform_open_knots(k1, n1), uniform_open_knots(k2, n2))
-                disc = Discretization(space, gm)
-                A = disc.mass + 0.1 * AssembledForms(disc, p).at(0.0)[0]
-                lu = SparseFactor(A, disc.order)._lu
-                ref = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-                assert fill(lu) <= 1.5 * fill(ref), ((n1, n2), fill(lu), fill(ref))
-
-    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
-    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-    def test_fill_below_colamd_at_32_spans(self, geometry, degree):
-        # COLAMD orders for A^T A, which on these structurally symmetric
-        # matrices fills more
-        order, _, A = step_matrix(geometry, degree, 32)
-        lu = SparseFactor(A, order)._lu
-        assert fill(lu) < fill(spla.splu(A.tocsc(), permc_spec="COLAMD"))
-
     def test_matrix_off_the_pattern_raises(self, annulus_step_matrix):
-        order, _, A = annulus_step_matrix
+        band, _, A = annulus_step_matrix
         dropped = A.copy()
         dropped.data[1] = 0.0
         dropped.eliminate_zeros()
         other, _, _ = step_matrix("quarter_annulus", 3, 8)
-        for M, on in ((dropped, order), (A, other), (sp.eye(A.shape[0]), order)):
+        for M, on in ((dropped, band), (A, other), (sp.eye(A.shape[0]), band)):
             with pytest.raises(ValueError, match="pattern"):
                 SparseFactor(M, on)
 
     def test_singular_matrix_on_the_pattern_raises(self, annulus_step_matrix):
-        order, _, A = annulus_step_matrix
+        band, _, A = annulus_step_matrix
         singular = A.copy()
         singular.data[singular.indptr[5] : singular.indptr[6]] = 0.0  # row 5
         with pytest.raises(SingularMatrix):
-            SparseFactor(singular, order).solve(np.ones(A.shape[0]))
+            SparseFactor(singular, band).solve(np.ones(A.shape[0]))
 
-    def test_order_must_be_a_permutation(self):
-        A = sp.eye(3, format="csr")
-        with pytest.raises(ValueError, match="permutation"):
-            PatternOrder(np.array([0, 1, 1]), A.indptr, A.indices)
+
+class TestBandLU:
+    def test_factors_the_band_in_natural_order(self):
+        # the factor is LAPACK's banded LU of the matrix's band, laid out
+        # here from the dense matrix, with no permutation
+        band, _, A = step_matrix("quarter_annulus", 3, 12)
+        dense = A.toarray()
+        n, kl, ku = A.shape[0], band.kl, band.ku
+        ab = np.zeros((2 * kl + ku + 1, n), order="F")
+        for d in range(-kl, ku + 1):  # A[i, i + d] at row kl + ku - d
+            ab[kl + ku - d, max(d, 0) : n + min(d, 0)] = np.diagonal(dense, d)
+        assert np.array_equal(band.band(A.data), ab)
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku)
+        factor = SparseFactor(A, band)
+        assert info == 0
+        assert np.array_equal(factor._lu, lu) and np.array_equal(factor._piv, piv)
+
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_mass_and_step_solves_match_dense(self, geometry, degree, rng):
+        for spans in (1, 2, 3, 4, 5, 6, 8, 10, 12, 16):
+            band, M, A = step_matrix(geometry, degree, spans)
+            assert_solves_match_dense(band, (M, A), rng)
+
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_solves_match_dense_at_32_spans(self, geometry, degree, rng):
+        band, M, A = step_matrix(geometry, degree, 32)
+        assert band.kl == band.ku == degree * (32 + degree) + degree
+        assert_solves_match_dense(band, (M, A), rng)
+
+    @pytest.mark.parametrize("k1", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k2", [1, 2, 3, 4])
+    def test_anisotropic_solves_match_dense(self, k1, k2, rng):
+        # other degrees and span counts per direction, on the square
+        gm = load_geometry("square")
+        for s1, s2 in ((16, 4), (3, 8), (8, 5)):
+            for n1, n2 in ((s1, s2), (s2, s1)):
+                space = TensorSpace(uniform_open_knots(k1, n1), uniform_open_knots(k2, n2))
+                disc = Discretization(space, gm)
+                assert disc.band.kl == disc.band.ku == k2 * (n1 + k1) + k1
+                assert_solves_match_dense(disc.band, step_matrices(disc), rng)
 
 
 class TestCsrArithmetic:

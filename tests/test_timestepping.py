@@ -36,12 +36,12 @@ def step_residuals(forms, traj):
 def rebuilt_march(forms, grid, u0):
     """Reference march that assembles the operator and the load at every step,
     each from its own sampling, adds the operator to the mass matrix as
-    sparse matrices and factors the sum in the order of the discretization."""
+    sparse matrices and factors the sum in the band of the discretization."""
     disc, p, eps = forms.disc, forms.problem, forms.eps
     M = disc.mass
     coefs = [u0]
     for t in grid.nodes[1:]:
-        factor = SparseFactor(M + grid.tau * assemble_stiffness(disc, p, eps, t), disc.order)
+        factor = SparseFactor(M + grid.tau * assemble_stiffness(disc, p, eps, t), disc.band)
         coefs.append(factor.solve(M @ coefs[-1] + grid.tau * reference_load(disc, p, eps, t)))
     return np.array(coefs)
 
@@ -170,11 +170,11 @@ class TestMarch:
         disc = make_disc(square_gm, 1, 4)
         forms = AssembledForms(disc, case.problem)
         A, F = forms.at(0.0)
-        u_inf = SparseFactor(A, disc.order).solve(F)
+        u_inf = SparseFactor(A, disc.band).solve(F)
 
         grid = TimeGrid(40, 8.0)
         M = forms.disc.mass
-        factor = SparseFactor(M + grid.tau * A, disc.order)
+        factor = SparseFactor(M + grid.tau * A, disc.band)
         u = np.zeros(disc.dimension)  # start far from the steady state
         resids = []
         for _ in range(grid.num_steps):
