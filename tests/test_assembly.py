@@ -429,13 +429,32 @@ class TestSparsityPattern:
         assert np.array_equal(bc.gidx, disc.elements.gidx[bc.owner])
 
 
-class TestBandLayout:
+def top_level_halves(shape, degrees):
+    """Masks over the indices i1 + n1 i2 of the two halves of the first cut
+    of a nested dissection: k_d index lines at the middle of direction d,
+    the direction of the smaller separator (direction 1 when k1 n2 <= k2 n1)
+    that is more than k_d + 1 wide."""
+    (n1, n2), (k1, k2) = shape, degrees
+    i1, i2 = np.tile(np.arange(n1), n2), np.repeat(np.arange(n2), n1)
+    wide1, wide2 = n1 > k1 + 1, n2 > k2 + 1
+    i, n, k = (i1, n1, k1) if wide1 and (k1 * n2 <= k2 * n1 or not wide2) else (i2, n2, k2)
+    m = (n - k + 1) // 2
+    return i < m, i >= m + k
+
+
+class TestNestedDissection:
+    # The LU's order.  Every matrix is factored in the natural order
+    # i1 + n1 i2, as the band that its layout reads from the pattern, over
+    # the spaces a nested-dissection order was once tested on.  The pattern
+    # still admits such a dissection, which is why a sparse LU in that order
+    # overtakes the band beyond about 48 spans (see linalg.SparseFactor).
     @pytest.mark.parametrize("k1", [1, 2, 3, 4])
     @pytest.mark.parametrize("k2", [1, 2, 3, 4])
-    def test_half_bandwidths_on_uniform_spaces(self, k1, k2):
+    def test_is_a_permutation(self, k1, k2):
         # functions (i1, i2) and (j1, j2) couple when |i1 - j1| <= k1 and
         # |i2 - j2| <= k2, so the farthest entry from the diagonal of the
-        # index i1 + n1 i2 lies k2 n1 + k1 away, on either side
+        # index i1 + n1 i2 lies k2 n1 + k1 away, on either side; the layout
+        # permutes the pattern's entries one to one into slots of the band
         for s1 in range(1, 33):
             for s2 in (s1, 33 - s1):
                 space = TensorSpace(uniform_open_knots(k1, s1), uniform_open_knots(k2, s2))
@@ -447,27 +466,42 @@ class TestBandLayout:
                 n1 = space.shape[0]
                 assert band.kl == band.ku == k2 * n1 + k1, (s1, s2)
                 assert band.shape == (3 * band.kl + 1, space.dimension)
+                slots = np.unique(band._slot)
+                assert len(slots) == len(indices)
+                assert 0 <= slots[0] and slots[-1] < np.prod(band.shape)
 
     @pytest.mark.parametrize(
         "degrees, spans",
         [((1, 1), (4, 4)), ((2, 2), (12, 12)), ((3, 3), (7, 16)), ((2, 4), (9, 5)),
          ((4, 1), (16, 9)), ((1, 3), (3, 20)), ((2, 3), (2, 1))],
     )
-    def test_every_entry_lands_in_its_band_slot(self, square_gm, degrees, spans):
+    def test_top_level_cut_separates_the_halves(self, square_gm, degrees, spans):
         kvs = [uniform_open_knots(k, s) for k, s in zip(degrees, spans)]
         disc = Discretization(TensorSpace(*kvs), square_gm)
         n1 = disc.space.shape[0]
         (k1, k2) = degrees
         assert disc.band.kl == disc.band.ku == k2 * n1 + k1
+        self.assert_top_level_cut(disc)
         self.assert_band_slots(disc)
 
-    def test_layout_with_double_knots(self, square_gm):
+    def test_top_level_cut_with_double_knots(self, square_gm):
         # unequal degrees and spans, and a double interior knot in each
         # direction: every span still couples k + 1 consecutive functions
         disc = anisotropic_disc(square_gm)
         (n1, _), (k1, k2) = disc.space.shape, disc.space.degrees
         assert disc.band.kl == disc.band.ku == k2 * n1 + k1
+        self.assert_top_level_cut(disc)
         self.assert_band_slots(disc)
+
+    @staticmethod
+    def assert_top_level_cut(disc):
+        # no entry of the pattern couples the two halves of the first cut:
+        # the band bounds |i - j| alone, the cut the coupling per direction
+        left, right = top_level_halves(disc.space.shape, disc.space.degrees)
+        rows = np.repeat(np.arange(disc.dimension), np.diff(disc._indptr))
+        assert left.any() and right.any()
+        assert not np.any(left[rows] & right[disc._indices])
+        assert not np.any(right[rows] & left[disc._indices])
 
     @staticmethod
     def assert_band_slots(disc):

@@ -53,6 +53,16 @@ def factor(A):
     return SparseFactor(A, own_layout(A))
 
 
+def fill(lu):
+    """Entries of SuperLU's L and U."""
+    return lu.L.nnz + lu.U.nnz
+
+
+def band_fill(factor):
+    """Entries of a banded LU's L and U that are not exactly zero."""
+    return np.count_nonzero(factor._lu)
+
+
 def step_matrices(disc):
     """The mass matrix of a discretization and its backward-Euler matrix
     M + 0.1 A of ``steady_reaction``."""
@@ -199,12 +209,11 @@ class TestOrdering:
         with pytest.raises(SingularMatrix):
             SparseFactor(singular, band).solve(np.ones(A.shape[0]))
 
-
-class TestBandLU:
-    def test_factors_the_band_in_natural_order(self):
-        # the factor is LAPACK's banded LU of the matrix's band, laid out
-        # here from the dense matrix, with no permutation
-        band, _, A = step_matrix("quarter_annulus", 3, 12)
+    def test_factors_the_permuted_matrix_in_natural_order(self, annulus_step_matrix):
+        # the factor is LAPACK's banded LU of the matrix's entries permuted
+        # into band storage, laid out here from the dense matrix, in the
+        # natural order with no column permutation
+        band, _, A = annulus_step_matrix
         dense = A.toarray()
         n, kl, ku = A.shape[0], band.kl, band.ku
         ab = np.zeros((2 * kl + ku + 1, n), order="F")
@@ -218,6 +227,41 @@ class TestBandLU:
 
     @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_fill_within_bound_of_minimum_degree(self, geometry, degree):
+        # the band in the natural order against SuperLU's minimum degree on
+        # A^T + A; the ratio grows with the spans, and its largest over
+        # degrees 1..4 and spans 1..32 is 1.703 (k=1, 32 spans, annulus)
+        for spans in (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 32):
+            band, M, A = step_matrix(geometry, degree, spans)
+            for X in (M, A):
+                ref = spla.splu(X.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                lu = band_fill(SparseFactor(X, band))
+                assert lu <= 1.75 * fill(ref), (spans, lu, fill(ref))
+
+    @pytest.mark.parametrize("k1", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k2", [1, 2, 3, 4])
+    def test_fill_within_bound_of_minimum_degree_anisotropic(self, k1, k2, rng):
+        # other degrees and span counts per direction, on the square; the
+        # natural order's half-bandwidth grows with the functions along
+        # direction 1 even where direction 2 is the shorter, so the largest
+        # ratio is 4.415 (k = (1, 4), 16 x 4 spans)
+        gm = load_geometry("square")
+        for s1, s2 in ((16, 4), (3, 8), (8, 5)):
+            for n1, n2 in ((s1, s2), (s2, s1)):
+                space = TensorSpace(uniform_open_knots(k1, n1), uniform_open_knots(k2, n2))
+                disc = Discretization(space, gm)
+                assert disc.band.kl == disc.band.ku == k2 * (n1 + k1) + k1
+                matrices = step_matrices(disc)
+                for X in matrices:
+                    ref = spla.splu(X.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                    lu = band_fill(SparseFactor(X, disc.band))
+                    assert lu <= 4.5 * fill(ref), ((n1, n2), lu, fill(ref))
+                assert_solves_match_dense(disc.band, matrices, rng)
+
+
+class TestBandLU:
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_mass_and_step_solves_match_dense(self, geometry, degree, rng):
         for spans in (1, 2, 3, 4, 5, 6, 8, 10, 12, 16):
             band, M, A = step_matrix(geometry, degree, spans)
@@ -229,18 +273,6 @@ class TestBandLU:
         band, M, A = step_matrix(geometry, degree, 32)
         assert band.kl == band.ku == degree * (32 + degree) + degree
         assert_solves_match_dense(band, (M, A), rng)
-
-    @pytest.mark.parametrize("k1", [1, 2, 3, 4])
-    @pytest.mark.parametrize("k2", [1, 2, 3, 4])
-    def test_anisotropic_solves_match_dense(self, k1, k2, rng):
-        # other degrees and span counts per direction, on the square
-        gm = load_geometry("square")
-        for s1, s2 in ((16, 4), (3, 8), (8, 5)):
-            for n1, n2 in ((s1, s2), (s2, s1)):
-                space = TensorSpace(uniform_open_knots(k1, n1), uniform_open_knots(k2, n2))
-                disc = Discretization(space, gm)
-                assert disc.band.kl == disc.band.ku == k2 * (n1 + k1) + k1
-                assert_solves_match_dense(disc.band, step_matrices(disc), rng)
 
 
 class TestCsrArithmetic:
