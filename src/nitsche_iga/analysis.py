@@ -3,20 +3,30 @@
 The space-time error treats the discrete trajectory as the
 piecewise-constant-in-time extension (u(t) = u^{n+1} on (t_n, t_{n+1}]);
 per step interval the exact solution is resolved with a 3-point Gauss rule
-in time, evaluated at all three times of a step in one call per block of
-points, and space integrals use the element quadrature of the
-discretization.  The error in u and the two components of the error in
-grad u are held as separate (times, points) arrays, so that no numpy
-operation runs over an axis of length 2; |grad e|^2 is the one addition
-dx^2 + dy^2, which is bit for bit what a sum over the component axis gives.
-The points run in blocks (:func:`~nitsche_iga.assembly.block_slices`) whose
-largest temporary, the (3, b, 2) gradient that the closure returns, fits the
-assembly's one budget ``BLOCK_BYTES``; it then stays below glibc's 128 KiB
-mmap threshold.  Where that threshold stays fixed (by ``mallopt`` or
-``MALLOC_MMAP_THRESHOLD_``, as in the benchmark), every larger temporary is
-mapped afresh and page-faulted in; on the unit square at 24 spans and k = 2
-that cost as much time as the 3 times save by sharing their t-independent
-factors.
+in time, and space integrals use the element quadrature of the
+discretization.  The steps run in blocks of s and the elements in blocks of
+whole elements (:func:`~nitsche_iga.assembly.block_slices`), and each pair
+of blocks makes one call of u and one of grad u, at the 3s Gauss times of
+its steps and all points of its elements: the factors of u that do not
+depend on t are formed once per step block, not once per step.
+s is half the number of quadrature points of an element, nq / 2, so that
+the two (3s, ne) arrays of per-element sums hold as many numbers as one
+(3, m) array over all m points; it is at most the number of steps, and
+smaller if the budget cannot hold one element's gradient at 3s times.  An
+element block has as many elements as let the largest temporary, the
+(3s, P, 2) gradient that the closure returns, fit the assembly's one budget
+``BLOCK_BYTES``, so it stays below glibc's 128 KiB mmap threshold.  Where
+that threshold stays fixed (by ``mallopt`` or ``MALLOC_MMAP_THRESHOLD_``,
+as in the benchmark), every larger temporary is mapped afresh and
+page-faulted in.
+Each Gauss time's weighted |e|^2 and |grad e|^2 are summed over the points
+of each element first and kept per element; each row is then summed over
+the elements.  That order depends on neither the budget nor s, so the
+errors are bit-identical for any of them.  The error in u and the two
+components of the error in grad u are held as separate arrays, so that no
+numpy operation runs over an axis of length 2; |grad e|^2 is the one
+addition dx^2 + dy^2, which is bit for bit what a sum over the component
+axis gives.
 The coercivity audit converts the assembled matrices to dense form and is
 meant for coarse meshes only.
 """
@@ -26,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import assembly
 from .assembly import AssembledForms, Discretization, assemble_stiffness, block_slices
 from .errors import ConfigError, InsufficientLevels
 from .geometry import uniform_space
@@ -74,48 +85,92 @@ def _checked(case, key, value, shape):
     return value
 
 
+def _by_step(value, steps):
+    """A closure's result with its time axis split into (steps, 3), or
+    as it is if that axis has length 1."""
+    if len(value) == 1:
+        return value
+    return value.reshape((steps, -1) + value.shape[1:])
+
+
+def _add_element_sums(ec, elements, coefs, u, g, l2_out, grad_out):
+    """Write the per-element sums of w |u - u_h|^2 and w |g - grad u_h|^2
+    over the slice ``elements`` of the elements to the (3k, E) views
+    ``l2_out`` and ``grad_out``: one row per Gauss time of the k steps whose
+    coefficients are the rows of ``coefs``, at which ``u`` and ``g`` are
+    the exact solution and its gradient as (3k, P) and (3k, P, 2) or
+    shapes that broadcast to them."""
+    k = len(coefs)
+    w = ec.w[elements]
+    E, nq = w.shape
+    P = E * nq
+    w = w.reshape(P)
+    uh = ec.field(coefs, elements).reshape(k, 1, P, 3)
+
+    g = _by_step(g, k)
+    dx = np.subtract(g[..., 0], uh[..., 1], out=np.empty((k, 3, P)))
+    dy = np.subtract(g[..., 1], uh[..., 2], out=np.empty((k, 3, P)))
+    grad_sq = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+    np.multiply(w, grad_sq, out=grad_sq)
+    np.sum(grad_sq.reshape(3 * k, E, nq), axis=2, out=grad_out)
+    del dx, dy
+
+    du = np.subtract(_by_step(u, k), uh[..., 0], out=np.empty((k, 3, P)))
+    np.multiply(w, np.square(du, out=du), out=du)
+    np.sum(du.reshape(3 * k, E, nq), axis=2, out=l2_out)
+
+
 def space_time_errors(traj, case):
     """(L2(J;H1), L2(J;L2)) errors of the piecewise-constant extension.
 
-    ``case.u`` and ``case.grad_u`` are evaluated at the 3 Gauss times of a
-    step in one call per block of element quadrature points (as many as
-    let the (3, b, 2) gradient fit ``BLOCK_BYTES``): x and y as a (1, b)
-    row, the times as a (3, 1) column.  Their results must broadcast to
-    (3, b) and (3, b, 2) with all their axes, so a closure that does not
-    depend on t may return the row; any other shape raises ``ValueError``.
-    The error in u and the two gradient components are kept apart, as rows
-    of three (3, m) arrays over all m points, and |grad e|^2 is formed as
-    dx^2 + dy^2 by one addition: a sum over a length-2 axis is exactly that
-    addition, so every row sum, summed in the order of a per-time loop, is
-    bit-identical to it.
+    Steps run in blocks of s and elements in blocks of whole elements (see
+    the module docstring).  ``case.u`` and ``case.grad_u`` are called once
+    per pair of blocks, with x and y as the (1, P) row of the element
+    block's points and t as the (3k, 1) column of the Gauss times of the k
+    steps of the step block (k = s, but the last block may be shorter).
+    Their results must broadcast to (3k, P) and (3k, P, 2) with all their
+    axes, so a closure that does not depend on t may return the row; any
+    other shape raises ``ValueError``.  u_h comes from
+    ``ElementCache.field`` over the element block, one matrix-vector
+    product per step and element.  The per-element sums of the k steps'
+    Gauss times fill the first 3k rows of two (3s, ne) arrays; each row is
+    summed over the elements, and the rows are accumulated in the order of
+    a per-time loop.
     """
     ec = traj.disc.elements
+    ne, nq = ec.w.shape
+    num_steps = traj.grid.num_steps
     nodes = traj.grid.nodes
     times, wts = gauss_rule(TIME_QUAD_POINTS).mapped(nodes[:-1, None], nodes[1:, None])
-    m = ec.w.size
-    x = np.ascontiguousarray(ec.x[..., 0]).reshape(1, m)
-    y = np.ascontiguousarray(ec.x[..., 1]).reshape(1, m)
-    w = ec.w.reshape(m)
-    blocks = block_slices(m, TIME_QUAD_POINTS * 2 * 8)
+    # bytes of the gradient over one element at the Gauss times of one step
+    element_step_bytes = TIME_QUAD_POINTS * nq * 2 * 8
+    s = max(1, min(nq // 2, assembly.BLOCK_BYTES // element_step_bytes, num_steps))
+    element_blocks = block_slices(ne, s * element_step_bytes)
 
-    du, dx, dy = np.empty((3, TIME_QUAD_POINTS, m))
+    sums_l2 = np.empty((TIME_QUAD_POINTS * s, ne))
+    sums_grad = np.empty((TIME_QUAD_POINTS * s, ne))
     acc_h1 = 0.0
     acc_l2 = 0.0
-    for n in range(1, traj.grid.num_steps + 1):
-        fu, fx, fy = ec.field(traj.coefs[n]).reshape(m, 3).T
-        tn = times[n - 1, :, None]
-        for b in blocks:
-            xb, yb = x[:, b], y[:, b]
-            shape = (TIME_QUAD_POINTS, xb.shape[1])
-            u = _checked(case, "u", case.u(xb, yb, tn), shape)
-            g = _checked(case, "grad_u", case.grad_u(xb, yb, tn), shape + (2,))
-            np.subtract(u, fu[b], out=du[:, b])
-            np.subtract(g[..., 0], fx[b], out=dx[:, b])
-            np.subtract(g[..., 1], fy[b], out=dy[:, b])
-        l2_parts = np.multiply(w, np.square(du, out=du), out=du).sum(axis=1)
-        grad_sq = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
-        h1_parts = l2_parts + np.multiply(w, grad_sq, out=grad_sq).sum(axis=1)
-        for wj, l2_part, h1_part in zip(wts[n - 1], l2_parts, h1_parts):
+    for first in range(0, num_steps, s):
+        coefs = traj.coefs[first + 1:first + s + 1]
+        rows = TIME_QUAD_POINTS * len(coefs)
+        t = times[first:first + s].reshape(rows, 1)
+        l2, grad = sums_l2[:rows], sums_grad[:rows]
+        for b in element_blocks:
+            xb, yb = ec.x[b].reshape(1, -1, 2).transpose(2, 0, 1)
+            shape = (rows, xb.shape[1])
+            # u is dropped at once, g only when the next block's gradient
+            # replaces it: dropped first, it left the top of glibc's heap
+            # free, which glibc trims under a fixed mmap threshold, and every
+            # block faulted those pages in again (6300 faults per call on
+            # the square at 24 spans and k = 2, against 170)
+            g = _checked(case, "grad_u", case.grad_u(xb, yb, t), shape + (2,))
+            u = _checked(case, "u", case.u(xb, yb, t), shape)
+            _add_element_sums(ec, b, coefs, u, g, l2[:, b], grad[:, b])
+            del u
+        l2_parts = l2.sum(axis=1)
+        h1_parts = l2_parts + grad.sum(axis=1)
+        for wj, l2_part, h1_part in zip(wts[first:first + s].ravel(), l2_parts, h1_parts):
             acc_l2 += wj * l2_part
             acc_h1 += wj * h1_part
     return float(np.sqrt(acc_h1)), float(np.sqrt(acc_l2))

@@ -231,13 +231,17 @@ class ElementCache:
         self.span_first = (f1, f2)
         self.gidx = space.local_to_global(f1[s1], f2[s2])
 
-    def field(self, coef):
-        """Values and physical gradients (ne, nq, 3) of the field with
-        coefficients ``coef``: one matrix-vector product per element with
-        its (nq * 3, nloc) slice of ``table``."""
-        ne, nq, rows, nloc = self.table.shape
-        flat = self.table.reshape(ne, nq * rows, nloc) @ coef[self.gidx][:, :, None]
-        return flat.reshape(ne, nq, rows)
+    def field(self, coef, elements=slice(None)):
+        """Values and physical gradients (..., ne, nq, 3) of the fields with
+        coefficients ``coef`` (a vector, or a stack of them along the leading
+        axes) on the slice ``elements`` of the elements, all by default: one
+        matrix-vector product per vector and element with the element's
+        (nq * 3, nloc) slice of ``table``, so the values of an element do not
+        depend on the slice or on the other vectors of the stack."""
+        table = self.table[elements]
+        ne, nq, rows, nloc = table.shape
+        flat = table.reshape(ne, nq * rows, nloc) @ coef[..., self.gidx[elements], None]
+        return flat.reshape(coef.shape[:-1] + (ne, nq, rows))
 
 
 class EdgeCache:

@@ -92,8 +92,7 @@ def march(forms, grid, u0coef):
 
     A = factor = None
     factorizations = 0
-    for step in range(1, grid.num_steps + 1):
-        t = grid.nodes[step]
+    for step, t in enumerate(grid.nodes[1:], start=1):
         A_t, F = forms.at(t)
         if A_t is not A:
             A = A_t

@@ -118,8 +118,9 @@ def reference_param_point(edges, f, s):
 
 def reference_space_time_errors(traj, case):
     """(L2(J;H1), L2(J;L2)) errors with one call of ``case.u`` and
-    ``case.grad_u`` per Gauss time, each on (m,) arrays and a scalar t; the
-    reference for ``analysis.space_time_errors``."""
+    ``case.grad_u`` per Gauss time, each on (m,) arrays and a scalar t, and
+    the weighted squares summed over the points of each element first, then
+    over the elements; the reference for ``analysis.space_time_errors``."""
     ec = traj.disc.elements
     grid = traj.grid
     rule = gauss_rule(3)
@@ -137,8 +138,8 @@ def reference_space_time_errors(traj, case):
                 case.grad_u(X.ravel(), Y.ravel(), tj).reshape(X.shape + (2,))
                 - grads
             )
-            l2_part = np.sum(ec.w * due**2)
-            h1_part = l2_part + np.sum(ec.w * np.sum(dge**2, axis=-1))
+            l2_part = np.sum(np.sum(ec.w * due**2, axis=1))
+            h1_part = l2_part + np.sum(np.sum(ec.w * np.sum(dge**2, axis=-1), axis=1))
             acc_l2 += wj * l2_part
             acc_h1 += wj * h1_part
     return float(np.sqrt(acc_h1)), float(np.sqrt(acc_l2))

@@ -21,6 +21,7 @@ from nitsche_iga import (
 from nitsche_iga import analysis, assembly
 from nitsche_iga.analysis import check_boundary_datum, run_level
 from nitsche_iga.errors import ConfigError, InsufficientLevels
+from nitsche_iga.quadrature import gauss_rule
 from nitsche_iga.timestepping import SolutionTrajectory
 
 from conftest import greville_grid, make_disc, reference_space_time_errors
@@ -99,26 +100,32 @@ class TestSpaceTimeErrors:
     @pytest.mark.parametrize("name", ["paper_sec8", "steady_reaction", "zero"])
     @pytest.mark.parametrize("geometry", ["square_gm", "annulus_gm"])
     @pytest.mark.parametrize("degree", [1, 2, 3])
-    @pytest.mark.parametrize("block", [2560, 7])
+    @pytest.mark.parametrize("block", [2560, 320, 7])
     def test_matches_per_time_loop(self, request, monkeypatch, name, geometry, degree, block):
         # random coefficients, so that every case has a nonzero error at
-        # every Gauss time; one, three and eight steps; the default budget
-        # (2560 points of a 48-byte gradient) takes all points in one call,
-        # 7 splits them into blocks of 7 and a shorter last one
+        # every Gauss time; 1, 3, 7, 8 and 13 steps; a budget of ``block``
+        # points of a 48-byte gradient.  The default, 2560, makes blocks of
+        # up to nq / 2 steps and, but for k = 3 beyond 11 steps, of all 9
+        # elements; 320 leaves a shorter last block of elements (k = 1, 2)
+        # or of steps (k = 3 at 13 steps: 12 and 1); 7 holds less than one
+        # element, so every block is one step and one element
         assert assembly.BLOCK_BYTES == 2560 * 48
         monkeypatch.setattr(assembly, "BLOCK_BYTES", block * 48)
         case = builtin_case(name)
         disc = make_disc(request.getfixturevalue(geometry), degree, 3)
         rng = np.random.default_rng(degree)
-        for steps in (1, 3, 8):
+        for steps in (1, 3, 7, 8, 13):
             coefs = rng.standard_normal((steps + 1, disc.dimension))
             traj = SolutionTrajectory(coefs, TimeGrid(steps, case.problem.T), disc)
             assert space_time_errors(traj, case) == reference_space_time_errors(traj, case)
 
-    @pytest.mark.parametrize("spans, block_sizes", [(3, [144]), (16, [2560, 1536])])
-    def test_exact_solution_called_once_per_step_and_block(self, square_gm, spans, block_sizes):
-        # k = 2 has 16 points per element: 144 points fit in one block,
-        # 4096 take two
+    @pytest.mark.parametrize(
+        "spans, element_blocks", [(3, [9]), (16, [20] * 12 + [16])], ids=["spans3", "spans16"]
+    )
+    def test_exact_solution_called_once_per_block_pair(self, square_gm, spans, element_blocks):
+        # k = 2 has 16 points per element, so a step block has 16 / 2 = 8
+        # steps, and an element block the 20 elements whose gradient at 24
+        # times fits the budget; 10 steps make a block of 8 and one of 2
         case = builtin_case("paper_sec8")
         calls = {"u": [], "grad_u": []}
 
@@ -126,18 +133,54 @@ class TestSpaceTimeErrors:
             fn = getattr(case, key)
 
             def wrapper(x, y, t):
-                calls[key].append((x.shape, y.shape, t.shape))
+                calls[key].append((x.copy(), y.copy(), t.copy()))
                 return fn(x, y, t)
 
             return wrapper
 
         counted_case = replace(case, u=counted("u"), grad_u=counted("grad_u"))
         disc = make_disc(square_gm, 2, spans)
-        coefs = np.zeros((6, disc.dimension))
-        space_time_errors(SolutionTrajectory(coefs, TimeGrid(5, case.problem.T), disc), counted_case)
-        shapes = [((1, b), (1, b), (3, 1)) for b in block_sizes] * 5
-        assert calls == {"u": shapes, "grad_u": shapes}
+        grid = TimeGrid(10, case.problem.T)
+        coefs = np.zeros((11, disc.dimension))
+        space_time_errors(SolutionTrajectory(coefs, grid, disc), counted_case)
 
+        x = disc.elements.x
+        times, _ = gauss_rule(3).mapped(grid.nodes[:-1, None], grid.nodes[1:, None])
+        bounds = np.cumsum([0] + element_blocks)
+        want = [
+            (x[a:b, :, 0].reshape(1, -1), x[a:b, :, 1].reshape(1, -1), times[steps].reshape(-1, 1))
+            for steps in (slice(0, 8), slice(8, 10))
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+        for key, got in calls.items():
+            assert len(got) == len(want), key
+            for call, expected in zip(got, want):
+                assert all(np.array_equal(a, b) for a, b in zip(call, expected)), key
+
+    @pytest.mark.parametrize("key, bad", [
+        ("u", lambda u: u[:1, :1, None]),  # extra axis: (1, 1, 1)
+        ("grad_u", lambda g: g[:-1]),  # one time short: (3k - 1, b, 2)
+    ])
+    def test_closure_malformed_in_a_later_step_block_raises(self, square_gm, key, bad):
+        # 10 steps make blocks of 8 and 2 steps; the closure is well formed
+        # at the times of the first block and malformed at those of the
+        # second, which all lie beyond 0.8 T
+        case = builtin_case("paper_sec8")
+        T = case.problem.T
+        fn = getattr(case, key)
+        seen = []
+
+        def late_broken(x, y, t):
+            value = fn(x, y, t)
+            seen.append(t.min() > 0.8 * T)
+            return bad(value) if seen[-1] else value
+
+        broken = replace(case, **{key: late_broken})
+        disc = make_disc(square_gm, 2, 3)
+        traj = SolutionTrajectory(np.zeros((11, disc.dimension)), TimeGrid(10, T), disc)
+        with pytest.raises(ValueError, match=rf"paper_sec8: {key} returned shape"):
+            space_time_errors(traj, broken)
+        assert seen == [False, True]
 
     @pytest.mark.parametrize(
         "key, bad",

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from nitsche_iga import analysis, assembly, builtin_case
+from nitsche_iga.analysis import TIME_QUAD_POINTS
 from nitsche_iga.timestepping import SolutionTrajectory, TimeGrid
 
 from conftest import make_disc
@@ -191,3 +192,20 @@ def test_volume_sums_allocate_only_what_the_closure_does(annulus_k3):
         result, closure_excess = traced(closure, *args)
         _, excess = traced(kernel, *kernel_args)
         assert excess <= closure_excess + result.nbytes + values + FEW_BUDGETS, kernel.__name__
+
+
+def test_space_time_errors_allocate_their_sums_and_block_temporaries(square_gm, annulus_k3):
+    # two (3s, ne) arrays of per-element sums, s = min(nq / 2, N), and the
+    # temporaries of one step block and element block; no array over all
+    # points and no field over all elements
+    for disc, name, steps in (
+        (make_disc(square_gm, 2, 24), "paper_sec8", 24),
+        (annulus_k3[0], "steady_reaction", 1),
+    ):
+        case = builtin_case(name)
+        coefs = np.random.default_rng(0).standard_normal((steps + 1, disc.dimension))
+        traj = SolutionTrajectory(coefs, TimeGrid(steps, case.problem.T), disc)
+        ne, nq = disc.elements.w.shape
+        sums = 2 * TIME_QUAD_POINTS * min(nq // 2, steps) * ne * 8
+        _, excess = traced(analysis.space_time_errors, traj, case)
+        assert excess <= sums + FEW_BUDGETS, name
