@@ -12,10 +12,11 @@ solver factors.
 Each bilinear form is one batched product, :func:`_blocks`, of a test
 table with a trial table that carries the weights and coefficients.  An
 edge's local basis is its owner element's, so each edge carries its owner's
-data slots and global indices: the element blocks and then the edge blocks
-fill one array, and one ``np.bincount`` sums it into the fixed pattern, or
-sums a vector over the global indices.  Repeated assemblies are cheap and
-bitwise reproducible.
+data slots and global indices.  The element blocks and then the edge blocks
+are added into the matrix data at their slots as each block of them is made
+(``np.add.at``, which sums in order, the order of one ``np.bincount`` over
+all of them); a vector is summed over the global indices by one
+``np.bincount``.  Repeated assemblies are cheap and bitwise reproducible.
 
 The stiffness form contains five families of terms: the volume form
 (diffusion, advection, reaction), the boundary flux term, its transpose
@@ -24,13 +25,15 @@ points where b . n < 0, and the eps/h_E boundary penalty.  The load is (f, N)
 plus its Dirichlet trial terms applied to g; :meth:`AssembledForms.at`
 returns both from one sampling of the coefficients.
 
-Every element kernel (the basis tables, the volume part of the stiffness,
-the mass, the V_h Gram, the owner Grams of the trace constant and the
-volume sums of the load) runs over consecutive blocks of elements or edges
+Every element kernel (the element cache's grid evaluation by span rows,
+the basis tables, the stiffness, the mass and the V_h Gram, the trace
+constant, the volume sums of the load, and the band layout's slots by rows
+of the pattern) runs over consecutive blocks of elements, edges or rows
 (:func:`block_slices`) whose largest temporary fits ``BLOCK_BYTES``, and
 each block writes into the one array that the kernel keeps or returns.
 Each element gets the same arithmetic in the same order as in one pass over
-the mesh, so every output is bit-identical for any block size.  The budget
+the mesh, so every output is bit-identical for any block size; the trace
+constant is the max of per-edge values, so it is too.  The budget
 is set by glibc's malloc, which maps every block at or above its mmap
 threshold afresh, page-faults it in and unmaps it when it is freed.  The
 threshold starts at 128 KiB; a process that fixes it there (by ``mallopt``
@@ -48,9 +51,9 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DegenerateJacobian, NotSPD, SingularGram
+from .errors import ConfigError, ConvergenceFailure, DegenerateJacobian, SingularGram
 from .geometry import SIDES, edge_geometry, invert_2x2
-from .linalg import BandLayout, generalized_symmetric_eig
+from .linalg import EIG_RTOL, BandLayout
 from .quadrature import gauss_rule
 from .splines import eval_basis_many
 
@@ -78,7 +81,7 @@ def block_slices(n, item_bytes):
     return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
-def _basis_table(d1, d2, jac):
+def _basis_table(d1, d2, jac, out=None):
     """The table (n, q, 3, nloc) of basis values and physical gradients, with
     its views (n, q, nloc) of the values and (n, q, nloc, 2) of the gradients.
 
@@ -92,7 +95,7 @@ def _basis_table(d1, d2, jac):
     parametric gradients map to physical ones as J^-T times the two
     derivative rows, one batched matmul.  Blocks of items run in turn: J is
     inverted, the product formed and the matmul written into the table per
-    block.
+    block.  The table is ``out`` when it is given.
     """
     n1, n2 = d1.shape[-1], d2.shape[-1]
     # (3, nloc) positions in the flattened (2, k+1) tables: rows value,
@@ -100,13 +103,14 @@ def _basis_table(d1, d2, jac):
     at1 = np.array([[0], [n1], [0]]) + np.repeat(np.arange(n1), n2)
     at2 = np.array([[0], [0], [n2]]) + np.tile(np.arange(n2), n1)
     flat1, flat2 = (d.reshape(d.shape[:-2] + (-1,)) for d in (d1, d2))
-    table = np.empty(jac.shape[:2] + (3, n1 * n2))
+    table = np.empty(jac.shape[:2] + (3, n1 * n2)) if out is None else out
     for s in block_slices(len(table), table[0].nbytes):
         hat = np.take(flat1[s], at1, axis=-1) * np.take(flat2[s], at2, axis=-1)
         hat = hat.reshape(table[s].shape)
         inv_jac = invert_2x2(jac[s])
         table[s, :, 0] = hat[:, :, 0]
         np.matmul(inv_jac.swapaxes(-1, -2), hat[:, :, 1:], out=table[s, :, 1:])
+        del hat  # before the next block's product is made
     return table, table[:, :, 0], table[:, :, 1:].swapaxes(2, 3)
 
 
@@ -137,7 +141,7 @@ def _tensor_pattern(space, first1, first2, owner):
     ranks (rank1, rank2) in the 1-D rows sits at
     indptr[g] + rank2 len1(i1) + rank1.  Returns ``(indptr, indices, slots)``,
     the pattern in int32 and ``slots`` (ne + len(owner), nloc, nloc) in
-    ``np.intp``, which ``np.bincount`` reads without a converted copy: the
+    ``np.intp``, which ``np.add.at`` reads without a converted copy: the
     slots of the element blocks, then those of the element ``owner[f]`` of
     each boundary edge f.  Elements run with direction 1 fastest, local
     functions (l1, l2) with l2 fastest.
@@ -186,12 +190,16 @@ class ElementCache:
     (ne, nloc) global indices, ``span_first`` the first nonzero function of
     each span of each direction.  Elements run with direction 1 fastest;
     quadrature points and local functions, (l1, l2), with direction 2 fastest.
-    The geometry comes from one grid evaluation over the Gauss points of all
-    spans, reordered to (element, point).
 
-    det J must keep one sign (:class:`DegenerateJacobian` otherwise) at
-    these points and at the element corners, one more grid of the
-    breakpoints: the map is evaluated on two grids at every ``q``.
+    The map is evaluated on the grid of the Gauss points of all spans one
+    block of whole direction-2 span rows at a time (the rows' elements are
+    consecutive), as many rows as let their J fit ``BLOCK_BYTES`` and at
+    least one; each block is reordered to (element, point) and writes its x,
+    w and basis table into the cache's arrays, so no array spans the grid.
+    det J must keep one sign (:class:`DegenerateJacobian` otherwise) across
+    all blocks and at the element corners, one more grid of the
+    breakpoints; the sign is judged after every block has passed the |det J|
+    floor.
     """
 
     def __init__(self, space, gm, q):
@@ -199,35 +207,48 @@ class ElementCache:
         s1, s2 = np.tile(np.arange(ns1), ns2), np.repeat(np.arange(ns2), ns1)
         ne, nq = len(s1), q * q
 
-        # per direction, the Gauss points (ns, q) and first nonzero function
-        # (ns,) of all spans and, per element, the weights (ne, q) and 1-D
-        # values and first derivatives (ne, q, 2, k+1)
+        # per direction, the Gauss points and weights (ns, q), first nonzero
+        # function (ns,) and 1-D values and first derivatives (ns, q, 2, k+1)
+        # of all spans
         rule = gauss_rule(q)
         per_direction = []
-        for kv, spans in ((space.kv1, s1), (space.kv2, s2)):
+        for kv in (space.kv1, space.kv2):
             bps = kv.mesh.breakpoints
             pts, wts = rule.mapped(bps[:-1, None], bps[1:, None])
             first, ders = eval_basis_many(kv, pts.ravel())
-            ders = ders.reshape(kv.num_spans, q, 2, -1)[spans]
-            per_direction.append((pts, wts[spans], first[::q], ders))
+            per_direction.append((pts, wts, first[::q], ders.reshape(kv.num_spans, q, 2, -1)))
         (p1, w1, f1, d1), (p2, w2, f2, d2) = per_direction
-        w_hat = np.repeat(w1, q, axis=1) * np.tile(w2, (1, q))
+        self.x = np.empty((ne, nq, 2))
+        self.w = np.empty((ne, nq))
+        table = np.empty((ne, nq, 3, d1.shape[-1] * d2.shape[-1]))
 
-        # the geometry on the grid of all Gauss points, indexed (s1, i1, s2,
-        # i2), reordered to (element, point): (s2, s1) and (i1, i2)
-        def by_element(a):
-            a = a.reshape((ns1, q, ns2, q) + a.shape[2:])
-            return np.moveaxis(a, 2, 0).reshape((ne, nq) + a.shape[4:])
+        # a block of span rows of the grid, indexed (s1, i1, s2, i2), as
+        # (s2, s1, i1, i2): the rows' elements and their points in order
+        def by_element(a, rows):
+            return np.moveaxis(a.reshape((ns1, q, rows, q) + a.shape[2:]), 2, 0)
 
-        grid = gm.evaluate_grid(p1.ravel(), p2.ravel())
-        corners = gm.evaluate_grid(space.kv1.mesh.breakpoints, space.kv2.mesh.breakpoints)
-        signs = np.sign(np.concatenate([grid[2].ravel(), corners[2].ravel()]))
-        if np.any(signs != signs[0]):
+        # as many rows as let J (four doubles a point, the largest array of
+        # the grid evaluation) fit the budget
+        row_blocks = block_slices(ns2, 32 * ns1 * nq)
+        points = [slice(q * b.start, q * b.stop) for b in row_blocks]
+        grids = gm.evaluate_grid_blocks(p1.ravel(), p2.ravel(), points)
+        positive = negative = True
+        for b in row_blocks:
+            x, J, detj = next(grids)
+            rows, e = b.stop - b.start, slice(ns1 * b.start, ns1 * b.stop)
+            positive, negative = positive and np.all(detj > 0), negative and np.all(detj < 0)
+            self.x[e].reshape(rows, ns1, q, q, 2)[...] = by_element(x, rows)
+            w = np.multiply.outer(w1.ravel(), w2[b].ravel())
+            w *= np.abs(detj)
+            self.w[e].reshape(rows, ns1, q, q)[...] = by_element(w, rows)
+            J = by_element(J, rows).reshape(rows * ns1, nq, 2, 2)
+            del x, w, detj  # before the table's temporaries are made
+            _basis_table(d1[s1[e], :, None], d2[s2[e], None], J, out=table[e])
+            del J  # before the next block is evaluated
+        detj = gm.evaluate_grid(space.kv1.mesh.breakpoints, space.kv2.mesh.breakpoints)[2]
+        if not (positive and np.all(detj > 0) or negative and np.all(detj < 0)):
             raise DegenerateJacobian("det J changes sign across the mesh")
-        x, J, detj = (by_element(a) for a in grid)
-        self.table, self.B, self.G = _basis_table(d1[:, :, None], d2[:, None], J)
-        self.x = x
-        self.w = w_hat * np.abs(detj)
+        self.table, self.B, self.G = table, table[:, :, 0], table[:, :, 1:].swapaxes(2, 3)
         self.span_first = (f1, f2)
         self.gidx = space.local_to_global(f1[s1], f2[s2])
 
@@ -370,15 +391,26 @@ def _blocks(test, trial, out=None):
     return np.matmul(test.reshape(n, -1, nloc).swapaxes(1, 2), trial.reshape(n, -1, nloc), out=out)
 
 
-def _weighted_grams(table, w, out, index=None):
-    """``out`` (n, nloc, nloc) filled with the :func:`_blocks` of each table
-    (nq, rows, nloc) of ``table`` with itself weighted by ``w`` (nq,), or of
-    those of ``table[index]`` and ``w[index]``, block by block."""
-    for s in block_slices(len(out), table[0].nbytes):
-        at = s if index is None else index[s]
-        t = table[at]
-        _blocks(t, w[at][..., None, None] * t, out=out[s])
-    return out
+def _zero_data(disc):
+    """Zero matrix data on the pattern of ``disc``, written: ``np.zeros`` of
+    this size gets zero pages, which the first ``np.add.at`` faults twice,
+    on reading and then on writing each page."""
+    return np.full(len(disc._indices), 0.0)
+
+
+def _add_blocks(data, slots, blocks):
+    """Add ``blocks`` into the matrix ``data`` at their ``slots``, entry after
+    entry in order: blocks added in turn sum as one ``np.bincount`` of all of
+    them would."""
+    np.add.at(data, slots.ravel(), blocks.ravel())
+
+
+def _add_grams(data, slots, table, w):
+    """Add to ``data`` at ``slots`` (n, nloc, nloc) the :func:`_blocks` of
+    each table (nq, rows, nloc) of ``table`` with itself weighted by ``w``
+    (nq,), block by block as each is made."""
+    for s in block_slices(len(table), table[0].nbytes):
+        _add_blocks(data, slots[s], _blocks(table[s], w[s][..., None, None] * table[s]))
 
 
 def _volume_integrals(ec, values, out):
@@ -395,17 +427,12 @@ def _scatter(index, size, values):
     return np.bincount(index[: len(values)].ravel(), weights=values.ravel(), minlength=size)
 
 
-def _matrix(disc, blocks):
-    """CSR matrix on the pattern of ``disc`` from the element blocks, or the
-    element blocks followed by the edge blocks."""
-    return disc.matrix(_scatter(disc._slots, len(disc._indices), blocks))
-
-
 def assemble_mass(disc):
     """Mass matrix M_ij = (N_j, N_i) over the physical domain."""
     ec = disc.elements
-    blocks = np.empty(ec.gidx.shape + ec.gidx.shape[-1:])
-    return _matrix(disc, _weighted_grams(ec.table[:, :, :1], ec.w, blocks))
+    data = _zero_data(disc)
+    _add_grams(data, disc._slots, ec.table[:, :, :1], ec.w)
+    return disc.matrix(data)
 
 
 def _coefficients_at(points, func, t):
@@ -508,21 +535,26 @@ def _stiffness_from(disc, coefficients, eps):
     # weighted trial side of the volume form, c N + b . grad N and mu grad N,
     # formed and contracted one block of elements at a time
     ne = len(ec.table)
-    blocks = np.empty(disc._slots.shape)
+    data = _zero_data(disc)
     for s in block_slices(ne, ec.table[0].nbytes):
         coef = np.zeros(ec.w[s].shape + (3, 3))
         coef[..., 0, 0], coef[..., 0, 1:], coef[..., 1:, 1:] = cv[s], bv[s], mu[s]
         coef *= ec.w[s, :, None, None]
-        _blocks(ec.table[s], coef @ ec.table[s], out=blocks[s])
+        _add_blocks(data, disc._slots[s], _blocks(ec.table[s], coef @ ec.table[s]))
 
     # test side N and flux n . mu grad N, trial side sigma N - flux and -N:
-    # the flux term, its transpose, the inflow term and the penalty
-    flux = ((bc.normal[:, :, None, :] @ mu_e) @ bc.table[:, :, 1:])[:, :, 0]
-    sigma = (eps / bc.h_E)[:, None] - np.minimum(bn, 0.0)
-    dirichlet = sigma[..., None] * bc.B - flux
-    edge_trial = bc.w[..., None, None] * np.stack([dirichlet, -bc.B], axis=2)
-    _blocks(np.stack([bc.B, flux], axis=2), edge_trial, out=blocks[ne:])
-    return _matrix(disc, blocks), dirichlet
+    # the flux term, its transpose, the inflow term and the penalty, one
+    # block of edges at a time, sized by an edge's test and trial tables
+    dirichlet = np.empty(bc.B.shape)
+    for s in block_slices(len(dirichlet), 2 * bc.table[0].nbytes):
+        flux = ((bc.normal[s, :, None, :] @ mu_e[s]) @ bc.table[s, :, 1:])[:, :, 0]
+        sigma = (eps / bc.h_E[s])[:, None] - np.minimum(bn[s], 0.0)
+        dirichlet[s] = sigma[..., None] * bc.B[s] - flux
+        edge_trial = np.stack([dirichlet[s], -bc.B[s]], axis=2)
+        edge_trial *= bc.w[s, :, None, None]
+        edge_test = np.stack([bc.B[s], flux], axis=2)
+        _add_blocks(data, disc._slots[ne:][s], _blocks(edge_test, edge_trial))
+    return disc.matrix(data), dirichlet
 
 
 def assemble_stiffness(disc, p, eps, t):
@@ -563,41 +595,74 @@ def assemble_vh_gram(disc):
     h_E^-1-weighted boundary mass."""
     ec, bc = disc.elements, disc.boundary
     ne = len(ec.w)
-    blocks = np.empty(disc._slots.shape)
-    _weighted_grams(ec.table, ec.w, blocks[:ne])
-    _weighted_grams(bc.table[:, :, :1], bc.w / bc.h_E[:, None], blocks[ne:])
-    return _matrix(disc, blocks)
+    data = _zero_data(disc)
+    _add_grams(data, disc._slots, ec.table, ec.w)
+    _add_grams(data, disc._slots[ne:], bc.table[:, :, :1], bc.w / bc.h_E[:, None])
+    return disc.matrix(data)
 
 
 def trace_constant(disc):
     """Sharp discrete constant of the scaled edge-flux trace inequality.
 
     For each boundary edge: largest generalized eigenvalue of the pair
-    (h_E * edge flux Gram, owner-element H1-seminorm Gram), both restricted
-    to the owner's local basis with the constant mode deflated (both Grams
-    vanish on constants by partition of unity).  The pairs of all edges are
-    solved as one stack.  Returns the max over edges.
+    (Tr, Sr) of the h_E-scaled edge flux Gram and the owner element's
+    H1-seminorm Gram, both restricted to the owner's local basis with the
+    constant mode deflated (both Grams vanish on constants by partition of
+    unity).  Tr sums one outer product per edge point, Tr = B^T B with B
+    (q, nloc - 1) the weighted flux rows, so its rank is at most q.  With
+    Sr = L L^T the pair's eigenvalues are those of M M^T, M = L^-1 B^T, and
+    the nonzero ones those of M^T M: the largest is taken from the smaller
+    of the two Grams.  Edges run in blocks (:func:`block_slices`), and each
+    edge's top pair (lambda, v = L^-T y, y the unit eigenvector of M M^T) is
+    checked against the residual bound of
+    :func:`~nitsche_iga.linalg.generalized_symmetric_eig`,
+    ||Tr v - lambda Sr v|| <= EIG_RTOL ||Tr||_2 entrywise
+    (:class:`ConvergenceFailure` otherwise).  Returns the max over edges.
     """
     ec, bc = disc.elements, disc.boundary
-    nloc = ec.B.shape[2]
+    nloc, q = ec.B.shape[2], bc.B.shape[1]
     # an orthonormal basis of the complement of the constants
     ones = np.ones(nloc) / np.sqrt(nloc)
     Z, r = np.linalg.qr(np.eye(nloc) - np.outer(ones, ones))
     Z = Z[:, np.abs(np.diag(r)) > 1e-12]
 
-    flux = np.einsum("fqa,fqal->fql", bc.normal, bc.table[:, :, 1:])[:, :, None]
-    T = _blocks(flux, (bc.h_E[:, None] * bc.w)[..., None, None] * flux)
-    S = np.empty((len(bc.owner), nloc, nloc))
-    _weighted_grams(ec.table[:, :, 1:], ec.w, S, index=bc.owner)
-    Tr, Sr = Z.T @ T @ Z, Z.T @ S @ Z
-    Sr = (Sr + Sr.swapaxes(1, 2)) / 2
-    try:
-        vals = generalized_symmetric_eig((Tr + Tr.swapaxes(1, 2)) / 2, Sr)
-    except NotSPD:
-        f = np.argmin(np.linalg.eigvalsh(Sr)[:, 0])
-        msg = f"element seminorm Gram singular beyond constants on edge {f}"
-        raise SingularGram(msg) from None
-    return float(vals[:, -1].max())
+    def gram(a):
+        """The smaller Gram of each matrix of the stack ``a``."""
+        return a.swapaxes(1, 2) @ a if q < a.shape[1] else a @ a.swapaxes(1, 2)
+
+    top = -np.inf
+    for s in block_slices(len(bc.owner), ec.table[0].nbytes):
+        # the owners' gradient Grams
+        grads, w = ec.table[bc.owner[s], :, 1:], ec.w[bc.owner[s]]
+        Sr = Z.T @ _blocks(grads, w[..., None, None] * grads) @ Z
+        Sr = (Sr + Sr.swapaxes(1, 2)) / 2
+        try:
+            L = np.linalg.cholesky(Sr)
+        except np.linalg.LinAlgError:
+            f = s.start + np.argmin(np.linalg.eigvalsh(Sr)[:, 0])
+            msg = f"element seminorm Gram singular beyond constants on edge {f}"
+            raise SingularGram(msg) from None
+        flux = np.einsum("fqa,fqal->fql", bc.normal[s], bc.table[s, :, 1:])
+        Bt = ((np.sqrt(bc.h_E[s, None] * bc.w[s])[..., None] * flux) @ Z).swapaxes(1, 2)
+        L_inv = np.linalg.inv(L)
+        M = L_inv @ Bt
+        vals, U = np.linalg.eigh(gram(M))
+        lam, y = vals[:, -1], U[:, :, -1:]
+        if q < M.shape[1]:
+            y = M @ y
+            y /= np.maximum(np.linalg.norm(y, axis=1, keepdims=True), np.finfo(float).tiny)
+        v = L_inv.swapaxes(1, 2) @ y
+        resid = Bt @ (Bt.swapaxes(1, 2) @ v) - lam[:, None, None] * (Sr @ v)
+        norm_t = np.linalg.eigvalsh(gram(Bt))[:, -1]
+        ratio = np.abs(resid).max(axis=(1, 2)) / (EIG_RTOL * np.maximum(norm_t, 1e-300))
+        if not np.all(ratio <= 1.0):
+            f = np.flatnonzero(~(ratio <= 1.0))[0]
+            raise ConvergenceFailure(
+                f"eigenpair residual on edge {s.start + f} is {ratio[f]:.3e} times its bound "
+                f"{EIG_RTOL:g} * ||A||"
+            )
+        top = max(top, float(lam.max()))
+    return top
 
 
 def penalty_floor(disc, p):

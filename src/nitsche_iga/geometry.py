@@ -11,11 +11,13 @@ every level, and a level is fully given by its solution space over F.
 
 Every sample set of F is a tensor grid of 1-D coordinates (element Gauss
 points, breakpoints, edge points, plotting grids), so
-:meth:`GeometryMap.evaluate_grid` is the one evaluation path.  It evaluates
-each 1-D basis once per coordinate of a direction, not once per grid point,
-and contracts the homogeneous control net with two dense matrix products per
+:meth:`GeometryMap.evaluate_grid_blocks` is the one evaluation path, and
+:meth:`GeometryMap.evaluate_grid` its one-block case.  It evaluates each 1-D
+basis once per coordinate of a direction, not once per grid point, and
+contracts the homogeneous control net with two dense matrix products per
 derivative instead of gathering local weights and control points point by
-point; x and J then follow from the quotient rule on the grid.
+point; x and J then follow from the quotient rule on the grid, one block of
+direction-2 coordinates at a time.
 
 The pieces of assembly that serve the map live here once each:
 :meth:`TensorSpace.local_to_global` indexes local bases, :func:`invert_2x2`
@@ -25,9 +27,10 @@ the boundary edges (arc-length weights and outward normals).
 There is no mesh object: the elements are the spans of the solution space,
 and :class:`~nitsche_iga.assembly.EdgeCache` owns the edge topology.  During
 set-up F is evaluated only by the assembly's caches: the element cache on
-its Gauss grid (where it also checks the sign of det J) and the edge cache
-on the boundary edges, which it forms from the breakpoints and where it
-measures h_E, the only mesh size the scheme reads.
+its Gauss grid, a block of span rows at a time, and on the element corners
+(where it also checks the sign of det J), and the edge cache on the
+boundary edges, which it forms from the breakpoints and where it measures
+h_E, the only mesh size the scheme reads.
 """
 
 import importlib.resources
@@ -128,18 +131,43 @@ class GeometryMap:
         :class:`DegenerateJacobian` when any |det J| falls below
         ``jac_floor``.
         """
+        (grid,) = self.evaluate_grid_blocks(t1, t2, [slice(None)])
+        return grid
+
+    def evaluate_grid_blocks(self, t1, t2, blocks):
+        """:meth:`evaluate_grid` of ``t1`` by each slice of ``t2`` in
+        ``blocks``, yielded in turn, so that no array spans the whole grid.
+
+        The net is contracted with the direction-1 basis once; each block
+        contracts that with its rows of the direction-2 basis, the same
+        products as one call over the whole grid.  A block with |det J|
+        below ``jac_floor`` raises :class:`DegenerateJacobian` when it is
+        reached, naming its own smallest value.
+        """
         C1 = collocation(self.space.kv1, t1)
         C2 = collocation(self.space.kv2, t2)
         # the homogeneous net (w x, w y, w) on the (i1, i2) grid of the space
         n1, n2 = self.space.shape
         net = np.vstack([self.control_points.T * self.weights, self.weights])
         net = net.reshape(3, n2, n1).swapaxes(1, 2)
-        H, Ha, Hb = (C1[a] @ net @ C2[b].T for a, b in ((0, 0), (1, 0), (0, 1)))
+        left = C1[0] @ net, C1[1] @ net
+        for b in blocks:
+            yield self._quotient(left, C2[:, b])
 
-        # quotient rule: x = H/W, dx = (H' - x W')/W
+    def _quotient(self, left, C2):
+        """``(x, J, detJ)`` on the grid of the contractions ``left`` of the net
+        with the direction-1 values and derivatives by the direction-2 rows
+        ``C2``: the quotient rule x = H/W, dx = (H' - x W')/W, one column of
+        J at a time into J's own array."""
+        H = left[0] @ C2[0].T
         W = H[2]
         x = H[:2] / W
-        J = np.stack([(Ha[:2] - x * Ha[2]) / W, (Hb[:2] - x * Hb[2]) / W], axis=-1)
+        J = np.empty(x.shape + (2,))
+        for d, (a, c) in enumerate(((1, 0), (0, 1))):
+            dH, column = left[a] @ C2[c].T, J[..., d]
+            np.multiply(x, dH[2], out=column)
+            np.subtract(dH[:2], column, out=column)
+            column /= W
         x, J = np.moveaxis(x, 0, -1), np.moveaxis(J, 0, -2)
 
         detj = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]

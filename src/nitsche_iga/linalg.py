@@ -9,9 +9,10 @@ the natural index order i1 + n1 i2 of a tensor-product space is a band
 matrix of half-bandwidth k2 n1 + k1.  Its :class:`BandLayout` is read from
 the pattern once, and each LU scatters the matrix's data into LAPACK's band
 storage and factors it there (``dgbtrf``/``dgbtrs``), with no ordering
-search, permutation or gather.  Dense generalized eigenproblems appear in
-every set-up, as one stack of small per-edge pairs for the trace constant,
-and in the coercivity audit, as one pair of the size of the space.
+search, permutation or gather.  The dense generalized eigensolver serves
+the coercivity audit, one pair of the size of the space; the trace
+constant of every set-up reduces its per-edge pairs to small standard
+problems itself and checks them against the same bound, ``EIG_RTOL``.
 """
 
 import numpy as np
@@ -24,6 +25,8 @@ from .errors import ConvergenceFailure, NotSPD, SingularMatrix
 RESIDUAL_RTOL = 1e-10
 # relative residual above which a solve takes one step of iterative refinement
 REFINE_RTOL = 1e-12
+# residual bound of a generalized eigenpair, relative to ||A||_2
+EIG_RTOL = 1e-8
 
 
 class BandLayout:
@@ -34,17 +37,33 @@ class BandLayout:
     of column j of the Fortran-ordered (2 kl + ku + 1, n) array that
     ``dgbtrf`` factors in place (its first kl rows hold the fill of the row
     interchanges); ``_slot`` holds, for each CSR entry, its position in that
-    array read as a flat buffer.
+    array read as a flat buffer.  The columns of each row are sorted, so kl
+    and ku are read from each row's first and last column, and ``_slot`` is
+    filled one block of rows at a time
+    (:func:`~nitsche_iga.assembly.block_slices`), with no temporary of the
+    pattern's size.
     """
 
     def __init__(self, indptr, indices):
+        from .assembly import block_slices  # the budget's module imports this one
+
         self.indptr, self.indices = indptr, indices
         n = len(indptr) - 1
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        offset = rows - indices
-        self.kl, self.ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+        lengths = np.diff(indptr)
+        nonempty = np.flatnonzero(lengths)
+        below = nonempty - indices[indptr[nonempty]]
+        above = indices[indptr[nonempty + 1] - 1] - nonempty
+        self.kl, self.ku = int(below.max(initial=0)), int(above.max(initial=0))
         self.shape = (2 * self.kl + self.ku + 1, n)
-        self._slot = self.kl + self.ku + offset + self.shape[0] * indices.astype(np.intp)
+        # entry (i, j) at kl + ku + i - j + h j, h = shape[0], a block of
+        # rows i at a time
+        self._slot = np.empty(len(indices), dtype=np.intp)
+        for block in block_slices(n, 8 * int(lengths.max(initial=1))):
+            entries = slice(indptr[block.start], indptr[block.stop])
+            slot = self._slot[entries]
+            np.multiply(indices[entries], self.shape[0] - 1, out=slot, dtype=np.intp)
+            i = np.arange(block.start, block.stop)
+            slot += np.repeat(i + self.kl + self.ku, lengths[block])
 
     def fits(self, matrix):
         """Whether the CSR ``matrix`` lies on this layout's pattern."""
@@ -127,7 +146,7 @@ def generalized_symmetric_eig(A, B):
     values are (n,) or (m, n).  B is reduced by Cholesky, B = L L^T, to the
     standard symmetric problem of L^-1 A L^-T; a failed Cholesky of any
     member raises :class:`NotSPD`.  Every returned pair is verified against
-    the residual bound ||A v - lambda B v|| <= 1e-8 ||A||_2 (the largest
+    the residual bound ||A v - lambda B v|| <= EIG_RTOL ||A||_2 (the largest
     residual entry of a B-normalized v), with ||A||_2 the largest
     |eigenvalue| of A; a violation raises :class:`ConvergenceFailure`.
     """
@@ -144,7 +163,8 @@ def generalized_symmetric_eig(A, B):
     norm_a = np.abs(np.linalg.eigvalsh(A)).max(axis=-1, initial=0.0)
     resid = A @ V - (B @ V) * vals[..., None, :]
     worst = np.abs(resid).max(axis=(-2, -1), initial=0.0)
-    ratio = np.max(worst / (1e-8 * np.maximum(norm_a, 1e-300)))
+    ratio = np.max(worst / (EIG_RTOL * np.maximum(norm_a, 1e-300)))
     if ratio > 1.0:
-        raise ConvergenceFailure(f"eigenpair residual is {ratio:.3e} times its bound 1e-8 * ||A||")
+        msg = f"eigenpair residual is {ratio:.3e} times its bound {EIG_RTOL:g} * ||A||"
+        raise ConvergenceFailure(msg)
     return vals

@@ -17,13 +17,12 @@ from nitsche_iga import (
     builtin_case,
     coercivity_audit,
     gauss_rule,
-    generalized_symmetric_eig,
     inflow_mask,
     load_geometry,
     penalty_floor,
     trace_constant,
 )
-from nitsche_iga.errors import ConfigError, SingularGram
+from nitsche_iga.errors import ConfigError, ConvergenceFailure, SingularGram
 from nitsche_iga.linalg import BandLayout
 from nitsche_iga.geometry import invert_2x2 as _invert_2x2
 from nitsche_iga.problem import Problem, _const_matrix, _const_scalar, _const_vector
@@ -248,25 +247,36 @@ class TestBasisTable:
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, "anisotropic"])
     def test_matches_outer_products(self, monkeypatch, geometry, degree):
         # both caches against outer products of the 1-D tables and the einsum
-        # mapping: values bit for bit, gradients at roundoff
+        # mapping: values bit for bit, gradients at roundoff.  With one span
+        # row per block, the element cache makes one call per row, each
+        # filling the next slice of its table; the edge cache makes one call
         calls = []
         build = assembly._basis_table
 
-        def spy(d1, d2, inv_jac):
-            calls.append(((d1, d2, inv_jac), build(d1, d2, inv_jac)))
-            return calls[-1][1]
+        def spy(d1, d2, jac, out=None):
+            calls.append(((d1, d2, jac), out, build(d1, d2, jac, out=out)))
+            return calls[-1][2]
 
         monkeypatch.setattr(assembly, "_basis_table", spy)
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", 1)
         gm = load_geometry(geometry)
         disc = anisotropic_disc(gm) if degree == "anisotropic" else make_disc(gm, degree, 3)
-        assert len(calls) == 2
-        for cache, (args, (table, B, G)) in zip((disc.elements, disc.boundary), calls):
-            assert table is cache.table
-            assert np.shares_memory(B, table) and np.shares_memory(G, table)
+        ns1, ns2 = disc.space.num_spans
+        assert len(calls) == ns2 + 1
+        *rows, (edge_args, edge_out, (edge_table, _, _)) = calls
+        assert edge_out is None and edge_table is disc.boundary.table
+        table = disc.elements.table
+        for r, (_, out, (filled, _, _)) in enumerate(rows):
+            assert filled is out
+            assert out.ctypes.data == table[r * ns1 :].ctypes.data and len(out) == ns1
+        element_args = [np.concatenate(a) for a in zip(*(args for args, _, _ in rows))]
+        for cache, args in ((disc.elements, element_args), (disc.boundary, edge_args)):
+            assert np.shares_memory(cache.B, cache.table)
+            assert np.shares_memory(cache.G, cache.table)
             ref = reference_basis_table(*args)
-            assert table.shape == ref.shape
-            assert np.array_equal(B, ref[:, :, 0])
-            assert relative_error(G, ref[:, :, 1:].swapaxes(2, 3)) <= 1e-15
+            assert cache.table.shape == ref.shape
+            assert np.array_equal(cache.B, ref[:, :, 0])
+            assert relative_error(cache.G, ref[:, :, 1:].swapaxes(2, 3)) <= 1e-15
 
 
 class TestCachesAgainstPerPointBuild:
@@ -735,29 +745,57 @@ def reference_trace_constant(disc):
     return worst
 
 
+def lone_edges(bc):
+    """The edges whose owner element owns no other edge."""
+    return [f for f, e in enumerate(bc.owner) if np.sum(bc.owner == e) == 1]
+
+
+def edge_blocks_of(monkeypatch, disc, edges):
+    """Set ``BLOCK_BYTES`` so that the trace constant takes ``edges`` edges
+    a block: its budget item is one owner element's table."""
+    monkeypatch.setattr(assembly, "BLOCK_BYTES", edges * disc.elements.table[0].nbytes)
+
+
 class TestBatchedTraceConstant:
     @pytest.mark.parametrize(
-        "geometry,degree",
-        [("square", 1), ("square", 2), ("square", 3), ("quarter_annulus", 2), ("quarter_annulus", 3)],
+        "geometry,degree,q",
+        [
+            pytest.param("square", 1, None, id="square-1"),
+            pytest.param("square", 2, None, id="square-2"),
+            pytest.param("square", 3, None, id="square-3"),
+            pytest.param("quarter_annulus", 2, None, id="quarter_annulus-2"),
+            pytest.param("quarter_annulus", 3, None, id="quarter_annulus-3"),
+            # q = 8 points exceed nloc - 1 = 3 at k = 1: the (nloc - 1)-square Gram
+            pytest.param("square", 1, 8, id="square-1-q8"),
+            pytest.param("quarter_annulus", 1, 8, id="quarter_annulus-1-q8"),
+        ],
     )
-    def test_matches_edge_loop(self, geometry, degree):
-        disc = make_disc(load_geometry(geometry), degree, 4)
+    def test_matches_edge_loop(self, geometry, degree, q):
+        disc = make_disc(load_geometry(geometry), degree, 4, q)
         ref = reference_trace_constant(disc)
         assert trace_constant(disc) == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_one_eigensolve(self, annulus_gm, monkeypatch):
-        calls = []
-
-        def counting(A, B):
-            calls.append(np.shape(A))
-            return generalized_symmetric_eig(A, B)
-
-        monkeypatch.setattr(assembly, "generalized_symmetric_eig", counting)
+        # each edge's top pair comes from one eigensolve of the smaller Gram
+        # of L^-1 B^T, q x q with q = 4 points below nloc - 1 = 8, one stack
+        # per block of edges; the blocks cover the edges once, and the
+        # dense (nloc - 1)-square pairs are not solved
         disc = make_disc(annulus_gm, 2, 4)
+        edge_blocks_of(monkeypatch, disc, 5)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
         disc.trace_constant
         disc.trace_constant
-        nloc = (2 + 1) ** 2
-        assert calls == [(len(disc.boundary.h_E), nloc - 1, nloc - 1)]
+        nedge, q = disc.boundary.B.shape[:2]
+        assert q == 4 < (2 + 1) ** 2 - 1
+        assert nedge == 16
+        assert calls == [(n, q, q) for n in (5, 5, 5, 1)]
 
     def test_singular_gram_names_the_edge(self, annulus_gm):
         disc = make_disc(annulus_gm, 2, 4)
@@ -768,6 +806,71 @@ class TestBatchedTraceConstant:
         disc.elements.table[bc.owner[f], :, 1:] = 0.0
         with pytest.raises(SingularGram, match=f"on edge {f}$"):
             trace_constant(disc)
+
+    def test_singular_gram_in_a_later_block_names_its_edge(self, annulus_gm, monkeypatch):
+        disc = make_disc(annulus_gm, 2, 4)
+        edge_blocks_of(monkeypatch, disc, 3)
+        f = lone_edges(disc.boundary)[-1]
+        assert f >= 3
+        disc.elements.table[disc.boundary.owner[f], :, 1:] = 0.0
+        with pytest.raises(SingularGram, match=f"on edge {f}$"):
+            trace_constant(disc)
+
+    @pytest.mark.parametrize("degree,q", [(2, None), (1, 8)], ids=["q-gram", "nloc-gram"])
+    def test_corrupted_eigenvalue_fails_the_residual_check(
+        self, annulus_gm, monkeypatch, degree, q
+    ):
+        # the top eigenvalue of edge 1 of the second block of 3, raised by
+        # 1e-6 relative, leaves a residual far above EIG_RTOL ||Tr||; the
+        # message names the global edge
+        disc = make_disc(annulus_gm, degree, 4, q)
+        edge_blocks_of(monkeypatch, disc, 3)
+        eigh = np.linalg.eigh
+        seen = []
+
+        def corrupted(a):
+            vals, vecs = eigh(a)
+            seen.append(len(a))
+            if len(seen) == 2:
+                vals[1, -1] *= 1 + 1e-6
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupted)
+        with pytest.raises(ConvergenceFailure, match="eigenpair residual on edge 4 is"):
+            trace_constant(disc)
+
+    def test_corrupted_cholesky_factor_fails_the_residual_check(self, annulus_gm, monkeypatch):
+        # one edge's factor L scaled by 1.001: its pair solves L L^T, not the
+        # Gram Sr that the residual is taken with
+        disc = make_disc(annulus_gm, 2, 4)
+        edge_blocks_of(monkeypatch, disc, 3)
+        cholesky = np.linalg.cholesky
+        seen = []
+
+        def corrupted(a):
+            L = cholesky(a)
+            seen.append(len(a))
+            if len(seen) == 3:
+                L[2] *= 1.001
+            return L
+
+        monkeypatch.setattr(np.linalg, "cholesky", corrupted)
+        with pytest.raises(ConvergenceFailure, match="eigenpair residual on edge 8 is"):
+            trace_constant(disc)
+
+    def test_roundoff_passes_the_residual_check(self, annulus_gm, monkeypatch):
+        # the same eigenvalue moved by a few ulps passes: the check is not
+        # tripped by roundoff
+        disc = make_disc(annulus_gm, 2, 4)
+        eigh = np.linalg.eigh
+
+        def nudged(a):
+            vals, vecs = eigh(a)
+            vals[:, -1] *= 1 + 8 * np.finfo(float).eps
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", nudged)
+        assert trace_constant(disc) == pytest.approx(reference_trace_constant(disc), rel=1e-12)
 
 
 class TestStabilityAudits:

@@ -1,11 +1,12 @@
 """The element kernels under the one block budget, ``assembly.BLOCK_BYTES``.
 
-Every kernel runs over blocks of elements, edges or points and must give
-the same bits for any block size: one item per block, and blocks that leave
-a shorter last one, against the default budget.  On the largest mesh the
-benchmark solves (``steady_reaction`` on the annulus, k = 3, 32 spans), what
-a kernel allocates beyond what it returns is bounded by tracemalloc: the one
-array it fills block by block, plus a few budgets of temporaries.
+Every kernel runs over blocks of elements, edges, span rows, pattern rows
+or points and must give the same bits for any block size: one item per
+block, and blocks that leave a shorter last one, of elements or of span
+rows, against the default budget.  On the largest mesh the benchmark solves
+(``steady_reaction`` on the annulus, k = 3, 32 spans), what a kernel
+allocates beyond what it returns or keeps is bounded by tracemalloc: a few
+budgets of temporaries, plus what a closure it calls allocates.
 """
 
 import tracemalloc
@@ -15,6 +16,7 @@ import pytest
 
 from nitsche_iga import analysis, assembly, builtin_case
 from nitsche_iga.analysis import TIME_QUAD_POINTS
+from nitsche_iga.linalg import BandLayout
 from nitsche_iga.timestepping import SolutionTrajectory, TimeGrid
 
 from conftest import make_disc
@@ -38,6 +40,7 @@ def kernel_outputs(gm, degree, case):
     out["boundary.normal"] = disc.boundary.normal
     for key in ("_indptr", "_indices", "_slots", "_gidx"):
         out["pattern." + key] = getattr(disc, key)
+    out["band._slot"] = disc.band._slot
     out["mass"] = disc.mass.data
     out["vh_gram"] = disc.vh_gram.data
     out["trace_constant"] = np.array(disc.trace_constant)
@@ -66,7 +69,7 @@ def block_sizes(monkeypatch):
 
 @pytest.mark.parametrize("geometry", sorted(CASES))
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-@pytest.mark.parametrize("budget", ["one item", "ragged"])
+@pytest.mark.parametrize("budget", ["one item", "ragged", "ragged rows"])
 def test_outputs_bit_equal_for_any_block_size(
     request, monkeypatch, block_sizes, geometry, degree, budget
 ):
@@ -75,15 +78,23 @@ def test_outputs_bit_equal_for_any_block_size(
     want = kernel_outputs(gm, degree, case)
     block_sizes.clear()
 
-    # two element tables and a byte: 25 elements in blocks of 2 and a last of 1
+    # two element tables and a byte: 25 elements in blocks of 2 and a last
+    # of 1; the J (four doubles a point) of two span rows of 5 elements and a
+    # byte: 5 span rows in blocks of 2 and a last of 1
     nq, nloc = (degree + 2) ** 2, (degree + 1) ** 2
-    budget_bytes = 1 if budget == "one item" else 2 * nq * 3 * nloc * 8 + 1
+    budget_bytes = {
+        "one item": 1,
+        "ragged": 2 * nq * 3 * nloc * 8 + 1,
+        "ragged rows": 2 * 5 * nq * 4 * 8 + 1,
+    }[budget]
     monkeypatch.setattr(assembly, "BLOCK_BYTES", budget_bytes)
     got = kernel_outputs(gm, degree, case)
     if budget == "one item":
         assert all(set(sizes) == {1} for sizes in block_sizes)
-    else:
+    elif budget == "ragged":
         assert [2] * 12 + [1] in block_sizes
+    else:
+        assert [2, 2, 1] in block_sizes
     assert got.keys() == want.keys()
     for key, value in want.items():
         assert got[key].dtype == value.dtype and got[key].shape == value.shape, key
@@ -126,53 +137,78 @@ def traced(fn, *args):
 
 @pytest.fixture(scope="module")
 def annulus_k3(annulus_gm):
-    """The ``reaction_annulus_k3`` discretization and the arguments of its
-    element table, caught on the way in."""
+    """The ``reaction_annulus_k3`` discretization and the arguments of the
+    calls that fill its element table, one block of span rows each, caught
+    on the way in."""
     calls = []
     real = assembly._basis_table
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(d1, d2, jac, out=None):
+        if out is not None:
+            calls.append((d1, d2, jac, out))
+        return real(d1, d2, jac, out=out)
 
     assembly._basis_table = spy
     try:
         disc = make_disc(annulus_gm, 3, 32)
     finally:
         assembly._basis_table = real
-    return disc, calls[0]
+    return disc, calls
 
 
 def test_element_table_allocates_only_block_temporaries(annulus_k3):
-    disc, args = annulus_k3
-    (table, _, _), excess = traced(assembly._basis_table, *args)
+    # each block of span rows fills its slice of a table made beforehand
+    disc, calls = annulus_k3
+    table = np.empty_like(disc.elements.table)
+    start = 0
+    for d1, d2, jac, out in calls:
+        rows = table[start : start + len(out)]
+        (filled, _, _), excess = traced(assembly._basis_table, d1, d2, jac, rows)
+        assert filled is rows
+        assert excess <= FEW_BUDGETS
+        start += len(out)
     assert table.tobytes() == disc.elements.table.tobytes()
+
+
+def test_element_cache_allocates_only_block_temporaries(annulus_gm, annulus_k3):
+    # beyond the arrays it keeps: the grid is evaluated and reordered one
+    # block of span rows at a time, with no array over all Gauss points
+    disc, _ = annulus_k3
+    cache, excess = traced(assembly.ElementCache, disc.space, annulus_gm, disc.quadrature_order)
+    assert cache.table.tobytes() == disc.elements.table.tobytes()
     assert excess <= FEW_BUDGETS
 
 
 def test_matrices_allocate_their_blocks_and_block_temporaries(annulus_k3):
     # the parent's stiffness peaked at 12.2 MB and the Gram at 12.3 MB beyond
-    # their 0.5 MB results, on element and edge blocks of 2.4 MB
+    # their 0.5 MB results, on element and edge blocks of 2.4 MB; each block
+    # is now added into the matrix data as it is made
     disc, _ = annulus_k3
     p = builtin_case("steady_reaction").problem
     coefficients = assembly._operator_coefficients(disc, p, 0.5)
-    blocks = disc._slots.size * 8
-    ne, nloc = disc.elements.gidx.shape
-    for fn, args, filled in (
-        (assembly._stiffness_from, (disc, coefficients, 10.0), blocks),
-        (assembly.assemble_vh_gram, (disc,), blocks),
-        (assembly.assemble_mass, (disc,), ne * nloc * nloc * 8),
+    for fn, args in (
+        (assembly._stiffness_from, (disc, coefficients, 10.0)),
+        (assembly.assemble_vh_gram, (disc,)),
+        (assembly.assemble_mass, (disc,)),
     ):
         _, excess = traced(fn, *args)
-        assert excess <= filled + FEW_BUDGETS, fn.__name__
+        assert excess <= FEW_BUDGETS, fn.__name__
 
 
-def test_owner_grams_allocate_only_block_temporaries(annulus_k3):
+def test_trace_constant_allocates_only_block_temporaries(annulus_k3):
+    # the parent's trace constant made (128, 15, 15) stacks of Grams and
+    # eigenpairs over all edges; it now forms the owners' Grams and the
+    # eigenpairs one block of edges at a time
     disc, _ = annulus_k3
-    ec, bc = disc.elements, disc.boundary
-    nloc = ec.gidx.shape[1]
-    out = np.empty((len(bc.owner), nloc, nloc))
-    _, excess = traced(assembly._weighted_grams, ec.table[:, :, 1:], ec.w, out, bc.owner)
+    _, excess = traced(assembly.trace_constant, disc)
+    assert excess <= FEW_BUDGETS
+
+
+def test_band_layout_allocates_only_block_temporaries(annulus_k3):
+    # beyond the slots it keeps; the parent made two more arrays of them
+    disc, _ = annulus_k3
+    layout, excess = traced(BandLayout, disc._indptr, disc._indices)
+    assert np.array_equal(layout._slot, disc.band._slot)
     assert excess <= FEW_BUDGETS
 
 

@@ -13,7 +13,7 @@ from nitsche_iga import (
     uniform_space,
     validate_knots,
 )
-from nitsche_iga import quadrature
+from nitsche_iga import assembly, quadrature
 from nitsche_iga.errors import DegenerateJacobian, UnknownCase
 from nitsche_iga.assembly import EDGE_LENGTH_POINTS, EdgeCache, ElementCache
 from nitsche_iga.geometry import SIDES, build_mesh, edge_geometry
@@ -366,25 +366,58 @@ class TestBatchedMesh:
 
     @pytest.mark.parametrize("q", [None, 8], ids=["default", "q8"])
     def test_one_evaluation_inside_the_elements(self, annulus_gm, monkeypatch, q):
-        # the element cache evaluates its Gauss grid and the corners, at
-        # every order; the edge cache the four sides at order q and, unless q
-        # is the 5 points of h_E, once more at 5 points
+        # the element cache evaluates its Gauss grid in blocks of whole span
+        # rows that cover each point once (here 3 rows and 1, the budget
+        # holding the J of 3 rows), then the corners, at every order; the
+        # edge cache the four sides at order q and, unless q is the 5 points
+        # of h_E, once more at 5 points
         grids = []
-        evaluate_grid = GeometryMap.evaluate_grid
+        evaluate_grid_blocks = GeometryMap.evaluate_grid_blocks
 
-        def counted(gm, t1, t2):
-            grids.append((len(t1), len(t2)))
-            return evaluate_grid(gm, t1, t2)
+        def counted(gm, t1, t2, blocks):
+            grids.append((len(t1), len(t2), [b.indices(len(t2))[:2] for b in blocks]))
+            return evaluate_grid_blocks(gm, t1, t2, blocks)
 
-        monkeypatch.setattr(GeometryMap, "evaluate_grid", counted)
+        monkeypatch.setattr(GeometryMap, "evaluate_grid_blocks", counted)
+        points = q or 5
+        row_j_bytes = 4 * points**2 * 4 * 8
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", 3 * row_j_bytes + 1)
         Discretization(uniform_space(3, 4), annulus_gm, q)
-        n = 4 * (q or 5)
-        element_grids = [(n, n), (5, 5)]
+        n = 4 * points
+        element_grids = [(n, n, [(0, 3 * points), (3 * points, n)]), (5, 5, [(0, 5)])]
         assert grids[: len(element_grids)] == element_grids
         sides = [(1, n), (1, n), (n, 1), (n, 1)]
         if q is not None:
             sides += [(1, 20), (1, 20), (20, 1), (20, 1)]
-        assert sorted(grids[len(element_grids):]) == sorted(sides)
+        others = grids[len(element_grids):]
+        assert sorted((m1, m2) for m1, m2, _ in others) == sorted(sides)
+        assert all(blocks == [(0, m2)] for _, m2, blocks in others)
+
+    @pytest.mark.parametrize("q", [1, None, 8], ids=["q1", "default", "q8"])
+    def test_sign_change_in_the_last_row_block_raises(self, monkeypatch, q):
+        # x = u and a cubic y(v) with y'(v) = (v - 0.85)(v - 0.95): det J = y'
+        # is negative only on (0.85, 0.95), inside the last of 4 span rows,
+        # and positive at every corner and at the Gauss points of the other
+        # rows; with one row per block, only the last block sees it
+        space = TensorSpace(uniform_open_knots(1, 1), uniform_open_knots(3, 1))
+        y0, dy0, y1, dy1 = 0.0, 0.85 * 0.95, 1 / 3 - 0.9 + 0.8075, 0.15 * 0.05
+        y = [y0, y0 + dy0 / 3, y1 - dy1 / 3, y1]
+        P = np.array([[u, yv] for yv in y for u in (0.0, 1.0)])
+        gm = GeometryMap(space, P, np.ones(8))
+        solution_space = uniform_space(1, 4)
+        gauss = quadrature.gauss_rule(q or 3).points
+        rows = [(r + gauss) / 4 for r in range(4)]
+        for v in rows[:3]:
+            assert np.all(gm.evaluate_grid(gauss, v)[2] > 0)
+        assert np.any(gm.evaluate_grid(gauss, rows[3])[2] < 0)
+        breakpoints = solution_space.kv1.mesh.breakpoints
+        assert np.all(gm.evaluate_grid(breakpoints, breakpoints)[2] > 0)
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", 1)
+        with pytest.raises(DegenerateJacobian, match="^det J changes sign across the mesh$"):
+            if q == 1:
+                ElementCache(solution_space, gm, q)
+            else:
+                Discretization(solution_space, gm, q)
 
 
 class TestNormals:

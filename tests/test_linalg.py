@@ -10,6 +10,7 @@ from nitsche_iga import (
     AssembledForms,
     Discretization,
     TensorSpace,
+    assembly,
     builtin_case,
     generalized_symmetric_eig,
     load_geometry,
@@ -273,6 +274,43 @@ class TestBandLU:
         band, M, A = step_matrix(geometry, degree, 32)
         assert band.kl == band.ku == degree * (32 + degree) + degree
         assert_solves_match_dense(band, (M, A), rng)
+
+
+def entrywise_layout(indptr, indices):
+    """``(kl, ku, slots)`` of a CSR pattern from the row of every entry."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    offset = rows - indices
+    kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+    return kl, ku, kl + ku + offset + (2 * kl + ku + 1) * indices.astype(np.intp)
+
+
+class TestBandLayout:
+    @pytest.mark.parametrize("budget", [None, 1, 600])
+    def test_equals_the_entrywise_formula(self, monkeypatch, rng, budget):
+        # kl and ku from each row's first and last column, and the slots made
+        # a block of rows at a time, equal the formula over every entry as
+        # integers: on the discretizations' patterns and on random sorted
+        # patterns with empty rows, for the default budget, one row a block
+        # and a few rows a block
+        if budget is not None:
+            monkeypatch.setattr(assembly, "BLOCK_BYTES", budget)
+        discs = [make_disc(load_geometry(g), k, 5) for g in ("square", "quarter_annulus") for k in (1, 3)]
+        patterns = [(disc._indptr, disc._indices) for disc in discs]
+        for density in (0.05, 0.3):
+            A = sp.random(30, 30, density=density, format="lil", random_state=rng)
+            A[[0, 7, 29]] = 0.0  # empty rows, the first and the last among them
+            A = A.tocsr()
+            A.eliminate_zeros()
+            A.sort_indices()
+            assert np.all(np.diff(A.indptr)[[0, 7, 29]] == 0)
+            patterns.append((A.indptr, A.indices))
+        for indptr, indices in patterns:
+            layout = BandLayout(indptr, indices)
+            kl, ku, slots = entrywise_layout(indptr, indices)
+            assert (layout.kl, layout.ku) == (kl, ku)
+            assert layout.shape == (2 * kl + ku + 1, len(indptr) - 1)
+            assert layout._slot.dtype == np.intp
+            assert np.array_equal(layout._slot, slots)
 
 
 class TestCsrArithmetic:
