@@ -27,8 +27,8 @@ def main():
     print(f"degree {kv.degree}, {kv.dimension} basis functions, "
           f"{kv.num_spans} spans, mesh ratio theta = {kv.theta:g}")
     # C^(k - m) across an interior breakpoint of multiplicity m
-    continuity = kv.degree - kv.mesh.multiplicities[1:-1]
-    for z, c in zip(kv.mesh.breakpoints[1:-1], continuity):
+    continuity = kv.degree - kv.multiplicities[1:-1]
+    for z, c in zip(kv.breakpoints[1:-1], continuity):
         print(f"  continuity at breakpoint {z:g}: C^{c}")
 
     print("\n== Partition of unity / derivative sums ==")
@@ -45,7 +45,7 @@ def main():
 
     print("\n== Refinement by span bisection ==")
     coarse, fine = uniform_open_knots(2, 4), uniform_open_knots(2, 8)
-    print(f"{coarse} -> {fine}; widths {fine.mesh.widths[0]:g}")
+    print(f"{coarse} -> {fine}; widths {fine.widths[0]:g}")
 
     OUT.mkdir(exist_ok=True)
     xs = np.linspace(0.0, 1.0, 401)

@@ -57,8 +57,8 @@ def main():
     # breakpoints of each direction are two tensor grids
     kv1, kv2 = space_a.kv1, space_a.kv2
     ts = np.linspace(0, 1, 33)
-    first, _, _ = ga.evaluate_grid(kv1.mesh.breakpoints, ts)
-    second, _, _ = ga.evaluate_grid(ts, kv2.mesh.breakpoints)
+    first, _, _ = ga.evaluate_grid(kv1.breakpoints, ts)
+    second, _, _ = ga.evaluate_grid(ts, kv2.breakpoints)
     lines = [*first, *second.swapaxes(0, 1)]
     OUT.mkdir(exist_ok=True)
     path = OUT / "annulus_mesh.dat"

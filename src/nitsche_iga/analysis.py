@@ -234,8 +234,11 @@ def fit_slope(hs, errors):
 
 def steps_for(tau_target, T):
     """Step count whose uniform tau best honors a target step size; a target
-    for which T / tau is not finite (0 or subnormal) is a :class:`ConfigError`."""
-    ratio = T / tau_target if tau_target else np.inf
+    that is not positive, or for which T / tau is not finite (subnormal), is
+    a :class:`ConfigError`."""
+    if not tau_target > 0:
+        raise ConfigError(f"target time step must be positive, got {tau_target!r}")
+    ratio = T / tau_target
     if not np.isfinite(ratio):
         raise ConfigError(f"target time step {tau_target!r} gives no finite step count")
     return max(1, int(np.ceil(ratio - 1e-12)))

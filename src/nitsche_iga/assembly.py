@@ -23,7 +23,9 @@ The stiffness form contains five families of terms: the volume form
 (symmetrization), the one-sided inflow term restricted to quadrature
 points where b . n < 0, and the eps/h_E boundary penalty.  The load is (f, N)
 plus its Dirichlet trial terms applied to g; :meth:`AssembledForms.at`
-returns both from one sampling of the coefficients.
+returns both from one sampling of the coefficients.  The penalty floor's
+:func:`trace_constant` takes each edge's largest eigenvalue from one q x q
+Gram at every quadrature order.
 
 Every element kernel (the element cache's grid evaluation by span rows,
 the basis tables, the stiffness, the mass and the V_h Gram, the trace
@@ -213,7 +215,7 @@ class ElementCache:
         rule = gauss_rule(q)
         per_direction = []
         for kv in (space.kv1, space.kv2):
-            bps = kv.mesh.breakpoints
+            bps = kv.breakpoints
             pts, wts = rule.mapped(bps[:-1, None], bps[1:, None])
             first, ders = eval_basis_many(kv, pts.ravel())
             per_direction.append((pts, wts, first[::q], ders.reshape(kv.num_spans, q, 2, -1)))
@@ -245,7 +247,7 @@ class ElementCache:
             del x, w, detj  # before the table's temporaries are made
             _basis_table(d1[s1[e], :, None], d2[s2[e], None], J, out=table[e])
             del J  # before the next block is evaluated
-        detj = gm.evaluate_grid(space.kv1.mesh.breakpoints, space.kv2.mesh.breakpoints)[2]
+        detj = gm.evaluate_grid(space.kv1.breakpoints, space.kv2.breakpoints)[2]
         if not (positive and np.all(detj > 0) or negative and np.all(detj < 0)):
             raise DegenerateJacobian("det J changes sign across the mesh")
         self.table, self.B, self.G = table, table[:, :, 0], table[:, :, 1:].swapaxes(2, 3)
@@ -277,7 +279,9 @@ class EdgeCache:
 
     ``w`` carries the arc-length measure; ``table`` and its views ``B``/``G``
     hold the owner element's local basis values and physical gradients at the
-    edge points, in the owner's local order, so ``gidx`` is the owner's.
+    edge points, in the owner's local order, so ``gidx`` is the owner's; each
+    1-D basis is evaluated once at the edge points' coordinates in its
+    direction, fixed ones included.
     ``h_E`` is each edge's arc length, summed from the arc-length weights of
     the fixed ``EDGE_LENGTH_POINTS``-point rule at every ``q``: from ``w``
     itself when ``q`` is that order.
@@ -287,7 +291,7 @@ class EdgeCache:
         ns1, ns2 = space.num_spans
         parts = []
         for side in SIDES:
-            bps = (space.kv2 if side in ("x0", "x1") else space.kv1).mesh.breakpoints
+            bps = (space.kv2 if side in ("x0", "x1") else space.kv1).breakpoints
             n = np.arange(len(bps) - 1)
             # the element (s1, s2) that holds each span, owner s1 + ns1 * s2
             s1, s2 = {"x0": (0, n), "x1": (ns1 - 1, n), "y0": (n, 0), "y1": (n, ns2 - 1)}[side]
@@ -301,17 +305,14 @@ class EdgeCache:
         else:
             self.h_E = np.sum(edge_geometry(*edges, gauss_rule(EDGE_LENGTH_POINTS))[3], axis=1)
 
-        # the owner's basis at the edge points, each distinct coordinate
-        # evaluated once: on half of the edges a direction is fixed at 0 or 1
-        def owner_basis(kv, coords):
-            distinct, inverse = np.unique(coords, return_inverse=True)
-            first, ders = eval_basis_many(kv, distinct)
-            return first[inverse].reshape(-1, q), ders[inverse].reshape(-1, q, *ders.shape[1:])
-
-        f1, d1 = owner_basis(space.kv1, x_hat[..., 0].ravel())
-        f2, d2 = owner_basis(space.kv2, x_hat[..., 1].ravel())
-        self.table, self.B, self.G = _basis_table(d1, d2, J)
-        self.gidx = space.local_to_global(f1[:, 0], f2[:, 0])
+        # the owner's basis at the edge points, one evaluation per direction
+        f1, d1 = eval_basis_many(space.kv1, x_hat[..., 0].ravel())
+        f2, d2 = eval_basis_many(space.kv2, x_hat[..., 1].ravel())
+        nf = len(self.owner)
+        self.table, self.B, self.G = _basis_table(
+            d1.reshape(nf, q, 2, -1), d2.reshape(nf, q, 2, -1), J
+        )
+        self.gidx = space.local_to_global(f1[::q], f2[::q])
 
     def field_values(self, coef):
         return np.einsum("fql,fl->fq", self.B, coef[self.gidx])
@@ -611,24 +612,20 @@ def trace_constant(disc):
     unity).  Tr sums one outer product per edge point, Tr = B^T B with B
     (q, nloc - 1) the weighted flux rows, so its rank is at most q.  With
     Sr = L L^T the pair's eigenvalues are those of M M^T, M = L^-1 B^T, and
-    the nonzero ones those of M^T M: the largest is taken from the smaller
-    of the two Grams.  Edges run in blocks (:func:`block_slices`), and each
-    edge's top pair (lambda, v = L^-T y, y the unit eigenvector of M M^T) is
-    checked against the residual bound of
+    the nonzero ones those of the q x q Gram M^T M, whose top pair (lambda,
+    u) gives the pair's top vector v = L^-T M u / |M u|.  Edges run in
+    blocks (:func:`block_slices`), and each edge's top pair is checked
+    against the residual bound of
     :func:`~nitsche_iga.linalg.generalized_symmetric_eig`,
     ||Tr v - lambda Sr v|| <= EIG_RTOL ||Tr||_2 entrywise
     (:class:`ConvergenceFailure` otherwise).  Returns the max over edges.
     """
     ec, bc = disc.elements, disc.boundary
-    nloc, q = ec.B.shape[2], bc.B.shape[1]
+    nloc = ec.B.shape[2]
     # an orthonormal basis of the complement of the constants
     ones = np.ones(nloc) / np.sqrt(nloc)
     Z, r = np.linalg.qr(np.eye(nloc) - np.outer(ones, ones))
     Z = Z[:, np.abs(np.diag(r)) > 1e-12]
-
-    def gram(a):
-        """The smaller Gram of each matrix of the stack ``a``."""
-        return a.swapaxes(1, 2) @ a if q < a.shape[1] else a @ a.swapaxes(1, 2)
 
     top = -np.inf
     for s in block_slices(len(bc.owner), ec.table[0].nbytes):
@@ -646,14 +643,12 @@ def trace_constant(disc):
         Bt = ((np.sqrt(bc.h_E[s, None] * bc.w[s])[..., None] * flux) @ Z).swapaxes(1, 2)
         L_inv = np.linalg.inv(L)
         M = L_inv @ Bt
-        vals, U = np.linalg.eigh(gram(M))
-        lam, y = vals[:, -1], U[:, :, -1:]
-        if q < M.shape[1]:
-            y = M @ y
-            y /= np.maximum(np.linalg.norm(y, axis=1, keepdims=True), np.finfo(float).tiny)
+        vals, U = np.linalg.eigh(M.swapaxes(1, 2) @ M)
+        lam, y = vals[:, -1], M @ U[:, :, -1:]
+        y /= np.maximum(np.linalg.norm(y, axis=1, keepdims=True), np.finfo(float).tiny)
         v = L_inv.swapaxes(1, 2) @ y
         resid = Bt @ (Bt.swapaxes(1, 2) @ v) - lam[:, None, None] * (Sr @ v)
-        norm_t = np.linalg.eigvalsh(gram(Bt))[:, -1]
+        norm_t = np.linalg.eigvalsh(Bt.swapaxes(1, 2) @ Bt)[:, -1]
         ratio = np.abs(resid).max(axis=(1, 2)) / (EIG_RTOL * np.maximum(norm_t, 1e-300))
         if not np.all(ratio <= 1.0):
             f = np.flatnonzero(~(ratio <= 1.0))[0]

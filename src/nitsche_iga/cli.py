@@ -28,7 +28,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,19 +45,6 @@ from .timestepping import TimeGrid, march, project_initial
 
 CALIBRATE_FACTORS = (0.5, 1.0, 1.25, 2.0)
 CALIBRATE_DOF_LIMIT = 400
-
-_KNOWN_KEYS = {
-    "case",
-    "geometry",
-    "degree",
-    "levels",
-    "epsilon",
-    "epsilon_factor",
-    "tau_rule",
-    "num_steps",
-    "snapshot_times",
-    "out",
-}
 
 # keys of older run files that no longer do anything, with the reason
 _IGNORED_KEYS = {
@@ -89,6 +76,10 @@ class RunConfig:
             return self.num_steps
         coef, power = self.tau_rule
         return analysis.steps_for(coef * (1.0 / spans) ** power, T)
+
+
+# the run-file keys: the fields of a RunConfig
+_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def parse_config_file(path):
@@ -208,15 +199,6 @@ def build_run_config(raw, overrides=None):
     return cfg
 
 
-def _setup_level(cfg, case, gm, spans):
-    space = uniform_space(cfg.degree, spans)
-    disc = Discretization(space, gm)
-    forms = AssembledForms(
-        disc, case.problem, epsilon=cfg.epsilon, epsilon_factor=cfg.epsilon_factor
-    )
-    return disc, forms
-
-
 def _write_manifest(cfg, path, extra):
     lines = [
         f"case = {cfg.case}",
@@ -246,7 +228,10 @@ def cmd_solve(cfg):
             )
     gm = load_geometry(cfg.geometry)
     spans = cfg.levels[0]
-    disc, forms = _setup_level(cfg, case, gm, spans)
+    disc = Discretization(uniform_space(cfg.degree, spans), gm)
+    forms = AssembledForms(
+        disc, case.problem, epsilon=cfg.epsilon, epsilon_factor=cfg.epsilon_factor
+    )
 
     n_steps = cfg.steps_for_level(spans, T)
     grid = TimeGrid(n_steps, T)

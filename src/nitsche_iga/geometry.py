@@ -68,7 +68,7 @@ class TensorSpace:
     @property
     def max_span_width(self):
         """Largest parametric span width over both directions (the study h)."""
-        return max(self.kv1.mesh.widths.max(), self.kv2.mesh.widths.max())
+        return max(self.kv1.widths.max(), self.kv2.widths.max())
 
     def local_to_global(self, first1, first2):
         """Global indices (..., nloc) of the local basis on spans whose first

@@ -9,8 +9,8 @@ the natural index order i1 + n1 i2 of a tensor-product space is a band
 matrix of half-bandwidth k2 n1 + k1.  Its :class:`BandLayout` is read from
 the pattern once, and each LU scatters the matrix's data into LAPACK's band
 storage and factors it there (``dgbtrf``/``dgbtrs``), with no ordering
-search, permutation or gather.  The dense generalized eigensolver serves
-the coercivity audit, one pair of the size of the space; the trace
+search, permutation or gather.  The dense generalized eigensolver solves
+one pair, the coercivity audit's, of the size of the space; the trace
 constant of every set-up reduces its per-edge pairs to small standard
 problems itself and checks them against the same bound, ``EIG_RTOL``.
 """
@@ -140,15 +140,15 @@ class SparseFactor:
 
 
 def generalized_symmetric_eig(A, B):
-    """Eigenvalues (ascending) of A v = lambda B v for symmetric A, SPD B.
+    """Eigenvalues (ascending) of A v = lambda B v for one pair of (n, n)
+    matrices, A symmetric and B SPD.
 
-    ``A`` and ``B`` are one pair (n, n) or a stack of pairs (m, n, n); the
-    values are (n,) or (m, n).  B is reduced by Cholesky, B = L L^T, to the
-    standard symmetric problem of L^-1 A L^-T; a failed Cholesky of any
-    member raises :class:`NotSPD`.  Every returned pair is verified against
-    the residual bound ||A v - lambda B v|| <= EIG_RTOL ||A||_2 (the largest
-    residual entry of a B-normalized v), with ||A||_2 the largest
-    |eigenvalue| of A; a violation raises :class:`ConvergenceFailure`.
+    B is reduced by Cholesky, B = L L^T, to the standard symmetric problem of
+    L^-1 A L^-T; a failed Cholesky raises :class:`NotSPD`.  Every returned
+    pair is verified against the residual bound
+    ||A v - lambda B v|| <= EIG_RTOL ||A||_2 (the largest residual entry of a
+    B-normalized v), with ||A||_2 the largest |eigenvalue| of A; a violation
+    raises :class:`ConvergenceFailure`.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -157,13 +157,12 @@ def generalized_symmetric_eig(A, B):
     except np.linalg.LinAlgError:
         raise NotSPD("right-hand matrix is not symmetric positive definite") from None
     L_inv = np.linalg.inv(L)
-    vals, W = np.linalg.eigh(L_inv @ A @ L_inv.swapaxes(-1, -2))
-    V = L_inv.swapaxes(-1, -2) @ W
+    vals, W = np.linalg.eigh(L_inv @ A @ L_inv.T)
+    V = L_inv.T @ W
 
-    norm_a = np.abs(np.linalg.eigvalsh(A)).max(axis=-1, initial=0.0)
-    resid = A @ V - (B @ V) * vals[..., None, :]
-    worst = np.abs(resid).max(axis=(-2, -1), initial=0.0)
-    ratio = np.max(worst / (EIG_RTOL * np.maximum(norm_a, 1e-300)))
+    norm_a = np.abs(np.linalg.eigvalsh(A)).max(initial=0.0)
+    worst = np.abs(A @ V - (B @ V) * vals).max(initial=0.0)
+    ratio = worst / (EIG_RTOL * max(norm_a, 1e-300))
     if ratio > 1.0:
         msg = f"eigenpair residual is {ratio:.3e} times its bound {EIG_RTOL:g} * ||A||"
         raise ConvergenceFailure(msg)

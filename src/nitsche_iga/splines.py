@@ -1,11 +1,14 @@
 """Univariate B-spline machinery on [0,1].
 
 Knot vectors are validated open sequences (end knots repeated degree+1
-times).  Basis values and first derivatives come from the triangular
-recursion (NURBS Book Alg. A2.3), which by construction only forms the
-degree+1 functions that can be nonzero on the selected span, so every
-denominator is a strictly positive knot difference; the 0/0 convention of
-the textbook recursion never has to be resolved by floating point.
+times).  A :class:`KnotVector` holds its own 1-D mesh: the distinct knots
+(breakpoints), their multiplicities and the span widths, read off the
+sorted knots in one vectorized pass.  Basis values and first derivatives
+come from the triangular recursion (NURBS Book Alg. A2.3), which by
+construction only forms the degree+1 functions that can be nonzero on the
+selected span, so every denominator is a strictly positive knot
+difference; the 0/0 convention of the textbook recursion never has to be
+resolved by floating point.
 
 :func:`eval_basis_many` is the one evaluation path: it finds the span of
 every point with one ``searchsorted`` and runs the recursion once over the
@@ -17,7 +20,6 @@ x = 1 which belongs to the last span (values there are the left limits).
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,37 +37,28 @@ MAX_DEGREE = 4
 THETA_WARN = 10.0
 
 
-@dataclass(frozen=True)
-class BreakpointMesh1D:
-    """Distinct knots of a knot vector with their multiplicities.
-
-    ``breakpoints[n-1] .. breakpoints[n]`` is span ``n`` (1-based, matching
-    the usual numbering of the ``N`` nonzero spans).
-    """
-
-    breakpoints: np.ndarray
-    multiplicities: np.ndarray
-    widths: np.ndarray
-
-    @property
-    def num_spans(self):
-        return len(self.widths)
-
-
 class KnotVector:
     """A validated open knot vector of a given degree.
 
-    Use :func:`validate_knots` (or :func:`parse_knot_vector` for the text
-    form ``"k; x1 x2 ... xr"``) instead of calling the constructor with
-    unchecked data.
+    Holds its distinct knots ``breakpoints`` with their ``multiplicities``
+    and the span ``widths``: ``breakpoints[n-1] .. breakpoints[n]`` is span
+    ``n`` (1-based, matching the usual numbering of the ``N`` nonzero
+    spans).  Use :func:`validate_knots` (or :func:`parse_knot_vector` for the
+    text form ``"k; x1 x2 ... xr"``) instead of calling the constructor with
+    unchecked data: the breakpoints are read off a nondecreasing sequence.
     """
 
     def __init__(self, knots, degree):
         self.knots = np.asarray(knots, dtype=float)
         self.degree = int(degree)
-        bps, mults = _breakpoints_of(self.knots)
-        self.mesh = BreakpointMesh1D(bps, mults, np.diff(bps))
-        self.theta = _mesh_ratio(self.mesh.widths)
+        # the first knot of each run of equal knots, and the run's length
+        new = np.flatnonzero(np.diff(self.knots, prepend=np.nan) != 0)
+        self.breakpoints = self.knots[new]
+        self.multiplicities = np.diff(new, append=len(self.knots))
+        self.widths = np.diff(self.breakpoints)
+        # the mesh ratio: the largest ratio of adjacent widths, either way
+        r = self.widths[:-1] / self.widths[1:]
+        self.theta = float(max(r.max(initial=1.0), (1.0 / r).max(initial=1.0)))
 
     @property
     def dimension(self):
@@ -74,7 +67,7 @@ class KnotVector:
 
     @property
     def num_spans(self):
-        return self.mesh.num_spans
+        return len(self.widths)
 
     def span_of(self, x):
         """Knot index mu with knots[mu] <= x < knots[mu+1] (left limit at 1).
@@ -91,25 +84,6 @@ class KnotVector:
 
     def __repr__(self):
         return f"KnotVector(degree={self.degree}, spans={self.num_spans})"
-
-
-def _breakpoints_of(knots):
-    bps = [knots[0]]
-    mults = [1]
-    for x in knots[1:]:
-        if x == bps[-1]:
-            mults[-1] += 1
-        else:
-            bps.append(x)
-            mults.append(1)
-    return np.array(bps), np.array(mults, dtype=int)
-
-
-def _mesh_ratio(widths):
-    if len(widths) < 2:
-        return 1.0
-    r = widths[:-1] / widths[1:]
-    return float(max(r.max(), (1.0 / r).max()))
 
 
 def validate_knots(knots, degree):
@@ -131,7 +105,8 @@ def validate_knots(knots, degree):
         raise NotNondecreasing("knots must be nondecreasing (and not NaN)")
     if knots[0] != 0.0 or knots[-1] != 1.0:
         raise NotOpen("knots must start at 0 and end at 1")
-    bps, mults = _breakpoints_of(knots)
+    kv = KnotVector(knots, degree)
+    mults = kv.multiplicities
     if mults[0] != degree + 1 or mults[-1] != degree + 1:
         raise NotOpen(
             f"end knots must repeat exactly {degree + 1} times "
@@ -141,7 +116,6 @@ def validate_knots(knots, degree):
         raise ExcessMultiplicity(
             f"interior multiplicity exceeds {degree + 1}"
         )
-    kv = KnotVector(knots, degree)
     if kv.theta > THETA_WARN:
         warnings.warn(
             f"knot vector is strongly graded (theta = {kv.theta:.3g})",
@@ -159,7 +133,10 @@ def parse_knot_vector(text):
 
 
 def uniform_open_knots(degree, num_spans):
-    """Open knot vector with ``num_spans`` equal spans and simple interior knots."""
+    """Open knot vector with ``num_spans`` equal spans and simple interior
+    knots; ``ValueError`` unless ``num_spans`` is at least 1."""
+    if not num_spans >= 1:
+        raise ValueError(f"a knot vector needs at least one span, got {num_spans}")
     interior = np.linspace(0.0, 1.0, num_spans + 1)[1:-1]
     knots = np.concatenate(
         [np.zeros(degree + 1), interior, np.ones(degree + 1)]

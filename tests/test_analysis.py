@@ -19,7 +19,7 @@ from nitsche_iga import (
     vh_norm,
 )
 from nitsche_iga import analysis, assembly
-from nitsche_iga.analysis import check_boundary_datum, run_level
+from nitsche_iga.analysis import check_boundary_datum, run_level, steps_for
 from nitsche_iga.errors import ConfigError, InsufficientLevels
 from nitsche_iga.quadrature import gauss_rule
 from nitsche_iga.timestepping import SolutionTrajectory
@@ -269,6 +269,18 @@ class TestAudits:
         alpha_hat, ok = coercivity_audit(disc, case.problem, 1e-6, 0.0)
         assert isinstance(ok, bool)
         assert np.isfinite(alpha_hat)
+
+
+class TestLevelSizes:
+    @pytest.mark.parametrize("target", [-0.1, 0.0])
+    def test_steps_for_refuses_a_target_that_is_not_positive(self, target):
+        with pytest.raises(ConfigError, match="target time step must be positive"):
+            steps_for(target, 1.0)
+
+    @pytest.mark.parametrize("spans", [0, -1])
+    def test_run_level_refuses_a_level_with_no_spans(self, square_gm, spans):
+        with pytest.raises(ValueError, match="at least one span"):
+            run_level(builtin_case("paper_sec8"), square_gm, 2, spans, 2)
 
 
 class TestRates:

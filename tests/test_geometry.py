@@ -150,8 +150,8 @@ class TestEvaluateGrid:
     def test_matches_per_point_reference(self, name, rng):
         gm = two_span_geometry(rng) if name == "two_span" else load_geometry(name)
         # the breakpoints include 0 and 1
-        t1 = np.concatenate([gm.space.kv1.mesh.breakpoints, rng.random(12)])
-        t2 = np.concatenate([rng.random(9), gm.space.kv2.mesh.breakpoints])
+        t1 = np.concatenate([gm.space.kv1.breakpoints, rng.random(12)])
+        t2 = np.concatenate([rng.random(9), gm.space.kv2.breakpoints])
         x, J, detj = gm.evaluate_grid(t1, t2)
         assert x.shape == (len(t1), len(t2), 2)
         assert J.shape == (len(t1), len(t2), 2, 2)
@@ -410,7 +410,7 @@ class TestBatchedMesh:
         for v in rows[:3]:
             assert np.all(gm.evaluate_grid(gauss, v)[2] > 0)
         assert np.any(gm.evaluate_grid(gauss, rows[3])[2] < 0)
-        breakpoints = solution_space.kv1.mesh.breakpoints
+        breakpoints = solution_space.kv1.breakpoints
         assert np.all(gm.evaluate_grid(breakpoints, breakpoints)[2] > 0)
         monkeypatch.setattr(assembly, "BLOCK_BYTES", 1)
         with pytest.raises(DegenerateJacobian, match="^det J changes sign across the mesh$"):

@@ -364,39 +364,17 @@ class TestGeneralizedEig:
         with pytest.raises(NotSPD):
             generalized_symmetric_eig(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-    def test_not_spd_in_one_member_of_a_stack(self):
-        B = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0]), np.eye(3)])
-        with pytest.raises(NotSPD):
-            generalized_symmetric_eig(np.stack([np.eye(3)] * 3), B)
-
-
-def random_pairs(rng, m, n):
-    base = rng.random((m, n, n))
-    A = (base + base.swapaxes(1, 2)) / 2
-    Bb = rng.random((m, n, n))
-    return A, Bb @ Bb.swapaxes(1, 2) + n * np.eye(n)
-
-
-class TestStackedEig:
-    def test_stack_matches_pair_by_pair(self, rng):
-        A, B = random_pairs(rng, 7, 6)
-        vals = generalized_symmetric_eig(A, B)
-        assert vals.shape == (7, 6)
-        for a, b, v in zip(A, B, vals):
-            ref = scipy.linalg.eigh(a, b, eigvals_only=True)
-            assert np.max(np.abs(v - ref)) < 1e-12 * np.linalg.norm(a, 2)
-
-    @pytest.mark.parametrize("stacked", [False, True])
-    def test_residual_bound_raises(self, rng, monkeypatch, stacked):
-        A, B = random_pairs(rng, 4, 5)
-        if not stacked:
-            A, B = A[0], B[0]
+    def test_residual_bound_raises(self, rng, monkeypatch):
+        base = rng.random((5, 5))
+        A = (base + base.T) / 2
+        Bb = rng.random((5, 5))
+        B = Bb @ Bb.T + 5 * np.eye(5)
         eigh = np.linalg.eigh
 
         def perturbed(C):
             vals, vecs = eigh(C)
             vals = vals.copy()
-            vals[(2, -1) if stacked else -1] += 1e-6 * np.abs(vals).max()  # one pair only
+            vals[-1] += 1e-6 * np.abs(vals).max()  # one pair only
             return vals, vecs
 
         monkeypatch.setattr(np.linalg, "eigh", perturbed)

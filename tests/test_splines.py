@@ -181,7 +181,7 @@ class TestEvaluation:
     @pytest.mark.parametrize("knots,k", SHIPPED)
     def test_partition_of_unity_and_derivative_sums(self, knots, k, rng):
         kv = validate_knots(knots, k)
-        xs = np.concatenate([rng.random(1000), [0.0, 1.0], kv.mesh.breakpoints])
+        xs = np.concatenate([rng.random(1000), [0.0, 1.0], kv.breakpoints])
         _, ders = eval_basis_many(kv, xs)
         assert np.all(ders[:, 0] >= -1e-15)
         assert np.max(np.abs(ders[:, 0].sum(axis=1) - 1.0)) < 1e-13
@@ -201,7 +201,7 @@ class TestEvaluation:
         delta = 1e-6
         xs = rng.random(300)
         # stay away from breakpoints where one-sided limits differ
-        gap = np.min(np.abs(kv.mesh.breakpoints[:, None] - xs), axis=0)
+        gap = np.min(np.abs(kv.breakpoints[:, None] - xs), axis=0)
         xs = xs[gap >= 10 * delta]
         assert len(xs) > 200
         lo_first, lo = eval_basis_many(kv, xs - delta)
@@ -230,14 +230,14 @@ class TestEvaluation:
 class TestHelpers:
     @pytest.mark.parametrize("knots,k", SHIPPED)
     def test_breakpoint_mesh_partitions_the_interval(self, knots, k):
-        mesh = validate_knots(knots, k).mesh
-        assert np.all(mesh.widths > 0)
-        assert mesh.widths.sum() == pytest.approx(1.0, abs=1e-15)
-        assert mesh.breakpoints[0] == 0.0 and mesh.breakpoints[-1] == 1.0
+        kv = validate_knots(knots, k)
+        assert np.all(kv.widths > 0)
+        assert kv.widths.sum() == pytest.approx(1.0, abs=1e-15)
+        assert kv.breakpoints[0] == 0.0 and kv.breakpoints[-1] == 1.0
         # span n runs from breakpoints[n - 1] to breakpoints[n]
-        assert mesh.num_spans == len(mesh.breakpoints) - 1
-        assert np.array_equal(mesh.widths, np.diff(mesh.breakpoints))
-        assert np.array_equal(np.repeat(mesh.breakpoints, mesh.multiplicities), knots)
+        assert kv.num_spans == len(kv.breakpoints) - 1
+        assert np.array_equal(kv.widths, np.diff(kv.breakpoints))
+        assert np.array_equal(np.repeat(kv.breakpoints, kv.multiplicities), knots)
 
     def test_greville_linear_reproduction(self, rng):
         for knots, k in SHIPPED:
@@ -263,7 +263,7 @@ BATCH_KNOTS = [
 
 def batch_points(kv, rng):
     """Random points plus every breakpoint (0 and 1 included), shuffled."""
-    xs = np.concatenate([rng.random(150), kv.mesh.breakpoints, [0.0, 1.0]])
+    xs = np.concatenate([rng.random(150), kv.breakpoints, [0.0, 1.0]])
     return rng.permutation(xs)
 
 
