@@ -41,6 +41,7 @@ from .assembly import AssembledForms, Discretization, assemble_stiffness, block_
 from .errors import ConfigError, InsufficientLevels
 from .geometry import uniform_space
 from .linalg import generalized_symmetric_eig
+from .problem import coefficient_audit
 from .quadrature import gauss_rule
 from .splines import collocation
 from .timestepping import TimeGrid, march, project_initial
@@ -275,12 +276,16 @@ def run_level(case, gm, degree, spans, num_steps, epsilon=None, epsilon_factor=N
     quadrature order (the largest degree plus two).
 
     Refuses, by :func:`check_boundary_datum`, a case whose g is not the
-    trace of u on this geometry.  Returns ``(record, trajectory, forms)``.
+    trace of u on this geometry, and warns, by
+    :func:`~nitsche_iga.problem.coefficient_audit` at the discretization's
+    points, when the coefficients break the ellipticity hypotheses.
+    Returns ``(record, trajectory, forms)``.
     """
     p = case.problem
     space = uniform_space(degree, spans)
     disc = Discretization(space, gm)
     check_boundary_datum(case, disc)
+    coefficient_audit(p, disc)
     forms = AssembledForms(disc, p, epsilon=epsilon, epsilon_factor=epsilon_factor)
     u0 = project_initial(disc, p.u0)
 

@@ -4,7 +4,8 @@ A :class:`Discretization` of a space over a geometry map precomputes, at
 its quadrature order, the boundary edges of the space's spans and their
 lengths h_E, the basis tables at all volume and boundary-edge quadrature
 points (:func:`_basis_table`, products of repeated and tiled 1-D B-spline
-tables; edge data from :func:`~nitsche_iga.geometry.edge_geometry`), the
+tables; edge data from one :func:`~nitsche_iga.geometry.edge_geometry`
+evaluation per side at the points of both edge rules), the
 CSR pattern that every matrix shares, the tensor product of the span-block
 patterns of the two directions (:func:`_tensor_pattern`), and the band
 layout of that pattern in its natural order, in which every LU of the
@@ -32,7 +33,10 @@ the basis tables, the stiffness, the mass and the V_h Gram, the trace
 constant, the volume sums of the load, and the band layout's slots by rows
 of the pattern) runs over consecutive blocks of elements, edges or rows
 (:func:`block_slices`) whose largest temporary fits ``BLOCK_BYTES``, and
-each block writes into the one array that the kernel keeps or returns.
+each block writes into the one array that the kernel keeps or returns.  A
+block's item is what the kernel makes per element, edge or row: for the
+trace constant, the gradient rows that an edge gathers from its owner's
+table.
 Each element gets the same arithmetic in the same order as in one pass over
 the mesh, so every output is bit-identical for any block size; the trace
 constant is the max of per-edge values, so it is too.  The budget
@@ -56,7 +60,7 @@ import scipy.sparse as sp
 from .errors import ConfigError, ConvergenceFailure, DegenerateJacobian, SingularGram
 from .geometry import SIDES, edge_geometry, invert_2x2
 from .linalg import EIG_RTOL, BandLayout
-from .quadrature import gauss_rule
+from .quadrature import QuadratureRule, gauss_rule
 from .splines import eval_basis_many
 
 PENALTY_FACTOR_DEFAULT = 1.25
@@ -283,8 +287,10 @@ class EdgeCache:
     1-D basis is evaluated once at the edge points' coordinates in its
     direction, fixed ones included.
     ``h_E`` is each edge's arc length, summed from the arc-length weights of
-    the fixed ``EDGE_LENGTH_POINTS``-point rule at every ``q``: from ``w``
-    itself when ``q`` is that order.
+    the fixed ``EDGE_LENGTH_POINTS``-point rule at every ``q``.  The map is
+    evaluated once per side for both rules: at the q points of each edge
+    followed by the 5 of h_E, and only at the q points when ``q`` is 5,
+    where ``w`` itself gives h_E.
     """
 
     def __init__(self, space, gm, q):
@@ -298,12 +304,18 @@ class EdgeCache:
             parts.append((np.full(len(n), side), bps[:-1], bps[1:], s1 + ns1 * s2))
         self.side, self.lo, self.hi, self.owner = (np.concatenate(a) for a in zip(*parts))
 
-        edges = (gm, self.side, self.lo, self.hi)
-        x_hat, self.x, J, self.w, self.normal = edge_geometry(*edges, gauss_rule(q))
-        if q == EDGE_LENGTH_POINTS:
-            self.h_E = np.sum(self.w, axis=1)
-        else:
-            self.h_E = np.sum(edge_geometry(*edges, gauss_rule(EDGE_LENGTH_POINTS))[3], axis=1)
+        # one evaluation per side, at the q points of each edge followed by
+        # the 5 of h_E unless q is those 5; each part is split off into an
+        # array of its own, contiguous as a rule of its own would give it
+        rule, five = gauss_rule(q), gauss_rule(EDGE_LENGTH_POINTS)
+        if q != EDGE_LENGTH_POINTS:
+            rule = QuadratureRule(
+                np.concatenate((rule.points, five.points)),
+                np.concatenate((rule.weights, five.weights)),
+            )
+        data = edge_geometry(gm, self.side, self.lo, self.hi, rule)
+        self.h_E = np.sum(np.ascontiguousarray(data[3][:, -EDGE_LENGTH_POINTS:]), axis=1)
+        x_hat, self.x, J, self.w, self.normal = (np.ascontiguousarray(a[:, :q]) for a in data)
 
         # the owner's basis at the edge points, one evaluation per direction
         f1, d1 = eval_basis_many(space.kv1, x_hat[..., 0].ravel())
@@ -614,7 +626,9 @@ def trace_constant(disc):
     Sr = L L^T the pair's eigenvalues are those of M M^T, M = L^-1 B^T, and
     the nonzero ones those of the q x q Gram M^T M, whose top pair (lambda,
     u) gives the pair's top vector v = L^-T M u / |M u|.  Edges run in
-    blocks (:func:`block_slices`), and each edge's top pair is checked
+    blocks (:func:`block_slices`) whose item is the gradient rows
+    (nq, 2, nloc) that an edge gathers from its owner's table, the largest
+    array per edge, and each edge's top pair is checked
     against the residual bound of
     :func:`~nitsche_iga.linalg.generalized_symmetric_eig`,
     ||Tr v - lambda Sr v|| <= EIG_RTOL ||Tr||_2 entrywise
@@ -628,7 +642,7 @@ def trace_constant(disc):
     Z = Z[:, np.abs(np.diag(r)) > 1e-12]
 
     top = -np.inf
-    for s in block_slices(len(bc.owner), ec.table[0].nbytes):
+    for s in block_slices(len(bc.owner), ec.table[0, :, 1:].nbytes):
         # the owners' gradient Grams
         grads, w = ec.table[bc.owner[s], :, 1:], ec.w[bc.owner[s]]
         Sr = Z.T @ _blocks(grads, w[..., None, None] * grads) @ Z

@@ -84,10 +84,10 @@ class TensorSpace:
 
 
 def uniform_space(degree, num_spans):
-    """Uniform open tensor space with the same degree and span count per direction."""
-    return TensorSpace(
-        uniform_open_knots(degree, num_spans), uniform_open_knots(degree, num_spans)
-    )
+    """Uniform open tensor space with the same degree and span count per
+    direction: one knot vector serves both."""
+    kv = uniform_open_knots(degree, num_spans)
+    return TensorSpace(kv, kv)
 
 
 class GeometryMap:

@@ -90,34 +90,37 @@ def consistency_residual(case, x, y, t):
     return du_dt - div_q + adv + p.c(x, y, t) * case.u(x, y, t) - p.f(x, y, t)
 
 
-def coefficient_audit(p, seed=0):
+def coefficient_audit(p, disc=None, seed=0):
     """Sampling-based audit of the ellipticity hypotheses.
 
-    Checks, at times 0, T/2 and T and at 200 random points of the unit
-    square drawn from ``seed``, that mu is symmetric and its Rayleigh
-    quotients stay inside [mu0, mu1], and, at as many random points on each
-    side of the square, that c - div(b)/2 >= c0 (divergence by central
-    differences).  Violations are reported with warnings, never
-    exceptions: the hypotheses belong to the problem data, not to this
-    library.
+    At times 0, T/2 and T, checks that mu is symmetric and its Rayleigh
+    quotients, in random directions drawn from ``seed``, stay inside
+    [mu0, mu1], and that c - div(b)/2 >= c0 (divergence by central
+    differences), at the points of the domain: with a discretization
+    ``disc``, the volume quadrature points ``disc.elements.x`` and, for the
+    reaction bound, the boundary edge points ``disc.boundary.x`` too;
+    without one, 200 random points of the unit square and as many on each
+    of its sides, drawn from ``seed``.  Violations are reported with
+    warnings, never exceptions: the hypotheses belong to the problem data,
+    not to this library.
     """
     n_samples = 200
     rng = np.random.default_rng(seed)
-    xs = rng.random(n_samples)
-    ys = rng.random(n_samples)
+    if disc is None:
+        inside = rng.random((2, n_samples)).T
+        s = rng.random(n_samples)
+        zero, one = np.zeros_like(s), np.ones_like(s)
+        boundary = np.concatenate(
+            [np.column_stack(pair) for pair in ((s, zero), (s, one), (zero, s), (one, s))]
+        )
+    else:
+        inside, boundary = disc.elements.x.reshape(-1, 2), disc.boundary.x.reshape(-1, 2)
+    xs, ys = inside.T
+    bx, by = np.concatenate((inside, boundary)).T
     times = np.array([0.0, 0.5 * p.T, p.T])
-    s = rng.random(n_samples)
-    boundary_points = np.concatenate(
-        [
-            np.column_stack([s, np.zeros_like(s)]),
-            np.column_stack([s, np.ones_like(s)]),
-            np.column_stack([np.zeros_like(s), s]),
-            np.column_stack([np.ones_like(s), s]),
-        ]
-    )
     report = {"mu_symmetric": True, "rayleigh_in_bounds": True, "reaction_bound": True}
     tol = 1e-8
-    angles = rng.random(n_samples) * 2 * np.pi
+    angles = rng.random(len(xs)) * 2 * np.pi
     xi = np.column_stack([np.cos(angles), np.sin(angles)])
     for t in times:
         m = p.mu(xs, ys, t)
@@ -126,7 +129,6 @@ def coefficient_audit(p, seed=0):
         ray = np.einsum("ma,mab,mb->m", xi, m, xi)
         if ray.min() < p.mu0 - tol or ray.max() > p.mu1 + tol:
             report["rayleigh_in_bounds"] = False
-        bx, by = boundary_points[:, 0], boundary_points[:, 1]
         d = 1e-6
         div_b = (
             (p.b(bx + d, by, t)[:, 0] - p.b(bx - d, by, t)[:, 0])

@@ -1,6 +1,12 @@
-"""Gauss-Legendre rules on [0, 1]."""
+"""Gauss-Legendre rules on [0, 1].
+
+A rule depends on its point count alone, so :func:`gauss_rule` computes each
+one once per process and hands out the same object on every later call; its
+arrays are read-only, so no caller can change the rule that the others get.
+"""
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -25,12 +31,15 @@ class QuadratureRule:
         return a + (b - a) * self.points, (b - a) * self.weights
 
 
+@cache
 def gauss_rule(q):
     """Gauss-Legendre rule with ``q`` points on [0, 1].
 
     Nodes are Newton-refined roots of the degree-q Legendre polynomial,
     accurate to machine precision; the rule integrates polynomials up to
-    degree 2q-1 exactly.
+    degree 2q-1 exactly.  Memoized: one rule per point count in
+    1..``MAX_POINTS``, with read-only ``points`` and ``weights``; any other
+    ``q`` raises :class:`UnsupportedOrder` on every call.
     """
     if not 1 <= q <= MAX_POINTS:
         raise UnsupportedOrder(f"point count must be in 1..{MAX_POINTS}, got {q}")
@@ -45,7 +54,9 @@ def gauss_rule(q):
     _, dp = _legendre_and_derivative(q, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
-    return QuadratureRule(points=(x[order] + 1.0) / 2.0, weights=w[order] / 2.0)
+    points, weights = (x[order] + 1.0) / 2.0, w[order] / 2.0
+    points.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(points=points, weights=weights)
 
 
 def _legendre_and_derivative(q, x):

@@ -753,8 +753,9 @@ def lone_edges(bc):
 
 def edge_blocks_of(monkeypatch, disc, edges):
     """Set ``BLOCK_BYTES`` so that the trace constant takes ``edges`` edges
-    a block: its budget item is one owner element's table."""
-    monkeypatch.setattr(assembly, "BLOCK_BYTES", edges * disc.elements.table[0].nbytes)
+    a block: its budget item is the gradient rows it gathers from one owner
+    element's table."""
+    monkeypatch.setattr(assembly, "BLOCK_BYTES", edges * disc.elements.table[0, :, 1:].nbytes)
 
 
 class TestBatchedTraceConstant:

@@ -289,6 +289,34 @@ def reference_h_E(gm, edges, f):
     return float(np.sum(ws * np.linalg.norm(tang, axis=1)))
 
 
+class TestMergedEdgeEvaluation:
+    """The edge cache's one evaluation per side, at the q points and the 5 of
+    h_E together, gives bit for bit what one evaluation at each rule does."""
+
+    @pytest.mark.parametrize("q", [None, 8], ids=["default", "q8"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    def test_matches_an_evaluation_per_rule(self, geometry, degree, q):
+        gm = load_geometry(geometry)
+        space = uniform_space(degree, 3)
+        bc = Discretization(space, gm, q).boundary
+        q = q or degree + 2
+        edges = (gm, bc.side, bc.lo, bc.hi)
+        x_hat, x, J, w, normal = edge_geometry(*edges, quadrature.gauss_rule(q))
+        h_E = np.sum(edge_geometry(*edges, quadrature.gauss_rule(EDGE_LENGTH_POINTS))[3], axis=1)
+        for got, ref in ((bc.x, x), (bc.w, w), (bc.normal, normal), (bc.h_E, h_E)):
+            assert got.flags.c_contiguous
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+        # J only enters the table, which the same gathers and products make
+        # from the reference points and J
+        ders = (
+            eval_basis_many(kv, x_hat[..., i].ravel())[1].reshape(len(bc.side), q, 2, -1)
+            for i, kv in enumerate((space.kv1, space.kv2))
+        )
+        table = assembly._basis_table(*ders, J)[0]
+        assert np.array_equal(bc.table, table)
+
+
 class TestBatchedMesh:
     @pytest.mark.parametrize("degree,spans", [(2, 5), (3, 4)])
     def test_matches_element_and_edge_loop(self, annulus_gm, degree, spans):
@@ -369,8 +397,8 @@ class TestBatchedMesh:
         # the element cache evaluates its Gauss grid in blocks of whole span
         # rows that cover each point once (here 3 rows and 1, the budget
         # holding the J of 3 rows), then the corners, at every order; the
-        # edge cache the four sides at order q and, unless q is the 5 points
-        # of h_E, once more at 5 points
+        # edge cache each of the four sides once, at the q points of each
+        # edge followed, unless q is the 5 points of h_E, by those 5
         grids = []
         evaluate_grid_blocks = GeometryMap.evaluate_grid_blocks
 
@@ -386,9 +414,8 @@ class TestBatchedMesh:
         n = 4 * points
         element_grids = [(n, n, [(0, 3 * points), (3 * points, n)]), (5, 5, [(0, 5)])]
         assert grids[: len(element_grids)] == element_grids
-        sides = [(1, n), (1, n), (n, 1), (n, 1)]
-        if q is not None:
-            sides += [(1, 20), (1, 20), (20, 1), (20, 1)]
+        m = n if q is None else n + 20
+        sides = [(1, m), (1, m), (m, 1), (m, 1)]
         others = grids[len(element_grids):]
         assert sorted((m1, m2) for m1, m2, _ in others) == sorted(sides)
         assert all(blocks == [(0, m2)] for _, m2, blocks in others)

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nitsche_iga import builtin_case, coefficient_audit, inflow_mask
+from nitsche_iga import builtin_case, coefficient_audit, inflow_mask, load_geometry
+from nitsche_iga.analysis import run_level
 from nitsche_iga.errors import UnknownCase
 from nitsche_iga.problem import _REGISTRY, consistency_residual
 
@@ -168,3 +169,61 @@ class TestAudit:
         bad = replace(p, mu=lambda x, y, t: 2.0 * p.mu(x, y, t), mu0=2.0 * p.mu0)
         with pytest.warns(UserWarning, match="rayleigh"):
             coefficient_audit(bad)
+
+
+def farther_than_1_5(x, y):
+    """Points with r > 1.5: none of the unit square (r <= sqrt 2), part of
+    the quarter annulus (1 <= r <= 2)."""
+    return np.hypot(x, y) > 1.5
+
+
+STEADY = builtin_case("steady_reaction").problem
+
+# per audit key, coefficients of ``steady_reaction`` that break it where
+# r > 1.5: c lowered by 1 below c0 = 2, or mu doubled above mu1 = 1
+FAULTS_OFF_THE_SQUARE = {
+    "reaction_bound": {"c": lambda x, y, t: STEADY.c(x, y, t) - farther_than_1_5(x, y)},
+    "rayleigh_in_bounds": {
+        "mu": lambda x, y, t: STEADY.mu(x, y, t) * (1.0 + farther_than_1_5(x, y))[:, None, None]
+    },
+}
+
+
+class TestAuditOnTheDiscretization:
+    """``coefficient_audit(p, disc)`` samples the discretized domain itself:
+    the volume quadrature points and, for the reaction bound, the boundary
+    edge points too."""
+
+    @pytest.mark.parametrize("name", sorted(_REGISTRY))
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    def test_builtin_cases_pass(self, name, geometry):
+        disc = make_disc(load_geometry(geometry), 2, 3)
+        assert all(coefficient_audit(builtin_case(name).problem, disc, seed=5).values())
+
+    @pytest.mark.parametrize("key", sorted(FAULTS_OFF_THE_SQUARE))
+    def test_a_fault_off_the_unit_square_is_seen_on_the_annulus(
+        self, square_gm, annulus_gm, key
+    ):
+        # the square's audits pass, the annulus's fails on that key alone
+        p = replace(STEADY, **FAULTS_OFF_THE_SQUARE[key])
+        assert all(coefficient_audit(p).values())
+        assert all(coefficient_audit(p, make_disc(square_gm, 2, 3)).values())
+        with pytest.warns(UserWarning, match=key):
+            report = coefficient_audit(p, make_disc(annulus_gm, 2, 3))
+        assert [k for k, ok in report.items() if not ok] == [key]
+
+    def test_a_reaction_fault_inside_the_domain_is_seen(self, square_gm):
+        # c lowered only within 0.2 of the square's centre: no boundary
+        # point sees it, the interior points do
+        low = replace(
+            STEADY, c=lambda x, y, t: STEADY.c(x, y, t) - (np.hypot(x - 0.5, y - 0.5) < 0.2)
+        )
+        for disc in (None, make_disc(square_gm, 2, 4)):
+            with pytest.warns(UserWarning, match="reaction_bound"):
+                assert not coefficient_audit(low, disc)["reaction_bound"]
+
+    def test_run_level_warns(self, annulus_gm):
+        steady = builtin_case("steady_reaction")
+        case = replace(steady, problem=replace(STEADY, **FAULTS_OFF_THE_SQUARE["reaction_bound"]))
+        with pytest.warns(UserWarning, match="coefficient audit failed: reaction_bound"):
+            run_level(case, annulus_gm, 1, 2, 1)

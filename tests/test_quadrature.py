@@ -35,10 +35,30 @@ def test_exactness_table(q):
 
 
 def test_unsupported_orders():
-    with pytest.raises(UnsupportedOrder):
-        gauss_rule(0)
-    with pytest.raises(UnsupportedOrder):
-        gauss_rule(17)
+    # on every call: a memoized rule is kept only for a supported order
+    for q in (0, 17, 0, 17):
+        with pytest.raises(UnsupportedOrder):
+            gauss_rule(q)
+
+
+class TestMemo:
+    """Each rule is computed once and shared, so no caller may change it."""
+
+    @pytest.mark.parametrize("q", [1, 5, 16])
+    def test_same_object_on_each_call(self, q):
+        r = gauss_rule(q)
+        assert gauss_rule(q) is r
+        assert gauss_rule(q).points is r.points
+
+    @pytest.mark.parametrize("name", ["points", "weights"])
+    def test_arrays_are_read_only(self, name):
+        a = getattr(gauss_rule(4), name)
+        before = a.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+        assert np.array_equal(getattr(gauss_rule(4), name), before)
 
 
 def test_nodes_match_numpy_leggauss():
