@@ -10,14 +10,20 @@ CSR pattern that every matrix shares, the tensor product of the span-block
 patterns of the two directions (:func:`_tensor_pattern`), and the band
 layout of that pattern in its natural order, in which every LU of the
 solver factors.
-Each bilinear form is one batched product, :func:`_blocks`, of a test
-table with a trial table that carries the weights and coefficients.  An
-edge's local basis is its owner element's, so each edge carries its owner's
-data slots and global indices.  The element blocks and then the edge blocks
-are added into the matrix data at their slots as each block of them is made
-(``np.add.at``, which sums in order, the order of one ``np.bincount`` over
-all of them); a vector is summed over the global indices by one
-``np.bincount``.  Repeated assemblies are cheap and bitwise reproducible.
+The mass, the V_h Gram and the edge terms are batched products,
+:func:`_blocks`, of a test table with a trial table that carries the
+weights and coefficients.  The volume form of the stiffness is one too
+when a coefficient varies over the volume points; when c, b and mu each
+hold one value there, it is the sum of those values times the unit
+matrices sum_q w T_r T_s of the table rows, made once per discretization
+(:meth:`Discretization.volume_units`; the affine decomposition of
+reduced-basis methods).  An edge's local basis is its owner element's, so
+each edge carries its owner's data slots and global indices.  The element
+blocks and then the edge blocks are added into the matrix data at their
+slots as each block of them is made (``np.add.at``, which sums in order,
+the order of one ``np.bincount`` over all of them); a vector is summed
+over the global indices by one ``np.bincount``.  Repeated assemblies are
+cheap and bitwise reproducible.
 
 The stiffness form contains five families of terms: the volume form
 (diffusion, advection, reaction), the boundary flux term, its transpose
@@ -29,11 +35,12 @@ returns both from one sampling of the coefficients.  The penalty floor's
 Gram at every quadrature order.
 
 Every element kernel (the element cache's grid evaluation by span rows,
-the basis tables, the stiffness, the mass and the V_h Gram, the trace
-constant, the volume sums of the load, and the band layout's slots by rows
-of the pattern) runs over consecutive blocks of elements, edges or rows
-(:func:`block_slices`) whose largest temporary fits ``BLOCK_BYTES``, and
-each block writes into the one array that the kernel keeps or returns.  A
+the basis tables, the stiffness, the unit matrices, the mass and the V_h
+Gram, the trace constant, the volume sums of the load, and the band
+layout's slots by rows of the pattern) runs over consecutive blocks of
+elements, edges or rows (:func:`block_slices`) whose largest temporary fits
+``BLOCK_BYTES``, and each block writes into the one array that the kernel
+keeps or returns.  A
 block's item is what the kernel makes per element, edge or row: for the
 trace constant, the gradient rows that an edge gathers from its owner's
 table.
@@ -197,7 +204,9 @@ class ElementCache:
     each span of each direction.  Elements run with direction 1 fastest;
     quadrature points and local functions, (l1, l2), with direction 2 fastest.
 
-    The map is evaluated on the grid of the Gauss points of all spans one
+    Each 1-D basis is evaluated once at the Gauss points of all its spans,
+    once for both directions when they share one knot vector (as every
+    uniform space does).  The map is evaluated on the grid of those points one
     block of whole direction-2 span rows at a time (the rows' elements are
     consecutive), as many rows as let their J fit ``BLOCK_BYTES`` and at
     least one; each block is reordered to (element, point) and writes its x,
@@ -217,13 +226,18 @@ class ElementCache:
         # function (ns,) and 1-D values and first derivatives (ns, q, 2, k+1)
         # of all spans
         rule = gauss_rule(q)
-        per_direction = []
-        for kv in (space.kv1, space.kv2):
+
+        def direction(kv):
             bps = kv.breakpoints
             pts, wts = rule.mapped(bps[:-1, None], bps[1:, None])
             first, ders = eval_basis_many(kv, pts.ravel())
-            per_direction.append((pts, wts, first[::q], ders.reshape(kv.num_spans, q, 2, -1)))
-        (p1, w1, f1, d1), (p2, w2, f2, d2) = per_direction
+            return pts, wts, first[::q], ders.reshape(kv.num_spans, q, 2, -1)
+
+        # both directions of one knot vector (every uniform space) share theirs
+        one = direction(space.kv1)
+        (p1, w1, f1, d1), (p2, w2, f2, d2) = one, (
+            one if space.kv2 is space.kv1 else direction(space.kv2)
+        )
         self.x = np.empty((ne, nq, 2))
         self.w = np.empty((ne, nq))
         table = np.empty((ne, nq, 3, d1.shape[-1] * d2.shape[-1]))
@@ -372,6 +386,8 @@ class Discretization:
         )
         self._gidx = np.concatenate((self.elements.gidx, self.boundary.gidx), dtype=np.intp)
         self.band = BandLayout(self._indptr, self._indices)
+        # the unit matrices' data by table-row pair, see volume_units
+        self._units = {}
 
     @property
     def dimension(self):
@@ -385,6 +401,18 @@ class Discretization:
     def mass(self):
         """The mass matrix, assembled on first use."""
         return assemble_mass(self)
+
+    def volume_units(self, pairs):
+        """The data of the unit matrix sum_q w T_r T_s of each table-row pair
+        (r, s) in ``pairs``: the value rows at r = 0 and the gradient rows of
+        direction a at r = 1 + a, for the test (r) and the trial (s)
+        function.  The pair (0, 0) is the mass matrix's data itself; the
+        others are made on first use, the missing ones of a call in one pass
+        (:func:`_unit_data`), and kept."""
+        missing = [pair for pair in pairs if pair != (0, 0) and pair not in self._units]
+        if missing:
+            self._units.update(zip(missing, _unit_data(self, missing)))
+        return [self.mass.data if pair == (0, 0) else self._units[pair] for pair in pairs]
 
     @cached_property
     def vh_gram(self):
@@ -448,17 +476,30 @@ def assemble_mass(disc):
     return disc.matrix(data)
 
 
-def _coefficients_at(points, func, t):
+def _coefficients_at(points, p, name, t):
+    """The closure ``name`` of the problem ``p`` at ``points`` (..., 2) and
+    time ``t``, shaped (...,) plus the shape of its values.
+
+    Raises :class:`ConfigError`, naming the closure and ``t``, unless every
+    value is finite; only the :func:`_distinct` values are checked.
+    """
     flat = points.reshape(-1, 2)
-    vals = func(flat[:, 0], flat[:, 1], t)
-    return np.asarray(vals).reshape(points.shape[:-1] + np.shape(vals)[1:])
+    vals = np.asarray(getattr(p, name)(flat[:, 0], flat[:, 1], t))
+    distinct = _distinct(vals)
+    finite = np.isfinite(distinct)
+    if not finite.all():
+        raise ConfigError(
+            f"coefficient {name}(x, y, t) is not finite at t = {t:g}: it takes the value "
+            f"{distinct[~finite][0]}"
+        )
+    return vals.reshape(points.shape[:-1] + vals.shape[1:])
 
 
 def inflow_mask(disc, p, t):
     """``(mask, bn)``: b . n (nedge, nq) at the edge quadrature points and
     the boolean mask of the points where it is negative."""
     bc = disc.boundary
-    bv = _coefficients_at(bc.x, p.b, t)
+    bv = _coefficients_at(bc.x, p, "b", t)
     bn = np.einsum("fqa,fqa->fq", bv, bc.normal)
     return bn < 0.0, bn
 
@@ -471,8 +512,8 @@ def _operator_coefficients(disc, p, t):
     |b . n|).  Bit-equal arrays give a bit-equal stiffness matrix.
     """
     ec, bc = disc.elements, disc.boundary
-    mu, bv, cv = (_coefficients_at(ec.x, fn, t) for fn in (p.mu, p.b, p.c))
-    mu_e = _coefficients_at(bc.x, p.mu, t)
+    mu, bv, cv = (_coefficients_at(ec.x, p, name, t) for name in ("mu", "b", "c"))
+    mu_e = _coefficients_at(bc.x, p, "mu", t)
     _, bn = inflow_mask(disc, p, t)
     return mu, bv, cv, mu_e, bn
 
@@ -508,6 +549,53 @@ def _same_bits(a, kept):
     return np.array_equal(a, kept)
 
 
+def _uniform(a):
+    """Whether ``a`` (ne, nq, ...) holds one value, bit for bit, at every
+    volume point.
+
+    The :func:`_distinct` values are compared, as in :func:`_same_bits`, as
+    unsigned integers of their item size with those of the first point, one
+    block of elements at a time, so signed zeros and NaN payloads count.
+    """
+    bits = _distinct(a).view(np.dtype(f"u{a.itemsize}"))
+    first = bits[0, 0]
+    return all((bits[s] == first).all() for s in block_slices(len(bits), bits[0].nbytes))
+
+
+# the table rows (test, trial) of the unit matrix of each volume coefficient
+# c, b1, b2, mu11, mu12, mu21, mu22, in the order of their sum
+UNIT_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def _uniform_terms(mu, bv, cv):
+    """The volume form as a sum of unit matrices: ``{(r, s): v}`` of the
+    nonzero coefficients v at the :data:`UNIT_PAIRS`, in their order, when
+    c, b and mu are each :func:`_uniform`, and None when one of them varies."""
+    if not all(map(_uniform, (cv, bv, mu))):
+        return None
+    values = np.concatenate([np.ravel(a[0, 0]) for a in (cv, bv, mu)])
+    return {pair: float(v) for pair, v in zip(UNIT_PAIRS, values) if v != 0.0}
+
+
+def _unit_data(disc, pairs):
+    """The data of the unit matrices sum over elements and points of
+    w T_r[i] T_s[j] of the table-row ``pairs`` (r, s), one list entry each.
+
+    One pass over blocks of elements weights each block's table by w, the
+    block's largest temporary, and adds the blocks T_r^T (w T_s) of each
+    pair into its data: a pair's product is the same whichever pairs are
+    made with it.
+    """
+    ec = disc.elements
+    units = [_zero_data(disc) for _ in pairs]
+    for s in block_slices(len(ec.table), ec.table[0].nbytes):
+        weighted = ec.w[s, :, None, None] * ec.table[s]
+        for data, (test, trial) in zip(units, pairs):
+            blocks = ec.table[s, :, test].swapaxes(1, 2) @ weighted[:, :, trial]
+            _add_blocks(data, disc._slots[s], blocks)
+    return units
+
+
 def _penalty(eps, h_E):
     """``eps`` as a float; :class:`ConfigError` (a ``ValueError``) unless it
     is a positive finite number, so is the penalty eps/h_E of every edge of
@@ -541,19 +629,36 @@ def _penalty(eps, h_E):
 def _stiffness_from(disc, coefficients, eps):
     """Stiffness matrix from the sampled :func:`_operator_coefficients`, and its
     Dirichlet trial terms sigma N - n . mu grad N (nedge, nq, nloc) at the edge
-    points, with sigma = eps/h_E - min(b . n, 0), which the load applies to g."""
+    points, with sigma = eps/h_E - min(b . n, 0), which the load applies to g.
+
+    When c, b and mu each hold one value at every volume point
+    (:func:`_uniform_terms`), the volume form is the sum of those values
+    times the discretization's unit matrices, term after term in a fixed
+    order, one block of entries at a time.  Otherwise each point's
+    coefficients weight the trial table and one product per block of elements
+    contracts it with the test table.  The choice reads the sample alone, so
+    equal samples give equal bits.  The edge terms are formed per point
+    either way: the inflow term is not linear in b.
+    """
     ec, bc = disc.elements, disc.boundary
     mu, bv, cv, mu_e, bn = coefficients
 
-    # weighted trial side of the volume form, c N + b . grad N and mu grad N,
-    # formed and contracted one block of elements at a time
     ne = len(ec.table)
     data = _zero_data(disc)
-    for s in block_slices(ne, ec.table[0].nbytes):
-        coef = np.zeros(ec.w[s].shape + (3, 3))
-        coef[..., 0, 0], coef[..., 0, 1:], coef[..., 1:, 1:] = cv[s], bv[s], mu[s]
-        coef *= ec.w[s, :, None, None]
-        _add_blocks(data, disc._slots[s], _blocks(ec.table[s], coef @ ec.table[s]))
+    terms = _uniform_terms(mu, bv, cv)
+    if terms is not None:
+        units = disc.volume_units(list(terms))
+        for s in block_slices(len(data), data.itemsize):
+            for v, unit in zip(terms.values(), units):
+                data[s] += v * unit[s]
+    else:
+        # weighted trial side of the volume form, c N + b . grad N and
+        # mu grad N, formed and contracted one block of elements at a time
+        for s in block_slices(ne, ec.table[0].nbytes):
+            coef = np.zeros(ec.w[s].shape + (3, 3))
+            coef[..., 0, 0], coef[..., 0, 1:], coef[..., 1:, 1:] = cv[s], bv[s], mu[s]
+            coef *= ec.w[s, :, None, None]
+            _add_blocks(data, disc._slots[s], _blocks(ec.table[s], coef @ ec.table[s]))
 
     # test side N and flux n . mu grad N, trial side sigma N - flux and -N:
     # the flux term, its transpose, the inflow term and the penalty, one
@@ -586,8 +691,8 @@ def _load_from(disc, p, dirichlet, t):
     """Load vector F_i = (f, N_i) plus the Dirichlet terms ``dirichlet`` of the
     stiffness at ``t`` (from :func:`_stiffness_from`) applied to g."""
     ec, bc = disc.elements, disc.boundary
-    fv = _coefficients_at(ec.x, p.f, t)
-    gv = _coefficients_at(bc.x, p.g, t)
+    fv = _coefficients_at(ec.x, p, "f", t)
+    gv = _coefficients_at(bc.x, p, "g", t)
     values = np.empty(disc._gidx.shape)
     _volume_integrals(ec, fv, values[: len(fv)])
     np.einsum("fq,fql->fl", bc.w * gv, dirichlet, out=values[len(fv) :])
@@ -693,7 +798,11 @@ class AssembledForms:
     last stiffness matrix and its Dirichlet edge terms with copies of the
     sampled coefficients they were assembled from (see :func:`_kept`).  Each
     new sample is compared with those copies in place, bit for bit, with no
-    bytes copies of either.  The mass matrix is ``disc.mass``.  An eps below the floor runs, since
+    bytes copies of either.  A changed sample is assembled by
+    :func:`_stiffness_from`, from the discretization's unit matrices when
+    its volume coefficients are uniform; which way reads that sample alone,
+    so the matrix is bit-equal to :func:`assemble_stiffness` at the same t.
+    The mass matrix is ``disc.mass``.  An eps below the floor runs, since
     the floor is sufficient for coercivity but not necessary, with a
     ``UserWarning`` that names eps, the floor and their ratio.
     """
@@ -725,6 +834,7 @@ class AssembledForms:
         the kept copies.  ``A`` is the previous matrix object when they are
         bit-equal; only a changed operator is assembled and copied.  The load
         samples f and g alone and reuses the matrix's Dirichlet edge terms.
+        A non-finite sample of mu, b, c, f or g raises :class:`ConfigError`.
         """
         coefficients = _operator_coefficients(self.disc, self.problem, t)
         kept, A, dirichlet = self._operator

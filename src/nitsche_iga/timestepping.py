@@ -10,7 +10,10 @@ unsigned integers, so a step that reuses the operator copies nothing; the
 load samples only f and g and reuses the matrix's Dirichlet edge terms.
 The march factors M + tau A again only when that object changes: an
 autonomous operator is assembled and factored once, a time-dependent one
-every step, with the same result as rebuilding always.
+every step.  Each assembly, from the discretization's unit matrices when
+mu, b and c are uniform over the volume points and point by point
+otherwise, depends on the sample at t_n alone, so the result is the same,
+bit for bit, as rebuilding the operator at every step.
 M and A share the discretization's CSR pattern, so M + tau A is formed on
 its data alone, and every LU, the mass matrix's included, factors the band
 of that pattern in its natural order, laid out once in ``disc.band``.

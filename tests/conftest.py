@@ -150,8 +150,8 @@ def reference_load(disc, p, eps, t):
     its own sampling of f, g, mu and b . n and its own Dirichlet terms
     sigma N - n . mu grad N; the reference for ``AssembledForms.at(t)[1]``."""
     ec, bc = disc.elements, disc.boundary
-    fv = _coefficients_at(ec.x, p.f, t)
-    gv, mu_e = (_coefficients_at(bc.x, fn, t) for fn in (p.g, p.mu))
+    fv = _coefficients_at(ec.x, p, "f", t)
+    gv, mu_e = (_coefficients_at(bc.x, p, name, t) for name in ("g", "mu"))
     _, bn = inflow_mask(disc, p, t)
     flux = ((bc.normal[:, :, None, :] @ mu_e) @ bc.table[:, :, 1:])[:, :, 0]
     sigma = (eps / bc.h_E)[:, None] - np.minimum(bn, 0.0)

@@ -384,6 +384,164 @@ class TestAgainstPerTermAssembly:
         assert relative_error(disc.vh_gram.toarray(), G) <= 1e-13
 
 
+# -- the volume form from unit matrices ---------------------------------------
+
+def per_point_stiffness(disc, coefficients, eps):
+    """Stiffness data with every volume point's coefficients weighting the
+    trial table, in one pass over all elements, and the edge terms after."""
+    ec, bc = disc.elements, disc.boundary
+    mu, bv, cv, mu_e, bn = coefficients
+    ne = len(ec.table)
+    data = assembly._zero_data(disc)
+    coef = np.zeros(ec.w.shape + (3, 3))
+    coef[..., 0, 0], coef[..., 0, 1:], coef[..., 1:, 1:] = cv, bv, mu
+    coef *= ec.w[..., None, None]
+    assembly._add_blocks(data, disc._slots[:ne], assembly._blocks(ec.table, coef @ ec.table))
+    flux = ((bc.normal[:, :, None, :] @ mu_e) @ bc.table[:, :, 1:])[:, :, 0]
+    sigma = (eps / bc.h_E)[:, None] - np.minimum(bn, 0.0)
+    edge_trial = np.stack([sigma[..., None] * bc.B - flux, -bc.B], axis=2)
+    edge_trial *= bc.w[:, :, None, None]
+    edge_test = np.stack([bc.B, flux], axis=2)
+    assembly._add_blocks(data, disc._slots[ne:], assembly._blocks(edge_test, edge_trial))
+    return data
+
+
+def _full_with(fill, value, at):
+    a = np.full((5, 4), fill)
+    a[at] = value
+    return a
+
+
+# a quiet NaN with another payload than np.nan's
+NAN_PAYLOAD = np.uint64(0x7FF8000000000001).view(np.float64)
+
+
+class TestUnitMatrices:
+    @pytest.mark.parametrize(
+        "a, uniform",
+        [
+            (np.broadcast_to([[1.0, 0.5], [0.5, 1.0]], (5, 4, 2, 2)), True),
+            (np.full((5, 4), 3.0), True),
+            (np.full((5, 4, 2), [1.0, 2.0]), True),
+            (np.full((5, 4), np.nan), True),
+            # the last point of the last element one ulp off
+            (_full_with(2.0, np.nextafter(2.0, 3.0), (4, 3)), False),
+            (_full_with(0.0, -0.0, (0, 0)), False),
+            (_full_with(np.nan, NAN_PAYLOAD, (2, 1)), False),
+            # one value per element, repeated over its points
+            (np.broadcast_to(np.arange(5.0)[:, None], (5, 4)), False),
+        ],
+        ids=["stride0_matrix", "full", "full_vector", "full_nan", "one_point",
+             "signed_zero", "nan_payload", "per_element"],
+    )
+    @pytest.mark.parametrize("budget", ["default", "one element"])
+    def test_uniform_compares_bits(self, monkeypatch, a, uniform, budget):
+        if budget == "one element":
+            monkeypatch.setattr(assembly, "BLOCK_BYTES", 1)
+        assert assembly._uniform(a) is uniform
+
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_units_match_per_pair_sums(self, geometry, degree):
+        disc = make_disc(load_geometry(geometry), degree, 3)
+        ec = disc.elements
+        units = disc.volume_units(list(assembly.UNIT_PAIRS))
+        for (r, s), data in zip(assembly.UNIT_PAIRS, units):
+            blocks = np.einsum("eq,eqi,eqj->eij", ec.w, ec.table[:, :, r], ec.table[:, :, s])
+            ref = _coo(blocks, ec.gidx, disc.dimension)
+            assert relative_error(disc.matrix(data).toarray(), ref) <= 1e-13, (r, s)
+
+    @pytest.mark.filterwarnings("ignore:penalty eps")
+    def test_units_built_once_for_the_nonzero_pairs(self, monkeypatch, square_gm):
+        calls = []
+        build = assembly._unit_data
+
+        def spy(disc, pairs):
+            calls.append(list(pairs))
+            return build(disc, pairs)
+
+        monkeypatch.setattr(assembly, "_unit_data", spy)
+        disc = make_disc(square_gm, 2, 3)
+        # paper_sec8: mu = I, b = (1, 1), c = 1, so mu12 = mu21 = 0; then
+        # b(0) = (1, 0) of the rotating field needs no new unit, and b(1.7)
+        # = (cos, sin) of 0.85 pi needs the one of b2
+        sec8 = builtin_case("paper_sec8").problem
+        for p, t in ((sec8, 0.3), (sec8, 1.7), (rotating_advection(sec8), 0.0)):
+            assemble_stiffness(disc, p, 2.5, t)
+            AssembledForms(disc, p, epsilon=2.5).at(t)
+        assert calls == [[(0, 1), (0, 2), (1, 1), (2, 2)]]
+        disc = make_disc(square_gm, 2, 3)
+        for t in (0.0, 0.0, 1.7, 1.7):
+            assemble_stiffness(disc, rotating_advection(sec8), 2.5, t)
+        assert calls[1:] == [[(0, 1), (1, 1), (2, 2)], [(0, 2)]]
+        (mass,) = disc.volume_units([(0, 0)])
+        assert mass is disc.mass.data
+        assert disc.volume_units([(0, 2)])[0] is disc.volume_units([(0, 2)])[0]
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("name", ["paper_sec8", "rotating"])
+    def test_uniform_sample_takes_the_units(self, geometry, name):
+        # roundoff from the per-point sums: a sum per term in place of a sum
+        # per point
+        sec8 = builtin_case("paper_sec8").problem
+        p = rotating_advection(sec8) if name == "rotating" else sec8
+        disc = make_disc(load_geometry(geometry), 2, 3)
+        coefficients = assembly._operator_coefficients(disc, p, 1.7)
+        assert assembly._uniform_terms(*coefficients[:3]) is not None
+        A, _ = assembly._stiffness_from(disc, coefficients, 2.5)
+        ref = per_point_stiffness(disc, coefficients, 2.5)
+        assert relative_error(A.data, ref) <= 1e-13
+
+    @pytest.mark.parametrize("key", ["c", "b", "mu"])
+    def test_one_varying_point_takes_the_per_point_path(self, monkeypatch, square_gm, key):
+        # one ulp more at the first volume point: the sum per point, bit for
+        # bit, and no unit matrix is made
+        monkeypatch.setattr(assembly, "_unit_data", lambda *args: pytest.fail("units made"))
+        disc = make_disc(square_gm, 2, 3)
+        xq, yq = disc.elements.x[0, 0]
+        sec8 = builtin_case("paper_sec8").problem
+        base = getattr(sec8, key)
+
+        def varied(x, y, t):
+            v = np.array(base(x, y, t))
+            v[(x == xq) & (y == yq)] *= np.nextafter(1.0, 2.0)
+            return v
+
+        p = replace(sec8, **{key: varied})
+        coefficients = assembly._operator_coefficients(disc, p, 0.5)
+        assert assembly._uniform_terms(*coefficients[:3]) is None
+        A, _ = assembly._stiffness_from(disc, coefficients, 2.5)
+        assert A.data.tobytes() == per_point_stiffness(disc, coefficients, 2.5).tobytes()
+        assert A.data.tobytes() == assemble_stiffness(disc, p, 2.5, 0.5).data.tobytes()
+
+    @pytest.mark.parametrize("kind", ["uniform", "anisotropic", "two equal knot vectors"])
+    def test_element_cache_evaluates_a_shared_knot_vector_once(self, monkeypatch, square_gm, kind):
+        # one evaluation when both directions share a knot vector, and the
+        # same tables, points and weights as from two equal ones
+        if kind == "anisotropic":
+            space = anisotropic_disc(square_gm).space
+        else:
+            space = make_disc(square_gm, 2, 3).space
+            assert space.kv1 is space.kv2
+        if kind == "two equal knot vectors":
+            space = TensorSpace(space.kv1, validate_knots(space.kv1.knots, space.kv1.degree))
+        calls = []
+        evaluate = assembly.eval_basis_many
+
+        def spy(*args):
+            calls.append(args[0])
+            return evaluate(*args)
+
+        monkeypatch.setattr(assembly, "eval_basis_many", spy)
+        cache = assembly.ElementCache(space, square_gm, 5)
+        assert len(calls) == (1 if kind == "uniform" else 2)
+        if kind == "two equal knot vectors":
+            shared = assembly.ElementCache(TensorSpace(space.kv1, space.kv1), square_gm, 5)
+            for key in ("table", "x", "w", "gidx"):
+                assert getattr(cache, key).tobytes() == getattr(shared, key).tobytes(), key
+
+
 class TestSparsityPattern:
     @pytest.mark.parametrize("gm_name", ["square_gm", "annulus_gm"])
     def test_one_sorted_pattern(self, request, gm_name):

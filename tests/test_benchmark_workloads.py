@@ -32,6 +32,11 @@ FACTORIZATIONS = {"sec8_square_k2": 2, "rotating_square_k2": 65, "reaction_annul
 COEFFICIENT_CALLS = {"sec8_square_k2": 168, "rotating_square_k2": 448, "reaction_annulus_k3": 7}
 
 
+# whether the volume form of every step is a sum of unit matrices: mu, b
+# and c each hold one value at every volume point
+UNIT_PATH = {"sec8_square_k2": True, "rotating_square_k2": True, "reaction_annulus_k3": False}
+
+
 def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
         f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
@@ -114,3 +119,20 @@ def test_traced_repetition_samples_the_problem_once_per_step(workloads, tracing,
         workloads.run_once(w, tracer.trace_case(case), geometry.load_geometry(w.geometry))
     assert COEFFICIENT_CALLS[name] == 7 * w.steps
     assert tracer.table()["problem.coefficients"]["calls"] == COEFFICIENT_CALLS[name]
+
+
+def test_each_workload_takes_its_pinned_volume_path(workloads):
+    # rotating_square_k2 and sec8_square_k2 assemble from unit matrices at
+    # every step; reaction_annulus_k3, whose b varies, by points
+    assert sorted(UNIT_PATH) == sorted(BENCHMARKED)
+    for name in BENCHMARKED:
+        w = workloads.WORKLOADS[name]
+        p = workloads.make_case(w).problem
+        disc = assembly.Discretization(
+            geometry.uniform_space(w.degree, w.spans), geometry.load_geometry(w.geometry)
+        )
+        paths = {
+            assembly._uniform_terms(*assembly._operator_coefficients(disc, p, t)[:3]) is not None
+            for t in timestepping.TimeGrid(w.steps, p.T).nodes[1:]
+        }
+        assert paths == {UNIT_PATH[name]}, name

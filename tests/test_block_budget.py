@@ -42,6 +42,7 @@ def kernel_outputs(gm, degree, case):
         out["pattern." + key] = getattr(disc, key)
     out["band._slot"] = disc.band._slot
     out["mass"] = disc.mass.data
+    out["units"] = np.stack(assembly._unit_data(disc, assembly.UNIT_PAIRS[1:]))
     out["vh_gram"] = disc.vh_gram.data
     out["trace_constant"] = np.array(disc.trace_constant)
     out["stiffness"] = A.data
@@ -193,6 +194,21 @@ def test_matrices_allocate_their_blocks_and_block_temporaries(annulus_k3):
     ):
         _, excess = traced(fn, *args)
         assert excess <= FEW_BUDGETS, fn.__name__
+
+
+def test_unit_matrices_allocate_their_data_and_block_temporaries(annulus_k3):
+    # the element Grams of all table rows, one block of elements at a time;
+    # with paper_sec8's uniform coefficients the stiffness makes the four
+    # units of its nonzero b and mu and sums them a block of entries at a time
+    disc, _ = annulus_k3
+    _, excess = traced(assembly._unit_data, disc, assembly.UNIT_PAIRS[1:])
+    assert excess <= FEW_BUDGETS
+    p = builtin_case("paper_sec8").problem
+    coefficients = assembly._operator_coefficients(disc, p, 0.5)
+    assert assembly._uniform_terms(*coefficients[:3]) is not None
+    for _ in range(2):
+        _, excess = traced(assembly._stiffness_from, disc, coefficients, 10.0)
+        assert excess <= FEW_BUDGETS
 
 
 def test_trace_constant_allocates_only_block_temporaries(annulus_k3):

@@ -13,6 +13,7 @@ from nitsche_iga import (
 from nitsche_iga import assembly
 from nitsche_iga.analysis import boundary_trace_sq
 from nitsche_iga.assembly import assemble_functional, assemble_stiffness
+from nitsche_iga.errors import ConfigError
 from nitsche_iga.linalg import SparseFactor
 from nitsche_iga.splines import collocation
 
@@ -411,3 +412,46 @@ class TestReuseCheck:
         b = np.asarray(b)
         assert assembly._same_bits(a, assembly._kept(np.full((4, 3), b))) is equal
         assert assembly._same_bits(a, assembly._kept(np.broadcast_to(b, (4, 3)))) is equal
+
+
+def _from_second_step(at):
+    """Mask (x, y, t) -> (m,) of the points ``at(x, y)`` from t = 2 on: the
+    second step of a march of paper_sec8 in four."""
+    return lambda x, y, t: at(x, y) & (t >= 2.0)
+
+
+def _first(x, y):
+    return np.arange(len(x)) == 0
+
+
+# name: (closure of paper_sec8, mask, value at the masked points); the first
+# sampled point of a volume closure is a volume point, and x == 0 or 1 is
+# met at edge points alone
+NON_FINITE = {
+    "c_nan_at_one_point": ("c", _from_second_step(_first), np.nan),
+    "c_nan_everywhere": ("c", _from_second_step(lambda x, y: x == x), np.nan),
+    "f_inf_at_one_point": ("f", _from_second_step(_first), np.inf),
+    "mu_nan_on_edge_x1": ("mu", _from_second_step(lambda x, y: x == 1.0), np.nan),
+    "b_inf_on_edge_x0": ("b", _from_second_step(lambda x, y: x == 0.0), np.inf),
+    "g_nan_everywhere": ("g", _from_second_step(lambda x, y: x == x), np.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_non_finite_coefficient_names_the_closure_and_time(square_gm, name):
+    # at the parent a NaN in c surfaced as a singular factorization, and a
+    # non-finite f or g as a non-finite solution
+    key, mask, value = NON_FINITE[name]
+    p = builtin_case("paper_sec8").problem
+    base = getattr(p, key)
+
+    def spoiled(x, y, t):
+        v = np.asarray(base(x, y, t))
+        return np.where(mask(x, y, t).reshape((-1,) + (1,) * (v.ndim - 1)), value, v)
+
+    p = replace(p, **{key: spoiled})
+    disc = make_disc(square_gm, 2, 3)
+    forms = AssembledForms(disc, p, epsilon=10.0)
+    named = rf"coefficient {key}\(x, y, t\) is not finite at t = 2: it takes the value {value}"
+    with pytest.raises(ConfigError, match=named):
+        march(forms, TimeGrid(4, p.T), project_initial(disc, p.u0))
