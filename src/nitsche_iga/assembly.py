@@ -10,15 +10,18 @@ CSR pattern that every matrix shares, the tensor product of the span-block
 patterns of the two directions (:func:`_tensor_pattern`), and the band
 layout of that pattern in its natural order, in which every LU of the
 solver factors.
-The mass, the V_h Gram and the edge terms are batched products,
-:func:`_blocks`, of a test table with a trial table that carries the
-weights and coefficients.  The volume form of the stiffness is one too
-when a coefficient varies over the volume points; when c, b and mu each
-hold one value there, it is the sum of those values times the unit
-matrices sum_q w T_r T_s of the table rows, made once per discretization
+The edge terms are batched products, :func:`_blocks`, of a test table
+with a trial table that carries the weights and coefficients.  The volume
+form of the stiffness is one too when a coefficient varies over the volume
+points.  Every fixed volume Gram is a sum of the unit matrices
+sum_q w T_r T_s of the table rows, made once per discretization
 (:meth:`Discretization.volume_units`; the affine decomposition of
-reduced-basis methods).  An edge's local basis is its owner element's, so
-each edge carries its owner's data slots and global indices.  The element
+reduced-basis methods): the mass is the unit of the value rows, the V_h
+Gram adds those of the two gradient rows and its boundary mass, and when
+c, b and mu each hold one value at the volume points, the volume form of
+the stiffness is the sum of those values times their units.  An edge's
+local basis is its owner element's, so each edge carries its owner's data
+slots and global indices.  The element
 blocks and then the edge blocks are added into the matrix data at their
 slots as each block of them is made (``np.add.at``, which sums in order,
 the order of one ``np.bincount`` over all of them); a vector is summed
@@ -35,9 +38,9 @@ returns both from one sampling of the coefficients.  The penalty floor's
 Gram at every quadrature order.
 
 Every element kernel (the element cache's grid evaluation by span rows,
-the basis tables, the stiffness, the unit matrices, the mass and the V_h
-Gram, the trace constant, the volume sums of the load, and the band
-layout's slots by rows of the pattern) runs over consecutive blocks of
+the basis tables, the stiffness, the unit matrices and the V_h Gram's
+boundary mass, the trace constant, the volume sums of the load, and the
+band layout's slots by rows of the pattern) runs over consecutive blocks of
 elements, edges or rows (:func:`block_slices`) whose largest temporary fits
 ``BLOCK_BYTES``, and each block writes into the one array that the kernel
 keeps or returns.  A
@@ -406,13 +409,12 @@ class Discretization:
         """The data of the unit matrix sum_q w T_r T_s of each table-row pair
         (r, s) in ``pairs``: the value rows at r = 0 and the gradient rows of
         direction a at r = 1 + a, for the test (r) and the trial (s)
-        function.  The pair (0, 0) is the mass matrix's data itself; the
-        others are made on first use, the missing ones of a call in one pass
-        (:func:`_unit_data`), and kept."""
-        missing = [pair for pair in pairs if pair != (0, 0) and pair not in self._units]
+        function, so (0, 0) is the mass.  Each is made on first use, the
+        missing ones of a call in one pass (:func:`_unit_data`), and kept."""
+        missing = [pair for pair in pairs if pair not in self._units]
         if missing:
             self._units.update(zip(missing, _unit_data(self, missing)))
-        return [self.mass.data if pair == (0, 0) else self._units[pair] for pair in pairs]
+        return [self._units[pair] for pair in pairs]
 
     @cached_property
     def vh_gram(self):
@@ -446,14 +448,6 @@ def _add_blocks(data, slots, blocks):
     np.add.at(data, slots.ravel(), blocks.ravel())
 
 
-def _add_grams(data, slots, table, w):
-    """Add to ``data`` at ``slots`` (n, nloc, nloc) the :func:`_blocks` of
-    each table (nq, rows, nloc) of ``table`` with itself weighted by ``w``
-    (nq,), block by block as each is made."""
-    for s in block_slices(len(table), table[0].nbytes):
-        _add_blocks(data, slots[s], _blocks(table[s], w[s][..., None, None] * table[s]))
-
-
 def _volume_integrals(ec, values, out):
     """``out`` (ne, nloc) filled with the integrals of v N_l over each element,
     for the values (ne, nq) of v at the quadrature points, block by block."""
@@ -469,37 +463,47 @@ def _scatter(index, size, values):
 
 
 def assemble_mass(disc):
-    """Mass matrix M_ij = (N_j, N_i) over the physical domain."""
-    ec = disc.elements
-    data = _zero_data(disc)
-    _add_grams(data, disc._slots, ec.table[:, :, :1], ec.w)
-    return disc.matrix(data)
+    """Mass matrix M_ij = (N_j, N_i) over the physical domain: the unit
+    matrix (0, 0) of :meth:`Discretization.volume_units`, whose data it
+    shares."""
+    return disc.matrix(disc.volume_units([(0, 0)])[0])
 
 
 def _coefficients_at(points, p, name, t):
     """The closure ``name`` of the problem ``p`` at ``points`` (..., 2) and
-    time ``t``, shaped (...,) plus the shape of its values.
-
-    Raises :class:`ConfigError`, naming the closure and ``t``, unless every
-    value is finite; only the :func:`_distinct` values are checked.
-    """
+    time ``t``, shaped (...,) plus the shape of its values; unchecked, see
+    :func:`_check_finite`."""
     flat = points.reshape(-1, 2)
     vals = np.asarray(getattr(p, name)(flat[:, 0], flat[:, 1], t))
-    distinct = _distinct(vals)
+    return vals.reshape(points.shape[:-1] + vals.shape[1:])
+
+
+def _check_finite(values, what):
+    """Raise :class:`ConfigError`, saying ``what`` is not finite, unless every
+    value of the sample ``values`` is finite; only its :func:`_distinct`
+    values are checked."""
+    distinct = _distinct(values)
     finite = np.isfinite(distinct)
     if not finite.all():
-        raise ConfigError(
-            f"coefficient {name}(x, y, t) is not finite at t = {t:g}: it takes the value "
-            f"{distinct[~finite][0]}"
-        )
-    return vals.reshape(points.shape[:-1] + vals.shape[1:])
+        raise ConfigError(f"{what}: it takes the value {distinct[~finite][0]}")
+
+
+def _check_coefficients(names, samples, t):
+    """:func:`_check_finite` of each sample of the closure of its name at ``t``."""
+    for name, values in zip(names, samples):
+        _check_finite(values, f"coefficient {name}(x, y, t) is not finite at t = {t:g}")
 
 
 def inflow_mask(disc, p, t):
     """``(mask, bn)``: b . n (nedge, nq) at the edge quadrature points and
-    the boolean mask of the points where it is negative."""
+    the boolean mask of the points where it is negative.
+
+    The sample of b is checked here, where it is reduced to b . n: the
+    product of an infinite b with a normal can be NaN.
+    """
     bc = disc.boundary
     bv = _coefficients_at(bc.x, p, "b", t)
+    _check_coefficients(("b",), (bv,), t)
     bn = np.einsum("fqa,fqa->fq", bv, bc.normal)
     return bn < 0.0, bn
 
@@ -509,7 +513,9 @@ def _operator_coefficients(disc, p, t):
 
     mu, b and c at the volume quadrature points, mu at the edge quadrature
     points and b . n there (the inflow mask alone would miss a change of
-    |b . n|).  Bit-equal arrays give a bit-equal stiffness matrix.
+    |b . n|).  Bit-equal arrays give a bit-equal stiffness matrix.  Only b
+    at the edge points is checked here (:func:`inflow_mask`); the others
+    are checked by :func:`_stiffness_from`, when they are assembled.
     """
     ec, bc = disc.elements, disc.boundary
     mu, bv, cv = (_coefficients_at(ec.x, p, name, t) for name in ("mu", "b", "c"))
@@ -577,22 +583,32 @@ def _uniform_terms(mu, bv, cv):
     return {pair: float(v) for pair, v in zip(UNIT_PAIRS, values) if v != 0.0}
 
 
+def _add_gram_blocks(units, slots, table, w, pairs):
+    """Add to each matrix data of ``units`` at ``slots`` (n, nloc, nloc) the
+    blocks sum over points of w T_r[i] T_s[j] of its table-row pair (r, s)
+    of ``pairs``, for the tables (n, nq, 3, nloc) of ``table`` and the
+    weights (n, nq) of ``w``.
+
+    One pass over blocks of items weights the rows of each block's table
+    from the first to the last that the pairs read by w, the block's largest
+    temporary, and adds the blocks T_r^T (w T_s) of each pair into its data:
+    a pair's product is the same whichever pairs are made with it.
+    """
+    first, last = min(map(min, pairs)), max(map(max, pairs))
+    rows = slice(first, last + 1)
+    for s in block_slices(len(table), table[0, :, rows].nbytes):
+        weighted = w[s, :, None, None] * table[s, :, rows]
+        for data, (test, trial) in zip(units, pairs):
+            blocks = table[s, :, test].swapaxes(1, 2) @ weighted[:, :, trial - first]
+            _add_blocks(data, slots[s], blocks)
+
+
 def _unit_data(disc, pairs):
     """The data of the unit matrices sum over elements and points of
-    w T_r[i] T_s[j] of the table-row ``pairs`` (r, s), one list entry each.
-
-    One pass over blocks of elements weights each block's table by w, the
-    block's largest temporary, and adds the blocks T_r^T (w T_s) of each
-    pair into its data: a pair's product is the same whichever pairs are
-    made with it.
-    """
-    ec = disc.elements
+    w T_r[i] T_s[j] of the table-row ``pairs`` (r, s), one list entry each
+    (:func:`_add_gram_blocks`)."""
     units = [_zero_data(disc) for _ in pairs]
-    for s in block_slices(len(ec.table), ec.table[0].nbytes):
-        weighted = ec.w[s, :, None, None] * ec.table[s]
-        for data, (test, trial) in zip(units, pairs):
-            blocks = ec.table[s, :, test].swapaxes(1, 2) @ weighted[:, :, trial]
-            _add_blocks(data, disc._slots[s], blocks)
+    _add_gram_blocks(units, disc._slots, disc.elements.table, disc.elements.w, pairs)
     return units
 
 
@@ -626,10 +642,11 @@ def _penalty(eps, h_E):
     return eps
 
 
-def _stiffness_from(disc, coefficients, eps):
-    """Stiffness matrix from the sampled :func:`_operator_coefficients`, and its
-    Dirichlet trial terms sigma N - n . mu grad N (nedge, nq, nloc) at the edge
-    points, with sigma = eps/h_E - min(b . n, 0), which the load applies to g.
+def _stiffness_from(disc, coefficients, eps, t):
+    """Stiffness matrix from the :func:`_operator_coefficients` sampled at
+    ``t``, and its Dirichlet trial terms sigma N - n . mu grad N (nedge, nq,
+    nloc) at the edge points, with sigma = eps/h_E - min(b . n, 0), which the
+    load applies to g.  A non-finite mu, b or c raises :class:`ConfigError`.
 
     When c, b and mu each hold one value at every volume point
     (:func:`_uniform_terms`), the volume form is the sum of those values
@@ -642,6 +659,7 @@ def _stiffness_from(disc, coefficients, eps):
     """
     ec, bc = disc.elements, disc.boundary
     mu, bv, cv, mu_e, bn = coefficients
+    _check_coefficients(("mu", "b", "c", "mu"), coefficients, t)
 
     ne = len(ec.table)
     data = _zero_data(disc)
@@ -684,7 +702,7 @@ def assemble_stiffness(disc, p, eps, t):
     must be positive finite numbers.
     """
     eps = _penalty(eps, disc.boundary.h_E)
-    return _stiffness_from(disc, _operator_coefficients(disc, p, t), eps)[0]
+    return _stiffness_from(disc, _operator_coefficients(disc, p, t), eps, t)[0]
 
 
 def _load_from(disc, p, dirichlet, t):
@@ -693,6 +711,7 @@ def _load_from(disc, p, dirichlet, t):
     ec, bc = disc.elements, disc.boundary
     fv = _coefficients_at(ec.x, p, "f", t)
     gv = _coefficients_at(bc.x, p, "g", t)
+    _check_coefficients(("f", "g"), (fv, gv), t)
     values = np.empty(disc._gidx.shape)
     _volume_integrals(ec, fv, values[: len(fv)])
     np.einsum("fq,fql->fl", bc.w * gv, dirichlet, out=values[len(fv) :])
@@ -700,22 +719,29 @@ def _load_from(disc, p, dirichlet, t):
 
 
 def assemble_functional(disc, func):
-    """Vector of volume integrals (func, N_i); func takes (x, y) arrays."""
+    """Vector of volume integrals (func, N_i); func, the initial datum u0 of
+    :func:`~nitsche_iga.timestepping.project_initial`, takes (x, y) arrays.
+    A non-finite value raises :class:`ConfigError`."""
     ec = disc.elements
     flat = ec.x.reshape(-1, 2)
     fv = np.asarray(func(flat[:, 0], flat[:, 1])).reshape(ec.w.shape)
+    _check_finite(fv, "initial datum u0(x, y) is not finite")
     values = _volume_integrals(ec, fv, np.empty(ec.gidx.shape))
     return _scatter(disc._gidx, disc.dimension, values)
 
 
 def assemble_vh_gram(disc):
-    """Gram matrix of the stability norm: H1 inner product plus the
-    h_E^-1-weighted boundary mass."""
-    ec, bc = disc.elements, disc.boundary
-    ne = len(ec.w)
-    data = _zero_data(disc)
-    _add_grams(data, disc._slots, ec.table, ec.w)
-    _add_grams(data, disc._slots[ne:], bc.table[:, :, :1], bc.w / bc.h_E[:, None])
+    """Gram matrix of the stability norm: H1 inner product, the sum of the
+    unit matrices (0, 0), (1, 1) and (2, 2) of
+    :meth:`Discretization.volume_units`, plus the h_E^-1-weighted boundary
+    mass, whose blocks the unit matrices' kernel (:func:`_add_gram_blocks`)
+    adds from the edge table."""
+    bc = disc.boundary
+    mass, dx, dy = disc.volume_units([(0, 0), (1, 1), (2, 2)])
+    data = mass + dx
+    data += dy
+    edges = disc._slots[len(disc.elements.w) :]
+    _add_gram_blocks([data], edges, bc.table, bc.w / bc.h_E[:, None], [(0, 0)])
     return disc.matrix(data)
 
 
@@ -839,6 +865,6 @@ class AssembledForms:
         coefficients = _operator_coefficients(self.disc, self.problem, t)
         kept, A, dirichlet = self._operator
         if A is None or not all(map(_same_bits, coefficients, kept)):
-            A, dirichlet = _stiffness_from(self.disc, coefficients, self.eps)
+            A, dirichlet = _stiffness_from(self.disc, coefficients, self.eps, t)
             self._operator = ([_kept(a) for a in coefficients], A, dirichlet)
         return A, _load_from(self.disc, self.problem, dirichlet, t)

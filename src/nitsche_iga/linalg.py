@@ -9,14 +9,15 @@ the natural index order i1 + n1 i2 of a tensor-product space is a band
 matrix of half-bandwidth k2 n1 + k1.  Its :class:`BandLayout` is read from
 the pattern once, and each LU scatters the matrix's data into LAPACK's band
 storage and factors it there (``dgbtrf``/``dgbtrs``), with no ordering
-search, permutation or gather.  The dense generalized eigensolver solves
-one pair, the coercivity audit's, of the size of the space; the trace
+search, permutation or gather.  The dense generalized eigensolver, LAPACK's
+``?sygvd`` by ``scipy.linalg.eigh``, solves one pair, the coercivity
+audit's, of the size of the space, and checks its residuals; the trace
 constant of every set-up reduces its per-edge pairs to small standard
 problems itself and checks them against the same bound, ``EIG_RTOL``.
 """
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.linalg
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConvergenceFailure, NotSPD, SingularMatrix
@@ -106,7 +107,7 @@ class SparseFactor:
         if not layout.fits(self.matrix):
             raise ValueError("matrix is not on the pattern of its layout")
         self._kl, self._ku = layout.kl, layout.ku
-        self._norm = spla.norm(self.matrix, "fro")
+        self._norm = np.linalg.norm(self.matrix.data)
         self._lu, self._piv, info = dgbtrf(
             layout.band(self.matrix.data), self._kl, self._ku, overwrite_ab=1
         )
@@ -143,9 +144,10 @@ def generalized_symmetric_eig(A, B):
     """Eigenvalues (ascending) of A v = lambda B v for one pair of (n, n)
     matrices, A symmetric and B SPD.
 
-    B is reduced by Cholesky, B = L L^T, to the standard symmetric problem of
-    L^-1 A L^-T; a failed Cholesky raises :class:`NotSPD`.  Every returned
-    pair is verified against the residual bound
+    One call of ``scipy.linalg.eigh(A, B)``, LAPACK's symmetric-definite
+    driver ``?sygvd``, which reduces the pair by a Cholesky factorization of
+    B; a B that is not positive definite raises :class:`NotSPD`.  Every
+    returned pair is verified against the residual bound
     ||A v - lambda B v|| <= EIG_RTOL ||A||_2 (the largest residual entry of a
     B-normalized v), with ||A||_2 the largest |eigenvalue| of A; a violation
     raises :class:`ConvergenceFailure`.
@@ -153,12 +155,9 @@ def generalized_symmetric_eig(A, B):
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     try:
-        L = np.linalg.cholesky(B)
+        vals, V = scipy.linalg.eigh(A, B)
     except np.linalg.LinAlgError:
         raise NotSPD("right-hand matrix is not symmetric positive definite") from None
-    L_inv = np.linalg.inv(L)
-    vals, W = np.linalg.eigh(L_inv @ A @ L_inv.T)
-    V = L_inv.T @ W
 
     norm_a = np.abs(np.linalg.eigvalsh(A)).max(initial=0.0)
     worst = np.abs(A @ V - (B @ V) * vals).max(initial=0.0)

@@ -35,34 +35,17 @@ class QuadratureRule:
 def gauss_rule(q):
     """Gauss-Legendre rule with ``q`` points on [0, 1].
 
-    Nodes are Newton-refined roots of the degree-q Legendre polynomial,
-    accurate to machine precision; the rule integrates polynomials up to
-    degree 2q-1 exactly.  Memoized: one rule per point count in
+    numpy's ``leggauss`` rule on [-1, 1], mapped to [0, 1]: its nodes are
+    the eigenvalues of the symmetric Jacobi matrix of the Legendre
+    recurrence (Golub and Welsch, Math. Comp. 1969), refined by one Newton
+    step, accurate to machine precision; the rule integrates polynomials up
+    to degree 2q-1 exactly.  Memoized: one rule per point count in
     1..``MAX_POINTS``, with read-only ``points`` and ``weights``; any other
     ``q`` raises :class:`UnsupportedOrder` on every call.
     """
     if not 1 <= q <= MAX_POINTS:
         raise UnsupportedOrder(f"point count must be in 1..{MAX_POINTS}, got {q}")
-    i = np.arange(q)
-    x = np.cos(np.pi * (i + 0.75) / (q + 0.5))
-    for _ in range(60):
-        p, dp = _legendre_and_derivative(q, x)
-        dx = p / dp
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-16:
-            break
-    _, dp = _legendre_and_derivative(q, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    points, weights = (x[order] + 1.0) / 2.0, w[order] / 2.0
+    x, w = np.polynomial.legendre.leggauss(q)
+    points, weights = (x + 1.0) / 2.0, w / 2.0
     points.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(points=points, weights=weights)
-
-
-def _legendre_and_derivative(q, x):
-    pm, p = np.ones_like(x), x.copy()
-    for n in range(2, q + 1):
-        pm, p = p, ((2 * n - 1) * x * p - (n - 1) * pm) / n
-    dp = q * (x * p - pm) / (x * x - 1.0)
-    return p, dp
-

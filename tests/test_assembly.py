@@ -451,6 +451,15 @@ class TestUnitMatrices:
             ref = _coo(blocks, ec.gidx, disc.dimension)
             assert relative_error(disc.matrix(data).toarray(), ref) <= 1e-13, (r, s)
 
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    def test_unit_bits_do_not_depend_on_the_pairs_made_with_it(self, geometry):
+        # each call weights only the table rows its pairs read
+        disc = make_disc(load_geometry(geometry), 2, 3)
+        every = assembly._unit_data(disc, assembly.UNIT_PAIRS)
+        for pairs in ([(0, 0)], [(0, 2)], [(2, 1), (0, 1)]):
+            for pair, data in zip(pairs, assembly._unit_data(disc, pairs)):
+                assert data.tobytes() == every[assembly.UNIT_PAIRS.index(pair)].tobytes()
+
     @pytest.mark.filterwarnings("ignore:penalty eps")
     def test_units_built_once_for_the_nonzero_pairs(self, monkeypatch, square_gm):
         calls = []
@@ -469,13 +478,13 @@ class TestUnitMatrices:
         for p, t in ((sec8, 0.3), (sec8, 1.7), (rotating_advection(sec8), 0.0)):
             assemble_stiffness(disc, p, 2.5, t)
             AssembledForms(disc, p, epsilon=2.5).at(t)
-        assert calls == [[(0, 1), (0, 2), (1, 1), (2, 2)]]
+        assert calls == [[(0, 0), (0, 1), (0, 2), (1, 1), (2, 2)]]
         disc = make_disc(square_gm, 2, 3)
         for t in (0.0, 0.0, 1.7, 1.7):
             assemble_stiffness(disc, rotating_advection(sec8), 2.5, t)
-        assert calls[1:] == [[(0, 1), (1, 1), (2, 2)], [(0, 2)]]
+        assert calls[1:] == [[(0, 0), (0, 1), (1, 1), (2, 2)], [(0, 2)]]
         (mass,) = disc.volume_units([(0, 0)])
-        assert mass is disc.mass.data
+        assert np.shares_memory(mass, disc.mass.data)  # made once, for both
         assert disc.volume_units([(0, 2)])[0] is disc.volume_units([(0, 2)])[0]
         assert len(calls) == 3
 
@@ -489,7 +498,7 @@ class TestUnitMatrices:
         disc = make_disc(load_geometry(geometry), 2, 3)
         coefficients = assembly._operator_coefficients(disc, p, 1.7)
         assert assembly._uniform_terms(*coefficients[:3]) is not None
-        A, _ = assembly._stiffness_from(disc, coefficients, 2.5)
+        A, _ = assembly._stiffness_from(disc, coefficients, 2.5, 1.7)
         ref = per_point_stiffness(disc, coefficients, 2.5)
         assert relative_error(A.data, ref) <= 1e-13
 
@@ -511,7 +520,7 @@ class TestUnitMatrices:
         p = replace(sec8, **{key: varied})
         coefficients = assembly._operator_coefficients(disc, p, 0.5)
         assert assembly._uniform_terms(*coefficients[:3]) is None
-        A, _ = assembly._stiffness_from(disc, coefficients, 2.5)
+        A, _ = assembly._stiffness_from(disc, coefficients, 2.5, 0.5)
         assert A.data.tobytes() == per_point_stiffness(disc, coefficients, 2.5).tobytes()
         assert A.data.tobytes() == assemble_stiffness(disc, p, 2.5, 0.5).data.tobytes()
 

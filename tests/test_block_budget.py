@@ -188,7 +188,7 @@ def test_matrices_allocate_their_blocks_and_block_temporaries(annulus_k3):
     p = builtin_case("steady_reaction").problem
     coefficients = assembly._operator_coefficients(disc, p, 0.5)
     for fn, args in (
-        (assembly._stiffness_from, (disc, coefficients, 10.0)),
+        (assembly._stiffness_from, (disc, coefficients, 10.0, 0.5)),
         (assembly.assemble_vh_gram, (disc,)),
         (assembly.assemble_mass, (disc,)),
     ):
@@ -207,7 +207,7 @@ def test_unit_matrices_allocate_their_data_and_block_temporaries(annulus_k3):
     coefficients = assembly._operator_coefficients(disc, p, 0.5)
     assert assembly._uniform_terms(*coefficients[:3]) is not None
     for _ in range(2):
-        _, excess = traced(assembly._stiffness_from, disc, coefficients, 10.0)
+        _, excess = traced(assembly._stiffness_from, disc, coefficients, 10.0, 0.5)
         assert excess <= FEW_BUDGETS
 
 
@@ -236,7 +236,7 @@ def test_volume_sums_allocate_only_what_the_closure_does(annulus_k3):
     x, y = disc.elements.x.reshape(-1, 2).T
     values = disc._gidx.size * 8
     coefficients = assembly._operator_coefficients(disc, p, 0.5)
-    _, dirichlet = assembly._stiffness_from(disc, coefficients, 10.0)
+    _, dirichlet = assembly._stiffness_from(disc, coefficients, 10.0, 0.5)
     for closure, args, kernel, kernel_args in (
         (p.f, (x, y, 0.5), assembly._load_from, (disc, p, dirichlet, 0.5)),
         (p.u0, (x, y), assembly.assemble_functional, (disc, p.u0)),

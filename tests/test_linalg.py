@@ -369,14 +369,14 @@ class TestGeneralizedEig:
         A = (base + base.T) / 2
         Bb = rng.random((5, 5))
         B = Bb @ Bb.T + 5 * np.eye(5)
-        eigh = np.linalg.eigh
+        eigh = scipy.linalg.eigh
 
-        def perturbed(C):
-            vals, vecs = eigh(C)
+        def perturbed(A, B):
+            vals, vecs = eigh(A, B)
             vals = vals.copy()
             vals[-1] += 1e-6 * np.abs(vals).max()  # one pair only
             return vals, vecs
 
-        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
         with pytest.raises(ConvergenceFailure, match="eigenpair residual"):
             generalized_symmetric_eig(A, B)

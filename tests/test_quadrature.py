@@ -61,14 +61,6 @@ class TestMemo:
         assert np.array_equal(getattr(gauss_rule(4), name), before)
 
 
-def test_nodes_match_numpy_leggauss():
-    for q in (3, 7, 12, 16):
-        r = gauss_rule(q)
-        x_ref, w_ref = np.polynomial.legendre.leggauss(q)
-        assert np.max(np.abs(r.points - (x_ref + 1) / 2)) < 1e-15
-        assert np.max(np.abs(r.weights - w_ref / 2)) < 1e-15
-
-
 class TestElementRule:
     """The volume weights of the discretization integrate 1 to the area."""
 

@@ -93,6 +93,21 @@ class TestProjection:
         c = project_initial(disc, lambda x, y: np.zeros_like(x))
         assert np.max(np.abs(c)) < 1e-14
 
+    @pytest.mark.parametrize(
+        "spoil, value",
+        [
+            (lambda x, y: np.where(x < 0.5, np.nan, 1.0), "nan"),
+            (lambda x, y: np.full_like(x, np.inf), "inf"),
+        ],
+        ids=["nan_on_half", "inf_everywhere"],
+    )
+    def test_non_finite_datum_names_u0(self, square_gm, spoil, value):
+        # unchecked, it surfaced as a singular factorization
+        disc = make_disc(square_gm, 2, 4)
+        named = rf"initial datum u0\(x, y\) is not finite: it takes the value {value}"
+        with pytest.raises(ConfigError, match=named):
+            project_initial(disc, spoil)
+
     def test_reproduces_members_of_the_space(self, square_gm):
         # projecting a single basis function returns its unit coefficient
         disc = make_disc(square_gm, 2, 3)
