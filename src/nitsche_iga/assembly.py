@@ -4,8 +4,10 @@ A :class:`Discretization` of a space over a geometry map precomputes, at
 its quadrature order, the boundary edges of the space's spans and their
 lengths h_E, the basis tables at all volume and boundary-edge quadrature
 points (:func:`_basis_table`, products of repeated and tiled 1-D B-spline
-tables; edge data from one :func:`~nitsche_iga.geometry.edge_geometry`
-evaluation per side at the points of both edge rules), the
+tables, which both caches gather from the per-span tables of
+:func:`_span_table`; edge data from one
+:func:`~nitsche_iga.geometry.edge_geometry` evaluation per pair of opposite
+sides at the points of both edge rules), the
 CSR pattern that every matrix shares, the tensor product of the span-block
 patterns of the two directions (:func:`_tensor_pattern`), and the band
 layout of that pattern in its natural order, in which every LU of the
@@ -197,6 +199,23 @@ def _tensor_pattern(space, first1, first2, owner):
     return indptr.astype(np.int32), indices, slots
 
 
+def _by_direction(space, table, *args):
+    """``table(kv, *args)`` of the knot vector of each direction of ``space``,
+    made once when both directions share one (as on every uniform space)."""
+    one = table(space.kv1, *args)
+    return one, (one if space.kv2 is space.kv1 else table(space.kv2, *args))
+
+
+def _span_table(kv, rule):
+    """The points and weights (ns, q) of ``rule`` on every span of ``kv``,
+    each span's first nonzero function (ns,) and the 1-D values and first
+    derivatives (ns, q, 2, k+1) there: one evaluation at all the points."""
+    bps, q = kv.breakpoints, rule.order
+    pts, wts = rule.mapped(bps[:-1, None], bps[1:, None])
+    first, ders = eval_basis_many(kv, pts.ravel())
+    return pts, wts, first[::q], ders.reshape(kv.num_spans, q, 2, -1)
+
+
 class ElementCache:
     """Mapped basis data at the volume quadrature points of every element.
 
@@ -207,13 +226,14 @@ class ElementCache:
     each span of each direction.  Elements run with direction 1 fastest;
     quadrature points and local functions, (l1, l2), with direction 2 fastest.
 
-    Each 1-D basis is evaluated once at the Gauss points of all its spans,
-    once for both directions when they share one knot vector (as every
-    uniform space does).  The map is evaluated on the grid of those points one
-    block of whole direction-2 span rows at a time (the rows' elements are
-    consecutive), as many rows as let their J fit ``BLOCK_BYTES`` and at
-    least one; each block is reordered to (element, point) and writes its x,
-    w and basis table into the cache's arrays, so no array spans the grid.
+    Each 1-D basis is evaluated once at the Gauss points of all its spans
+    (:func:`_span_table`), once for both directions when they share one knot
+    vector (as every uniform space does).  The map is evaluated on the grid
+    of those points one block of whole direction-2 span rows at a time (the
+    rows' elements are consecutive), as many rows as let their J fit
+    ``BLOCK_BYTES`` and at least one; each block is reordered to (element,
+    point) and writes its x, w and basis table into the cache's arrays, so
+    no array spans the grid.
     det J must keep one sign (:class:`DegenerateJacobian` otherwise) across
     all blocks and at the element corners, one more grid of the
     breakpoints; the sign is judged after every block has passed the |det J|
@@ -225,22 +245,7 @@ class ElementCache:
         s1, s2 = np.tile(np.arange(ns1), ns2), np.repeat(np.arange(ns2), ns1)
         ne, nq = len(s1), q * q
 
-        # per direction, the Gauss points and weights (ns, q), first nonzero
-        # function (ns,) and 1-D values and first derivatives (ns, q, 2, k+1)
-        # of all spans
-        rule = gauss_rule(q)
-
-        def direction(kv):
-            bps = kv.breakpoints
-            pts, wts = rule.mapped(bps[:-1, None], bps[1:, None])
-            first, ders = eval_basis_many(kv, pts.ravel())
-            return pts, wts, first[::q], ders.reshape(kv.num_spans, q, 2, -1)
-
-        # both directions of one knot vector (every uniform space) share theirs
-        one = direction(space.kv1)
-        (p1, w1, f1, d1), (p2, w2, f2, d2) = one, (
-            one if space.kv2 is space.kv1 else direction(space.kv2)
-        )
+        (p1, w1, f1, d1), (p2, w2, f2, d2) = _by_direction(space, _span_table, gauss_rule(q))
         self.x = np.empty((ne, nq, 2))
         self.w = np.empty((ne, nq))
         table = np.empty((ne, nq, 3, d1.shape[-1] * d2.shape[-1]))
@@ -300,13 +305,17 @@ class EdgeCache:
 
     ``w`` carries the arc-length measure; ``table`` and its views ``B``/``G``
     hold the owner element's local basis values and physical gradients at the
-    edge points, in the owner's local order, so ``gidx`` is the owner's; each
-    1-D basis is evaluated once at the edge points' coordinates in its
-    direction, fixed ones included.
+    edge points, in the owner's local order, so ``gidx`` is the owner's.  The
+    table is one :func:`_basis_table` of rows gathered from two 1-D tables per
+    direction, made as the element cache makes them: the Gauss-point tables
+    of all spans (:func:`_span_table`) along a side, and one evaluation at
+    the two ends 0 and 1 across it; both are made once for both directions
+    when they share one knot vector.
     ``h_E`` is each edge's arc length, summed from the arc-length weights of
     the fixed ``EDGE_LENGTH_POINTS``-point rule at every ``q``.  The map is
-    evaluated once per side for both rules: at the q points of each edge
-    followed by the 5 of h_E, and only at the q points when ``q`` is 5,
+    evaluated once per pair of opposite sides for both rules
+    (:func:`~nitsche_iga.geometry.edge_geometry`): at the q points of each
+    edge followed by the 5 of h_E, and only at the q points when ``q`` is 5,
     where ``w`` itself gives h_E.
     """
 
@@ -321,27 +330,35 @@ class EdgeCache:
             parts.append((np.full(len(n), side), bps[:-1], bps[1:], s1 + ns1 * s2))
         self.side, self.lo, self.hi, self.owner = (np.concatenate(a) for a in zip(*parts))
 
-        # one evaluation per side, at the q points of each edge followed by
-        # the 5 of h_E unless q is those 5; each part is split off into an
-        # array of its own, contiguous as a rule of its own would give it
+        # one evaluation per pair of opposite sides, at the q points of each
+        # edge followed by the 5 of h_E unless q is those 5; each part is
+        # split off into an array of its own, contiguous as a rule of its own
+        # would give it
         rule, five = gauss_rule(q), gauss_rule(EDGE_LENGTH_POINTS)
         if q != EDGE_LENGTH_POINTS:
             rule = QuadratureRule(
                 np.concatenate((rule.points, five.points)),
                 np.concatenate((rule.weights, five.weights)),
             )
-        data = edge_geometry(gm, self.side, self.lo, self.hi, rule)
-        self.h_E = np.sum(np.ascontiguousarray(data[3][:, -EDGE_LENGTH_POINTS:]), axis=1)
-        x_hat, self.x, J, self.w, self.normal = (np.ascontiguousarray(a[:, :q]) for a in data)
+        data = edge_geometry(gm, space, rule)
+        self.h_E = np.sum(np.ascontiguousarray(data[2][:, -EDGE_LENGTH_POINTS:]), axis=1)
+        self.x, J, self.w, self.normal = (np.ascontiguousarray(a[:, :q]) for a in data)
 
-        # the owner's basis at the edge points, one evaluation per direction
-        f1, d1 = eval_basis_many(space.kv1, x_hat[..., 0].ravel())
-        f2, d2 = eval_basis_many(space.kv2, x_hat[..., 1].ravel())
-        nf = len(self.owner)
-        self.table, self.B, self.G = _basis_table(
-            d1.reshape(nf, q, 2, -1), d2.reshape(nf, q, 2, -1), J
-        )
-        self.gidx = space.local_to_global(f1[::q], f2[::q])
+        # per direction, the first functions and 1-D tables at the two ends
+        # (rows 0 and 1) and at the Gauss points of each span s (row 2 + s)
+        def rows(kv):
+            _, _, first, ders = _span_table(kv, gauss_rule(q))
+            end_first, ends = eval_basis_many(kv, [0.0, 1.0])
+            ends = np.broadcast_to(ends[:, None], (2,) + ders.shape[1:])
+            return np.concatenate((end_first, first)), np.concatenate((ends, ders))
+
+        (f1, d1), (f2, d2) = _by_direction(space, rows)
+        # each edge's rows: x0 and x1 take the ends of direction 1 and the
+        # spans of direction 2, y0 and y1 the other way round
+        r1 = np.concatenate((np.repeat([0, 1], ns2), np.tile(np.arange(2, ns1 + 2), 2)))
+        r2 = np.concatenate((np.tile(np.arange(2, ns2 + 2), 2), np.repeat([0, 1], ns1)))
+        self.table, self.B, self.G = _basis_table(d1[r1], d2[r2], J)
+        self.gidx = space.local_to_global(f1[r1], f2[r2])
 
     def field_values(self, coef):
         return np.einsum("fql,fl->fq", self.B, coef[self.gidx])

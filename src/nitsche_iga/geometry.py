@@ -22,15 +22,17 @@ direction-2 coordinates at a time.
 The pieces of assembly that serve the map live here once each:
 :meth:`TensorSpace.local_to_global` indexes local bases, :func:`invert_2x2`
 inverts Jacobians, and :func:`edge_geometry` maps the points of a rule on
-the boundary edges (arc-length weights and outward normals).
+the boundary edges (arc-length weights and outward normals) on two grids,
+one per pair of opposite sides: the ends 0 and 1 of one direction by the
+points of every span of the other.
 
 There is no mesh object: the elements are the spans of the solution space,
 and :class:`~nitsche_iga.assembly.EdgeCache` owns the edge topology.  During
 set-up F is evaluated only by the assembly's caches: the element cache on
 its Gauss grid, a block of span rows at a time, and on the element corners
-(where it also checks the sign of det J), and the edge cache on the
-boundary edges, which it forms from the breakpoints and where it measures
-h_E, the only mesh size the scheme reads.
+(where it also checks the sign of det J), and the edge cache on the two
+boundary grids, where it also measures h_E, the only mesh size the scheme
+reads; it forms the edges themselves from the breakpoints.
 """
 
 import importlib.resources
@@ -198,50 +200,35 @@ def build_mesh(gm, space):
     return gm
 
 
-def edge_geometry(gm, side, lo, hi, rule):
-    """The geometry at the points of ``rule`` on the boundary edges given by
-    the arrays ``side``, ``lo`` and ``hi`` (as held by
-    :class:`~nitsche_iga.assembly.EdgeCache`).
+def edge_geometry(gm, space, rule):
+    """The geometry at the points of ``rule`` on every span of the four
+    sides of the parametric square, one pair of opposite sides at a time.
 
-    Returns ``(x_hat, x, J, w, normal)`` with shapes (nf, q, 2), (nf, q, 2),
-    (nf, q, 2, 2), (nf, q) and (nf, q, 2): parametric and physical points,
-    Jacobians, arc-length weights (span width times
-    rule weight times the tangent length) and unit outward normals.  The
-    normal is the row of J^-1 that is the gradient of the edge's fixed
-    parametric coordinate, pointing away from the domain.  The parametric
-    points of all edges are formed at once, lo + (hi - lo) * rule.points
-    along each edge's span and the side's fixed coordinate (0 on x0 and y0,
-    1 on x1 and y1) across it; the geometry is evaluated on one 1 x m or
-    m x 1 grid per side: the side's fixed coordinate by the points of all
-    its edges.
+    Returns ``(x, J, w, normal)`` with shapes (nf, q, 2), (nf, q, 2, 2),
+    (nf, q) and (nf, q, 2): physical points, Jacobians, arc-length weights
+    (span width times rule weight times the tangent length) and unit outward
+    normals.  The edges are those of
+    :class:`~nitsche_iga.assembly.EdgeCache`: the sides in ``SIDES`` order
+    and the spans of the side's direction of ``space`` in turn along each.
+    The map is evaluated on two grids: x0 and x1 on ([0, 1], the points of
+    all spans of ``space.kv2``), y0 and y1 on (the points of all spans of
+    ``space.kv1``, [0, 1]).  The normal is the row of J^-1 that is the
+    gradient of the side's fixed parametric coordinate (0 on x0 and y0, 1 on
+    x1 and y1), pointing away from the domain.
     """
-    nf, q = len(side), rule.order
-    lo, hi = lo[:, None], hi[:, None]
-    fixed = np.where(np.isin(side, ("x0", "y0")), 0.0, 1.0)[:, None]
-    along_dir2 = np.isin(side, ("x0", "x1"))[:, None]
-    t = lo + (hi - lo) * rule.points
-    x_hat = np.empty((nf, q, 2))
-    x_hat[..., 0] = np.where(along_dir2, fixed, t)
-    x_hat[..., 1] = np.where(along_dir2, t, fixed)
-
-    x, J = np.empty((nf, q, 2)), np.empty((nf, q, 2, 2))
-    for name in SIDES:
-        on_side = np.flatnonzero(side == name)
-        if name in ("x0", "x1"):
-            xs, Js, _ = gm.evaluate_grid(fixed[on_side[0]], x_hat[on_side, :, 1].ravel())
-        else:
-            xs, Js, _ = gm.evaluate_grid(x_hat[on_side, :, 0].ravel(), fixed[on_side[0]])
-        x[on_side] = xs.reshape(-1, q, 2)
-        J[on_side] = Js.reshape(-1, q, 2, 2)
-    inv_jac = invert_2x2(J)
-
-    tang = np.where(along_dir2[..., None], J[..., 1], J[..., 0])
-    w = (hi - lo) * rule.weights * np.linalg.norm(tang, axis=2)
-
-    orient = np.where(fixed > 0, 1.0, -1.0)[..., None]
-    normal = orient * np.where(along_dir2[..., None], inv_jac[..., 0, :], inv_jac[..., 1, :])
-    normal /= np.linalg.norm(normal, axis=2)[..., None]
-    return x_hat, x, J, w, normal
+    ends, parts = np.array([0.0, 1.0]), []
+    # across is the fixed coordinate of the sides that run along kv
+    for across, kv in enumerate((space.kv2, space.kv1)):
+        bps = kv.breakpoints
+        t, w = rule.mapped(bps[:-1, None], bps[1:, None])
+        x, J, _ = gm.evaluate_grid(*((ends, t.ravel()) if across == 0 else (t.ravel(), ends)))
+        # (end, span, point): the side at 0, then the side at 1
+        x, J = (np.moveaxis(a, across, 0).reshape((-1, rule.order) + a.shape[2:]) for a in (x, J))
+        w = np.tile(w, (2, 1)) * np.linalg.norm(J[..., 1 - across], axis=-1)
+        normal = invert_2x2(J)[..., across, :] * np.repeat([-1.0, 1.0], len(t))[:, None, None]
+        normal /= np.linalg.norm(normal, axis=-1)[..., None]
+        parts.append((x, J, w, normal))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 # -- shipped geometries and the plain-text file format -----------------------

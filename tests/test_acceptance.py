@@ -359,10 +359,11 @@ def test_criterion_12_fails_under_an_edge_fault(monkeypatch, fault):
     # rows see the fault: near 0.5 (normals) or 3 (arc length) at both spans
     edge_geometry = assembly.edge_geometry
 
-    def faulty(gm, side, lo, hi, rule):
-        x_hat, x, J, w, normal = edge_geometry(gm, side, lo, hi, rule)
-        along_dir2 = np.isin(side, ("x0", "x1"))[:, None]
-        return (x_hat, x, J, *fault(along_dir2, J, w, normal))
+    def faulty(gm, space, rule):
+        x, J, w, normal = edge_geometry(gm, space, rule)
+        # in SIDES order, x0 and x1 (along direction 2) come first
+        along_dir2 = (np.arange(len(w)) < 2 * space.num_spans[1])[:, None]
+        return (x, J, *fault(along_dir2, J, w, normal))
 
     monkeypatch.setattr(assembly, "edge_geometry", faulty)
     ok, text = consistency_study()

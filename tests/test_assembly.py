@@ -232,6 +232,33 @@ class TestEdgeCache:
         lengths = reference_edge_data(disc.space, bc, disc.geometry, five)["w"]
         assert relative_error(bc.h_E, lengths.sum(axis=1)) <= 1e-14
 
+    @pytest.mark.parametrize("kind", ["uniform", "anisotropic"])
+    def test_edge_cache_evaluates_span_tables_and_ends(self, monkeypatch, square_gm, kind):
+        # the edge cache evaluates each distinct knot vector once at the
+        # Gauss points of all its spans and once at the two ends, never at
+        # the edge points themselves
+        disc = anisotropic_disc(square_gm) if kind == "anisotropic" else make_disc(square_gm, 2, 3)
+        space = disc.space
+        calls = []
+        evaluate = assembly.eval_basis_many
+
+        def spy(kv, xs):
+            calls.append((kv, np.asarray(xs, dtype=float)))
+            return evaluate(kv, xs)
+
+        monkeypatch.setattr(assembly, "eval_basis_many", spy)
+        q = 5
+        assembly.EdgeCache(space, square_gm, q)
+        kvs = [space.kv1] if kind == "uniform" else [space.kv1, space.kv2]
+        assert len(calls) == 2 * len(kvs)
+        for kv in kvs:
+            bps = kv.breakpoints
+            gauss = gauss_rule(q).mapped(bps[:-1, None], bps[1:, None])[0].ravel()
+            made = [xs for called, xs in calls if called is kv]
+            assert sorted(xs.tobytes() for xs in made) == sorted(
+                a.tobytes() for a in (gauss, np.array([0.0, 1.0]))
+            )
+
 
 def anisotropic_disc(gm):
     """A space with k1 != k2, ns1 != ns2 and a double interior knot in each
@@ -281,9 +308,12 @@ class TestBasisTable:
 
 class TestCachesAgainstPerPointBuild:
     @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
-    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, "anisotropic"])
     def test_arrays_match(self, geometry, degree):
-        disc = make_disc(load_geometry(geometry), degree, 3)
+        # the anisotropic space, k1 != k2 and ns1 != ns2, shows an index of
+        # one direction taken for the other's
+        gm = load_geometry(geometry)
+        disc = anisotropic_disc(gm) if degree == "anisotropic" else make_disc(gm, degree, 3)
         q = disc.quadrature_order
         for cache, ref, names in (
             (disc.elements, reference_element_data(disc.space, disc.geometry, q), ("x", "w")),

@@ -290,8 +290,9 @@ def reference_h_E(gm, edges, f):
 
 
 class TestMergedEdgeEvaluation:
-    """The edge cache's one evaluation per side, at the q points and the 5 of
-    h_E together, gives bit for bit what one evaluation at each rule does."""
+    """The edge cache's one evaluation per pair of opposite sides, at the q
+    points and the 5 of h_E together, gives bit for bit what one evaluation
+    at each rule does."""
 
     @pytest.mark.parametrize("q", [None, 8], ids=["default", "q8"])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
@@ -301,16 +302,17 @@ class TestMergedEdgeEvaluation:
         space = uniform_space(degree, 3)
         bc = Discretization(space, gm, q).boundary
         q = q or degree + 2
-        edges = (gm, bc.side, bc.lo, bc.hi)
-        x_hat, x, J, w, normal = edge_geometry(*edges, quadrature.gauss_rule(q))
-        h_E = np.sum(edge_geometry(*edges, quadrature.gauss_rule(EDGE_LENGTH_POINTS))[3], axis=1)
+        x, J, w, normal = edge_geometry(gm, space, quadrature.gauss_rule(q))
+        h_E = np.sum(edge_geometry(gm, space, quadrature.gauss_rule(EDGE_LENGTH_POINTS))[2], axis=1)
         for got, ref in ((bc.x, x), (bc.w, w), (bc.normal, normal), (bc.h_E, h_E)):
             assert got.flags.c_contiguous
             assert got.shape == ref.shape and np.array_equal(got, ref)
         # J only enters the table, which the same gathers and products make
-        # from the reference points and J
+        # from the edge-by-edge reference points and J
+        rule = quadrature.gauss_rule(q)
+        points = np.stack([reference_param_point(bc, f, rule.points) for f in range(len(bc.side))])
         ders = (
-            eval_basis_many(kv, x_hat[..., i].ravel())[1].reshape(len(bc.side), q, 2, -1)
+            eval_basis_many(kv, points[..., i].ravel())[1].reshape(len(bc.side), q, 2, -1)
             for i, kv in enumerate((space.kv1, space.kv2))
         )
         table = assembly._basis_table(*ders, J)[0]
@@ -337,19 +339,6 @@ class TestBatchedMesh:
             assert h == pytest.approx(reference_h_E(annulus_gm, bc, f), rel=1e-14, abs=0)
         for q in range(2, 9):
             assert np.array_equal(EdgeCache(space, annulus_gm, q).h_E, bc.h_E), q
-
-    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
-    @pytest.mark.parametrize("degree,spans", [(1, 1), (2, 3), (4, 5)])
-    def test_edge_points_match_param_point(self, geometry, degree, spans):
-        # the points of all edges formed at once equal the edge-by-edge
-        # reference bit for bit
-        disc = make_disc(load_geometry(geometry), degree, spans)
-        bc = disc.boundary
-        rule = quadrature.gauss_rule(degree + 2)
-        x_hat = edge_geometry(disc.geometry, bc.side, bc.lo, bc.hi, rule)[0]
-        ref = np.stack([reference_param_point(bc, f, rule.points) for f in range(len(bc.side))])
-        assert x_hat.shape == ref.shape
-        assert np.array_equal(x_hat, ref)
 
     @pytest.mark.parametrize("q", [1, None, 8], ids=["q1", "default", "q8"])
     def test_sign_change_at_a_corner_raises(self, q):
@@ -397,8 +386,10 @@ class TestBatchedMesh:
         # the element cache evaluates its Gauss grid in blocks of whole span
         # rows that cover each point once (here 3 rows and 1, the budget
         # holding the J of 3 rows), then the corners, at every order; the
-        # edge cache each of the four sides once, at the q points of each
-        # edge followed, unless q is the 5 points of h_E, by those 5
+        # edge cache two boundary grids, the ends 0 and 1 of direction 1 by
+        # the points of all spans of direction 2 and then the other way
+        # round, at the q points of each span followed, unless q is the 5
+        # points of h_E, by those 5
         grids = []
         evaluate_grid_blocks = GeometryMap.evaluate_grid_blocks
 
@@ -415,10 +406,7 @@ class TestBatchedMesh:
         element_grids = [(n, n, [(0, 3 * points), (3 * points, n)]), (5, 5, [(0, 5)])]
         assert grids[: len(element_grids)] == element_grids
         m = n if q is None else n + 20
-        sides = [(1, m), (1, m), (m, 1), (m, 1)]
-        others = grids[len(element_grids):]
-        assert sorted((m1, m2) for m1, m2, _ in others) == sorted(sides)
-        assert all(blocks == [(0, m2)] for _, m2, blocks in others)
+        assert grids[len(element_grids):] == [(2, m, [(0, m)]), (m, 2, [(0, 2)])]
 
     @pytest.mark.parametrize("q", [1, None, 8], ids=["q1", "default", "q8"])
     def test_sign_change_in_the_last_row_block_raises(self, monkeypatch, q):
