@@ -5,7 +5,7 @@ its quadrature order, the boundary edges of the space's spans and their
 lengths h_E, the basis tables at all volume and boundary-edge quadrature
 points (:func:`_basis_table`, products of repeated and tiled 1-D B-spline
 tables, which both caches gather from the per-span tables of
-:func:`_span_table`; edge data from one
+:func:`_span_table`, made once for both; edge data from one
 :func:`~nitsche_iga.geometry.edge_geometry` evaluation per pair of opposite
 sides at the points of both edge rules), the
 CSR pattern that every matrix shares, the tensor product of the span-block
@@ -32,12 +32,19 @@ cheap and bitwise reproducible.
 
 The stiffness form contains five families of terms: the volume form
 (diffusion, advection, reaction), the boundary flux term, its transpose
-(symmetrization), the one-sided inflow term restricted to quadrature
-points where b . n < 0, and the eps/h_E boundary penalty.  The load is (f, N)
-plus its Dirichlet trial terms applied to g; :meth:`AssembledForms.at`
-returns both from one sampling of the coefficients.  The penalty floor's
-:func:`trace_constant` takes each edge's largest eigenvalue from one q x q
-Gram at every quadrature order.
+(symmetrization), the eps/h_E boundary penalty, and the one-sided inflow
+term restricted to quadrature points where b . n < 0.  Of the four edge
+families only the inflow term reads b, so each edge block is the sum of
+two parts (:class:`_Stiffness`): a fixed block of the flux, its transpose
+and the penalty, which reads mu at the edge points and eps and is kept
+until mu there changes, and the inflow block N_i max(-b . n, 0) N_j, made
+with the Dirichlet trial terms at every assembly.  Under an advection
+field that turns in time, only the inflow term is made at each step.  The
+volume form is made at every assembly too: b moves it and b . n together.
+The load is (f, N) plus its Dirichlet trial terms applied to g;
+:meth:`AssembledForms.at` returns both from one sampling of the
+coefficients.  The penalty floor's :func:`trace_constant` takes each
+edge's largest eigenvalue from one q x q Gram at every quadrature order.
 
 Every element kernel (the element cache's grid evaluation by span rows,
 the basis tables, the stiffness, the unit matrices and the V_h Gram's
@@ -226,9 +233,12 @@ class ElementCache:
     each span of each direction.  Elements run with direction 1 fastest;
     quadrature points and local functions, (l1, l2), with direction 2 fastest.
 
-    Each 1-D basis is evaluated once at the Gauss points of all its spans
-    (:func:`_span_table`), once for both directions when they share one knot
-    vector (as every uniform space does).  The map is evaluated on the grid
+    ``spans`` holds the 1-D tables of each direction at the Gauss points of
+    all its spans, ``_by_direction(space, _span_table, gauss_rule(q))`` (see
+    :func:`_span_table`): each basis is evaluated once, and once for both
+    directions when they share one knot vector (as every uniform space
+    does); the discretization makes them once for this cache and the edge
+    cache.  The map is evaluated on the grid
     of those points one block of whole direction-2 span rows at a time (the
     rows' elements are consecutive), as many rows as let their J fit
     ``BLOCK_BYTES`` and at least one; each block is reordered to (element,
@@ -240,12 +250,13 @@ class ElementCache:
     floor.
     """
 
-    def __init__(self, space, gm, q):
+    def __init__(self, space, gm, spans):
         ns1, ns2 = space.num_spans
         s1, s2 = np.tile(np.arange(ns1), ns2), np.repeat(np.arange(ns2), ns1)
+        (p1, w1, f1, d1), (p2, w2, f2, d2) = spans
+        q = p1.shape[1]
         ne, nq = len(s1), q * q
 
-        (p1, w1, f1, d1), (p2, w2, f2, d2) = _by_direction(space, _span_table, gauss_rule(q))
         self.x = np.empty((ne, nq, 2))
         self.w = np.empty((ne, nq))
         table = np.empty((ne, nq, 3, d1.shape[-1] * d2.shape[-1]))
@@ -307,10 +318,10 @@ class EdgeCache:
     hold the owner element's local basis values and physical gradients at the
     edge points, in the owner's local order, so ``gidx`` is the owner's.  The
     table is one :func:`_basis_table` of rows gathered from two 1-D tables per
-    direction, made as the element cache makes them: the Gauss-point tables
-    of all spans (:func:`_span_table`) along a side, and one evaluation at
-    the two ends 0 and 1 across it; both are made once for both directions
-    when they share one knot vector.
+    direction: along a side the Gauss-point tables ``spans`` of all spans,
+    the element cache's (see :class:`ElementCache`), and across it one
+    evaluation at the two ends 0 and 1, made once for both directions when
+    they share one knot vector.
     ``h_E`` is each edge's arc length, summed from the arc-length weights of
     the fixed ``EDGE_LENGTH_POINTS``-point rule at every ``q``.  The map is
     evaluated once per pair of opposite sides for both rules
@@ -319,8 +330,9 @@ class EdgeCache:
     where ``w`` itself gives h_E.
     """
 
-    def __init__(self, space, gm, q):
+    def __init__(self, space, gm, spans):
         ns1, ns2 = space.num_spans
+        q = spans[0][0].shape[1]
         parts = []
         for side in SIDES:
             bps = (space.kv2 if side in ("x0", "x1") else space.kv1).breakpoints
@@ -346,13 +358,13 @@ class EdgeCache:
 
         # per direction, the first functions and 1-D tables at the two ends
         # (rows 0 and 1) and at the Gauss points of each span s (row 2 + s)
-        def rows(kv):
-            _, _, first, ders = _span_table(kv, gauss_rule(q))
-            end_first, ends = eval_basis_many(kv, [0.0, 1.0])
+        def rows(end, span):
+            (end_first, ends), (_, _, first, ders) = end, span
             ends = np.broadcast_to(ends[:, None], (2,) + ders.shape[1:])
             return np.concatenate((end_first, first)), np.concatenate((ends, ders))
 
-        (f1, d1), (f2, d2) = _by_direction(space, rows)
+        ends = _by_direction(space, eval_basis_many, [0.0, 1.0])
+        (f1, d1), (f2, d2) = map(rows, ends, spans)
         # each edge's rows: x0 and x1 take the ends of direction 1 and the
         # spans of direction 2, y0 and y1 the other way round
         r1 = np.concatenate((np.repeat([0, 1], ns2), np.tile(np.arange(2, ns1 + 2), 2)))
@@ -395,8 +407,10 @@ class Discretization:
         self.space = space
         self.geometry = geometry
         self.quadrature_order = quadrature_order
-        self.elements = ElementCache(space, geometry, quadrature_order)
-        self.boundary = EdgeCache(space, geometry, quadrature_order)
+        # the per-span 1-D tables of both caches, made once
+        spans = _by_direction(space, _span_table, gauss_rule(quadrature_order))
+        self.elements = ElementCache(space, geometry, spans)
+        self.boundary = EdgeCache(space, geometry, spans)
 
         # the CSR pattern of every matrix, built from the span blocks of the
         # two directions, and the data slots and global indices of the
@@ -532,7 +546,7 @@ def _operator_coefficients(disc, p, t):
     points and b . n there (the inflow mask alone would miss a change of
     |b . n|).  Bit-equal arrays give a bit-equal stiffness matrix.  Only b
     at the edge points is checked here (:func:`inflow_mask`); the others
-    are checked by :func:`_stiffness_from`, when they are assembled.
+    are checked by :meth:`_Stiffness.at`, when they change.
     """
     ec, bc = disc.elements, disc.boundary
     mu, bv, cv = (_coefficients_at(ec.x, p, name, t) for name in ("mu", "b", "c"))
@@ -592,10 +606,9 @@ UNIT_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2))
 
 def _uniform_terms(mu, bv, cv):
     """The volume form as a sum of unit matrices: ``{(r, s): v}`` of the
-    nonzero coefficients v at the :data:`UNIT_PAIRS`, in their order, when
-    c, b and mu are each :func:`_uniform`, and None when one of them varies."""
-    if not all(map(_uniform, (cv, bv, mu))):
-        return None
+    nonzero coefficients v at the :data:`UNIT_PAIRS`, in their order, read
+    at the first volume point of c, b and mu, each of which is
+    :func:`_uniform`."""
     values = np.concatenate([np.ravel(a[0, 0]) for a in (cv, bv, mu)])
     return {pair: float(v) for pair, v in zip(UNIT_PAIRS, values) if v != 0.0}
 
@@ -659,29 +672,21 @@ def _penalty(eps, h_E):
     return eps
 
 
-def _stiffness_from(disc, coefficients, eps, t):
-    """Stiffness matrix from the :func:`_operator_coefficients` sampled at
-    ``t``, and its Dirichlet trial terms sigma N - n . mu grad N (nedge, nq,
-    nloc) at the edge points, with sigma = eps/h_E - min(b . n, 0), which the
-    load applies to g.  A non-finite mu, b or c raises :class:`ConfigError`.
+def _volume_data(disc, mu, bv, cv, uniform):
+    """Matrix data of the volume form (diffusion, advection, reaction) from
+    the samples of mu, b and c at the volume points.
 
-    When c, b and mu each hold one value at every volume point
-    (:func:`_uniform_terms`), the volume form is the sum of those values
-    times the discretization's unit matrices, term after term in a fixed
-    order, one block of entries at a time.  Otherwise each point's
+    When c, b and mu each hold one value at every volume point (``uniform``,
+    see :func:`_uniform`), the data is the sum of those values times the
+    discretization's unit matrices (:func:`_uniform_terms`), term after term
+    in a fixed order, one block of entries at a time.  Otherwise each point's
     coefficients weight the trial table and one product per block of elements
-    contracts it with the test table.  The choice reads the sample alone, so
-    equal samples give equal bits.  The edge terms are formed per point
-    either way: the inflow term is not linear in b.
+    contracts it with the test table.
     """
-    ec, bc = disc.elements, disc.boundary
-    mu, bv, cv, mu_e, bn = coefficients
-    _check_coefficients(("mu", "b", "c", "mu"), coefficients, t)
-
-    ne = len(ec.table)
+    ec = disc.elements
     data = _zero_data(disc)
-    terms = _uniform_terms(mu, bv, cv)
-    if terms is not None:
+    if uniform:
+        terms = _uniform_terms(mu, bv, cv)
         units = disc.volume_units(list(terms))
         for s in block_slices(len(data), data.itemsize):
             for v, unit in zip(terms.values(), units):
@@ -689,25 +694,115 @@ def _stiffness_from(disc, coefficients, eps, t):
     else:
         # weighted trial side of the volume form, c N + b . grad N and
         # mu grad N, formed and contracted one block of elements at a time
-        for s in block_slices(ne, ec.table[0].nbytes):
+        for s in block_slices(len(ec.table), ec.table[0].nbytes):
             coef = np.zeros(ec.w[s].shape + (3, 3))
             coef[..., 0, 0], coef[..., 0, 1:], coef[..., 1:, 1:] = cv[s], bv[s], mu[s]
             coef *= ec.w[s, :, None, None]
             _add_blocks(data, disc._slots[s], _blocks(ec.table[s], coef @ ec.table[s]))
+    return data
 
-    # test side N and flux n . mu grad N, trial side sigma N - flux and -N:
-    # the flux term, its transpose, the inflow term and the penalty, one
-    # block of edges at a time, sized by an edge's test and trial tables
-    dirichlet = np.empty(bc.B.shape)
-    for s in block_slices(len(dirichlet), 2 * bc.table[0].nbytes):
+
+def _fixed_edge_blocks(disc, mu_e, eps):
+    """The edge blocks that b does not enter, from the samples ``mu_e`` of mu
+    at the edge points: one ``(edges, fixed, flux)`` per block of edges, with
+    ``edges`` the block's slice, ``flux`` (n, nq, nloc) the rows
+    n . mu grad N at its edge points and ``fixed`` (n, nloc, nloc) the
+    penalty (eps/h_E) N_i N_j minus the flux term N_i (n . mu grad N_j) and
+    its transpose, summed over each edge's points.
+
+    Test side N and flux, trial side (eps/h_E) N - flux and -N: one product
+    per block of edges, sized by an edge's test and trial tables.  The
+    blocks are kept as they are made, so none of them is mapped afresh as
+    one array over all edges would be (see the module docstring).
+    """
+    bc = disc.boundary
+    parts = []
+    for s in block_slices(len(bc.B), 2 * bc.table[0].nbytes):
         flux = ((bc.normal[s, :, None, :] @ mu_e[s]) @ bc.table[s, :, 1:])[:, :, 0]
-        sigma = (eps / bc.h_E[s])[:, None] - np.minimum(bn[s], 0.0)
-        dirichlet[s] = sigma[..., None] * bc.B[s] - flux
-        edge_trial = np.stack([dirichlet[s], -bc.B[s]], axis=2)
-        edge_trial *= bc.w[s, :, None, None]
-        edge_test = np.stack([bc.B[s], flux], axis=2)
-        _add_blocks(data, disc._slots[ne:][s], _blocks(edge_test, edge_trial))
-    return disc.matrix(data), dirichlet
+        trial = np.stack([(eps / bc.h_E[s])[:, None, None] * bc.B[s] - flux, -bc.B[s]], axis=2)
+        trial *= bc.w[s, :, None, None]
+        parts.append((s, _blocks(np.stack([bc.B[s], flux], axis=2), trial), flux))
+    return parts
+
+
+def _add_edge_blocks(data, disc, fixed, bn, eps):
+    """Add the edge blocks of the stiffness into the matrix ``data``, and
+    return its Dirichlet trial terms.
+
+    Each edge's block is its fixed one (from :func:`_fixed_edge_blocks`,
+    whose blocks of edges this follows) plus its one-sided inflow block, the
+    sum over its points of N_i max(-b . n, 0) N_j, added at the edge's slots.
+    The Dirichlet terms (nedge, nq, nloc) are sigma N - flux at the edge
+    points, sigma = eps/h_E - min(b . n, 0), which the load applies to g.
+    """
+    bc = disc.boundary
+    slots = disc._slots[len(disc.elements.w) :]
+    dirichlet = np.empty(bc.B.shape)
+    for s, blocks_fixed, flux in fixed:
+        inflow = np.minimum(bn[s], 0.0)
+        sigma = (eps / bc.h_E[s])[:, None] - inflow
+        np.subtract(sigma[..., None] * bc.B[s], flux, out=dirichlet[s])
+        inflow *= -bc.w[s]
+        blocks = bc.B[s].swapaxes(1, 2) @ (inflow[..., None] * bc.B[s])
+        blocks += blocks_fixed
+        _add_blocks(data, slots[s], blocks)
+    return dirichlet
+
+
+class _Stiffness:
+    """The stiffness matrix of a discretization at the penalty ``eps``, from
+    one sample after another of the :func:`_operator_coefficients`, with
+    the samples it was made from and the edge blocks that do not read b.
+
+    Each sample is kept as a :func:`_kept` copy, and mu, b and c with
+    whether they are :func:`_uniform`.  :meth:`at` compares a new sample with
+    its copy in place, bit for bit, and only a changed one is checked for
+    finiteness, tested by :func:`_uniform` and copied.  When any sample
+    changes, the matrix data is the volume form (:func:`_volume_data`; b
+    moves it and b . n together) plus the edge blocks, each the fixed block
+    of :func:`_fixed_edge_blocks` plus its inflow block
+    (:func:`_add_edge_blocks`, which makes the Dirichlet trial terms too).
+    The fixed blocks and their flux rows read mu at the edge points and eps
+    alone, and are made again only when mu there changes: once per run for
+    a mu that does not depend on t.  Every part depends on its samples
+    alone, so the matrix is bit-equal to that of a fresh instance at the
+    same samples, as :func:`assemble_stiffness` makes.
+    """
+
+    def __init__(self, disc, eps):
+        self.disc, self.eps = disc, eps
+        self._kept = [None] * 5
+        self._uniform = [None] * 3
+        self._fixed = self._matrix = self._dirichlet = None
+
+    def at(self, coefficients, t):
+        """``(A, dirichlet)`` from the :func:`_operator_coefficients` sampled at
+        ``t``: the stiffness matrix and its Dirichlet trial terms (see
+        :func:`_add_edge_blocks`).  ``A`` is the previous matrix object when
+        every sample is bit-equal to its kept copy.  A non-finite mu, b or c
+        raises :class:`ConfigError`.
+        """
+        changed = [k is None or not _same_bits(a, k) for a, k in zip(coefficients, self._kept)]
+        if not any(changed):
+            return self._matrix, self._dirichlet
+        disc, eps = self.disc, self.eps
+        mu, bv, cv, mu_e, bn = coefficients
+        for name, a, new in zip(("mu", "b", "c", "mu"), coefficients, changed):
+            if new:
+                _check_coefficients((name,), (a,), t)
+        uniform = [
+            _uniform(a) if new else u for a, new, u in zip(coefficients, changed, self._uniform)
+        ]
+
+        data = _volume_data(disc, mu, bv, cv, all(uniform))
+        fixed = _fixed_edge_blocks(disc, mu_e, eps) if changed[3] else self._fixed
+        dirichlet = _add_edge_blocks(data, disc, fixed, bn, eps)
+
+        # kept once the matrix is made, so a call that fails keeps nothing
+        kept = (_kept(a) if new else k for a, new, k in zip(coefficients, changed, self._kept))
+        self._kept, self._uniform, self._fixed = list(kept), uniform, fixed
+        self._matrix, self._dirichlet = disc.matrix(data), dirichlet
+        return self._matrix, self._dirichlet
 
 
 def assemble_stiffness(disc, p, eps, t):
@@ -716,15 +811,16 @@ def assemble_stiffness(disc, p, eps, t):
     Row index is the test function.  All five term families are included;
     the inflow term is restricted pointwise to quadrature points where the
     advection field enters the domain at time ``t``.  ``eps`` and eps/h_E
-    must be positive finite numbers.
+    must be positive finite numbers.  Every part is made afresh, on the path
+    that :meth:`AssembledForms.at` takes, so the two matrices are bit-equal.
     """
     eps = _penalty(eps, disc.boundary.h_E)
-    return _stiffness_from(disc, _operator_coefficients(disc, p, t), eps, t)[0]
+    return _Stiffness(disc, eps).at(_operator_coefficients(disc, p, t), t)[0]
 
 
 def _load_from(disc, p, dirichlet, t):
     """Load vector F_i = (f, N_i) plus the Dirichlet terms ``dirichlet`` of the
-    stiffness at ``t`` (from :func:`_stiffness_from`) applied to g."""
+    stiffness at ``t`` (from :meth:`_Stiffness.at`) applied to g."""
     ec, bc = disc.elements, disc.boundary
     fv = _coefficients_at(ec.x, p, "f", t)
     gv = _coefficients_at(bc.x, p, "g", t)
@@ -837,17 +933,19 @@ class AssembledForms:
     ``epsilon_factor`` multiple of the computed floor; exactly one may be
     given, default factor 1.25; :class:`ConfigError` unless the result and
     its eps/h_E on every edge are positive finite numbers and the stiffness
-    matrix can be normed, see :func:`_penalty`) and caches the
-    last stiffness matrix and its Dirichlet edge terms with copies of the
-    sampled coefficients they were assembled from (see :func:`_kept`).  Each
-    new sample is compared with those copies in place, bit for bit, with no
-    bytes copies of either.  A changed sample is assembled by
-    :func:`_stiffness_from`, from the discretization's unit matrices when
-    its volume coefficients are uniform; which way reads that sample alone,
-    so the matrix is bit-equal to :func:`assemble_stiffness` at the same t.
-    The mass matrix is ``disc.mass``.  An eps below the floor runs, since
-    the floor is sufficient for coercivity but not necessary, with a
-    ``UserWarning`` that names eps, the floor and their ratio.
+    matrix can be normed, see :func:`_penalty`) and keeps the last
+    stiffness matrix, its Dirichlet edge terms and the fixed edge blocks
+    that b does not enter, with copies of the samples they were made from (a
+    :class:`_Stiffness`, empty until the first :meth:`at`, so set-up builds
+    none of it).  Each new sample is compared with its copy in place, bit
+    for bit.  A changed operator is assembled again, its fixed edge blocks
+    only when mu at the edge points changed, and its volume form from the
+    discretization's unit matrices when its coefficients are uniform.  Each
+    part reads its samples alone, so the matrix is bit-equal to
+    :func:`assemble_stiffness` at the same t.  The mass matrix is
+    ``disc.mass``.  An eps below the floor runs, since the floor is
+    sufficient for coercivity but not necessary, with a ``UserWarning`` that
+    names eps, the floor and their ratio.
     """
 
     def __init__(self, disc, p, epsilon=None, epsilon_factor=None):
@@ -867,21 +965,19 @@ class AssembledForms:
                 "coercivity is not guaranteed",
                 stacklevel=2,
             )
-        # (copies of the sampled coefficients, matrix, Dirichlet edge terms)
-        self._operator = (None, None, None)
+        # empty: its parts are made on the first call of at, not at set-up
+        self._stiffness = _Stiffness(disc, self.eps)
 
     def at(self, t):
         """``(A, F)``: the stiffness matrix and the load vector at ``t``.
 
         The operator coefficients are sampled once and compared in place with
         the kept copies.  ``A`` is the previous matrix object when they are
-        bit-equal; only a changed operator is assembled and copied.  The load
+        bit-equal; only a changed sample is checked and copied
+        (:meth:`_Stiffness.at`).  The load
         samples f and g alone and reuses the matrix's Dirichlet edge terms.
         A non-finite sample of mu, b, c, f or g raises :class:`ConfigError`.
         """
         coefficients = _operator_coefficients(self.disc, self.problem, t)
-        kept, A, dirichlet = self._operator
-        if A is None or not all(map(_same_bits, coefficients, kept)):
-            A, dirichlet = _stiffness_from(self.disc, coefficients, self.eps, t)
-            self._operator = ([_kept(a) for a in coefficients], A, dirichlet)
+        A, dirichlet = self._stiffness.at(coefficients, t)
         return A, _load_from(self.disc, self.problem, dirichlet, t)

@@ -7,7 +7,7 @@ from nitsche_iga import (
     load_geometry,
     uniform_space,
 )
-from nitsche_iga.assembly import _coefficients_at, _scatter
+from nitsche_iga.assembly import _by_direction, _coefficients_at, _scatter, _span_table
 from nitsche_iga.geometry import invert_2x2
 from nitsche_iga.quadrature import gauss_rule
 from nitsche_iga.splines import eval_basis_many
@@ -165,6 +165,12 @@ def reference_load(disc, p, eps, t):
 def relative_error(a, ref):
     """Largest entry of |a - ref| over the largest of |ref|."""
     return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+def span_tables(space, q):
+    """The per-span 1-D tables of both directions at ``q`` Gauss points, as a
+    discretization makes them for its element and edge caches."""
+    return _by_direction(space, _span_table, gauss_rule(q))
 
 
 def make_disc(gm, degree, spans, quadrature_order=None):

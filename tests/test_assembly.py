@@ -11,6 +11,7 @@ from nitsche_iga import (
     AssembledForms,
     Discretization,
     TensorSpace,
+    TimeGrid,
     assemble_mass,
     assemble_stiffness,
     assembly,
@@ -19,7 +20,9 @@ from nitsche_iga import (
     gauss_rule,
     inflow_mask,
     load_geometry,
+    march,
     penalty_floor,
+    project_initial,
     trace_constant,
 )
 from nitsche_iga.errors import ConfigError, ConvergenceFailure, SingularGram
@@ -35,6 +38,7 @@ from conftest import (
     reference_load,
     reference_pattern,
     relative_error,
+    span_tables,
 )
 
 
@@ -234,9 +238,10 @@ class TestEdgeCache:
 
     @pytest.mark.parametrize("kind", ["uniform", "anisotropic"])
     def test_edge_cache_evaluates_span_tables_and_ends(self, monkeypatch, square_gm, kind):
-        # the edge cache evaluates each distinct knot vector once at the
-        # Gauss points of all its spans and once at the two ends, never at
-        # the edge points themselves
+        # a set-up evaluates each distinct knot vector once at the Gauss
+        # points of all its spans, for the element and the edge cache alike,
+        # and once at the two ends for the edge cache, never at the edge
+        # points themselves
         disc = anisotropic_disc(square_gm) if kind == "anisotropic" else make_disc(square_gm, 2, 3)
         space = disc.space
         calls = []
@@ -248,7 +253,7 @@ class TestEdgeCache:
 
         monkeypatch.setattr(assembly, "eval_basis_many", spy)
         q = 5
-        assembly.EdgeCache(space, square_gm, q)
+        Discretization(space, square_gm, q)
         kvs = [space.kv1] if kind == "uniform" else [space.kv1, space.kv2]
         assert len(calls) == 2 * len(kvs)
         for kv in kvs:
@@ -418,7 +423,8 @@ class TestAgainstPerTermAssembly:
 
 def per_point_stiffness(disc, coefficients, eps):
     """Stiffness data with every volume point's coefficients weighting the
-    trial table, in one pass over all elements, and the edge terms after."""
+    trial table, in one pass over all elements, and the edge blocks after:
+    the fixed ones (penalty, flux and its transpose), plus the inflow ones."""
     ec, bc = disc.elements, disc.boundary
     mu, bv, cv, mu_e, bn = coefficients
     ne = len(ec.table)
@@ -428,11 +434,13 @@ def per_point_stiffness(disc, coefficients, eps):
     coef *= ec.w[..., None, None]
     assembly._add_blocks(data, disc._slots[:ne], assembly._blocks(ec.table, coef @ ec.table))
     flux = ((bc.normal[:, :, None, :] @ mu_e) @ bc.table[:, :, 1:])[:, :, 0]
-    sigma = (eps / bc.h_E)[:, None] - np.minimum(bn, 0.0)
-    edge_trial = np.stack([sigma[..., None] * bc.B - flux, -bc.B], axis=2)
+    edge_trial = np.stack([(eps / bc.h_E)[:, None, None] * bc.B - flux, -bc.B], axis=2)
     edge_trial *= bc.w[:, :, None, None]
     edge_test = np.stack([bc.B, flux], axis=2)
-    assembly._add_blocks(data, disc._slots[ne:], assembly._blocks(edge_test, edge_trial))
+    edges = assembly._blocks(edge_test, edge_trial)
+    inflow = -np.minimum(bn, 0.0) * bc.w
+    edges += bc.B.swapaxes(1, 2) @ (inflow[..., None] * bc.B)
+    assembly._add_blocks(data, disc._slots[ne:], edges)
     return data
 
 
@@ -527,8 +535,8 @@ class TestUnitMatrices:
         p = rotating_advection(sec8) if name == "rotating" else sec8
         disc = make_disc(load_geometry(geometry), 2, 3)
         coefficients = assembly._operator_coefficients(disc, p, 1.7)
-        assert assembly._uniform_terms(*coefficients[:3]) is not None
-        A, _ = assembly._stiffness_from(disc, coefficients, 2.5, 1.7)
+        assert all(map(assembly._uniform, coefficients[:3]))
+        A, _ = assembly._Stiffness(disc, 2.5).at(coefficients, 1.7)
         ref = per_point_stiffness(disc, coefficients, 2.5)
         assert relative_error(A.data, ref) <= 1e-13
 
@@ -549,8 +557,8 @@ class TestUnitMatrices:
 
         p = replace(sec8, **{key: varied})
         coefficients = assembly._operator_coefficients(disc, p, 0.5)
-        assert assembly._uniform_terms(*coefficients[:3]) is None
-        A, _ = assembly._stiffness_from(disc, coefficients, 2.5, 0.5)
+        assert not all(map(assembly._uniform, coefficients[:3]))
+        A, _ = assembly._Stiffness(disc, 2.5).at(coefficients, 0.5)
         assert A.data.tobytes() == per_point_stiffness(disc, coefficients, 2.5).tobytes()
         assert A.data.tobytes() == assemble_stiffness(disc, p, 2.5, 0.5).data.tobytes()
 
@@ -573,12 +581,63 @@ class TestUnitMatrices:
             return evaluate(*args)
 
         monkeypatch.setattr(assembly, "eval_basis_many", spy)
-        cache = assembly.ElementCache(space, square_gm, 5)
+        cache = assembly.ElementCache(space, square_gm, span_tables(space, 5))
         assert len(calls) == (1 if kind == "uniform" else 2)
         if kind == "two equal knot vectors":
-            shared = assembly.ElementCache(TensorSpace(space.kv1, space.kv1), square_gm, 5)
+            shared_space = TensorSpace(space.kv1, space.kv1)
+            shared = assembly.ElementCache(shared_space, square_gm, span_tables(shared_space, 5))
             for key in ("table", "x", "w", "gidx"):
                 assert getattr(cache, key).tobytes() == getattr(shared, key).tobytes(), key
+
+
+def _grows(p, key):
+    """``p`` with the coefficient ``key`` scaled by 1 + t/10 at every point."""
+    base = getattr(p, key)
+
+    def grown(x, y, t):
+        return (1.0 + 0.1 * t) * base(x, y, t)
+
+    return replace(p, **{key: grown})
+
+
+class TestEdgeParts:
+    """The fixed edge blocks (penalty, flux and its transpose) are made again
+    only when mu at the edge points changes, and each matrix is bit-equal to
+    a fresh assembly."""
+
+    STEPS = 6
+
+    @pytest.mark.parametrize(
+        "name, builds", [("rotating_b", 1), ("mu_grows", STEPS), ("c_grows", 1)]
+    )
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    def test_fixed_blocks_made_when_edge_mu_changes(self, monkeypatch, geometry, name, builds):
+        sec8 = builtin_case("paper_sec8").problem
+        p = {
+            "rotating_b": rotating_advection(sec8),
+            "mu_grows": replace(_grows(sec8, "mu"), mu1=1.5),
+            "c_grows": _grows(sec8, "c"),
+        }[name]
+        disc = make_disc(load_geometry(geometry), 2, 3)
+        calls = []
+        real = assembly._fixed_edge_blocks
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(assembly, "_fixed_edge_blocks", counted)
+        forms = AssembledForms(disc, p)
+        assert calls == []  # none at set-up
+        grid = TimeGrid(self.STEPS, p.T)
+        traj = march(forms, grid, project_initial(disc, p.u0))
+        assert traj.factorizations == self.STEPS
+        assert len(calls) == builds
+
+        fresh = AssembledForms(disc, p)
+        for t in grid.nodes[1:]:
+            A = fresh.at(t)[0]
+            assert A.data.tobytes() == assemble_stiffness(disc, p, fresh.eps, t).data.tobytes()
 
 
 class TestSparsityPattern:

@@ -19,7 +19,7 @@ from nitsche_iga.analysis import TIME_QUAD_POINTS
 from nitsche_iga.linalg import BandLayout
 from nitsche_iga.timestepping import SolutionTrajectory, TimeGrid
 
-from conftest import make_disc
+from conftest import make_disc, span_tables
 
 CASES = {"square_gm": "paper_sec8", "annulus_gm": "steady_reaction"}
 
@@ -175,7 +175,8 @@ def test_element_cache_allocates_only_block_temporaries(annulus_gm, annulus_k3):
     # beyond the arrays it keeps: the grid is evaluated and reordered one
     # block of span rows at a time, with no array over all Gauss points
     disc, _ = annulus_k3
-    cache, excess = traced(assembly.ElementCache, disc.space, annulus_gm, disc.quadrature_order)
+    spans = span_tables(disc.space, disc.quadrature_order)
+    cache, excess = traced(assembly.ElementCache, disc.space, annulus_gm, spans)
     assert cache.table.tobytes() == disc.elements.table.tobytes()
     assert excess <= FEW_BUDGETS
 
@@ -183,12 +184,14 @@ def test_element_cache_allocates_only_block_temporaries(annulus_gm, annulus_k3):
 def test_matrices_allocate_their_blocks_and_block_temporaries(annulus_k3):
     # the parent's stiffness peaked at 12.2 MB and the Gram at 12.3 MB beyond
     # their 0.5 MB results, on element and edge blocks of 2.4 MB; each block
-    # is now added into the matrix data as it is made
+    # is now added into the matrix data as it is made; the stiffness keeps
+    # its sample copies and edge blocks
     disc, _ = annulus_k3
     p = builtin_case("steady_reaction").problem
     coefficients = assembly._operator_coefficients(disc, p, 0.5)
+    stiffness = assembly._Stiffness(disc, 10.0)
     for fn, args in (
-        (assembly._stiffness_from, (disc, coefficients, 10.0, 0.5)),
+        (stiffness.at, (coefficients, 0.5)),
         (assembly.assemble_vh_gram, (disc,)),
         (assembly.assemble_mass, (disc,)),
     ):
@@ -205,9 +208,10 @@ def test_unit_matrices_allocate_their_data_and_block_temporaries(annulus_k3):
     assert excess <= FEW_BUDGETS
     p = builtin_case("paper_sec8").problem
     coefficients = assembly._operator_coefficients(disc, p, 0.5)
-    assert assembly._uniform_terms(*coefficients[:3]) is not None
+    assert all(map(assembly._uniform, coefficients[:3]))
     for _ in range(2):
-        _, excess = traced(assembly._stiffness_from, disc, coefficients, 10.0, 0.5)
+        stiffness = assembly._Stiffness(disc, 10.0)
+        _, excess = traced(stiffness.at, coefficients, 0.5)
         assert excess <= FEW_BUDGETS
 
 
@@ -236,7 +240,7 @@ def test_volume_sums_allocate_only_what_the_closure_does(annulus_k3):
     x, y = disc.elements.x.reshape(-1, 2).T
     values = disc._gidx.size * 8
     coefficients = assembly._operator_coefficients(disc, p, 0.5)
-    _, dirichlet = assembly._stiffness_from(disc, coefficients, 10.0, 0.5)
+    _, dirichlet = assembly._Stiffness(disc, 10.0).at(coefficients, 0.5)
     for closure, args, kernel, kernel_args in (
         (p.f, (x, y, 0.5), assembly._load_from, (disc, p, dirichlet, 0.5)),
         (p.u0, (x, y), assembly.assemble_functional, (disc, p.u0)),

@@ -25,6 +25,7 @@ from conftest import (
     reference_evaluate,
     reference_param_point,
     relative_error,
+    span_tables,
 )
 
 
@@ -334,11 +335,12 @@ class TestBatchedMesh:
         # points themselves at q = 5; the edge cache takes orders below a
         # discretization's default
         space = uniform_space(degree, 3)
-        bc = EdgeCache(space, annulus_gm, EDGE_LENGTH_POINTS)
+        bc = EdgeCache(space, annulus_gm, span_tables(space, EDGE_LENGTH_POINTS))
         for f, h in enumerate(bc.h_E):
             assert h == pytest.approx(reference_h_E(annulus_gm, bc, f), rel=1e-14, abs=0)
         for q in range(2, 9):
-            assert np.array_equal(EdgeCache(space, annulus_gm, q).h_E, bc.h_E), q
+            h_E = EdgeCache(space, annulus_gm, span_tables(space, q)).h_E
+            assert np.array_equal(h_E, bc.h_E), q
 
     @pytest.mark.parametrize("q", [1, None, 8], ids=["q1", "default", "q8"])
     def test_sign_change_at_a_corner_raises(self, q):
@@ -354,7 +356,7 @@ class TestBatchedMesh:
         assert gm.evaluate_grid([1.0], [1.0])[2][0, 0] < 0
         with pytest.raises(DegenerateJacobian, match="changes sign"):
             if q == 1:
-                ElementCache(space, gm, q)
+                ElementCache(space, gm, span_tables(space, q))
             else:
                 Discretization(space, gm, q)
 
@@ -369,7 +371,7 @@ class TestBatchedMesh:
         solution_space = uniform_space(1, 4)
         with pytest.raises(DegenerateJacobian, match="changes sign"):
             if q == 1:
-                ElementCache(solution_space, gm, q)
+                ElementCache(solution_space, gm, span_tables(solution_space, q))
             else:
                 Discretization(solution_space, gm, q)
 
@@ -430,7 +432,7 @@ class TestBatchedMesh:
         monkeypatch.setattr(assembly, "BLOCK_BYTES", 1)
         with pytest.raises(DegenerateJacobian, match="^det J changes sign across the mesh$"):
             if q == 1:
-                ElementCache(solution_space, gm, q)
+                ElementCache(solution_space, gm, span_tables(solution_space, q))
             else:
                 Discretization(solution_space, gm, q)
 

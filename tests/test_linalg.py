@@ -160,6 +160,18 @@ class TestSolveSparse:
             b = rng.random(5)
             assert np.allclose(lu.solve(b), b / np.arange(1.0, 6.0))
 
+    @pytest.mark.parametrize(
+        "geometry, degree, spans", [("square", 2, 12), ("quarter_annulus", 3, 32)]
+    )
+    def test_frobenius_norm_matches_numpy(self, geometry, degree, spans):
+        # ||A||_F of the residual bound is summed pairwise by numpy, by blocks,
+        # not by BLAS ddot as in np.linalg.norm; the annulus matrices hold
+        # 54k entries, where ddot runs threaded
+        band, mass, A = step_matrix(geometry, degree, spans)
+        for M in (mass, A):
+            ref = np.linalg.norm(M.data)
+            assert abs(SparseFactor(M, band)._norm - ref) <= 1e-15 * ref
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_residual_bound_raises(self):
         # ||A||_F of entries 1e300 overflows to inf, and an infinite bound

@@ -5,7 +5,7 @@ from nitsche_iga import gauss_rule, uniform_space
 from nitsche_iga.assembly import ElementCache
 from nitsche_iga.errors import UnsupportedOrder
 
-from conftest import make_disc
+from conftest import make_disc, span_tables
 
 
 def test_midpoint_rule():
@@ -68,7 +68,8 @@ class TestElementRule:
         # the element cache takes any order, the midpoint rule too, where a
         # discretization refuses one below the largest degree plus two
         for q in (1, 3, 6):
-            w = ElementCache(uniform_space(1, 1), square_gm, q).w
+            space = uniform_space(1, 1)
+            w = ElementCache(space, square_gm, span_tables(space, q)).w
             assert abs(w.sum() - 1.0) < 1e-15
 
     def test_unit_square_four_elements(self, square_gm):

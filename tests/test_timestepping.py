@@ -439,6 +439,10 @@ def _first(x, y):
     return np.arange(len(x)) == 0
 
 
+def _first_inside(x, y):
+    return _first(x, y) & _inside(x, y)
+
+
 # name: (closure of paper_sec8, mask, value at the masked points); the first
 # sampled point of a volume closure is a volume point, and x == 0 or 1 is
 # met at edge points alone
@@ -449,6 +453,10 @@ NON_FINITE = {
     "mu_nan_on_edge_x1": ("mu", _from_second_step(lambda x, y: x == 1.0), np.nan),
     "b_inf_on_edge_x0": ("b", _from_second_step(lambda x, y: x == 0.0), np.inf),
     "g_nan_everywhere": ("g", _from_second_step(lambda x, y: x == x), np.nan),
+    # at one volume point only: the samples at the edge points stay as they
+    # were, and only the changed volume sample is checked
+    "b_nan_inside_at_one_point": ("b", _from_second_step(_first_inside), np.nan),
+    "mu_inf_inside_at_one_point": ("mu", _from_second_step(_first_inside), np.inf),
 }
 
 
