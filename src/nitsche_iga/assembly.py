@@ -12,14 +12,14 @@ CSR pattern that every matrix shares, the tensor product of the span-block
 patterns of the two directions (:func:`_tensor_pattern`), and the band
 layout of that pattern in its natural order, in which every LU of the
 solver factors.
-The edge terms are batched products, :func:`_blocks`, of a test table
-with a trial table that carries the weights and coefficients.  The volume
-form of the stiffness is one too when a coefficient varies over the volume
-points.  Every fixed volume Gram is a sum of the unit matrices
+The volume form of the stiffness is a batched product, :func:`_blocks`,
+of a test table with a trial table that carries the weights and
+coefficients, when a coefficient varies over the volume points.  Every
+fixed volume Gram is a sum of the unit matrices
 sum_q w T_r T_s of the table rows, made once per discretization
 (:meth:`Discretization.volume_units`; the affine decomposition of
 reduced-basis methods): the mass is the unit of the value rows, the V_h
-Gram adds those of the two gradient rows and its boundary mass, and when
+Gram adds those of the two gradient rows and the penalty Gram P, and when
 c, b and mu each hold one value at the volume points, the volume form of
 the stiffness is the sum of those values times their units.  An edge's
 local basis is its owner element's, so each edge carries its owner's data
@@ -33,13 +33,16 @@ cheap and bitwise reproducible.
 The stiffness form contains five families of terms: the volume form
 (diffusion, advection, reaction), the boundary flux term, its transpose
 (symmetrization), the eps/h_E boundary penalty, and the one-sided inflow
-term restricted to quadrature points where b . n < 0.  Of the four edge
-families only the inflow term reads b, so each edge block is the sum of
-two parts (:class:`_Stiffness`): a fixed block of the flux, its transpose
-and the penalty, which reads mu at the edge points and eps and is kept
-until mu there changes, and the inflow block N_i max(-b . n, 0) N_j, made
-with the Dirichlet trial terms at every assembly.  Under an advection
-field that turns in time, only the inflow term is made at each step.  The
+term restricted to quadrature points where b . n < 0.  The penalty is eps
+times one matrix of the discretization, P = sum_E h_E^-1 int_E N_i N_j
+(:attr:`Discretization.penalty_unit`), which is also the boundary part of
+the V_h Gram; the matrix data of the stiffness starts from eps P.  Of the
+other edge families only the inflow term reads b, so each edge block is
+the sum of two parts (:class:`_Stiffness`): a fixed block of the flux and
+its transpose, which reads mu at the edge points alone and is kept until
+mu there changes, and the inflow block N_i max(-b . n, 0) N_j, made with
+the Dirichlet trial terms at every assembly.  Under an advection field
+that turns in time, only the inflow term is made at each step.  The
 volume form is made at every assembly too: b moves it and b . n together.
 The load is (f, N) plus its Dirichlet trial terms applied to g;
 :meth:`AssembledForms.at` returns both from one sampling of the
@@ -47,8 +50,8 @@ coefficients.  The penalty floor's :func:`trace_constant` takes each
 edge's largest eigenvalue from one q x q Gram at every quadrature order.
 
 Every element kernel (the element cache's grid evaluation by span rows,
-the basis tables, the stiffness, the unit matrices and the V_h Gram's
-boundary mass, the trace constant, the volume sums of the load, and the
+the basis tables, the stiffness, the unit matrices and the penalty Gram
+P, the trace constant, the volume sums of the load, and the
 band layout's slots by rows of the pattern) runs over consecutive blocks of
 elements, edges or rows (:func:`block_slices`) whose largest temporary fits
 ``BLOCK_BYTES``, and each block writes into the one array that the kernel
@@ -448,6 +451,18 @@ class Discretization:
         return [self._units[pair] for pair in pairs]
 
     @cached_property
+    def penalty_unit(self):
+        """The data of the penalty Gram P = sum_E h_E^-1 int_E N_i N_j over
+        the boundary edges, made on first use by the unit matrices' kernel
+        (:func:`_add_gram_blocks`) from the edge table: the boundary part of
+        the V_h Gram and, times eps, the penalty term of the stiffness."""
+        bc = self.boundary
+        data = _zero_data(self)
+        edges = self._slots[len(self.elements.w) :]
+        _add_gram_blocks([data], edges, bc.table, bc.w / bc.h_E[:, None], [(0, 0)])
+        return data
+
+    @cached_property
     def vh_gram(self):
         """The Gram matrix of the V_h norm, assembled on first use."""
         return assemble_vh_gram(self)
@@ -525,34 +540,36 @@ def _check_coefficients(names, samples, t):
         _check_finite(values, f"coefficient {name}(x, y, t) is not finite at t = {t:g}")
 
 
+def _normal_flow(bc, bv):
+    """b . n (nedge, nq) at the edge quadrature points of the edge cache
+    ``bc``, from the sample ``bv`` (nedge, nq, 2) of b there, which must be
+    checked first: the product of an infinite b with a normal can be NaN."""
+    return np.einsum("fqa,fqa->fq", bv, bc.normal)
+
+
 def inflow_mask(disc, p, t):
     """``(mask, bn)``: b . n (nedge, nq) at the edge quadrature points and
-    the boolean mask of the points where it is negative.
-
-    The sample of b is checked here, where it is reduced to b . n: the
-    product of an infinite b with a normal can be NaN.
-    """
+    the boolean mask of the points where it is negative; the sample of b is
+    checked for finiteness before it is reduced to b . n."""
     bc = disc.boundary
     bv = _coefficients_at(bc.x, p, "b", t)
     _check_coefficients(("b",), (bv,), t)
-    bn = np.einsum("fqa,fqa->fq", bv, bc.normal)
+    bn = _normal_flow(bc, bv)
     return bn < 0.0, bn
 
 
 def _operator_coefficients(disc, p, t):
-    """Every array through which the stiffness depends on ``t``.
+    """Every array through which the stiffness depends on ``t``, unchecked.
 
-    mu, b and c at the volume quadrature points, mu at the edge quadrature
-    points and b . n there (the inflow mask alone would miss a change of
-    |b . n|).  Bit-equal arrays give a bit-equal stiffness matrix.  Only b
-    at the edge points is checked here (:func:`inflow_mask`); the others
-    are checked by :meth:`_Stiffness.at`, when they change.
+    mu, b and c at the volume quadrature points, mu and b at the edge
+    quadrature points (b itself: the inflow mask alone would miss a change
+    of |b . n|).  Bit-equal arrays give a bit-equal stiffness matrix.  Each
+    is checked by :meth:`_Stiffness.at`, when it changes.
     """
     ec, bc = disc.elements, disc.boundary
     mu, bv, cv = (_coefficients_at(ec.x, p, name, t) for name in ("mu", "b", "c"))
-    mu_e = _coefficients_at(bc.x, p, "mu", t)
-    _, bn = inflow_mask(disc, p, t)
-    return mu, bv, cv, mu_e, bn
+    mu_e, bv_e = (_coefficients_at(bc.x, p, name, t) for name in ("mu", "b"))
+    return mu, bv, cv, mu_e, bv_e
 
 
 def _distinct(a):
@@ -672,19 +689,18 @@ def _penalty(eps, h_E):
     return eps
 
 
-def _volume_data(disc, mu, bv, cv, uniform):
-    """Matrix data of the volume form (diffusion, advection, reaction) from
-    the samples of mu, b and c at the volume points.
+def _add_volume_form(data, disc, mu, bv, cv, uniform):
+    """Add the volume form (diffusion, advection, reaction) into the matrix
+    ``data``, from the samples of mu, b and c at the volume points.
 
     When c, b and mu each hold one value at every volume point (``uniform``,
-    see :func:`_uniform`), the data is the sum of those values times the
-    discretization's unit matrices (:func:`_uniform_terms`), term after term
-    in a fixed order, one block of entries at a time.  Otherwise each point's
+    see :func:`_uniform`), those values times the discretization's unit
+    matrices (:func:`_uniform_terms`) are added term after term in a fixed
+    order, one block of entries at a time.  Otherwise each point's
     coefficients weight the trial table and one product per block of elements
     contracts it with the test table.
     """
     ec = disc.elements
-    data = _zero_data(disc)
     if uniform:
         terms = _uniform_terms(mu, bv, cv)
         units = disc.volume_units(list(terms))
@@ -699,35 +715,34 @@ def _volume_data(disc, mu, bv, cv, uniform):
             coef[..., 0, 0], coef[..., 0, 1:], coef[..., 1:, 1:] = cv[s], bv[s], mu[s]
             coef *= ec.w[s, :, None, None]
             _add_blocks(data, disc._slots[s], _blocks(ec.table[s], coef @ ec.table[s]))
-    return data
 
 
-def _fixed_edge_blocks(disc, mu_e, eps):
-    """The edge blocks that b does not enter, from the samples ``mu_e`` of mu
-    at the edge points: one ``(edges, fixed, flux)`` per block of edges, with
-    ``edges`` the block's slice, ``flux`` (n, nq, nloc) the rows
-    n . mu grad N at its edge points and ``fixed`` (n, nloc, nloc) the
-    penalty (eps/h_E) N_i N_j minus the flux term N_i (n . mu grad N_j) and
-    its transpose, summed over each edge's points.
+def _fixed_edge_blocks(disc, mu_e):
+    """The edge blocks that neither b nor eps enters, from the samples
+    ``mu_e`` of mu at the edge points: one ``(edges, fixed, flux)`` per block
+    of edges, with ``edges`` the block's slice, ``flux`` (n, nq, nloc) the
+    rows n . mu grad N at its edge points and ``fixed`` (n, nloc, nloc) minus
+    the flux term F = N_i (n . mu grad N_j), summed over each edge's points,
+    and minus its transpose: -(F + F^T), symmetric bit for bit.
 
-    Test side N and flux, trial side (eps/h_E) N - flux and -N: one product
-    per block of edges, sized by an edge's test and trial tables.  The
-    blocks are kept as they are made, so none of them is mapped afresh as
-    one array over all edges would be (see the module docstring).
+    A block of edges is sized by what it keeps per edge, its block and its
+    flux rows, and the blocks are kept as they are made, so none of them is
+    mapped afresh as one array over all edges would be (see the module
+    docstring).
     """
     bc = disc.boundary
+    nq, nloc = bc.B.shape[1:]
     parts = []
-    for s in block_slices(len(bc.B), 2 * bc.table[0].nbytes):
+    for s in block_slices(len(bc.B), 8 * nloc * (nloc + nq)):
         flux = ((bc.normal[s, :, None, :] @ mu_e[s]) @ bc.table[s, :, 1:])[:, :, 0]
-        trial = np.stack([(eps / bc.h_E[s])[:, None, None] * bc.B[s] - flux, -bc.B[s]], axis=2)
-        trial *= bc.w[s, :, None, None]
-        parts.append((s, _blocks(np.stack([bc.B[s], flux], axis=2), trial), flux))
+        F = bc.B[s].swapaxes(1, 2) @ (bc.w[s, :, None] * flux)
+        parts.append((s, -(F + F.swapaxes(1, 2)), flux))
     return parts
 
 
 def _add_edge_blocks(data, disc, fixed, bn, eps):
-    """Add the edge blocks of the stiffness into the matrix ``data``, and
-    return its Dirichlet trial terms.
+    """Add the edge blocks of the stiffness but its penalty into the matrix
+    ``data``, and return its Dirichlet trial terms.
 
     Each edge's block is its fixed one (from :func:`_fixed_edge_blocks`,
     whose blocks of edges this follows) plus its one-sided inflow block, the
@@ -752,21 +767,23 @@ def _add_edge_blocks(data, disc, fixed, bn, eps):
 class _Stiffness:
     """The stiffness matrix of a discretization at the penalty ``eps``, from
     one sample after another of the :func:`_operator_coefficients`, with
-    the samples it was made from and the edge blocks that do not read b.
+    the samples it was made from and the edge blocks that read mu alone.
 
     Each sample is kept as a :func:`_kept` copy, and mu, b and c with
     whether they are :func:`_uniform`.  :meth:`at` compares a new sample with
     its copy in place, bit for bit, and only a changed one is checked for
     finiteness, tested by :func:`_uniform` and copied.  When any sample
-    changes, the matrix data is the volume form (:func:`_volume_data`; b
-    moves it and b . n together) plus the edge blocks, each the fixed block
-    of :func:`_fixed_edge_blocks` plus its inflow block
-    (:func:`_add_edge_blocks`, which makes the Dirichlet trial terms too).
-    The fixed blocks and their flux rows read mu at the edge points and eps
-    alone, and are made again only when mu there changes: once per run for
-    a mu that does not depend on t.  Every part depends on its samples
-    alone, so the matrix is bit-equal to that of a fresh instance at the
-    same samples, as :func:`assemble_stiffness` makes.
+    changes, the matrix data starts from eps P, the penalty term
+    (:attr:`Discretization.penalty_unit`), and the volume form
+    (:func:`_add_volume_form`; b moves it and b . n together) and the edge
+    blocks are added to it.  Each edge block is the fixed block of
+    :func:`_fixed_edge_blocks` plus its inflow block, which
+    :func:`_add_edge_blocks` makes with the Dirichlet trial terms from b . n
+    at the edge points.  The fixed blocks and their flux rows read mu at the
+    edge points alone, and are made again only when mu there changes: once
+    per run for a mu that does not depend on t.  Every part depends on its
+    samples alone, so the matrix is bit-equal to that of a fresh instance at
+    the same samples, as :func:`assemble_stiffness` makes.
     """
 
     def __init__(self, disc, eps):
@@ -786,17 +803,18 @@ class _Stiffness:
         if not any(changed):
             return self._matrix, self._dirichlet
         disc, eps = self.disc, self.eps
-        mu, bv, cv, mu_e, bn = coefficients
-        for name, a, new in zip(("mu", "b", "c", "mu"), coefficients, changed):
+        mu, bv, cv, mu_e, bv_e = coefficients
+        for name, a, new in zip(("mu", "b", "c", "mu", "b"), coefficients, changed):
             if new:
                 _check_coefficients((name,), (a,), t)
         uniform = [
             _uniform(a) if new else u for a, new, u in zip(coefficients, changed, self._uniform)
         ]
 
-        data = _volume_data(disc, mu, bv, cv, all(uniform))
-        fixed = _fixed_edge_blocks(disc, mu_e, eps) if changed[3] else self._fixed
-        dirichlet = _add_edge_blocks(data, disc, fixed, bn, eps)
+        data = eps * disc.penalty_unit
+        _add_volume_form(data, disc, mu, bv, cv, all(uniform))
+        fixed = _fixed_edge_blocks(disc, mu_e) if changed[3] else self._fixed
+        dirichlet = _add_edge_blocks(data, disc, fixed, _normal_flow(disc.boundary, bv_e), eps)
 
         # kept once the matrix is made, so a call that fails keeps nothing
         kept = (_kept(a) if new else k for a, new, k in zip(coefficients, changed, self._kept))
@@ -847,14 +865,11 @@ def assemble_vh_gram(disc):
     """Gram matrix of the stability norm: H1 inner product, the sum of the
     unit matrices (0, 0), (1, 1) and (2, 2) of
     :meth:`Discretization.volume_units`, plus the h_E^-1-weighted boundary
-    mass, whose blocks the unit matrices' kernel (:func:`_add_gram_blocks`)
-    adds from the edge table."""
-    bc = disc.boundary
+    mass P, :attr:`Discretization.penalty_unit`."""
     mass, dx, dy = disc.volume_units([(0, 0), (1, 1), (2, 2)])
     data = mass + dx
     data += dy
-    edges = disc._slots[len(disc.elements.w) :]
-    _add_gram_blocks([data], edges, bc.table, bc.w / bc.h_E[:, None], [(0, 0)])
+    data += disc.penalty_unit
     return disc.matrix(data)
 
 
@@ -935,11 +950,13 @@ class AssembledForms:
     its eps/h_E on every edge are positive finite numbers and the stiffness
     matrix can be normed, see :func:`_penalty`) and keeps the last
     stiffness matrix, its Dirichlet edge terms and the fixed edge blocks
-    that b does not enter, with copies of the samples they were made from (a
-    :class:`_Stiffness`, empty until the first :meth:`at`, so set-up builds
-    none of it).  Each new sample is compared with its copy in place, bit
-    for bit.  A changed operator is assembled again, its fixed edge blocks
-    only when mu at the edge points changed, and its volume form from the
+    of the flux and its transpose, which read mu alone, with copies of the
+    samples they were made from (a :class:`_Stiffness`, empty until the
+    first :meth:`at`, so set-up builds none of it).  Each new sample is
+    compared with its copy in place, bit for bit.  A changed operator is
+    assembled again from eps times the discretization's penalty Gram P
+    (:attr:`Discretization.penalty_unit`), its fixed edge blocks only when
+    mu at the edge points changed, and its volume form from the
     discretization's unit matrices when its coefficients are uniform.  Each
     part reads its samples alone, so the matrix is bit-equal to
     :func:`assemble_stiffness` at the same t.  The mass matrix is

@@ -3,18 +3,19 @@
 Each step solves (M + tau A(t_n)) u^n = M u^{n-1} + tau F(t_n), with the
 stiffness and load from one call of ``AssembledForms.at(t_n)``.  It returns
 the previous matrix object whenever the coefficients it samples at the
-quadrature points (mu, b, c in the volume, mu and b . n on the boundary)
+quadrature points (mu, b, c in the volume, mu and b on the boundary)
 are bit-equal to the last assembled ones.  It keeps a copy of each of those
 arrays and compares each new sample with its copy in place, as unsigned
-integers, so a step that reuses the operator copies nothing, and a step
+integers, so a step that reuses the operator checks and copies nothing, and a step
 that changes it checks and copies only the samples that changed; the load
 samples only f and g and reuses the matrix's Dirichlet edge terms.
 The march factors M + tau A again only when that object changes: an
 autonomous operator is assembled and factored once, a time-dependent one
-every step.  A changed operator's volume form and inflow edge term are
-assembled again, the volume form from the discretization's unit matrices
-when mu, b and c are uniform over the volume points and point by point
-otherwise; its penalty, flux and transpose edge terms are kept, and made
+every step.  A changed operator starts from eps times the
+discretization's penalty Gram P, made once; its volume form and inflow
+edge term are assembled again, the volume form from the discretization's
+unit matrices when mu, b and c are uniform over the volume points and point
+by point otherwise; its flux and transpose edge terms are kept, and made
 again only when mu at the edge points changes.  Each part depends on its
 samples at t_n alone, so the result is the same, bit for bit, as
 rebuilding the operator at every step.

@@ -422,24 +422,24 @@ class TestAgainstPerTermAssembly:
 # -- the volume form from unit matrices ---------------------------------------
 
 def per_point_stiffness(disc, coefficients, eps):
-    """Stiffness data with every volume point's coefficients weighting the
-    trial table, in one pass over all elements, and the edge blocks after:
-    the fixed ones (penalty, flux and its transpose), plus the inflow ones."""
+    """Stiffness data from eps P, with every volume point's coefficients
+    weighting the trial table, in one pass over all elements, and the edge
+    blocks after: the fixed ones (minus the flux and its transpose), plus the
+    inflow ones."""
     ec, bc = disc.elements, disc.boundary
-    mu, bv, cv, mu_e, bn = coefficients
+    mu, bv, cv, mu_e, bv_e = coefficients
     ne = len(ec.table)
-    data = assembly._zero_data(disc)
+    data = eps * disc.penalty_unit
     coef = np.zeros(ec.w.shape + (3, 3))
     coef[..., 0, 0], coef[..., 0, 1:], coef[..., 1:, 1:] = cv, bv, mu
     coef *= ec.w[..., None, None]
     assembly._add_blocks(data, disc._slots[:ne], assembly._blocks(ec.table, coef @ ec.table))
     flux = ((bc.normal[:, :, None, :] @ mu_e) @ bc.table[:, :, 1:])[:, :, 0]
-    edge_trial = np.stack([(eps / bc.h_E)[:, None, None] * bc.B - flux, -bc.B], axis=2)
-    edge_trial *= bc.w[:, :, None, None]
-    edge_test = np.stack([bc.B, flux], axis=2)
-    edges = assembly._blocks(edge_test, edge_trial)
+    F = bc.B.swapaxes(1, 2) @ (bc.w[..., None] * flux)
+    bn = np.einsum("fqa,fqa->fq", bv_e, bc.normal)
     inflow = -np.minimum(bn, 0.0) * bc.w
-    edges += bc.B.swapaxes(1, 2) @ (inflow[..., None] * bc.B)
+    edges = bc.B.swapaxes(1, 2) @ (inflow[..., None] * bc.B)
+    edges -= F + F.swapaxes(1, 2)
     assembly._add_blocks(data, disc._slots[ne:], edges)
     return data
 
@@ -601,7 +601,7 @@ def _grows(p, key):
 
 
 class TestEdgeParts:
-    """The fixed edge blocks (penalty, flux and its transpose) are made again
+    """The fixed edge blocks (minus the flux and its transpose) are made again
     only when mu at the edge points changes, and each matrix is bit-equal to
     a fresh assembly."""
 
@@ -638,6 +638,34 @@ class TestEdgeParts:
         for t in grid.nodes[1:]:
             A = fresh.at(t)[0]
             assert A.data.tobytes() == assemble_stiffness(disc, p, fresh.eps, t).data.tobytes()
+
+
+class TestPenaltyGram:
+    """P = sum_E h_E^-1 int_E N_i N_j, made once for the V_h Gram and the
+    stiffness, and the fixed edge blocks that are kept beside it."""
+
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    def test_vh_gram_is_the_units_plus_p(self, geometry):
+        disc = make_disc(load_geometry(geometry), 2, 3)
+        mass, dx, dy = disc.volume_units([(0, 0), (1, 1), (2, 2)])
+        ref = mass + dx + dy + disc.penalty_unit
+        assert disc.vh_gram.data.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_fixed_edge_blocks_are_symmetric(self, geometry, degree):
+        # -(F + F^T), bit for bit, under a mu that is not a multiple of I
+        sec8 = builtin_case("paper_sec8").problem
+
+        def mu(x, y, t):
+            return np.stack([np.stack([1.0 + x, 0.25 * y], -1), np.stack([0.5 * x, 2.0 + y], -1)], -2)
+
+        p = replace(sec8, mu=mu, mu1=3.0)
+        disc = make_disc(load_geometry(geometry), degree, 3)
+        stiffness = assembly._Stiffness(disc, 2.5)
+        stiffness.at(assembly._operator_coefficients(disc, p, 0.5), 0.5)
+        for _, fixed, _ in stiffness._fixed:
+            assert fixed.tobytes() == fixed.swapaxes(1, 2).tobytes()
 
 
 class TestSparsityPattern:
@@ -853,17 +881,17 @@ class TestStiffness:
         A = assemble_stiffness(disc, case.problem, 5.0, 0.0)
         assert np.abs(A - A.T).max() > 1e-3
 
-    def test_penalty_dependence_affine(self, square_gm):
-        case = builtin_case("paper_sec8")
-        disc = make_disc(square_gm, 2, 2)
-        p = case.problem
+    def test_penalty_dependence_affine(self, square_gm, annulus_gm):
+        # A(eps) = A_0 + eps P: both differences below are eps P itself
+        p = builtin_case("paper_sec8").problem
         eps = 4.0
-        A1 = assemble_stiffness(disc, p, eps, 0.5).toarray()
-        A2 = assemble_stiffness(disc, p, 2 * eps, 0.5).toarray()
-        A4 = assemble_stiffness(disc, p, 4 * eps, 0.5).toarray()
-        P1 = A2 - A1
-        P2 = (A4 - A1) / 3.0
-        assert np.abs(P1 - P2).max() < 1e-13 * np.abs(A1).max()
+        for gm, degree in ((square_gm, 2), (annulus_gm, 2), (annulus_gm, 3)):
+            disc = make_disc(gm, degree, 2)
+            A1, A2, A4 = (assemble_stiffness(disc, p, f * eps, 0.5).toarray() for f in (1, 2, 4))
+            P = disc.matrix(disc.penalty_unit).toarray()
+            scale = np.abs(A4).max()
+            assert np.abs((A2 - A1) - eps * P).max() < 1e-13 * scale
+            assert np.abs((A4 - A1) / 3.0 - eps * P).max() < 1e-13 * scale
 
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("name,t", [("paper_sec8", 1.0), ("steady_reaction", 0.5)])

@@ -303,6 +303,27 @@ class TestOperatorReuse:
         assert forms.at(1.0)[0] is not A0
         assert forms.at(1.0)[0] is forms.at(1.0)[0]
 
+    def test_autonomous_march_checks_operator_samples_at_its_first_step_only(
+        self, square_gm, monkeypatch
+    ):
+        # a reused operator's samples were checked when it was made; f and g
+        # are checked at every step
+        checked = []
+        check = assembly._check_coefficients
+
+        def spy(names, samples, t):
+            checked.append((names, t))
+            return check(names, samples, t)
+
+        monkeypatch.setattr(assembly, "_check_coefficients", spy)
+        p = builtin_case("paper_sec8").problem
+        disc = make_disc(square_gm, 2, 3)
+        grid = TimeGrid(self.STEPS, p.T)
+        march(AssembledForms(disc, p), grid, project_initial(disc, p.u0))
+        operator = [(names, t) for names, t in checked if names != ("f", "g")]
+        assert operator == [((name,), grid.nodes[1]) for name in ("mu", "b", "c", "mu", "b")]
+        assert len(checked) - len(operator) == self.STEPS
+
 
 def _after_first_step(first, after):
     """Coefficient closure that returns ``first(x)`` at t = 0 and ``after(x)`` later."""
@@ -371,8 +392,8 @@ class TestReuseCheck:
         before = assembly._operator_coefficients(disc, forms.problem, 0.0)
         after = assembly._operator_coefficients(disc, forms.problem, 1.0)
         differ = [not np.array_equal(a, b) for a, b in zip(before, after)]
-        assert differ == [False, False, False, False, True]  # b . n alone
-        assert np.count_nonzero(before[4] != after[4]) == 1
+        assert differ == [False, False, False, False, True]  # b at the edge points alone
+        assert np.count_nonzero(before[4] != after[4]) == 2  # both components of one point
         A0 = forms.at(0.0)[0]
         assert forms.at(1.0)[0] is not A0
 
