@@ -46,8 +46,9 @@ that turns in time, only the inflow term is made at each step.  The
 volume form is made at every assembly too: b moves it and b . n together.
 The load is (f, N) plus its Dirichlet trial terms applied to g;
 :meth:`AssembledForms.at` returns both from one sampling of the
-coefficients.  The penalty floor's :func:`trace_constant` takes each
-edge's largest eigenvalue from one q x q Gram at every quadrature order.
+coefficients, the stiffness as its data on the shared pattern.  The
+penalty floor's :func:`trace_constant` takes each edge's largest
+eigenvalue from one q x q Gram at every quadrature order.
 
 Every element kernel (the element cache's grid evaluation by span rows,
 the basis tables, the stiffness, the unit matrices and the penalty Gram
@@ -518,26 +519,29 @@ def assemble_mass(disc):
 def _coefficients_at(points, p, name, t):
     """The closure ``name`` of the problem ``p`` at ``points`` (..., 2) and
     time ``t``, shaped (...,) plus the shape of its values; unchecked, see
-    :func:`_check_finite`."""
+    :func:`_check_coefficient`."""
     flat = points.reshape(-1, 2)
     vals = np.asarray(getattr(p, name)(flat[:, 0], flat[:, 1], t))
     return vals.reshape(points.shape[:-1] + vals.shape[1:])
 
 
-def _check_finite(values, what):
-    """Raise :class:`ConfigError`, saying ``what`` is not finite, unless every
-    value of the sample ``values`` is finite; only its :func:`_distinct`
-    values are checked."""
+def _non_finite(values):
+    """The first non-finite value of the sample ``values``, or None when
+    every value is finite; only its :func:`_distinct` values are read."""
     distinct = _distinct(values)
     finite = np.isfinite(distinct)
-    if not finite.all():
-        raise ConfigError(f"{what}: it takes the value {distinct[~finite][0]}")
+    return None if finite.all() else distinct[~finite][0]
 
 
-def _check_coefficients(names, samples, t):
-    """:func:`_check_finite` of each sample of the closure of its name at ``t``."""
-    for name, values in zip(names, samples):
-        _check_finite(values, f"coefficient {name}(x, y, t) is not finite at t = {t:g}")
+def _check_coefficient(name, values, t, where):
+    """Raise :class:`ConfigError` unless the sample ``values`` of the closure
+    ``name`` at ``t`` and the ``where`` ("volume" or "edge") points is finite."""
+    bad = _non_finite(values)
+    if bad is not None:
+        raise ConfigError(
+            f"coefficient {name}(x, y, t) is not finite at t = {t:g}: it takes the value "
+            f"{bad}, sampled at the {where} points"
+        )
 
 
 def _normal_flow(bc, bv):
@@ -553,7 +557,7 @@ def inflow_mask(disc, p, t):
     checked for finiteness before it is reduced to b . n."""
     bc = disc.boundary
     bv = _coefficients_at(bc.x, p, "b", t)
-    _check_coefficients(("b",), (bv,), t)
+    _check_coefficient("b", bv, t, "edge")
     bn = _normal_flow(bc, bv)
     return bn < 0.0, bn
 
@@ -578,40 +582,48 @@ def _distinct(a):
     return a[tuple(slice(0, 1) if s == 0 else slice(None) for s in a.strides)]
 
 
-def _kept(a):
-    """Read-only copy of ``a`` for :func:`_same_bits`: a C-contiguous copy
-    of its :func:`_distinct` values, broadcast back to its shape."""
-    return np.broadcast_to(np.array(_distinct(a), order="C"), a.shape)
+class _KeptSample:
+    """One operator sample as it was last assembled: a C-contiguous copy of
+    its :func:`_distinct` values, the shape it repeats them to and, at the
+    volume points (``volume``), whether it is :func:`_uniform`."""
+
+    def __init__(self, a, distinct, volume):
+        self.shape, self.dtype = a.shape, a.dtype
+        self._bits = np.array(distinct, order="C").view(f"u{a.itemsize}")
+        self.uniform = volume and _uniform(self._bits)
+
+    def holds(self, a, distinct):
+        """Whether the sample ``a``, of :func:`_distinct` view ``distinct``,
+        has the shape, dtype and bits of this one, compared in place as
+        unsigned integers (signed zeros and NaN payloads count): its distinct
+        values when they repeat along the axes that this one's did, as
+        ``np.broadcast_to`` gives at every step, else all of ``a``."""
+        if a.shape != self.shape or a.dtype != self.dtype:
+            return False
+        new = distinct if distinct.shape == self._bits.shape else a
+        return bool((new.view(self._bits.dtype) == self._bits).all())
 
 
-def _same_bits(a, kept):
-    """Whether ``a`` has the shape, dtype and bits of ``kept`` (from :func:`_kept`).
-
-    The values are compared in place as unsigned integers of their item
-    size, so signed zeros and NaN payloads count.  When ``a`` repeats its
-    values along the axes that ``kept`` does, as a coefficient returned by
-    ``np.broadcast_to`` does at every step, only the distinct values are
-    compared.
-    """
-    if a.shape != kept.shape or a.dtype != kept.dtype:
-        return False
-    bits = np.dtype(f"u{a.itemsize}")
-    a, kept = a.view(bits), kept.view(bits)
-    core, kept_core = _distinct(a), _distinct(kept)
-    if core.shape == kept_core.shape:
-        return np.array_equal(core, kept_core)
-    return np.array_equal(a, kept)
+def _sample(a, kept, name, where, t):
+    """``kept`` (a :class:`_KeptSample` or None) when it holds the sample
+    ``a`` of the closure ``name`` at ``t``, else a new one of ``a`` once it
+    is checked (:func:`_check_coefficient`), all from one :func:`_distinct`
+    view of ``a``."""
+    distinct = _distinct(a)
+    if kept is not None and kept.holds(a, distinct):
+        return kept
+    _check_coefficient(name, distinct, t, where)
+    return _KeptSample(a, distinct, where == "volume")
 
 
 def _uniform(a):
     """Whether ``a`` (ne, nq, ...) holds one value, bit for bit, at every
-    volume point.
-
-    The :func:`_distinct` values are compared, as in :func:`_same_bits`, as
-    unsigned integers of their item size with those of the first point, one
-    block of elements at a time, so signed zeros and NaN payloads count.
-    """
+    volume point: its :func:`_distinct` values against those of the first
+    point, as unsigned integers of their item size (so signed zeros and NaN
+    payloads count), one block of elements at a time."""
     bits = _distinct(a).view(np.dtype(f"u{a.itemsize}"))
+    if bits.shape[:2] == (1, 1):  # the values of one point, repeated
+        return True
     first = bits[0, 0]
     return all((bits[s] == first).all() for s in block_slices(len(bits), bits[0].nbytes))
 
@@ -764,63 +776,57 @@ def _add_edge_blocks(data, disc, fixed, bn, eps):
     return dirichlet
 
 
-class _Stiffness:
-    """The stiffness matrix of a discretization at the penalty ``eps``, from
-    one sample after another of the :func:`_operator_coefficients`, with
-    the samples it was made from and the edge blocks that read mu alone.
+# the closure and the points of each sample of _operator_coefficients
+OPERATOR_SAMPLES = (
+    ("mu", "volume"), ("b", "volume"), ("c", "volume"), ("mu", "edge"), ("b", "edge")
+)
 
-    Each sample is kept as a :func:`_kept` copy, and mu, b and c with
-    whether they are :func:`_uniform`.  :meth:`at` compares a new sample with
-    its copy in place, bit for bit, and only a changed one is checked for
-    finiteness, tested by :func:`_uniform` and copied.  When any sample
-    changes, the matrix data starts from eps P, the penalty term
+
+class _Stiffness:
+    """The stiffness matrix data of a discretization at the penalty ``eps``,
+    from one sample after another of the :func:`_operator_coefficients`, with
+    the samples it was made from (:class:`_KeptSample`) and the edge blocks
+    that read mu alone.
+
+    :meth:`at` visits each new sample once (:func:`_sample`), and only a
+    changed one is checked, tested by :func:`_uniform` and copied.  When any
+    sample changes, the data starts from eps P
     (:attr:`Discretization.penalty_unit`), and the volume form
     (:func:`_add_volume_form`; b moves it and b . n together) and the edge
-    blocks are added to it.  Each edge block is the fixed block of
-    :func:`_fixed_edge_blocks` plus its inflow block, which
-    :func:`_add_edge_blocks` makes with the Dirichlet trial terms from b . n
-    at the edge points.  The fixed blocks and their flux rows read mu at the
-    edge points alone, and are made again only when mu there changes: once
-    per run for a mu that does not depend on t.  Every part depends on its
-    samples alone, so the matrix is bit-equal to that of a fresh instance at
-    the same samples, as :func:`assemble_stiffness` makes.
+    blocks are added to it: each the fixed block of
+    :func:`_fixed_edge_blocks`, made again only when mu at the edge points
+    changes, plus its inflow block, which :func:`_add_edge_blocks` makes with
+    the Dirichlet trial terms.  Every part depends on its samples alone, so
+    the data is bit-equal to that of a fresh instance at the same samples, as
+    :func:`assemble_stiffness` makes.
     """
 
     def __init__(self, disc, eps):
         self.disc, self.eps = disc, eps
-        self._kept = [None] * 5
-        self._uniform = [None] * 3
-        self._fixed = self._matrix = self._dirichlet = None
+        self._samples = [None] * len(OPERATOR_SAMPLES)
+        self._fixed = self._data = self._dirichlet = None
 
     def at(self, coefficients, t):
-        """``(A, dirichlet)`` from the :func:`_operator_coefficients` sampled at
-        ``t``: the stiffness matrix and its Dirichlet trial terms (see
-        :func:`_add_edge_blocks`).  ``A`` is the previous matrix object when
-        every sample is bit-equal to its kept copy.  A non-finite mu, b or c
-        raises :class:`ConfigError`.
-        """
-        changed = [k is None or not _same_bits(a, k) for a, k in zip(coefficients, self._kept)]
-        if not any(changed):
-            return self._matrix, self._dirichlet
+        """``(data, dirichlet)`` from the :func:`_operator_coefficients` at
+        ``t``: the stiffness data on the pattern of the discretization, the
+        previous array object when every sample is bit-equal to its kept one,
+        and its Dirichlet trial terms (:func:`_add_edge_blocks`).  A
+        non-finite mu, b or c raises :class:`ConfigError`."""
+        kept = self._samples
+        inputs = zip(coefficients, kept, OPERATOR_SAMPLES)
+        samples = [_sample(a, k, name, where, t) for a, k, (name, where) in inputs]
+        if all(new is old for new, old in zip(samples, kept)):
+            return self._data, self._dirichlet
         disc, eps = self.disc, self.eps
         mu, bv, cv, mu_e, bv_e = coefficients
-        for name, a, new in zip(("mu", "b", "c", "mu", "b"), coefficients, changed):
-            if new:
-                _check_coefficients((name,), (a,), t)
-        uniform = [
-            _uniform(a) if new else u for a, new, u in zip(coefficients, changed, self._uniform)
-        ]
-
         data = eps * disc.penalty_unit
-        _add_volume_form(data, disc, mu, bv, cv, all(uniform))
-        fixed = _fixed_edge_blocks(disc, mu_e) if changed[3] else self._fixed
+        _add_volume_form(data, disc, mu, bv, cv, all(s.uniform for s in samples[:3]))
+        fixed = self._fixed if samples[3] is kept[3] else _fixed_edge_blocks(disc, mu_e)
         dirichlet = _add_edge_blocks(data, disc, fixed, _normal_flow(disc.boundary, bv_e), eps)
 
-        # kept once the matrix is made, so a call that fails keeps nothing
-        kept = (_kept(a) if new else k for a, new, k in zip(coefficients, changed, self._kept))
-        self._kept, self._uniform, self._fixed = list(kept), uniform, fixed
-        self._matrix, self._dirichlet = disc.matrix(data), dirichlet
-        return self._matrix, self._dirichlet
+        # kept once the data is made, so a call that fails keeps nothing
+        self._samples, self._fixed, self._data, self._dirichlet = samples, fixed, data, dirichlet
+        return data, dirichlet
 
 
 def assemble_stiffness(disc, p, eps, t):
@@ -833,7 +839,7 @@ def assemble_stiffness(disc, p, eps, t):
     that :meth:`AssembledForms.at` takes, so the two matrices are bit-equal.
     """
     eps = _penalty(eps, disc.boundary.h_E)
-    return _Stiffness(disc, eps).at(_operator_coefficients(disc, p, t), t)[0]
+    return disc.matrix(_Stiffness(disc, eps).at(_operator_coefficients(disc, p, t), t)[0])
 
 
 def _load_from(disc, p, dirichlet, t):
@@ -842,7 +848,8 @@ def _load_from(disc, p, dirichlet, t):
     ec, bc = disc.elements, disc.boundary
     fv = _coefficients_at(ec.x, p, "f", t)
     gv = _coefficients_at(bc.x, p, "g", t)
-    _check_coefficients(("f", "g"), (fv, gv), t)
+    _check_coefficient("f", fv, t, "volume")
+    _check_coefficient("g", gv, t, "edge")
     values = np.empty(disc._gidx.shape)
     _volume_integrals(ec, fv, values[: len(fv)])
     np.einsum("fq,fql->fl", bc.w * gv, dirichlet, out=values[len(fv) :])
@@ -856,7 +863,9 @@ def assemble_functional(disc, func):
     ec = disc.elements
     flat = ec.x.reshape(-1, 2)
     fv = np.asarray(func(flat[:, 0], flat[:, 1])).reshape(ec.w.shape)
-    _check_finite(fv, "initial datum u0(x, y) is not finite")
+    bad = _non_finite(fv)
+    if bad is not None:
+        raise ConfigError(f"initial datum u0(x, y) is not finite: it takes the value {bad}")
     values = _volume_integrals(ec, fv, np.empty(ec.gidx.shape))
     return _scatter(disc._gidx, disc.dimension, values)
 
@@ -948,18 +957,12 @@ class AssembledForms:
     ``epsilon_factor`` multiple of the computed floor; exactly one may be
     given, default factor 1.25; :class:`ConfigError` unless the result and
     its eps/h_E on every edge are positive finite numbers and the stiffness
-    matrix can be normed, see :func:`_penalty`) and keeps the last
-    stiffness matrix, its Dirichlet edge terms and the fixed edge blocks
-    of the flux and its transpose, which read mu alone, with copies of the
-    samples they were made from (a :class:`_Stiffness`, empty until the
-    first :meth:`at`, so set-up builds none of it).  Each new sample is
-    compared with its copy in place, bit for bit.  A changed operator is
-    assembled again from eps times the discretization's penalty Gram P
-    (:attr:`Discretization.penalty_unit`), its fixed edge blocks only when
-    mu at the edge points changed, and its volume form from the
-    discretization's unit matrices when its coefficients are uniform.  Each
-    part reads its samples alone, so the matrix is bit-equal to
-    :func:`assemble_stiffness` at the same t.  The mass matrix is
+    matrix can be normed, see :func:`_penalty`).  Keeps the last stiffness
+    data with the parts and samples it was made from (a :class:`_Stiffness`,
+    empty until the first :meth:`at`, so set-up builds none of it); the data
+    is bit-equal to that of :func:`assemble_stiffness` at the same t.  It
+    lies on the CSR pattern of ``disc``: ``disc.matrix`` makes its matrix,
+    and the march makes one matrix, of M + tau A, alone.  The mass matrix is
     ``disc.mass``.  An eps below the floor runs, since the floor is
     sufficient for coercivity but not necessary, with a ``UserWarning`` that
     names eps, the floor and their ratio.
@@ -986,14 +989,11 @@ class AssembledForms:
         self._stiffness = _Stiffness(disc, self.eps)
 
     def at(self, t):
-        """``(A, F)``: the stiffness matrix and the load vector at ``t``.
-
-        The operator coefficients are sampled once and compared in place with
-        the kept copies.  ``A`` is the previous matrix object when they are
-        bit-equal; only a changed sample is checked and copied
-        (:meth:`_Stiffness.at`).  The load
-        samples f and g alone and reuses the matrix's Dirichlet edge terms.
-        A non-finite sample of mu, b, c, f or g raises :class:`ConfigError`.
+        """``(A, F)``: the stiffness data on the CSR pattern of ``disc``, the
+        previous array object while the operator samples are bit-equal to the
+        kept ones (:meth:`_Stiffness.at`), and the load vector at ``t``, which
+        samples f and g alone and reuses the Dirichlet edge terms of A.  A
+        non-finite sample of mu, b, c, f or g raises :class:`ConfigError`.
         """
         coefficients = _operator_coefficients(self.disc, self.problem, t)
         A, dirichlet = self._stiffness.at(coefficients, t)

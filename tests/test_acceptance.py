@@ -159,7 +159,7 @@ def test_criterion_4_consistency(square_gm):
     disc = make_disc(square_gm, 2, 4)
     forms = AssembledForms(disc, case.problem, epsilon_factor=1.25)
     A, F = forms.at(0.0)
-    uh = SparseFactor(A, disc.band).solve(F)
+    uh = SparseFactor(disc.matrix(A), disc.band).solve(F)
     M = assemble_mass(disc)
     rhs = assemble_functional(disc, lambda x, y: case.u(x, y, 0.0))
     exact_coef = SparseFactor(M, disc.band).solve(rhs)
@@ -400,7 +400,7 @@ def discrete_system_study():
         ratios = []
         for u_prev, u, t in zip(traj.coefs[:-1], traj.coefs[1:], grid.nodes[1:]):
             A, F = forms.at(t)
-            r = M @ (u - u_prev) + tau * (A @ u - F)
+            r = M @ (u - u_prev) + tau * (disc.matrix(A) @ u - F)
             scale = np.linalg.norm(M @ u_prev) + tau * np.linalg.norm(F)
             ratios.append(np.linalg.norm(r) / scale)
         worst.append(max(ratios))

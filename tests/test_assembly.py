@@ -536,9 +536,9 @@ class TestUnitMatrices:
         disc = make_disc(load_geometry(geometry), 2, 3)
         coefficients = assembly._operator_coefficients(disc, p, 1.7)
         assert all(map(assembly._uniform, coefficients[:3]))
-        A, _ = assembly._Stiffness(disc, 2.5).at(coefficients, 1.7)
+        data, _ = assembly._Stiffness(disc, 2.5).at(coefficients, 1.7)
         ref = per_point_stiffness(disc, coefficients, 2.5)
-        assert relative_error(A.data, ref) <= 1e-13
+        assert relative_error(data, ref) <= 1e-13
 
     @pytest.mark.parametrize("key", ["c", "b", "mu"])
     def test_one_varying_point_takes_the_per_point_path(self, monkeypatch, square_gm, key):
@@ -558,9 +558,9 @@ class TestUnitMatrices:
         p = replace(sec8, **{key: varied})
         coefficients = assembly._operator_coefficients(disc, p, 0.5)
         assert not all(map(assembly._uniform, coefficients[:3]))
-        A, _ = assembly._Stiffness(disc, 2.5).at(coefficients, 0.5)
-        assert A.data.tobytes() == per_point_stiffness(disc, coefficients, 2.5).tobytes()
-        assert A.data.tobytes() == assemble_stiffness(disc, p, 2.5, 0.5).data.tobytes()
+        data, _ = assembly._Stiffness(disc, 2.5).at(coefficients, 0.5)
+        assert data.tobytes() == per_point_stiffness(disc, coefficients, 2.5).tobytes()
+        assert data.tobytes() == assemble_stiffness(disc, p, 2.5, 0.5).data.tobytes()
 
     @pytest.mark.parametrize("kind", ["uniform", "anisotropic", "two equal knot vectors"])
     def test_element_cache_evaluates_a_shared_knot_vector_once(self, monkeypatch, square_gm, kind):
@@ -636,8 +636,8 @@ class TestEdgeParts:
 
         fresh = AssembledForms(disc, p)
         for t in grid.nodes[1:]:
-            A = fresh.at(t)[0]
-            assert A.data.tobytes() == assemble_stiffness(disc, p, fresh.eps, t).data.tobytes()
+            data = fresh.at(t)[0]
+            assert data.tobytes() == assemble_stiffness(disc, p, fresh.eps, t).data.tobytes()
 
 
 class TestPenaltyGram:
@@ -1253,17 +1253,18 @@ class TestAssembledForms:
         p = replace(case.problem, **{key: counted(key) for key in calls})
         disc = make_disc(square_gm, 2, 3)
         forms = AssembledForms(disc, p, epsilon=5.0)
-        A, F = forms.at(0.5)
+        data, F = forms.at(0.5)
         # mu and b at the volume and the edge points, c and f at the volume
         # points, g at the edge points
         assert calls == {"mu": 2, "b": 2, "c": 1, "f": 1, "g": 1}
         ref = assemble_stiffness(disc, case.problem, 5.0, 0.5)
+        A = disc.matrix(data)
         assert np.array_equal(A.indptr, ref.indptr)
         assert np.array_equal(A.indices, ref.indices)
-        assert A.data.tobytes() == ref.data.tobytes()
+        assert data.tobytes() == ref.data.tobytes()
         assert F.tobytes() == reference_load(disc, case.problem, 5.0, 0.5).tobytes()
         # a step that reuses the operator samples the same
-        assert forms.at(1.5)[0] is A
+        assert forms.at(1.5)[0] is data
         assert calls == {"mu": 4, "b": 4, "c": 2, "f": 2, "g": 2}
 
     @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
@@ -1332,7 +1333,7 @@ class TestAssembledForms:
                 assemble_stiffness(disc, p, 2.5e307, 0.0)
             # just below the bound, the stiffness matrix and its norm are finite
             eps = np.nextafter(limit / edges, 0.0)
-            A = AssembledForms(disc, p, epsilon=eps).at(0.0)[0]
+            A = disc.matrix(AssembledForms(disc, p, epsilon=eps).at(0.0)[0])
             assert np.isfinite(scipy.sparse.linalg.norm(A, "fro"))
 
     def test_penalty_floor_refuses_nan_alpha(self, square_gm):

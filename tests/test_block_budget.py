@@ -45,7 +45,7 @@ def kernel_outputs(gm, degree, case):
     out["units"] = np.stack(assembly._unit_data(disc, assembly.UNIT_PAIRS[1:]))
     out["vh_gram"] = disc.vh_gram.data
     out["trace_constant"] = np.array(disc.trace_constant)
-    out["stiffness"] = A.data
+    out["stiffness"] = A
     out["load"] = F
     out["functional"] = assembly.assemble_functional(disc, p.u0)
     out["space_time_errors"] = np.array(analysis.space_time_errors(traj, case))
@@ -213,6 +213,30 @@ def test_unit_matrices_allocate_their_data_and_block_temporaries(annulus_k3):
         stiffness = assembly._Stiffness(disc, 10.0)
         _, excess = traced(stiffness.at, coefficients, 0.5)
         assert excess <= FEW_BUDGETS
+
+
+def test_kept_samples_hold_one_copy_of_their_distinct_values(annulus_k3):
+    # steady_reaction's b varies in space, so its samples at the volume and
+    # the edge points are full arrays; after a first and a second at(), the
+    # kept samples free, when they are dropped, one copy of the distinct
+    # values of the five samples and little more (a copy and its raw bytes
+    # would be two)
+    disc, _ = annulus_k3
+    p = builtin_case("steady_reaction").problem
+    forms = assembly.AssembledForms(disc, p)
+    samples = assembly._operator_coefficients(disc, p, 0.0)
+    distinct = sum(assembly._distinct(a).nbytes for a in samples)
+    assert assembly._distinct(samples[1]).shape == samples[1].shape
+    tracemalloc.start()
+    try:
+        for t in (0.0, 0.5):
+            forms.at(t)
+        held = tracemalloc.get_traced_memory()[0]
+        forms._stiffness._samples = [None] * len(samples)
+        kept = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert distinct <= kept <= distinct + 16 * 1024
 
 
 def test_trace_constant_allocates_only_block_temporaries(annulus_k3):

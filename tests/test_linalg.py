@@ -68,7 +68,7 @@ def step_matrices(disc):
     """The mass matrix of a discretization and its backward-Euler matrix
     M + 0.1 A of ``steady_reaction``."""
     forms = AssembledForms(disc, builtin_case("steady_reaction").problem)
-    return disc.mass, disc.mass + 0.1 * forms.at(0.0)[0]
+    return disc.mass, disc.mass + 0.1 * disc.matrix(forms.at(0.0)[0])
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from nitsche_iga import (
 )
 from nitsche_iga import assembly
 from nitsche_iga.analysis import boundary_trace_sq
-from nitsche_iga.assembly import assemble_functional, assemble_stiffness
+from nitsche_iga.assembly import Discretization, assemble_functional, assemble_stiffness
 from nitsche_iga.errors import ConfigError
 from nitsche_iga.linalg import SparseFactor
 from nitsche_iga.splines import collocation
@@ -28,7 +28,7 @@ def step_residuals(forms, traj):
     for step in range(1, grid.num_steps + 1):
         t = grid.nodes[step]
         A, F = forms.at(t)
-        lhs = (M + grid.tau * A) @ traj.coefs[step]
+        lhs = (M + grid.tau * forms.disc.matrix(A)) @ traj.coefs[step]
         rhs = M @ traj.coefs[step - 1] + grid.tau * F
         out[step - 1] = np.abs(lhs - rhs).max()
     return out
@@ -186,6 +186,7 @@ class TestMarch:
         disc = make_disc(square_gm, 1, 4)
         forms = AssembledForms(disc, case.problem)
         A, F = forms.at(0.0)
+        A = disc.matrix(A)
         u_inf = SparseFactor(A, disc.band).solve(F)
 
         grid = TimeGrid(40, 8.0)
@@ -309,20 +310,42 @@ class TestOperatorReuse:
         # a reused operator's samples were checked when it was made; f and g
         # are checked at every step
         checked = []
-        check = assembly._check_coefficients
+        check = assembly._check_coefficient
 
-        def spy(names, samples, t):
-            checked.append((names, t))
-            return check(names, samples, t)
+        def spy(name, values, t, where):
+            checked.append((name, where, t))
+            return check(name, values, t, where)
 
-        monkeypatch.setattr(assembly, "_check_coefficients", spy)
+        monkeypatch.setattr(assembly, "_check_coefficient", spy)
         p = builtin_case("paper_sec8").problem
         disc = make_disc(square_gm, 2, 3)
         grid = TimeGrid(self.STEPS, p.T)
         march(AssembledForms(disc, p), grid, project_initial(disc, p.u0))
-        operator = [(names, t) for names, t in checked if names != ("f", "g")]
-        assert operator == [((name,), grid.nodes[1]) for name in ("mu", "b", "c", "mu", "b")]
-        assert len(checked) - len(operator) == self.STEPS
+        first, steps = grid.nodes[1], grid.nodes[1:]
+        operator = [c for c in checked if c[0] not in ("f", "g")]
+        assert operator == [(name, where, first) for name, where in assembly.OPERATOR_SAMPLES]
+        for name, where in (("f", "volume"), ("g", "edge")):
+            assert [c for c in checked if c[0] == name] == [(name, where, t) for t in steps]
+
+    def test_march_makes_one_csr_matrix_per_changed_operator(self, square_gm, monkeypatch):
+        # the matrix of M + tau A alone; the stiffness is data on the
+        # pattern, and a step that reuses the operator makes none
+        for name, steps, matrices in (("b_grows", 4, 4), ("autonomous", self.STEPS, 1)):
+            p = _sec8_variant(name)
+            disc = make_disc(square_gm, 1, 3)
+            disc.mass  # the set-up's own CSR matrix, made before the spy
+            u0 = project_initial(disc, p.u0)
+            calls = []
+            real = Discretization.matrix
+
+            def spy(disc, data):
+                calls.append(data)
+                return real(disc, data)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Discretization, "matrix", spy)
+                traj = march(AssembledForms(disc, p), TimeGrid(steps, p.T), u0)
+            assert len(calls) == traj.factorizations == matrices
 
 
 def _after_first_step(first, after):
@@ -444,10 +467,15 @@ class TestReuseCheck:
         ],
     )
     def test_same_bits_compares_bits(self, a, b, equal):
-        a = np.broadcast_to(np.asarray(a), (4, 3))
-        b = np.asarray(b)
-        assert assembly._same_bits(a, assembly._kept(np.full((4, 3), b))) is equal
-        assert assembly._same_bits(a, assembly._kept(np.broadcast_to(b, (4, 3)))) is equal
+        # a full array and a repeated value, each against a kept copy of both
+        def layouts(v):
+            v = np.asarray(v)
+            return np.full((4, 3), v), np.broadcast_to(v, (4, 3))
+
+        for kept in layouts(b):
+            record = assembly._KeptSample(kept, assembly._distinct(kept), False)
+            for new in layouts(a):
+                assert record.holds(new, assembly._distinct(new)) is equal
 
 
 def _from_second_step(at):
@@ -464,20 +492,20 @@ def _first_inside(x, y):
     return _first(x, y) & _inside(x, y)
 
 
-# name: (closure of paper_sec8, mask, value at the masked points); the first
-# sampled point of a volume closure is a volume point, and x == 0 or 1 is
-# met at edge points alone
+# name: (closure of paper_sec8, mask, value at the masked points, the
+# points of the sample that is checked); the first sampled point of a volume
+# closure is a volume point, and x == 0 or 1 is met at edge points alone
 NON_FINITE = {
-    "c_nan_at_one_point": ("c", _from_second_step(_first), np.nan),
-    "c_nan_everywhere": ("c", _from_second_step(lambda x, y: x == x), np.nan),
-    "f_inf_at_one_point": ("f", _from_second_step(_first), np.inf),
-    "mu_nan_on_edge_x1": ("mu", _from_second_step(lambda x, y: x == 1.0), np.nan),
-    "b_inf_on_edge_x0": ("b", _from_second_step(lambda x, y: x == 0.0), np.inf),
-    "g_nan_everywhere": ("g", _from_second_step(lambda x, y: x == x), np.nan),
+    "c_nan_at_one_point": ("c", _from_second_step(_first), np.nan, "volume"),
+    "c_nan_everywhere": ("c", _from_second_step(lambda x, y: x == x), np.nan, "volume"),
+    "f_inf_at_one_point": ("f", _from_second_step(_first), np.inf, "volume"),
+    "mu_nan_on_edge_x1": ("mu", _from_second_step(lambda x, y: x == 1.0), np.nan, "edge"),
+    "b_inf_on_edge_x0": ("b", _from_second_step(lambda x, y: x == 0.0), np.inf, "edge"),
+    "g_nan_everywhere": ("g", _from_second_step(lambda x, y: x == x), np.nan, "edge"),
     # at one volume point only: the samples at the edge points stay as they
     # were, and only the changed volume sample is checked
-    "b_nan_inside_at_one_point": ("b", _from_second_step(_first_inside), np.nan),
-    "mu_inf_inside_at_one_point": ("mu", _from_second_step(_first_inside), np.inf),
+    "b_nan_inside_at_one_point": ("b", _from_second_step(_first_inside), np.nan, "volume"),
+    "mu_inf_inside_at_one_point": ("mu", _from_second_step(_first_inside), np.inf, "volume"),
 }
 
 
@@ -485,7 +513,7 @@ NON_FINITE = {
 def test_non_finite_coefficient_names_the_closure_and_time(square_gm, name):
     # at the parent a NaN in c surfaced as a singular factorization, and a
     # non-finite f or g as a non-finite solution
-    key, mask, value = NON_FINITE[name]
+    key, mask, value, where = NON_FINITE[name]
     p = builtin_case("paper_sec8").problem
     base = getattr(p, key)
 
@@ -497,5 +525,6 @@ def test_non_finite_coefficient_names_the_closure_and_time(square_gm, name):
     disc = make_disc(square_gm, 2, 3)
     forms = AssembledForms(disc, p, epsilon=10.0)
     named = rf"coefficient {key}\(x, y, t\) is not finite at t = 2: it takes the value {value}"
-    with pytest.raises(ConfigError, match=named):
+    with pytest.raises(ConfigError, match=named) as raised:
         march(forms, TimeGrid(4, p.T), project_initial(disc, p.u0))
+    assert str(raised.value).endswith(f", sampled at the {where} points")
