@@ -26,9 +26,10 @@ local basis is its owner element's, so each edge carries its owner's data
 slots and global indices.  The element
 blocks and then the edge blocks are added into the matrix data at their
 slots as each block of them is made (``np.add.at``, which sums in order,
-the order of one ``np.bincount`` over all of them); a vector is summed
-over the global indices by one ``np.bincount``.  Repeated assemblies are
-cheap and bitwise reproducible.
+the order of one ``np.bincount`` over all of them); a vector (v, N_i) is
+C1^T (w v) C2 over the tensor grid of the volume points, a sum
+factorization (:func:`_volume_load`).  Repeated assemblies are cheap and
+bitwise reproducible.
 
 The stiffness form contains five families of terms: the volume form
 (diffusion, advection, reaction), the boundary flux term, its transpose
@@ -44,15 +45,15 @@ mu there changes, and the inflow block N_i max(-b . n, 0) N_j, made with
 the Dirichlet trial terms at every assembly.  Under an advection field
 that turns in time, only the inflow term is made at each step.  The
 volume form is made at every assembly too: b moves it and b . n together.
-The load is (f, N) plus its Dirichlet trial terms applied to g;
-:meth:`AssembledForms.at` returns both from one sampling of the
-coefficients, the stiffness as its data on the shared pattern.  The
+The load is (f, N) plus its Dirichlet trial terms applied to g, summed at
+the edges' global indices; :meth:`AssembledForms.at` returns both from one
+sampling of the coefficients, the stiffness as its data on the pattern.  The
 penalty floor's :func:`trace_constant` takes each edge's largest
 eigenvalue from one q x q Gram at every quadrature order.
 
 Every element kernel (the element cache's grid evaluation by span rows,
 the basis tables, the stiffness, the unit matrices and the penalty Gram
-P, the trace constant, the volume sums of the load, and the
+P, the trace constant, a vector's grid contraction by span rows, and the
 band layout's slots by rows of the pattern) runs over consecutive blocks of
 elements, edges or rows (:func:`block_slices`) whose largest temporary fits
 ``BLOCK_BYTES``, and each block writes into the one array that the kernel
@@ -227,6 +228,18 @@ def _span_table(kv, rule):
     return pts, wts, first[::q], ders.reshape(kv.num_spans, q, 2, -1)
 
 
+def _value_matrix(span, n):
+    """The dense values (ns q, n) of one direction's ``n`` functions at its
+    Gauss points, laid out as :func:`~nitsche_iga.splines.collocation`'s,
+    from its :func:`_span_table` ``span``: zero off each span's k+1."""
+    _, _, first, ders = span
+    ns, q, _, k1 = ders.shape
+    C = np.zeros((ns * q, n))
+    cols = np.repeat(first, q)[:, None] + np.arange(k1)
+    C[np.arange(ns * q)[:, None], cols] = ders[:, :, 0].reshape(ns * q, k1)
+    return C
+
+
 class ElementCache:
     """Mapped basis data at the volume quadrature points of every element.
 
@@ -242,12 +255,13 @@ class ElementCache:
     :func:`_span_table`): each basis is evaluated once, and once for both
     directions when they share one knot vector (as every uniform space
     does); the discretization makes them once for this cache and the edge
-    cache.  The map is evaluated on the grid
-    of those points one block of whole direction-2 span rows at a time (the
-    rows' elements are consecutive), as many rows as let their J fit
-    ``BLOCK_BYTES`` and at least one; each block is reordered to (element,
-    point) and writes its x, w and basis table into the cache's arrays, so
-    no array spans the grid.
+    cache.  ``C1``, ``C2`` (ns q, n) hold each basis densely there, one
+    array for a shared table, for :func:`_volume_load`.  The map is
+    evaluated on the grid of those points one block of whole direction-2
+    span rows at a time (the rows' elements are consecutive), as many rows
+    as let their J fit ``BLOCK_BYTES`` and at least one; each block is
+    reordered to (element, point) and writes its x, w and basis table into
+    the cache's arrays, so no array spans the grid.
     det J must keep one sign (:class:`DegenerateJacobian` otherwise) across
     all blocks and at the element corners, one more grid of the
     breakpoints; the sign is judged after every block has passed the |det J|
@@ -294,6 +308,8 @@ class ElementCache:
         self.table, self.B, self.G = table, table[:, :, 0], table[:, :, 1:].swapaxes(2, 3)
         self.span_first = (f1, f2)
         self.gidx = space.local_to_global(f1[s1], f2[s2])
+        self.C1 = _value_matrix(spans[0], space.shape[0])
+        self.C2 = self.C1 if spans[1] is spans[0] else _value_matrix(spans[1], space.shape[1])
 
     def field(self, coef, elements=slice(None)):
         """Values and physical gradients (..., ne, nq, 3) of the fields with
@@ -417,12 +433,11 @@ class Discretization:
         self.boundary = EdgeCache(space, geometry, spans)
 
         # the CSR pattern of every matrix, built from the span blocks of the
-        # two directions, and the data slots and global indices of the
-        # element blocks followed by those of the edges (their owners')
+        # two directions, and the data slots of the element blocks followed
+        # by those of the edges (their owners')
         self._indptr, self._indices, self._slots = _tensor_pattern(
             space, *self.elements.span_first, self.boundary.owner
         )
-        self._gidx = np.concatenate((self.elements.gidx, self.boundary.gidx), dtype=np.intp)
         self.band = BandLayout(self._indptr, self._indices)
         # the unit matrices' data by table-row pair, see volume_units
         self._units = {}
@@ -495,18 +510,23 @@ def _add_blocks(data, slots, blocks):
     np.add.at(data, slots.ravel(), blocks.ravel())
 
 
-def _volume_integrals(ec, values, out):
-    """``out`` (ne, nloc) filled with the integrals of v N_l over each element,
-    for the values (ne, nq) of v at the quadrature points, block by block."""
-    for s in block_slices(len(out), ec.w[0].nbytes):
-        np.einsum("eq,eql->el", ec.w[s] * values[s], ec.B[s], out=out[s])
-    return out
+def _volume_load(ec, values):
+    """The vector (v, N_i) in the order i1 + n1 i2 from the values (ne, nq)
+    of v at the volume points of ``ec``: C1^T (w v) C2 over their grid.
 
-
-def _scatter(index, size, values):
-    """Sum ``values`` (n, ...) at the first n rows of ``index`` (elements,
-    then edges) into ``size`` bins."""
-    return np.bincount(index[: len(values)].ravel(), weights=values.ravel(), minlength=size)
+    w v of a block of direction-2 span rows, in the element order (s2, s1,
+    i1, i2), is a stack (rows, ns1 q, q), whose product with C1^T, one per
+    row, fills the rows' columns of T (n1, ns2, q); T (n1, ns2 q) C2 is the
+    vector (n1, n2), the same for any block size.  ``values`` is only read.
+    """
+    (ns1, ns2), (C1, C2) = map(len, ec.span_first), (ec.C1, ec.C2)
+    q, n1 = len(C1) // ns1, C1.shape[1]
+    T = np.empty((n1, ns2, q))
+    for b in block_slices(ns2, ec.w[:ns1].nbytes):
+        e = slice(ns1 * b.start, ns1 * b.stop)
+        weighted = (ec.w[e] * values[e]).reshape(-1, ns1 * q, q)
+        np.matmul(C1.T, weighted, out=T[:, b].swapaxes(0, 1))
+    return (T.reshape(n1, -1) @ C2).ravel(order="F")
 
 
 def assemble_mass(disc):
@@ -843,31 +863,31 @@ def assemble_stiffness(disc, p, eps, t):
 
 
 def _load_from(disc, p, dirichlet, t):
-    """Load vector F_i = (f, N_i) plus the Dirichlet terms ``dirichlet`` of the
-    stiffness at ``t`` (from :meth:`_Stiffness.at`) applied to g."""
+    """Load vector F_i = (f, N_i) (:func:`_volume_load`) plus the Dirichlet
+    terms ``dirichlet`` of the stiffness at ``t`` (:meth:`_Stiffness.at`)
+    applied to g, summed at the edges' global indices."""
     ec, bc = disc.elements, disc.boundary
     fv = _coefficients_at(ec.x, p, "f", t)
     gv = _coefficients_at(bc.x, p, "g", t)
     _check_coefficient("f", fv, t, "volume")
     _check_coefficient("g", gv, t, "edge")
-    values = np.empty(disc._gidx.shape)
-    _volume_integrals(ec, fv, values[: len(fv)])
-    np.einsum("fq,fql->fl", bc.w * gv, dirichlet, out=values[len(fv) :])
-    return _scatter(disc._gidx, disc.dimension, values)
+    edges = np.einsum("fq,fql->fl", bc.w * gv, dirichlet)
+    load = _volume_load(ec, fv)
+    load += np.bincount(bc.gidx.ravel(), weights=edges.ravel(), minlength=len(load))
+    return load
 
 
 def assemble_functional(disc, func):
-    """Vector of volume integrals (func, N_i); func, the initial datum u0 of
-    :func:`~nitsche_iga.timestepping.project_initial`, takes (x, y) arrays.
-    A non-finite value raises :class:`ConfigError`."""
+    """Vector of volume integrals (func, N_i) by :func:`_volume_load`; func,
+    the initial datum u0 of :func:`~nitsche_iga.timestepping.project_initial`,
+    takes (x, y) arrays.  A non-finite value raises :class:`ConfigError`."""
     ec = disc.elements
     flat = ec.x.reshape(-1, 2)
     fv = np.asarray(func(flat[:, 0], flat[:, 1])).reshape(ec.w.shape)
     bad = _non_finite(fv)
     if bad is not None:
         raise ConfigError(f"initial datum u0(x, y) is not finite: it takes the value {bad}")
-    values = _volume_integrals(ec, fv, np.empty(ec.gidx.shape))
-    return _scatter(disc._gidx, disc.dimension, values)
+    return _volume_load(ec, fv)
 
 
 def assemble_vh_gram(disc):

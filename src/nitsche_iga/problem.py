@@ -164,7 +164,7 @@ def _const_vector(b1, b2):
 
 def _const_scalar(v):
     def c(x, y, t):
-        return np.full(len(np.atleast_1d(x)), float(v))
+        return np.broadcast_to(float(v), (len(np.atleast_1d(x)),))
 
     return c
 

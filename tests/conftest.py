@@ -7,7 +7,7 @@ from nitsche_iga import (
     load_geometry,
     uniform_space,
 )
-from nitsche_iga.assembly import _by_direction, _coefficients_at, _scatter, _span_table
+from nitsche_iga.assembly import _by_direction, _coefficients_at, _span_table, _volume_load
 from nitsche_iga.geometry import invert_2x2
 from nitsche_iga.quadrature import gauss_rule
 from nitsche_iga.splines import eval_basis_many
@@ -148,7 +148,11 @@ def reference_space_time_errors(traj, case):
 def reference_load(disc, p, eps, t):
     """Load vector F_i = (f, N_i) plus the g-weighted boundary families, with
     its own sampling of f, g, mu and b . n and its own Dirichlet terms
-    sigma N - n . mu grad N; the reference for ``AssembledForms.at(t)[1]``."""
+    sigma N - n . mu grad N; the reference for ``AssembledForms.at(t)[1]``.
+    Its volume part is the grid kernel's, to which its edge terms, summed at
+    the edges' global indices, are added as the load adds them, so that the
+    two agree bit for bit; ``test_assembly.TestGridLoad`` checks the kernel
+    against a loop."""
     ec, bc = disc.elements, disc.boundary
     fv = _coefficients_at(ec.x, p, "f", t)
     gv, mu_e = (_coefficients_at(bc.x, p, name, t) for name in ("g", "mu"))
@@ -156,10 +160,10 @@ def reference_load(disc, p, eps, t):
     flux = ((bc.normal[:, :, None, :] @ mu_e) @ bc.table[:, :, 1:])[:, :, 0]
     sigma = (eps / bc.h_E)[:, None] - np.minimum(bn, 0.0)
     dirichlet = sigma[..., None] * bc.B - flux
-    values = np.empty(disc._gidx.shape)
-    np.einsum("eq,eql->el", ec.w * fv, ec.B, out=values[: len(fv)])
-    np.einsum("fq,fql->fl", bc.w * gv, dirichlet, out=values[len(fv) :])
-    return _scatter(disc._gidx, disc.dimension, values)
+    edges = np.einsum("fq,fql->fl", bc.w * gv, dirichlet)
+    load = _volume_load(ec, fv)
+    load += np.bincount(bc.gidx.ravel(), weights=edges.ravel(), minlength=len(load))
+    return load
 
 
 def relative_error(a, ref):

@@ -293,8 +293,9 @@ def consistency_residual_norm(case, disc, eps, t):
     edges = np.einsum("fq,fql->fl", bc.w * (sigma * jump - flux_u), bc.B)
     edges -= np.einsum("fq,fql->fl", bc.w * jump, flux_test)
 
-    local = np.concatenate([volume, edges])
-    r = np.bincount(disc._gidx.ravel(), weights=local.ravel(), minlength=disc.dimension)
+    # summed at the global indices of the elements and then of the edges
+    local, gidx = np.concatenate([volume, edges]), np.concatenate([ec.gidx, bc.gidx])
+    r = np.bincount(gidx.ravel(), weights=local.ravel(), minlength=disc.dimension)
     return float(np.sqrt(r @ SparseFactor(disc.vh_gram, disc.band).solve(r)))
 
 

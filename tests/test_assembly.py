@@ -698,9 +698,9 @@ class TestSparsityPattern:
     def assert_reference_pattern(disc):
         # the pattern from the 1-D span blocks against np.unique over all
         # (row, column) keys of the element blocks, the pattern kept in
-        # int32 and the scatter indices in intp, which np.bincount reads
-        # without a copy; the element slots and global indices are followed
-        # by each edge's owner's
+        # int32; the element slots are followed by each edge's owner's, and
+        # the edges' global indices, at which the load sums its edge terms,
+        # are their owners' in intp, which np.bincount reads without a copy
         ref = reference_pattern(disc.elements.gidx, disc.dimension)
         ne, owner = len(disc.elements.gidx), disc.boundary.owner
         for got, want, dtype in zip(
@@ -709,9 +709,8 @@ class TestSparsityPattern:
             assert got.dtype == dtype
             assert np.array_equal(got, want)
         assert np.array_equal(disc._slots[ne:], disc._slots[owner])
-        assert disc._gidx.dtype == np.intp
-        assert np.array_equal(disc._gidx[:ne], disc.elements.gidx)
-        assert np.array_equal(disc._gidx[ne:], disc.elements.gidx[owner])
+        assert disc.boundary.gidx.dtype == np.intp
+        assert np.array_equal(disc.boundary.gidx, disc.elements.gidx[owner])
 
     @pytest.mark.parametrize("geometry", ["square", "quarter_annulus"])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
@@ -943,6 +942,82 @@ class TestLoad:
             eps = 2.5
             F = AssembledForms(disc, p, epsilon=eps).at(0.0)[1]
             assert F.sum() == pytest.approx(4 * eps * spans, rel=1e-12)
+
+
+def loop_load(ec, values, dimension):
+    """(v, N_i) by a plain loop over elements and points, from the samples
+    ``values`` (ne, nq) of v: each point's w v N_l added at its element's
+    global indices, from the element cache's basis table B and weights w."""
+    F = np.zeros(dimension)
+    for e in range(len(ec.w)):
+        for k in range(ec.w.shape[1]):
+            F[ec.gidx[e]] += ec.w[e, k] * values[e, k] * ec.B[e, k]
+    return F
+
+
+def grid_disc(name, gm):
+    """The discretizations of the grid kernel's oracle test: uniform at k=3,
+    k1 != k2 with ns1 != ns2 (and double interior knots), and C0 at k=3,
+    whose interior knots have multiplicity 3."""
+    if name == "uniform":
+        return make_disc(gm, 3, 6)
+    if name == "mixed":
+        return anisotropic_disc(gm)
+    kv = validate_knots([0] * 4 + [1 / 3] * 3 + [2 / 3] * 3 + [1] * 4, 3)
+    return Discretization(TensorSpace(kv, kv), gm)
+
+
+def smooth(x, y):
+    return np.exp(x) * np.sin(3 * y) + x * y
+
+
+class TestGridLoad:
+    # the prototype's sums by sum factorization met the loop to 1.2e-16 ..
+    # 4.2e-16 relative to max |F|
+    BOUND = 1e-14
+
+    @pytest.mark.parametrize("name", ["uniform", "mixed", "c0"])
+    def test_functional_and_load_match_a_loop(self, annulus_gm, name):
+        disc = grid_disc(name, annulus_gm)
+        ec, n = disc.elements, disc.dimension
+        (k1, k2), (ns1, ns2) = disc.space.degrees, disc.space.num_spans
+        assert (ec.C1 is ec.C2) == (name != "mixed")
+        assert name != "mixed" or (k1 != k2 and ns1 != ns2)
+        x, y = ec.x[..., 0].ravel(), ec.x[..., 1].ravel()
+        got = assembly.assemble_functional(disc, smooth)
+        want = loop_load(ec, smooth(x, y).reshape(ec.w.shape), n)
+        assert relative_error(got, want) <= self.BOUND
+        # the load's volume part, with zero Dirichlet terms; f is sampled as
+        # the load samples it
+        p = builtin_case("steady_reaction").problem
+        fv = assembly._coefficients_at(ec.x, p, "f", 0.3)
+        got = assembly._load_from(disc, p, np.zeros(disc.boundary.B.shape), 0.3)
+        assert relative_error(got, loop_load(ec, fv, n)) <= self.BOUND
+        # a read-only broadcast, as the constant closures return, is read
+        got = assembly.assemble_functional(disc, lambda x, y: np.broadcast_to(2.0, x.shape))
+        assert relative_error(got, loop_load(ec, np.full(ec.w.shape, 2.0), n)) <= self.BOUND
+
+    def test_swapped_directions_fail_on_the_mixed_space(self, monkeypatch, annulus_gm):
+        # the value matrices and the span counts of the two directions
+        # swapped, so that the kernel reads the grid with direction 2 fastest
+        disc = grid_disc("mixed", annulus_gm)
+        ec = disc.elements
+        x, y = ec.x[..., 0].ravel(), ec.x[..., 1].ravel()
+        want = loop_load(ec, smooth(x, y).reshape(ec.w.shape), disc.dimension)
+        for key, value in zip(("C1", "C2", "span_first"), (ec.C2, ec.C1, ec.span_first[::-1])):
+            monkeypatch.setattr(ec, key, value)
+        assert relative_error(assembly.assemble_functional(disc, smooth), want) > 1e-3
+
+    def test_weights_without_det_j_fail_on_the_annulus(self, monkeypatch, annulus_gm):
+        # the parametric weights w1 w2 of each point, without |det J|
+        disc = grid_disc("uniform", annulus_gm)
+        ec = disc.elements
+        x, y = ec.x[..., 0].ravel(), ec.x[..., 1].ravel()
+        want = loop_load(ec, smooth(x, y).reshape(ec.w.shape), disc.dimension)
+        (_, w1, _, _), (_, w2, _, _) = span_tables(disc.space, disc.quadrature_order)
+        parametric = np.einsum("ai,bj->baij", w1, w2).reshape(ec.w.shape)
+        monkeypatch.setattr(ec, "w", parametric)
+        assert relative_error(assembly.assemble_functional(disc, smooth), want) > 1e-3
 
 
 class TestPenaltyFloor:

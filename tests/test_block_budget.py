@@ -38,7 +38,7 @@ def kernel_outputs(gm, degree, case):
         for key in ("table", "x", "w", "gidx")
     }
     out["boundary.normal"] = disc.boundary.normal
-    for key in ("_indptr", "_indices", "_slots", "_gidx"):
+    for key in ("_indptr", "_indices", "_slots"):
         out["pattern." + key] = getattr(disc, key)
     out["band._slot"] = disc.band._slot
     out["mass"] = disc.mass.data
@@ -258,16 +258,20 @@ def test_band_layout_allocates_only_block_temporaries(annulus_k3):
 
 def test_volume_sums_allocate_only_what_the_closure_does(annulus_k3):
     # the closure runs once over all points; the weighting and the
-    # contraction add no more than the vector they fill and block temporaries
+    # contraction add no more than what the grid kernel keeps, its product
+    # T (n1, ns2 q) with C1^T, the load's edge terms (nedge, nloc) and block
+    # temporaries; the element-wise sums kept (ne + nedge, nloc) values
     disc, _ = annulus_k3
     p = builtin_case("steady_reaction").problem
     x, y = disc.elements.x.reshape(-1, 2).T
-    values = disc._gidx.size * 8
+    kept = disc.space.shape[0] * disc.space.num_spans[1] * disc.quadrature_order * 8
+    edges = disc.boundary.gidx.size * 8
+    assert kept + edges < (disc.elements.gidx.size + disc.boundary.gidx.size) * 8
     coefficients = assembly._operator_coefficients(disc, p, 0.5)
     _, dirichlet = assembly._Stiffness(disc, 10.0).at(coefficients, 0.5)
-    for closure, args, kernel, kernel_args in (
-        (p.f, (x, y, 0.5), assembly._load_from, (disc, p, dirichlet, 0.5)),
-        (p.u0, (x, y), assembly.assemble_functional, (disc, p.u0)),
+    for closure, args, kernel, kernel_args, values in (
+        (p.f, (x, y, 0.5), assembly._load_from, (disc, p, dirichlet, 0.5), kept + edges),
+        (p.u0, (x, y), assembly.assemble_functional, (disc, p.u0), kept),
     ):
         result, closure_excess = traced(closure, *args)
         _, excess = traced(kernel, *kernel_args)
